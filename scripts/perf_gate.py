@@ -19,15 +19,12 @@ Usage::
 
 **Bench mode** — compares a fresh ``maxrs-stream bench`` document
 against the committed baseline (``BENCH_PR9.json``) on
-``speedup_vs_naive``, per (monitor, dataset, backend) row.  The speedup
-is a ratio *within* one run on one machine (against the naive row of
-the *same* sweep backend), so absolute host speed cancels out; what
-remains is the algorithmic advantage over the naive recompute, which is
-exactly what a kernel regression erodes.  The gate fails when any
-indexed monitor's speedup falls more than ``--tolerance`` (default 15%)
-below the baseline row.  Baseline rows for the ``numpy`` sweep backend
-are skipped — not failed — when the current document reports numpy
-unavailable, so the without-numpy CI leg stays honest.  The multi-query
+``speedup_vs_naive``, per (monitor, dataset) row.  The speedup is a
+ratio *within* one run on one machine, so absolute host speed cancels
+out; what remains is the algorithmic advantage over the naive
+recompute, which is exactly what a kernel regression erodes.  The gate
+fails when any indexed monitor's speedup falls more than
+``--tolerance`` (default 15%) below the baseline row.  The multi-query
 ``scaling`` ratio is gated the same way, but only when both the
 baseline and the current host have at least two CPUs — on one core the
 honest ratio is below 1 and carries no signal.  When both aG2 spatial
@@ -35,17 +32,6 @@ indexes appear on a dataset in both documents, the *adaptive-index
 advantage* — quadtree-aG2 speedup over uniform-grid-aG2 speedup — is
 additionally gated against the baseline's advantage at twice the
 tolerance (the advantage is a ratio of two independently gated ratios).
-
-Two vector-backend gates ride on the same documents:
-
-* the *columnar advantage* — python-row ``mean_ms`` over numpy-row
-  ``mean_ms`` for aG2 on the canonical workloads — is gated against the
-  baseline's advantage at twice the tolerance, wherever both documents
-  carry both rows;
-* the full-profile aG2 ``uniform`` numpy row must clear an *absolute*
-  ``speedup_vs_naive`` floor of ``VECTOR_SPEEDUP_FLOOR`` (2x) in
-  whichever document carries it — this is the PR-9 acceptance bar, not
-  a relative-to-baseline check.
 
 Usage::
 
@@ -68,15 +54,6 @@ GATED_MONITORS = ("g2", "ag2", "ag2_quadtree", "rtree", "topk")
 #: over uniform-grid aG2 speedup, within one run) is gated against the
 #: baseline's advantage — the skewed rows exist for this comparison
 ADVANTAGE_DATASETS = ("gaussian", "gauss_static", "gauss_drift", "powerlaw")
-
-#: datasets where the columnar advantage (python-backend mean_ms over
-#: numpy-backend mean_ms, within one run) is gated for aG2 — the only
-#: workloads that carry numpy rows
-VECTOR_DATASETS = ("uniform", "gaussian")
-
-#: absolute speedup_vs_naive floor for the full-profile aG2 uniform
-#: numpy row (the PR-9 acceptance bar; not relative to the baseline)
-VECTOR_SPEEDUP_FLOOR = 2.0
 
 
 def check(metrics_path: str) -> list[str]:
@@ -134,20 +111,11 @@ def check(metrics_path: str) -> list[str]:
 
 
 def _row_index(doc: dict) -> dict:
-    """(profile, monitor, dataset, backend) -> row for one document.
-
-    ``backend`` is the sweep compute backend.  Schema-2 documents
-    predate the sweep backend and (mis)used the ``backend`` field for
-    the spatial index; their rows key as ``python``, which is what they
-    actually measured.
-    """
-    schema = doc.get("schema", 1)
+    """(profile, monitor, dataset) -> row for one document."""
     index: dict = {}
     for profile_name, profile_doc in doc.get("profiles", {}).items():
         for row in profile_doc.get("rows", []):
-            backend = row.get("backend", "python") if schema >= 3 else "python"
-            key = (profile_name, row["monitor"], row["dataset"], backend)
-            index[key] = row
+            index[(profile_name, row["monitor"], row["dataset"])] = row
     return index
 
 
@@ -156,10 +124,6 @@ def _spatial_index_of(doc: dict, row: dict) -> str:
     if doc.get("schema", 1) >= 3:
         return row.get("index", "none")
     return row.get("backend", "none")
-
-
-def _numpy_available(doc: dict) -> bool:
-    return bool(doc.get("vector", {}).get("available"))
 
 
 def check_bench(
@@ -174,25 +138,20 @@ def check_bench(
     failures: list[str] = []
     base_rows = _row_index(baseline)
     cur_rows = _row_index(current)
-    cur_has_numpy = _numpy_available(current)
     compared = 0
     for key, base_row in sorted(base_rows.items()):
-        profile_name, monitor, dataset, backend = key
+        profile_name, monitor, dataset = key
         if monitor not in GATED_MONITORS:
             continue
         cur_row = cur_rows.get(key)
         if cur_row is None:
             # the current run may cover a subset of profiles (the CI
             # smoke job runs only `quick`); a missing profile is fine,
-            # a missing monitor row within a covered profile is not —
-            # except numpy-backend rows on a host without numpy, which
-            # the suite rightly could not produce
-            if backend == "numpy" and not cur_has_numpy:
-                continue
+            # a missing monitor row within a covered profile is not
             if any(k[0] == profile_name for k in cur_rows):
                 failures.append(
                     f"bench row missing: {monitor} on {dataset} "
-                    f"[{backend} backend] ({profile_name} profile)"
+                    f"({profile_name} profile)"
                 )
             continue
         compared += 1
@@ -203,7 +162,7 @@ def check_bench(
             spatial = _spatial_index_of(current, cur_row)
             failures.append(
                 f"kernel throughput regression: {monitor} "
-                f"[{backend} backend, {spatial} index] on {dataset} "
+                f"[{spatial} index] on {dataset} "
                 f"({profile_name}) speedup_vs_naive {cur_speedup:.2f}x "
                 f"below floor {floor:.2f}x "
                 f"(baseline {base_speedup:.2f}x, tolerance {tolerance:.0%})"
@@ -224,10 +183,8 @@ def check_bench(
         for dataset in ADVANTAGE_DATASETS:
             values = []
             for rows in (base_rows, cur_rows):
-                grid = rows.get((profile_name, "ag2", dataset, "python"))
-                quad = rows.get(
-                    (profile_name, "ag2_quadtree", dataset, "python")
-                )
+                grid = rows.get((profile_name, "ag2", dataset))
+                quad = rows.get((profile_name, "ag2_quadtree", dataset))
                 if grid is None or quad is None:
                     values = []
                     break
@@ -249,55 +206,6 @@ def check_bench(
                     f"(baseline {base_adv:.2f}x, tolerance "
                     f"{2.0 * tolerance:.0%})"
                 )
-
-    # columnar advantage: python-row mean over numpy-row mean for aG2,
-    # within one run, compared to the baseline's advantage.  Like the
-    # adaptive-index advantage this is a ratio of two independently
-    # measured rows, so the tolerance composes both rows' allowances.
-    # Skipped wherever either document lacks the numpy row (numpy-less
-    # host), which the missing-row check above already polices.
-    for profile_name in current.get("profiles", {}):
-        for dataset in VECTOR_DATASETS:
-            values = []
-            for rows in (base_rows, cur_rows):
-                py = rows.get((profile_name, "ag2", dataset, "python"))
-                np_ = rows.get((profile_name, "ag2", dataset, "numpy"))
-                if py is None or np_ is None or not np_["mean_ms"]:
-                    values = []
-                    break
-                values.append(py["mean_ms"] / np_["mean_ms"])
-            if not values:
-                continue
-            base_adv, cur_adv = values
-            floor = base_adv * (1.0 - 2.0 * tolerance)
-            if cur_adv < floor:
-                failures.append(
-                    "columnar backend advantage regression: "
-                    f"ag2 python/numpy mean_ms on {dataset} "
-                    f"({profile_name}) advantage {cur_adv:.2f}x below "
-                    f"floor {floor:.2f}x (baseline {base_adv:.2f}x, "
-                    f"tolerance {2.0 * tolerance:.0%})"
-                )
-
-    # PR-9 acceptance bar: the full-profile aG2 uniform numpy row must
-    # beat its (numpy) naive baseline by an absolute factor, in
-    # whichever document carries the row — gating the committed
-    # baseline itself, not just drift against it.
-    for label, doc, rows in (
-        ("baseline", baseline, base_rows),
-        ("current", current, cur_rows),
-    ):
-        row = rows.get(("full", "ag2", "uniform", "numpy"))
-        if row is None:
-            continue
-        speedup = row["speedup_vs_naive"]
-        if speedup < VECTOR_SPEEDUP_FLOOR:
-            failures.append(
-                f"vector speedup floor violated ({label}): ag2 [numpy "
-                f"backend] on uniform (full) speedup_vs_naive "
-                f"{speedup:.2f}x below the absolute "
-                f"{VECTOR_SPEEDUP_FLOOR:.1f}x floor"
-            )
 
     # multi-query scaling: only meaningful with real parallel hardware
     base_cpus = baseline.get("cpu_count", 1)

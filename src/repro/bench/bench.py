@@ -3,25 +3,15 @@
 ``run_bench`` drives every monitor implementation over the two
 canonical workloads (uniform = ``synthetic``, gaussian =
 ``geolife_like``) with a fixed stream seed and reports, per
-(monitor, dataset, backend) row:
+(monitor, dataset) row:
 
 * ``ops_per_s``   — arrival throughput (objects processed per second),
 * ``mean_ms`` / ``p95_ms`` — per-batch update latency,
 * ``speedup_vs_naive`` — naive mean over this monitor's mean on the
-  *same* dataset with the *same* sweep backend in the *same* run,
-* ``backend``     — the sweep compute backend (``python`` / ``numpy``),
+  *same* dataset in the *same* run,
 * ``index``       — the spatial index that produced the row
   (``uniform-grid`` / ``quadtree`` / ``rtree`` / ``none``), so a gate
   failure names the offending index, not just the algorithm label.
-
-When numpy is importable, the vector-capable monitors
-(:data:`BENCH_VECTOR_MONITORS`) additionally run under the columnar
-numpy backend on the two canonical workloads, interleaved in the same
-measurement rounds as the python rows so backend-vs-backend ratios are
-taken over the same span of host speed.  Each backend's
-``speedup_vs_naive`` uses its own backend's naive denominator; the
-cross-backend comparison the gate consumes is the ratio of ``mean_ms``
-between the python and numpy rows of one (monitor, dataset).
 
 Three *skewed* workloads (``gauss_static``, ``gauss_drift``,
 ``powerlaw``) additionally run the skew-relevant subset — naive,
@@ -58,15 +48,12 @@ import gc
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
-from repro.core import vector
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
-from repro.core.grid import _cell_keys_cached
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
-from repro.core.objects import dual_rect
 from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.rtree_monitor import RTreeMonitor
 from repro.core.topk import TopKAG2Monitor
@@ -82,7 +69,6 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_SKEW_DATASETS",
     "BENCH_SKEW_MONITORS",
-    "BENCH_VECTOR_MONITORS",
     "BenchProfile",
     "PROFILES",
     "bench_rows",
@@ -91,12 +77,12 @@ __all__ = [
     "scaling_rows",
 ]
 
-#: 3: ``backend`` now names the sweep compute backend (python/numpy) on
-#: every row, the spatial index moved to the new ``index`` field, and
-#: the canonical workloads gained numpy-backend rows (PR 9)
+#: 4: rows drop the ``backend`` field; there is one sweep kernel
+#: 3: ``backend`` named the sweep kernel, and the spatial index moved
+#: to the new ``index`` field
 #: 2: added the skewed workload rows, the ag2_quadtree monitor and the
 #: per-row ``backend`` field (PR 6)
-BENCH_SCHEMA = 3
+BENCH_SCHEMA = 4
 
 #: benchmark dataset label -> repro.datasets workload name
 BENCH_DATASETS = {"uniform": "synthetic", "gaussian": "geolife_like"}
@@ -109,40 +95,24 @@ BENCH_SKEW_DATASETS = {
     "powerlaw": "powerlaw_cities",
 }
 
-MonitorFactory = Callable[[float, int, str], MaxRSMonitor]
+MonitorFactory = Callable[[float, int], MaxRSMonitor]
 
-#: label -> factory(side, window_size, backend); ordering is the report
-#: ordering.  The rtree factory ignores the backend argument: it is
-#: never instantiated with anything but ``python`` because it is not in
-#: :data:`BENCH_VECTOR_MONITORS`.
+#: label -> factory(side, window_size); ordering is the report ordering
 BENCH_MONITORS: Dict[str, MonitorFactory] = {
-    "naive": lambda side, w, b: NaiveMonitor(
-        side, side, CountWindow(w), backend=b
+    "naive": lambda side, w: NaiveMonitor(side, side, CountWindow(w)),
+    "g2": lambda side, w: G2Monitor(side, side, CountWindow(w)),
+    "ag2": lambda side, w: AG2Monitor(side, side, CountWindow(w)),
+    "ag2_quadtree": lambda side, w: QuadtreeAG2Monitor(
+        side, side, CountWindow(w)
     ),
-    "g2": lambda side, w, b: G2Monitor(side, side, CountWindow(w), backend=b),
-    "ag2": lambda side, w, b: AG2Monitor(
-        side, side, CountWindow(w), backend=b
-    ),
-    "ag2_quadtree": lambda side, w, b: QuadtreeAG2Monitor(
-        side, side, CountWindow(w), backend=b
-    ),
-    "rtree": lambda side, w, b: RTreeMonitor(side, side, CountWindow(w)),
-    "topk": lambda side, w, b: TopKAG2Monitor(
-        side, side, CountWindow(w), k=10, backend=b
-    ),
+    "rtree": lambda side, w: RTreeMonitor(side, side, CountWindow(w)),
+    "topk": lambda side, w: TopKAG2Monitor(side, side, CountWindow(w), k=10),
 }
 
 #: the subset run on the skewed workloads: the naive denominator plus
 #: the two aG2 index backends under comparison (the full matrix would
 #: triple the suite's runtime for rows no gate consumes)
 BENCH_SKEW_MONITORS = ("naive", "ag2", "ag2_quadtree")
-
-#: the subset that gets a second, numpy-backend row on the canonical
-#: workloads when numpy is importable: the naive denominator plus the
-#: two aG2 variants the speedup gates consume.  g2/topk accept the
-#: backend too but adding their rows would grow the suite's runtime for
-#: comparisons no gate reads; rtree has no numpy path at all.
-BENCH_VECTOR_MONITORS = ("naive", "ag2", "ag2_quadtree")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,19 +164,13 @@ def _time_once(
 ) -> List[float]:
     """Prime the window untimed, then time ``batches`` updates (s).
 
-    Every row starts from the same heap state: the shared dual-rect
-    cache is cleared, the previous row's garbage is collected up front,
-    and the collector is paused while the clock runs.  Without this the
-    rows are order-biased — later monitors inherit a bigger heap and
-    pay the earlier rows' GC pauses inside their timed region, which
-    showed up as ±30% swings when the suite order was shuffled.
-    The module-level cell-cover cache is cleared for the same reason:
-    rows share rectangle geometry, so without the reset later rows run
-    against a warm cover cache (and the bigger heap behind it) that
-    the first rows never saw.
+    Every row starts from the same heap state: the previous row's
+    garbage is collected up front, and the collector is paused while
+    the clock runs.  Without this the rows are order-biased — later
+    monitors inherit a bigger heap and pay the earlier rows' GC pauses
+    inside their timed region, which showed up as ±30% swings when the
+    suite order was shuffled.
     """
-    dual_rect.cache_clear()
-    _cell_keys_cached.cache_clear()
     stream = make_stream(dataset, domain=profile.domain, seed=seed)
     monitor.ingest(stream.take(profile.window_size))
     # One full window turnover untimed before the clock starts: the
@@ -233,8 +197,6 @@ def _time_once(
         if was_enabled:
             gc.enable()
     return times
-
-
 
 
 def _mq_monitors(profile: BenchProfile) -> Dict[str, MaxRSMonitor]:
@@ -298,71 +260,49 @@ def run_profile_suite(
     rows: List[Dict[str, object]] = []
 
     def run_dataset(
-        ds_label: str,
-        dataset: str,
-        monitor_labels: Sequence[str],
-        vector_rows: bool = False,
+        ds_label: str, dataset: str, monitor_labels: Sequence[str]
     ) -> None:
         """One dataset's rows, measured as interleaved rounds.
 
-        Each round times *every* variant (naive included, numpy-backend
-        variants too) back to back over the identical seeded stream, and
-        each batch keeps its fastest observation across rounds.
-        Scheduler preemption and page faults only ever *add* time, so
-        the per-batch minimum converges on the true cost as rounds
-        accumulate; interleaving the rounds means every variant's minima
-        sample the same span of the host's speed history, so slow drift
-        (frequency scaling, allocator layout, co-tenant load) cannot
-        land on one side of a ratio only.  ``speedup_vs_naive`` — the
-        number the CI gate compares — is the ratio of these denoised
-        means.  Single-shot 5-batch means swung ±20–30% between runs on
-        a busy 1-CPU host, tripping the 15% gate on pure noise; the
-        minima hold rows steady within a few percent.
+        Each round times *every* monitor (naive included) back to back
+        over the identical seeded stream, and each batch keeps its
+        fastest observation across rounds.  Scheduler preemption and
+        page faults only ever *add* time, so the per-batch minimum
+        converges on the true cost as rounds accumulate; interleaving
+        the rounds means every monitor's minima sample the same span of
+        the host's speed history, so slow drift (frequency scaling,
+        allocator layout, co-tenant load) cannot land on one side of a
+        ratio only.  ``speedup_vs_naive`` — the number the CI gate
+        compares — is the ratio of these denoised means.  Single-shot
+        5-batch means swung ±20–30% between runs on a busy 1-CPU host,
+        tripping the 15% gate on pure noise; the minima hold rows
+        steady within a few percent.
         """
         rounds = max(1, profile.repeats)
-        variants: List[Tuple[str, str]] = [
-            (label, "python") for label in monitor_labels
-        ]
-        if vector_rows and vector.HAVE_NUMPY:
-            variants.extend(
-                (label, "numpy")
-                for label in monitor_labels
-                if label in BENCH_VECTOR_MONITORS
-            )
-        best: Dict[Tuple[str, str], List[float]] = {}
+        best: Dict[str, List[float]] = {}
         indexes: Dict[str, str] = {}
         for _ in range(rounds):
-            for mon_label, backend in variants:
-                monitor = BENCH_MONITORS[mon_label](
-                    profile.rect_side, profile.window_size, backend
+            for label in monitor_labels:
+                monitor = BENCH_MONITORS[label](
+                    profile.rect_side, profile.window_size
                 )
-                indexes[mon_label] = monitor.index_backend
+                indexes[label] = monitor.index_backend
                 times = _time_once(monitor, profile, dataset, seed)
-                key = (mon_label, backend)
-                if key in best:
-                    best[key] = [min(a, b) for a, b in zip(best[key], times)]
+                if label in best:
+                    best[label] = [min(a, b) for a, b in zip(best[label], times)]
                 else:
-                    best[key] = times
-        # per-backend naive denominators: a numpy row's speedup is taken
-        # against the numpy naive baseline so the ratio isolates the
-        # algorithm, not the backend.  (Every variant list includes
-        # naive, so the fallback only ever covers a caller that trims
-        # monitor_labels below the naive row.)
-        naive_mean_ms: Dict[str, float] = {}
-        for (mon_label, backend), times in best.items():
-            if mon_label == "naive":
-                naive_mean_ms[backend] = sum(times) / len(times) * 1000.0
-        for mon_label, backend in variants:
-            times = best[(mon_label, backend)]
+                    best[label] = times
+        naive = best.get("naive")
+        naive_mean_ms = sum(naive) / len(naive) * 1000.0 if naive else 0.0
+        for label in monitor_labels:
+            times = best[label]
             total = sum(times)
             mean_ms = total / len(times) * 1000.0
-            denom = naive_mean_ms.get(backend, naive_mean_ms.get("python", 0.0))
             rows.append(
                 {
-                    "monitor": mon_label,
+                    "monitor": label,
                     "dataset": ds_label,
-                    "backend": backend,
-                    "index": indexes[mon_label],
+                    "index": indexes[label],
                     "ops_per_s": (
                         profile.batch_size * len(times) / total
                         if total > 0
@@ -371,13 +311,13 @@ def run_profile_suite(
                     "mean_ms": mean_ms,
                     "p95_ms": _p95(times) * 1000.0,
                     "speedup_vs_naive": (
-                        denom / mean_ms if mean_ms > 0 else 0.0
+                        naive_mean_ms / mean_ms if mean_ms > 0 else 0.0
                     ),
                 }
             )
 
     for ds_label, dataset in BENCH_DATASETS.items():
-        run_dataset(ds_label, dataset, tuple(BENCH_MONITORS), vector_rows=True)
+        run_dataset(ds_label, dataset, tuple(BENCH_MONITORS))
     for ds_label, dataset in BENCH_SKEW_DATASETS.items():
         run_dataset(ds_label, dataset, BENCH_SKEW_MONITORS)
     doc: Dict[str, object] = {
@@ -402,14 +342,6 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "seed": seed,
         "cpu_count": os.cpu_count() or 1,
-        # which sweep backends this host could actually run: the gate
-        # uses this to skip numpy-row comparisons on numpy-less hosts
-        # instead of failing them as missing rows
-        "vector": {
-            "available": vector.HAVE_NUMPY,
-            "numpy": vector.numpy_version(),
-            "numba": vector.numba_version(),
-        },
         "profiles": {
             name: run_profile_suite(name, seed, scaling=scaling)
             for name in profiles

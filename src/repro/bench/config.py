@@ -66,18 +66,11 @@ class ExperimentConfig:
     cell_size: float | None = None
     #: spatial index backing aG2: "grid" (paper) or "quadtree" (adaptive)
     index: str = "grid"
-    #: sweep compute backend: "python" (reference) or "numpy" (columnar);
-    #: availability of numpy is checked at monitor construction, not here
-    backend: str = "python"
 
     def __post_init__(self) -> None:
         if self.index not in ("grid", "quadtree"):
             raise InvalidParameterError(
                 f"index must be 'grid' or 'quadtree', got {self.index!r}"
-            )
-        if self.backend not in ("python", "numpy"):
-            raise InvalidParameterError(
-                f"backend must be 'python' or 'numpy', got {self.backend!r}"
             )
         if self.window_size <= 0:
             raise InvalidParameterError("window_size must be positive")

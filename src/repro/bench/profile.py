@@ -17,7 +17,6 @@ from typing import Dict, Sequence
 
 from repro.bench.config import ExperimentConfig
 from repro.bench.runners import ALGORITHMS, build_monitor
-from repro.core import vector
 from repro.datasets import make_stream
 from repro.engine.engine import EngineReport, StreamEngine
 from repro.obs.metrics import Metrics
@@ -58,12 +57,8 @@ class ProfileReport:
     config: ExperimentConfig
     report: EngineReport
     primed: int
-    #: monitor name -> sweep compute backend that produced its numbers
-    backends: Dict[str, str] = field(default_factory=dict)
     #: monitor name -> spatial index that produced its numbers
     indexes: Dict[str, str] = field(default_factory=dict)
-    #: resolved vector-backend environment (numpy/numba versions)
-    vector_info: Dict[str, object] = field(default_factory=dict)
 
     def summary_rows(self) -> list[dict[str, object]]:
         """One row per monitor: mean update time + lifetime counters."""
@@ -72,7 +67,6 @@ class ProfileReport:
         for name, snap in self.report.metrics.items():
             row: dict[str, object] = {
                 "monitor": name,
-                "backend": self.backends.get(name, "none"),
                 "index": self.indexes.get(name, "none"),
                 "mean_ms": self.report.mean_ms(name),
             }
@@ -139,9 +133,7 @@ class ProfileReport:
         doc = self.report.to_dict()
         doc["config"] = asdict(self.config)
         doc["primed"] = self.primed
-        doc["backends"] = dict(self.backends)
         doc["indexes"] = dict(self.indexes)
-        doc["vector"] = dict(self.vector_info)
         doc["derived_rates"] = self.rate_rows()
         return doc
 
@@ -167,7 +159,5 @@ def run_profile(
         config=cfg,
         report=report,
         primed=primed,
-        backends={name: mon.backend for name, mon in monitors.items()},
         indexes={name: mon.index_backend for name, mon in monitors.items()},
-        vector_info=vector.backend_info(cfg.backend),
     )

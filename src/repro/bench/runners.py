@@ -45,18 +45,15 @@ def build_monitor(
     """Instantiate one of the paper's algorithms for a configuration."""
     window = CountWindow(cfg.window_size)
     side = cfg.rect_side
-    backend = cfg.backend
     if algorithm == "naive":
         # index-free baseline: the index selection does not apply
-        return NaiveMonitor(side, side, window, k=cfg.k, backend=backend)
+        return NaiveMonitor(side, side, window, k=cfg.k)
     if algorithm == "g2":
         if cfg.index == "quadtree":
             raise InvalidParameterError(
                 "the quadtree index backs ag2 only; g2 is grid-only"
             )
-        return G2Monitor(
-            side, side, window, cell_size=cfg.cell_size, backend=backend
-        )
+        return G2Monitor(side, side, window, cell_size=cfg.cell_size)
     if algorithm == "ag2":
         if cfg.index == "quadtree":
             if cfg.k > 1:
@@ -70,7 +67,6 @@ def build_monitor(
                 tile_size=cfg.cell_size,
                 epsilon=cfg.epsilon,
                 tighten=make_tightener(tighten_mode),
-                backend=backend,
             )
         if cfg.k > 1:
             return TopKAG2Monitor(
@@ -79,7 +75,6 @@ def build_monitor(
                 window,
                 k=cfg.k,
                 cell_size=cfg.cell_size,
-                backend=backend,
             )
         return AG2Monitor(
             side,
@@ -88,7 +83,6 @@ def build_monitor(
             cell_size=cfg.cell_size,
             epsilon=cfg.epsilon,
             tighten=make_tightener(tighten_mode),
-            backend=backend,
         )
     raise InvalidParameterError(
         f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"

@@ -79,13 +79,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="spatial index backing aG2: the paper's uniform grid or "
         "the skew-adaptive quadtree (default: %(default)s)",
     )
-    parser.add_argument(
-        "--backend", default=DEFAULT_CONFIG.backend,
-        choices=("python", "numpy"),
-        help="sweep compute backend: the pure-python reference or the "
-        "columnar numpy kernels (requires the [vector] extra; "
-        "default: %(default)s)",
-    )
 
 
 def _config(args: argparse.Namespace, **extra: object) -> ExperimentConfig:
@@ -98,18 +91,7 @@ def _config(args: argparse.Namespace, **extra: object) -> ExperimentConfig:
         batches=args.batches,
         seed=args.seed,
         index=getattr(args, "index", DEFAULT_CONFIG.index),
-        backend=getattr(args, "backend", DEFAULT_CONFIG.backend),
     ).with_(**extra)
-
-
-def _backend_line(info: dict) -> str:
-    """One human line naming what actually ran (versions or 'absent')."""
-    parts = [f"backend: {info.get('backend', 'python')}"]
-    for lib in ("numpy", "numba"):
-        version = info.get(lib)
-        if version is not None:
-            parts.append(f"{lib} {version}")
-    return " | ".join(parts)
 
 
 def _parse_list(text: str, cast: type) -> list:
@@ -376,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="fixed-seed benchmark suite: every monitor x uniform/gaussian, "
         "skewed-workload rows (static/drifting hotspot, power-law cities) "
-        "for the aG2 index backends, numpy-backend rows when numpy is "
-        "importable, plus a multi-query scaling row; writes the JSON "
+        "for the aG2 index backends, plus a multi-query scaling row; "
+        "writes the JSON "
         "document the CI bench gate compares against the committed "
         "BENCH_PR9.json",
     )
@@ -446,7 +428,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"seed={cfg.seed}"
         )
         print(format_rows(profile.summary_rows(), title=title))
-        print(_backend_line(profile.vector_info))
         if args.per_batch:
             print()
             print(
@@ -653,16 +634,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             format_rows(
                 bench_rows(doc),
                 title=f"bench seed={args.seed} cpus={doc['cpu_count']}",
-            )
-        )
-        vec = doc["vector"]
-        print(
-            "vector backend: "
-            + (
-                f"numpy {vec['numpy']}"
-                + (f", numba {vec['numba']}" if vec["numba"] else ", no numba")
-                if vec["available"]
-                else "unavailable (python rows only)"
             )
         )
         mq_rows = scaling_rows(doc)

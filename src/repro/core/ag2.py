@@ -35,7 +35,6 @@ from collections import deque
 from heapq import heapify, heappop
 from typing import Callable, Deque, Dict
 
-from repro.core import vector
 from repro.core.graph import CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
@@ -58,7 +57,7 @@ Tightener = Callable[[Vertex, float], float]
 class AG2Cell:
     """One aG2 cell: graph + pending set ``R`` + cell bound ``c.w``."""
 
-    __slots__ = ("graph", "pending", "cw", "rank", "cols")
+    __slots__ = ("graph", "pending", "cw", "rank")
 
     def __init__(self) -> None:
         self.graph = CellGraph()
@@ -70,9 +69,6 @@ class AG2Cell:
         # dict's insertion order so heap-based candidate ordering
         # breaks c.w ties exactly like a stable sort over the dict did
         self.rank = 0
-        # numpy backend only: columnar mirror of the graph's rectangle
-        # coordinates (vector.RectColumns), built lazily on first visit
-        self.cols = None
 
     @property
     def is_empty(self) -> bool:
@@ -107,9 +103,8 @@ class AG2Monitor(MaxRSMonitor):
         epsilon: float = 0.0,
         tighten: Tightener | None = None,
         visit_order: str = "bound",
-        backend: str = "python",
     ) -> None:
-        super().__init__(rect_width, rect_height, window, backend=backend)
+        super().__init__(rect_width, rect_height, window)
         if not (0.0 <= epsilon < 1.0):
             raise InvalidParameterError(
                 f"epsilon must be in [0, 1), got {epsilon}"
@@ -202,9 +197,6 @@ class AG2Monitor(MaxRSMonitor):
     def _map_arrivals(self, delta: WindowUpdate) -> None:
         """Lines 1-5: route new rectangles to their cells, growing each
         cell bound by the arriving weight (Equation 5)."""
-        if self.backend == "numpy" and delta.arrived:
-            self._map_arrivals_np(delta)
-            return
         cells = self._cells
         grid_keys = self.grid.cell_keys
         width = self.rect_width
@@ -225,51 +217,6 @@ class AG2Monitor(MaxRSMonitor):
                 cell.pending.append((seq, wr))
                 cell.cw += weight
                 log((seq, key))
-
-    def _map_arrivals_np(self, delta: WindowUpdate) -> None:
-        """Columnar ``_map_arrivals``: dual transform, validation and
-        grid-range computation run as batch array ops; only the per-cell
-        routing (dict upkeep, pending/bound/log appends) stays scalar.
-        State after the call is byte-identical to the reference loop —
-        same sequence numbers, same cell creation order, same
-        i-major/j-minor key order per rectangle."""
-        objs = delta.arrived
-        wrs, (x1, y1, x2, y2, ws) = vector.build_weighted_rects(
-            objs, self.rect_width, self.rect_height
-        )
-        i0, i1, j0, j1 = vector.grid_cell_ranges(x1, y1, x2, y2, self.grid)
-        # the reference cell_keys returns an empty cover for degenerate
-        # rectangles; mirror that by skipping them (seq still advances)
-        deg = ((x1 == x2) | (y1 == y2)).tolist()
-        i0l = i0.tolist()
-        i1l = i1.tolist()
-        j0l = j0.tolist()
-        j1l = j1.tolist()
-        wl = ws.tolist()
-        seq0 = self._next_seq
-        self._next_seq = seq0 + len(objs)
-        cells = self._cells
-        get = cells.get
-        log = self._expiry_log.append
-        for n, wr in enumerate(wrs):
-            if deg[n]:
-                continue
-            seq = seq0 + n
-            weight = wl[n]
-            jlo = j0l[n]
-            jhi = j1l[n] + 1
-            for i in range(i0l[n], i1l[n] + 1):
-                for j in range(jlo, jhi):
-                    key = (i, j)
-                    cell = get(key)
-                    if cell is None:
-                        cell = self._make_cell()
-                        cell.rank = self._next_cell_rank
-                        self._next_cell_rank += 1
-                        cells[key] = cell
-                    cell.pending.append((seq, wr))
-                    cell.cw += weight
-                    log((seq, key))
 
     def _make_cell(self) -> AG2Cell:
         """Cell factory; the top-k monitor overrides it to attach the
@@ -342,36 +289,12 @@ class AG2Monitor(MaxRSMonitor):
         metrics = self.metrics
         metrics.inc("cells_visited")
         graph = cell.graph
-        if cell.pending:
-            V = len(graph)
-            P = len(cell.pending)
-            if self.backend == "numpy" and (
-                cell.cols is not None
-                or V * P + P * P >= vector.CONNECT_BATCH_MIN
-            ):
-                # batched connect: one broadcast overlap mask instead of
-                # V x P scalar predicate calls; edges are wired in the
-                # reference order so vertex bounds accumulate the same
-                # float sums.  The test count matches the per-pending
-                # loop exactly: pending j sees len(graph) == V + j.
-                tests = V * P + (P * (P - 1)) // 2
-                self.stats.overlap_tests += tests
-                metrics.inc("overlap_tests", tests)
-                if cell.cols is None:
-                    cell.cols = vector.RectColumns.from_graph(graph)
-                _, touched_lists = vector.connect_batch(
-                    graph, cell.cols, cell.pending, self._expired_upto
-                )
-                metrics.inc(
-                    "edges_touched", sum(map(len, touched_lists))
-                )
-            else:
-                for seq, wr in cell.pending:
-                    self.stats.overlap_tests += len(graph)
-                    metrics.inc("overlap_tests", len(graph))
-                    _, touched = graph.connect(wr, seq)
-                    metrics.inc("edges_touched", len(touched))
-            cell.pending.clear()
+        for seq, wr in cell.pending:
+            self.stats.overlap_tests += len(graph)
+            metrics.inc("overlap_tests", len(graph))
+            _, touched = graph.connect(wr, seq)
+            metrics.inc("edges_touched", len(touched))
+        cell.pending.clear()
         cell.cw = cell.max_upper()
         metrics.inc("upper_bound_recomputes")
 
@@ -418,7 +341,7 @@ class AG2Monitor(MaxRSMonitor):
         metrics.inc("upper_bound_recomputes")
 
     def _sweep_vertex(self, v: Vertex) -> None:
-        v.space = local_plane_sweep_cached(v, backend=self.backend)
+        v.space = local_plane_sweep_cached(v)
         v.upper = v.space.weight
         v.dirty = False
         v.swept_degree = len(v.neighbors)

@@ -17,13 +17,12 @@ vertex is alive, so the cache only needs repair when its owner expires.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
-from repro.core import vector
 from repro.core.graph import CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
-from repro.core.objects import WeightedRect, dual_rect
+from repro.core.objects import dual_rect
 from repro.core.planesweep import local_plane_sweep_cached
 from repro.core.spaces import MaxRSResult
 from repro.window.base import SlidingWindow, WindowUpdate
@@ -34,15 +33,11 @@ __all__ = ["G2Monitor"]
 class _G2Cell:
     """A grid cell: its overlap graph plus the cached best vertex."""
 
-    __slots__ = ("graph", "best", "cols")
+    __slots__ = ("graph", "best")
 
     def __init__(self) -> None:
         self.graph = CellGraph()
         self.best: Vertex | None = None
-        # numpy backend only: columnar mirror of the graph's rectangle
-        # coordinates, built lazily once the cell is big enough for the
-        # batched overlap test to pay (vector.CONNECT_BATCH_MIN)
-        self.cols = None
 
     def rescan_best(self) -> None:
         best: Vertex | None = None
@@ -71,9 +66,8 @@ class G2Monitor(MaxRSMonitor):
         rect_height: float,
         window: SlidingWindow,
         cell_size: float | None = None,
-        backend: str = "python",
     ) -> None:
-        super().__init__(rect_width, rect_height, window, backend=backend)
+        super().__init__(rect_width, rect_height, window)
         if cell_size is None:
             cell_size = default_cell_size(rect_width, rect_height)
         self.grid = UniformGrid(cell_size=cell_size)
@@ -87,9 +81,6 @@ class G2Monitor(MaxRSMonitor):
         # Windows expire strictly in arrival order, so the expired batch
         # is exactly the next len(expired) sequence numbers.
         self._expired_upto += len(delta.expired)
-        if self.backend == "numpy" and delta.arrived:
-            self._on_delta_np(delta)
-            return
         metrics = self.metrics
         stats = self.stats
         cells = self._cells
@@ -123,95 +114,6 @@ class G2Monitor(MaxRSMonitor):
                 continue
             v.dirty = False
             v.space = local_plane_sweep_cached(v)
-            v.upper = v.space.weight
-            stats.local_sweeps += 1
-            metrics.inc("local_sweeps")
-            cell.offer_best(v)
-
-    def _on_delta_np(self, delta: WindowUpdate) -> None:
-        """Cell-major columnar replay of the reference ``_on_delta``.
-
-        Arrivals are routed with batched array ops, then each touched
-        cell is processed once: purge, overlap tests (one broadcast for
-        big cells, the scalar loop for small ones), best-offer and dirty
-        collection.  Per-cell the sequence of graph mutations and
-        ``offer_best`` calls is exactly the reference order — grouping
-        only reorders work *across* cells, which share no state — so the
-        resulting index and answers are byte-identical.
-        """
-        metrics = self.metrics
-        stats = self.stats
-        cells = self._cells
-        objs = delta.arrived
-        wrs, (x1, y1, x2, y2, _ws) = vector.build_weighted_rects(
-            objs, self.rect_width, self.rect_height
-        )
-        i0, i1, j0, j1 = vector.grid_cell_ranges(x1, y1, x2, y2, self.grid)
-        deg = ((x1 == x2) | (y1 == y2)).tolist()
-        i0l = i0.tolist()
-        i1l = i1.tolist()
-        j0l = j0.tolist()
-        j1l = j1.tolist()
-        seq0 = self._next_seq
-        self._next_seq = seq0 + len(objs)
-        # group mappings per cell in first-touch order; within a cell
-        # the pending list is in arrival order (the reference order)
-        per_cell: Dict[CellKey, List[Tuple[int, WeightedRect]]] = {}
-        get_group = per_cell.get
-        for n, wr in enumerate(wrs):
-            if deg[n]:
-                continue
-            seq = seq0 + n
-            jlo = j0l[n]
-            jhi = j1l[n] + 1
-            for i in range(i0l[n], i1l[n] + 1):
-                for j in range(jlo, jhi):
-                    key = (i, j)
-                    group = get_group(key)
-                    if group is None:
-                        per_cell[key] = group = []
-                    group.append((seq, wr))
-        dirty: list[tuple[_G2Cell, Vertex]] = []
-        extend_dirty = dirty.extend
-        batch_min = vector.CONNECT_BATCH_MIN
-        for key, pending in per_cell.items():
-            cell = cells.get(key)
-            if cell is None:
-                cell = _G2Cell()
-                cells[key] = cell
-            self._purge(cell)
-            graph = cell.graph
-            V = len(graph)
-            P = len(pending)
-            stats.cells_visited += P
-            metrics.inc("cells_visited", P)
-            tests = V * P + (P * (P - 1)) // 2
-            stats.overlap_tests += tests
-            metrics.inc("overlap_tests", tests)
-            if cell.cols is None and V * P + P * P < batch_min:
-                for seq, wr in pending:
-                    vertex, touched = graph.connect(wr, seq)
-                    metrics.inc("edges_touched", len(touched))
-                    cell.offer_best(vertex)
-                    extend_dirty((cell, v) for v in touched)
-            else:
-                if cell.cols is None:
-                    cell.cols = vector.RectColumns.from_graph(graph)
-                new_vertices, touched_lists = vector.connect_batch(
-                    graph, cell.cols, pending, self._expired_upto
-                )
-                edges = 0
-                for vertex, touched in zip(new_vertices, touched_lists):
-                    edges += len(touched)
-                    cell.offer_best(vertex)
-                    extend_dirty((cell, v) for v in touched)
-                metrics.inc("edges_touched", edges)
-        backend = self.backend
-        for cell, v in dirty:
-            if not v.dirty:
-                continue
-            v.dirty = False
-            v.space = local_plane_sweep_cached(v, backend=backend)
             v.upper = v.space.weight
             stats.local_sweeps += 1
             metrics.inc("local_sweeps")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 from repro.core.geometry import Rect
@@ -40,32 +39,6 @@ def _axis_cells(lo: float, hi: float, origin: float, cs: float) -> range:
     while origin + i1 * cs >= hi:
         i1 -= 1
     return range(i0, i1 + 1)
-
-
-@lru_cache(maxsize=65536)
-def _cell_keys_cached(
-    cs: float,
-    origin_x: float,
-    origin_y: float,
-    x1: float,
-    y1: float,
-    x2: float,
-    y2: float,
-) -> tuple[CellKey, ...]:
-    """Materialised cell cover of one rectangle under one grid geometry.
-
-    Module-level and keyed by the grid parameters, so monitors sharing a
-    grid geometry (every multi-query group member with the same query
-    size) resolve each arrival's cell cover exactly once instead of once
-    per ``(arrival × monitor)`` — the float-guarded while-loops above
-    are the G2/aG2 mapping hot path.  Bounded LRU; an entry is a handful
-    of small tuples.
-    """
-    return tuple(
-        (i, j)
-        for i in _axis_cells(x1, x2, origin_x, cs)
-        for j in _axis_cells(y1, y2, origin_y, cs)
-    )
 
 
 def default_cell_size(rect_width: float, rect_height: float) -> float:
@@ -112,34 +85,18 @@ class UniformGrid:
         return _axis_cells(lo, hi, origin, self.cell_size)
 
     def cell_keys(self, rect: Rect) -> tuple[CellKey, ...]:
-        """The cell cover of a rectangle as a (cached) tuple.
+        """The cell cover of a rectangle as a tuple.
 
         Same semantics as :meth:`cells_overlapping`; this is the form
-        the monitors use on their arrival hot path — repeated covers of
-        the same rectangle under the same grid geometry (several
-        monitors indexing one stream) hit the shared LRU.
+        the monitors use on their arrival hot path.
         """
         if rect.is_degenerate:
             return ()
         cs = self.cell_size
-        # covers far larger than any dual rectangle (a handful of cells
-        # each) would pin huge tuples in the LRU — compute those directly
-        if ((rect.x2 - rect.x1) / cs + 2.0) * (
-            (rect.y2 - rect.y1) / cs + 2.0
-        ) > 4096.0:
-            return tuple(
-                (i, j)
-                for i in _axis_cells(rect.x1, rect.x2, self.origin_x, cs)
-                for j in _axis_cells(rect.y1, rect.y2, self.origin_y, cs)
-            )
-        return _cell_keys_cached(
-            cs,
-            self.origin_x,
-            self.origin_y,
-            rect.x1,
-            rect.y1,
-            rect.x2,
-            rect.y2,
+        return tuple(
+            (i, j)
+            for i in _axis_cells(rect.x1, rect.x2, self.origin_x, cs)
+            for j in _axis_cells(rect.y1, rect.y2, self.origin_y, cs)
         )
 
     def cells_overlapping(self, rect: Rect) -> Iterator[CellKey]:

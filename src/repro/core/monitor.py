@@ -22,7 +22,6 @@ from typing import Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
-from repro.core.vector import resolve_backend
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.window.base import SlidingWindow, WindowUpdate
@@ -76,10 +75,6 @@ class MaxRSMonitor(ABC):
         window: The sliding window that defines which objects are alive.
             The monitor takes ownership: push batches through
             :meth:`update` rather than mutating the window directly.
-        backend: Sweep compute backend, ``"python"`` (the always-available
-            reference kernel) or ``"numpy"`` (the columnar fast path of
-            ``repro.core.vector``; requires the optional ``[vector]``
-            extra).  Both produce byte-identical answers.
     """
 
     #: which spatial index backs this monitor ("none" for index-free
@@ -92,16 +87,12 @@ class MaxRSMonitor(ABC):
         rect_width: float,
         rect_height: float,
         window: SlidingWindow,
-        backend: str = "python",
     ) -> None:
         if rect_width <= 0 or rect_height <= 0:
             raise InvalidParameterError(
                 "query rectangle size must be positive, got "
                 f"{rect_width} x {rect_height}"
             )
-        #: resolved sweep backend; "numpy" is rejected here (typed
-        #: InvalidParameterError) when numpy is not importable
-        self.backend = resolve_backend(backend)
         self.rect_width = float(rect_width)
         self.rect_height = float(rect_height)
         self.window = window

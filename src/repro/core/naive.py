@@ -9,14 +9,6 @@ the window changed.
 
 ``k > 1`` uses the single-sweep top-k collection, which the paper notes
 costs no extra asymptotic work.
-
-Under ``backend="numpy"`` (and ``k == 1``) the monitor keeps the alive
-window as a columnar :class:`~repro.core.vector.RectColumns` ring —
-arrivals append coordinate blocks, count-window expiry advances the
-front offset — and each recompute runs the columnar sweep directly over
-the array views, with no per-object ``WeightedRect`` churn at all.
-Top-k recomputes always use the reference kernel (see
-:func:`~repro.core.planesweep.plane_sweep_topk`).
 """
 
 from __future__ import annotations
@@ -24,11 +16,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque
 
-from repro.core import vector
 from repro.core.monitor import MaxRSMonitor
 from repro.core.objects import WeightedRect
 from repro.core.planesweep import plane_sweep_max, plane_sweep_topk
-from repro.core.spaces import MaxRSResult, Region
+from repro.core.spaces import MaxRSResult
 from repro.errors import InvalidParameterError
 from repro.window.base import SlidingWindow, WindowUpdate
 
@@ -44,31 +35,14 @@ class NaiveMonitor(MaxRSMonitor):
         rect_height: float,
         window: SlidingWindow,
         k: int = 1,
-        backend: str = "python",
     ) -> None:
-        super().__init__(rect_width, rect_height, window, backend=backend)
+        super().__init__(rect_width, rect_height, window)
         if k <= 0:
             raise InvalidParameterError(f"k must be positive, got {k}")
         self.k = k
         self._alive: Deque[WeightedRect] = deque()
-        # columnar alive-window ring; the top-k sweep needs WeightedRect
-        # inputs, so only the k == 1 recompute goes columnar
-        self._cols: vector.RectColumns | None = (
-            vector.RectColumns(with_w=True)
-            if self.backend == "numpy" and k == 1
-            else None
-        )
 
     def _on_delta(self, delta: WindowUpdate) -> None:
-        cols = self._cols
-        if cols is not None:
-            cols.popleft(len(delta.expired))
-            if delta.arrived:
-                x1, y1, x2, y2, w = vector.build_dual_arrays(
-                    delta.arrived, self.rect_width, self.rect_height
-                )
-                cols.extend(x1, y1, x2, y2, w=w)
-            return
         for _ in delta.expired:
             self._alive.popleft()
         for obj in delta.arrived:
@@ -77,21 +51,6 @@ class NaiveMonitor(MaxRSMonitor):
             )
 
     def _compute_result(self, tick: int) -> MaxRSResult:
-        cols = self._cols
-        if cols is not None:
-            n = len(cols)
-            if n == 0:
-                return MaxRSResult(tick=tick, window_size=0)
-            self.stats.full_sweeps += 1
-            self.metrics.inc("full_sweeps")
-            self.metrics.inc("objects_swept", n)
-            swept = vector.sweep_columns_max(*cols.sweep_columns())
-            region = (
-                Region(rect=swept[1], weight=swept[0])
-                if swept is not None
-                else None
-            )
-            return MaxRSResult.single(region, tick=tick, window_size=n)
         rects = list(self._alive)
         if not rects:
             return MaxRSResult(tick=tick, window_size=0)
@@ -99,9 +58,9 @@ class NaiveMonitor(MaxRSMonitor):
         self.metrics.inc("full_sweeps")
         self.metrics.inc("objects_swept", len(rects))
         if self.k == 1:
-            region = plane_sweep_max(rects, backend=self.backend)
+            region = plane_sweep_max(rects)
             return MaxRSResult.single(
                 region, tick=tick, window_size=len(rects)
             )
-        regions = plane_sweep_topk(rects, self.k, backend=self.backend)
+        regions = plane_sweep_topk(rects, self.k)
         return MaxRSResult.ranked(regions, tick=tick, window_size=len(rects))

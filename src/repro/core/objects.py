@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.core.geometry import Rect
@@ -88,17 +87,14 @@ class WeightedRect:
         return cls(rect=obj.to_rect(width, height), weight=obj.weight, obj=obj)
 
 
-@lru_cache(maxsize=65536)
 def dual_rect(
     obj: SpatialObject, width: float, height: float
 ) -> WeightedRect:
-    """Cached :meth:`WeightedRect.from_object`.
+    """The Definition 2 dual transform of one arrival.
 
-    Every monitor applies the Definition 2 dual transform to every
-    arrival; when several monitors share a stream (multi-query serving)
-    the same ``(object, query size)`` pair is transformed once here
-    instead of per monitor.  Both argument types are frozen/hashable
-    and the result is immutable, so sharing is safe.  Bounded LRU.
+    The graph monitors route every arrival through this one name, so a
+    tracer can time the transform by patching it.  Nothing is cached:
+    a process-wide cache would keep expired objects alive.
     """
     return WeightedRect.from_object(obj, width, height)
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.core import vector
 from repro.core.geometry import Rect
 from repro.core.objects import WeightedRect
 from repro.core.segment_tree import MaxCoverSegmentTree
@@ -155,18 +154,12 @@ def _iter_y_groups(
 
 def sweep_items_max(
     items: Sequence[tuple[Rect, float]],
-    backend: str = "python",
 ) -> tuple[float, Rect] | None:
     """Core sweep over ``(rect, weight)`` pairs.
 
     Returns ``(weight, region_rect)`` of a maximum-weight overlap space,
-    or ``None`` when no rectangle has positive area.  Under the numpy
-    ``backend`` the columnar kernel takes over once the input is large
-    enough to amortise its setup (``vector.VECTOR_SWEEP_MIN``); answers
-    are byte-identical either way.
+    or ``None`` when no rectangle has positive area.
     """
-    if backend == "numpy" and len(items) >= vector.VECTOR_SWEEP_MIN:
-        return vector.sweep_items_max_columns(items)
     prepared = _prepare(items)
     if prepared is None:
         return None
@@ -190,40 +183,28 @@ def sweep_items_max(
     return best_w, Rect(xs[slot], y, xs[slot + 1], y_next)
 
 
-def plane_sweep_max(
-    rects: Sequence[WeightedRect], backend: str = "python"
-) -> Region | None:
+def plane_sweep_max(rects: Sequence[WeightedRect]) -> Region | None:
     """One-shot exact MaxRS over a set of weighted rectangles.
 
     The returned region is an arrangement cell attaining the maximum
     range-sum; ``None`` iff ``rects`` contains no positive-area
     rectangle.
     """
-    result = sweep_items_max(
-        [(wr.rect, wr.weight) for wr in rects], backend=backend
-    )
+    result = sweep_items_max([(wr.rect, wr.weight) for wr in rects])
     if result is None:
         return None
     weight, rect = result
     return Region(rect=rect, weight=weight)
 
 
-def plane_sweep_topk(
-    rects: Sequence[WeightedRect], k: int, backend: str = "python"
-) -> list[Region]:
+def plane_sweep_topk(rects: Sequence[WeightedRect], k: int) -> list[Region]:
     """Single-sweep top-k MaxRS (the Figure 11 naive baseline).
 
     At every sweep strip where insertions happened, each inserted
     rectangle contributes the best arrangement cell within its x-span as
     a candidate.  Candidates are de-duplicated by cell identity
     ``(slot, strip)`` and the ``k`` heaviest survive, best first.
-
-    ``backend`` is accepted for API uniformity; the per-strip candidate
-    collection needs ``range_max`` interleaved with event application,
-    so top-k always runs on the reference kernel (answers are identical
-    by definition — there is exactly one kernel).
     """
-    del backend  # documented: top-k sweeps always use the reference kernel
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
     prepared = _prepare([(wr.rect, wr.weight) for wr in rects])
@@ -277,15 +258,13 @@ def _clip_items(
 
 
 def _sweep_clipped(
-    anchor: WeightedRect,
-    items: list[tuple[Rect, float]],
-    backend: str = "python",
+    anchor: WeightedRect, items: list[tuple[Rect, float]]
 ) -> Region:
     if len(items) == 1:
         return Region(
             rect=anchor.rect, weight=anchor.weight, anchor_oid=anchor.oid
         )
-    result = sweep_items_max(items, backend=backend)
+    result = sweep_items_max(items)
     if result is None:  # anchor degenerate and nothing else: weight only
         return Region(
             rect=anchor.rect, weight=anchor.weight, anchor_oid=anchor.oid
@@ -295,9 +274,7 @@ def _sweep_clipped(
 
 
 def local_plane_sweep(
-    anchor: WeightedRect,
-    neighbors: Sequence[WeightedRect],
-    backend: str = "python",
+    anchor: WeightedRect, neighbors: Sequence[WeightedRect]
 ) -> Region:
     """``Local-Plane-Sweep(N(ri) ∪ {ri})`` — best space on the anchor.
 
@@ -308,12 +285,10 @@ def local_plane_sweep(
     returned.  The result carries ``anchor_oid`` so graph-based monitors
     can de-duplicate spaces by anchor (Property 1).
     """
-    return _sweep_clipped(anchor, _clip_items(anchor, neighbors), backend)
+    return _sweep_clipped(anchor, _clip_items(anchor, neighbors))
 
 
-def local_plane_sweep_cached(
-    vertex: "Vertex", backend: str = "python"
-) -> Region:
+def local_plane_sweep_cached(vertex: "Vertex") -> Region:
     """:func:`local_plane_sweep` over a graph vertex, reusing clips.
 
     A vertex's neighbour list is append-only while it is alive
@@ -346,4 +321,4 @@ def local_plane_sweep_cached(
             if x1 < x2 and y1 < y2:
                 push((Rect(x1, y1, x2, y2), neighbors[idx].weight))
         vertex.clip_upto = len(neighbors)
-    return _sweep_clipped(anchor, items, backend)
+    return _sweep_clipped(anchor, items)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Set, Tuple
 
-from repro.core import vector
 from repro.core.ag2 import AG2Cell, AG2Monitor, Tightener
 from repro.core.grid import _axis_cells, default_cell_size
 from repro.core.objects import WeightedRect, dual_rect
@@ -443,7 +442,6 @@ class QuadtreeAG2Monitor(AG2Monitor):
         split_load: float | None = None,
         merge_load: float = 2.0,
         load_decay: float = 0.5,
-        backend: str = "python",
     ) -> None:
         if tile_size is None:
             tile_size = default_tile_size(rect_width, rect_height)
@@ -457,7 +455,6 @@ class QuadtreeAG2Monitor(AG2Monitor):
             epsilon=epsilon,
             tighten=tighten,
             visit_order=visit_order,
-            backend=backend,
         )
         if split_occupancy <= 0:
             raise InvalidParameterError(
@@ -513,9 +510,6 @@ class QuadtreeAG2Monitor(AG2Monitor):
         """Route arrivals through the adaptive tree (Equation 5 bounds),
         then run split maintenance on the leaves that received load."""
         self._tick += 1
-        if self.backend == "numpy" and delta.arrived:
-            self._map_arrivals_np(delta)
-            return
         cells = self._cells
         tree_keys = self.tree.cell_keys
         width = self.rect_width
@@ -526,40 +520,6 @@ class QuadtreeAG2Monitor(AG2Monitor):
             seq = self._next_seq
             self._next_seq += 1
             wr = dual_rect(obj, width, height)
-            weight = wr.weight
-            for key in tree_keys(wr.rect):
-                cell = cells.get(key)
-                if cell is None:
-                    cell = self._make_cell()
-                    cell.rank = self._next_cell_rank
-                    self._next_cell_rank += 1
-                    cell.load_tick = self._tick
-                    cells[key] = cell
-                cell.pending.append((seq, wr))
-                cell.cw += weight
-                self._bump_load(cell)
-                log((seq, key))
-                touched.add(key)
-        for key in sorted(touched):
-            self._maybe_split(key)
-
-    def _map_arrivals_np(self, delta: WindowUpdate) -> None:
-        """Adaptive-tree columnar mapping: the dual transform and its
-        validation run as one batch; routing stays scalar because leaf
-        covers depend on the mutable tree shape.  Sequence numbers,
-        per-leaf pending order, load bumps and split checks all replay
-        the reference order, so the index state is byte-identical."""
-        cells = self._cells
-        tree_keys = self.tree.cell_keys
-        log = self._expiry_log.append
-        touched: Set[QuadKey] = set()
-        wrs, _arrays = vector.build_weighted_rects(
-            delta.arrived, self.rect_width, self.rect_height
-        )
-        seq0 = self._next_seq
-        self._next_seq = seq0 + len(wrs)
-        for n, wr in enumerate(wrs):
-            seq = seq0 + n
             weight = wr.weight
             for key in tree_keys(wr.rect):
                 cell = cells.get(key)

@@ -75,14 +75,10 @@ class TopKAG2Monitor(AG2Monitor):
         window: SlidingWindow,
         k: int,
         cell_size: float | None = None,
-        backend: str = "python",
     ) -> None:
         if k <= 0:
             raise InvalidParameterError(f"k must be positive, got {k}")
-        super().__init__(
-            rect_width, rect_height, window,
-            cell_size=cell_size, backend=backend,
-        )
+        super().__init__(rect_width, rect_height, window, cell_size=cell_size)
         self.k = k
         # final ranked answer of the last pass, best first
         self._answer: list[Vertex] = []

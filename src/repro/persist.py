@@ -96,11 +96,7 @@ def _window_from_spec(spec: dict[str, Any]) -> SlidingWindow:
 def snapshot(monitor: MaxRSMonitor) -> dict[str, Any]:
     """Serialisable state of a monitor: configuration + alive objects."""
     kind = _monitor_kind(monitor)
-    # every monitor kind accepts backend=; restoring a numpy snapshot on
-    # a host without numpy raises the same typed InvalidParameterError
-    # as constructing such a monitor directly (naming the [vector]
-    # extra), rather than silently changing compute backends
-    extra: dict[str, Any] = {"backend": monitor.backend}
+    extra: dict[str, Any] = {}
     if isinstance(monitor, TopKAG2Monitor):
         extra["k"] = monitor.k
         extra["cell_size"] = monitor.grid.cell_size
@@ -167,6 +163,9 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
     try:
         window = _window_from_spec(state["window"])
         extra = dict(state.get("extra", {}))
+        # older snapshots name the sweep kernel they ran on; every
+        # kernel gave byte-identical answers, so the key carries nothing
+        extra.pop("backend", None)
         monitor = cls(
             state["rect_width"], state["rect_height"], window, **extra
         )

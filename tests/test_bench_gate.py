@@ -29,7 +29,6 @@ from repro.bench import (
     scaling_rows,
 )
 from repro.cli import main
-from repro.core import vector
 from repro.errors import InvalidParameterError
 
 
@@ -71,35 +70,20 @@ class TestRunBench:
         assert tiny_doc["seed"] == 42
         assert tiny_doc["cpu_count"] >= 1
         rows = tiny_doc["profiles"]["tiny"]["rows"]
-        seen = {(r["monitor"], r["dataset"], r["backend"]) for r in rows}
-        expected = {
-            (m, d, "python") for m in BENCH_MONITORS for d in BENCH_DATASETS
-        }
+        seen = [(r["monitor"], r["dataset"]) for r in rows]
+        expected = {(m, d) for m in BENCH_MONITORS for d in BENCH_DATASETS}
         expected |= {
-            (m, d, "python")
+            (m, d)
             for m in bench_mod.BENCH_SKEW_MONITORS
             for d in bench_mod.BENCH_SKEW_DATASETS
         }
-        if vector.HAVE_NUMPY:
-            expected |= {
-                (m, d, "numpy")
-                for m in bench_mod.BENCH_VECTOR_MONITORS
-                for d in BENCH_DATASETS
-            }
-        assert seen == expected
+        assert len(seen) == len(set(seen))
+        assert set(seen) == expected
         for row in rows:
             assert row["ops_per_s"] > 0
             assert row["mean_ms"] > 0
             assert row["p95_ms"] > 0
             assert row["speedup_vs_naive"] > 0
-
-    def test_document_reports_vector_environment(self, tiny_doc):
-        vec = tiny_doc["vector"]
-        assert vec["available"] is vector.HAVE_NUMPY
-        if vector.HAVE_NUMPY:
-            assert isinstance(vec["numpy"], str)
-        else:
-            assert vec["numpy"] is None
 
     def test_rows_name_their_index(self, tiny_doc):
         rows = tiny_doc["profiles"]["tiny"]["rows"]
@@ -127,10 +111,6 @@ class TestRunBench:
         expected = len(BENCH_MONITORS) * len(BENCH_DATASETS) + len(
             bench_mod.BENCH_SKEW_MONITORS
         ) * len(bench_mod.BENCH_SKEW_DATASETS)
-        if vector.HAVE_NUMPY:
-            expected += len(bench_mod.BENCH_VECTOR_MONITORS) * len(
-                BENCH_DATASETS
-            )
         assert len(rows) == expected
         assert all(row["profile"] == "tiny" for row in rows)
         (mq,) = scaling_rows(tiny_doc)
@@ -194,68 +174,6 @@ def _fake_skew_doc(grid_speedup: float, quad_speedup: float) -> dict:
         },
     ]
     return doc
-
-
-def _fake_vector_doc(
-    numpy_advantage: float = 1.2,
-    numpy_speedup: float = 4.0,
-    available: bool = True,
-) -> dict:
-    """A schema-3 document with python and numpy aG2 rows on uniform.
-
-    The python ag2 row is pinned at 10 ms; the numpy row's mean is
-    ``10 / numpy_advantage`` so the columnar advantage is exactly the
-    argument.  ``numpy_speedup`` is the numpy row's speedup over its
-    own-backend naive baseline (the absolute-floor input).
-    """
-    rows = [
-        {
-            "monitor": "naive",
-            "dataset": "uniform",
-            "backend": "python",
-            "index": "none",
-            "mean_ms": 30.0,
-            "speedup_vs_naive": 1.0,
-        },
-        {
-            "monitor": "ag2",
-            "dataset": "uniform",
-            "backend": "python",
-            "index": "uniform-grid",
-            "mean_ms": 10.0,
-            "speedup_vs_naive": 3.0,
-        },
-    ]
-    if available:
-        rows += [
-            {
-                "monitor": "naive",
-                "dataset": "uniform",
-                "backend": "numpy",
-                "index": "none",
-                "mean_ms": 24.0,
-                "speedup_vs_naive": 1.0,
-            },
-            {
-                "monitor": "ag2",
-                "dataset": "uniform",
-                "backend": "numpy",
-                "index": "uniform-grid",
-                "mean_ms": 10.0 / numpy_advantage,
-                "speedup_vs_naive": numpy_speedup,
-            },
-        ]
-    return {
-        "schema": 3,
-        "seed": 42,
-        "cpu_count": 1,
-        "vector": {
-            "available": available,
-            "numpy": "2.0.0" if available else None,
-            "numba": None,
-        },
-        "profiles": {"full": {"rows": copy.deepcopy(rows)}},
-    }
 
 
 class TestBenchGate:
@@ -338,7 +256,7 @@ class TestBenchGate:
         cur = self._write(tmp_path, "cur.json", regressed)
         failures = gate.check_bench(cur, base, tolerance=0.15)
         assert any(
-            "ag2_quadtree [python backend, quadtree index]" in f
+            "ag2_quadtree [quadtree index]" in f
             for f in failures
         )
 
@@ -371,74 +289,6 @@ class TestBenchGate:
         base = self._write(tmp_path, "base.json", _fake_doc(ag2_speedup=3.0))
         cur = self._write(tmp_path, "cur.json", _fake_doc(ag2_speedup=3.0))
         assert gate.check_bench(cur, base, tolerance=0.15) == []
-
-    def test_numpy_rows_skipped_on_numpy_less_host(self, gate, tmp_path):
-        """A baseline with numpy rows compared against a run from a host
-        without numpy must skip — not fail — the numpy rows."""
-        base = self._write(tmp_path, "base.json", _fake_vector_doc())
-        cur = self._write(
-            tmp_path, "cur.json", _fake_vector_doc(available=False)
-        )
-        assert gate.check_bench(cur, base, tolerance=0.15) == []
-
-    def test_numpy_rows_missing_with_numpy_available_fails(
-        self, gate, tmp_path
-    ):
-        base = self._write(tmp_path, "base.json", _fake_vector_doc())
-        broken = _fake_vector_doc()
-        broken["profiles"]["full"]["rows"] = [
-            row
-            for row in broken["profiles"]["full"]["rows"]
-            if row["backend"] == "python"
-        ]
-        cur = self._write(tmp_path, "cur.json", broken)
-        failures = gate.check_bench(cur, base, tolerance=0.15)
-        assert any(
-            "bench row missing" in f and "numpy" in f for f in failures
-        )
-
-    def test_columnar_advantage_regression_fails(self, gate, tmp_path):
-        """Both backends' per-row speedups hold, but the numpy backend's
-        edge over python collapses: baseline advantage 1.30x, floor
-        1.30 * (1 - 2*0.15) = 0.91x; current 0.80x must fail."""
-        base = self._write(
-            tmp_path, "base.json", _fake_vector_doc(numpy_advantage=1.3)
-        )
-        cur = self._write(
-            tmp_path, "cur.json", _fake_vector_doc(numpy_advantage=0.8)
-        )
-        failures = gate.check_bench(cur, base, tolerance=0.15)
-        assert any(
-            "columnar backend advantage regression" in f for f in failures
-        )
-
-    def test_columnar_advantage_within_tolerance_passes(self, gate, tmp_path):
-        base = self._write(
-            tmp_path, "base.json", _fake_vector_doc(numpy_advantage=1.3)
-        )
-        cur = self._write(
-            tmp_path, "cur.json", _fake_vector_doc(numpy_advantage=1.2)
-        )
-        assert gate.check_bench(cur, base, tolerance=0.15) == []
-
-    def test_vector_speedup_floor_gates_both_documents(self, gate, tmp_path):
-        """The full-profile aG2 uniform numpy row must clear the
-        absolute 2x speedup_vs_naive floor in baseline and current."""
-        good = self._write(
-            tmp_path, "good.json", _fake_vector_doc(numpy_speedup=4.0)
-        )
-        bad = self._write(
-            tmp_path, "bad.json", _fake_vector_doc(numpy_speedup=1.5)
-        )
-        assert gate.check_bench(good, good, tolerance=0.15) == []
-        failures = gate.check_bench(good, bad, tolerance=0.99)
-        assert any(
-            "vector speedup floor violated (baseline)" in f for f in failures
-        )
-        failures = gate.check_bench(bad, good, tolerance=0.99)
-        assert any(
-            "vector speedup floor violated (current)" in f for f in failures
-        )
 
     def test_disjoint_documents_fail_loudly(self, gate, tmp_path):
         base = self._write(tmp_path, "base.json", _fake_doc(ag2_speedup=3.0))

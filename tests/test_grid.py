@@ -115,8 +115,8 @@ def test_overlapping_rects_share_a_cell(a: Rect, b: Rect, cell_size: float):
 
 
 class TestCellKeysCache:
-    """``cell_keys`` is the cached, tuple-returning form of
-    ``cells_overlapping`` shared by every grid-backed monitor."""
+    """``cell_keys`` is the tuple-returning form of
+    ``cells_overlapping`` used by every grid-backed monitor."""
 
     def test_matches_cells_overlapping(self):
         g = UniformGrid(cell_size=10.0)
@@ -126,14 +126,6 @@ class TestCellKeysCache:
     def test_degenerate_rect_maps_nowhere(self):
         g = UniformGrid(cell_size=10.0)
         assert g.cell_keys(Rect(5.0, 5.0, 5.0, 5.0)) == ()
-
-    def test_cache_shared_across_equal_grids(self):
-        a = UniformGrid(cell_size=10.0)
-        b = UniformGrid(cell_size=10.0)
-        rect = Rect(1.0, 1.0, 25.0, 25.0)
-        # same geometry -> same cached tuple object, even across
-        # distinct UniformGrid instances (the cache keys on geometry)
-        assert a.cell_keys(rect) is b.cell_keys(rect)
 
     def test_distinct_geometry_distinct_entries(self):
         a = UniformGrid(cell_size=10.0)

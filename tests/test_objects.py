@@ -83,8 +83,8 @@ class TestWeightedRect:
 
 
 class TestDualRectCache:
-    """``dual_rect`` is the cached form of ``WeightedRect.from_object``
-    shared by every monitor (PR 4 caching layer)."""
+    """``dual_rect`` is the named form of ``WeightedRect.from_object``
+    the graph monitors route arrivals through; it caches nothing."""
 
     def test_equals_uncached_transform(self):
         from repro.core.objects import dual_rect
@@ -95,11 +95,3 @@ class TestDualRectCache:
         assert cached.rect == reference.rect
         assert cached.weight == reference.weight
         assert cached.obj is o
-
-    def test_repeat_call_returns_same_instance(self):
-        from repro.core.objects import dual_rect
-
-        o = SpatialObject(x=1.0, y=1.0, weight=2.0, oid=3)
-        assert dual_rect(o, 4.0, 4.0) is dual_rect(o, 4.0, 4.0)
-        # a different query size is a different cache entry
-        assert dual_rect(o, 4.0, 4.0) is not dual_rect(o, 8.0, 8.0)

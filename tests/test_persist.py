@@ -99,6 +99,32 @@ class TestSnapshotRestore:
             o.oid for o in monitor.window.contents
         ]
 
+    @pytest.mark.parametrize("kernel", ["python", "numpy"])
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: NaiveMonitor(10, 10, CountWindow(30)),
+            lambda: G2Monitor(10, 10, CountWindow(30)),
+            lambda: AG2Monitor(10, 10, CountWindow(30), epsilon=0.2),
+            lambda: QuadtreeAG2Monitor(10, 10, CountWindow(30)),
+            lambda: TopKAG2Monitor(10, 10, CountWindow(30), k=4),
+        ],
+    )
+    def test_legacy_kernel_key_is_dropped(self, factory, kernel):
+        """Snapshots from before the single sweep kernel name the one
+        they ran on in ``extra``; restore ignores it and answers exactly
+        like a fresh monitor fed the same objects."""
+        state = snapshot(primed(factory()))
+        state["extra"]["backend"] = kernel
+        clone = restore(json.loads(json.dumps(state)))
+        fresh = primed(factory())
+        batch = make_objects(5, seed=99, domain=60.0)
+        a = clone.update(batch)
+        b = fresh.update(batch)
+        assert [(r.rect, r.weight) for r in a.regions] == [
+            (r.rect, r.weight) for r in b.regions
+        ]
+
     def test_unknown_format_rejected(self):
         with pytest.raises(InvalidParameterError):
             restore({"format": 999})

@@ -233,7 +233,6 @@ class TestMonitorPolicy:
     def test_defaults_derive_from_query(self):
         monitor = QuadtreeAG2Monitor(10.0, 10.0, CountWindow(10))
         assert monitor.index_backend == "quadtree"
-        assert monitor.backend == "python"
         assert monitor.tree.tile_size == default_tile_size(10.0, 10.0)
         assert monitor.tree.min_leaf_size == 10.0
         assert monitor.split_load == 4.0 * monitor.split_occupancy

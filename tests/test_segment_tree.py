@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import vector
 from repro.core.segment_tree import MaxCoverSegmentTree
 from repro.errors import InvalidParameterError
 
@@ -243,63 +242,3 @@ def test_reset_reuse_matches_fresh_tree(sizes: list[int], seed: int):
         assert pooled.range_max(qlo, qhi)[0] == pytest.approx(rval)
         assert pooled.max_value == pytest.approx(max(ref.values))
 
-
-@pytest.mark.skipif(
-    not vector.HAVE_NUMPY, reason="numpy not installed ([vector] extra)"
-)
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    m=st.integers(min_value=1, max_value=20),
-)
-def test_vector_event_kernels_agree(seed: int, m: int):
-    """The jittable array tree and the pooled list tree produce
-    bit-identical sweep results over the same sorted event stream.
-
-    Without numba the array kernel never runs in production (the sweep
-    routes to the list tree), so this differential is what keeps it
-    honest until a JIT-equipped host exercises it.
-    """
-    np = pytest.importorskip("numpy")
-    rng = random.Random(seed)
-    x1 = np.array([rng.uniform(0, 20) for _ in range(m)])
-    y1 = np.array([float(rng.choice([rng.uniform(0, 20), rng.randrange(20)]))
-                   for _ in range(m)])
-    x2 = x1 + np.array([rng.uniform(0.5, 6) for _ in range(m)])
-    y2 = y1 + np.array(
-        [float(rng.choice([rng.uniform(0.5, 6), 1.0])) for _ in range(m)]
-    )
-    w = np.array([rng.choice([0.0, 0.5, 1.0, 2.0]) for _ in range(m)])
-    # event construction exactly as vector.sweep_columns_max builds it
-    xs = np.unique(np.concatenate((x1, x2)))
-    lo = np.searchsorted(xs, x1)
-    hi = np.searchsorted(xs, x2) - 1
-    n_slots = max(1, xs.shape[0] - 1)
-    ey = np.concatenate((y1, y2))
-    ekind = np.concatenate(
-        (np.ones(m, dtype=np.int64), np.zeros(m, dtype=np.int64))
-    )
-    seq = np.arange(m, dtype=np.int64)
-    eseq = np.concatenate((seq, seq))
-    elo = np.concatenate((lo, lo))
-    ehi = np.concatenate((hi, hi))
-    ew = np.concatenate((w, w))
-    order = np.lexsort((eseq, ekind, ey))
-    ey, ekind, elo, ehi, ew = (
-        ey[order], ekind[order], elo[order], ehi[order], ew[order]
-    )
-    array_out = vector._sweep_events_array(n_slots, ey, ekind, elo, ehi, ew)
-    list_out = vector._apply_events_listtree(
-        n_slots,
-        ey.tolist(),
-        ekind.tolist(),
-        elo.tolist(),
-        ehi.tolist(),
-        ew.tolist(),
-    )
-    assert bool(array_out[0]) == bool(list_out[0])
-    if list_out[0]:
-        assert float(array_out[1]) == float(list_out[1])
-        assert int(array_out[2]) == int(list_out[2])
-        assert float(array_out[3]) == float(list_out[3])
-        assert float(array_out[4]) == float(list_out[4])

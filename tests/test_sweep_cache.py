@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import vector
 from repro.core.geometry import Rect
 from repro.core.graph import Vertex
 from repro.core.objects import SpatialObject, WeightedRect
@@ -105,29 +103,3 @@ def test_cached_equals_uncached_under_interleaving(seed: int, rounds: int):
         anchor, v.neighbors
     )
 
-
-@pytest.mark.skipif(
-    not vector.HAVE_NUMPY, reason="numpy not installed ([vector] extra)"
-)
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10_000))
-def test_cached_sweep_backend_equivalence(seed: int):
-    """The numpy-backed cached sweep is byte-identical to the python
-    one over the same vertex (thresholds forced tiny so the columnar
-    kernel actually engages on these small neighbour lists)."""
-    old = vector.VECTOR_SWEEP_MIN
-    vector.VECTOR_SWEEP_MIN = 4
-    try:
-        rng = random.Random(seed)
-        anchor = _wrect(rng)
-        vp = Vertex(anchor, seq=0)
-        vn = Vertex(anchor, seq=0)
-        for _ in range(4):
-            fresh = [_wrect(rng, anchor) for _ in range(rng.randrange(0, 5))]
-            vp.neighbors.extend(fresh)
-            vn.neighbors.extend(fresh)
-            assert local_plane_sweep_cached(
-                vp, backend="python"
-            ) == local_plane_sweep_cached(vn, backend="numpy")
-    finally:
-        vector.VECTOR_SWEEP_MIN = old
