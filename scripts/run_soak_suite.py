@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every committed soak scenario and write one JSON report each.
 
-CI's ``soak-smoke`` job runs the ``smoke`` and ``crash_recovery``
+CI's ``soak-smoke`` and ``durability-smoke`` jobs run five of the
 scenarios individually; this script is the local superset — the whole
 committed suite in registration order, reports dropped into an output
 directory, first failure's verdicts printed, non-zero exit if any

@@ -9,9 +9,7 @@ Subcommands mirror the paper's evaluation artefacts::
     maxrs-stream ablation
     maxrs-stream profile --window 2000 --batches 10 --json metrics.json
     maxrs-stream bench --seed 42 --out BENCH_PR9.json
-    maxrs-stream chaos --batches 200 --policy quarantine
-    maxrs-stream overload --pattern square --burst-factor 10
-    maxrs-stream soak --scenario wal_recovery --wal-dir run.wal
+    maxrs-stream soak --scenario crash_recovery --wal-dir run.wal
     maxrs-stream wal inspect --dir run.wal
 
 Every subcommand prints a plain-text table; ``--dataset`` accepts the
@@ -180,128 +178,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="write flat (monitor, kind, metric, value) rows as CSV",
     )
 
-    p_chaos = sub.add_parser(
-        "chaos",
-        help="chaos soak: drive a supervised aG2 monitor through a "
-        "fault-injecting stream (drops, duplicates, corruption, late "
-        "arrivals) and verify the result against a naive recompute; "
-        "exits non-zero on divergence or accounting mismatch",
-    )
-    _add_common(p_chaos)
-    p_chaos.add_argument(
-        "--policy", default="quarantine", choices=("raise", "skip", "quarantine"),
-        help="ingest error policy (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--p-drop", type=float, default=0.02,
-        help="per-record drop probability (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--p-duplicate", type=float, default=0.02,
-        help="per-record duplication probability (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--p-corrupt", type=float, default=0.02,
-        help="per-record corruption probability (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--p-delay", type=float, default=0.05,
-        help="per-record delay probability (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--max-delay", type=int, default=3,
-        help="maximum hold-back in stream positions (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--max-lateness", type=float, default=None,
-        help="reorder-buffer lateness bound in timestamp units "
-        "(default: 2 * max-delay)",
-    )
-    p_chaos.add_argument(
-        "--probe-every", type=int, default=50,
-        help="run check_invariants() every N updates; 0 disables "
-        "(default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="also take atomic checkpoints to PATH during the soak",
-    )
-    p_chaos.add_argument(
-        "--checkpoint-every", type=int, default=50,
-        help="checkpoint period in batches (default: %(default)s)",
-    )
-    p_chaos.add_argument(
-        "--json", metavar="PATH", help="write the chaos report as JSON"
-    )
-
-    p_overload = sub.add_parser(
-        "overload",
-        help="overload soak: drive a degradation-ladder monitor through "
-        "a bursty arrival profile behind a backpressure queue; exits "
-        "non-zero if p95 latency misses the budget, the shed ledger "
-        "does not close, a degraded answer breaks its (1-eps) floor, "
-        "or the ladder fails to return to exact",
-    )
-    _add_common(p_overload)
-    p_overload.add_argument(
-        "--ticks", type=int, default=160,
-        help="arrival ticks to drive (default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--pattern", default="square", choices=("square", "ramp", "spike"),
-        help="burst shape of the load generator (default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--burst-factor", type=float, default=10.0,
-        help="peak rate as a multiple of --rate (default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--period", type=int, default=80,
-        help="ticks per burst period (default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--burst-ticks", type=int, default=15,
-        help="burst length within each period, square pattern "
-        "(default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--budget-ms", type=float, default=None,
-        help="per-update latency budget; omitted = calibrated from "
-        "this machine's exact update cost",
-    )
-    p_overload.add_argument(
-        "--capacity", type=int, default=None,
-        help="backpressure queue capacity (default: 20 * rate)",
-    )
-    p_overload.add_argument(
-        "--max-batch", type=int, default=None,
-        help="coalesced drain cap (default: 8 * rate)",
-    )
-    p_overload.add_argument(
-        "--shed-policy", default="shed_oldest",
-        choices=("block", "shed_oldest", "shed_newest"),
-        help="policy when the queue is full (default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--epsilons", default="0.2,0.4",
-        help="comma-separated ladder tolerances, strictly increasing",
-    )
-    p_overload.add_argument(
-        "--verify-every", type=int, default=10,
-        help="exact-companion guarantee check period in batches; "
-        "0 disables (default: %(default)s)",
-    )
-    p_overload.add_argument(
-        "--json", metavar="PATH", help="write the overload report as JSON"
-    )
-
     p_soak = sub.add_parser(
         "soak",
         help="end-to-end soak: drive the fully composed stack (ingest "
-        "guard, backpressure queue, degradation ladder, checkpoints, "
-        "optional worker shards) through a phased fault campaign with "
-        "crash-restart recovery; exits non-zero on any cross-layer "
-        "invariant breach",
+        "guard, backpressure queue, degradation ladder, write-ahead "
+        "log, checkpoints, optional worker shards) through a phased "
+        "fault campaign with crash recovery from checkpoint + WAL "
+        "tail; exits non-zero on any cross-layer invariant breach",
     )
     p_soak.add_argument(
         "--scenario", default="smoke",
@@ -329,9 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_soak.add_argument(
         "--wal-dir", metavar="PATH", default=None,
-        help="directory for write-ahead-log segments, for scenarios "
-        "with the WAL enabled (default: <scenario>.wal beside the "
-        "checkpoints); ignored by WAL-less scenarios",
+        help="directory for write-ahead-log segments (default: "
+        "<scenario>.wal beside the checkpoints)",
     )
     p_soak.add_argument(
         "--json", metavar="PATH", help="write the soak report as JSON"
@@ -453,111 +335,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.csv:
             write_metrics_csv(args.csv, profile.report.metrics)
             print(f"wrote metrics CSV to {args.csv}")
-    elif args.command == "chaos":
-        from repro.resilience import run_chaos
-
-        chaos_report = run_chaos(
-            args.dataset,
-            window=args.window,
-            rate=args.rate,
-            batches=args.batches,
-            side=args.side,
-            domain=args.domain,
-            seed=args.seed,
-            policy=args.policy,
-            p_drop=args.p_drop,
-            p_duplicate=args.p_duplicate,
-            p_corrupt=args.p_corrupt,
-            p_delay=args.p_delay,
-            max_delay=args.max_delay,
-            max_lateness=args.max_lateness,
-            probe_every=args.probe_every,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-        )
-        title = (
-            f"chaos soak [{args.dataset}] window={args.window} "
-            f"rate={args.rate} batches={chaos_report.engine_report.batches} "
-            f"seed={args.seed} policy={args.policy}"
-        )
-        print(format_rows(chaos_report.rows(), title=title))
-        if args.json:
-            write_metrics_json(args.json, chaos_report.to_dict())
-            print(f"wrote chaos report JSON to {args.json}")
-        if not chaos_report.result_verified:
-            print(
-                "FAIL: supervised result diverges from naive recompute "
-                f"({chaos_report.supervised_weight} != "
-                f"{chaos_report.naive_weight})"
-            )
-            return 1
-        if not chaos_report.accounted:
-            print("FAIL: ingest accounting does not close")
-            return 1
-        print("OK: survived chaos; result verified, accounting closed")
-    elif args.command == "overload":
-        from repro.overload import run_overload
-
-        overload_report = run_overload(
-            args.dataset,
-            window=args.window,
-            rate=args.rate,
-            ticks=args.ticks,
-            pattern=args.pattern,
-            burst_factor=args.burst_factor,
-            period=args.period,
-            burst_ticks=args.burst_ticks,
-            side=args.side,
-            domain=args.domain,
-            seed=args.seed,
-            budget_ms=args.budget_ms,
-            capacity=args.capacity,
-            max_batch=args.max_batch,
-            shed_policy=args.shed_policy,
-            epsilons=tuple(_parse_list(args.epsilons, float)),
-            verify_every=args.verify_every,
-        )
-        title = (
-            f"overload soak [{args.dataset}] window={args.window} "
-            f"rate={args.rate} pattern={args.pattern} "
-            f"burst_factor={args.burst_factor:g} seed={args.seed}"
-        )
-        print(format_rows(overload_report.rows(), title=title))
-        if args.json:
-            write_metrics_json(args.json, overload_report.to_dict())
-            print(f"wrote overload report JSON to {args.json}")
-        failed = False
-        if not overload_report.within_budget:
-            print(
-                f"FAIL: p95 update latency {overload_report.p95_ms:.3f} ms "
-                f"over budget {overload_report.budget_ms:.3f} ms"
-            )
-            failed = True
-        if not overload_report.ledger_closed:
-            print(
-                "FAIL: backpressure ledger does not close "
-                f"({overload_report.ledger})"
-            )
-            failed = True
-        if not overload_report.guarantees_verified:
-            print(
-                "FAIL: degraded answers broke their guarantee "
-                f"({overload_report.guarantee_failures} of "
-                f"{overload_report.guarantee_checks} checks)"
-            )
-            failed = True
-        if not overload_report.recovered:
-            print(
-                "FAIL: ladder did not return to exact "
-                f"(final mode: {overload_report.final_mode})"
-            )
-            failed = True
-        if failed:
-            return 1
-        print(
-            "OK: p95 within budget, ledger closed, guarantees verified, "
-            "ladder recovered to exact"
-        )
     elif args.command == "soak":
         from repro.soak import get_scenario, list_scenarios, run_soak
 

@@ -23,9 +23,9 @@ compose into an overload story with explicit, conserved accounting:
   open protection around a monitor; while open the last known-good
   answer is served with a staleness tick.
 
-:func:`~repro.overload.harness.run_overload` is the seeded soak harness
-behind the ``maxrs-stream overload`` CLI subcommand and the CI
-``overload-smoke`` job.  See ``docs/OVERLOAD.md``.
+The ``overload_wall`` and ``dirty_overload`` soak scenarios
+(:mod:`repro.soak`) drive this layer end to end.  See
+``docs/OVERLOAD.md``.
 """
 
 from repro.overload.backpressure import BackpressureQueue, ShedPolicy
@@ -35,7 +35,6 @@ from repro.overload.controller import (
     DeadlineController,
     LadderDecision,
 )
-from repro.overload.harness import LoadGenerator, OverloadReport, run_overload
 
 __all__ = [
     "AdaptiveMonitor",
@@ -44,8 +43,5 @@ __all__ = [
     "CircuitBreaker",
     "DeadlineController",
     "LadderDecision",
-    "LoadGenerator",
-    "OverloadReport",
     "ShedPolicy",
-    "run_overload",
 ]

@@ -16,8 +16,8 @@ the algorithms themselves:
 * :class:`CheckpointManager` — periodic atomic snapshots with
   load-last-checkpoint + replay-tail crash recovery;
 * :class:`FaultInjectingSource` — a seeded chaos wrapper (drop,
-  duplicate, corrupt, delay) powering the ``maxrs-stream chaos``
-  CLI subcommand and the chaos test suite.
+  duplicate, corrupt, delay) behind the fault mix of every
+  ``maxrs-stream soak`` scenario.
 
 See ``docs/RESILIENCE.md`` for policies, watermark semantics, the
 checkpoint format, and the recovery guarantees.
@@ -27,12 +27,10 @@ from repro.resilience.chaos import FaultInjectingSource
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue, ErrorPolicy
 from repro.resilience.guard import IngestGuard, coerce_record
-from repro.resilience.harness import ChaosReport, run_chaos
 from repro.resilience.reorder import ReorderBuffer
 from repro.resilience.supervisor import MonitorSupervisor, RetryingSource
 
 __all__ = [
-    "ChaosReport",
     "CheckpointManager",
     "DeadLetter",
     "DeadLetterQueue",
@@ -43,5 +41,4 @@ __all__ = [
     "ReorderBuffer",
     "RetryingSource",
     "coerce_record",
-    "run_chaos",
 ]

@@ -1,78 +1,39 @@
-"""End-to-end soak subsystem: phased fault campaigns with recovery.
+"""End-to-end soak subsystem: phased fault campaigns with recovery."""
 
-Lazy exports (PEP 562): the chaos and overload harnesses import
-:mod:`repro.soak.report` for the shared report protocol, while
-:mod:`repro.soak.harness` imports them back — eager re-exports here
-would close that cycle at import time.
-"""
-
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.soak.harness import SoakReport, run_soak
-    from repro.soak.injectors import (
-        CORRUPTION_MODES,
-        WAL_CORRUPTION_MODES,
-        ClockSkewSource,
-        NonReplayableSource,
-        corrupt_checkpoint,
-        corrupt_wal,
-    )
-    from repro.soak.invariants import InvariantMonitor
-    from repro.soak.report import ReportBase
-    from repro.soak.scenario import (
-        SCENARIOS,
-        Phase,
-        Scenario,
-        get_scenario,
-        list_scenarios,
-    )
+from repro.soak.harness import SoakReport, run_soak
+from repro.soak.injectors import (
+    CORRUPTION_MODES,
+    WAL_CORRUPTION_MODES,
+    ClockSkewSource,
+    NonReplayableSource,
+    corrupt_checkpoint,
+    corrupt_wal,
+)
+from repro.soak.invariants import InvariantMonitor, exact_weight_over
+from repro.soak.load import LoadGenerator
+from repro.soak.scenario import (
+    SCENARIOS,
+    Phase,
+    Scenario,
+    get_scenario,
+    list_scenarios,
+)
 
 __all__ = [
     "CORRUPTION_MODES",
     "WAL_CORRUPTION_MODES",
     "ClockSkewSource",
     "InvariantMonitor",
+    "LoadGenerator",
     "NonReplayableSource",
     "Phase",
-    "ReportBase",
     "SCENARIOS",
     "Scenario",
     "SoakReport",
     "corrupt_checkpoint",
     "corrupt_wal",
+    "exact_weight_over",
     "get_scenario",
     "list_scenarios",
     "run_soak",
 ]
-
-_HOMES = {
-    "CORRUPTION_MODES": "repro.soak.injectors",
-    "WAL_CORRUPTION_MODES": "repro.soak.injectors",
-    "ClockSkewSource": "repro.soak.injectors",
-    "NonReplayableSource": "repro.soak.injectors",
-    "corrupt_checkpoint": "repro.soak.injectors",
-    "corrupt_wal": "repro.soak.injectors",
-    "InvariantMonitor": "repro.soak.invariants",
-    "ReportBase": "repro.soak.report",
-    "Phase": "repro.soak.scenario",
-    "Scenario": "repro.soak.scenario",
-    "SCENARIOS": "repro.soak.scenario",
-    "get_scenario": "repro.soak.scenario",
-    "list_scenarios": "repro.soak.scenario",
-    "SoakReport": "repro.soak.harness",
-    "run_soak": "repro.soak.harness",
-}
-
-
-def __getattr__(name: str):
-    home = _HOMES.get(name)
-    if home is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(home), name)
-
-
-def __dir__() -> list:
-    return sorted(__all__)

@@ -2,28 +2,35 @@
 
 :func:`run_soak` composes every production layer this library ships —
 
-    dataset stream → FaultInjectingSource → ClockSkewSource
+    NonReplayableSource → FaultInjectingSource → ClockSkewSource
         → IngestGuard (+ ReorderBuffer, DeadLetterQueue)
         → BackpressureQueue
-        → StreamEngine → AdaptiveMonitor (deadline ladder + breaker)
-        → CheckpointManager
+        → StreamEngine → WriteAheadLog
+                       → AdaptiveMonitor (deadline ladder + breaker)
+                       → CheckpointManager
     (optionally alongside a ParallelQueryGroup and its inline twin)
 
 — and drives it through a :class:`~repro.soak.scenario.Scenario`'s
 phases: clean traffic, dirty data, late/skew bursts, overload spikes,
-mid-run compute-tier crashes recovered from (possibly corrupted)
-checkpoints, and worker-process kills.  An
-:class:`~repro.soak.invariants.InvariantMonitor` closes the loop every
-tick: global conservation across all layers, watermark monotonicity,
-epsilon-guarantee spot checks against an exact companion, and exact
-re-convergence after every recovery.
+mid-run compute-tier crashes, and worker-process kills.  The source is
+a :class:`~repro.soak.injectors.NonReplayableSource` and every admitted
+batch is journalled to a write-ahead log, so the one crash-recovery
+path is checkpoint + WAL tail: an arrival, once consumed, is never
+read again.  An :class:`~repro.soak.invariants.InvariantMonitor`
+closes the loop every tick: global conservation across all layers,
+dead-letter completeness, watermark monotonicity, epsilon-guarantee
+spot checks against an exact companion, and exact re-convergence
+after every recovery.
 
 Everything is deterministic for a fixed seed: arrivals, fault rolls,
 skew schedules, crash points, *and the ladder trajectory* — the
 deadline controller is fed a modeled latency (``unit_ms × batch ×
 rung_discount``) instead of wall-clock, so two runs of the same
-scenario produce byte-identical reports.  The ``maxrs-stream soak``
-CLI and the CI soak-smoke job are thin wrappers over this function.
+scenario produce byte-identical reports.  A scenario with
+``unit_ms=None`` trades that for a wall-clock ladder against a budget
+calibrated on the host, and gates the campaign's p95 update latency.
+The ``maxrs-stream soak`` CLI and the CI soak-smoke job are thin
+wrappers over this function.
 """
 
 from __future__ import annotations
@@ -31,9 +38,11 @@ from __future__ import annotations
 import errno
 import itertools
 import tempfile
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.ag2 import AG2Monitor
 from repro.core.objects import SpatialObject
@@ -42,7 +51,8 @@ from repro.durability.recovery import reconcile, scan_wal
 from repro.durability.wal import WriteAheadLog
 from repro.engine.engine import StreamEngine
 from repro.engine.parallel import ParallelQueryGroup
-from repro.errors import InvalidParameterError, SnapshotError
+from repro.engine.stats import TimingStats
+from repro.errors import InvalidParameterError, ReproError, SnapshotError
 from repro.obs.metrics import Metrics
 from repro.overload.backpressure import BackpressureQueue
 from repro.overload.breaker import CircuitBreaker
@@ -57,24 +67,35 @@ from repro.soak.injectors import (
     corrupt_wal,
 )
 from repro.soak.invariants import InvariantMonitor
-from repro.soak.report import ReportBase
+from repro.soak.load import LoadGenerator
 from repro.soak.scenario import Phase, Scenario, get_scenario
-from repro.overload.harness import LoadGenerator
 from repro.window import CountWindow
 
 __all__ = ["SoakReport", "run_soak"]
 
 _MONITOR = "ladder"
 _MAX_FAILURE_LINES = 20
+# budget calibration (``unit_ms=None``): discarded warm-up batches,
+# then timed ones; the floor keeps a very fast host from handing the
+# ladder a budget below timer noise
+_CALIBRATION_WARMUP = 2
+_CALIBRATION_BATCHES = 8
+_MIN_BUDGET_MS = 0.05
 
 
 @dataclass
-class SoakReport(ReportBase):
+class SoakReport:
     """Everything one soak campaign observed, plus its verdict.
 
-    Deliberately free of wall-clock quantities and object ids: two runs
-    of the same scenario and seed must serialise identically
-    (``to_dict() == to_dict()``), which is itself asserted in tests.
+    The CLI renders :meth:`rows` as a ``(quantity, value)`` table,
+    writes :meth:`to_dict` as JSON, and gates its exit code on
+    :attr:`ok`, printing :meth:`failures` first.
+
+    Free of object ids and, for modeled-latency scenarios, of
+    wall-clock quantities: two runs of the same scenario and seed must
+    serialise identically (``to_dict() == to_dict()``), which is itself
+    asserted in tests.  Only a calibrated scenario (``unit_ms=None``)
+    reports a measured budget and p95.
     """
 
     scenario: str
@@ -90,6 +111,7 @@ class SoakReport(ReportBase):
     late_dropped: int
     late_reordered: int
     reorder_pending: int
+    dead_letters: int
     # queue accounting
     processed: int
     shed: int
@@ -126,19 +148,21 @@ class SoakReport(ReportBase):
     watermark_checks: int
     guarantee_checks: int
     convergence_checks: int
-    # durability (WAL) campaign — all zero/defaults for WAL-less runs
-    wal_enabled: bool = False
-    source_replayable: bool = True
-    wal_appends: int = 0
-    wal_fsyncs: int = 0
-    wal_replayed_batches: int = 0
-    wal_truncated_tails: int = 0
-    wal_skipped_records: int = 0
-    wal_segments_compacted: int = 0
-    wal_spill_restored: int = 0
-    enospc_injected: int = 0
-    enospc_recovered: int = 0
-    recovery_source_reads: int = 0
+    # durability: the WAL every campaign journals to
+    wal_appends: int
+    wal_fsyncs: int
+    wal_truncated_tails: int
+    wal_skipped_records: int
+    wal_segments_compacted: int
+    wal_spill_restored: int
+    enospc_injected: int
+    enospc_recovered: int
+    recovery_source_reads: int
+    # latency budget; p95 is measured only when the budget is calibrated
+    budget_ms: float
+    calibrated: bool
+    p95_update_ms: float | None = None
+    transition_reasons: Dict[str, int] = field(default_factory=dict)
     violations: List[Dict[str, object]] = field(default_factory=list)
     phases: List[Dict[str, object]] = field(default_factory=list)
 
@@ -171,6 +195,7 @@ class SoakReport(ReportBase):
             ("late dropped", self.late_dropped),
             ("late reordered", self.late_reordered),
             ("reorder pending", self.reorder_pending),
+            ("dead letters", self.dead_letters),
             ("objects processed", self.processed),
             ("objects shed", self.shed),
             ("refused offers", self.refused_offers),
@@ -201,11 +226,8 @@ class SoakReport(ReportBase):
             ("watermark checks", self.watermark_checks),
             ("guarantee checks", self.guarantee_checks),
             ("convergence checks", self.convergence_checks),
-            ("wal enabled", self.wal_enabled),
-            ("source replayable", self.source_replayable),
             ("wal appends", self.wal_appends),
             ("wal fsyncs", self.wal_fsyncs),
-            ("wal replayed batches", self.wal_replayed_batches),
             ("wal truncated tails", self.wal_truncated_tails),
             ("wal skipped records", self.wal_skipped_records),
             ("wal segments compacted", self.wal_segments_compacted),
@@ -213,15 +235,71 @@ class SoakReport(ReportBase):
             ("enospc injected", self.enospc_injected),
             ("enospc recovered", self.enospc_recovered),
             ("recovery source reads", self.recovery_source_reads),
+            ("latency budget ms", f"{self.budget_ms:.3f}"),
+            ("budget calibrated", self.calibrated),
+            (
+                "p95 update ms",
+                "modeled"
+                if self.p95_update_ms is None
+                else f"{self.p95_update_ms:.3f}",
+            ),
             ("violations", len(self.violations)),
             ("soak passed", self.ok),
         ]
 
-    def _extra(self) -> dict[str, object]:
-        return {
-            "violation_details": [dict(v) for v in self.violations],
-            "phase_breakdown": [dict(p) for p in self.phases],
+    def rows(self) -> list[dict[str, object]]:
+        """(quantity, value) rows for the CLI table."""
+        return [{"quantity": k, "value": v} for k, v in self._pairs()]
+
+    def to_dict(self) -> dict[str, Any]:
+        """The JSON document: snake_cased row keys plus the structured
+        fields that have no tabular shape."""
+        doc: dict[str, Any] = {
+            k.replace(" ", "_"): v for k, v in self._pairs()
         }
+        doc["transition_reasons"] = dict(self.transition_reasons)
+        doc["violation_details"] = [dict(v) for v in self.violations]
+        doc["phase_breakdown"] = [dict(p) for p in self.phases]
+        return doc
+
+
+def _calibrate_budget_ms(scn: Scenario, seed: int) -> float:
+    """Latency budget from this host's measured exact update cost.
+
+    A throwaway ladder monitor, shaped and instrumented like the
+    campaign's and held on its exact rung by an unreachable budget,
+    ingests the campaign's own prime — read from a fresh instance of
+    the same seeded stream, so the campaign's source, reference window
+    and WAL indexes are untouched — and is timed over the batches that
+    follow it.  Warm-up batches are discarded, then the p75 of the
+    timed ones anchors the budget: a short calibration that catches the
+    host on a fast (or slow) moment must not hand the campaign a budget
+    the steady state cannot live inside.
+    """
+    stream = iter(make_stream(scn.dataset, domain=scn.domain, seed=seed))
+    monitor = AdaptiveMonitor(
+        scn.side,
+        scn.side,
+        lambda: CountWindow(scn.window),
+        budget_ms=float("inf"),
+        epsilon_schedule=scn.epsilons,
+        sampling_epsilon=scn.sampling_epsilon,
+        seed=seed,
+        probe_every=scn.probe_every,
+    )
+    # instrumented like the campaign's monitor, which the engine wires
+    # to its metrics registry: counters are part of the update cost
+    monitor.attach_metrics(Metrics("calibration"))
+    monitor.ingest(list(itertools.islice(stream, scn.window)))
+    timings = TimingStats()
+    for i in range(_CALIBRATION_WARMUP + _CALIBRATION_BATCHES):
+        batch = list(itertools.islice(stream, scn.rate))
+        start = time.perf_counter()
+        monitor.update(batch)
+        if i >= _CALIBRATION_WARMUP:
+            timings.record(time.perf_counter() - start)
+    p75_ms = timings.percentile(75.0) * 1000.0
+    return max(scn.budget_factor * p75_ms, _MIN_BUDGET_MS)
 
 
 class _SoakRun:
@@ -242,28 +320,37 @@ class _SoakRun:
         self.metrics = Metrics("soak")
         self.ckpt_scope = self.metrics.scope("checkpoint")
 
-        stream = make_stream(scn.dataset, domain=scn.domain, seed=seed)
-        self.source: NonReplayableSource | None = None
-        if not scn.source_replayable:
-            # once wrapped, any source touch during recovery is counted
-            # and a re-iteration refused — zero-source-read recovery is
-            # asserted, not assumed
-            self.source = NonReplayableSource(stream)
-            stream = self.source
-        self.base = iter(stream)
-        self.wal: WriteAheadLog | None = None
-        self.wal_dir: Path | None = None
-        if scn.wal:
-            self.wal_dir = (
-                wal_dir
-                if wal_dir is not None
-                else checkpoint_dir / f"{scn.name}.wal"
-            )
-            self.wal = WriteAheadLog(
-                self.wal_dir,
-                fsync=scn.wal_fsync,
-                segment_records=scn.wal_segment_records,
-            )
+        self.calibrated = scn.unit_ms is None
+        self._latency_model = None
+        if scn.unit_ms is None:
+            self.budget_ms = _calibrate_budget_ms(scn, seed)
+        else:
+            self.budget_ms = scn.unit_ms * scn.rate * scn.budget_factor
+            # rung cost factors for the modeled latency: exact work is
+            # the unit, each approximation rung is proportionally
+            # cheaper, and sampling is an order of magnitude cheaper —
+            # the shape (not the absolute numbers) is what the
+            # controller steers on
+            discounts = [1.0] + [
+                1.0 / (i + 2) for i in range(len(scn.epsilons))
+            ] + [0.1]
+            unit = scn.unit_ms
+
+            def latency_model(rung: int, batch: int) -> float:
+                return unit * batch * discounts[min(rung, len(discounts) - 1)]
+
+            self._latency_model = latency_model
+        # any source touch during recovery is counted and a
+        # re-iteration refused — zero-source-read recovery is asserted,
+        # not assumed
+        self.source = NonReplayableSource(
+            make_stream(scn.dataset, domain=scn.domain, seed=seed)
+        )
+        self.base = iter(self.source)
+        self.wal_dir = (
+            wal_dir if wal_dir is not None else checkpoint_dir / f"{scn.name}.wal"
+        )
+        self.wal = self._open_wal()
         self.guard = IngestGuard(
             policy=ErrorPolicy.QUARANTINE,
             max_lateness=scn.max_lateness,
@@ -272,19 +359,7 @@ class _SoakRun:
         self.queue = BackpressureQueue(
             scn.capacity, policy=scn.shed_policy, max_batch=scn.max_batch
         )
-        # rung cost factors for the modeled latency: exact work is the
-        # unit, each approximation rung is proportionally cheaper, and
-        # sampling is an order of magnitude cheaper — the shape (not
-        # the absolute numbers) is what the controller steers on
-        discounts = [1.0] + [
-            1.0 / (i + 2) for i in range(len(scn.epsilons))
-        ] + [0.1]
-        unit = scn.unit_ms
-
-        def latency_model(rung: int, batch: int) -> float:
-            return unit * batch * discounts[min(rung, len(discounts) - 1)]
-
-        self._latency_model = latency_model
+        self.update_times = TimingStats()
         self.adaptive = self._make_adaptive()
         self.manager = CheckpointManager(
             self.adaptive,
@@ -308,13 +383,13 @@ class _SoakRun:
             stride=scn.stride,
         )
         self.reference = CountWindow(scn.window)
-        self.applied: List[List[SpatialObject]] = []
+        self.applied = 0
         self.holdover: List[SpatialObject] = []
         self.group: ParallelQueryGroup | None = None
         self.twin: ParallelQueryGroup | None = None
         # accumulated across monitor incarnations (crash replaces the
         # AdaptiveMonitor, which would otherwise reset its counters)
-        self.transitions = 0
+        self.transition_reasons: Counter[str] = Counter()
         self.breaker_trips = 0
         self.rebuilds = 0
         self.stale_served = 0
@@ -331,7 +406,6 @@ class _SoakRun:
         self.wal_truncated = 0
         self.wal_skipped = 0
         self.wal_compacted = 0
-        self.wal_replayed = 0
         self.spill_restored = 0
         self.enospc_injected = 0
         self.recovery_source_reads = 0
@@ -346,10 +420,18 @@ class _SoakRun:
 
     # -- stack assembly ------------------------------------------------------
 
+    def _open_wal(self) -> WriteAheadLog:
+        scn = self.scenario
+        return WriteAheadLog(
+            self.wal_dir,
+            fsync=scn.wal_fsync,
+            segment_records=scn.wal_segment_records,
+        )
+
     def _make_adaptive(self) -> AdaptiveMonitor:
         scn = self.scenario
         controller = DeadlineController(
-            scn.budget_ms,
+            self.budget_ms,
             alpha=0.5,
             high_fraction=0.85,
             escalate_after=1,
@@ -375,11 +457,10 @@ class _SoakRun:
         prime = self.prime = list(itertools.islice(self.base, scn.window))
         self.adaptive.ingest(prime)
         self.reference.push(prime)
-        if self.wal is not None:
-            # a prime checkpoint at position 0 makes even the worst
-            # recovery (every later checkpoint unreadable) source-free:
-            # the fallback ladder bottoms out here, never at the stream
-            self.manager.checkpoint()
+        # a prime checkpoint at position 0 makes even the worst recovery
+        # (every later checkpoint unreadable) source-free: the fallback
+        # ladder bottoms out here, never at the stream
+        self.manager.checkpoint()
         if scn.workers > 0:
             self.group = ParallelQueryGroup(
                 workers=scn.workers, snapshot_every=scn.snapshot_every
@@ -429,7 +510,7 @@ class _SoakRun:
     def _apply_batch(self, phase_name: str, batch: List[SpatialObject]) -> int:
         self.adaptive.note_pressure(self.queue.pending + len(self.holdover))
         self.engine.process(batch)
-        self.applied.append(batch)
+        self.applied += 1
         self.reference.push(batch)
         if self.group is not None and self.twin is not None:
             self.group.update(batch)
@@ -455,8 +536,8 @@ class _SoakRun:
         batches = 0
         for tick, count in enumerate(arrivals):
             if phase.crash_at == tick:
-                self._crash_and_recover(phase)
-            if phase.enospc_at == tick and self.wal is not None:
+                self._crash_and_restore(phase)
+            if phase.enospc_at == tick:
                 self._arm_enospc()
             for kill_tick, shard in phase.worker_kills:
                 if kill_tick == tick and self.group is not None:
@@ -506,7 +587,6 @@ class _SoakRun:
         by the ``wal_enospc_recoveries`` metric the report exposes.
         """
         wal = self.wal
-        assert wal is not None
 
         def hook(op: str) -> None:
             if op == "append":
@@ -516,74 +596,31 @@ class _SoakRun:
 
         wal.fault_hook = hook
 
-    def _crash_and_recover(self, phase: Phase) -> None:
-        """Tear the compute tier down mid-run, then restore it from the
-        newest readable checkpoint and replay the tail."""
+    def _crash_and_restore(self, phase: Phase) -> None:
+        """Tear the compute tier down mid-run, then recover it from the
+        newest readable checkpoint plus the WAL tail — never a source
+        read.
+
+        The in-flight buffer is journalled before it dies, the
+        checkpoint and log are damaged as the phase dictates (between
+        incarnations, as real corruption lands), and the rebuilt
+        monitor is fed only from disk: checkpointed window contents,
+        then the reconciled batch tail, then the spill back into the
+        queue.  The non-replayable source makes any deviation from that
+        contract a violation.
+        """
         self.crashes += 1
         self._bank_ladder(self.adaptive)
+        self._bank_update_times()
         self.engine.teardown()
-        if self.wal is not None:
-            self._recover_from_wal(phase)
-            return
-        self.queue.spill()  # the consumer's in-flight buffer dies with it
-        if phase.corrupt is not None and self.ckpt_path.exists():
-            corrupt_checkpoint(self.ckpt_path, phase.corrupt)
-        contents: List[SpatialObject] = []
-        position = 0
-        try:
-            snapshot, position = CheckpointManager.recover(
-                self.ckpt_path,
-                metrics=self.ckpt_scope,
-                verify_checksum=self.verify_checksum,
-            )
-            contents = list(snapshot.window.contents)
-            self.recoveries += 1
-        except (SnapshotError, InvalidParameterError):
-            # nothing readable on disk: cold start — re-run the untimed
-            # priming (the stream is deterministic) and replay every
-            # applied batch from the beginning
-            contents = self.prime
-            self.cold_starts += 1
-        self.adaptive = self._make_adaptive()
-        if contents:
-            self.adaptive.ingest(contents)
-        for batch in self.applied[position:]:
-            self.adaptive.update(batch)
-        self.replayed += len(self.applied) - position
-        self.manager.resume(self.adaptive, len(self.applied))
-        self.engine.restore({_MONITOR: self.adaptive})
-        self.invariants.check_convergence(
-            phase.name,
-            self.adaptive,
-            self.reference,
-            where="post-recovery replay",
-            require_exact_mode=False,
-        )
-
-    def _recover_from_wal(self, phase: Phase) -> None:
-        """Crash + recovery with the log: checkpoint + WAL-tail replay,
-        never a source read.
-
-        The in-flight buffer is journalled before it dies, the log is
-        damaged as the phase dictates (between incarnations, as real
-        corruption lands), and the rebuilt monitor is fed only from
-        disk: checkpointed window contents, then the reconciled batch
-        tail, then the spill back into the queue.  A non-replayable
-        source makes any deviation from that contract a violation.
-        """
-        scn = self.scenario
-        wal = self.wal
-        assert wal is not None and self.wal_dir is not None
-        self.queue.spill(wal=wal)  # journalled, then dies with the tier
-        self._bank_wal(wal)
-        wal.close()
+        self.queue.spill(wal=self.wal)  # journalled, then dies with the tier
+        self._bank_wal(self.wal)
+        self.wal.close()
         if phase.corrupt is not None and self.ckpt_path.exists():
             corrupt_checkpoint(self.ckpt_path, phase.corrupt)
         for mode in phase.wal_corrupt:
             corrupt_wal(self.wal_dir, mode)
-        reads_before = self.source.reads if self.source is not None else 0
-        contents: List[SpatialObject] = []
-        position = 0
+        reads_before = self.source.reads
         try:
             snapshot, position = CheckpointManager.recover(
                 self.ckpt_path,
@@ -593,18 +630,14 @@ class _SoakRun:
             contents = list(snapshot.window.contents)
             self.recoveries += 1
         except (SnapshotError, InvalidParameterError):
-            # even this bottom rung reads no source: the primed window
-            # was retained in memory and the prime checkpoint exists on
-            # disk precisely so position 0 is always reachable
-            contents = self.prime
+            # every checkpoint unreadable: the primed window was
+            # retained in memory, so position 0 is reachable without a
+            # source read
+            contents, position = self.prime, 0
             self.cold_starts += 1
         # reopen first (truncating any torn tail on disk), then scan the
         # now-consistent log and reconcile it against the checkpoint
-        self.wal = WriteAheadLog(
-            self.wal_dir,
-            fsync=scn.wal_fsync,
-            segment_records=scn.wal_segment_records,
-        )
+        self.wal = self._open_wal()
         self.wal.metrics = self.metrics.scope("wal")
         scan = scan_wal(self.wal_dir)
         tail = reconcile(scan, position)
@@ -615,29 +648,27 @@ class _SoakRun:
         for _index, objects in tail.batches:
             self.adaptive.update(objects)
         self.replayed += len(tail.batches)
-        self.wal_replayed += len(tail.batches)
         self.wal.note_recovered(scan.last_index)
         self.engine.wal = self.wal
         self.spill_restored += self.queue.restore_spilled(tail.spill)
-        if scan.last_index != len(self.applied):
+        if scan.last_index != self.applied:
             self.invariants._violate(
                 phase.name,
                 "wal_replay_divergence",
                 f"WAL last index {scan.last_index} disagrees with the "
-                f"{len(self.applied)} batches actually applied",
+                f"{self.applied} batches actually applied",
             )
-        self.manager.resume(self.adaptive, len(self.applied))
+        self.manager.resume(self.adaptive, self.applied)
         self.engine.restore({_MONITOR: self.adaptive})
-        if self.source is not None:
-            delta = self.source.reads - reads_before
-            if delta:
-                self.recovery_source_reads += delta
-                self.invariants._violate(
-                    phase.name,
-                    "source_read_during_recovery",
-                    f"recovery consumed {delta} records from a "
-                    f"non-replayable source",
-                )
+        delta = self.source.reads - reads_before
+        if delta:
+            self.recovery_source_reads += delta
+            self.invariants._violate(
+                phase.name,
+                "source_read_during_recovery",
+                f"recovery consumed {delta} records from a "
+                f"non-replayable source",
+            )
         self.invariants.check_convergence(
             phase.name,
             self.adaptive,
@@ -653,10 +684,36 @@ class _SoakRun:
         self.wal_compacted += wal.segments_compacted
 
     def _bank_ladder(self, monitor: AdaptiveMonitor) -> None:
-        self.transitions += len(monitor.transitions)
+        self.transition_reasons.update(
+            str(t["reason"]) for t in monitor.transitions
+        )
         self.breaker_trips += monitor.breaker.trips
         self.rebuilds += monitor.rebuilds
         self.stale_served += monitor.stale_residency
+
+    def _bank_update_times(self) -> None:
+        """Keep the ladder's per-update wall times across incarnations:
+        a teardown drops the engine session that records them."""
+        try:
+            report = self.engine.collect_report()
+        except ReproError:  # nothing applied since the last restore
+            return
+        self.update_times.samples.extend(report.timings[_MONITOR].samples)
+
+    def _check_latency_budget(self) -> float | None:
+        """Wall-clock p95 against a calibrated budget; modeled-latency
+        campaigns report no p95 and gate none."""
+        if not self.calibrated or not self.update_times.samples:
+            return None
+        p95_ms = self.update_times.percentile(95.0) * 1000.0
+        if p95_ms > self.budget_ms:
+            self.invariants._violate(
+                "final",
+                "latency_budget",
+                f"p95 update latency {p95_ms:.3f} ms exceeded the "
+                f"{self.budget_ms:.3f} ms budget",
+            )
+        return p95_ms
 
     def _drain_tail(self) -> None:
         """Flush the reorder buffer and drain the queue to empty, so the
@@ -687,18 +744,18 @@ class _SoakRun:
                 require_exact_mode=False,
             )
             self._bank_ladder(self.adaptive)
-            if self.wal is not None:
-                self._bank_wal(self.wal)
-            return self._report()
+            self._bank_update_times()
+            p95_ms = self._check_latency_budget()
+            self._bank_wal(self.wal)
+            return self._report(p95_ms)
         finally:
-            if self.wal is not None:
-                self.wal.close()
+            self.wal.close()
             if self.group is not None:
                 self.group.close()
             if self.twin is not None:
                 self.twin.close()
 
-    def _report(self) -> SoakReport:
+    def _report(self, p95_ms: float | None) -> SoakReport:
         guard, queue, inv = self.guard, self.queue, self.invariants
         counter = self.ckpt_scope.counter
         if self.group is not None:
@@ -712,7 +769,7 @@ class _SoakRun:
             seed=self.seed,
             verify_checksum=self.verify_checksum,
             ticks=self.ticks,
-            batches=len(self.applied),
+            batches=self.applied,
             offered=guard.offered,
             admitted=guard.admitted,
             quarantined=guard.quarantined,
@@ -720,6 +777,7 @@ class _SoakRun:
             late_dropped=guard.late_dropped,
             late_reordered=guard.reorder.reordered,
             reorder_pending=guard.reorder.pending,
+            dead_letters=guard.dead_letters.total_enqueued,
             processed=queue.processed,
             shed=queue.shed,
             refused_offers=queue.refused,
@@ -740,7 +798,7 @@ class _SoakRun:
             checksum_failures=int(
                 counter("checkpoint_checksum_failures").value
             ),
-            ladder_transitions=self.transitions,
+            ladder_transitions=sum(self.transition_reasons.values()),
             final_mode=self.adaptive.mode,
             breaker_trips=self.breaker_trips,
             rebuilds=self.rebuilds,
@@ -752,11 +810,8 @@ class _SoakRun:
             watermark_checks=inv.watermark_checks,
             guarantee_checks=inv.guarantee_checks,
             convergence_checks=inv.convergence_checks,
-            wal_enabled=self.wal is not None,
-            source_replayable=self.scenario.source_replayable,
             wal_appends=self.wal_appends,
             wal_fsyncs=self.wal_fsyncs,
-            wal_replayed_batches=self.wal_replayed,
             wal_truncated_tails=self.wal_truncated,
             wal_skipped_records=self.wal_skipped,
             wal_segments_compacted=self.wal_compacted,
@@ -768,6 +823,10 @@ class _SoakRun:
                 .value
             ),
             recovery_source_reads=self.recovery_source_reads,
+            budget_ms=self.budget_ms,
+            calibrated=self.calibrated,
+            p95_update_ms=p95_ms,
+            transition_reasons=dict(sorted(self.transition_reasons.items())),
             violations=list(inv.violations),
             phases=self.phase_stats,
         )
@@ -786,7 +845,8 @@ def run_soak(
     Args:
         scenario: A :class:`~repro.soak.scenario.Scenario`, or the name
             of a committed one (``smoke``, ``dirty_overload``,
-            ``crash_recovery``, ``worker_churn``, ``wal_recovery``).
+            ``crash_recovery``, ``worker_churn``, ``wal_recovery``,
+            ``overload_wall``).
         seed: Overrides the scenario's seed (same scenario + same seed
             ⇒ identical report).
         verify_checksum: Forwarded to checkpoint recovery.  Disabling it
@@ -796,8 +856,7 @@ def run_soak(
             the previous rotation and the run passes.
         checkpoint_dir: Where checkpoint files live; a temporary
             directory (removed afterwards) when omitted.
-        wal_dir: Where WAL segments live, for scenarios with the log
-            enabled (ignored otherwise); defaults to a
+        wal_dir: Where WAL segments live; defaults to a
             ``<scenario>.wal`` directory beside the checkpoints.
     """
     if isinstance(scenario, str):

@@ -1,4 +1,5 @@
-"""Fault injectors the chaos/overload harnesses lack.
+"""Fault injectors for soak campaigns, beside the record-level
+:class:`~repro.resilience.chaos.FaultInjectingSource`.
 
 Three families:
 
@@ -16,8 +17,8 @@ Three families:
   failing media would (a tail torn mid-record, a kill mid-append, a
   bit flip under a now-stale CRC), and wrap a stream so any attempt to
   re-read it during recovery is counted — and a re-*iteration* refused
-  outright — which is how the ``wal_recovery`` scenario proves its
-  recovery path performed zero source reads.
+  outright — which is how every soak campaign proves its recovery
+  path performed zero source reads.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Cross-layer invariant checking for soak campaigns.
 
-The chaos and overload harnesses each verify their own layer's
-accounting; :class:`InvariantMonitor` closes the loop across the whole
-composed stack, every tick:
+:class:`InvariantMonitor` closes the loop across the whole composed
+stack, every tick:
 
 * **global conservation** — every record offered to the ingest guard is
   admitted, quarantined, skipped, late-dropped or parked in the reorder
   buffer; every admitted object is processed, shed, spilled (crash),
   pending in the queue or held upstream — nothing vanishes between
   layers;
+* **dead-letter completeness** — every quarantined or late-dropped
+  record is in the dead-letter queue's totals;
 * **queue ledger closure** — the backpressure queue's own ledger;
 * **watermark monotonicity** — the reorder watermark never regresses,
   across batches, phases, crashes and recoveries;
@@ -27,10 +28,11 @@ code carries the verdict.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
+from repro.core.objects import SpatialObject, to_weighted_rects
+from repro.core.planesweep import plane_sweep_max
 from repro.overload.backpressure import BackpressureQueue
-from repro.overload.harness import exact_weight_over
 from repro.resilience.guard import IngestGuard
 
 if TYPE_CHECKING:
@@ -38,9 +40,19 @@ if TYPE_CHECKING:
     from repro.overload.controller import AdaptiveMonitor
     from repro.window.base import SlidingWindow
 
-__all__ = ["InvariantMonitor"]
+__all__ = ["InvariantMonitor", "exact_weight_over"]
 
 _WEIGHT_TOL = 1e-6
+
+
+def exact_weight_over(
+    contents: Sequence[SpatialObject], side: float
+) -> float:
+    """Exact plane-sweep MaxRS weight over a window's contents."""
+    if not contents:
+        return 0.0
+    region = plane_sweep_max(to_weighted_rects(contents, side, side))
+    return 0.0 if region is None else region.weight
 
 
 class InvariantMonitor:
@@ -80,7 +92,7 @@ class InvariantMonitor:
     # -- per-tick checks ---------------------------------------------------
 
     def check_tick(self, phase: str, holdover: int) -> None:
-        """Conservation + watermark, checked on every arrival tick."""
+        """Conservation, dead letters + watermark, on every arrival tick."""
         self.ledger_checks += 1
         guard, queue = self.guard, self.queue
         ingest_total = (
@@ -98,6 +110,14 @@ class InvariantMonitor:
                 f"quarantined {guard.quarantined} + skipped {guard.skipped} "
                 f"+ late_dropped {guard.late_dropped} + reorder_pending "
                 f"{guard.reorder.pending}",
+            )
+        dead_letters = guard.dead_letters.total_enqueued
+        if dead_letters != guard.quarantined + guard.late_dropped:
+            self._violate(
+                phase,
+                "dlq_completeness",
+                f"dead letters {dead_letters} != quarantined "
+                f"{guard.quarantined} + late_dropped {guard.late_dropped}",
             )
         downstream = (
             queue.processed

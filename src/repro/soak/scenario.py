@@ -4,7 +4,7 @@ A :class:`Scenario` is a seeded, fully deterministic schedule: global
 stack configuration (dataset, window, rates, checkpoint cadence,
 degradation-ladder shape) plus an ordered tuple of :class:`Phase`
 entries.  Each phase binds a load shape (the
-:class:`~repro.overload.harness.LoadGenerator` parameters), a fault mix
+:class:`~repro.soak.load.LoadGenerator` parameters), a fault mix
 (the :class:`~repro.resilience.chaos.FaultInjectingSource`
 probabilities), clock-skew bursts, an optional mid-phase crash (with
 optional checkpoint corruption the recovery must survive), worker-kill
@@ -45,7 +45,7 @@ class Phase:
         ticks: Arrival ticks in this phase.
         rate_factor: Multiplier on the scenario's base rate.
         pattern / burst_factor / period / burst_ticks / jitter: Load
-            shape, as in :class:`~repro.overload.harness.LoadGenerator`.
+            shape, as in :class:`~repro.soak.load.LoadGenerator`.
             ``period``/``burst_ticks`` default to the phase length
             (a flat phase when ``burst_factor`` is 1).
         p_drop / p_duplicate / p_corrupt / p_delay / max_delay: Fault
@@ -64,13 +64,13 @@ class Phase:
             :func:`~repro.soak.injectors.corrupt_wal`) applied to the
             log between the crash and the recovery — replay must
             truncate / skip around them and still re-converge exactly
-            (needs ``Scenario.wal`` and a ``crash_at``).
+            (needs a ``crash_at``).
         enospc_at: Tick at which a one-shot ``ENOSPC`` fault is armed
             on the WAL append path; the engine's inline recovery
             (checkpoint, compact, retry) must absorb it without losing
-            a batch (needs ``Scenario.wal``).
+            a batch.
         worker_kills: ``(tick, shard)`` pairs: kill that shard's worker
-            process at that tick (needs ``Scenario.workers > 0``).
+            process at that tick (needs ``shard < Scenario.workers``).
         verify_convergence: Assert exact re-convergence (window contents
             and answer against the exact companion) at phase end.
     """
@@ -180,15 +180,22 @@ class Phase:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete deterministic soak campaign.
+    """A complete soak campaign.
 
     Global knobs configure the composed stack once; the phases then
-    drive it.  ``unit_ms`` / ``budget_factor`` parameterise the
-    *modeled* latency fed to the deadline controller
-    (``cost = unit_ms × batch × rung_discount``, budget =
-    ``unit_ms × rate × budget_factor``), which is what makes ladder
-    trajectories — and therefore entire soak reports — bit-identical
-    across runs and hosts.
+    drive it.  Every campaign journals admitted batches to a
+    write-ahead log and reads a non-replayable source, so a crash
+    recovers from checkpoint + WAL tail alone.
+
+    ``unit_ms`` / ``budget_factor`` parameterise the latency the
+    deadline controller steers on, with budget
+    ``unit_ms × rate × budget_factor``.  A number makes the latency
+    *modeled* (``cost = unit_ms × batch × rung_discount``), so ladder
+    trajectories — and therefore entire soak reports — are
+    bit-identical across runs and hosts.  ``None`` means "measure it":
+    the budget is ``budget_factor`` × the p75 of timed exact updates on
+    this host, the ladder steers on wall-clock time, and a p95 update
+    latency over the budget is a campaign violation.
     """
 
     name: str
@@ -210,19 +217,13 @@ class Scenario:
     capacity_factor: int = 6
     max_batch_factor: int = 6
     shed_policy: str = "shed_oldest"
-    unit_ms: float = 0.05
+    unit_ms: float | None = 0.05
     budget_factor: float = 3.0
     workers: int = 0
     churn_queries: int = 4
     snapshot_every: int = 6
-    # durability tier: journal admitted batches to a write-ahead log so
-    # crash recovery replays from disk instead of re-reading the source
-    wal: bool = False
     wal_fsync: str = "always"
     wal_segment_records: int = 64
-    # when False the stream is wrapped in a NonReplayableSource: any
-    # recovery-path read is counted and re-iteration refused (needs wal)
-    source_replayable: bool = True
 
     def __post_init__(self) -> None:
         if not self.phases:
@@ -246,27 +247,13 @@ class Scenario:
             raise InvalidParameterError(
                 f"scenario {self.name!r}: workers must be >= 0"
             )
-        if self.workers == 0 and any(p.worker_kills for p in self.phases):
-            raise InvalidParameterError(
-                f"scenario {self.name!r}: worker_kills need workers > 0"
-            )
-        if not self.wal:
-            if not self.source_replayable:
-                raise InvalidParameterError(
-                    f"scenario {self.name!r}: a non-replayable source "
-                    "needs wal=True — there is nowhere else to recover "
-                    "from"
-                )
-            needy = [
-                p.name
-                for p in self.phases
-                if p.wal_corrupt or p.enospc_at is not None
-            ]
-            if needy:
-                raise InvalidParameterError(
-                    f"scenario {self.name!r}: phases {needy} use WAL "
-                    "faults but wal=False"
-                )
+        for phase in self.phases:
+            for _tick, shard in phase.worker_kills:
+                if shard >= self.workers:
+                    raise InvalidParameterError(
+                        f"scenario {self.name!r}: phase {phase.name!r} "
+                        f"kills shard {shard} but workers={self.workers}"
+                    )
         if self.wal_segment_records <= 0:
             raise InvalidParameterError(
                 f"scenario {self.name!r}: wal_segment_records must be "
@@ -280,10 +267,6 @@ class Scenario:
     @property
     def max_batch(self) -> int:
         return self.max_batch_factor * self.rate
-
-    @property
-    def budget_ms(self) -> float:
-        return self.unit_ms * self.rate * self.budget_factor
 
     @property
     def total_ticks(self) -> int:
@@ -468,12 +451,11 @@ def _wal_recovery() -> Scenario:
     return Scenario(
         name="wal_recovery",
         description=(
-            "Crash recovery with a source explicitly marked "
-            "non-replayable: every admitted batch is journalled to the "
-            "WAL, a mid-burst crash tears the log tail and bit-flips an "
-            "old record, an ENOSPC burst hits the append path — and "
-            "every recovery must re-converge exactly from checkpoint + "
-            "WAL tail with zero reads of the original source."
+            "Crash recovery through a damaged log: a mid-burst crash "
+            "tears the WAL tail and bit-flips an old record, a kill "
+            "lands mid-append, an ENOSPC burst hits the append path — "
+            "and every recovery must still re-converge exactly from "
+            "checkpoint + WAL tail with zero source reads."
         ),
         window=500,
         rate=40,
@@ -482,10 +464,8 @@ def _wal_recovery() -> Scenario:
         # drains smaller than capacity: a burst leaves a cross-tick
         # backlog, so the mid-burst crash has in-flight objects to spill
         max_batch_factor=3,
-        wal=True,
         wal_fsync="always",
         wal_segment_records=16,
-        source_replayable=False,
         phases=(
             Phase(name="warm", kind="clean", ticks=12),
             Phase(
@@ -537,12 +517,47 @@ def _wal_recovery() -> Scenario:
     )
 
 
+def _overload_wall() -> Scenario:
+    return Scenario(
+        name="overload_wall",
+        description=(
+            "Two 10x square-wave flash crowds against a budget "
+            "calibrated on this host: the ladder steers on wall-clock "
+            "update latency, must hold p95 within the budget, and must "
+            "walk back to exact once the bursts pass."
+        ),
+        seed=11,
+        domain=140_000.0,
+        window=800,
+        rate=30,
+        stride=5,
+        # unsupervised rungs: periodic invariant probes would put
+        # recovery work, not serving work, into the p95
+        probe_every=0,
+        capacity_factor=20,
+        max_batch_factor=8,
+        unit_ms=None,
+        phases=(
+            Phase(
+                name="square_wave",
+                kind="overload",
+                ticks=80,
+                burst_factor=10.0,
+                period=40,
+                burst_ticks=8,
+                verify_convergence=True,
+            ),
+        ),
+    )
+
+
 SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "smoke": _smoke,
     "dirty_overload": _dirty_overload,
     "crash_recovery": _crash_recovery,
     "worker_churn": _worker_churn,
     "wal_recovery": _wal_recovery,
+    "overload_wall": _overload_wall,
 }
 
 

@@ -1,11 +1,9 @@
-"""Chaos tests: deterministic fault injection, the soak, and the CLI.
+"""FaultInjectingSource: deterministic, conserved fault injection.
 
-The acceptance bar: a seeded fault mix (drops + duplicates + corrupt
-records + bounded late arrivals) driving 200+ batches through a
-supervised aG2 monitor under QUARANTINE finishes with zero uncaught
-exceptions, every rejected record accounted for in the dead-letter
-queue, and the final answer equal to a naive recompute over the
-surviving window — plus exact kill/restore reproduction mid-chaos.
+The soak campaigns (``tests/test_soak.py``) drive this source through
+the composed stack; here it is pinned on its own: same seed, same
+faults, and every upstream record dropped, duplicated, corrupted,
+delayed or passed through clean.
 """
 
 from __future__ import annotations
@@ -13,21 +11,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_objects
-from repro.cli import main
-from repro.core.ag2 import AG2Monitor
-from repro.engine import StreamEngine
 from repro.errors import InvalidParameterError
-from repro.resilience import (
-    CheckpointManager,
-    ErrorPolicy,
-    FaultInjectingSource,
-    IngestGuard,
-    MonitorSupervisor,
-    run_chaos,
-)
-from repro.resilience.harness import naive_recompute
-from repro.streams import ReplayStream, UniformStream
-from repro.window import CountWindow
+from repro.resilience import FaultInjectingSource
+from repro.streams import ReplayStream
 
 
 class TestFaultInjectingSource:
@@ -86,158 +72,3 @@ class TestFaultInjectingSource:
             FaultInjectingSource(src, p_drop=0.6, p_delay=0.6)
         with pytest.raises(InvalidParameterError):
             FaultInjectingSource(src, max_delay=0)
-
-
-class TestChaosSoak:
-    def test_soak_200_batches_verified_and_accounted(self):
-        report = run_chaos(
-            window=400,
-            rate=10,
-            batches=200,
-            seed=11,
-            p_drop=0.02,
-            p_duplicate=0.02,
-            p_corrupt=0.02,
-            p_delay=0.05,
-            probe_every=50,
-        )
-        assert report.engine_report.batches == 200
-        assert report.result_verified, (
-            report.supervised_weight, report.naive_weight
-        )
-        assert report.accounted
-        # the fault mix actually exercised every pathology
-        assert report.injected_corrupt > 0
-        assert report.injected_drops > 0
-        assert report.injected_duplicates > 0
-        assert report.injected_delayed > 0
-        assert report.late_reordered > 0
-        # every rejected record is in the dead-letter totals
-        assert report.dead_letters == report.quarantined + report.late_dropped
-        assert report.dead_letters > 0
-
-    def test_soak_skip_policy_keeps_dlq_empty(self):
-        report = run_chaos(
-            window=200, rate=10, batches=60, seed=12,
-            policy="skip", p_corrupt=0.05,
-        )
-        assert report.result_verified and report.accounted
-        assert report.dead_letters == 0
-        assert report.skipped > 0
-
-    def test_full_stream_corrupt_accounting_is_exact(self):
-        """Over a finite, fully consumed stream, every corrupt record
-        must land in the DLQ: injected == quarantined."""
-        objects = make_objects(500, seed=13, domain=60.0)
-        chaos = FaultInjectingSource(
-            ReplayStream(objects), seed=14, p_corrupt=0.1
-        )
-        guard = IngestGuard(chaos, policy="quarantine")
-        survivors = list(guard)
-        assert chaos.corrupted > 0
-        assert guard.quarantined == chaos.corrupted
-        assert guard.dead_letters.total_enqueued == chaos.corrupted
-        assert len(survivors) == len(objects) - chaos.corrupted
-
-    def test_checkpoint_recovery_reproduces_chaos_run_exactly(self, tmp_path):
-        """Kill mid-chaos, restore, replay the identical guarded stream
-        tail: final result matches the uninterrupted chaos run."""
-
-        def guarded_batches():
-            stream = UniformStream(domain=500.0, seed=21, dt=1.0)
-            chaos = FaultInjectingSource(
-                stream, seed=22,
-                p_drop=0.02, p_duplicate=0.02, p_corrupt=0.02, p_delay=0.05,
-            )
-            guard = IngestGuard(chaos, policy="quarantine", max_lateness=6.0)
-            iterator = iter(guard)
-            out = []
-            for _ in range(80):
-                batch = []
-                for obj in iterator:
-                    batch.append(obj)
-                    if len(batch) == 10:
-                        break
-                out.append(batch)
-            return out
-
-        batches = guarded_batches()
-
-        reference = AG2Monitor(40, 40, CountWindow(200))
-        for batch in batches:
-            reference.update(batch)
-
-        victim = MonitorSupervisor(AG2Monitor(40, 40, CountWindow(200)))
-        path = tmp_path / "chaos-ckpt.json"
-        manager = CheckpointManager(victim, path, every=25)
-        for batch in batches[:60]:
-            victim.update(batch)
-            manager.note_batch()
-        del victim  # crash after batch 60; last checkpoint at 50
-
-        recovered, resume_from = CheckpointManager.recover(path)
-        assert resume_from == 50
-        for batch in batches[resume_from:]:
-            recovered.update(batch)
-
-        assert recovered.result.best_weight == pytest.approx(
-            reference.result.best_weight
-        )
-        assert [o.oid for o in recovered.window.contents] == [
-            o.oid for o in reference.window.contents
-        ]
-
-    def test_supervised_survives_chaos_plus_monitor_failures(self):
-        """Both fault axes at once: dirty stream AND a monitor that
-        corrupts mid-run; the supervised answer still matches naive."""
-
-        class FailingAG2(AG2Monitor):
-            updates_seen = 0
-
-            def _on_delta(self, delta):
-                type(self).updates_seen += 1
-                if type(self).updates_seen in (30, 70):
-                    raise RuntimeError("injected corruption")
-                super()._on_delta(delta)
-
-        stream = UniformStream(domain=500.0, seed=31, dt=1.0)
-        chaos = FaultInjectingSource(
-            stream, seed=32, p_drop=0.03, p_corrupt=0.03, p_delay=0.04
-        )
-        guard = IngestGuard(chaos, policy=ErrorPolicy.QUARANTINE,
-                            max_lateness=6.0)
-        supervised = MonitorSupervisor(FailingAG2(40, 40, CountWindow(150)))
-        engine = StreamEngine({"ag2": supervised}, guard, batch_size=10)
-        report = engine.run(100)
-        assert report.batches == 100
-        assert supervised.heals >= 1
-        naive_weight, _ = naive_recompute(supervised)
-        assert supervised.result.best_weight == pytest.approx(naive_weight)
-
-
-class TestChaosCli:
-    def test_chaos_subcommand_ok(self, capsys):
-        code = main([
-            "chaos", "--window", "200", "--rate", "10", "--batches", "30",
-            "--seed", "7",
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "OK: survived chaos" in out
-        assert "records quarantined" in out
-
-    def test_chaos_subcommand_with_checkpoints(self, tmp_path, capsys):
-        ckpt = tmp_path / "ckpt.json"
-        code = main([
-            "chaos", "--window", "150", "--rate", "10", "--batches", "20",
-            "--seed", "8", "--checkpoint", str(ckpt),
-            "--checkpoint-every", "10",
-            "--json", str(tmp_path / "report.json"),
-        ])
-        assert code == 0
-        assert ckpt.exists()
-        _, index = CheckpointManager.load(ckpt)
-        assert index == 20
-        assert (tmp_path / "report.json").exists()
-        out = capsys.readouterr().out
-        assert "checkpoints written" in out

@@ -28,7 +28,13 @@ from repro.errors import (
     SnapshotError,
 )
 from repro.obs import Metrics
-from repro.resilience import CheckpointManager, MonitorSupervisor
+from repro.resilience import (
+    CheckpointManager,
+    FaultInjectingSource,
+    IngestGuard,
+    MonitorSupervisor,
+)
+from repro.streams import UniformStream
 from repro.window import CountWindow
 
 WINDOW = 60
@@ -245,6 +251,54 @@ class TestCrashRecoveryEquivalence:
         # second period boundary (batch 8) checkpointed by the resumed manager
         _, final_index = CheckpointManager.load(path)
         assert final_index == 8
+
+    def test_checkpoint_recovery_reproduces_chaos_run_exactly(self, tmp_path):
+        """Kill mid-chaos, restore, replay the identical guarded stream
+        tail: final result matches the uninterrupted chaos run."""
+
+        def guarded_batches():
+            stream = UniformStream(domain=500.0, seed=21, dt=1.0)
+            chaos = FaultInjectingSource(
+                stream, seed=22,
+                p_drop=0.02, p_duplicate=0.02, p_corrupt=0.02, p_delay=0.05,
+            )
+            guard = IngestGuard(chaos, policy="quarantine", max_lateness=6.0)
+            iterator = iter(guard)
+            out = []
+            for _ in range(80):
+                batch = []
+                for obj in iterator:
+                    batch.append(obj)
+                    if len(batch) == 10:
+                        break
+                out.append(batch)
+            return out
+
+        batches = guarded_batches()
+
+        reference = AG2Monitor(40, 40, CountWindow(200))
+        for batch in batches:
+            reference.update(batch)
+
+        victim = MonitorSupervisor(AG2Monitor(40, 40, CountWindow(200)))
+        path = tmp_path / "chaos-ckpt.json"
+        manager = CheckpointManager(victim, path, every=25)
+        for batch in batches[:60]:
+            victim.update(batch)
+            manager.note_batch()
+        del victim  # crash after batch 60; last checkpoint at 50
+
+        recovered, resume_from = CheckpointManager.recover(path)
+        assert resume_from == 50
+        for batch in batches[resume_from:]:
+            recovered.update(batch)
+
+        assert recovered.result.best_weight == pytest.approx(
+            reference.result.best_weight
+        )
+        assert [o.oid for o in recovered.window.contents] == [
+            o.oid for o in reference.window.contents
+        ]
 
 
 class TestChecksum:

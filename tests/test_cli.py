@@ -32,6 +32,12 @@ class TestParser:
                 ["sweep", "--parameter", "epsilon", "--values", "1"]
             )
 
+    @pytest.mark.parametrize("command", ["chaos", "overload"])
+    def test_folded_harness_subcommands_rejected(self, command):
+        # both campaigns are soak scenarios now (smoke, overload_wall)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
 
 class TestMain:
     def test_monitor_command(self, capsys):
@@ -79,46 +85,6 @@ class TestMain:
         assert all(0 <= o.x <= 5000 for o in loaded)
 
 
-OVERLOAD_TINY = [
-    "overload",
-    "--window", "150", "--rate", "10", "--ticks", "12",
-    "--period", "12", "--burst-ticks", "2", "--burst-factor", "2",
-    "--side", "2000", "--domain", "20000", "--budget-ms", "10000",
-    "--verify-every", "4", "--seed", "3",
-]
-
-
-class TestOverloadCommand:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["overload"])
-        assert args.pattern == "square"
-        assert args.burst_factor == 10.0
-        assert args.budget_ms is None
-        assert args.shed_policy == "shed_oldest"
-
-    def test_unknown_pattern_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["overload", "--pattern", "sawtooth"])
-
-    def test_overload_command_passes_when_calm(self, capsys):
-        # a huge explicit budget: the ladder never moves, all gates green
-        assert main(OVERLOAD_TINY) == 0
-        out = capsys.readouterr().out
-        assert "overload soak" in out
-        assert "OK:" in out
-        assert "FAIL" not in out
-
-    def test_overload_json_report(self, capsys, tmp_path):
-        path = tmp_path / "overload.json"
-        assert main(OVERLOAD_TINY + ["--json", str(path)]) == 0
-        import json
-
-        doc = json.loads(path.read_text())
-        assert doc["ledger_closed"] is True
-        assert doc["final_mode"] == "exact"
-        assert "transitions" in doc and "engine" in doc
-
-
 class TestSoakCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["soak"])
@@ -130,7 +96,7 @@ class TestSoakCommand:
         assert main(["soak", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ("smoke", "dirty_overload", "crash_recovery",
-                     "worker_churn"):
+                     "worker_churn", "wal_recovery", "overload_wall"):
             assert name in out
 
     def test_smoke_scenario_passes(self, capsys, tmp_path):

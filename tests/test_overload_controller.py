@@ -14,7 +14,7 @@ from repro.overload import (
     DeadlineController,
     LadderDecision,
 )
-from repro.overload.harness import exact_weight_over
+from repro.soak.invariants import exact_weight_over
 from repro.window import CountWindow
 
 

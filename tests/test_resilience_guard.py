@@ -18,10 +18,12 @@ from repro.obs import Metrics
 from repro.resilience import (
     DeadLetterQueue,
     ErrorPolicy,
+    FaultInjectingSource,
     IngestGuard,
     ReorderBuffer,
     coerce_record,
 )
+from repro.streams import ReplayStream
 from repro.window import CountWindow, TimeWindow
 
 
@@ -334,6 +336,39 @@ class TestIngestGuardPolicies:
         assert snap.counters["late_reordered"] == 1
         assert snap.counters["late_dropped"] == 1
         assert snap.counters["dead_letters"] == 2  # invalid + late
+
+
+class TestChaosAccounting:
+    """The guard behind a seeded FaultInjectingSource, over a finite,
+    fully consumed stream: every injected corrupt record is accounted
+    for exactly, in the DLQ under QUARANTINE and nowhere under SKIP."""
+
+    def test_full_stream_corrupt_accounting_is_exact(self):
+        """Over a finite, fully consumed stream, every corrupt record
+        must land in the DLQ: injected == quarantined."""
+        objects = make_objects(500, seed=13, domain=60.0)
+        chaos = FaultInjectingSource(
+            ReplayStream(objects), seed=14, p_corrupt=0.1
+        )
+        guard = IngestGuard(chaos, policy="quarantine")
+        survivors = list(guard)
+        assert chaos.corrupted > 0
+        assert guard.quarantined == chaos.corrupted
+        assert guard.dead_letters.total_enqueued == chaos.corrupted
+        assert len(survivors) == len(objects) - chaos.corrupted
+
+    def test_skip_policy_keeps_dlq_empty(self):
+        objects = make_objects(500, seed=12, domain=60.0)
+        chaos = FaultInjectingSource(
+            ReplayStream(objects), seed=15, p_corrupt=0.05
+        )
+        guard = IngestGuard(chaos, policy="skip")
+        survivors = list(guard)
+        assert chaos.corrupted > 0
+        assert guard.skipped == chaos.corrupted
+        assert guard.quarantined == 0
+        assert guard.dead_letters.total_enqueued == 0
+        assert len(survivors) == len(objects) - chaos.corrupted
 
 
 class TestEngineAndGroupWiring:

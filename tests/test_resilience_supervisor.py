@@ -19,9 +19,16 @@ from repro.errors import (
     SourceRetryExhaustedError,
     UnrecoverableMonitorError,
 )
+from repro.engine import StreamEngine
 from repro.obs import Metrics
-from repro.resilience import MonitorSupervisor, RetryingSource
-from repro.streams import ReplayStream
+from repro.resilience import (
+    ErrorPolicy,
+    FaultInjectingSource,
+    IngestGuard,
+    MonitorSupervisor,
+    RetryingSource,
+)
+from repro.streams import ReplayStream, UniformStream
 from repro.window import CountWindow, TimeWindow
 
 
@@ -143,6 +150,37 @@ class TestMonitorSupervisorHealing:
         supervised.ingest(make_objects(5, seed=13, domain=40.0))
         assert supervised.heals == 1
         assert len(supervised.window) == 5
+
+    def test_supervised_survives_chaos_plus_monitor_failures(self):
+        """Both fault axes at once: dirty stream AND a monitor that
+        corrupts mid-run; the supervised answer still matches a naive
+        recompute over the surviving window."""
+
+        class FailingAG2(AG2Monitor):
+            updates_seen = 0
+
+            def _on_delta(self, delta):
+                type(self).updates_seen += 1
+                if type(self).updates_seen in (30, 70):
+                    raise RuntimeError("injected corruption")
+                super()._on_delta(delta)
+
+        stream = UniformStream(domain=500.0, seed=31, dt=1.0)
+        chaos = FaultInjectingSource(
+            stream, seed=32, p_drop=0.03, p_corrupt=0.03, p_delay=0.04
+        )
+        guard = IngestGuard(chaos, policy=ErrorPolicy.QUARANTINE,
+                            max_lateness=6.0)
+        supervised = MonitorSupervisor(FailingAG2(40, 40, CountWindow(150)))
+        engine = StreamEngine({"ag2": supervised}, guard, batch_size=10)
+        report = engine.run(100)
+        assert report.batches == 100
+        assert supervised.heals >= 1
+        contents = list(supervised.window.contents)
+        naive = NaiveMonitor(40, 40, CountWindow(len(contents)))
+        assert supervised.result.best_weight == pytest.approx(
+            naive.update(contents).best_weight
+        )
 
 
 class FlakyIterator:

@@ -4,7 +4,9 @@ crash-restart recovery, and the determinism contract.
 The headline guarantees under test:
 
 * every committed scenario passes (no cross-layer invariant breach);
-* two runs of the same scenario + seed serialise to identical reports;
+* two runs of the same modeled-latency scenario + seed serialise to
+  identical reports;
+* every crash recovers from checkpoint + WAL tail, never the source;
 * a bit-flipped checkpoint fails the campaign when checksum
   verification is disabled and passes (via rotation fallback) when it
   is enabled;
@@ -24,18 +26,22 @@ from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError, ReproError
 from repro.obs import Metrics
+from repro.overload import BackpressureQueue
+from repro.resilience import IngestGuard
 from repro.resilience.checkpoint import CheckpointManager
 from repro.engine.engine import StreamEngine
 from repro.soak import (
     ClockSkewSource,
+    InvariantMonitor,
+    LoadGenerator,
     Phase,
     Scenario,
     corrupt_checkpoint,
+    exact_weight_over,
     get_scenario,
     list_scenarios,
     run_soak,
 )
-from repro.soak.report import ReportBase
 from repro.window import CountWindow
 
 
@@ -48,6 +54,7 @@ class TestScenarioValidation:
             "crash_recovery",
             "worker_churn",
             "wal_recovery",
+            "overload_wall",
         ]
 
     def test_unknown_scenario_rejected(self):
@@ -80,6 +87,13 @@ class TestScenarioValidation:
                 description="d",
                 phases=(Phase(name="k", ticks=5, worker_kills=((0, 0),)),),
                 workers=0,
+            )
+        with pytest.raises(InvalidParameterError, match="shard 5"):
+            Scenario(
+                name="s",
+                description="d",
+                phases=(Phase(name="k", ticks=5, worker_kills=((1, 5),)),),
+                workers=2,
             )
 
 
@@ -185,10 +199,42 @@ class TestRunSoak:
         assert report.recoveries == 3
         assert report.cold_starts == 0
         assert report.replayed_batches > 0
-        assert report.spilled > 0  # the queue's in-flight buffer died too
+        # the queue's in-flight buffer died with the tier, was journalled
+        # as a WAL spill record, and came back into the queue
+        assert report.wal_spill_restored > 0
+        assert report.spilled == 0
         # torn latest -> fallback; bitflipped rotation -> checksum catch
         assert report.checkpoint_fallbacks >= 2
         assert report.checksum_failures >= 1
+        # every replayed batch came off the WAL, none off the source
+        assert report.wal_appends > 0
+        assert report.recovery_source_reads == 0
+
+    def test_smoke_keeps_the_chaos_fault_mix_and_dlq_complete(self):
+        report = run_soak("smoke")
+        assert report.ok, report.failures()
+        assert report.drops > 0
+        assert report.duplicates > 0
+        assert report.corrupt_payloads > 0
+        assert report.delayed > 0
+        # every rejected record is in the dead-letter totals
+        assert report.quarantined > 0 and report.late_dropped > 0
+        assert report.dead_letters == (
+            report.quarantined + report.late_dropped
+        )
+        # every applied batch was journalled before the compute tier
+        assert report.wal_appends == report.batches
+
+    @pytest.mark.parametrize(
+        "name",
+        [s.name for s in list_scenarios() if s.unit_ms is not None],
+    )
+    def test_modeled_scenarios_are_deterministic(self, name):
+        first = run_soak(name)
+        assert first.ok, first.failures()
+        assert not first.calibrated and first.p95_update_ms is None
+        assert first.recovery_source_reads == 0
+        assert first.to_dict() == run_soak(name).to_dict()
 
     def test_bitflip_fails_without_checksum_verification(self):
         report = run_soak("crash_recovery", verify_checksum=False)
@@ -213,15 +259,135 @@ class TestRunSoak:
         assert (workdir / "smoke.ckpt.json").exists()
 
 
+class TestOverloadWall:
+    """The calibrated, wall-clock scenario.  Its p95 gate is timing, not
+    logic, so tier-1 asserts everything but ``latency_budget``; the
+    ``soak`` command's exit code carries the p95 gate in CI."""
+
+    def test_calibrated_ladder_goes_down_and_back(self):
+        report = run_soak("overload_wall")
+        assert report.calibrated
+        assert report.budget_ms > 0.0
+        assert report.p95_update_ms is not None
+        kinds = {v["kind"] for v in report.violations}
+        assert kinds <= {"latency_budget"}, report.failures()
+        reasons = report.transition_reasons
+        assert reasons.keys() & {"panic", "deadline_pressure"}, reasons
+        assert reasons.get("headroom", 0) > 0, reasons
+        assert report.final_mode == "exact"
+        assert report.guarantee_checks > 0
+
+    def test_p95_over_budget_is_a_violation(self, monkeypatch):
+        from repro.soak import harness
+
+        monkeypatch.setattr(harness, "_calibrate_budget_ms", lambda *_: 1e-9)
+        scenario = dataclasses.replace(
+            get_scenario("overload_wall"),
+            phases=(Phase(name="calm", ticks=4),),
+        )
+        report = run_soak(scenario)
+        assert not report.ok
+        assert [v["kind"] for v in report.violations] == ["latency_budget"]
+        assert report.violations[0]["phase"] == "final"
+
+
+class TestInvariantMonitor:
+    def _monitor(self):
+        guard = IngestGuard(policy="quarantine", max_lateness=1.0)
+        queue = BackpressureQueue(100, policy="shed_oldest", max_batch=50)
+        return guard, InvariantMonitor(guard=guard, queue=queue, side=10.0)
+
+    def test_dead_letters_close_over_quarantine_and_late(self):
+        guard, invariants = self._monitor()
+        guard.filter(["garbage", *make_objects(3, seed=1, start_t=10.0)])
+        guard.filter(make_objects(1, seed=2, start_t=0.0))  # too late
+        assert guard.quarantined == 1 and guard.late_dropped == 1
+        invariants.check_tick("p", holdover=guard.admitted)
+        assert invariants.ok, invariants.violations
+
+    def test_quarantined_record_bypassing_the_dlq_is_a_violation(self):
+        guard, invariants = self._monitor()
+        guard.dead_letters.put = lambda letter: None  # the DLQ drops it
+        guard.filter(["garbage", *make_objects(3, seed=1, start_t=10.0)])
+        invariants.check_tick("p", holdover=guard.admitted)
+        assert [v["kind"] for v in invariants.violations] == [
+            "dlq_completeness"
+        ]
+
+
+class TestExactCompanion:
+    def test_empty_window_scores_zero(self):
+        assert exact_weight_over([], 10.0) == 0.0
+
+
+class TestLoadGenerator:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_rate": 0},
+            {"pattern": "sawtooth"},
+            {"burst_factor": 0.5},
+            {"period": 0},
+            {"burst_ticks": 0},
+            {"burst_ticks": 90, "period": 80},
+            {"jitter": 1.0},
+            {"jitter": -0.1},
+        ],
+    )
+    def test_parameters_validated(self, kwargs):
+        defaults = dict(base_rate=10)
+        defaults.update(kwargs)
+        with pytest.raises(InvalidParameterError):
+            LoadGenerator(**defaults)
+
+    def test_ticks_validated(self):
+        with pytest.raises(InvalidParameterError):
+            LoadGenerator(10).arrivals(0)
+
+    def test_same_seed_reproduces_exactly(self):
+        a = LoadGenerator(10, seed=4).arrivals(50)
+        b = LoadGenerator(10, seed=4).arrivals(50)
+        c = LoadGenerator(10, seed=5).arrivals(50)
+        assert a == b
+        assert a != c
+
+    def test_square_wave_shape(self):
+        gen = LoadGenerator(
+            10, pattern="square", burst_factor=5.0, period=10,
+            burst_ticks=3, jitter=0.0,
+        )
+        counts = gen.arrivals(20)
+        assert counts[:3] == [50, 50, 50]
+        assert counts[3:10] == [10] * 7
+        assert counts[10:13] == [50, 50, 50]  # second period bursts again
+
+    def test_spike_is_one_tick_per_period(self):
+        gen = LoadGenerator(
+            10, pattern="spike", burst_factor=8.0, period=5, jitter=0.0,
+            burst_ticks=1,
+        )
+        counts = gen.arrivals(10)
+        assert counts == [80, 10, 10, 10, 10, 80, 10, 10, 10, 10]
+
+    def test_ramp_is_a_triangle(self):
+        gen = LoadGenerator(
+            10, pattern="ramp", burst_factor=5.0, period=8, burst_ticks=4,
+            jitter=0.0,
+        )
+        counts = gen.arrivals(8)
+        assert counts[0] == 10
+        assert max(counts) == counts[4] == 50  # crest at the half period
+        assert counts[1:5] == sorted(counts[1:5])  # monotone climb
+        assert counts[4:] == sorted(counts[4:], reverse=True)
+
+    def test_jitter_stays_within_band(self):
+        gen = LoadGenerator(100, pattern="square", burst_factor=1.0,
+                            burst_ticks=1, jitter=0.2, seed=9)
+        for count in gen.arrivals(200):
+            assert 80 <= count <= 120
+
+
 class TestSoakReportProtocol:
-    def test_all_harness_reports_share_the_protocol(self):
-        from repro.overload.harness import OverloadReport
-        from repro.resilience.harness import ChaosReport
-        from repro.soak.harness import SoakReport
-
-        for cls in (ChaosReport, OverloadReport, SoakReport):
-            assert issubclass(cls, ReportBase)
-
     def test_rows_and_dict_stay_aligned(self):
         report = run_soak("smoke")
         rows = report.rows()
@@ -231,6 +397,7 @@ class TestSoakReportProtocol:
             assert doc[key] == row["value"]
         assert "violation_details" in doc
         assert "phase_breakdown" in doc
+        assert "transition_reasons" in doc
 
     def test_failures_capped_and_counted(self):
         report = run_soak("smoke")
@@ -325,9 +492,12 @@ class TestCustomScenario:
         assert report.scenario == "tiny"
 
     def test_cold_start_when_no_checkpoint_exists(self, tmp_path):
+        # the prime checkpoint is the only one before the crash; tearing
+        # it leaves nothing readable, so recovery cold-starts from the
+        # retained prime and replays the whole WAL
         scenario = Scenario(
             name="cold",
-            description="crash before the first checkpoint period",
+            description="crash with only a torn prime checkpoint",
             window=60,
             rate=20,
             checkpoint_every=50,  # never reached before the crash
@@ -338,6 +508,7 @@ class TestCustomScenario:
                     kind="crash",
                     ticks=5,
                     crash_at=2,
+                    corrupt="torn",
                     verify_convergence=True,
                 ),
             ),
@@ -346,5 +517,6 @@ class TestCustomScenario:
         assert report.ok, report.failures()
         assert report.cold_starts == 1
         assert report.recoveries == 0
+        assert report.recovery_source_reads == 0
         # replay covered everything applied before the crash
-        assert report.replayed_batches > 0
+        assert report.replayed_batches == 2
