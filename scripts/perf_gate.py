@@ -24,14 +24,12 @@ ratio *within* one run on one machine, so absolute host speed cancels
 out; what remains is the algorithmic advantage over the naive
 recompute, which is exactly what a kernel regression erodes.  The gate
 fails when any indexed monitor's speedup falls more than
-``--tolerance`` (default 15%) below the baseline row.  The multi-query
-``scaling`` ratio is gated the same way, but only when both the
-baseline and the current host have at least two CPUs — on one core the
-honest ratio is below 1 and carries no signal.  When both aG2 spatial
-indexes appear on a dataset in both documents, the *adaptive-index
-advantage* — quadtree-aG2 speedup over uniform-grid-aG2 speedup — is
-additionally gated against the baseline's advantage at twice the
-tolerance (the advantage is a ratio of two independently gated ratios).
+``--tolerance`` (default 15%) below the baseline row.  When both aG2
+spatial indexes appear on a dataset in both documents, the
+*adaptive-index advantage* — quadtree-aG2 speedup over uniform-grid-aG2
+speedup — is additionally gated against the baseline's advantage at
+twice the tolerance (the advantage is a ratio of two independently
+gated ratios).
 
 Usage::
 
@@ -205,25 +203,6 @@ def check_bench(
                     f"advantage {cur_adv:.2f}x below floor {floor:.2f}x "
                     f"(baseline {base_adv:.2f}x, tolerance "
                     f"{2.0 * tolerance:.0%})"
-                )
-
-    # multi-query scaling: only meaningful with real parallel hardware
-    base_cpus = baseline.get("cpu_count", 1)
-    cur_cpus = current.get("cpu_count", 1)
-    if base_cpus >= 2 and cur_cpus >= 2:
-        for profile_name, profile_doc in current.get("profiles", {}).items():
-            mq = profile_doc.get("multi_query")
-            base_profile = baseline.get("profiles", {}).get(profile_name, {})
-            base_mq = base_profile.get("multi_query")
-            if not mq or not base_mq:
-                continue
-            floor = base_mq["scaling"] * (1.0 - tolerance)
-            if mq["scaling"] < floor:
-                failures.append(
-                    f"multi-query scaling regression ({profile_name}): "
-                    f"{mq['scaling']:.2f}x below floor {floor:.2f}x "
-                    f"(baseline {base_mq['scaling']:.2f}x on "
-                    f"{base_cpus} cpus)"
                 )
     return failures
 

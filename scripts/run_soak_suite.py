@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Run every committed soak scenario and write one JSON report each.
 
-CI's ``soak-smoke`` and ``durability-smoke`` jobs run five of the
-scenarios individually; this script is the local superset — the whole
-committed suite in registration order, reports dropped into an output
-directory, first failure's verdicts printed, non-zero exit if any
-campaign breaches an invariant.
+CI's ``soak-smoke`` and ``durability-smoke`` jobs run the committed
+scenarios one by one; this script runs the same suite in one command —
+registration order, reports dropped into an output directory, first
+failure's verdicts printed, non-zero exit if any campaign breaches an
+invariant.
 
 Usage::
 

@@ -17,7 +17,6 @@ from repro.bench.bench import (
     BenchProfile,
     bench_rows,
     run_bench,
-    scaling_rows,
 )
 from repro.bench.profile import ProfileReport, run_profile
 from repro.bench.runners import (
@@ -50,7 +49,6 @@ __all__ = [
     "build_monitor",
     "format_rows",
     "run_bench",
-    "scaling_rows",
     "format_table",
     "run_ablation",
     "run_approx_sweep",

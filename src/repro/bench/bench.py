@@ -6,7 +6,8 @@ canonical workloads (uniform = ``synthetic``, gaussian =
 (monitor, dataset) row:
 
 * ``ops_per_s``   — arrival throughput (objects processed per second),
-* ``mean_ms`` / ``p95_ms`` — per-batch update latency,
+* ``mean_ms`` / ``max_ms`` — mean and slowest per-batch update
+  latency (``batches`` is 10–12, too few samples for a p95),
 * ``speedup_vs_naive`` — naive mean over this monitor's mean on the
   *same* dataset in the *same* run,
 * ``index``       — the spatial index that produced the row
@@ -27,14 +28,6 @@ keep that ratio stable on a noisy runner, every dataset is measured as
 each batch keeps its fastest observation — noise only ever adds time,
 so per-batch minima converge on the true cost and the ratio of
 denoised means survives a 15% tolerance (see ``run_profile_suite``).
-
-A final *multi-query scaling* row times the same query set served by
-:class:`~repro.engine.multi.MultiQueryGroup` (serial) and
-:class:`~repro.engine.parallel.ParallelQueryGroup` (sharded across
-worker processes).  ``scaling`` is serial-over-parallel wall time; the
-row records ``cpu_count`` because the ratio only exceeds 1 when the
-host actually has spare cores — on a single-CPU machine the honest
-number is below 1 and the gate skips it (see docs/PERFORMANCE.md).
 
 The committed baseline lives in ``BENCH_PR9.json`` at the repo root;
 regenerate it with ``maxrs-stream bench --seed 42 --out BENCH_PR9.json``
@@ -58,8 +51,6 @@ from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.rtree_monitor import RTreeMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.datasets import make_stream
-from repro.engine.multi import MultiQueryGroup
-from repro.engine.parallel import ParallelQueryGroup
 from repro.errors import InvalidParameterError
 from repro.window import CountWindow
 
@@ -74,15 +65,17 @@ __all__ = [
     "bench_rows",
     "run_bench",
     "run_profile_suite",
-    "scaling_rows",
 ]
 
+#: 5: rows report ``max_ms`` (the sample maximum) in place of
+#: ``p95_ms``, which with 10–12 batches was that same maximum; the
+#: multi-query scaling block is gone
 #: 4: rows drop the ``backend`` field; there is one sweep kernel
 #: 3: ``backend`` named the sweep kernel, and the spatial index moved
 #: to the new ``index`` field
 #: 2: added the skewed workload rows, the ag2_quadtree monitor and the
 #: per-row ``backend`` field (PR 6)
-BENCH_SCHEMA = 4
+BENCH_SCHEMA = 5
 
 #: benchmark dataset label -> repro.datasets workload name
 BENCH_DATASETS = {"uniform": "synthetic", "gaussian": "geolife_like"}
@@ -129,12 +122,6 @@ class BenchProfile:
     #: come from per-batch minima across rounds (see
     #: ``run_profile_suite.run_dataset`` for the noise argument).
     repeats: int = 1
-    # multi-query scaling row sizing
-    mq_queries: int = 4
-    mq_workers: int = 2
-    mq_window: int = 2_000
-    mq_batch_size: int = 150
-    mq_batches: int = 6
 
 
 PROFILES: Dict[str, BenchProfile] = {
@@ -142,21 +129,9 @@ PROFILES: Dict[str, BenchProfile] = {
         window_size=4_000, batch_size=200, batches=12, repeats=2
     ),
     "quick": BenchProfile(
-        window_size=1_000,
-        batch_size=100,
-        batches=10,
-        repeats=5,
-        mq_window=800,
-        mq_batch_size=80,
-        mq_batches=4,
+        window_size=1_000, batch_size=100, batches=10, repeats=5
     ),
 }
-
-
-def _p95(samples: List[float]) -> float:
-    ordered = sorted(samples)
-    index = min(len(ordered) - 1, int(0.95 * len(ordered)))
-    return ordered[index]
 
 
 def _time_once(
@@ -199,58 +174,7 @@ def _time_once(
     return times
 
 
-def _mq_monitors(profile: BenchProfile) -> Dict[str, MaxRSMonitor]:
-    """The multi-query set: aG2 queries of graduated rectangle sizes."""
-    sides = [
-        profile.rect_side * (0.6 + 0.2 * i) for i in range(profile.mq_queries)
-    ]
-    return {
-        f"q{i}": AG2Monitor(side, side, CountWindow(profile.mq_window))
-        for i, side in enumerate(sides)
-    }
-
-
-def _time_group(group, profile: BenchProfile, seed: int) -> float:
-    """Total wall seconds to serve ``mq_batches`` through a group."""
-    stream = make_stream(
-        BENCH_DATASETS["uniform"], domain=profile.domain, seed=seed
-    )
-    prime = stream.take(profile.mq_window)
-    batches = [stream.take(profile.mq_batch_size) for _ in range(profile.mq_batches)]
-    group.update(prime)  # untimed warm-up fill
-    perf = time.perf_counter
-    start = perf()
-    for batch in batches:
-        group.update(batch)
-    return perf() - start
-
-
-def _run_scaling(profile: BenchProfile, seed: int) -> Dict[str, object]:
-    serial = MultiQueryGroup()
-    for name, monitor in _mq_monitors(profile).items():
-        serial.add(name, monitor)
-    serial_s = _time_group(serial, profile, seed)
-
-    parallel = ParallelQueryGroup(workers=profile.mq_workers)
-    try:
-        for name, monitor in _mq_monitors(profile).items():
-            parallel.add(name, monitor)
-        parallel_s = _time_group(parallel, profile, seed)
-    finally:
-        parallel.close()
-
-    return {
-        "queries": profile.mq_queries,
-        "workers": profile.mq_workers,
-        "serial_ms": serial_s * 1000.0,
-        "parallel_ms": parallel_s * 1000.0,
-        "scaling": serial_s / parallel_s if parallel_s > 0 else 0.0,
-    }
-
-
-def run_profile_suite(
-    name: str, seed: int, scaling: bool = True
-) -> Dict[str, object]:
+def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
     """All rows of one named profile."""
     profile = PROFILES.get(name)
     if profile is None:
@@ -309,7 +233,7 @@ def run_profile_suite(
                         else 0.0
                     ),
                     "mean_ms": mean_ms,
-                    "p95_ms": _p95(times) * 1000.0,
+                    "max_ms": max(times) * 1000.0,
                     "speedup_vs_naive": (
                         naive_mean_ms / mean_ms if mean_ms > 0 else 0.0
                     ),
@@ -320,32 +244,25 @@ def run_profile_suite(
         run_dataset(ds_label, dataset, tuple(BENCH_MONITORS))
     for ds_label, dataset in BENCH_SKEW_DATASETS.items():
         run_dataset(ds_label, dataset, BENCH_SKEW_MONITORS)
-    doc: Dict[str, object] = {
+    return {
         "window_size": profile.window_size,
         "batch_size": profile.batch_size,
         "batches": profile.batches,
         "repeats": profile.repeats,
         "rows": rows,
     }
-    if scaling:
-        doc["multi_query"] = _run_scaling(profile, seed)
-    return doc
 
 
 def run_bench(
     seed: int = 42,
     profiles: tuple[str, ...] = ("full", "quick"),
-    scaling: bool = True,
 ) -> Dict[str, object]:
     """The full benchmark document (see module docstring)."""
     return {
         "schema": BENCH_SCHEMA,
         "seed": seed,
         "cpu_count": os.cpu_count() or 1,
-        "profiles": {
-            name: run_profile_suite(name, seed, scaling=scaling)
-            for name in profiles
-        },
+        "profiles": {name: run_profile_suite(name, seed) for name in profiles},
     }
 
 
@@ -356,17 +273,5 @@ def bench_rows(doc: Dict[str, object]) -> List[Dict[str, object]]:
         for row in profile_doc["rows"]:
             flat = {"profile": name}
             flat.update(row)
-            out.append(flat)
-    return out
-
-
-def scaling_rows(doc: Dict[str, object]) -> List[Dict[str, object]]:
-    """Flatten a bench document's multi-query scaling rows."""
-    out: List[Dict[str, object]] = []
-    for name, profile_doc in doc["profiles"].items():  # type: ignore[union-attr]
-        mq = profile_doc.get("multi_query")
-        if mq:
-            flat = {"profile": name}
-            flat.update(mq)
             out.append(flat)
     return out

@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "soak",
         help="end-to-end soak: drive the fully composed stack (ingest "
         "guard, backpressure queue, degradation ladder, write-ahead "
-        "log, checkpoints, optional worker shards) through a phased "
+        "log, checkpoints) through a phased "
         "fault campaign with crash recovery from checkpoint + WAL "
         "tail; exits non-zero on any cross-layer invariant breach",
     )
@@ -240,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="fixed-seed benchmark suite: every monitor x uniform/gaussian, "
         "skewed-workload rows (static/drifting hotspot, power-law cities) "
-        "for the aG2 index backends, plus a multi-query scaling row; "
-        "writes the JSON "
+        "for the aG2 index backends; writes the JSON "
         "document the CI bench gate compares against the committed "
         "BENCH_PR9.json",
     )
@@ -256,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--out", metavar="PATH", help="write the bench document as JSON"
-    )
-    p_bench.add_argument(
-        "--no-scaling", action="store_true",
-        help="skip the multi-query serial-vs-parallel scaling row",
     )
 
     p_dataset = sub.add_parser(
@@ -344,7 +339,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "scenario": scn.name,
                     "phases": len(scn.phases),
                     "ticks": scn.total_ticks,
-                    "workers": scn.workers,
                     "description": scn.description,
                 }
                 for scn in list_scenarios()
@@ -399,28 +393,18 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         print("OK: every record verified, no torn tails")
     elif args.command == "bench":
-        from repro.bench.bench import bench_rows, run_bench, scaling_rows
+        from repro.bench.bench import bench_rows, run_bench
 
         names = (
             ("full", "quick") if args.profile == "both" else (args.profile,)
         )
-        doc = run_bench(
-            seed=args.seed, profiles=names, scaling=not args.no_scaling
-        )
+        doc = run_bench(seed=args.seed, profiles=names)
         print(
             format_rows(
                 bench_rows(doc),
                 title=f"bench seed={args.seed} cpus={doc['cpu_count']}",
             )
         )
-        mq_rows = scaling_rows(doc)
-        if mq_rows:
-            print()
-            print(
-                format_rows(
-                    mq_rows, title="multi-query scaling (serial vs parallel)"
-                )
-            )
         if args.out:
             write_metrics_json(args.out, doc)
             print(f"wrote bench JSON to {args.out}")

@@ -147,6 +147,13 @@ class MaxRSMonitor(ABC):
         self._last_result = self._compute_result(delta.tick)
         return self._last_result
 
+    def refresh(self) -> MaxRSResult:
+        """Re-derive the answer over the current window, admitting
+        nothing; stamped with the window's current tick.  A monitor
+        rebuilt from its window (restore, heal) answers through this."""
+        self._last_result = self._compute_result(self.window.tick)
+        return self._last_result
+
     def _account(self, delta: WindowUpdate) -> None:
         self.stats.updates += 1
         self.stats.objects_seen += len(delta.arrived)

@@ -2,14 +2,12 @@
 
 from repro.engine.engine import EngineReport, StreamEngine
 from repro.engine.multi import MultiQueryGroup
-from repro.engine.parallel import ParallelQueryGroup
 from repro.engine.recorder import ResultChange, ResultRecorder
 from repro.engine.stats import TimingStats
 
 __all__ = [
     "EngineReport",
     "MultiQueryGroup",
-    "ParallelQueryGroup",
     "ResultChange",
     "ResultRecorder",
     "StreamEngine",

@@ -5,7 +5,11 @@ window.  A snapshot captures the monitor's configuration and the alive
 window contents as plain JSON-compatible data; restore rebuilds the
 monitor and bulk-loads the objects through :meth:`ingest`, which
 reconstructs the index deterministically (the indexes are pure
-functions of the arrival sequence).
+functions of the arrival sequence), then resumes the window's tick so
+later answers continue the original tick sequence.  This JSON is the
+library's one state format: checkpoints write it to disk, and
+:class:`~repro.resilience.supervisor.MonitorSupervisor` round-trips it
+in memory to heal an index.
 
 Only data is persisted — never code or derived index structures — so
 snapshots are portable across library versions that keep the object
@@ -94,7 +98,8 @@ def _window_from_spec(spec: dict[str, Any]) -> SlidingWindow:
 
 
 def snapshot(monitor: MaxRSMonitor) -> dict[str, Any]:
-    """Serialisable state of a monitor: configuration + alive objects."""
+    """Serialisable state of a monitor: configuration, window tick and
+    alive objects."""
     kind = _monitor_kind(monitor)
     extra: dict[str, Any] = {}
     if isinstance(monitor, TopKAG2Monitor):
@@ -124,6 +129,7 @@ def snapshot(monitor: MaxRSMonitor) -> dict[str, Any]:
         "rect_width": monitor.rect_width,
         "rect_height": monitor.rect_height,
         "window": _window_spec(monitor.window),
+        "tick": monitor.window.tick,
         "extra": extra,
         "objects": [
             {
@@ -146,7 +152,8 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
     (missing fields, wrong field types) raises :class:`SnapshotError`
     rather than leaking ``KeyError``/``TypeError`` — both are
     :class:`~repro.errors.ReproError`, so recovery code has one thing
-    to catch.
+    to catch.  A snapshot without a ``tick`` (written before ticks were
+    recorded) restarts the tick at the bulk load's.
     """
     if not isinstance(state, dict):
         raise SnapshotError(
@@ -179,10 +186,14 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
             )
             for rec in state.get("objects", [])
         ]
-    except (KeyError, TypeError) as exc:
+        tick = state.get("tick")
+        tick = None if tick is None else int(tick)
+    except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotError(f"snapshot is missing or malformed: {exc!r}") from exc
     if objects:
         monitor.ingest(objects)
+    if tick is not None:
+        monitor.window.resume_at(tick)
     return monitor
 
 

@@ -5,16 +5,24 @@ same ``update``/``ingest``/``result`` surface and adds the recovery
 behaviour a long-running deployment needs:
 
 * a mid-update exception no longer aborts the run — the supervisor
-  rebuilds the index from the *surviving window contents* (via
-  :func:`repro.persist.snapshot`/:func:`repro.persist.restore`, the
-  same machinery checkpoints use) and re-answers over the restored
-  window;
+  rebuilds the index from the *surviving window contents* (an
+  in-memory :func:`repro.persist.snapshot`/:func:`repro.persist.restore`
+  round-trip, the same JSON state checkpoints write) and re-answers
+  over the restored window at the failed update's tick;
 * an optional periodic ``check_invariants()`` probe catches silent
   index corruption before it surfaces as a wrong answer, triggering
   the same heal;
 * a rejected batch (``WindowOrderError`` — the window refused it
   before any index state changed) is *not* corruption: the batch is
   dropped, counted, and the previous answer stands.
+
+Heal is a rebuild from the window, not a checkpoint + WAL-tail
+restore.  An index fault leaves the process and its window alive, and
+the window holds exactly the state the last checkpoint plus the WAL
+tail would rebuild.  :meth:`MaxRSMonitor.update` pushes a batch to the
+window before it touches the index, so a batch that fails half-way is
+kept exactly once: the rebuilt index contains it, and the answer
+carries its tick.
 
 :class:`RetryingSource` is the companion for the other side of the
 pipe: transient source failures (flaky file systems, network hiccups)
@@ -28,6 +36,7 @@ import time
 import types
 from typing import Callable, Iterator, Sequence, Type
 
+from repro import persist
 from repro.core.monitor import MaxRSMonitor
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
@@ -56,15 +65,12 @@ class MonitorSupervisor:
 
     Args:
         monitor: The monitor to supervise.  Must be snapshotable by
-            :mod:`repro.persist` unless ``rebuild`` is given.
+            :mod:`repro.persist`.
         probe_every: Run ``check_invariants()`` after every N-th
             successful update (0 disables probing).  Monitors without
             the method are probed as no-ops.
         max_heals: Heal budget; one more failure past it raises
             :class:`UnrecoverableMonitorError` (None = unlimited).
-        rebuild: Optional factory returning a *fresh, empty* monitor of
-            the same configuration — used instead of the persist
-            round-trip, e.g. for monitor types persist cannot snapshot.
         metrics: Observability scope; counters ``monitor_failures``,
             ``invariant_failures``, ``heals``, ``batches_rejected``,
             ``objects_resurrected``.
@@ -82,14 +88,12 @@ class MonitorSupervisor:
         *,
         probe_every: int = 0,
         max_heals: int | None = None,
-        rebuild: Callable[[], MaxRSMonitor] | None = None,
         metrics: Metrics = NULL_METRICS,
         on_heal: Callable[[BaseException], None] | None = None,
     ) -> None:
         self._monitor = monitor
         self.probe_every = max(0, int(probe_every))
         self.max_heals = max_heals
-        self._rebuild = rebuild
         self.on_heal = on_heal
         self.metrics = metrics
         self.failures = 0  # update/ingest raised mid-flight
@@ -154,8 +158,13 @@ class MonitorSupervisor:
             self.failures += 1
             self.metrics.inc("monitor_failures")
             self._heal(exc)
-            return self._monitor.update([])
-        self._maybe_probe()
+            # the window admitted the batch before the index failed: the
+            # rebuild holds it, so answer at its tick without a new push
+            return self._monitor.refresh()
+        if self._maybe_probe():
+            # the probed index produced this answer; re-answer from the
+            # rebuild at the same tick
+            return self._monitor.refresh()
         return self._monitor.result if result is None else result
 
     def ingest(self, objects: Sequence[SpatialObject]) -> None:
@@ -172,12 +181,13 @@ class MonitorSupervisor:
 
     # -- healing -----------------------------------------------------------
 
-    def _maybe_probe(self) -> None:
+    def _maybe_probe(self) -> bool:
+        """Run the periodic probe when due; True iff it forced a heal."""
         if not self.probe_every:
-            return
+            return False
         self._updates_since_probe += 1
         if self._updates_since_probe < self.probe_every:
-            return
+            return False
         self._updates_since_probe = 0
         try:
             self.check_invariants()
@@ -185,26 +195,22 @@ class MonitorSupervisor:
             self.invariant_failures += 1
             self.metrics.inc("invariant_failures")
             self._heal(exc)
+            return True
+        return False
 
     def _heal(self, cause: BaseException) -> None:
-        """Rebuild the index from the surviving window contents."""
+        """Rebuild the index from the surviving window contents, keeping
+        the window's tick."""
         if self.max_heals is not None and self.heals >= self.max_heals:
             raise UnrecoverableMonitorError(
                 f"heal budget exhausted after {self.heals} heals"
             ) from cause
-        survivors = tuple(self._monitor.window.contents)
+        survivors = len(self._monitor.window)
         try:
-            if self._rebuild is not None:
-                healed = self._rebuild()
-                if survivors:
-                    healed.ingest(list(survivors))
-            else:
-                from repro import persist
-
-                healed = persist.restore(persist.snapshot(self._monitor))
+            healed = persist.restore(persist.snapshot(self._monitor))
         except Exception as heal_exc:
             raise UnrecoverableMonitorError(
-                f"could not rebuild monitor from {len(survivors)} "
+                f"could not rebuild monitor from {survivors} "
                 f"surviving objects: {heal_exc}"
             ) from cause
         if self._monitor.metrics is not NULL_METRICS:
@@ -213,7 +219,7 @@ class MonitorSupervisor:
         self.heals += 1
         self._updates_since_probe = 0
         self.metrics.inc("heals")
-        self.metrics.inc("objects_resurrected", len(survivors))
+        self.metrics.inc("objects_resurrected", survivors)
         if self.on_heal is not None:
             self.on_heal(cause)
 

@@ -8,11 +8,10 @@
         → StreamEngine → WriteAheadLog
                        → AdaptiveMonitor (deadline ladder + breaker)
                        → CheckpointManager
-    (optionally alongside a ParallelQueryGroup and its inline twin)
 
 — and drives it through a :class:`~repro.soak.scenario.Scenario`'s
 phases: clean traffic, dirty data, late/skew bursts, overload spikes,
-mid-run compute-tier crashes, and worker-process kills.  The source is
+mid-run compute-tier crashes and WAL damage.  The source is
 a :class:`~repro.soak.injectors.NonReplayableSource` and every admitted
 batch is journalled to a write-ahead log, so the one crash-recovery
 path is checkpoint + WAL tail: an arrival, once consumed, is never
@@ -44,13 +43,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
-from repro.core.ag2 import AG2Monitor
 from repro.core.objects import SpatialObject
 from repro.datasets import make_stream
 from repro.durability.recovery import reconcile, scan_wal
 from repro.durability.wal import WriteAheadLog
 from repro.engine.engine import StreamEngine
-from repro.engine.parallel import ParallelQueryGroup
 from repro.engine.stats import TimingStats
 from repro.errors import InvalidParameterError, ReproError, SnapshotError
 from repro.obs.metrics import Metrics
@@ -139,10 +136,6 @@ class SoakReport:
     breaker_trips: int
     rebuilds: int
     stale_served: int
-    # worker churn
-    worker_kills: int
-    worker_respawns: int
-    worker_gave_up: bool
     # invariant coverage
     ledger_checks: int
     watermark_checks: int
@@ -219,9 +212,6 @@ class SoakReport:
             ("breaker trips", self.breaker_trips),
             ("index rebuilds", self.rebuilds),
             ("stale served", self.stale_served),
-            ("worker kills", self.worker_kills),
-            ("worker respawns", self.worker_respawns),
-            ("worker gave up", self.worker_gave_up),
             ("ledger checks", self.ledger_checks),
             ("watermark checks", self.watermark_checks),
             ("guarantee checks", self.guarantee_checks),
@@ -385,8 +375,6 @@ class _SoakRun:
         self.reference = CountWindow(scn.window)
         self.applied = 0
         self.holdover: List[SpatialObject] = []
-        self.group: ParallelQueryGroup | None = None
-        self.twin: ParallelQueryGroup | None = None
         # accumulated across monitor incarnations (crash replaces the
         # AdaptiveMonitor, which would otherwise reset its counters)
         self.transition_reasons: Counter[str] = Counter()
@@ -398,7 +386,6 @@ class _SoakRun:
         self.recoveries = 0
         self.cold_starts = 0
         self.replayed = 0
-        self.kills = 0
         # WAL counters banked across log incarnations (each crash
         # closes the log; the reopened instance restarts its counters)
         self.wal_appends = 0
@@ -461,17 +448,6 @@ class _SoakRun:
         # (every later checkpoint unreadable) source-free: the fallback
         # ladder bottoms out here, never at the stream
         self.manager.checkpoint()
-        if scn.workers > 0:
-            self.group = ParallelQueryGroup(
-                workers=scn.workers, snapshot_every=scn.snapshot_every
-            )
-            self.twin = ParallelQueryGroup(workers=0)
-            for registry in (self.group, self.twin):
-                for i in range(scn.churn_queries):
-                    side = scn.side * (0.6 + 0.2 * i)
-                    monitor = AG2Monitor(side, side, CountWindow(scn.window))
-                    monitor.ingest(prime)
-                    registry.add(f"q{i}", monitor)
 
     def _phase_source(self, phase: Phase, index: int):
         """The (possibly fault-wrapped) record iterator for one phase.
@@ -512,9 +488,6 @@ class _SoakRun:
         self.engine.process(batch)
         self.applied += 1
         self.reference.push(batch)
-        if self.group is not None and self.twin is not None:
-            self.group.update(batch)
-            self.twin.update(batch)
         self.invariants.note_batch(phase_name, self.adaptive)
         return 1
 
@@ -539,10 +512,6 @@ class _SoakRun:
                 self._crash_and_restore(phase)
             if phase.enospc_at == tick:
                 self._arm_enospc()
-            for kill_tick, shard in phase.worker_kills:
-                if kill_tick == tick and self.group is not None:
-                    self.group.kill_worker(shard)
-                    self.kills += 1
             raw = list(itertools.islice(pull, count))
             released = self.guard.filter(raw)
             self.holdover = self.queue.offer_all(self.holdover + released)
@@ -558,10 +527,6 @@ class _SoakRun:
             self.tallies["delayed"] += chaos.delayed
         if skew is not None:
             self.tallies["skewed"] += skew.skewed
-        if self.group is not None and self.twin is not None:
-            self.invariants.check_group(
-                phase.name, self.group.results(), self.twin.results()
-            )
         if phase.verify_convergence:
             self.invariants.check_convergence(
                 phase.name,
@@ -750,20 +715,10 @@ class _SoakRun:
             return self._report(p95_ms)
         finally:
             self.wal.close()
-            if self.group is not None:
-                self.group.close()
-            if self.twin is not None:
-                self.twin.close()
 
     def _report(self, p95_ms: float | None) -> SoakReport:
         guard, queue, inv = self.guard, self.queue, self.invariants
         counter = self.ckpt_scope.counter
-        if self.group is not None:
-            stats = self.group.stats()
-            respawns = int(stats["respawn_count"])
-            gave_up = bool(stats["gave_up"])
-        else:
-            respawns, gave_up = 0, False
         return SoakReport(
             scenario=self.scenario.name,
             seed=self.seed,
@@ -803,9 +758,6 @@ class _SoakRun:
             breaker_trips=self.breaker_trips,
             rebuilds=self.rebuilds,
             stale_served=self.stale_served,
-            worker_kills=self.kills,
-            worker_respawns=respawns,
-            worker_gave_up=gave_up,
             ledger_checks=inv.ledger_checks,
             watermark_checks=inv.watermark_checks,
             guarantee_checks=inv.guarantee_checks,
@@ -845,8 +797,7 @@ def run_soak(
     Args:
         scenario: A :class:`~repro.soak.scenario.Scenario`, or the name
             of a committed one (``smoke``, ``dirty_overload``,
-            ``crash_recovery``, ``worker_churn``, ``wal_recovery``,
-            ``overload_wall``).
+            ``crash_recovery``, ``wal_recovery``, ``overload_wall``).
         seed: Overrides the scenario's seed (same scenario + same seed
             ⇒ identical report).
         verify_checksum: Forwarded to checkpoint recovery.  Disabling it

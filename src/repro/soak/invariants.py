@@ -229,25 +229,3 @@ class InvariantMonitor:
                 f"{where}: exact-mode answer {answer:.6f} != exact "
                 f"companion {exact:.6f}",
             )
-
-    def check_group(
-        self, phase: str, results: Dict[str, "MaxRSResult"],
-        twin_results: Dict[str, "MaxRSResult"],
-    ) -> None:
-        """Sharded worker answers must equal the inline twin's."""
-        self.convergence_checks += 1
-        for name, twin in twin_results.items():
-            got = results.get(name)
-            if got is None:
-                self._violate(
-                    phase, "group_convergence", f"query {name!r} missing"
-                )
-                continue
-            tol = self.weight_tol * max(1.0, abs(twin.best_weight))
-            if abs(got.best_weight - twin.best_weight) > tol:
-                self._violate(
-                    phase,
-                    "group_convergence",
-                    f"query {name!r}: sharded {got.best_weight:.6f} != "
-                    f"inline {twin.best_weight:.6f}",
-                )

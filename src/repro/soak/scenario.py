@@ -7,8 +7,9 @@ entries.  Each phase binds a load shape (the
 :class:`~repro.soak.load.LoadGenerator` parameters), a fault mix
 (the :class:`~repro.resilience.chaos.FaultInjectingSource`
 probabilities), clock-skew bursts, an optional mid-phase crash (with
-optional checkpoint corruption the recovery must survive), worker-kill
-schedules, and whether exact re-convergence is asserted at phase end.
+optional checkpoint or WAL corruption the recovery must survive), an
+optional ENOSPC fault, and whether exact re-convergence is asserted at
+phase end.
 
 The committed suite lives in :data:`SCENARIOS`; ``maxrs-stream soak
 --list`` renders it.  Scenarios are cheap values — tests freely build
@@ -39,8 +40,8 @@ class Phase:
     Args:
         name: Unique label within the scenario (used in reports).
         kind: Informational classification (``clean`` / ``dirty`` /
-            ``late_burst`` / ``overload`` / ``crash`` / ``recovery`` /
-            ``worker_churn``) — reports group by it; the mechanics are
+            ``late_burst`` / ``overload`` / ``crash`` / ``recovery``)
+            — reports group by it; the mechanics are
             entirely determined by the other fields.
         ticks: Arrival ticks in this phase.
         rate_factor: Multiplier on the scenario's base rate.
@@ -69,8 +70,6 @@ class Phase:
             on the WAL append path; the engine's inline recovery
             (checkpoint, compact, retry) must absorb it without losing
             a batch.
-        worker_kills: ``(tick, shard)`` pairs: kill that shard's worker
-            process at that tick (needs ``shard < Scenario.workers``).
         verify_convergence: Assert exact re-convergence (window contents
             and answer against the exact companion) at phase end.
     """
@@ -96,7 +95,6 @@ class Phase:
     corrupt: str | None = None
     wal_corrupt: Tuple[str, ...] = ()
     enospc_at: int | None = None
-    worker_kills: Tuple[Tuple[int, int], ...] = ()
     verify_convergence: bool = False
 
     def __post_init__(self) -> None:
@@ -161,12 +159,6 @@ class Phase:
                 f"phase {self.name!r}: enospc_at {self.enospc_at} outside "
                 f"[0, {self.ticks})"
             )
-        for tick, shard in self.worker_kills:
-            if not 0 <= tick < self.ticks or shard < 0:
-                raise InvalidParameterError(
-                    f"phase {self.name!r}: worker kill ({tick}, {shard}) "
-                    "outside the phase"
-                )
 
     @property
     def has_faults(self) -> bool:
@@ -219,9 +211,6 @@ class Scenario:
     shed_policy: str = "shed_oldest"
     unit_ms: float | None = 0.05
     budget_factor: float = 3.0
-    workers: int = 0
-    churn_queries: int = 4
-    snapshot_every: int = 6
     wal_fsync: str = "always"
     wal_segment_records: int = 64
 
@@ -243,17 +232,6 @@ class Scenario:
             raise InvalidParameterError(
                 f"scenario {self.name!r}: stride must be >= 0"
             )
-        if self.workers < 0:
-            raise InvalidParameterError(
-                f"scenario {self.name!r}: workers must be >= 0"
-            )
-        for phase in self.phases:
-            for _tick, shard in phase.worker_kills:
-                if shard >= self.workers:
-                    raise InvalidParameterError(
-                        f"scenario {self.name!r}: phase {phase.name!r} "
-                        f"kills shard {shard} but workers={self.workers}"
-                    )
         if self.wal_segment_records <= 0:
             raise InvalidParameterError(
                 f"scenario {self.name!r}: wal_segment_records must be "
@@ -415,38 +393,6 @@ def _crash_recovery() -> Scenario:
     )
 
 
-def _worker_churn() -> Scenario:
-    return Scenario(
-        name="worker_churn",
-        description=(
-            "Parallel query group under repeated worker kills — "
-            "including a double kill of the same shard — checked "
-            "against an inline twin."
-        ),
-        window=300,
-        rate=30,
-        checkpoint_every=10,
-        workers=2,
-        churn_queries=4,
-        snapshot_every=6,
-        phases=(
-            Phase(name="warm", kind="clean", ticks=8),
-            Phase(
-                name="churn",
-                kind="worker_churn",
-                ticks=12,
-                worker_kills=((2, 0), (3, 0), (6, 1), (9, 0)),
-            ),
-            Phase(
-                name="settle",
-                kind="recovery",
-                ticks=8,
-                verify_convergence=True,
-            ),
-        ),
-    )
-
-
 def _wal_recovery() -> Scenario:
     return Scenario(
         name="wal_recovery",
@@ -555,7 +501,6 @@ SCENARIOS: Dict[str, Callable[[], Scenario]] = {
     "smoke": _smoke,
     "dirty_overload": _dirty_overload,
     "crash_recovery": _crash_recovery,
-    "worker_churn": _worker_churn,
     "wal_recovery": _wal_recovery,
     "overload_wall": _overload_wall,
 }

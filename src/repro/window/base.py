@@ -77,6 +77,12 @@ class SlidingWindow(ABC):
         """Number of transitions performed so far."""
         return self._tick
 
+    def resume_at(self, tick: int) -> None:
+        """Continue counting transitions from ``tick``: a restored
+        window is rebuilt by one bulk push, but its answers must keep
+        the original window's tick sequence."""
+        self._tick = tick
+
     def _next_tick(self) -> int:
         self._tick += 1
         return self._tick

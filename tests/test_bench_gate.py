@@ -3,8 +3,8 @@
 Two acceptance properties are pinned here:
 
 1. ``run_bench`` emits a well-formed document — every monitor × dataset
-   row with positive throughput, naive's speedup exactly 1, and a
-   multi-query scaling row when requested;
+   row with positive throughput and latency, and naive's speedup
+   exactly 1;
 2. ``scripts/perf_gate.py --bench`` passes on a self-compare and
    demonstrably fails when a ≥15% kernel-speedup regression is injected
    into the current document.
@@ -26,7 +26,6 @@ from repro.bench import (
     BenchProfile,
     bench_rows,
     run_bench,
-    scaling_rows,
 )
 from repro.cli import main
 from repro.errors import InvalidParameterError
@@ -46,11 +45,6 @@ TINY = BenchProfile(
     batch_size=40,
     batches=2,
     rect_side=1000.0,
-    mq_queries=2,
-    mq_workers=1,
-    mq_window=150,
-    mq_batch_size=30,
-    mq_batches=2,
 )
 
 
@@ -59,7 +53,7 @@ def tiny_doc():
     original = bench_mod.PROFILES
     bench_mod.PROFILES = {**original, "tiny": TINY}
     try:
-        return run_bench(seed=42, profiles=("tiny",), scaling=True)
+        return run_bench(seed=42, profiles=("tiny",))
     finally:
         bench_mod.PROFILES = original
 
@@ -82,7 +76,7 @@ class TestRunBench:
         for row in rows:
             assert row["ops_per_s"] > 0
             assert row["mean_ms"] > 0
-            assert row["p95_ms"] > 0
+            assert row["max_ms"] >= row["mean_ms"] > 0
             assert row["speedup_vs_naive"] > 0
 
     def test_rows_name_their_index(self, tiny_doc):
@@ -98,14 +92,6 @@ class TestRunBench:
             if row["monitor"] == "naive":
                 assert row["speedup_vs_naive"] == 1.0
 
-    def test_scaling_row(self, tiny_doc):
-        mq = tiny_doc["profiles"]["tiny"]["multi_query"]
-        assert mq["queries"] == TINY.mq_queries
-        assert mq["workers"] == TINY.mq_workers
-        assert mq["serial_ms"] > 0
-        assert mq["parallel_ms"] > 0
-        assert mq["scaling"] > 0
-
     def test_flatteners(self, tiny_doc):
         rows = bench_rows(tiny_doc)
         expected = len(BENCH_MONITORS) * len(BENCH_DATASETS) + len(
@@ -113,15 +99,13 @@ class TestRunBench:
         ) * len(bench_mod.BENCH_SKEW_DATASETS)
         assert len(rows) == expected
         assert all(row["profile"] == "tiny" for row in rows)
-        (mq,) = scaling_rows(tiny_doc)
-        assert mq["profile"] == "tiny"
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(InvalidParameterError):
             bench_mod.run_profile_suite("no-such-profile", seed=1)
 
 
-def _fake_doc(ag2_speedup: float, cpu_count: int = 1) -> dict:
+def _fake_doc(ag2_speedup: float) -> dict:
     """A hand-authored bench document the gate can index."""
     rows = [
         {"monitor": "naive", "dataset": "uniform", "speedup_vs_naive": 1.0},
@@ -133,19 +117,8 @@ def _fake_doc(ag2_speedup: float, cpu_count: int = 1) -> dict:
     return {
         "schema": 1,
         "seed": 42,
-        "cpu_count": cpu_count,
-        "profiles": {
-            "quick": {
-                "rows": copy.deepcopy(rows),
-                "multi_query": {
-                    "queries": 4,
-                    "workers": 2,
-                    "serial_ms": 100.0,
-                    "parallel_ms": 120.0,
-                    "scaling": 100.0 / 120.0,
-                },
-            }
-        },
+        "cpu_count": 1,
+        "profiles": {"quick": {"rows": copy.deepcopy(rows)}},
     }
 
 
@@ -231,20 +204,6 @@ class TestBenchGate:
         cur = self._write(tmp_path, "cur.json", _fake_doc(ag2_speedup=3.0))
         assert gate.check_bench(cur, base, tolerance=0.15) == []
 
-    def test_scaling_gated_only_with_multiple_cpus(self, gate, tmp_path):
-        base_doc = _fake_doc(ag2_speedup=3.0, cpu_count=4)
-        base_doc["profiles"]["quick"]["multi_query"]["scaling"] = 1.7
-        regressed = _fake_doc(ag2_speedup=3.0, cpu_count=4)
-        regressed["profiles"]["quick"]["multi_query"]["scaling"] = 0.9
-        base = self._write(tmp_path, "base.json", base_doc)
-        cur = self._write(tmp_path, "cur.json", regressed)
-        failures = gate.check_bench(cur, base, tolerance=0.15)
-        assert any("scaling regression" in f for f in failures)
-        # same regression on a 1-CPU current host carries no signal
-        regressed["cpu_count"] = 1
-        cur_single = self._write(tmp_path, "cur1.json", regressed)
-        assert gate.check_bench(cur_single, base, tolerance=0.15) == []
-
     def test_regression_message_names_backend(self, gate, tmp_path):
         base = self._write(
             tmp_path, "base.json", _fake_skew_doc(2.0, 3.0)
@@ -316,7 +275,6 @@ class TestBenchCli:
                 "quick",
                 "--seed",
                 "7",
-                "--no-scaling",
                 "--out",
                 str(out),
             ]
@@ -324,7 +282,9 @@ class TestBenchCli:
         assert rc == 0
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["seed"] == 7
-        assert "quick" in doc["profiles"]
-        assert "multi_query" not in doc["profiles"]["quick"]
+        assert set(doc["profiles"]) == {"quick"}
+        assert set(doc["profiles"]["quick"]) == {
+            "window_size", "batch_size", "batches", "repeats", "rows"
+        }
         printed = capsys.readouterr().out
         assert "speedup" in printed

@@ -96,7 +96,7 @@ class TestSoakCommand:
         assert main(["soak", "--list"]) == 0
         out = capsys.readouterr().out
         for name in ("smoke", "dirty_overload", "crash_recovery",
-                     "worker_churn", "wal_recovery", "overload_wall"):
+                     "wal_recovery", "overload_wall"):
             assert name in out
 
     def test_smoke_scenario_passes(self, capsys, tmp_path):

@@ -13,7 +13,7 @@ from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
 from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.topk import TopKAG2Monitor
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, SnapshotError
 from repro.persist import load_json, restore, save_json, snapshot
 from repro.window import CountWindow, TimeWindow, WindowUpdate
 
@@ -91,6 +91,36 @@ class TestSnapshotRestore:
         clone = restore(snapshot(monitor))
         assert isinstance(clone.window, TimeWindow)
         assert clone.window.duration == 123.0
+
+    def test_tick_continues_after_restore(self):
+        """A restored monitor answers the next batch at the tick the
+        original would have, so answer-change events stay ordered."""
+        monitor = AG2Monitor(10, 10, CountWindow(50))
+        for s in range(7):
+            monitor.update(make_objects(5, seed=s, domain=60.0))
+        clone = restore(json.loads(json.dumps(snapshot(monitor))))
+        assert clone.window.tick == 7
+        assert clone.refresh() == monitor.result  # same answer, same tick
+        batch = make_objects(5, seed=99, domain=60.0)
+        assert clone.update(batch).tick == monitor.update(batch).tick == 8
+
+    def test_snapshot_without_tick_still_loads(self):
+        """Snapshots from before ticks were recorded restart the tick at
+        the bulk load's, as they always did."""
+        monitor = primed(AG2Monitor(10, 10, CountWindow(30)))
+        for s in range(3):
+            monitor.update(make_objects(5, seed=s, domain=60.0))
+        state = snapshot(monitor)
+        del state["tick"]
+        clone = restore(state)
+        assert clone.window.tick == 1
+        assert clone.window.contents == monitor.window.contents
+
+    def test_malformed_tick_rejected(self):
+        state = snapshot(primed(AG2Monitor(10, 10, CountWindow(30))))
+        state["tick"] = "soon"
+        with pytest.raises(SnapshotError):
+            restore(state)
 
     def test_object_identity_preserved(self):
         monitor = primed(G2Monitor(10, 10, CountWindow(10)), count=4)

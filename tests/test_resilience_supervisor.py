@@ -4,7 +4,9 @@ The supervised contract: a mid-update failure (raised exception or a
 failed invariant probe) is absorbed by rebuilding the index from the
 surviving window contents, and the healed monitor answers exactly like
 a never-failed one — because the indexes are pure functions of the
-arrival sequence.
+arrival sequence.  The window admits a batch before the index sees it,
+so a batch that fails half-way is kept exactly once, and the healed
+answer carries that batch's tick.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import pytest
 
 from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
+from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
+from repro.core.quadtree import QuadtreeAG2Monitor
+from repro.core.topk import TopKAG2Monitor
 from repro.errors import (
     InvariantViolationError,
     SourceRetryExhaustedError,
@@ -98,9 +103,14 @@ class TestMonitorSupervisorHealing:
         supervised = MonitorSupervisor(monitor, probe_every=2)
         supervised.update(make_objects(5, seed=4, domain=50.0, start_t=0.0))
         monitor.pretend_corrupt = True
-        supervised.update(make_objects(5, seed=5, domain=50.0, start_t=10.0))
+        result = supervised.update(
+            make_objects(5, seed=5, domain=50.0, start_t=10.0)
+        )
         assert supervised.invariant_failures == 1
         assert supervised.heals == 1
+        # re-answered from the rebuilt index, at the probed batch's tick
+        assert result.tick == 2 and result.window_size == 10
+        assert supervised.result == result
 
     def test_rejected_batch_is_not_corruption(self):
         supervised = MonitorSupervisor(AG2Monitor(10, 10, TimeWindow(100.0)))
@@ -118,16 +128,6 @@ class TestMonitorSupervisorHealing:
         monitor.fail_next = 1
         with pytest.raises(UnrecoverableMonitorError):
             supervised.update(make_objects(3, seed=8, domain=40.0))
-
-    def test_custom_rebuild_factory(self):
-        monitor = FailingAG2(10, 10, CountWindow(20))
-        fresh = AG2Monitor(10, 10, CountWindow(20))
-        supervised = MonitorSupervisor(monitor, rebuild=lambda: fresh)
-        supervised.update(make_objects(5, seed=9, domain=40.0, start_t=0.0))
-        monitor.fail_next = 1
-        supervised.update(make_objects(5, seed=10, domain=40.0, start_t=10.0))
-        assert supervised.monitor is fresh
-        assert len(fresh.window) == 10
 
     def test_supervisor_metrics_counters(self):
         monitor = FailingAG2(10, 10, CountWindow(20))
@@ -181,6 +181,96 @@ class TestMonitorSupervisorHealing:
         assert supervised.result.best_weight == pytest.approx(
             naive.update(contents).best_weight
         )
+
+
+#: every monitor kind ``repro.persist`` can snapshot, i.e. every kind
+#: a supervisor can heal
+PERSIST_KINDS = {
+    "naive": lambda window: NaiveMonitor(12, 12, window),
+    "g2": lambda window: G2Monitor(12, 12, window),
+    "ag2": lambda window: AG2Monitor(12, 12, window),
+    "ag2_quadtree": lambda window: QuadtreeAG2Monitor(12, 12, window),
+    "topk": lambda window: TopKAG2Monitor(12, 12, window, k=3),
+}
+
+WINDOWS = {
+    "count": lambda: CountWindow(45),
+    "time": lambda: TimeWindow(35.0),
+}
+
+HEAL_BATCHES = [
+    make_objects(10, seed=100 + s, domain=60.0, start_t=s * 10.0)
+    for s in range(12)
+]
+
+
+def _fail_once_at(monitor, batch: int):
+    """Make ``monitor``'s index raise on the given 0-based update, after
+    the window has admitted that batch."""
+    calls = iter(range(len(HEAL_BATCHES) + 1))
+    on_delta = monitor._on_delta
+
+    def failing(delta):
+        if next(calls) == batch:
+            raise RuntimeError("injected index corruption")
+        on_delta(delta)
+
+    monitor._on_delta = failing
+    return monitor
+
+
+def _run_with_twin(make, fail_at):
+    """Drive a supervised, once-faulted monitor and an unfaulted twin
+    over the same batches; yield ``(index, got, want, supervised, twin)``
+    for every batch."""
+    supervised = MonitorSupervisor(_fail_once_at(make(), fail_at))
+    twin = make()
+    for i, batch in enumerate(HEAL_BATCHES):
+        got = supervised.update(batch)
+        want = twin.update(batch)
+        yield i, got, want, supervised, twin
+    assert supervised.failures == supervised.heals == 1
+
+
+class TestHealEquivalence:
+    """Heal differential: from the faulted batch on, a supervised
+    monitor answers exactly like a twin that never failed."""
+
+    @pytest.mark.parametrize("fail_at", [3, 7])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    @pytest.mark.parametrize("kind", sorted(PERSIST_KINDS))
+    def test_heal_matches_unfaulted_twin(self, kind, window, fail_at):
+        def make():
+            return PERSIST_KINDS[kind](WINDOWS[window]())
+
+        for i, got, want, supervised, twin in _run_with_twin(make, fail_at):
+            assert got.tick == want.tick == i + 1
+            if i < fail_at:
+                continue
+            assert got.regions == want.regions, f"batch {i}"
+            assert supervised.result == got
+            assert supervised.window.contents == twin.window.contents
+            assert supervised.window.tick == twin.window.tick
+
+    @pytest.mark.parametrize("fail_at", [3, 7])
+    @pytest.mark.parametrize("window", sorted(WINDOWS))
+    def test_approximate_heal_holds_its_guarantee(self, window, fail_at):
+        """ε-aG2 prunes with a slack, so the rebuilt index may settle on
+        a different region than the twin's; it must still hold (1 − ε)
+        of the exact optimum."""
+        epsilon = 0.2
+        exact = AG2Monitor(12, 12, WINDOWS[window]())
+
+        def make():
+            return AG2Monitor(12, 12, WINDOWS[window](), epsilon=epsilon)
+
+        for i, got, _want, supervised, twin in _run_with_twin(make, fail_at):
+            best = exact.update(HEAL_BATCHES[i]).best_weight
+            assert got.tick == i + 1
+            if i < fail_at:
+                continue
+            assert got.best_weight >= (1.0 - epsilon) * best - 1e-9
+            assert supervised.window.contents == twin.window.contents
 
 
 class FlakyIterator:

@@ -52,7 +52,6 @@ class TestScenarioValidation:
             "smoke",
             "dirty_overload",
             "crash_recovery",
-            "worker_churn",
             "wal_recovery",
             "overload_wall",
         ]
@@ -72,8 +71,6 @@ class TestScenarioValidation:
             Phase(name="p", corrupt="torn")  # corrupt without crash_at
         with pytest.raises(InvalidParameterError, match="corruption mode"):
             Phase(name="p", crash_at=0, corrupt="gamma-ray")
-        with pytest.raises(InvalidParameterError, match="worker kill"):
-            Phase(name="p", ticks=5, worker_kills=((9, 0),))
 
     def test_scenario_rejects_inconsistencies(self):
         clean = Phase(name="a")
@@ -81,20 +78,6 @@ class TestScenarioValidation:
             Scenario(name="s", description="d", phases=())
         with pytest.raises(InvalidParameterError, match="unique"):
             Scenario(name="s", description="d", phases=(clean, clean))
-        with pytest.raises(InvalidParameterError, match="workers"):
-            Scenario(
-                name="s",
-                description="d",
-                phases=(Phase(name="k", ticks=5, worker_kills=((0, 0),)),),
-                workers=0,
-            )
-        with pytest.raises(InvalidParameterError, match="shard 5"):
-            Scenario(
-                name="s",
-                description="d",
-                phases=(Phase(name="k", ticks=5, worker_kills=((1, 5),)),),
-                workers=2,
-            )
 
 
 class TestInjectors:
@@ -244,13 +227,6 @@ class TestRunSoak:
         phases = {v["phase"] for v in report.violations}
         assert "crash_bitflip" in phases
         assert any("crash_bitflip" in line for line in report.failures())
-
-    def test_worker_churn_recovers_every_kill(self):
-        report = run_soak("worker_churn")
-        assert report.ok, report.failures()
-        assert report.worker_kills == 4
-        assert report.worker_respawns == 4
-        assert not report.worker_gave_up
 
     def test_checkpoint_dir_is_honoured(self, tmp_path):
         workdir = tmp_path / "ckpts"
