@@ -29,7 +29,10 @@ spatial indexes appear on a dataset in both documents, the
 *adaptive-index advantage* — quadtree-aG2 speedup over uniform-grid-aG2
 speedup — is additionally gated against the baseline's advantage at
 twice the tolerance (the advantage is a ratio of two independently
-gated ratios).
+gated ratios).  Both documents must name the same ``sweep_kernel``
+(``compiled`` or ``python``; documents older than bench schema 6 ran
+the Python tree): the compiled kernel speeds naive up far more than
+the indexed monitors, so speedups across kernels are not comparable.
 
 Usage::
 
@@ -132,6 +135,15 @@ def check_bench(
         current = json.load(fh)
     with open(baseline_path, encoding="utf-8") as fh:
         baseline = json.load(fh)
+
+    kernels = [doc.get("sweep_kernel", "python") for doc in (current, baseline)]
+    if kernels[0] != kernels[1]:
+        return [
+            f"sweep kernel mismatch: this run used the {kernels[0]} "
+            f"kernel, the baseline the {kernels[1]} kernel; "
+            "speedup_vs_naive is only comparable within one kernel "
+            "(rebuild the kernel or regenerate the baseline)"
+        ]
 
     failures: list[str] = []
     base_rows = _row_index(baseline)

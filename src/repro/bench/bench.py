@@ -14,6 +14,11 @@ canonical workloads (uniform = ``synthetic``, gaussian =
   (``uniform-grid`` / ``quadtree`` / ``rtree`` / ``none``), so a gate
   failure names the offending index, not just the algorithm label.
 
+The document also names the ``sweep_kernel`` that ran every sweep
+(``compiled`` or ``python``, see ``repro.core.planesweep``): the
+compiled kernel speeds naive up far more than the indexed monitors,
+so speedups from different kernels are not comparable.
+
 Three *skewed* workloads (``gauss_static``, ``gauss_drift``,
 ``powerlaw``) additionally run the skew-relevant subset — naive,
 uniform-grid aG2 and quadtree aG2 — to measure the adaptive index
@@ -23,14 +28,18 @@ exactly where the flat grid degrades (see docs/PERFORMANCE.md).
 it is a ratio *within* one run on one machine, so it tracks algorithmic
 regressions while staying insensitive to how fast the host happens to
 be (absolute ``ops_per_s`` is recorded for humans, never gated).  To
-keep that ratio stable on a noisy runner, every dataset is measured as
-``repeats`` interleaved *rounds* over the identical seeded stream and
-each batch keeps its fastest observation — noise only ever adds time,
-so per-batch minima converge on the true cost and the ratio of
-denoised means survives a 15% tolerance (see ``run_profile_suite``).
+keep that ratio stable on a noisy runner, each batch is timed on every
+monitor of a dataset back to back, so a slow phase of the host slows
+numerator and denominator alike, and every dataset is measured as
+``repeats`` *rounds* over the identical seeded stream, each batch
+keeping its fastest observation — noise only ever adds time, so
+per-batch minima converge on the true cost and the ratio of denoised
+means survives a 15% tolerance (see ``_time_round``).
 
-The committed baseline lives in ``BENCH_PR9.json`` at the repo root;
-regenerate it with ``maxrs-stream bench --seed 42 --out BENCH_PR9.json``
+The committed baseline lives in ``BENCH_PR9.json`` at the repo root
+(the quick profile, measured with the compiled sweep kernel);
+regenerate it with
+``maxrs-stream bench --profile quick --seed 42 --out BENCH_PR9.json``
 and compare a fresh run against it with
 ``python scripts/perf_gate.py --bench new.json --baseline BENCH_PR9.json``.
 """
@@ -43,6 +52,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
+from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
@@ -67,6 +77,9 @@ __all__ = [
     "run_profile_suite",
 ]
 
+#: 6: the document names its ``sweep_kernel`` (``compiled`` or
+#: ``python``); the gate refuses to compare across kernels.  Monitors
+#: are timed batch by batch in turn, not row after row
 #: 5: rows report ``max_ms`` (the sample maximum) in place of
 #: ``p95_ms``, which with 10–12 batches was that same maximum; the
 #: multi-query scaling block is gone
@@ -75,7 +88,7 @@ __all__ = [
 #: to the new ``index`` field
 #: 2: added the skewed workload rows, the ag2_quadtree monitor and the
 #: per-row ``backend`` field (PR 6)
-BENCH_SCHEMA = 5
+BENCH_SCHEMA = 6
 
 #: benchmark dataset label -> repro.datasets workload name
 BENCH_DATASETS = {"uniform": "synthetic", "gaussian": "geolife_like"}
@@ -110,17 +123,17 @@ BENCH_SKEW_MONITORS = ("naive", "ag2", "ag2_quadtree")
 
 @dataclass(frozen=True, slots=True)
 class BenchProfile:
-    """One benchmark sizing; ``full`` for the committed baseline,
-    ``quick`` for the CI smoke job."""
+    """One benchmark sizing; ``quick`` for the committed baseline and
+    the CI smoke job, ``full`` for a longer run by hand."""
 
     window_size: int
     batch_size: int
     batches: int
     rect_side: float = 1000.0
     domain: float = 140_000.0
-    #: interleaved measurement rounds per dataset; every row's numbers
-    #: come from per-batch minima across rounds (see
-    #: ``run_profile_suite.run_dataset`` for the noise argument).
+    #: measurement rounds per dataset; every row's numbers come from
+    #: per-batch minima across rounds (see ``_time_round`` for the
+    #: noise argument).
     repeats: int = 1
 
 
@@ -134,44 +147,72 @@ PROFILES: Dict[str, BenchProfile] = {
 }
 
 
-def _time_once(
+def _prime(
     monitor: MaxRSMonitor, profile: BenchProfile, dataset: str, seed: int
-) -> List[float]:
-    """Prime the window untimed, then time ``batches`` updates (s).
+) -> List[list]:
+    """Bring ``monitor`` to its steady state untimed and return the
+    ``batches`` it is to be timed on.
 
-    Every row starts from the same heap state: the previous row's
-    garbage is collected up front, and the collector is paused while
-    the clock runs.  Without this the rows are order-biased — later
-    monitors inherit a bigger heap and pay the earlier rows' GC pauses
-    inside their timed region, which showed up as ±30% swings when the
-    suite order was shuffled.
+    The window is filled in one ingest, then one full window turnover
+    runs before the clock starts: the one-shot priming ingest leaves
+    every monitor in an atypical state, and per-batch cost ramps to its
+    steady plateau only once the primed cohort has expired (G2's climbs
+    ~20x over that span, naive's falls ~2x).  Timing from the plateau
+    measures what a long-running monitor actually costs per batch.
     """
     stream = make_stream(dataset, domain=profile.domain, seed=seed)
     monitor.ingest(stream.take(profile.window_size))
-    # One full window turnover untimed before the clock starts: the
-    # one-shot priming ingest leaves every monitor in an atypical
-    # state, and per-batch cost ramps to its steady plateau only once
-    # the primed cohort has expired (G2's climbs ~20x over that span,
-    # naive's falls ~2x).  Timing from the plateau measures what a
-    # long-running monitor actually costs per batch.
     turnover = -(-profile.window_size // profile.batch_size)
     for _ in range(turnover):
         monitor.update(stream.take(profile.batch_size))
-    batches = [stream.take(profile.batch_size) for _ in range(profile.batches)]
+    return [stream.take(profile.batch_size) for _ in range(profile.batches)]
+
+
+def _time_round(
+    labels: Sequence[str], profile: BenchProfile, dataset: str, seed: int
+) -> tuple[Dict[str, List[float]], Dict[str, str]]:
+    """One measurement round: per-batch update times (s) of every
+    monitor in ``labels``, and the spatial index of each.
+
+    Every monitor is built and primed first; then batch ``i`` is timed
+    on each monitor back to back before batch ``i + 1`` is timed on
+    any.  The monitors' ``i``-th samples are thus milliseconds apart,
+    so a slow phase of the host (co-tenant load, frequency scaling)
+    lands on naive and on the monitor it is divided by alike, and
+    cancels out of ``speedup_vs_naive``.  Such phases last seconds,
+    and naive's batch is ~1 ms with the compiled sweep, so rows timed
+    one after another drifted apart by up to 1.6x.  Garbage is
+    collected before the clock starts and the collector is paused
+    while it runs, so no monitor pays for another's garbage inside its
+    timed region.
+    """
+    monitors = {
+        label: BENCH_MONITORS[label](profile.rect_side, profile.window_size)
+        for label in labels
+    }
+    batches = {
+        label: _prime(monitor, profile, dataset, seed)
+        for label, monitor in monitors.items()
+    }
+    times: Dict[str, List[float]] = {label: [] for label in labels}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         perf = time.perf_counter
-        times: List[float] = []
-        for batch in batches:
-            start = perf()
-            monitor.update(batch)
-            times.append(perf() - start)
+        for i in range(profile.batches):
+            for label in labels:
+                update = monitors[label].update
+                batch = batches[label][i]
+                start = perf()
+                update(batch)
+                times[label].append(perf() - start)
     finally:
         if was_enabled:
             gc.enable()
-    return times
+    return times, {
+        label: monitor.index_backend for label, monitor in monitors.items()
+    }
 
 
 def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
@@ -186,36 +227,25 @@ def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
     def run_dataset(
         ds_label: str, dataset: str, monitor_labels: Sequence[str]
     ) -> None:
-        """One dataset's rows, measured as interleaved rounds.
+        """One dataset's rows, from per-batch minima over rounds.
 
-        Each round times *every* monitor (naive included) back to back
-        over the identical seeded stream, and each batch keeps its
-        fastest observation across rounds.  Scheduler preemption and
-        page faults only ever *add* time, so the per-batch minimum
-        converges on the true cost as rounds accumulate; interleaving
-        the rounds means every monitor's minima sample the same span of
-        the host's speed history, so slow drift (frequency scaling,
-        allocator layout, co-tenant load) cannot land on one side of a
-        ratio only.  ``speedup_vs_naive`` — the number the CI gate
-        compares — is the ratio of these denoised means.  Single-shot
-        5-batch means swung ±20–30% between runs on a busy 1-CPU host,
-        tripping the 15% gate on pure noise; the minima hold rows
-        steady within a few percent.
+        Each round times every monitor (naive included) over the
+        identical seeded stream (see :func:`_time_round`), and each
+        batch keeps its fastest observation across rounds.  Scheduler
+        preemption and page faults only ever *add* time, so the
+        per-batch minimum converges on the true cost as rounds
+        accumulate.  ``speedup_vs_naive`` — the number the CI gate
+        compares — is the ratio of these denoised means.
         """
-        rounds = max(1, profile.repeats)
         best: Dict[str, List[float]] = {}
         indexes: Dict[str, str] = {}
-        for _ in range(rounds):
-            for label in monitor_labels:
-                monitor = BENCH_MONITORS[label](
-                    profile.rect_side, profile.window_size
+        for _ in range(max(1, profile.repeats)):
+            times, indexes = _time_round(monitor_labels, profile, dataset, seed)
+            for label, sample in times.items():
+                prev = best.get(label)
+                best[label] = (
+                    sample if prev is None else list(map(min, prev, sample))
                 )
-                indexes[label] = monitor.index_backend
-                times = _time_once(monitor, profile, dataset, seed)
-                if label in best:
-                    best[label] = [min(a, b) for a, b in zip(best[label], times)]
-                else:
-                    best[label] = times
         naive = best.get("naive")
         naive_mean_ms = sum(naive) / len(naive) * 1000.0 if naive else 0.0
         for label in monitor_labels:
@@ -262,6 +292,7 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "seed": seed,
         "cpu_count": os.cpu_count() or 1,
+        "sweep_kernel": planesweep.sweep_kernel(),
         "profiles": {name: run_profile_suite(name, seed) for name in profiles},
     }
 

@@ -8,7 +8,7 @@ Subcommands mirror the paper's evaluation artefacts::
     maxrs-stream topk --ks 1,10,25
     maxrs-stream ablation
     maxrs-stream profile --window 2000 --batches 10 --json metrics.json
-    maxrs-stream bench --seed 42 --out BENCH_PR9.json
+    maxrs-stream bench --profile quick --seed 42 --out BENCH_PR9.json
     maxrs-stream soak --scenario crash_recovery --wal-dir run.wal
     maxrs-stream wal inspect --dir run.wal
 

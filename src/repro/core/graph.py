@@ -18,6 +18,7 @@ mirrors ``space.weight``.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import Deque, Iterable
 
@@ -50,11 +51,12 @@ class Vertex:
         # len(neighbors) when `space` was last recomputed exactly; the
         # tail neighbors[swept_degree:] is Algorithm 5's R(ri)
         self.swept_degree = 0
-        # local_plane_sweep_cached state: the clipped (Rect, weight)
-        # items of neighbors[:clip_upto], valid because neighbour lists
-        # are append-only while the vertex is alive.  None until the
+        # local_plane_sweep_cached state: a flat array('d') of
+        # (x1, y1, x2, y2, weight) per item, the anchor then the clips
+        # of neighbors[:clip_upto], valid because neighbour lists are
+        # append-only while the vertex is alive.  None until the
         # vertex is first swept, so pruned vertices pay nothing.
-        self.clip_items: list[tuple[object, float]] | None = None
+        self.clip_items: array | None = None
         self.clip_upto = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -89,13 +91,29 @@ class CellGraph:
         counts the ``len(self.vertices)`` pairwise overlap tests.
         """
         rect = wr.rect
+        x1 = rect.x1
+        y1 = rect.y1
+        x2 = rect.x2
+        y2 = rect.y2
+        weight = wr.weight
         touched: list[Vertex] = []
-        for v in self.vertices:
-            if v.wr.rect.overlaps(rect):
-                v.neighbors.append(wr)
-                v.upper += wr.weight
-                v.dirty = True
-                touched.append(v)
+        # Rect.overlaps, inlined: this loop is aG2's and G2's hottest
+        # Python.  A degenerate rectangle overlaps nothing.
+        if x1 != x2 and y1 != y2:
+            for v in self.vertices:
+                r = v.wr.rect
+                if (
+                    r.x1 < x2
+                    and x1 < r.x2
+                    and r.y1 < y2
+                    and y1 < r.y2
+                    and r.x1 != r.x2
+                    and r.y1 != r.y2
+                ):
+                    v.neighbors.append(wr)
+                    v.upper += weight
+                    v.dirty = True
+                    touched.append(v)
         vertex = Vertex(wr, seq)
         self.vertices.append(vertex)
         return vertex, touched

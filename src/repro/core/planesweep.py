@@ -25,18 +25,32 @@ Reported regions are elementary cells of the sweep arrangement: a
 sub-rectangle of the (possibly wider) maximal-weight space.  Every
 interior point attains the reported weight, which is all MaxRS needs.
 
-Hot-path notes (docs/PERFORMANCE.md): events are 6-tuples
-``(y, kind, seq, lo_slot, hi_slot, weight)`` sorted *natively* — the
-``seq`` component reproduces the stable-sort tie order a ``key=``
-lambda used to provide, without calling back into Python per
-comparison — and sweeps borrow a pooled segment tree via
-:func:`_acquire_tree` / :func:`_release_tree` instead of allocating
-three ``O(n)`` lists per sweep.
+Hot path (docs/PERFORMANCE.md §1-§2): every max sweep runs one
+compiled C kernel, ``_sweep.c``, a port of :func:`_prepare`,
+:meth:`MaxCoverSegmentTree.add` and the group loop of
+:func:`_sweep_python` that returns the same answer bit for bit.  Its
+input is a flat ``array('d')`` of 5 doubles per item,
+``(x1, y1, x2, y2, weight)``; a graph vertex keeps its clipped items in
+such a buffer, so a re-sweep hands the kernel a pointer and a count.
+The kernel is compiled with gcc on first import into a per-user cache
+and loaded with :mod:`ctypes`.  Without a compiler, or when building or
+loading fails, the Python tree below runs instead: it is the reference
+and the fallback.  Its events are 6-tuples
+``(y, kind, seq, lo_slot, hi_slot, weight)`` sorted natively (``seq``
+reproduces the stable-sort tie order), and it borrows a pooled segment
+tree via :func:`_acquire_tree` / :func:`_release_tree`.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import sysconfig
+import tempfile
+import warnings
+from array import array
 from bisect import bisect_left
+from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.geometry import Rect
@@ -44,6 +58,14 @@ from repro.core.objects import WeightedRect
 from repro.core.segment_tree import MaxCoverSegmentTree
 from repro.core.spaces import Region
 from repro.errors import InvalidParameterError
+
+try:  # CPython's own SHA-256; hashlib's OpenSSL adds ~3.7 MiB of RSS
+    from _sha256 import sha256  # Python <= 3.11
+except ImportError:  # pragma: no cover - depends on the Python version
+    try:
+        from _sha2 import sha256  # Python >= 3.12
+    except ImportError:
+        from hashlib import sha256
 
 if TYPE_CHECKING:  # graph imports nothing from here; annotation only
     from repro.core.graph import Vertex
@@ -58,6 +80,133 @@ __all__ = [
 
 _REMOVE = 0
 _INSERT = 1
+
+#: result of a flat sweep: ``(weight, x1, y1, x2, y2)``
+_Cell = Sequence[float]
+
+# -- the compiled kernel -----------------------------------------------
+
+_C_SOURCE = Path(__file__).with_name("_sweep.c")
+#: no fast-math and no fused multiply-add: each double add must round
+#: exactly as CPython's float add does
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+
+def _cache_dir() -> Path:
+    """The per-user directory the compiled kernel is cached in."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
+        os.path.expanduser("~"), ".cache"
+    )
+    if not os.path.isabs(base):  # never a cache relative to the working dir
+        raise OSError(f"no per-user cache directory (got {base!r})")
+    return Path(base) / "repro-maxrs"
+
+
+def _build(target: Path) -> None:
+    """Compile ``_sweep.c`` to ``target``, atomically; raises ``OSError``
+    on any failure."""
+    import subprocess
+
+    cc = shutil.which("gcc") or shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler (gcc or cc) on PATH")
+    target.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(suffix=_EXT_SUFFIX, dir=target.parent)
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(_C_SOURCE)],
+            check=True, capture_output=True, timeout=120,
+        )
+        os.replace(tmp, target)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"{cc} could not build {_C_SOURCE.name}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _kernel_name() -> str:
+    """The cached library's file name: a SHA-256 of the C source, the
+    flags and the interpreter's extension suffix."""
+    digest = sha256(_C_SOURCE.read_bytes())
+    digest.update(" ".join(_CFLAGS).encode())
+    digest.update(_EXT_SUFFIX.encode())
+    return f"_sweep-{digest.hexdigest()[:16]}{_EXT_SUFFIX}"
+
+
+def _load_kernel():
+    """The compiled ``maxrs_sweep`` entry point, or ``None``.
+
+    Loads the cached library, building it first when missing, and
+    rebuilds it once when a cached file does not load (damaged, or
+    built on a host with another C library).  On any failure after
+    that it warns and leaves the Python tree in charge.
+    """
+    try:
+        import ctypes
+
+        path = _cache_dir() / _kernel_name()
+        built = not path.exists()
+        if built:
+            _build(path)
+        # PyDLL keeps the GIL for the call, so no other thread can
+        # resize a vertex's buffer while the kernel reads it
+        try:
+            library = ctypes.PyDLL(str(path))
+        except OSError:
+            if built:
+                raise
+            _build(path)
+            library = ctypes.PyDLL(str(path))
+        kernel = library.maxrs_sweep
+    except (ImportError, OSError, AttributeError) as exc:
+        warnings.warn(
+            f"compiled sweep kernel unavailable ({exc}); "
+            "sweeps run on the slower Python segment tree",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+    kernel.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+#: resolved once, at import, never inside a timed update
+_KERNEL = _load_kernel()
+#: initial contents of the kernel's per-call output buffer
+_OUT = (0.0,) * 5
+
+
+def sweep_kernel() -> str:
+    """``"compiled"`` when the C kernel runs the max sweeps, else
+    ``"python"`` (bench documents record it)."""
+    return "python" if _KERNEL is None else "compiled"
+
+
+def _sweep_flat(buf: array) -> _Cell | None:
+    """``(weight, x1, y1, x2, y2)`` of a maximum-weight cell of the flat
+    items in ``buf``, or ``None`` when no item has positive area."""
+    kernel = _KERNEL
+    if kernel is None:
+        return _sweep_python(buf)
+    out = array("d", _OUT)
+    found = kernel(buf.buffer_info()[0], len(buf) // 5, out.buffer_info()[0])
+    if found < 0:
+        raise MemoryError("plane sweep kernel out of memory")
+    return out if found else None
+
+
+def _pack(items: Iterable[tuple[Rect, float]]) -> array:
+    """``(rect, weight)`` pairs as a flat ``array('d')``, 5 per item."""
+    return array(
+        "d", [v for r, w in items for v in (r.x1, r.y1, r.x2, r.y2, w)]
+    )
+
+
+# -- the Python tree: reference and fallback ------------------------------
 
 # Pool of reusable segment trees: a sweep borrows one, resets it to the
 # needed slot count (reusing the backing arrays), and returns it.  Kept
@@ -80,11 +229,11 @@ def _release_tree(tree: MaxCoverSegmentTree) -> None:
 
 
 def _prepare(
-    items: Sequence[tuple[Rect, float]],
+    buf: array,
 ) -> tuple[list[float], list[tuple[float, int, int, int, int, float]]] | None:
     """Build the slot coordinate array and the y-sorted event list.
 
-    Returns ``None`` when no rectangle has positive area.  Each event is
+    Returns ``None`` when no item has positive area.  Each event is
     ``(y, kind, seq, lo_slot, hi_slot, weight)``; removals sort before
     insertions at equal ``y`` so that every queried strip has positive
     height (strict-interior semantics), and the per-rectangle ``seq``
@@ -92,14 +241,14 @@ def _prepare(
     """
     xs_all: list[float] = []
     push_x = xs_all.append
-    live: list[tuple[Rect, float]] = []
+    live: list[int] = []
     push_live = live.append
-    for rect, w in items:
-        x1 = rect.x1
-        x2 = rect.x2
-        if x1 == x2 or rect.y1 == rect.y2:  # degenerate: empty interior
+    for i in range(0, len(buf), 5):
+        x1 = buf[i]
+        x2 = buf[i + 2]
+        if x1 == x2 or buf[i + 1] == buf[i + 3]:  # empty interior
             continue
-        push_live((rect, w))
+        push_live(i)
         push_x(x1)
         push_x(x2)
     if not live:
@@ -115,11 +264,12 @@ def _prepare(
     events: list[tuple[float, int, int, int, int, float]] = []
     push_event = events.append
     seq = 0
-    for rect, w in live:
-        lo = bisect_left(xs, rect.x1)
-        hi = bisect_left(xs, rect.x2) - 1
-        push_event((rect.y1, _INSERT, seq, lo, hi, w))
-        push_event((rect.y2, _REMOVE, seq, lo, hi, w))
+    for i in live:
+        lo = bisect_left(xs, buf[i])
+        hi = bisect_left(xs, buf[i + 2]) - 1
+        w = buf[i + 4]
+        push_event((buf[i + 1], _INSERT, seq, lo, hi, w))
+        push_event((buf[i + 3], _REMOVE, seq, lo, hi, w))
         seq += 1
     events.sort()
     return xs, events
@@ -152,15 +302,9 @@ def _iter_y_groups(
             yield y, events[i][0], inserted
 
 
-def sweep_items_max(
-    items: Sequence[tuple[Rect, float]],
-) -> tuple[float, Rect] | None:
-    """Core sweep over ``(rect, weight)`` pairs.
-
-    Returns ``(weight, region_rect)`` of a maximum-weight overlap space,
-    or ``None`` when no rectangle has positive area.
-    """
-    prepared = _prepare(items)
+def _sweep_python(buf: array) -> _Cell | None:
+    """The Python tree's answer to :func:`_sweep_flat`."""
+    prepared = _prepare(buf)
     if prepared is None:
         return None
     xs, events = prepared
@@ -180,7 +324,22 @@ def sweep_items_max(
     if best is None:
         return None
     slot, y, y_next = best
-    return best_w, Rect(xs[slot], y, xs[slot + 1], y_next)
+    return best_w, xs[slot], y, xs[slot + 1], y_next
+
+
+def sweep_items_max(
+    items: Sequence[tuple[Rect, float]],
+) -> tuple[float, Rect] | None:
+    """Core sweep over ``(rect, weight)`` pairs.
+
+    Returns ``(weight, region_rect)`` of a maximum-weight overlap space,
+    or ``None`` when no rectangle has positive area.
+    """
+    cell = _sweep_flat(_pack(items))
+    if cell is None:
+        return None
+    w, x1, y1, x2, y2 = cell
+    return w, Rect(x1, y1, x2, y2)
 
 
 def plane_sweep_max(rects: Sequence[WeightedRect]) -> Region | None:
@@ -190,11 +349,11 @@ def plane_sweep_max(rects: Sequence[WeightedRect]) -> Region | None:
     range-sum; ``None`` iff ``rects`` contains no positive-area
     rectangle.
     """
-    result = sweep_items_max([(wr.rect, wr.weight) for wr in rects])
-    if result is None:
+    cell = _sweep_flat(_pack((wr.rect, wr.weight) for wr in rects))
+    if cell is None:
         return None
-    weight, rect = result
-    return Region(rect=rect, weight=weight)
+    w, x1, y1, x2, y2 = cell
+    return Region(rect=Rect(x1, y1, x2, y2), weight=w)
 
 
 def plane_sweep_topk(rects: Sequence[WeightedRect], k: int) -> list[Region]:
@@ -207,7 +366,7 @@ def plane_sweep_topk(rects: Sequence[WeightedRect], k: int) -> list[Region]:
     """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
-    prepared = _prepare([(wr.rect, wr.weight) for wr in rects])
+    prepared = _prepare(_pack((wr.rect, wr.weight) for wr in rects))
     if prepared is None:
         return []
     xs, events = prepared
@@ -235,42 +394,40 @@ def plane_sweep_topk(rects: Sequence[WeightedRect], k: int) -> list[Region]:
     ]
 
 
-def _clip_items(
-    anchor: WeightedRect, neighbors: Sequence[WeightedRect]
-) -> list[tuple[Rect, float]]:
-    """``[(anchor, w)] + [(nb ∩ anchor, w) ...]`` skipping empty clips."""
-    rect = anchor.rect
-    ax1 = rect.x1
-    ay1 = rect.y1
-    ax2 = rect.x2
-    ay2 = rect.y2
-    items: list[tuple[Rect, float]] = [(rect, anchor.weight)]
-    push = items.append
-    for nb in neighbors:
+def _clip_into(
+    buf: array, anchor: Rect, neighbors: Sequence[WeightedRect], start: int
+) -> None:
+    """Append ``(nb ∩ anchor, w)`` for ``neighbors[start:]`` to ``buf``,
+    skipping empty clips."""
+    ax1 = anchor.x1
+    ay1 = anchor.y1
+    ax2 = anchor.x2
+    ay2 = anchor.y2
+    push = buf.extend
+    for idx in range(start, len(neighbors)):
+        nb = neighbors[idx]
         r = nb.rect
         x1 = r.x1 if r.x1 > ax1 else ax1
         y1 = r.y1 if r.y1 > ay1 else ay1
         x2 = r.x2 if r.x2 < ax2 else ax2
         y2 = r.y2 if r.y2 < ay2 else ay2
         if x1 < x2 and y1 < y2:
-            push((Rect(x1, y1, x2, y2), nb.weight))
-    return items
+            push((x1, y1, x2, y2, nb.weight))
 
 
-def _sweep_clipped(
-    anchor: WeightedRect, items: list[tuple[Rect, float]]
-) -> Region:
-    if len(items) == 1:
+def _anchor_buf(anchor: WeightedRect) -> array:
+    r = anchor.rect
+    return array("d", (r.x1, r.y1, r.x2, r.y2, anchor.weight))
+
+
+def _sweep_clipped(anchor: WeightedRect, buf: array) -> Region:
+    cell = _sweep_flat(buf) if len(buf) > 5 else None
+    if cell is None:  # no clipped neighbour, or nothing of positive area
         return Region(
             rect=anchor.rect, weight=anchor.weight, anchor_oid=anchor.oid
         )
-    result = sweep_items_max(items)
-    if result is None:  # anchor degenerate and nothing else: weight only
-        return Region(
-            rect=anchor.rect, weight=anchor.weight, anchor_oid=anchor.oid
-        )
-    weight, rect = result
-    return Region(rect=rect, weight=weight, anchor_oid=anchor.oid)
+    w, x1, y1, x2, y2 = cell
+    return Region(rect=Rect(x1, y1, x2, y2), weight=w, anchor_oid=anchor.oid)
 
 
 def local_plane_sweep(
@@ -285,7 +442,9 @@ def local_plane_sweep(
     returned.  The result carries ``anchor_oid`` so graph-based monitors
     can de-duplicate spaces by anchor (Property 1).
     """
-    return _sweep_clipped(anchor, _clip_items(anchor, neighbors))
+    buf = _anchor_buf(anchor)
+    _clip_into(buf, anchor.rect, neighbors, 0)
+    return _sweep_clipped(anchor, buf)
 
 
 def local_plane_sweep_cached(vertex: "Vertex") -> Region:
@@ -293,32 +452,19 @@ def local_plane_sweep_cached(vertex: "Vertex") -> Region:
 
     A vertex's neighbour list is append-only while it is alive
     (Property 3: expiry removes whole vertices, never edges), so the
-    clipped ``(Rect, weight)`` items of neighbours already processed by
-    a previous sweep of the same vertex are still valid.  Only
-    ``neighbors[clip_upto:]`` — the arrivals since the last sweep — are
-    clipped here; the result is identical to the uncached reference
-    (tests assert it item-for-item).
+    clipped items of neighbours already processed by a previous sweep
+    of the same vertex are still valid.  They live in the vertex's flat
+    ``clip_items`` buffer, anchor first; only ``neighbors[clip_upto:]``
+    — the arrivals since the last sweep — are clipped here.  The result
+    is identical to the uncached reference (tests assert it).
     """
     anchor = vertex.wr
-    items = vertex.clip_items
-    if items is None:
-        items = vertex.clip_items = [(anchor.rect, anchor.weight)]
+    buf = vertex.clip_items
+    if buf is None:
+        buf = vertex.clip_items = _anchor_buf(anchor)
     neighbors = vertex.neighbors
     start = vertex.clip_upto
     if start < len(neighbors):
-        rect = anchor.rect
-        ax1 = rect.x1
-        ay1 = rect.y1
-        ax2 = rect.x2
-        ay2 = rect.y2
-        push = items.append
-        for idx in range(start, len(neighbors)):
-            r = neighbors[idx].rect
-            x1 = r.x1 if r.x1 > ax1 else ax1
-            y1 = r.y1 if r.y1 > ay1 else ay1
-            x2 = r.x2 if r.x2 < ax2 else ax2
-            y2 = r.y2 if r.y2 < ay2 else ay2
-            if x1 < x2 and y1 < y2:
-                push((Rect(x1, y1, x2, y2), neighbors[idx].weight))
+        _clip_into(buf, anchor.rect, neighbors, start)
         vertex.clip_upto = len(neighbors)
-    return _sweep_clipped(anchor, items)
+    return _sweep_clipped(anchor, buf)

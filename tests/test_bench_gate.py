@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro.bench.bench as bench_mod
+from repro.core import planesweep
 from repro.bench import (
     BENCH_DATASETS,
     BENCH_MONITORS,
@@ -63,6 +64,7 @@ class TestRunBench:
         assert tiny_doc["schema"] == bench_mod.BENCH_SCHEMA
         assert tiny_doc["seed"] == 42
         assert tiny_doc["cpu_count"] >= 1
+        assert tiny_doc["sweep_kernel"] == planesweep.sweep_kernel()
         rows = tiny_doc["profiles"]["tiny"]["rows"]
         seen = [(r["monitor"], r["dataset"]) for r in rows]
         expected = {(m, d) for m in BENCH_MONITORS for d in BENCH_DATASETS}
@@ -256,6 +258,23 @@ class TestBenchGate:
         cur = self._write(tmp_path, "cur.json", other)
         failures = gate.check_bench(cur, base, tolerance=0.15)
         assert any("zero rows" in f for f in failures)
+
+    def test_kernel_mismatch_fails_with_a_clear_message(self, gate, tmp_path):
+        """Identical speedups still fail when the kernels differ; a
+        baseline without the field ran the Python tree."""
+        compiled = _fake_doc(ag2_speedup=3.0)
+        compiled["sweep_kernel"] = "compiled"
+        legacy = _fake_doc(ag2_speedup=3.0)
+        base = self._write(tmp_path, "base.json", legacy)
+        cur = self._write(tmp_path, "cur.json", compiled)
+        failures = gate.check_bench(cur, base, tolerance=0.15)
+        assert len(failures) == 1
+        assert "sweep kernel mismatch" in failures[0]
+        assert "compiled" in failures[0] and "python" in failures[0]
+        assert gate.main(["perf_gate.py", "--bench", cur, "--baseline", base]) == 1
+        legacy["sweep_kernel"] = "python"
+        same = self._write(tmp_path, "same.json", legacy)
+        assert gate.check_bench(same, base, tolerance=0.15) == []
 
     def test_bench_mode_needs_both_paths(self, gate, tmp_path):
         doc = self._write(tmp_path, "doc.json", _fake_doc(ag2_speedup=3.0))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from repro.core.geometry import Rect
 from repro.core.graph import CellGraph, Vertex
 from repro.core.objects import SpatialObject, WeightedRect
@@ -51,6 +53,31 @@ class TestCellGraph:
         va, _ = g.connect(wr(0, 0, 2, 2), 0)
         g.connect(wr(2, 0, 4, 2), 1)
         assert va.neighbors == []
+
+    def test_connect_edges_match_rect_overlaps(self):
+        """Every edge, and every missing one, is what ``Rect.overlaps``
+        says: shared boundaries, degenerate rectangles and signed zeros
+        included."""
+        rng = random.Random(11)
+        coords = [-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]
+        for _ in range(200):
+            g = CellGraph()
+            rects = []
+            for seq in range(8):
+                xa, xb = sorted(rng.choice(coords) for _ in range(2))
+                ya, yb = sorted(rng.choice(coords) for _ in range(2))
+                new = wr(xa, ya, xb, yb, w=rng.choice([0.0, 1.0, 2.5]))
+                expected = [
+                    v for v in g.vertices if v.wr.rect.overlaps(new.rect)
+                ]
+                _, touched = g.connect(new, seq)
+                assert touched == expected
+                rects.append(new)
+            for v in g.vertices:
+                later = rects[v.seq + 1:]
+                assert v.neighbors == [
+                    o for o in later if v.wr.rect.overlaps(o.rect)
+                ]
 
     def test_multiple_older_vertices_gain_edges(self):
         g = CellGraph()

@@ -15,6 +15,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import planesweep
 from repro.core.geometry import Rect
 from repro.core.graph import Vertex
 from repro.core.objects import SpatialObject, WeightedRect
@@ -69,7 +70,10 @@ class TestCachedSweep:
         local_plane_sweep_cached(v)
         assert v.clip_items is not None
 
-    def test_pool_bounded_and_reused(self):
+    def test_pool_bounded_and_reused(self, monkeypatch):
+        # the pool belongs to the Python tree; the compiled kernel never
+        # touches it, so pin it under the forced Python fallback
+        monkeypatch.setattr(planesweep, "_KERNEL", None)
         rng = random.Random(5)
         anchor = _wrect(rng)
         v = Vertex(anchor, seq=0)
