@@ -24,12 +24,9 @@ ratio *within* one run on one machine, so absolute host speed cancels
 out; what remains is the algorithmic advantage over the naive
 recompute, which is exactly what a kernel regression erodes.  The gate
 fails when any indexed monitor's speedup falls more than
-``--tolerance`` (default 15%) below the baseline row.  When both aG2
-spatial indexes appear on a dataset in both documents, the
-*adaptive-index advantage* — quadtree-aG2 speedup over uniform-grid-aG2
-speedup — is additionally gated against the baseline's advantage at
-twice the tolerance (the advantage is a ratio of two independently
-gated ratios).  Both documents must name the same ``sweep_kernel``
+``--tolerance`` (default 15%) below the baseline row; each monitor
+label names exactly one index, so the failure names the offending
+index too.  Both documents must name the same ``sweep_kernel``
 (``compiled`` or ``python``; documents older than bench schema 6 ran
 the Python tree): the compiled kernel speeds naive up far more than
 the indexed monitors, so speedups across kernels are not comparable.
@@ -49,12 +46,7 @@ import json
 import sys
 
 #: monitors whose speedup_vs_naive is gated (naive is the denominator)
-GATED_MONITORS = ("g2", "ag2", "ag2_quadtree", "rtree", "topk")
-
-#: datasets where the adaptive-index advantage (quadtree aG2 speedup
-#: over uniform-grid aG2 speedup, within one run) is gated against the
-#: baseline's advantage — the skewed rows exist for this comparison
-ADVANTAGE_DATASETS = ("gaussian", "gauss_static", "gauss_drift", "powerlaw")
+GATED_MONITORS = ("g2", "ag2", "rtree", "topk")
 
 
 def check(metrics_path: str) -> list[str]:
@@ -120,13 +112,6 @@ def _row_index(doc: dict) -> dict:
     return index
 
 
-def _spatial_index_of(doc: dict, row: dict) -> str:
-    """The spatial index that produced a row (for diagnostics)."""
-    if doc.get("schema", 1) >= 3:
-        return row.get("index", "none")
-    return row.get("backend", "none")
-
-
 def check_bench(
     bench_path: str, baseline_path: str, tolerance: float
 ) -> list[str]:
@@ -169,10 +154,8 @@ def check_bench(
         cur_speedup = cur_row["speedup_vs_naive"]
         floor = base_speedup * (1.0 - tolerance)
         if cur_speedup < floor:
-            spatial = _spatial_index_of(current, cur_row)
             failures.append(
-                f"kernel throughput regression: {monitor} "
-                f"[{spatial} index] on {dataset} "
+                f"kernel throughput regression: {monitor} on {dataset} "
                 f"({profile_name}) speedup_vs_naive {cur_speedup:.2f}x "
                 f"below floor {floor:.2f}x "
                 f"(baseline {base_speedup:.2f}x, tolerance {tolerance:.0%})"
@@ -182,40 +165,6 @@ def check_bench(
             "bench gate compared zero rows — profile names disagree "
             "between the baseline and the current document?"
         )
-
-    # adaptive-index advantage: quadtree-aG2 speedup over grid-aG2
-    # speedup, within one run, compared to the baseline's advantage.
-    # The advantage is a ratio of two independently gated ratios, so
-    # its tolerance composes both rows' allowances (2x the per-row
-    # tolerance) — otherwise +tol on one row and -tol on the other
-    # would flake a check that carries no new regression signal.
-    for profile_name in current.get("profiles", {}):
-        for dataset in ADVANTAGE_DATASETS:
-            values = []
-            for rows in (base_rows, cur_rows):
-                grid = rows.get((profile_name, "ag2", dataset))
-                quad = rows.get((profile_name, "ag2_quadtree", dataset))
-                if grid is None or quad is None:
-                    values = []
-                    break
-                grid_speedup = grid["speedup_vs_naive"]
-                quad_speedup = quad["speedup_vs_naive"]
-                if not grid_speedup or not quad_speedup:
-                    values = []
-                    break
-                values.append(quad_speedup / grid_speedup)
-            if not values:
-                continue
-            base_adv, cur_adv = values
-            floor = base_adv * (1.0 - 2.0 * tolerance)
-            if cur_adv < floor:
-                failures.append(
-                    "adaptive-index advantage regression: "
-                    f"ag2_quadtree/ag2 on {dataset} ({profile_name}) "
-                    f"advantage {cur_adv:.2f}x below floor {floor:.2f}x "
-                    f"(baseline {base_adv:.2f}x, tolerance "
-                    f"{2.0 * tolerance:.0%})"
-                )
     return failures
 
 

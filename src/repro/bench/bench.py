@@ -9,10 +9,10 @@ canonical workloads (uniform = ``synthetic``, gaussian =
 * ``mean_ms`` / ``max_ms`` — mean and slowest per-batch update
   latency (``batches`` is 10–12, too few samples for a p95),
 * ``speedup_vs_naive`` — naive mean over this monitor's mean on the
-  *same* dataset in the *same* run,
-* ``index``       — the spatial index that produced the row
-  (``uniform-grid`` / ``quadtree`` / ``rtree`` / ``none``), so a gate
-  failure names the offending index, not just the algorithm label.
+  *same* dataset in the *same* run.
+
+Each monitor label names exactly one spatial index, so a gate failure
+on a row already names the offending index.
 
 The document also names the ``sweep_kernel`` that ran every sweep
 (``compiled`` or ``python``, see ``repro.core.planesweep``): the
@@ -20,9 +20,11 @@ compiled kernel speeds naive up far more than the indexed monitors,
 so speedups from different kernels are not comparable.
 
 Three *skewed* workloads (``gauss_static``, ``gauss_drift``,
-``powerlaw``) additionally run the skew-relevant subset — naive,
-uniform-grid aG2 and quadtree aG2 — to measure the adaptive index
-exactly where the flat grid degrades (see docs/PERFORMANCE.md).
+``powerlaw``) additionally run naive and aG2.  They pin aG2 where the
+uniform grid degrades: dense cells make every arrival's overlap
+search and local sweep expensive, and aG2 runs at 0.24–0.51x naive
+there in the committed baseline, its largest loss in the suite (see
+docs/PERFORMANCE.md).
 
 ``speedup_vs_naive`` is the number the CI gate compares across runs:
 it is a ratio *within* one run on one machine, so it tracks algorithmic
@@ -57,7 +59,6 @@ from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
-from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.rtree_monitor import RTreeMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.datasets import make_stream
@@ -77,6 +78,8 @@ __all__ = [
     "run_profile_suite",
 ]
 
+#: 7: rows drop the ``index`` field and the skew-adaptive aG2 monitor
+#: is gone; each monitor label names exactly one index
 #: 6: the document names its ``sweep_kernel`` (``compiled`` or
 #: ``python``); the gate refuses to compare across kernels.  Monitors
 #: are timed batch by batch in turn, not row after row
@@ -86,15 +89,15 @@ __all__ = [
 #: 4: rows drop the ``backend`` field; there is one sweep kernel
 #: 3: ``backend`` named the sweep kernel, and the spatial index moved
 #: to the new ``index`` field
-#: 2: added the skewed workload rows, the ag2_quadtree monitor and the
+#: 2: added the skewed workload rows, the skew-adaptive aG2 monitor and the
 #: per-row ``backend`` field (PR 6)
-BENCH_SCHEMA = 6
+BENCH_SCHEMA = 7
 
 #: benchmark dataset label -> repro.datasets workload name
 BENCH_DATASETS = {"uniform": "synthetic", "gaussian": "geolife_like"}
 
 #: skewed workload label -> repro.datasets workload name; these rows
-#: exist to measure the adaptive index where the flat grid degrades
+#: track aG2's largest loss to naive, where dense grid cells degrade it
 BENCH_SKEW_DATASETS = {
     "gauss_static": "hotspot_static",
     "gauss_drift": "hotspot_drift",
@@ -108,17 +111,14 @@ BENCH_MONITORS: Dict[str, MonitorFactory] = {
     "naive": lambda side, w: NaiveMonitor(side, side, CountWindow(w)),
     "g2": lambda side, w: G2Monitor(side, side, CountWindow(w)),
     "ag2": lambda side, w: AG2Monitor(side, side, CountWindow(w)),
-    "ag2_quadtree": lambda side, w: QuadtreeAG2Monitor(
-        side, side, CountWindow(w)
-    ),
     "rtree": lambda side, w: RTreeMonitor(side, side, CountWindow(w)),
     "topk": lambda side, w: TopKAG2Monitor(side, side, CountWindow(w), k=10),
 }
 
 #: the subset run on the skewed workloads: the naive denominator plus
-#: the two aG2 index backends under comparison (the full matrix would
-#: triple the suite's runtime for rows no gate consumes)
-BENCH_SKEW_MONITORS = ("naive", "ag2", "ag2_quadtree")
+#: aG2, the paper's monitor (the full matrix would triple the suite's
+#: runtime)
+BENCH_SKEW_MONITORS = ("naive", "ag2")
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,9 +170,9 @@ def _prime(
 
 def _time_round(
     labels: Sequence[str], profile: BenchProfile, dataset: str, seed: int
-) -> tuple[Dict[str, List[float]], Dict[str, str]]:
+) -> Dict[str, List[float]]:
     """One measurement round: per-batch update times (s) of every
-    monitor in ``labels``, and the spatial index of each.
+    monitor in ``labels``.
 
     Every monitor is built and primed first; then batch ``i`` is timed
     on each monitor back to back before batch ``i + 1`` is timed on
@@ -210,9 +210,7 @@ def _time_round(
     finally:
         if was_enabled:
             gc.enable()
-    return times, {
-        label: monitor.index_backend for label, monitor in monitors.items()
-    }
+    return times
 
 
 def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
@@ -238,9 +236,8 @@ def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
         compares — is the ratio of these denoised means.
         """
         best: Dict[str, List[float]] = {}
-        indexes: Dict[str, str] = {}
         for _ in range(max(1, profile.repeats)):
-            times, indexes = _time_round(monitor_labels, profile, dataset, seed)
+            times = _time_round(monitor_labels, profile, dataset, seed)
             for label, sample in times.items():
                 prev = best.get(label)
                 best[label] = (
@@ -256,7 +253,6 @@ def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
                 {
                     "monitor": label,
                     "dataset": ds_label,
-                    "index": indexes[label],
                     "ops_per_s": (
                         profile.batch_size * len(times) / total
                         if total > 0

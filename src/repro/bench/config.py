@@ -64,14 +64,8 @@ class ExperimentConfig:
     epsilon: float = 0.0
     k: int = 1
     cell_size: float | None = None
-    #: spatial index backing aG2: "grid" (paper) or "quadtree" (adaptive)
-    index: str = "grid"
 
     def __post_init__(self) -> None:
-        if self.index not in ("grid", "quadtree"):
-            raise InvalidParameterError(
-                f"index must be 'grid' or 'quadtree', got {self.index!r}"
-            )
         if self.window_size <= 0:
             raise InvalidParameterError("window_size must be positive")
         if self.batch_size <= 0:

@@ -12,8 +12,8 @@ JSON artefact (``scripts/perf_gate.py``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from repro.bench.config import ExperimentConfig
 from repro.bench.runners import ALGORITHMS, build_monitor
@@ -57,8 +57,6 @@ class ProfileReport:
     config: ExperimentConfig
     report: EngineReport
     primed: int
-    #: monitor name -> spatial index that produced its numbers
-    indexes: Dict[str, str] = field(default_factory=dict)
 
     def summary_rows(self) -> list[dict[str, object]]:
         """One row per monitor: mean update time + lifetime counters."""
@@ -67,7 +65,6 @@ class ProfileReport:
         for name, snap in self.report.metrics.items():
             row: dict[str, object] = {
                 "monitor": name,
-                "index": self.indexes.get(name, "none"),
                 "mean_ms": self.report.mean_ms(name),
             }
             for column in columns:
@@ -133,7 +130,6 @@ class ProfileReport:
         doc = self.report.to_dict()
         doc["config"] = asdict(self.config)
         doc["primed"] = self.primed
-        doc["indexes"] = dict(self.indexes)
         doc["derived_rates"] = self.rate_rows()
         return doc
 
@@ -155,9 +151,4 @@ def run_profile(
     )
     primed = engine.prime(cfg.window_size)
     report = engine.run(cfg.batches)
-    return ProfileReport(
-        config=cfg,
-        report=report,
-        primed=primed,
-        indexes={name: mon.index_backend for name, mon in monitors.items()},
-    )
+    return ProfileReport(config=cfg, report=report, primed=primed)

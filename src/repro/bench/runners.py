@@ -17,7 +17,6 @@ from repro.core.approx import practical_error
 from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
-from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.topk import TopKAG2Monitor
 from repro.core.upperbound import make_tightener
 from repro.datasets import make_stream
@@ -46,28 +45,10 @@ def build_monitor(
     window = CountWindow(cfg.window_size)
     side = cfg.rect_side
     if algorithm == "naive":
-        # index-free baseline: the index selection does not apply
         return NaiveMonitor(side, side, window, k=cfg.k)
     if algorithm == "g2":
-        if cfg.index == "quadtree":
-            raise InvalidParameterError(
-                "the quadtree index backs ag2 only; g2 is grid-only"
-            )
         return G2Monitor(side, side, window, cell_size=cfg.cell_size)
     if algorithm == "ag2":
-        if cfg.index == "quadtree":
-            if cfg.k > 1:
-                raise InvalidParameterError(
-                    "the quadtree index does not support top-k (k > 1)"
-                )
-            return QuadtreeAG2Monitor(
-                side,
-                side,
-                window,
-                tile_size=cfg.cell_size,
-                epsilon=cfg.epsilon,
-                tighten=make_tightener(tighten_mode),
-            )
         if cfg.k > 1:
             return TopKAG2Monitor(
                 side,

@@ -71,12 +71,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "--seed", type=int, default=DEFAULT_CONFIG.seed,
         help="stream seed (default: %(default)s)",
     )
-    parser.add_argument(
-        "--index", default=DEFAULT_CONFIG.index,
-        choices=("grid", "quadtree"),
-        help="spatial index backing aG2: the paper's uniform grid or "
-        "the skew-adaptive quadtree (default: %(default)s)",
-    )
 
 
 def _config(args: argparse.Namespace, **extra: object) -> ExperimentConfig:
@@ -88,7 +82,6 @@ def _config(args: argparse.Namespace, **extra: object) -> ExperimentConfig:
         domain=args.domain,
         batches=args.batches,
         seed=args.seed,
-        index=getattr(args, "index", DEFAULT_CONFIG.index),
     ).with_(**extra)
 
 
@@ -239,8 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="fixed-seed benchmark suite: every monitor x uniform/gaussian, "
-        "skewed-workload rows (static/drifting hotspot, power-law cities) "
-        "for the aG2 index backends; writes the JSON "
+        "plus naive and aG2 on skewed workloads (static/drifting "
+        "hotspot, power-law cities), where aG2 still loses to naive; "
+        "writes the JSON "
         "document the CI bench gate compares against the committed "
         "BENCH_PR9.json",
     )

@@ -16,11 +16,6 @@ from repro.core.planesweep import (
     plane_sweep_max,
     plane_sweep_topk,
 )
-from repro.core.quadtree import (
-    QuadtreeAG2Monitor,
-    QuadtreeIndex,
-    default_tile_size,
-)
 from repro.core.sampling import (
     SamplingMonitor,
     sample_maxrs,
@@ -48,8 +43,6 @@ __all__ = [
     "MaxRSResult",
     "MonitorStats",
     "NaiveMonitor",
-    "QuadtreeAG2Monitor",
-    "QuadtreeIndex",
     "RTree",
     "RTreeMonitor",
     "Rect",
@@ -62,7 +55,6 @@ __all__ = [
     "bounding_box",
     "conditional_tightener",
     "default_cell_size",
-    "default_tile_size",
     "local_plane_sweep",
     "plane_sweep_all_max",
     "sample_maxrs",

@@ -92,8 +92,6 @@ class AG2Monitor(MaxRSMonitor):
         cell_size: Grid resolution; defaults to twice the query size.
     """
 
-    index_backend = "uniform-grid"
-
     def __init__(
         self,
         rect_width: float,

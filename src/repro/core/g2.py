@@ -58,8 +58,6 @@ class _G2Cell:
 class G2Monitor(MaxRSMonitor):
     """Basic incremental monitor using the G2 index (Algorithm 1)."""
 
-    index_backend = "uniform-grid"
-
     def __init__(
         self,
         rect_width: float,

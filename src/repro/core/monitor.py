@@ -77,11 +77,6 @@ class MaxRSMonitor(ABC):
             :meth:`update` rather than mutating the window directly.
     """
 
-    #: which spatial index backs this monitor ("none" for index-free
-    #: baselines); benchmark/profile rows carry it so a perf-gate
-    #: failure names the offending index, not just the algorithm
-    index_backend: str = "none"
-
     def __init__(
         self,
         rect_width: float,

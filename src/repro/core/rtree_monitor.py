@@ -34,8 +34,6 @@ __all__ = ["RTreeMonitor"]
 class RTreeMonitor(MaxRSMonitor):
     """Incremental exact MaxRS monitor backed by an R-tree (ablation)."""
 
-    index_backend = "rtree"
-
     def __init__(
         self,
         rect_width: float,

@@ -123,9 +123,9 @@ def make_hotspot_static(
 ) -> StreamSource:
     """Single stationary Gaussian hotspot holding ~90% of the stream.
 
-    The purest skew stress: a flat grid funnels nearly everything into
-    a handful of cells, while an adaptive index can refine exactly the
-    hotspot and answer from small leaves.
+    The purest skew stress: a uniform grid funnels nearly everything
+    into a handful of cells, whose overlap graphs and local sweeps then
+    dominate every aG2 update.
     """
     return HotspotMixtureStream(
         hotspots=[Hotspot(cx=0.5, cy=0.5, sigma=0.02, share=0.9)],
@@ -141,9 +141,8 @@ def make_hotspot_drift(
 ) -> StreamSource:
     """Two tight hotspots orbiting the domain centre.
 
-    Exercises the merge half of an adaptive split/merge policy: the
-    refined region must follow the mass, so structure built behind the
-    hotspot has to be torn down (or it accumulates as dead resolution).
+    The dense cells move with the mass, so aG2's expensive cells change
+    over time instead of staying put as on :func:`make_hotspot_static`.
     """
     return DriftingHotspotStream(
         hotspots=[
@@ -172,8 +171,8 @@ def make_powerlaw_cities(
     dominant metros plus a long tail of small towns, the classic urban
     population law.  Positions are seeded-random, so different seeds
     give different maps but the same skew profile.  Unlike the
-    single-hotspot workloads this one needs *several* refinement depths
-    simultaneously: deep leaves in the metros, coarse tiles in the tail.
+    single-hotspot workloads this one mixes densities at once: a few
+    crowded grid cells in the metros, sparse ones in the tail.
     """
     placer = random.Random(seed ^ 0x5EED)
     hotspots = [

@@ -36,7 +36,6 @@ from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
-from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import InvalidParameterError, SnapshotError
 from repro.window import CountWindow, SlidingWindow, TimeWindow
@@ -56,8 +55,10 @@ _MONITOR_KINDS = {
     "naive": NaiveMonitor,
     "g2": G2Monitor,
     "ag2": AG2Monitor,
-    "ag2_quadtree": QuadtreeAG2Monitor,
     "topk": TopKAG2Monitor,
+    # the skew-adaptive quadtree aG2 index is gone; its checkpoints
+    # replay into grid aG2, which gives the same answers
+    "ag2_quadtree": AG2Monitor,
 }
 
 
@@ -65,8 +66,6 @@ def _monitor_kind(monitor: MaxRSMonitor) -> str:
     # subclass checks from most to least specific
     if isinstance(monitor, TopKAG2Monitor):
         return "topk"
-    if isinstance(monitor, QuadtreeAG2Monitor):
-        return "ag2_quadtree"
     if isinstance(monitor, AG2Monitor):
         return "ag2"
     if isinstance(monitor, G2Monitor):
@@ -105,17 +104,6 @@ def snapshot(monitor: MaxRSMonitor) -> dict[str, Any]:
     if isinstance(monitor, TopKAG2Monitor):
         extra["k"] = monitor.k
         extra["cell_size"] = monitor.grid.cell_size
-    elif isinstance(monitor, QuadtreeAG2Monitor):
-        # the adaptive structure itself is derived state — replaying
-        # the window through ingest() regrows an equivalent tree
-        extra["epsilon"] = monitor.epsilon
-        extra["tile_size"] = monitor.tree.tile_size
-        extra["min_leaf_size"] = monitor.tree.min_leaf_size
-        extra["split_occupancy"] = monitor.split_occupancy
-        extra["merge_occupancy"] = monitor.merge_occupancy
-        extra["split_load"] = monitor.split_load
-        extra["merge_load"] = monitor.merge_load
-        extra["load_decay"] = monitor.load_decay
     elif isinstance(monitor, AG2Monitor):
         extra["epsilon"] = monitor.epsilon
         extra["cell_size"] = monitor.grid.cell_size
@@ -153,7 +141,9 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
     rather than leaking ``KeyError``/``TypeError`` — both are
     :class:`~repro.errors.ReproError`, so recovery code has one thing
     to catch.  A snapshot without a ``tick`` (written before ticks were
-    recorded) restarts the tick at the bulk load's.
+    recorded) restarts the tick at the bulk load's.  A snapshot of the
+    deleted ``ag2_quadtree`` kind restores as a grid
+    :class:`AG2Monitor` that keeps only its ``epsilon``.
     """
     if not isinstance(state, dict):
         raise SnapshotError(
@@ -173,6 +163,10 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
         # older snapshots name the sweep kernel they ran on; every
         # kernel gave byte-identical answers, so the key carries nothing
         extra.pop("backend", None)
+        if kind == "ag2_quadtree":
+            # the other keys configured the deleted index; the grid
+            # runs at its default cell size
+            extra = {k: v for k, v in extra.items() if k == "epsilon"}
         monitor = cls(
             state["rect_width"], state["rect_height"], window, **extra
         )

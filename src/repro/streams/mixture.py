@@ -124,11 +124,9 @@ class HotspotMixtureStream(StreamSource):
 class DriftingHotspotStream(StreamSource):
     """Hotspots whose centres orbit their base positions over time.
 
-    This is the workload an *adaptive* spatial index must survive: the
-    mass concentration does not sit still, so any structure refined
-    around the current hotspot position must be torn down again as the
-    hotspot leaves — a static refinement (or an index without merging)
-    ends up paying for resolution where the data no longer is.
+    The mass concentration does not sit still, so the dense grid cells
+    that dominate an aG2 update move with it: a cell crowded one
+    period is sparse the next.
 
     Each hotspot's centre traces a circle of radius ``drift_radius``
     (a fraction of the domain) around its base position, completing one

@@ -76,18 +76,14 @@ class TestRunBench:
         assert len(seen) == len(set(seen))
         assert set(seen) == expected
         for row in rows:
+            assert set(row) == {
+                "monitor", "dataset", "ops_per_s", "mean_ms", "max_ms",
+                "speedup_vs_naive",
+            }
             assert row["ops_per_s"] > 0
             assert row["mean_ms"] > 0
             assert row["max_ms"] >= row["mean_ms"] > 0
             assert row["speedup_vs_naive"] > 0
-
-    def test_rows_name_their_index(self, tiny_doc):
-        rows = tiny_doc["profiles"]["tiny"]["rows"]
-        indexes = {r["monitor"]: r["index"] for r in rows}
-        assert indexes["naive"] == "none"
-        assert indexes["ag2"] == "uniform-grid"
-        assert indexes["ag2_quadtree"] == "quadtree"
-        assert indexes["rtree"] == "rtree"
 
     def test_naive_speedup_is_exactly_one(self, tiny_doc):
         for row in tiny_doc["profiles"]["tiny"]["rows"]:
@@ -124,28 +120,20 @@ def _fake_doc(ag2_speedup: float) -> dict:
     }
 
 
-def _fake_skew_doc(grid_speedup: float, quad_speedup: float) -> dict:
-    """A document carrying both aG2 backends on a skewed dataset, so
-    the adaptive-index advantage check has something to compare."""
+def _fake_skew_doc(ag2_speedup: float) -> dict:
+    """A document that also carries naive and aG2 on a skewed dataset,
+    the way ``BENCH_SKEW_MONITORS`` runs them."""
     doc = _fake_doc(ag2_speedup=3.0)
     doc["profiles"]["quick"]["rows"] += [
         {
             "monitor": "naive",
             "dataset": "gauss_static",
-            "backend": "none",
             "speedup_vs_naive": 1.0,
         },
         {
             "monitor": "ag2",
             "dataset": "gauss_static",
-            "backend": "uniform-grid",
-            "speedup_vs_naive": grid_speedup,
-        },
-        {
-            "monitor": "ag2_quadtree",
-            "dataset": "gauss_static",
-            "backend": "quadtree",
-            "speedup_vs_naive": quad_speedup,
+            "speedup_vs_naive": ag2_speedup,
         },
     ]
     return doc
@@ -207,49 +195,14 @@ class TestBenchGate:
         assert gate.check_bench(cur, base, tolerance=0.15) == []
 
     def test_regression_message_names_backend(self, gate, tmp_path):
-        base = self._write(
-            tmp_path, "base.json", _fake_skew_doc(2.0, 3.0)
-        )
-        regressed = _fake_skew_doc(2.0, 3.0)
-        for row in regressed["profiles"]["quick"]["rows"]:
-            if row["monitor"] == "ag2_quadtree":
-                row["speedup_vs_naive"] = 1.0
-        cur = self._write(tmp_path, "cur.json", regressed)
+        """A regression on one skewed row fails that row alone, and the
+        message names its monitor label, which names its one index."""
+        base = self._write(tmp_path, "base.json", _fake_skew_doc(0.3))
+        cur = self._write(tmp_path, "cur.json", _fake_skew_doc(0.2))
         failures = gate.check_bench(cur, base, tolerance=0.15)
-        assert any(
-            "ag2_quadtree [quadtree index]" in f
-            for f in failures
-        )
-
-    def test_advantage_regression_fails(self, gate, tmp_path):
-        """A regression the per-row floors cannot see: every row holds
-        or improves, but the quadtree's edge over the grid collapses.
-        Baseline advantage 3.0/2.0 = 1.50x, floor 1.50 * (1 - 2*0.15)
-        = 1.05x; current 3.0/2.9 = 1.03x must fail."""
-        base = self._write(
-            tmp_path, "base.json", _fake_skew_doc(2.0, 3.0)
-        )
-        cur = self._write(tmp_path, "cur.json", _fake_skew_doc(2.9, 3.0))
-        failures = gate.check_bench(cur, base, tolerance=0.15)
-        assert any(
-            "adaptive-index advantage regression" in f
-            and "gauss_static" in f
-            for f in failures
-        )
-
-    def test_advantage_within_tolerance_passes(self, gate, tmp_path):
-        base = self._write(
-            tmp_path, "base.json", _fake_skew_doc(2.0, 3.0)
-        )
-        cur = self._write(tmp_path, "cur.json", _fake_skew_doc(2.2, 3.0))
-        assert gate.check_bench(cur, base, tolerance=0.15) == []
-
-    def test_advantage_skipped_without_quadtree_rows(self, gate, tmp_path):
-        """Legacy documents without ag2_quadtree rows must not trip the
-        advantage check (they already pass the per-row gates)."""
-        base = self._write(tmp_path, "base.json", _fake_doc(ag2_speedup=3.0))
-        cur = self._write(tmp_path, "cur.json", _fake_doc(ag2_speedup=3.0))
-        assert gate.check_bench(cur, base, tolerance=0.15) == []
+        assert len(failures) == 1
+        assert "ag2 on gauss_static (quick)" in failures[0]
+        assert gate.main(["perf_gate.py", "--bench", cur, "--baseline", base]) == 1
 
     def test_disjoint_documents_fail_loudly(self, gate, tmp_path):
         base = self._write(tmp_path, "base.json", _fake_doc(ag2_speedup=3.0))

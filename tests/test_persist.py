@@ -9,9 +9,9 @@ import pytest
 from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
+from repro.core.grid import default_cell_size
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
-from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import InvalidParameterError, SnapshotError
 from repro.persist import load_json, restore, save_json, snapshot
@@ -30,7 +30,7 @@ class TestSnapshotRestore:
             lambda: NaiveMonitor(10, 10, CountWindow(30)),
             lambda: G2Monitor(10, 10, CountWindow(30)),
             lambda: AG2Monitor(10, 10, CountWindow(30), epsilon=0.2),
-            lambda: QuadtreeAG2Monitor(10, 10, CountWindow(30)),
+            lambda: AG2Monitor(10, 10, CountWindow(30), cell_size=25.0),
             lambda: TopKAG2Monitor(10, 10, CountWindow(30), k=4),
         ],
     )
@@ -58,28 +58,60 @@ class TestSnapshotRestore:
         assert clone.grid.cell_size == 42.0
         assert clone.window.capacity == 15  # type: ignore[attr-defined]
 
-    def test_quadtree_policy_preserved(self):
-        monitor = QuadtreeAG2Monitor(
-            6,
-            6,
-            CountWindow(12),
-            tile_size=96.0,
-            min_leaf_size=6.0,
-            split_occupancy=11,
-            merge_occupancy=3,
-            split_load=50.0,
-            merge_load=1.5,
-            load_decay=0.25,
+    def test_legacy_quadtree_snapshot_restores_as_grid_ag2(self):
+        """Checkpoints of the deleted quadtree index still load: the
+        window replays into grid aG2 at the default cell size, keeping
+        ``epsilon``, dropping the 7 quadtree policy knobs and carrying
+        the tick on."""
+        objects = make_objects(25, seed=8, domain=60.0)
+        state = {
+            "format": 1,
+            "kind": "ag2_quadtree",
+            "rect_width": 10.0,
+            "rect_height": 10.0,
+            "window": {"kind": "count", "capacity": 30},
+            "tick": 6,
+            "extra": {
+                "epsilon": 0.0,
+                "tile_size": 96.0,
+                "min_leaf_size": 6.0,
+                "split_occupancy": 11,
+                "merge_occupancy": 3,
+                "split_load": 50.0,
+                "merge_load": 1.5,
+                "load_decay": 0.25,
+            },
+            "objects": [
+                {
+                    "oid": o.oid,
+                    "x": o.x,
+                    "y": o.y,
+                    "weight": o.weight,
+                    "timestamp": o.timestamp,
+                }
+                for o in objects
+            ],
+        }
+        monitor = restore(json.loads(json.dumps(state)))
+        assert type(monitor) is AG2Monitor
+        assert monitor.grid.cell_size == default_cell_size(10.0, 10.0)
+        fresh = AG2Monitor(10, 10, CountWindow(30))
+        fresh.ingest(objects)
+        oracle = NaiveMonitor(10, 10, CountWindow(30))
+        oracle.ingest(objects)
+        answer = monitor.refresh()
+        assert answer.tick == 6
+        assert answer.regions == fresh.refresh().regions
+        assert answer.best_weight == pytest.approx(oracle.refresh().best_weight)
+        batch = make_objects(5, seed=99, domain=60.0, start_t=25.0)
+        after = monitor.update(batch)
+        assert after.tick == 7
+        assert after.regions == fresh.update(batch).regions
+        assert after.best_weight == pytest.approx(
+            oracle.update(batch).best_weight
         )
-        clone = restore(snapshot(monitor))
-        assert isinstance(clone, QuadtreeAG2Monitor)
-        assert clone.tree.tile_size == 96.0
-        assert clone.tree.min_leaf_size == 6.0
-        assert clone.split_occupancy == 11
-        assert clone.merge_occupancy == 3
-        assert clone.split_load == 50.0
-        assert clone.merge_load == 1.5
-        assert clone.load_decay == 0.25
+        state["extra"]["epsilon"] = 0.25
+        assert restore(state).epsilon == 0.25
 
     def test_topk_k_preserved(self):
         clone = restore(snapshot(TopKAG2Monitor(5, 5, CountWindow(9), k=7)))
@@ -136,7 +168,7 @@ class TestSnapshotRestore:
             lambda: NaiveMonitor(10, 10, CountWindow(30)),
             lambda: G2Monitor(10, 10, CountWindow(30)),
             lambda: AG2Monitor(10, 10, CountWindow(30), epsilon=0.2),
-            lambda: QuadtreeAG2Monitor(10, 10, CountWindow(30)),
+            lambda: AG2Monitor(10, 10, CountWindow(30), cell_size=25.0),
             lambda: TopKAG2Monitor(10, 10, CountWindow(30), k=4),
         ],
     )

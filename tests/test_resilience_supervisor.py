@@ -17,7 +17,6 @@ from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
-from repro.core.quadtree import QuadtreeAG2Monitor
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import (
     InvariantViolationError,
@@ -189,7 +188,6 @@ PERSIST_KINDS = {
     "naive": lambda window: NaiveMonitor(12, 12, window),
     "g2": lambda window: G2Monitor(12, 12, window),
     "ag2": lambda window: AG2Monitor(12, 12, window),
-    "ag2_quadtree": lambda window: QuadtreeAG2Monitor(12, 12, window),
     "topk": lambda window: TopKAG2Monitor(12, 12, window, k=3),
 }
 
