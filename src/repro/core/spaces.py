@@ -67,9 +67,7 @@ class MaxRSResult:
       bound) or ``"sampling"`` (probabilistic estimator);
     * ``guarantee`` — the deterministic weight floor as a fraction of
       the true optimum: 1.0 exact, ``1-ε`` approximate, 0.0 for
-      sampling (whose ``1-1/n``-probability bound is not a floor);
-    * ``stale_for`` — how many updates ago this answer was computed
-      (> 0 only when a circuit breaker serves a held answer).
+      sampling (whose ``1-1/n``-probability bound is not a floor).
     """
 
     regions: tuple[Region, ...] = ()
@@ -77,7 +75,6 @@ class MaxRSResult:
     window_size: int = 0
     mode: str = "exact"
     guarantee: float = 1.0
-    stale_for: int = 0
 
     @property
     def best(self) -> Region | None:

@@ -13,6 +13,14 @@ engine observes per-update latency into an ``update_ms`` histogram, and
 :class:`EngineReport` carries cumulative plus per-batch metric
 snapshots alongside the timings — the substrate of the ``profile`` CLI
 and the CI perf gate.
+
+:meth:`StreamEngine.run` pulls batches from the source itself.
+:meth:`StreamEngine.process` is the push side: a driver that owns the
+upstream (ingest guard, backpressure queue, fault injectors) hands the
+engine one assembled batch at a time.  That is the only overload path:
+the soak harness and the end-to-end benchmark both compose guard →
+queue → ``process`` themselves, with an optional write-ahead log and
+checkpoint manager attached to the engine.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, Sequence
 
 from repro.core.monitor import MaxRSMonitor
 from repro.core.objects import SpatialObject
@@ -35,9 +43,8 @@ from repro.errors import (
 from repro.obs.metrics import Metrics, MetricsSnapshot
 from repro.streams.source import StreamSource
 
-if TYPE_CHECKING:  # resilience/overload import engine back; keep runtime lazy
+if TYPE_CHECKING:  # resilience/durability import engine back; keep runtime lazy
     from repro.durability.wal import WriteAheadLog
-    from repro.overload.backpressure import BackpressureQueue
     from repro.resilience.checkpoint import CheckpointManager
 
 __all__ = ["StreamEngine", "EngineReport"]
@@ -62,9 +69,6 @@ class EngineReport:
     batch_metrics: Dict[str, list[MetricsSnapshot]] = field(
         default_factory=dict
     )
-    # overload runs only: backpressure ledger, shed counts, per-monitor
-    # mode-residency timeline and staleness (see run_offered)
-    overload: dict[str, object] | None = None
 
     def _stats(self, name: str) -> TimingStats:
         stats = self.timings.get(name)
@@ -135,8 +139,6 @@ class EngineReport:
                 for name, snaps in self.batch_metrics.items()
             },
         }
-        if self.overload is not None:
-            doc["overload"] = self.overload
         return doc
 
 
@@ -157,14 +159,6 @@ class StreamEngine:
             notified after every successfully applied timed batch, so
             periodic checkpoints align with the engine's batch count
             (the position replayed on recovery).
-        backpressure: Optional
-            :class:`~repro.overload.backpressure.BackpressureQueue` —
-            the pluggable overload policy.  Arrivals offered through
-            :meth:`run_offered` pass through it (bounded depth, batch
-            coalescing, explicit shedding) and the report carries the
-            conservation ledger, shed counts and — for monitors with an
-            ``overload_summary()`` (the degradation ladder) — the
-            mode-residency timeline and staleness.
         wal: Optional :class:`~repro.durability.wal.WriteAheadLog`.
             Every applied batch is journalled *before* any monitor sees
             it (append-before-apply), so recovery can replay the
@@ -190,7 +184,6 @@ class StreamEngine:
         batch_size: int,
         metrics: Metrics | None = None,
         checkpoint: "CheckpointManager | None" = None,
-        backpressure: "BackpressureQueue | None" = None,
         wal: "WriteAheadLog | None" = None,
     ) -> None:
         if not monitors:
@@ -204,7 +197,6 @@ class StreamEngine:
         self._iterator = iter(source)
         self.metrics = metrics
         self.checkpoint = checkpoint
-        self.backpressure = backpressure
         self.wal = wal
         self._scopes: Dict[str, Metrics] = {}
         self._session: "_RunState | None" = None
@@ -220,10 +212,6 @@ class StreamEngine:
                 scope = metrics.scope("ingest")
                 source.attach_metrics(scope)
                 self._scopes["ingest"] = scope
-            if backpressure is not None:
-                scope = metrics.scope("backpressure")
-                backpressure.metrics = scope
-                self._scopes["backpressure"] = scope
             if wal is not None:
                 scope = metrics.scope("wal")
                 wal.metrics = scope
@@ -302,97 +290,6 @@ class StreamEngine:
             source_exhausted=exhausted,
         )
 
-    def run_offered(
-        self,
-        arrivals: Sequence[int],
-        track_weights: bool = False,
-        on_batch: (
-            "Callable[[int, list[SpatialObject], Dict[str, MaxRSResult]],"
-            " None] | None"
-        ) = None,
-    ) -> EngineReport:
-        """Push-mode run through the backpressure queue.
-
-        Each entry of ``arrivals`` is one tick of the arrival process:
-        that many objects are pulled from the source and *offered* to
-        the :class:`~repro.overload.backpressure.BackpressureQueue`,
-        then one coalesced batch (bounded by the queue's ``max_batch``)
-        is drained and pushed through every monitor.  When arrivals
-        outrun the drain rate the queue absorbs, sheds or refuses per
-        its policy — objects refused under ``BLOCK`` wait upstream and
-        are re-offered on the next tick, which is what backpressure
-        means for a pull-based producer.
-
-        The report's ``overload`` field carries the conservation ledger
-        (``offered == processed + shed + refused + pending``), shed
-        counts, queue high-water mark, and — for monitors exposing
-        ``overload_summary()`` — the mode-residency timeline and
-        staleness.
-
-        ``on_batch`` (if given) is called after every applied coalesced
-        batch with ``(batch_index, batch, results)`` — the overload
-        soak harness uses it for its periodic exact-companion guarantee
-        checks.
-        """
-        if self.backpressure is None:
-            raise InvalidParameterError(
-                "run_offered needs a BackpressureQueue; construct the "
-                "engine with backpressure=BackpressureQueue(...)"
-            )
-        queue = self.backpressure
-        state = _RunState(self, track_weights)
-        executed = 0
-        exhausted = False
-        holdover: list[SpatialObject] = []
-        for count in arrivals:
-            if count < 0:
-                raise InvalidParameterError(
-                    f"arrival counts must be >= 0, got {count}"
-                )
-            fresh = self._next_batch(count) if count > 0 else []
-            if count > 0 and len(fresh) < count:
-                exhausted = True
-            holdover = queue.offer_all(holdover + fresh)
-            batch = queue.take_batch()
-            if batch:
-                executed += 1
-                backlog = queue.pending + len(holdover)
-                for monitor in self.monitors.values():
-                    pressure = getattr(monitor, "note_pressure", None)
-                    if pressure is not None:
-                        pressure(backlog)
-                state.apply(batch)
-                if on_batch is not None:
-                    on_batch(executed - 1, batch, state.final)
-            if exhausted and not holdover and queue.pending == 0:
-                break
-        if exhausted:
-            warnings.warn(
-                f"stream exhausted after {executed} coalesced batches",
-                StreamExhaustedWarning,
-                stacklevel=2,
-            )
-        overload: dict[str, object] = {
-            "policy": queue.policy.value,
-            "ledger": queue.ledger,
-            "ledger_closed": queue.ledger_closed,
-            "shed": queue.shed,
-            "refused": queue.refused,
-            "queue_high_water": queue.high_water,
-            "queue_pending": queue.pending,
-            "monitors": {
-                name: monitor.overload_summary()
-                for name, monitor in self.monitors.items()
-                if hasattr(monitor, "overload_summary")
-            },
-        }
-        return state.report(
-            batches=executed,
-            requested_batches=len(arrivals),
-            source_exhausted=exhausted,
-            overload=overload,
-        )
-
     # -- externally driven sessions (soak harness) ---------------------------
 
     def process(
@@ -400,12 +297,13 @@ class StreamEngine:
     ) -> Dict[str, MaxRSResult]:
         """Apply one externally assembled batch to every monitor.
 
-        Unlike :meth:`run` / :meth:`run_offered`, the caller owns the
-        upstream (guard, queue, fault injectors) and hands the engine
-        fully formed batches one at a time.  Batches accumulate into a
-        persistent session — timings, metric deltas and checkpoint
-        positions line up exactly as in a pull-mode run — which
-        :meth:`collect_report` closes out.
+        Unlike :meth:`run`, the caller owns the upstream (guard,
+        backpressure queue, fault injectors) and hands the engine fully
+        formed batches one at a time — the one overload path, which the
+        soak harness and the end-to-end benchmark both drive.  Batches
+        accumulate into a persistent session — timings, metric deltas
+        and checkpoint positions line up exactly as in a pull-mode
+        run — which :meth:`collect_report` closes out.
         """
         if self._torn_down:
             raise ReproError(
@@ -465,8 +363,9 @@ class StreamEngine:
 
 
 class _RunState:
-    """Shared per-batch bookkeeping of the pull and push run loops:
-    timings, weight history, metric snapshot deltas, checkpoints."""
+    """Shared per-batch bookkeeping of :meth:`StreamEngine.run` and
+    :meth:`StreamEngine.process` sessions: timings, weight history,
+    metric snapshot deltas, checkpoints."""
 
     def __init__(self, engine: StreamEngine, track_weights: bool) -> None:
         self.engine = engine
@@ -536,7 +435,6 @@ class _RunState:
         batches: int,
         requested_batches: int,
         source_exhausted: bool,
-        overload: dict[str, object] | None = None,
     ) -> EngineReport:
         engine = self.engine
         return EngineReport(
@@ -556,5 +454,4 @@ class _RunState:
                 else {}
             ),
             batch_metrics=self.batch_metrics,
-            overload=overload,
         )

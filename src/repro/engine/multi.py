@@ -8,20 +8,21 @@ queries share every arrival batch (objects are materialised once),
 each keeps its own window and index, and results come back per query
 name.  Queries can be added and removed while the stream is live; a
 late-added query can be backfilled from another query's window.
+
+The group is a fan-out, not a serving front: it takes clean batches.
+Validation, reordering and backpressure live upstream, in the driver
+that also fronts :class:`~repro.engine.engine.StreamEngine`
+(``IngestGuard`` → ``BackpressureQueue`` → batches).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Sequence
+from typing import Dict, Sequence
 
 from repro.core.monitor import MaxRSMonitor
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
 from repro.errors import InvalidParameterError
-from repro.resilience.guard import IngestGuard
-
-if TYPE_CHECKING:  # overload imports engine modules back; keep runtime lazy
-    from repro.overload.backpressure import BackpressureQueue
 
 __all__ = ["MultiQueryGroup"]
 
@@ -36,29 +37,10 @@ class MultiQueryGroup:
         group.add("fine", AG2Monitor(500, 500, CountWindow(50_000)))
         for batch in stream:
             results = group.update(batch)      # {"coarse": ..., "fine": ...}
-
-    A serving deployment fronts the group with an
-    :class:`~repro.resilience.guard.IngestGuard` so one corrupt or late
-    record cannot take down every registered query: pass ``guard=`` and
-    feed raw batches through :meth:`update_guarded`.
-
-    Against *fast* streams rather than dirty ones, pass
-    ``backpressure=`` (a
-    :class:`~repro.overload.backpressure.BackpressureQueue`) and feed
-    arrivals through :meth:`offer`: the queue bounds the standing
-    backlog, coalesces drains, and sheds per its policy — a burst slows
-    or thins the group's answers instead of growing an unbounded queue
-    behind the slowest registered query.
     """
 
-    def __init__(
-        self,
-        guard: IngestGuard | None = None,
-        backpressure: "BackpressureQueue | None" = None,
-    ) -> None:
+    def __init__(self) -> None:
         self._monitors: Dict[str, MaxRSMonitor] = {}
-        self.guard = guard
-        self.backpressure = backpressure
 
     # -- registry -----------------------------------------------------------
 
@@ -120,73 +102,6 @@ class MultiQueryGroup:
         return {
             name: monitor.update(batch)
             for name, monitor in self._monitors.items()
-        }
-
-    def update_guarded(
-        self, records: Sequence[object]
-    ) -> Dict[str, MaxRSResult]:
-        """Push one *raw* arrival batch through the ingest guard first.
-
-        Invalid records are handled per the guard's error policy
-        (quarantined / skipped / raised) and out-of-order records are
-        re-sequenced within its lateness bound, so every registered
-        query sees the same clean, ordered batch — possibly empty, in
-        which case windows still tick and answers refresh.
-        """
-        if self.guard is None:
-            raise InvalidParameterError(
-                "no ingest guard configured; construct the group with "
-                "MultiQueryGroup(guard=IngestGuard(...))"
-            )
-        return self.update(self.guard.filter(records))
-
-    def offer(
-        self, batch: Sequence[SpatialObject]
-    ) -> Dict[str, MaxRSResult] | None:
-        """Offer one arrival batch through the backpressure queue.
-
-        The batch is offered to the queue (which sheds or refuses per
-        its policy — under ``BLOCK``, refused objects are dropped from
-        *this* offer and counted, since a serving group has no upstream
-        to push back on), then one coalesced batch is drained and
-        pushed through every query.  Returns the per-query results, or
-        ``None`` when the drain came up empty (nothing pending).
-        """
-        if self.backpressure is None:
-            raise InvalidParameterError(
-                "no backpressure queue configured; construct the group "
-                "with MultiQueryGroup(backpressure=BackpressureQueue(...))"
-            )
-        self.backpressure.offer_all(batch)
-        drained = self.backpressure.take_batch()
-        if not drained:
-            return None
-        return self.update(drained)
-
-    def overload_stats(self) -> Dict[str, object]:
-        """Backpressure ledger plus per-query ladder summaries (for
-        queries that are :class:`~repro.overload.controller.AdaptiveMonitor`
-        shaped); mirrors the ``overload`` field of an
-        :class:`~repro.engine.engine.EngineReport`."""
-        if self.backpressure is None:
-            raise InvalidParameterError(
-                "no backpressure queue configured; construct the group "
-                "with MultiQueryGroup(backpressure=BackpressureQueue(...))"
-            )
-        queue = self.backpressure
-        return {
-            "policy": queue.policy.value,
-            "ledger": queue.ledger,
-            "ledger_closed": queue.ledger_closed,
-            "shed": queue.shed,
-            "refused": queue.refused,
-            "queue_high_water": queue.high_water,
-            "queue_pending": queue.pending,
-            "monitors": {
-                name: monitor.overload_summary()
-                for name, monitor in self._monitors.items()
-                if hasattr(monitor, "overload_summary")
-            },
         }
 
     def results(self) -> Dict[str, MaxRSResult]:

@@ -147,15 +147,6 @@ class QuarantineError(ReproError):
         self.record = record
 
 
-class SourceRetryExhaustedError(ReproError):
-    """A transient-failure retry loop ran out of attempts.
-
-    Raised by :class:`~repro.resilience.supervisor.RetryingSource` when
-    the wrapped source keeps failing past ``max_retries``; the last
-    underlying exception is chained as ``__cause__``.
-    """
-
-
 class UnrecoverableMonitorError(ReproError):
     """A supervised monitor failed and could not be healed.
 

@@ -12,13 +12,11 @@ When arrivals outrun the drain rate the queue fills, and the configured
 * ``SHED_OLDEST`` — the oldest *pending* object is dropped to make
   room.  Freshness-biased: right for monitoring, where a stale object
   is about to expire from the window anyway.
-* ``SHED_NEWEST`` — the incoming object is dropped.  Keeps the oldest
-  backlog intact (at-most-once admission order preserved).
 
 Every object is accounted for exactly once, mirroring the dead-letter
 accounting of :mod:`repro.resilience`:
 
-    ``offered == processed + shed + refused + pending``
+    ``offered == processed + shed + refused + spilled + pending``
 
 which :attr:`BackpressureQueue.ledger_closed` verifies and the overload
 soak harness asserts at end of run.
@@ -42,7 +40,6 @@ class ShedPolicy(enum.Enum):
 
     BLOCK = "block"
     SHED_OLDEST = "shed_oldest"
-    SHED_NEWEST = "shed_newest"
 
     @classmethod
     def coerce(cls, value: "ShedPolicy | str") -> "ShedPolicy":
@@ -94,8 +91,7 @@ class BackpressureQueue:
         # conservation ledger
         self.offered = 0
         self.processed = 0
-        self.shed_oldest = 0
-        self.shed_newest = 0
+        self.shed = 0  # pending objects dropped to make room
         self.refused = 0
         self.spilled = 0  # pending objects lost to a crash (spill())
         self.high_water = 0  # deepest the queue ever got
@@ -108,18 +104,12 @@ class BackpressureQueue:
         return len(self._items)
 
     @property
-    def shed(self) -> int:
-        """Objects dropped by either shedding policy."""
-        return self.shed_oldest + self.shed_newest
-
-    @property
     def ledger(self) -> Dict[str, int]:
         """The conservation ledger as plain data."""
         return {
             "offered": self.offered,
             "processed": self.processed,
-            "shed_oldest": self.shed_oldest,
-            "shed_newest": self.shed_newest,
+            "shed": self.shed,
             "refused": self.refused,
             "spilled": self.spilled,
             "pending": self.pending,
@@ -142,9 +132,9 @@ class BackpressureQueue:
     def offer(self, obj: SpatialObject) -> bool:
         """Offer one object; return False iff it was refused (``BLOCK``).
 
-        Under the shedding policies the offer always succeeds — either
-        the object enters the queue or a shed makes room / absorbs it —
-        and the shed is counted in the ledger.
+        Under ``SHED_OLDEST`` the offer always succeeds: the oldest
+        pending object makes room, and the shed is counted in the
+        ledger.
         """
         self.offered += 1
         if len(self._items) >= self.capacity:
@@ -152,15 +142,9 @@ class BackpressureQueue:
                 self.refused += 1
                 self.metrics.inc("refused_objects")
                 return False
-            if self.policy is ShedPolicy.SHED_OLDEST:
-                self._items.popleft()
-                self.shed_oldest += 1
-                self.metrics.inc("shed_objects")
-            else:  # SHED_NEWEST: the incoming object is the casualty
-                self.shed_newest += 1
-                self.metrics.inc("shed_objects")
-                self.metrics.set_gauge("queue_depth", len(self._items))
-                return True
+            self._items.popleft()
+            self.shed += 1
+            self.metrics.inc("shed_objects")
         self._items.append(obj)
         if len(self._items) > self.high_water:
             self.high_water = len(self._items)

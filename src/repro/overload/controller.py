@@ -13,10 +13,12 @@ per-update latency EWMA — the same measurement the engine's
 ``update_ms`` histogram records — against a user latency budget, with
 hysteresis (separate high/low watermarks, consecutive-sample counters,
 a minimum residency before stepping back down) so one slow batch does
-not cause mode flapping.  A single catastrophic sample (``panic_factor``
+not cause mode flapping.  A single catastrophic sample (``PANIC_FACTOR``
 × budget) jumps straight to the cheapest rung: during a 10× burst, one
 over-budget update is information enough, and p95 latency cannot afford
-an escalation staircase.
+an escalation staircase.  The tuning is a set of module constants, not
+options: one setting serves every caller (``docs/OVERLOAD.md`` lists
+them and why they have the values they do).
 
 :class:`AdaptiveMonitor` is the monitor-shaped wrapper that walks the
 ladder.  Implementation notes:
@@ -33,15 +35,16 @@ ladder.  Implementation notes:
   recovery pattern :class:`~repro.resilience.supervisor.MonitorSupervisor`
   uses to heal.
 * Every answer carries its contract in the result (``mode``,
-  ``guarantee``, ``stale_for``), so downstream consumers can tell what
-  they got without knowing the ladder exists.
+  ``guarantee``), so downstream consumers can tell what they got
+  without knowing the ladder exists.  The ladder steers after the
+  answer is produced, so judge an answer by ``result.mode``, never by
+  the ladder's current rung.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from dataclasses import replace
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.ag2 import AG2Monitor
@@ -52,11 +55,37 @@ from repro.core.sampling import SamplingMonitor
 from repro.core.spaces import MaxRSResult
 from repro.errors import InvalidParameterError
 from repro.obs.metrics import NULL_METRICS, Ewma, Metrics
-from repro.overload.breaker import BreakerState, CircuitBreaker
 from repro.resilience.supervisor import MonitorSupervisor
 from repro.window.base import SlidingWindow
 
 __all__ = ["AdaptiveMonitor", "DeadlineController", "LadderDecision"]
+
+# Controller tuning.  One setting serves every campaign; the values are
+# the ones the overload_wall soak was tuned on (10x flash crowds against
+# a budget of 3x the calibrated exact cost).
+#: EWMA weight of the newest latency sample: half-life of one update,
+#: so a burst shows up in the average on its first batch.
+ALPHA = 0.5
+#: Escalation watermark: pressure builds while ``ewma > 0.85 * budget``.
+HIGH_FRACTION = 0.85
+#: De-escalation watermark: headroom builds while ``ewma < 0.5 * budget``.
+#: The dead band between the two is the hysteresis that stops flapping;
+#: 0.85 / 0.5 leaves room for the next rung up to cost 1.7x this one.
+LOW_FRACTION = 0.5
+#: Consecutive watermark breaches before escalating: one, since p95
+#: cannot afford to wait out a burst.
+ESCALATE_AFTER = 1
+#: Consecutive clears before stepping back down one rung.
+DEESCALATE_AFTER = 2
+#: Observations a rung must serve before the controller steps *down*
+#: (escalation is never delayed).
+MIN_RESIDENCY = 3
+#: A single sample over ``1.6 * budget`` jumps to the cheapest rung.
+PANIC_FACTOR = 1.6
+#: Target error sizing the sampling rung's samples.  Deliberately
+#: coarse: the bottom rung exists to shed load, and O(log n / eps^2)
+#: samples only beat the exact sweep when eps is large.
+SAMPLING_EPSILON = 0.5
 
 
 class LadderDecision(enum.Enum):
@@ -71,74 +100,25 @@ class LadderDecision(enum.Enum):
 class DeadlineController:
     """Hysteresis controller: latency EWMA vs. a latency budget.
 
+    The tuning is fixed by the module constants (see their comments);
+    only the budget is per-deployment.
+
     Args:
         budget_ms: Per-update latency budget the ladder must defend.
-        alpha: EWMA smoothing weight on the newest sample.
-        high_fraction: Escalation watermark — pressure builds while
-            ``ewma > high_fraction * budget``.
-        low_fraction: De-escalation watermark — headroom builds while
-            ``ewma < low_fraction * budget``.  Must be strictly below
-            ``high_fraction``; the dead band between them is the
-            hysteresis that prevents flapping.
-        escalate_after: Consecutive over-watermark observations needed
-            to escalate.
-        deescalate_after: Consecutive under-watermark observations
-            needed to de-escalate.
-        min_residency: Observations a mode must serve before the
-            controller will step *down* (escalation is never delayed —
-            overload will not wait).
-        panic_factor: A single sample above ``panic_factor * budget``
-            returns :attr:`LadderDecision.PANIC`.  Panic is also
-            returned when an escalation falls due while the triggering
-            sample itself exceeds the full budget — an overloaded rung
-            should be abandoned for the cheapest one, not the next one.
         metrics: Optional scope; mirrors the EWMA into the
             ``latency_ewma_ms`` gauge.
     """
 
     def __init__(
-        self,
-        budget_ms: float,
-        *,
-        alpha: float = 0.4,
-        high_fraction: float = 0.9,
-        low_fraction: float = 0.5,
-        escalate_after: int = 2,
-        deescalate_after: int = 3,
-        min_residency: int = 5,
-        panic_factor: float = 3.0,
-        metrics: Metrics = NULL_METRICS,
+        self, budget_ms: float, *, metrics: Metrics = NULL_METRICS
     ) -> None:
         if budget_ms <= 0:
             raise InvalidParameterError(
                 f"latency budget must be positive, got {budget_ms}"
             )
-        if not (0.0 < low_fraction < high_fraction <= 1.0):
-            raise InvalidParameterError(
-                "need 0 < low_fraction < high_fraction <= 1, got "
-                f"low={low_fraction}, high={high_fraction}"
-            )
-        if escalate_after <= 0 or deescalate_after <= 0:
-            raise InvalidParameterError(
-                "escalate_after and deescalate_after must be positive"
-            )
-        if min_residency < 0:
-            raise InvalidParameterError(
-                f"min_residency must be >= 0, got {min_residency}"
-            )
-        if panic_factor <= 1.0:
-            raise InvalidParameterError(
-                f"panic_factor must exceed 1, got {panic_factor}"
-            )
         self.budget_ms = float(budget_ms)
-        self.high_fraction = float(high_fraction)
-        self.low_fraction = float(low_fraction)
-        self.escalate_after = int(escalate_after)
-        self.deescalate_after = int(deescalate_after)
-        self.min_residency = int(min_residency)
-        self.panic_factor = float(panic_factor)
         self.metrics = metrics
-        self.ewma = Ewma("latency_ewma_ms", alpha=alpha)
+        self.ewma = Ewma("latency_ewma_ms", alpha=ALPHA)
         self._breaches = 0
         self._clears = 0
         self._residency = 0
@@ -147,41 +127,41 @@ class DeadlineController:
     def latency_ewma_ms(self) -> float:
         return self.ewma.value
 
-    def set_budget(self, budget_ms: float) -> None:
-        """Re-target the budget (e.g. after auto-calibration)."""
-        if budget_ms <= 0:
-            raise InvalidParameterError(
-                f"latency budget must be positive, got {budget_ms}"
-            )
-        self.budget_ms = float(budget_ms)
+    def observe(self, elapsed_ms: float, backlog: int = 0) -> LadderDecision:
+        """Feed one per-update latency sample; get a ladder decision.
 
-    def observe(self, elapsed_ms: float) -> LadderDecision:
-        """Feed one per-update latency sample; get a ladder decision."""
+        ``backlog`` counts the objects the upstream queue could not
+        serve when the sample was taken (queued, held over or shed).
+        Only a backlog earns :attr:`LadderDecision.PANIC`: the jump to
+        the cheapest rung sheds load, and with nothing waiting an
+        over-budget sample is a hiccup of the host, which the EWMA and
+        the one-rung staircase absorb.
+        """
         value = self.ewma.observe(elapsed_ms)
         self.metrics.set_gauge("latency_ewma_ms", value)
         self._residency += 1
-        if elapsed_ms > self.panic_factor * self.budget_ms:
+        if backlog > 0 and elapsed_ms > PANIC_FACTOR * self.budget_ms:
             return LadderDecision.PANIC
-        if value > self.high_fraction * self.budget_ms:
+        if value > HIGH_FRACTION * self.budget_ms:
             self._breaches += 1
             self._clears = 0
-            if self._breaches >= self.escalate_after:
-                # severity-aware: if escalation is due while the raw
-                # sample is already past the *full* budget (not just
-                # the watermark), single-rung steps would spend one
-                # over-budget p95 sample per rung — jump to the
-                # cheapest rung instead.  Gradual pressure (EWMA over
-                # the watermark, samples still inside the budget)
-                # keeps the one-rung staircase.
-                if elapsed_ms > self.budget_ms:
+            if self._breaches >= ESCALATE_AFTER:
+                # severity-aware: if escalation is due under a backlog
+                # while the raw sample is already past the *full*
+                # budget (not just the watermark), single-rung steps
+                # would spend one over-budget p95 sample per rung —
+                # jump to the cheapest rung instead.  Gradual pressure
+                # (EWMA over the watermark, samples still inside the
+                # budget) keeps the one-rung staircase.
+                if backlog > 0 and elapsed_ms > self.budget_ms:
                     return LadderDecision.PANIC
                 return LadderDecision.ESCALATE
-        elif value < self.low_fraction * self.budget_ms:
+        elif value < LOW_FRACTION * self.budget_ms:
             self._clears += 1
             self._breaches = 0
             if (
-                self._clears >= self.deescalate_after
-                and self._residency >= self.min_residency
+                self._clears >= DEESCALATE_AFTER
+                and self._residency >= MIN_RESIDENCY
             ):
                 return LadderDecision.DEESCALATE
         else:  # dead band: hysteresis — consecutive runs restart
@@ -214,18 +194,10 @@ class AdaptiveMonitor:
         budget_ms: Per-update latency budget.
         epsilon_schedule: Strictly increasing tolerances of the
             approximate rungs, each in (0, 1).
-        sampling_epsilon: Target error used to size the sampling rung's
-            samples.  The default is deliberately coarse: the bottom
-            rung exists to shed load, and ``O(log n / ε²)`` sample
-            sizes only beat the exact sweep when ε is large.
-        cell_size: Grid resolution forwarded to the aG2 rungs.
         seed: Seed of the sampling rung's private RNG.
-        controller: Latency controller; built from ``budget_ms`` with
-            defaults when omitted.
-        breaker: Circuit breaker; built with defaults when omitted.
-        probe_every / max_heals: When ``probe_every > 0`` the aG2 rungs
-            run supervised (:class:`MonitorSupervisor`) with periodic
-            invariant probes, and every heal feeds the breaker.
+        probe_every: When ``probe_every > 0`` the aG2 rungs run
+            supervised (:class:`MonitorSupervisor`) with periodic
+            invariant probes.
         latency_model: Optional ``(rung, batch_size) -> ms`` callable.
             When given, the controller is steered by *modeled* latency
             samples instead of wall-clock measurements — the soak
@@ -245,13 +217,8 @@ class AdaptiveMonitor:
         *,
         budget_ms: float = 50.0,
         epsilon_schedule: Sequence[float] = (0.1, 0.2, 0.4),
-        sampling_epsilon: float = 0.5,
-        cell_size: float | None = None,
         seed: int = 0,
-        controller: DeadlineController | None = None,
-        breaker: CircuitBreaker | None = None,
         probe_every: int = 0,
-        max_heals: int | None = None,
         latency_model: Callable[[int, int], float] | None = None,
     ) -> None:
         schedule = tuple(float(e) for e in epsilon_schedule)
@@ -273,12 +240,9 @@ class AdaptiveMonitor:
         self.rect_height = float(rect_height)
         self._window_factory = window_factory
         self.epsilon_schedule = schedule
-        self.controller = controller or DeadlineController(budget_ms)
-        self.breaker = breaker or CircuitBreaker()
+        self.controller = DeadlineController(budget_ms)
         self.probe_every = int(probe_every)
-        self.max_heals = max_heals
         self.latency_model = latency_model
-        self._cell_size = cell_size
         # rung 0 = exact, rungs 1..k = approx(εᵢ), rung k+1 = sampling
         self.mode_names: tuple[str, ...] = (
             (self.EXACT,)
@@ -294,18 +258,16 @@ class AdaptiveMonitor:
             rect_width,
             rect_height,
             window_factory(),
-            epsilon=sampling_epsilon,
+            epsilon=SAMPLING_EPSILON,
             seed=seed,
         )
         self._last = MaxRSResult()
-        self._stale_for = 0
         self._updates = 0
         self._backlog = 0
         self.deescalations_deferred = 0
         self.rebuilds = 0
         self.transitions: List[Dict[str, object]] = []
         self.residency: Dict[str, int] = {name: 0 for name in self.mode_names}
-        self.stale_residency = 0
 
     # -- rung bookkeeping ----------------------------------------------------
 
@@ -340,15 +302,11 @@ class AdaptiveMonitor:
             self.rect_width,
             self.rect_height,
             self._window_factory(),
-            cell_size=self._cell_size,
             epsilon=epsilon,
         )
         if self.probe_every > 0:
             monitor = MonitorSupervisor(  # type: ignore[assignment]
-                monitor,
-                probe_every=self.probe_every,
-                max_heals=self.max_heals,
-                on_heal=self.breaker.note_heal,
+                monitor, probe_every=self.probe_every
             )
         if self._metrics_base is not NULL_METRICS:
             monitor.attach_metrics(self._metrics_base)
@@ -366,7 +324,7 @@ class AdaptiveMonitor:
     def window(self) -> SlidingWindow:
         """The authoritative window: the sampling rung's, which stays
         warm in every mode (the aG2 window goes stale during sampling
-        residency and breaker-open stretches)."""
+        residency)."""
         return self._sampler.window
 
     @property
@@ -382,14 +340,13 @@ class AdaptiveMonitor:
     def attach_metrics(self, metrics: Metrics) -> None:
         """Engine attachment point.  The live aG2 gets the scope itself
         (so ``cells_pruned`` etc. land where profiles expect them), the
-        sampling rung a ``sampler`` child, the ladder/controller/breaker
-        an ``overload`` child."""
+        sampling rung a ``sampler`` child, the ladder and controller an
+        ``overload`` child."""
         self._metrics_base = metrics
         self._ag2.attach_metrics(metrics)
         self._sampler.attach_metrics(metrics.scope("sampler"))
         self.metrics = metrics.scope("overload")
         self.controller.metrics = self.metrics
-        self.breaker.metrics = self.metrics
         self.metrics.set_gauge("ladder_rung", self._rung)
 
     def checkpoint_target(self) -> MaxRSMonitor:
@@ -414,11 +371,14 @@ class AdaptiveMonitor:
     # -- serving -------------------------------------------------------------
 
     def note_pressure(self, backlog: int) -> None:
-        """Upstream pressure signal (the engine reports the queue depth
-        left after each drain).  Recovery is deferred while a backlog
-        exists: stepping up to a pricier rung mid-drain just re-creates
-        the overload that built the backlog, and the rebuild that
-        re-entry from sampling costs is wasted.
+        """Upstream pressure signal: before each batch the driver
+        reports the objects its queue could not serve at once — still
+        queued, held over upstream, or shed since the previous batch.
+        A backlog is what licenses a panic (see
+        :meth:`DeadlineController.observe`), and recovery is deferred
+        while one exists: stepping up to a pricier rung mid-drain just
+        re-creates the overload that built the backlog, and the rebuild
+        that re-entry from sampling costs is wasted.
 
         A drained queue is also the moment to pay outstanding recovery
         debt: a pending aG2 rebuild runs here, in the slack between
@@ -429,7 +389,6 @@ class AdaptiveMonitor:
             self._backlog == 0
             and self._ag2_stale
             and self._rung != self.sampling_rung
-            and self.breaker.state is BreakerState.CLOSED
         ):
             self._rebuild_ag2(self._rung_epsilon(self._rung))
 
@@ -444,12 +403,12 @@ class AdaptiveMonitor:
 
         The update is timed internally (the same quantity the engine's
         ``update_ms`` histogram observes), the latency sample drives the
-        controller and breaker, and the answer carries the producing
-        rung's contract.
+        controller, and the answer carries the producing rung's
+        contract.  The controller steers *after* the answer exists, so
+        a move it makes applies from the next update on: the rung
+        (:attr:`mode`) can already differ from ``result.mode``.
         """
         self._updates += 1
-        if not self.breaker.allow_update():
-            return self._serve_stale(objects)
         if self._rung != self.sampling_rung and self._ag2_stale:
             # rebuild before the clock starts: a full-window re-ingest is
             # recovery cost, not steady-state cost, and timing it would
@@ -466,35 +425,14 @@ class AdaptiveMonitor:
             elapsed_ms = float(self.latency_model(serving_rung, len(objects)))
         else:
             elapsed_ms = (time.perf_counter() - start) * 1000.0
-        self._stale_for = 0
         self._last = result
         self.residency[self.mode] += 1
         self._steer(elapsed_ms)
         return result
 
-    def _serve_stale(self, objects: Sequence[SpatialObject]) -> MaxRSResult:
-        """Breaker open: keep the cheap window warm, hold the answer."""
-        self._sampler.ingest(objects)
-        if self._rung != self.sampling_rung:
-            self._ag2_stale = True
-        self._stale_for += 1
-        self.stale_residency += 1
-        self._last = replace(self._last, stale_for=self._stale_for)
-        return self._last
-
     def _steer(self, elapsed_ms: float) -> None:
-        """Feed one latency sample to breaker + controller, apply moves."""
-        over_budget = elapsed_ms > self.controller.budget_ms
-        self.breaker.record_update(over_budget)
-        if (
-            self.breaker.state is BreakerState.OPEN
-            and self._rung != self.sampling_rung
-        ):
-            # open means even probing is rationed — park at the
-            # cheapest rung so the eventual probe is the cheap one
-            self._transition(self.sampling_rung, "breaker_trip")
-            return
-        decision = self.controller.observe(elapsed_ms)
+        """Feed one latency sample to the controller, apply its move."""
+        decision = self.controller.observe(elapsed_ms, self._backlog)
         if decision is LadderDecision.PANIC:
             if self._rung != self.sampling_rung:
                 self._transition(self.sampling_rung, "panic")
@@ -552,22 +490,3 @@ class AdaptiveMonitor:
         self._ag2_stale = False
         self.rebuilds += 1
         self.metrics.inc("ladder_rebuilds")
-
-    # -- reporting -----------------------------------------------------------
-
-    def overload_summary(self) -> Dict[str, object]:
-        """Plain-data ladder report for engine reports and the CLI."""
-        return {
-            "mode": self.mode,
-            "rung": self._rung,
-            "guarantee": self.guarantee,
-            "budget_ms": self.controller.budget_ms,
-            "latency_ewma_ms": self.controller.latency_ewma_ms,
-            "transitions": [dict(t) for t in self.transitions],
-            "residency": dict(self.residency),
-            "stale_served": self.stale_residency,
-            "breaker_state": self.breaker.state.value,
-            "breaker_trips": self.breaker.trips,
-            "rebuilds": self.rebuilds,
-            "deescalations_deferred": self.deescalations_deferred,
-        }

@@ -9,10 +9,9 @@ the algorithms themselves:
   at the boundary under an :class:`ErrorPolicy`, quarantine rejects,
   and absorb bounded-lateness out-of-order arrivals through a
   :class:`ReorderBuffer` watermark buffer;
-* :class:`MonitorSupervisor` / :class:`RetryingSource` — catch
-  mid-update failures and invariant violations, self-heal by
-  rebuilding the index from the surviving window, and retry transient
-  source errors with backoff;
+* :class:`MonitorSupervisor` — catch mid-update failures and
+  invariant violations, and self-heal by rebuilding the index from the
+  surviving window;
 * :class:`CheckpointManager` — periodic atomic snapshots with
   load-last-checkpoint + replay-tail crash recovery;
 * :class:`FaultInjectingSource` — a seeded chaos wrapper (drop,
@@ -28,7 +27,7 @@ from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue, ErrorPolicy
 from repro.resilience.guard import IngestGuard, coerce_record
 from repro.resilience.reorder import ReorderBuffer
-from repro.resilience.supervisor import MonitorSupervisor, RetryingSource
+from repro.resilience.supervisor import MonitorSupervisor
 
 __all__ = [
     "CheckpointManager",
@@ -39,6 +38,5 @@ __all__ = [
     "IngestGuard",
     "MonitorSupervisor",
     "ReorderBuffer",
-    "RetryingSource",
     "coerce_record",
 ]

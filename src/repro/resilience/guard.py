@@ -19,7 +19,8 @@ guard is where dirty reality is converted into that contract:
 
 The guard works in both shapes the library uses: as a
 :class:`StreamSource` wrapper (``StreamEngine(..., source=guard)``) and
-as a batch filter (``MultiQueryGroup.update_guarded``).
+as a batch filter (:meth:`IngestGuard.filter`, which the soak harness
+and the end-to-end benchmark call ahead of their backpressure queue).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Self-healing supervision for monitors and flaky sources.
+"""Self-healing supervision for monitors.
 
 :class:`MonitorSupervisor` wraps any :class:`MaxRSMonitor` behind the
 same ``update``/``ingest``/``result`` surface and adds the recovery
@@ -24,34 +24,29 @@ window before it touches the index, so a batch that fails half-way is
 kept exactly once: the rebuilt index contains it, and the answer
 carries its tick.
 
-:class:`RetryingSource` is the companion for the other side of the
-pipe: transient source failures (flaky file systems, network hiccups)
-are retried with exponential backoff before giving up.
+Supervision covers the index only.  The input side has no retry layer:
+every soak campaign reads a non-replayable source, and a crash recovers
+from checkpoint + WAL tail without reading the source again
+(``docs/DURABILITY.md``).
 """
 
 from __future__ import annotations
 
-import random
-import time
-import types
-from typing import Callable, Iterator, Sequence, Type
+from typing import Sequence
 
 from repro import persist
 from repro.core.monitor import MaxRSMonitor
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
 from repro.errors import (
-    InvalidParameterError,
     InvariantViolationError,
-    SourceRetryExhaustedError,
     UnrecoverableMonitorError,
     WindowOrderError,
 )
 from repro.obs.metrics import NULL_METRICS, Metrics
-from repro.streams.source import StreamSource
 from repro.window.base import SlidingWindow
 
-__all__ = ["MonitorSupervisor", "RetryingSource"]
+__all__ = ["MonitorSupervisor"]
 
 
 class MonitorSupervisor:
@@ -74,12 +69,6 @@ class MonitorSupervisor:
         metrics: Observability scope; counters ``monitor_failures``,
             ``invariant_failures``, ``heals``, ``batches_rejected``,
             ``objects_resurrected``.
-        on_heal: Optional callback invoked (with the triggering
-            exception) after every successful heal.  This is how heal
-            events feed an overload
-            :class:`~repro.overload.breaker.CircuitBreaker`: repeated
-            index rebuilds are a symptom that serving stale answers
-            beats continuing to limp (pass ``breaker.note_heal``).
     """
 
     def __init__(
@@ -89,12 +78,10 @@ class MonitorSupervisor:
         probe_every: int = 0,
         max_heals: int | None = None,
         metrics: Metrics = NULL_METRICS,
-        on_heal: Callable[[BaseException], None] | None = None,
     ) -> None:
         self._monitor = monitor
         self.probe_every = max(0, int(probe_every))
         self.max_heals = max_heals
-        self.on_heal = on_heal
         self.metrics = metrics
         self.failures = 0  # update/ingest raised mid-flight
         self.invariant_failures = 0  # probe caught corruption
@@ -220,148 +207,3 @@ class MonitorSupervisor:
         self._updates_since_probe = 0
         self.metrics.inc("heals")
         self.metrics.inc("objects_resurrected", survivors)
-        if self.on_heal is not None:
-            self.on_heal(cause)
-
-
-class RetryingSource(StreamSource):
-    """Retry-with-backoff wrapper for transiently failing sources.
-
-    The wrapped source's iterator is re-polled after a failure, so it
-    must tolerate ``__next__`` being called again after raising (custom
-    iterator classes do; a plain generator is closed by its first
-    exception — wrap the *source object*, and the iterator is recreated
-    and fast-forwarded past the records already delivered).
-
-    Args:
-        source: The flaky upstream.
-        retry_on: Exception types treated as transient (anything else
-            propagates immediately).
-        max_retries: Attempts per record beyond the first; exhausting
-            them raises :class:`SourceRetryExhaustedError`.
-        base_delay: First backoff sleep, seconds.
-        backoff: Multiplier applied per consecutive failure.
-        jitter: Fraction of each backoff sleep that is randomised, in
-            ``[0, 1]``.  ``0`` keeps the classic deterministic ladder;
-            ``1`` is *full jitter* — the sleep is uniform in
-            ``[0, delay]`` — which de-synchronises a fleet of retriers
-            hammering one recovering upstream.
-        max_elapsed: Cap, in seconds, on the total time one record may
-            spend in its retry loop; once exceeded the loop gives up
-            with :class:`SourceRetryExhaustedError` even if attempts
-            remain (None = attempts are the only budget).
-        sleep: Injectable sleeper for tests (defaults to ``time.sleep``).
-        rng: Injectable uniform-[0,1) generator for the jitter (defaults
-            to :func:`random.random`); seed a ``random.Random`` and pass
-            its ``.random`` for reproducible schedules.
-        clock: Injectable monotonic clock for the ``max_elapsed``
-            budget (defaults to :func:`time.monotonic`).
-        metrics: Registry scope; retry behaviour is observable without
-            timing sleeps — counters ``source_retries``,
-            ``source_resets``, ``source_retry_gave_up`` and the
-            ``source_retry_sleep_s`` histogram.
-    """
-
-    def __init__(
-        self,
-        source: StreamSource | Iterator[SpatialObject],
-        *,
-        retry_on: tuple[Type[BaseException], ...] = (OSError, TimeoutError),
-        max_retries: int = 3,
-        base_delay: float = 0.05,
-        backoff: float = 2.0,
-        jitter: float = 0.0,
-        max_elapsed: float | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-        rng: Callable[[], float] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-        metrics: Metrics = NULL_METRICS,
-    ) -> None:
-        if not 0.0 <= jitter <= 1.0:
-            raise InvalidParameterError(
-                f"jitter must be in [0, 1], got {jitter}"
-            )
-        if max_elapsed is not None and max_elapsed <= 0:
-            raise InvalidParameterError(
-                f"max_elapsed must be positive, got {max_elapsed}"
-            )
-        self._source = source
-        self.retry_on = retry_on
-        self.max_retries = max(0, int(max_retries))
-        self.base_delay = base_delay
-        self.backoff = backoff
-        self.jitter = float(jitter)
-        self.max_elapsed = max_elapsed
-        self._sleep = sleep
-        self._rng = rng if rng is not None else random.random
-        self._clock = clock
-        self.metrics = metrics
-        self.retries = 0  # transient failures retried
-        self.resets = 0  # iterator rebuilds (generator sources)
-        self.gave_up = 0  # retry loops that exhausted their budget
-
-    def __iter__(self) -> Iterator[SpatialObject]:
-        iterator = iter(self._source)
-        delivered = 0
-        while True:
-            attempts = 0
-            delay = self.base_delay
-            started: float | None = None
-            while True:
-                try:
-                    obj = next(iterator)
-                    break
-                except StopIteration:
-                    return
-                except self.retry_on as exc:
-                    now = self._clock()
-                    if started is None:
-                        started = now
-                    attempts += 1
-                    self.retries += 1
-                    self.metrics.inc("source_retries")
-                    if attempts > self.max_retries:
-                        self._give_up()
-                        raise SourceRetryExhaustedError(
-                            f"source still failing after {self.max_retries} "
-                            f"retries: {exc}"
-                        ) from exc
-                    if (
-                        self.max_elapsed is not None
-                        and now - started >= self.max_elapsed
-                    ):
-                        self._give_up()
-                        raise SourceRetryExhaustedError(
-                            f"source still failing after "
-                            f"{now - started:.3f}s, past the max_elapsed "
-                            f"budget of {self.max_elapsed}s: {exc}"
-                        ) from exc
-                    pause = delay
-                    if self.jitter:
-                        # full jitter at 1.0: uniform in [0, delay]
-                        pause = delay * (
-                            (1.0 - self.jitter) + self.jitter * self._rng()
-                        )
-                    self.metrics.observe("source_retry_sleep_s", pause)
-                    self._sleep(pause)
-                    delay *= self.backoff
-                    iterator = self._reset(iterator, delivered)
-            delivered += 1
-            yield obj
-
-    def _give_up(self) -> None:
-        self.gave_up += 1
-        self.metrics.inc("source_retry_gave_up")
-
-    def _reset(
-        self, iterator: Iterator[SpatialObject], delivered: int
-    ) -> Iterator[SpatialObject]:
-        """Recreate a closed generator, skipping delivered records."""
-        if not isinstance(iterator, types.GeneratorType):
-            return iterator  # resumable iterator: keep polling it
-        fresh = iter(self._source)
-        for _ in range(delivered):
-            next(fresh)
-        self.resets += 1
-        self.metrics.inc("source_resets")
-        return fresh

@@ -6,7 +6,7 @@
         → IngestGuard (+ ReorderBuffer, DeadLetterQueue)
         → BackpressureQueue
         → StreamEngine → WriteAheadLog
-                       → AdaptiveMonitor (deadline ladder + breaker)
+                       → AdaptiveMonitor (deadline ladder)
                        → CheckpointManager
 
 — and drives it through a :class:`~repro.soak.scenario.Scenario`'s
@@ -37,9 +37,8 @@ from __future__ import annotations
 import errno
 import itertools
 import tempfile
-import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -52,8 +51,7 @@ from repro.engine.stats import TimingStats
 from repro.errors import InvalidParameterError, ReproError, SnapshotError
 from repro.obs.metrics import Metrics
 from repro.overload.backpressure import BackpressureQueue
-from repro.overload.breaker import CircuitBreaker
-from repro.overload.controller import AdaptiveMonitor, DeadlineController
+from repro.overload.controller import AdaptiveMonitor
 from repro.resilience.chaos import FaultInjectingSource
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.guard import ErrorPolicy, IngestGuard
@@ -72,11 +70,11 @@ __all__ = ["SoakReport", "run_soak"]
 
 _MONITOR = "ladder"
 _MAX_FAILURE_LINES = 20
-# budget calibration (``unit_ms=None``): discarded warm-up batches,
-# then timed ones; the floor keeps a very fast host from handing the
-# ladder a budget below timer noise
+# budget calibration (``unit_ms=None``): discarded warm-up ticks, then
+# timed ones; the floor keeps a very fast host from handing the ladder a
+# budget below timer noise
 _CALIBRATION_WARMUP = 2
-_CALIBRATION_BATCHES = 8
+_CALIBRATION_TICKS = 100
 _MIN_BUDGET_MS = 0.05
 
 
@@ -133,9 +131,7 @@ class SoakReport:
     # ladder trajectory (accumulated across incarnations)
     ladder_transitions: int
     final_mode: str
-    breaker_trips: int
     rebuilds: int
-    stale_served: int
     # invariant coverage
     ledger_checks: int
     watermark_checks: int
@@ -209,9 +205,7 @@ class SoakReport:
             ("checksum failures", self.checksum_failures),
             ("ladder transitions", self.ladder_transitions),
             ("final mode", self.final_mode),
-            ("breaker trips", self.breaker_trips),
             ("index rebuilds", self.rebuilds),
-            ("stale served", self.stale_served),
             ("ledger checks", self.ledger_checks),
             ("watermark checks", self.watermark_checks),
             ("guarantee checks", self.guarantee_checks),
@@ -256,44 +250,45 @@ class SoakReport:
 def _calibrate_budget_ms(scn: Scenario, seed: int) -> float:
     """Latency budget from this host's measured exact update cost.
 
-    A throwaway ladder monitor, shaped and instrumented like the
-    campaign's and held on its exact rung by an unreachable budget,
-    ingests the campaign's own prime — read from a fresh instance of
-    the same seeded stream, so the campaign's source, reference window
-    and WAL indexes are untouched — and is timed over the batches that
-    follow it.  Warm-up batches are discarded, then the p75 of the
-    timed ones anchors the budget: a short calibration that catches the
-    host on a fast (or slow) moment must not hand the campaign a budget
-    the steady state cannot live inside.
+    The cost that matters is the one the p95 gate times: the ladder's
+    exact update *inside* the campaign, interleaved with the rest of
+    the stack's per-tick work (guard, queue, WAL append and fsync,
+    checkpoints, exact-companion sweeps).  So the campaign's own stack
+    runs a calm prefix of the campaign — same stream, seed, window and
+    rate, in a throwaway directory — with the ladder held on its exact
+    rung by an unreachable budget.  Warm-up ticks are discarded and the
+    p75 of the timed updates anchors the budget.
+
+    Both the conditions and the length matter.  Back-to-back updates
+    on a bare monitor read about a quarter cheaper than the same
+    updates inside the campaign, and a shared host's speed drifts by up
+    to 2x over hundreds of milliseconds: eight back-to-back updates
+    (a few ms) sample one such phase, a hundred campaign ticks span
+    several.
     """
-    stream = iter(make_stream(scn.dataset, domain=scn.domain, seed=seed))
-    monitor = AdaptiveMonitor(
-        scn.side,
-        scn.side,
-        lambda: CountWindow(scn.window),
-        budget_ms=float("inf"),
-        epsilon_schedule=scn.epsilons,
-        sampling_epsilon=scn.sampling_epsilon,
-        seed=seed,
-        probe_every=scn.probe_every,
+    calm = replace(
+        scn,
+        phases=(
+            Phase(
+                name="calibration",
+                ticks=_CALIBRATION_WARMUP + _CALIBRATION_TICKS,
+            ),
+        ),
     )
-    # instrumented like the campaign's monitor, which the engine wires
-    # to its metrics registry: counters are part of the update cost
-    monitor.attach_metrics(Metrics("calibration"))
-    monitor.ingest(list(itertools.islice(stream, scn.window)))
-    timings = TimingStats()
-    for i in range(_CALIBRATION_WARMUP + _CALIBRATION_BATCHES):
-        batch = list(itertools.islice(stream, scn.rate))
-        start = time.perf_counter()
-        monitor.update(batch)
-        if i >= _CALIBRATION_WARMUP:
-            timings.record(time.perf_counter() - start)
+    with tempfile.TemporaryDirectory(prefix="maxrs-calibration-") as tmp:
+        run = _SoakRun(calm, seed, True, Path(tmp), budget_ms=float("inf"))
+        run.execute()
+    timings = TimingStats(run.update_times.samples[_CALIBRATION_WARMUP:])
     p75_ms = timings.percentile(75.0) * 1000.0
     return max(scn.budget_factor * p75_ms, _MIN_BUDGET_MS)
 
 
 class _SoakRun:
-    """One scenario execution: the composed stack plus its bookkeeping."""
+    """One scenario execution: the composed stack plus its bookkeeping.
+
+    ``budget_ms`` overrides the scenario's own latency budget (modeled
+    or calibrated); budget calibration passes an unreachable one.
+    """
 
     def __init__(
         self,
@@ -302,6 +297,7 @@ class _SoakRun:
         verify_checksum: bool,
         checkpoint_dir: Path,
         wal_dir: Path | None = None,
+        budget_ms: float | None = None,
     ) -> None:
         scn = self.scenario = scenario
         self.seed = seed
@@ -312,7 +308,9 @@ class _SoakRun:
 
         self.calibrated = scn.unit_ms is None
         self._latency_model = None
-        if scn.unit_ms is None:
+        if budget_ms is not None:
+            self.budget_ms = budget_ms
+        elif scn.unit_ms is None:
             self.budget_ms = _calibrate_budget_ms(scn, seed)
         else:
             self.budget_ms = scn.unit_ms * scn.rate * scn.budget_factor
@@ -375,12 +373,11 @@ class _SoakRun:
         self.reference = CountWindow(scn.window)
         self.applied = 0
         self.holdover: List[SpatialObject] = []
+        self._shed_seen = 0
         # accumulated across monitor incarnations (crash replaces the
         # AdaptiveMonitor, which would otherwise reset its counters)
         self.transition_reasons: Counter[str] = Counter()
-        self.breaker_trips = 0
         self.rebuilds = 0
-        self.stale_served = 0
         self.ticks = 0
         self.crashes = 0
         self.recoveries = 0
@@ -417,24 +414,13 @@ class _SoakRun:
 
     def _make_adaptive(self) -> AdaptiveMonitor:
         scn = self.scenario
-        controller = DeadlineController(
-            self.budget_ms,
-            alpha=0.5,
-            high_fraction=0.85,
-            escalate_after=1,
-            deescalate_after=2,
-            min_residency=3,
-            panic_factor=1.6,
-        )
         return AdaptiveMonitor(
             scn.side,
             scn.side,
             lambda: CountWindow(scn.window),
+            budget_ms=self.budget_ms,
             epsilon_schedule=scn.epsilons,
-            sampling_epsilon=scn.sampling_epsilon,
             seed=self.seed,
-            controller=controller,
-            breaker=CircuitBreaker(),
             probe_every=scn.probe_every,
             latency_model=self._latency_model,
         )
@@ -484,7 +470,14 @@ class _SoakRun:
     # -- the drive loop ------------------------------------------------------
 
     def _apply_batch(self, phase_name: str, batch: List[SpatialObject]) -> int:
-        self.adaptive.note_pressure(self.queue.pending + len(self.holdover))
+        # the ladder's backlog: what the queue could not serve at once,
+        # including what it shed since the last batch (a queue that
+        # sheds down to one full drain has no pending objects to show)
+        shed = self.queue.shed - self._shed_seen
+        self._shed_seen = self.queue.shed
+        self.adaptive.note_pressure(
+            self.queue.pending + len(self.holdover) + shed
+        )
         self.engine.process(batch)
         self.applied += 1
         self.reference.push(batch)
@@ -652,9 +645,7 @@ class _SoakRun:
         self.transition_reasons.update(
             str(t["reason"]) for t in monitor.transitions
         )
-        self.breaker_trips += monitor.breaker.trips
         self.rebuilds += monitor.rebuilds
-        self.stale_served += monitor.stale_residency
 
     def _bank_update_times(self) -> None:
         """Keep the ladder's per-update wall times across incarnations:
@@ -755,9 +746,7 @@ class _SoakRun:
             ),
             ladder_transitions=sum(self.transition_reasons.values()),
             final_mode=self.adaptive.mode,
-            breaker_trips=self.breaker_trips,
             rebuilds=self.rebuilds,
-            stale_served=self.stale_served,
             ledger_checks=inv.ledger_checks,
             watermark_checks=inv.watermark_checks,
             guarantee_checks=inv.guarantee_checks,

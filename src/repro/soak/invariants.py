@@ -18,8 +18,10 @@ stack, every tick:
   fresh exact plane sweep (the exact-companion spot check);
 * **exact re-convergence** — after a recovery (and at the end of any
   ``verify_convergence`` phase) the monitor's window must equal the
-  reference window object-for-object and its answer must equal the
-  exact sweep.
+  reference window object-for-object; at the end of a
+  ``verify_convergence`` phase the last answer must also be an exact
+  one (judged by the answer's own mode, not the ladder's next rung)
+  and equal the exact sweep.
 
 Violations are collected (not raised): a soak keeps driving the stack
 after a breach so one bug cannot mask later ones; the report's exit
@@ -158,9 +160,8 @@ class InvariantMonitor:
 
     def _check_guarantee(self, phase: str, monitor: "AdaptiveMonitor") -> None:
         result: "MaxRSResult" = monitor.result
-        # stale answers describe an older window; sampling answers carry
-        # no deterministic floor — neither has a claim to check
-        if result.stale_for > 0 or result.guarantee <= 0.0:
+        # sampling answers carry no deterministic floor: no claim to check
+        if result.guarantee <= 0.0:
             return
         self.guarantee_checks += 1
         exact = exact_weight_over(list(monitor.window.contents), self.side)
@@ -187,8 +188,16 @@ class InvariantMonitor:
         where: str,
         require_exact_mode: bool = True,
     ) -> None:
-        """Window contents (and, in exact mode, the answer) must match
-        the reference window fed with every applied batch."""
+        """Window contents must match the reference window fed with
+        every applied batch; with ``require_exact_mode`` the last answer
+        must also be exact and equal the exact sweep.
+
+        The answer is judged by ``monitor.result.mode``, the mode that
+        produced it.  The ladder steers after answering, so its rung
+        (``monitor.mode``) may already name the next update's mode: a
+        de-escalating last update leaves the rung at exact over an
+        approximate answer.
+        """
         self.convergence_checks += 1
         got = [
             (o.oid, o.x, o.y, o.weight, o.timestamp)
@@ -213,15 +222,17 @@ class InvariantMonitor:
             return
         if not require_exact_mode:
             return
-        if monitor.mode != monitor.EXACT:
+        result = monitor.result
+        if result.mode != monitor.EXACT:
             self._violate(
                 phase,
                 "convergence_mode",
-                f"{where}: ladder still at {monitor.mode!r}, not exact",
+                f"{where}: last answer is {result.mode!r} (ladder rung "
+                f"{monitor.mode!r}), not exact",
             )
             return
         exact = exact_weight_over(list(reference.contents), self.side)
-        answer = monitor.result.best_weight
+        answer = result.best_weight
         if abs(answer - exact) > self.weight_tol * max(1.0, abs(exact)):
             self._violate(
                 phase,

@@ -186,8 +186,9 @@ class Scenario:
     trajectories — and therefore entire soak reports — are
     bit-identical across runs and hosts.  ``None`` means "measure it":
     the budget is ``budget_factor`` × the p75 of timed exact updates on
-    this host, the ladder steers on wall-clock time, and a p95 update
-    latency over the budget is a campaign violation.
+    a calm prefix of the campaign run through its own stack, the ladder
+    steers on wall-clock time, and a p95 update latency over the budget
+    is a campaign violation.
     """
 
     name: str
@@ -201,7 +202,6 @@ class Scenario:
     side: float = 1000.0
     max_lateness: float = 8.0
     epsilons: Tuple[float, ...] = (0.2, 0.4)
-    sampling_epsilon: float = 0.5
     probe_every: int = 25
     checkpoint_every: int = 10
     checkpoint_keep: int = 2

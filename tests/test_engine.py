@@ -7,11 +7,9 @@ import warnings
 
 import pytest
 
-from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.naive import NaiveMonitor
 from repro.engine import StreamEngine, TimingStats
-from repro.overload import BackpressureQueue
 from repro.errors import (
     EmptyWindowError,
     InvalidParameterError,
@@ -260,105 +258,3 @@ class TestReportErrors:
         )
         with pytest.raises(InvalidParameterError, match="<none>"):
             report.mean_ms("ag2")
-
-
-class TestRunOffered:
-    def offered_engine(self, policy="shed_oldest", capacity=40, max_batch=20):
-        queue = BackpressureQueue(capacity, policy=policy, max_batch=max_batch)
-        e = StreamEngine(
-            {"ag2": AG2Monitor(20, 20, CountWindow(100))},
-            UniformStream(domain=200.0, seed=1),
-            batch_size=10,
-            backpressure=queue,
-        )
-        return e, queue
-
-    def test_requires_backpressure_queue(self):
-        with pytest.raises(InvalidParameterError, match="BackpressureQueue"):
-            engine().run_offered([5, 5])
-
-    def test_negative_arrivals_rejected(self):
-        e, _ = self.offered_engine()
-        with pytest.raises(InvalidParameterError):
-            e.run_offered([5, -1])
-
-    def test_report_carries_the_ledger(self):
-        e, _ = self.offered_engine()
-        report = e.run_offered([10, 10, 10])
-        assert report.batches == 3
-        overload = report.overload
-        assert overload["policy"] == "shed_oldest"
-        assert overload["ledger_closed"]
-        assert overload["ledger"]["offered"] == 30
-        assert overload["ledger"]["processed"] == 30
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert doc["overload"]["ledger"]["offered"] == 30
-
-    def test_burst_sheds_and_stays_bounded(self):
-        e, queue = self.offered_engine(capacity=15, max_batch=10)
-        report = e.run_offered([40, 1, 1])
-        assert report.overload["shed"] > 0
-        assert report.overload["queue_high_water"] <= 15
-        assert report.overload["ledger_closed"]
-        assert queue.pending == report.overload["queue_pending"]
-
-    def test_block_policy_holds_over_and_reoffers(self):
-        e, queue = self.offered_engine(
-            policy="block", capacity=10, max_batch=10
-        )
-        report = e.run_offered([25, 0, 0, 0])
-        # refused objects wait upstream and re-enter on later ticks:
-        # nothing is lost, the answer is just later
-        assert queue.processed == 25
-        assert queue.shed == 0
-        assert report.batches == 3
-        assert report.overload["ledger_closed"]
-
-    def test_on_batch_hook_sees_results(self):
-        e, _ = self.offered_engine()
-        seen = []
-        e.run_offered(
-            [10, 10],
-            on_batch=lambda i, batch, results: seen.append(
-                (i, len(batch), results["ag2"].best_weight)
-            ),
-        )
-        assert [s[0] for s in seen] == [0, 1]
-        assert all(s[1] == 10 for s in seen)
-        assert all(s[2] >= 0 for s in seen)
-
-    def test_note_pressure_receives_the_backlog(self):
-        class SpyMonitor(NaiveMonitor):
-            backlogs: list
-
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self.backlogs = []
-
-            def note_pressure(self, backlog):
-                self.backlogs.append(backlog)
-
-        spy = SpyMonitor(20, 20, CountWindow(100))
-        queue = BackpressureQueue(40, max_batch=10)
-        e = StreamEngine(
-            {"spy": spy},
-            UniformStream(domain=200.0, seed=1),
-            batch_size=10,
-            backpressure=queue,
-        )
-        e.run_offered([25, 0, 0])
-        assert spy.backlogs == [15, 5, 0]
-
-    def test_exhaustion_drains_backlog_then_warns(self):
-        queue = BackpressureQueue(100)
-        e = StreamEngine(
-            {"naive": NaiveMonitor(20, 20, CountWindow(100))},
-            iter(make_objects(30, domain=200.0)),
-            batch_size=10,
-            backpressure=queue,
-        )
-        with pytest.warns(StreamExhaustedWarning):
-            report = e.run_offered([20, 20, 20])
-        assert report.source_exhausted
-        assert queue.processed == 30
-        assert report.overload["ledger_closed"]

@@ -10,7 +10,6 @@ from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.engine import MultiQueryGroup
 from repro.errors import InvalidParameterError
-from repro.overload import AdaptiveMonitor, BackpressureQueue
 from repro.window import CountWindow
 
 
@@ -116,54 +115,3 @@ class TestBackfill:
             group.add_backfilled(
                 "x", AG2Monitor(5, 5, CountWindow(5)), source="nope"
             )
-
-
-class TestBackpressureServing:
-    def test_offer_requires_queue(self):
-        group = MultiQueryGroup()
-        group.add("q", AG2Monitor(10, 10, CountWindow(50)))
-        with pytest.raises(InvalidParameterError, match="backpressure"):
-            group.offer(make_objects(5))
-        with pytest.raises(InvalidParameterError, match="backpressure"):
-            group.overload_stats()
-
-    def test_offer_serves_coalesced_batches(self):
-        queue = BackpressureQueue(20, max_batch=10)
-        group = MultiQueryGroup(backpressure=queue)
-        group.add("a", AG2Monitor(10, 10, CountWindow(50)))
-        group.add("b", NaiveMonitor(10, 10, CountWindow(50)))
-        results = group.offer(make_objects(15, domain=60.0))
-        assert set(results) == {"a", "b"}
-        assert queue.pending == 5  # coalescing bound held back the rest
-        assert group.offer([]) is not None  # drains the backlog
-        assert queue.pending == 0
-        assert group.offer([]) is None  # nothing pending, nothing served
-        stats = group.overload_stats()
-        assert stats["ledger_closed"]
-        assert stats["ledger"]["processed"] == 15
-
-    def test_shedding_keeps_the_group_bounded(self):
-        queue = BackpressureQueue(8, max_batch=8, policy="shed_oldest")
-        group = MultiQueryGroup(backpressure=queue)
-        group.add("q", NaiveMonitor(10, 10, CountWindow(50)))
-        group.offer(make_objects(30, domain=60.0))
-        stats = group.overload_stats()
-        assert stats["shed"] > 0
-        assert stats["queue_high_water"] <= 8
-        assert stats["ledger_closed"]
-
-    def test_adaptive_query_reports_its_ladder(self):
-        queue = BackpressureQueue(50)
-        group = MultiQueryGroup(backpressure=queue)
-        group.add(
-            "ladder",
-            AdaptiveMonitor(
-                10.0, 10.0, lambda: CountWindow(50), budget_ms=10_000.0
-            ),
-        )
-        group.add("plain", NaiveMonitor(10, 10, CountWindow(50)))
-        group.offer(make_objects(12, domain=60.0))
-        stats = group.overload_stats()
-        assert set(stats["monitors"]) == {"ladder"}  # plain has no ladder
-        assert stats["monitors"]["ladder"]["mode"] == "exact"
-        assert stats["monitors"]["ladder"]["guarantee"] == 1.0

@@ -16,7 +16,7 @@ class TestShedPolicy:
     def test_coerce_strings(self):
         assert ShedPolicy.coerce("block") is ShedPolicy.BLOCK
         assert ShedPolicy.coerce("SHED_OLDEST") is ShedPolicy.SHED_OLDEST
-        assert ShedPolicy.coerce("shed-newest") is ShedPolicy.SHED_NEWEST
+        assert ShedPolicy.coerce("shed-oldest") is ShedPolicy.SHED_OLDEST
         assert ShedPolicy.coerce(ShedPolicy.BLOCK) is ShedPolicy.BLOCK
 
     def test_coerce_unknown_rejected(self):
@@ -99,15 +99,7 @@ class TestSheddingPolicies:
         objects = make_objects(5)
         assert queue.offer_all(objects) == []  # shedding never refuses
         assert queue.take_batch() == objects[2:]  # oldest two gave way
-        assert queue.shed_oldest == 2 and queue.shed_newest == 0
-        assert queue.ledger_closed
-
-    def test_shed_newest_keeps_backlog(self):
-        queue = BackpressureQueue(3, policy=ShedPolicy.SHED_NEWEST)
-        objects = make_objects(5)
-        assert queue.offer_all(objects) == []
-        assert queue.take_batch() == objects[:3]  # incoming were dropped
-        assert queue.shed_newest == 2 and queue.shed_oldest == 0
+        assert queue.shed == 2
         assert queue.ledger_closed
 
     def test_depth_never_exceeds_capacity(self):
@@ -142,8 +134,7 @@ class TestLedger:
         assert ledger == {
             "offered": 6,
             "processed": 2,
-            "shed_oldest": 2,
-            "shed_newest": 0,
+            "shed": 2,
             "refused": 0,
             "spilled": 0,
             "pending": 2,

@@ -12,7 +12,7 @@ import pytest
 from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.objects import SpatialObject
-from repro.engine import MultiQueryGroup, StreamEngine
+from repro.engine import StreamEngine
 from repro.errors import InvalidParameterError, QuarantineError
 from repro.obs import Metrics
 from repro.resilience import (
@@ -387,20 +387,3 @@ class TestEngineAndGroupWiring:
         report = engine.run(10)
         assert "ingest" in report.metrics
         assert report.metrics["ingest"].counters["records_quarantined"] == 1
-
-    def test_multi_query_group_guarded_update(self):
-        group = MultiQueryGroup(guard=IngestGuard(policy="quarantine"))
-        group.add("a", AG2Monitor(10, 10, CountWindow(30)))
-        group.add("b", AG2Monitor(20, 20, CountWindow(30)))
-        batch: list[object] = list(make_objects(10, seed=6, domain=50.0))
-        batch.append((1.0, 2.0, "garbage"))
-        results = group.update_guarded(batch)
-        assert set(results) == {"a", "b"}
-        assert group.guard.quarantined == 1
-        assert all(len(m.window) == 10 for m in map(group.monitor, "ab"))
-
-    def test_group_without_guard_rejects_guarded_update(self):
-        group = MultiQueryGroup()
-        group.add("a", AG2Monitor(10, 10, CountWindow(30)))
-        with pytest.raises(InvalidParameterError):
-            group.update_guarded([obj(1.0)])

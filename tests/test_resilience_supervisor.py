@@ -20,7 +20,6 @@ from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import (
     InvariantViolationError,
-    SourceRetryExhaustedError,
     UnrecoverableMonitorError,
 )
 from repro.engine import StreamEngine
@@ -30,9 +29,8 @@ from repro.resilience import (
     FaultInjectingSource,
     IngestGuard,
     MonitorSupervisor,
-    RetryingSource,
 )
-from repro.streams import ReplayStream, UniformStream
+from repro.streams import UniformStream
 from repro.window import CountWindow, TimeWindow
 
 
@@ -269,208 +267,3 @@ class TestHealEquivalence:
                 continue
             assert got.best_weight >= (1.0 - epsilon) * best - 1e-9
             assert supervised.window.contents == twin.window.contents
-
-
-class FlakyIterator:
-    """Resumable iterator raising a transient error at given positions."""
-
-    def __init__(self, objects, fail_at, exc=OSError):
-        self._objects = list(objects)
-        self._fail_at = set(fail_at)
-        self._exc = exc
-        self._pos = 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        if self._pos in self._fail_at:
-            self._fail_at.discard(self._pos)
-            raise self._exc("transient")
-        if self._pos >= len(self._objects):
-            raise StopIteration
-        obj = self._objects[self._pos]
-        self._pos += 1
-        return obj
-
-
-class TestRetryingSource:
-    def test_transient_failures_retried(self):
-        objects = make_objects(10, seed=14, domain=40.0)
-        sleeps: list[float] = []
-        source = RetryingSource(
-            FlakyIterator(objects, fail_at=[3, 7]),
-            base_delay=0.01,
-            sleep=sleeps.append,
-        )
-        assert list(source) == objects
-        assert source.retries == 2
-        assert sleeps == [0.01, 0.01]
-
-    def test_backoff_grows_per_consecutive_failure(self):
-        objects = make_objects(4, seed=15, domain=40.0)
-
-        class TripleFail(FlakyIterator):
-            def __init__(self, objs):
-                super().__init__(objs, fail_at=[])
-                self.remaining = 3
-
-            def __next__(self):
-                if self.remaining and self._pos == 2:
-                    self.remaining -= 1
-                    raise OSError("transient burst")
-                return super().__next__()
-
-        sleeps: list[float] = []
-        source = RetryingSource(
-            TripleFail(objects),
-            max_retries=5,
-            base_delay=0.01,
-            backoff=2.0,
-            sleep=sleeps.append,
-        )
-        assert list(source) == objects
-        assert sleeps == [0.01, 0.02, 0.04]
-
-    def test_exhaustion_raises_with_cause(self):
-        class AlwaysBroken:
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                raise OSError("dead disk")
-
-        source = RetryingSource(
-            AlwaysBroken(), max_retries=2, sleep=lambda _: None
-        )
-        with pytest.raises(SourceRetryExhaustedError) as exc_info:
-            list(source)
-        assert isinstance(exc_info.value.__cause__, OSError)
-
-    def test_non_transient_errors_propagate(self):
-        source = RetryingSource(
-            FlakyIterator([], fail_at=[0], exc=KeyError),
-            sleep=lambda _: None,
-        )
-        with pytest.raises(KeyError):
-            list(source)
-
-    def test_generator_source_restarted_and_fastforwarded(self):
-        objects = make_objects(6, seed=16, domain=40.0)
-
-        class FlakyOnceStream(ReplayStream):
-            """Generator-backed source that dies once mid-iteration."""
-
-            def __init__(self, objs):
-                super().__init__(objs)
-                self.failed = False
-
-            def __iter__(self):
-                for i, o in enumerate(super().__iter__()):
-                    if i == 3 and not self.failed:
-                        self.failed = True
-                        raise OSError("transient")
-                    yield o
-
-        source = RetryingSource(FlakyOnceStream(objects), sleep=lambda _: None)
-        assert list(source) == objects
-        assert source.resets == 1
-
-
-class TestRetryJitterAndBudget:
-    def test_full_jitter_spreads_sleeps(self):
-        objects = make_objects(6, seed=17, domain=40.0)
-        sleeps: list[float] = []
-        rolls = iter([0.5, 0.25])
-        source = RetryingSource(
-            FlakyIterator(objects, fail_at=[1, 4]),
-            base_delay=0.1,
-            jitter=1.0,  # full jitter: sleep uniform in [0, delay]
-            rng=lambda: next(rolls),
-            sleep=sleeps.append,
-        )
-        assert list(source) == objects
-        assert sleeps == [0.05, 0.025]
-
-    def test_partial_jitter_keeps_floor(self):
-        objects = make_objects(4, seed=18, domain=40.0)
-        sleeps: list[float] = []
-        source = RetryingSource(
-            FlakyIterator(objects, fail_at=[2]),
-            base_delay=0.1,
-            jitter=0.5,
-            rng=lambda: 0.0,  # worst roll still sleeps half the delay
-            sleep=sleeps.append,
-        )
-        assert list(source) == objects
-        assert sleeps == [pytest.approx(0.05)]
-
-    def test_zero_jitter_is_the_deterministic_ladder(self):
-        objects = make_objects(4, seed=18, domain=40.0)
-        sleeps: list[float] = []
-        source = RetryingSource(
-            FlakyIterator(objects, fail_at=[2]),
-            base_delay=0.1,
-            rng=lambda: pytest.fail("rng must not be consulted"),
-            sleep=sleeps.append,
-        )
-        assert list(source) == objects
-        assert sleeps == [0.1]
-
-    def test_jitter_validated(self):
-        with pytest.raises(Exception, match="jitter"):
-            RetryingSource(iter([]), jitter=1.5)
-
-    def test_max_elapsed_gives_up_before_attempts_run_out(self):
-        class AlwaysBroken:
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                raise OSError("dead disk")
-
-        clock_values = iter([0.0, 3.0, 11.0])
-        source = RetryingSource(
-            AlwaysBroken(),
-            max_retries=50,
-            sleep=lambda _: None,
-            max_elapsed=10.0,
-            clock=lambda: next(clock_values),
-        )
-        with pytest.raises(SourceRetryExhaustedError, match="max_elapsed"):
-            list(source)
-        assert source.gave_up == 1
-        assert source.retries == 3  # attempts were not the limit
-
-    def test_retry_counters_in_metrics_registry(self):
-        objects = make_objects(6, seed=19, domain=40.0)
-        metrics = Metrics("test")
-        source = RetryingSource(
-            FlakyIterator(objects, fail_at=[1, 3]),
-            base_delay=0.01,
-            sleep=lambda _: None,
-            metrics=metrics,
-        )
-        assert list(source) == objects
-        assert metrics.counter("source_retries").value == 2
-        assert metrics.counter("source_retry_gave_up").value == 0
-        assert metrics.histogram("source_retry_sleep_s").count == 2
-
-    def test_gave_up_counter_in_registry(self):
-        class AlwaysBroken:
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                raise OSError("dead disk")
-
-        metrics = Metrics("test")
-        source = RetryingSource(
-            AlwaysBroken(),
-            max_retries=1,
-            sleep=lambda _: None,
-            metrics=metrics,
-        )
-        with pytest.raises(SourceRetryExhaustedError):
-            list(source)
-        assert metrics.counter("source_retry_gave_up").value == 1

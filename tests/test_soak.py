@@ -26,7 +26,7 @@ from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError, ReproError
 from repro.obs import Metrics
-from repro.overload import BackpressureQueue
+from repro.overload import AdaptiveMonitor, BackpressureQueue
 from repro.resilience import IngestGuard
 from repro.resilience.checkpoint import CheckpointManager
 from repro.engine.engine import StreamEngine
@@ -290,6 +290,41 @@ class TestInvariantMonitor:
             "dlq_completeness"
         ]
 
+    def test_convergence_judges_the_answer_not_the_rung(self):
+        # a modeled-latency ladder whose last update de-escalates: its
+        # rung already reads exact, but that update was answered on the
+        # approximate rung, which is no exact re-convergence
+        adaptive = AdaptiveMonitor(
+            10.0,
+            10.0,
+            lambda: CountWindow(200),
+            budget_ms=10.0,
+            epsilon_schedule=(0.2,),
+            latency_model=lambda rung, batch: 0.0,
+        )
+        reference = CountWindow(200)
+        prime = make_objects(100, seed=3)
+        adaptive.ingest(prime)
+        reference.push(prime)
+        adaptive._transition(1, "test")  # approx(0.2)
+        for step in range(10):  # stop on the update that steps down
+            batch = make_objects(10, seed=4 + step, start_t=100.0 + 10 * step)
+            adaptive.update(batch)
+            reference.push(batch)
+            if adaptive.mode == "exact":
+                break
+        assert adaptive.mode == "exact"
+        assert adaptive.result.mode == "approx"
+        _, invariants = self._monitor()
+        invariants.check_convergence(
+            "p", adaptive, reference, where="phase end"
+        )
+        assert [v["kind"] for v in invariants.violations] == [
+            "convergence_mode"
+        ]
+        detail = invariants.violations[0]["detail"]
+        assert "'approx'" in detail and "'exact'" in detail
+
 
 class TestExactCompanion:
     def test_empty_window_scores_zero(self):
@@ -466,6 +501,40 @@ class TestCustomScenario:
         assert report.crashes == 1
         assert report.recoveries == 1
         assert report.scenario == "tiny"
+
+    def test_block_policy_holds_over_and_reoffers(self, tmp_path):
+        # a BLOCK queue refuses what it cannot hold; the harness keeps
+        # the refused objects upstream and re-offers them every tick, so
+        # a burst is delayed, never lost
+        scenario = Scenario(
+            name="blocked",
+            description="one burst against a small BLOCK queue",
+            window=80,
+            rate=20,
+            capacity_factor=2,
+            max_batch_factor=1,
+            shed_policy="block",
+            stride=0,
+            phases=(
+                Phase(
+                    name="burst",
+                    kind="overload",
+                    ticks=12,
+                    pattern="spike",
+                    burst_factor=6.0,
+                    period=12,
+                    verify_convergence=True,
+                ),
+            ),
+        )
+        report = run_soak(scenario, checkpoint_dir=tmp_path)
+        assert report.ok, report.failures()
+        assert report.refused_offers > 0
+        assert report.shed == 0
+        # the drain emptied the holdover into the window: every admitted
+        # object was processed
+        assert report.holdover == 0 and report.queue_pending == 0
+        assert report.processed == report.admitted
 
     def test_cold_start_when_no_checkpoint_exists(self, tmp_path):
         # the prime checkpoint is the only one before the crash; tearing
