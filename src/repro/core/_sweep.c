@@ -1,8 +1,9 @@
 /*
- * Compiled max-cover plane sweep (see repro/core/planesweep.py).
+ * Compiled max-cover plane sweep and the aG2 cell-buffer scans (see
+ * repro/core/planesweep.py and repro/core/graph.py).
  *
- * A port of three pieces of Python: planesweep._prepare (slot
- * coordinates and the (y, kind, seq)-ordered event list),
+ * maxrs_sweep is a port of three pieces of Python: planesweep._prepare
+ * (slot coordinates and the (y, kind, seq)-ordered event list),
  * MaxCoverSegmentTree.add (the iterative mid-split range add) and the
  * max-only group loop of planesweep._sweep_python.  The tree add and the
  * group loop are line for line; the two sorts reach Python's order with
@@ -23,6 +24,13 @@
  * (weight, x1, y1, x2, y2) of a maximum-weight arrangement cell.
  * Returns 1 when found, 0 when no item has positive area, -1 when out
  * of memory.
+ *
+ * maxrs_connect, maxrs_local, maxrs_max and maxrs_above work on one
+ * graph cell's arrival-ordered buffer of the same 5-double items and
+ * on its bounds; they port the Python of planesweep._scan_python,
+ * _local_python, _max_flat and _above_flat.  Their comparisons are
+ * exact, the bound adds run in index order and clipping is a min/max,
+ * so they too match the Python bit for bit.
  */
 
 #include <math.h>
@@ -277,4 +285,97 @@ int maxrs_sweep(const double *items, long n, double *out)
     }
     free(key);
     return found;
+}
+
+/* Rect.overlaps: both rectangles have positive area and their
+ * interiors meet (shared edges and corners do not count) */
+static int overlaps(const double *a, const double *b)
+{
+    return a[0] != a[2] && a[1] != a[3] && b[0] != b[2] && b[1] != b[3]
+           && b[0] < a[2] && a[0] < b[2] && b[1] < a[3] && a[1] < b[3];
+}
+
+/*
+ * Every item j in [lo, hi), in index order, whose rectangle overlaps
+ * item q's: when upper is not NULL, upper[j] += weight of q and
+ * dirty[j] = 1 (CellGraph.connect, Equation 3); when hits is not NULL,
+ * hits[k] = j for the k-th such item.  Returns the number of items.
+ */
+long maxrs_connect(const double *items, long q, long lo, long hi,
+                   double *upper, signed char *dirty, long *hits)
+{
+    const double *a = items + 5 * q;
+    double w = a[4];
+    long k = 0;
+    for (long j = lo; j < hi; j++) {
+        if (!overlaps(a, items + 5 * j))
+            continue;
+        if (upper != NULL) {
+            upper[j] += w;
+            dirty[j] = 1;
+        }
+        if (hits != NULL)
+            hits[k] = j;
+        k++;
+    }
+    return k;
+}
+
+/*
+ * Local-Plane-Sweep of item i over its neighbours N(ri): the items j in
+ * (i, n) that overlap it.  Gathers item i, then each neighbour clipped
+ * to it, in index order, and sweeps them with maxrs_sweep.  Returns
+ * maxrs_sweep's answer, or 0 without sweeping when item i has no
+ * neighbour.
+ */
+int maxrs_local(const double *items, long i, long n, double *out)
+{
+    const double *a = items + 5 * i;
+    double *buf = malloc((size_t)(5 * (n - i)) * sizeof(double));
+    if (buf == NULL)
+        return -1;
+    memcpy(buf, a, 5 * sizeof(double));
+    long m = 1;
+    for (long j = i + 1; j < n; j++) {
+        const double *r = items + 5 * j;
+        if (!overlaps(a, r))
+            continue;
+        double x1 = r[0] > a[0] ? r[0] : a[0];
+        double y1 = r[1] > a[1] ? r[1] : a[1];
+        double x2 = r[2] < a[2] ? r[2] : a[2];
+        double y2 = r[3] < a[3] ? r[3] : a[3];
+        if (x1 < x2 && y1 < y2) {
+            double *c = buf + 5 * m++;
+            c[0] = x1;
+            c[1] = y1;
+            c[2] = x2;
+            c[3] = y2;
+            c[4] = r[4];
+        }
+    }
+    int found = m > 1 ? maxrs_sweep(buf, m, out) : 0;
+    free(buf);
+    return found;
+}
+
+/* max() over values[0..n-1]: the first of equal maxima, 0.0 if n == 0 */
+double maxrs_max(const double *values, long n)
+{
+    if (n == 0)
+        return 0.0;
+    double best = values[0];
+    for (long j = 1; j < n; j++)
+        if (values[j] > best)
+            best = values[j];
+    return best;
+}
+
+/* the first j in [lo, hi) with relax * values[j] > rho, else hi */
+long maxrs_above(const double *values, long lo, long hi, double relax,
+                 double rho)
+{
+    for (long j = lo; j < hi; j++)
+        if (relax * values[j] > rho)
+            return j;
+    return hi;
 }

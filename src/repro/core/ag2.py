@@ -60,7 +60,9 @@ class AG2Cell:
     __slots__ = ("graph", "pending", "cw", "rank")
 
     def __init__(self) -> None:
-        self.graph = CellGraph()
+        # allocated by the cell's first _overlap_computation: in a
+        # sparse window most mapped cells are pruned and never visited
+        self.graph: CellGraph | None = None
         # rectangles mapped here but not yet overlap-checked, in
         # arrival order: (sequence number, rectangle)
         self.pending: Deque[tuple[int, WeightedRect]] = deque()
@@ -75,9 +77,7 @@ class AG2Cell:
         return not self.graph and not self.pending
 
     def max_upper(self) -> float:
-        return max(
-            (v.upper for v in self.graph.iter_vertices()), default=0.0
-        )
+        return 0.0 if self.graph is None else self.graph.max_upper()
 
 
 class AG2Monitor(MaxRSMonitor):
@@ -128,8 +128,10 @@ class AG2Monitor(MaxRSMonitor):
         # purging pops the expired prefix and touches only those cells
         # instead of scanning the whole cell dict per batch
         self._expiry_log: Deque[tuple[int, CellKey]] = deque()
-        # the monitored answer: the vertex whose exact space we report
+        # the monitored answer: the vertex whose exact space we report,
+        # and that space's weight (kept equal to star.space.weight)
         self._star: Vertex | None = None
+        self._star_w = _NEG_INF
         self._star_cell: CellKey | None = None
 
     # -- Algorithm 2 ---------------------------------------------------------
@@ -139,8 +141,7 @@ class AG2Monitor(MaxRSMonitor):
         self._map_arrivals(delta)
         self._purge_all()
         if not self._cells:
-            self._star = None
-            self._star_cell = None
+            self._clear_star()
             return
         # lines 6-10: refresh (or re-seed) the monitored answer first so
         # the pruning threshold is as large as possible
@@ -234,8 +235,7 @@ class AG2Monitor(MaxRSMonitor):
         """
         expired_upto = self._expired_upto
         if self._star is not None and self._star.seq <= expired_upto:
-            self._star = None
-            self._star_cell = None
+            self._clear_star()
         log = self._expiry_log
         if not log or log[0][0] > expired_upto:
             return
@@ -248,11 +248,12 @@ class AG2Monitor(MaxRSMonitor):
             cell = cells.get(key)
             if cell is None:
                 continue
-            removed = cell.graph.expire_upto(expired_upto)
+            graph = cell.graph
+            removed = 0 if graph is None else graph.expire_upto(expired_upto)
             pending = cell.pending
             while pending and pending[0][0] <= expired_upto:
                 pending.popleft()
-            if not pending and not cell.graph:
+            if not pending and not graph:
                 del cells[key]
             elif removed:
                 self._cell_purged(cell)
@@ -260,6 +261,11 @@ class AG2Monitor(MaxRSMonitor):
     def _cell_purged(self, cell: AG2Cell) -> None:
         """Hook invoked after vertices expired from a surviving cell;
         the top-k monitor repairs its per-cell candidate list here."""
+
+    def _clear_star(self) -> None:
+        self._star = None
+        self._star_w = _NEG_INF
+        self._star_cell = None
 
     def _pick_start_cell(self) -> CellKey:
         """The cell holding ``s*``; if it expired, the Equation (6)
@@ -275,7 +281,7 @@ class AG2Monitor(MaxRSMonitor):
         bound contain an answer we are obliged to adopt?"""
         if self._star is None:
             return True
-        return (1.0 - self.epsilon) * bound > self._star.space.weight
+        return (1.0 - self.epsilon) * bound > self._star_w
 
     # -- Algorithm 3 -------------------------------------------------------------
 
@@ -283,17 +289,20 @@ class AG2Monitor(MaxRSMonitor):
         """Move pending rectangles into the graph, adding edges from
         older overlapping vertices (Equation 3 grows their bounds), then
         re-derive the cell bound from all vertex bounds (Equation 4)."""
-        self.stats.cells_visited += 1
+        stats = self.stats
+        stats.cells_visited += 1
         metrics = self.metrics
         metrics.inc("cells_visited")
         graph = cell.graph
+        if graph is None:
+            graph = cell.graph = CellGraph()
         for seq, wr in cell.pending:
-            self.stats.overlap_tests += len(graph)
-            metrics.inc("overlap_tests", len(graph))
-            _, touched = graph.connect(wr, seq)
-            metrics.inc("edges_touched", len(touched))
+            live = len(graph)
+            stats.overlap_tests += live
+            metrics.inc("overlap_tests", live)
+            metrics.inc("edges_touched", graph.connect(wr, seq))
         cell.pending.clear()
-        cell.cw = cell.max_upper()
+        cell.cw = graph.max_upper()
         metrics.inc("upper_bound_recomputes")
 
     # -- Algorithm 4 -------------------------------------------------------------
@@ -302,47 +311,59 @@ class AG2Monitor(MaxRSMonitor):
         """Scan the cell's vertices; run ``Local-Plane-Sweep`` for every
         vertex that survives Pruning Rule 2/4, adopting improvements
         into the monitored answer."""
-        cell = self._cells[key]
+        graph = self._cells[key].graph
         relax = 1.0 - self.epsilon
         tighten = self._tighten
         metrics = self.metrics
-        cw = 0.0
-        for v in cell.graph.iter_vertices():
-            rho = (
-                self._star.space.weight if self._star is not None else _NEG_INF
-            )
-            if relax * v.upper > rho:
-                if tighten is not None and v.upper > v.space.weight:
-                    v.upper = tighten(v, rho)
-                    metrics.inc("bound_tightenings")
-                if relax * v.upper > rho:
-                    # sweep only when N(ri) changed since the last exact
-                    # computation; otherwise `space` is already the exact
-                    # si and re-sweeping would reproduce it verbatim.
-                    # `dirty` is set by every edge append and cleared by
-                    # every sweep, so it is exactly that condition.
-                    if v.dirty:
-                        self._sweep_vertex(v)
-                    star = self._star
-                    if star is None or v.space.weight > star.space.weight:
-                        self._star = v
-                        self._star_cell = key
-                else:
-                    self.stats.vertices_pruned += 1
-                    metrics.inc("vertices_pruned")
-            else:
-                self.stats.vertices_pruned += 1
-                metrics.inc("vertices_pruned")
-            if v.upper > cw:
-                cw = v.upper
-        cell.cw = cw
+        upper = graph.upper
+        exact = graph.exact
+        dirty = graph.dirty
+        n = len(upper)
+        pruned = 0
+        i = graph.head
+        while True:
+            # Rule 2/4 in one scan: every vertex skipped here is pruned
+            # (ρ changes only when a visited vertex becomes the answer)
+            rho = self._star_w
+            j = graph.next_above(i, relax, rho)
+            pruned += j - i
+            if j == n:
+                break
+            i = j + 1
+            if tighten is not None and upper[j] > exact[j]:
+                upper[j] = tighten(graph.vertex(j), rho)
+                metrics.inc("bound_tightenings")
+                if not relax * upper[j] > rho:
+                    pruned += 1
+                    continue
+            # sweep only when N(ri) changed since the last exact
+            # computation; otherwise `space` is already the exact si and
+            # re-sweeping would reproduce it verbatim.  `dirty` is set
+            # by every new edge and cleared by every sweep, so it is
+            # exactly that condition.
+            if dirty[j]:
+                self._sweep_vertex(graph, j)
+            if self._star is None or exact[j] > self._star_w:
+                self._star = graph.vertex(j)
+                self._star_w = exact[j]
+                self._star_cell = key
+        if pruned:
+            self.stats.vertices_pruned += pruned
+            metrics.inc("vertices_pruned", pruned)
+        # the largest bound, or 0.0 when none is positive
+        cw = graph.max_upper()
+        self._cells[key].cw = cw if cw > 0.0 else 0.0
         metrics.inc("upper_bound_recomputes")
 
-    def _sweep_vertex(self, v: Vertex) -> None:
-        v.space = local_plane_sweep_cached(v)
-        v.upper = v.space.weight
-        v.dirty = False
-        v.swept_degree = len(v.neighbors)
+    def _sweep_vertex(self, graph: CellGraph, i: int) -> None:
+        # looked up per call: the end-to-end tracer patches this name
+        space = local_plane_sweep_cached(graph.vertex(i))
+        graph.settle(i, space)
+        star = self._star
+        if star is not None and star.graph is graph and star.pos == graph.base + i:
+            # the monitored vertex itself was re-swept: its (live) space
+            # may be a new region, or even a weight one ulp apart
+            self._star_w = space.weight
         self.stats.local_sweeps += 1
         self.metrics.inc("local_sweeps")
 
@@ -376,20 +397,26 @@ class AG2Monitor(MaxRSMonitor):
 
     @property
     def vertex_count(self) -> int:
-        return sum(len(c.graph) for c in self._cells.values())
+        return sum(
+            len(c.graph) for c in self._cells.values() if c.graph is not None
+        )
 
     @property
     def pending_count(self) -> int:
         return sum(len(c.pending) for c in self._cells.values())
 
     def check_invariants(self) -> None:
-        """Verify Property 4's checkable half on every cell.
+        """Verify Property 4's checkable half and the flat cell layout
+        (see :meth:`CellGraph.check_invariants`) on every cell.
 
         Raises :class:`InvariantViolationError` on the first violation.
         Intended for tests and debugging; never called on hot paths.
         """
         tol = 1e-6
         for key, cell in self._cells.items():
+            graph = cell.graph
+            if graph is not None:
+                graph.check_invariants(f"cell {key}")
             if cell.is_empty:
                 raise InvariantViolationError(f"empty cell {key} retained")
             top = cell.max_upper()
@@ -397,23 +424,21 @@ class AG2Monitor(MaxRSMonitor):
                 raise InvariantViolationError(
                     f"cell {key}: c.w={cell.cw} below max vertex bound {top}"
                 )
-            prev_seq = -1
-            for v in cell.graph.iter_vertices():
-                if v.seq <= self._expired_upto:
+            if graph is None:
+                continue
+            for i in range(graph.head, len(graph.seqs)):
+                seq = graph.seqs[i]
+                if seq <= self._expired_upto:
                     raise InvariantViolationError(
-                        f"cell {key}: expired vertex seq={v.seq} retained"
+                        f"cell {key}: expired vertex seq={seq} retained"
                     )
-                if v.seq <= prev_seq:
+                if not math.isfinite(graph.upper[i]):
                     raise InvariantViolationError(
-                        f"cell {key}: vertices out of arrival order"
+                        f"cell {key}: non-finite bound on seq={seq}"
                     )
-                prev_seq = v.seq
-                if v.upper < v.space.weight - tol:
-                    raise InvariantViolationError(
-                        f"cell {key}: vertex seq={v.seq} bound "
-                        f"{v.upper} below exact space {v.space.weight}"
-                    )
-                if not math.isfinite(v.upper):
-                    raise InvariantViolationError(
-                        f"cell {key}: non-finite bound on seq={v.seq}"
-                    )
+        star = self._star
+        if star is not None and star.space.weight != self._star_w:
+            raise InvariantViolationError(
+                f"answer weight {self._star_w} differs from its vertex's "
+                f"space {star.space.weight}"
+            )

@@ -17,6 +17,7 @@ vertex is alive, so the cache only needs repair when its owner expires.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict
 
 from repro.core.graph import CellGraph, Vertex
@@ -31,28 +32,42 @@ __all__ = ["G2Monitor"]
 
 
 class _G2Cell:
-    """A grid cell: its overlap graph plus the cached best vertex."""
+    """A grid cell: its overlap graph plus the cached best vertex and
+    its ``si`` weight."""
 
-    __slots__ = ("graph", "best")
+    __slots__ = ("graph", "best", "best_w")
 
     def __init__(self) -> None:
         self.graph = CellGraph()
         self.best: Vertex | None = None
+        self.best_w = 0.0
 
     def rescan_best(self) -> None:
-        best: Vertex | None = None
-        for v in self.graph.iter_vertices():
-            if (
-                best is None
-                or v.space.weight > best.space.weight
-                or (v.space.weight == best.space.weight and v.seq < best.seq)
-            ):
-                best = v
-        self.best = best
+        """The first live vertex of maximal ``si`` (seqs increase with
+        the index, so also the oldest)."""
+        graph = self.graph
+        exact = graph.exact
+        best = -1
+        for i in range(graph.head, len(exact)):
+            if best < 0 or exact[i] > exact[best]:
+                best = i
+        if best < 0:
+            self.best = None
+        else:
+            self.best = graph.vertex(best)
+            self.best_w = exact[best]
 
-    def offer_best(self, v: Vertex) -> None:
-        if self.best is None or v.space.weight > self.best.space.weight:
-            self.best = v
+    def offer_best(self, i: int) -> None:
+        """Adopt the vertex at array index ``i`` if it beats the best;
+        if it is the best, take its (re-swept) weight."""
+        graph = self.graph
+        w = graph.exact[i]
+        best = self.best
+        if best is None or w > self.best_w:
+            self.best = graph.vertex(i)
+            self.best_w = w
+        elif best.pos == graph.base + i:
+            self.best_w = w
 
 
 class G2Monitor(MaxRSMonitor):
@@ -85,7 +100,10 @@ class G2Monitor(MaxRSMonitor):
         grid_keys = self.grid.cell_keys
         width = self.rect_width
         height = self.rect_height
-        dirty: list[tuple[_G2Cell, Vertex]] = []
+        # (cell, pos) of every vertex that gained an edge, in the order
+        # the edges were made; pos survives compaction
+        dirty: list[tuple[_G2Cell, int]] = []
+        hits = array("q")
         for obj in delta.arrived:
             seq = self._next_seq
             self._next_seq += 1
@@ -98,24 +116,26 @@ class G2Monitor(MaxRSMonitor):
                 self._purge(cell)
                 stats.cells_visited += 1
                 metrics.inc("cells_visited")
-                stats.overlap_tests += len(cell.graph)
-                metrics.inc("overlap_tests", len(cell.graph))
-                vertex, touched = cell.graph.connect(wr, seq)
-                metrics.inc("edges_touched", len(touched))
-                cell.offer_best(vertex)
-                dirty.extend((cell, v) for v in touched)
+                graph = cell.graph
+                live = len(graph)
+                stats.overlap_tests += live
+                metrics.inc("overlap_tests", live)
+                metrics.inc("edges_touched", graph.connect(wr, seq, hits))
+                cell.offer_best(len(graph.seqs) - 1)
+                base = graph.base
+                dirty.extend((cell, base + i) for i in hits)
         # Recompute si exactly — once — for every vertex whose N(ri)
         # changed this batch (the dirty flag de-duplicates vertices
         # touched by several arrivals).
-        for cell, v in dirty:
-            if not v.dirty:
+        for cell, pos in dirty:
+            graph = cell.graph
+            i = pos - graph.base
+            if not graph.dirty[i]:
                 continue
-            v.dirty = False
-            v.space = local_plane_sweep_cached(v)
-            v.upper = v.space.weight
+            graph.settle(i, local_plane_sweep_cached(graph.vertex(i)))
             stats.local_sweeps += 1
             metrics.inc("local_sweeps")
-            cell.offer_best(v)
+            cell.offer_best(i)
 
     def _purge(self, cell: _G2Cell) -> None:
         removed = cell.graph.expire_upto(self._expired_upto)
@@ -126,7 +146,7 @@ class G2Monitor(MaxRSMonitor):
     # -- result -------------------------------------------------------------
 
     def _compute_result(self, tick: int) -> MaxRSResult:
-        best: Vertex | None = None
+        best: _G2Cell | None = None
         for key in list(self._cells):
             cell = self._cells[key]
             self.metrics.inc("cells_scanned")
@@ -136,18 +156,17 @@ class G2Monitor(MaxRSMonitor):
                 continue
             if cell.best is None:
                 cell.rescan_best()
-            v = cell.best
-            assert v is not None
+            w = cell.best_w
             if (
                 best is None
-                or v.space.weight > best.space.weight
-                or (v.space.weight == best.space.weight and v.seq < best.seq)
+                or w > best.best_w
+                or (w == best.best_w and cell.best.seq < best.best.seq)
             ):
-                best = v
+                best = cell
         if best is None:
             return MaxRSResult(tick=tick, window_size=len(self.window))
         return MaxRSResult.single(
-            best.space, tick=tick, window_size=len(self.window)
+            best.best.space, tick=tick, window_size=len(self.window)
         )
 
     # -- diagnostics ----------------------------------------------------------

@@ -15,27 +15,34 @@ weight covering each elementary x-interval.  Entry points:
 * :func:`local_plane_sweep` — the paper's ``Local-Plane-Sweep(N(ri) ∪
   {ri})``: neighbours are clipped to the anchor rectangle so the result
   is the best space *on* the anchor, which is how G2/aG2 compute ``si``.
-* :func:`local_plane_sweep_cached` — the same sweep driven from a graph
-  :class:`~repro.core.graph.Vertex`, reusing the clipped-neighbour
-  items computed by earlier sweeps of the same vertex (neighbour lists
-  are append-only, so only the tail added since the last sweep needs
-  clipping).
+* :func:`local_plane_sweep_cached` — the same sweep of one
+  :class:`~repro.core.graph.Vertex`, read straight from its cell's flat
+  buffer: N(ri) is gathered from the buffer past the vertex, clipped
+  and swept in one call.  Nothing is cached any more; the name stays
+  because the end-to-end benchmark's frozen tracer patches it as the
+  boundary of one local sweep.
 
 Reported regions are elementary cells of the sweep arrangement: a
 sub-rectangle of the (possibly wider) maximal-weight space.  Every
 interior point attains the reported weight, which is all MaxRS needs.
 
-Hot path (docs/PERFORMANCE.md §1-§2): every max sweep runs one
-compiled C kernel, ``_sweep.c``, a port of :func:`_prepare`,
-:meth:`MaxCoverSegmentTree.add` and the group loop of
-:func:`_sweep_python` that returns the same answer bit for bit.  Its
-input is a flat ``array('d')`` of 5 doubles per item,
-``(x1, y1, x2, y2, weight)``; a graph vertex keeps its clipped items in
-such a buffer, so a re-sweep hands the kernel a pointer and a count.
-The kernel is compiled with gcc on first import into a per-user cache
-and loaded with :mod:`ctypes`.  Without a compiler, or when building or
-loading fails, the Python tree below runs instead: it is the reference
-and the fallback.  Its events are 6-tuples
+Hot path (docs/PERFORMANCE.md §1-§2): one compiled C library,
+``_sweep.c``, runs every max sweep (``maxrs_sweep``, a port of
+:func:`_prepare`, :meth:`MaxCoverSegmentTree.add` and the group loop of
+:func:`_sweep_python` that returns the same answer bit for bit) and the
+graph cells' buffer work: ``maxrs_connect`` (the overlap scan of
+``CellGraph.connect``, :func:`_scan_python`), ``maxrs_local`` (gather,
+clip and sweep, :func:`_local_python`), ``maxrs_max`` and
+``maxrs_above`` (the bound scans of ``CellGraph``).  Each has one
+dispatcher here (``_sweep_flat``, ``_scan_flat``, ``_local_flat``,
+``_max_flat``, ``_above_flat``) and nothing else reads ``_KERNEL``.  Items are a
+flat ``array('d')`` of 5 doubles each, ``(x1, y1, x2, y2, weight)`` —
+the layout of a graph cell's buffer, so a call passes a pointer and a
+count.  The library is compiled with gcc on first import into a
+per-user cache and loaded with :mod:`ctypes`.  Without a compiler, or
+when building or loading fails, ``_KERNEL`` is ``None`` and the Python
+code below runs instead: it is the reference and the fallback, and it
+does the same work in the same order.  Its sweep events are 6-tuples
 ``(y, kind, seq, lo_slot, hi_slot, weight)`` sorted natively (``seq``
 reproduces the stable-sort tie order), and it borrows a pooled segment
 tree via :func:`_acquire_tree` / :func:`_release_tree`.
@@ -50,8 +57,9 @@ import tempfile
 import warnings
 from array import array
 from bisect import bisect_left
+from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.core.geometry import Rect
 from repro.core.objects import WeightedRect
@@ -67,7 +75,7 @@ except ImportError:  # pragma: no cover - depends on the Python version
     except ImportError:
         from hashlib import sha256
 
-if TYPE_CHECKING:  # graph imports nothing from here; annotation only
+if TYPE_CHECKING:  # graph imports this module; annotation only
     from repro.core.graph import Vertex
 
 __all__ = [
@@ -75,6 +83,7 @@ __all__ = [
     "plane_sweep_topk",
     "local_plane_sweep",
     "local_plane_sweep_cached",
+    "local_plane_sweep_items",
     "sweep_items_max",
 ]
 
@@ -136,31 +145,68 @@ def _kernel_name() -> str:
     return f"_sweep-{digest.hexdigest()[:16]}{_EXT_SUFFIX}"
 
 
-def _load_kernel():
-    """The compiled ``maxrs_sweep`` entry point, or ``None``.
+class _Kernel(NamedTuple):
+    """The compiled library's entry points (see ``_sweep.c``)."""
+
+    sweep: object
+    connect: object
+    local: object
+    max: object
+    above: object
+
+
+def _open(path: Path) -> _Kernel:
+    """Load the library at ``path`` and bind every entry point; raises
+    ``OSError`` or ``AttributeError`` when it does not load or lacks
+    one, so a library is used whole or not at all."""
+    import ctypes
+
+    # PyDLL keeps the GIL for the call, so no other thread can resize a
+    # cell's buffer while the kernel reads it
+    library = ctypes.PyDLL(str(path))
+    ptr, long_ = ctypes.c_void_p, ctypes.c_long
+    kernel = _Kernel(
+        library.maxrs_sweep,
+        library.maxrs_connect,
+        library.maxrs_local,
+        library.maxrs_max,
+        library.maxrs_above,
+    )
+    kernel.sweep.argtypes = (ptr, long_, ptr)
+    kernel.sweep.restype = ctypes.c_int
+    kernel.connect.argtypes = (ptr, long_, long_, long_, ptr, ptr, ptr)
+    kernel.connect.restype = long_
+    kernel.local.argtypes = (ptr, long_, long_, ptr)
+    kernel.local.restype = ctypes.c_int
+    kernel.max.argtypes = (ptr, long_)
+    kernel.max.restype = ctypes.c_double
+    kernel.above.argtypes = (
+        ptr, long_, long_, ctypes.c_double, ctypes.c_double
+    )
+    kernel.above.restype = long_
+    return kernel
+
+
+def _load_kernel() -> _Kernel | None:
+    """The compiled entry points, or ``None``.
 
     Loads the cached library, building it first when missing, and
     rebuilds it once when a cached file does not load (damaged, or
     built on a host with another C library).  On any failure after
-    that it warns and leaves the Python tree in charge.
+    that it warns and leaves the Python code in charge.
     """
     try:
-        import ctypes
-
         path = _cache_dir() / _kernel_name()
         built = not path.exists()
         if built:
             _build(path)
-        # PyDLL keeps the GIL for the call, so no other thread can
-        # resize a vertex's buffer while the kernel reads it
         try:
-            library = ctypes.PyDLL(str(path))
-        except OSError:
+            return _open(path)
+        except (OSError, AttributeError):
             if built:
                 raise
             _build(path)
-            library = ctypes.PyDLL(str(path))
-        kernel = library.maxrs_sweep
+            return _open(path)
     except (ImportError, OSError, AttributeError) as exc:
         warnings.warn(
             f"compiled sweep kernel unavailable ({exc}); "
@@ -169,12 +215,10 @@ def _load_kernel():
             stacklevel=2,
         )
         return None
-    kernel.argtypes = (ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p)
-    kernel.restype = ctypes.c_int
-    return kernel
 
 
-#: resolved once, at import, never inside a timed update
+#: resolved once, at import, never inside a timed update; ``None``
+#: selects the Python code for every entry point (tests set it so)
 _KERNEL = _load_kernel()
 #: initial contents of the kernel's per-call output buffer
 _OUT = (0.0,) * 5
@@ -193,7 +237,67 @@ def _sweep_flat(buf: array) -> _Cell | None:
     if kernel is None:
         return _sweep_python(buf)
     out = array("d", _OUT)
-    found = kernel(buf.buffer_info()[0], len(buf) // 5, out.buffer_info()[0])
+    found = kernel.sweep(
+        buf.buffer_info()[0], len(buf) // 5, out.buffer_info()[0]
+    )
+    if found < 0:
+        raise MemoryError("plane sweep kernel out of memory")
+    return out if found else None
+
+
+def _address(buf: array | None) -> int | None:
+    return None if buf is None else buf.buffer_info()[0]
+
+
+def _scan_flat(
+    items: array,
+    q: int,
+    lo: int,
+    hi: int,
+    upper: array | None,
+    dirty: array | None,
+    hits: array | None,
+) -> int:
+    """``maxrs_connect``, or :func:`_scan_python` without the kernel."""
+    kernel = _KERNEL
+    if kernel is None:
+        return _scan_python(items, q, lo, hi, upper, dirty, hits)
+    return kernel.connect(
+        items.buffer_info()[0], q, lo, hi,
+        _address(upper), _address(dirty), _address(hits),
+    )
+
+
+def _max_flat(values: array, lo: int) -> float:
+    """``max(values[lo:])``, the first of equal maxima; ``0.0`` when
+    empty."""
+    kernel = _KERNEL
+    if kernel is None:
+        return max(values[lo:], default=0.0)
+    return kernel.max(values.buffer_info()[0] + 8 * lo, len(values) - lo)
+
+
+def _above_flat(values: array, lo: int, relax: float, rho: float) -> int:
+    """The first index ``j ≥ lo`` with ``relax * values[j] > rho``, or
+    ``len(values)``."""
+    kernel = _KERNEL
+    n = len(values)
+    if kernel is None:
+        for j in range(lo, n):
+            if relax * values[j] > rho:
+                return j
+        return n
+    return kernel.above(values.buffer_info()[0], lo, n, relax, rho)
+
+
+def _local_flat(items: array, i: int, n: int) -> _Cell | None:
+    """The sweep of flat item ``i`` with its neighbours clipped to it
+    (see :func:`_local_python`), or ``None`` when it has none."""
+    kernel = _KERNEL
+    if kernel is None:
+        return _local_python(items, i, n)
+    out = array("d", _OUT)
+    found = kernel.local(items.buffer_info()[0], i, n, out.buffer_info()[0])
     if found < 0:
         raise MemoryError("plane sweep kernel out of memory")
     return out if found else None
@@ -394,35 +498,85 @@ def plane_sweep_topk(rects: Sequence[WeightedRect], k: int) -> list[Region]:
     ]
 
 
-def _clip_into(
-    buf: array, anchor: Rect, neighbors: Sequence[WeightedRect], start: int
-) -> None:
-    """Append ``(nb ∩ anchor, w)`` for ``neighbors[start:]`` to ``buf``,
-    skipping empty clips."""
-    ax1 = anchor.x1
-    ay1 = anchor.y1
-    ax2 = anchor.x2
-    ay2 = anchor.y2
+def _scan_python(
+    items: array,
+    q: int,
+    lo: int,
+    hi: int,
+    upper: array | None,
+    dirty: array | None,
+    hits: array | None,
+) -> int:
+    """The Python ``maxrs_connect``: visit every flat item ``j`` in
+    ``[lo, hi)``, in index order, whose rectangle overlaps item ``q``'s
+    (``Rect.overlaps``, inlined).  With ``upper``, add item ``q``'s
+    weight to ``upper[j]`` and set ``dirty[j]``; with ``hits``, store
+    ``j`` at ``hits[k]`` for the ``k``-th item.  Returns the count."""
+    b = 5 * q
+    x1 = items[b]
+    y1 = items[b + 1]
+    x2 = items[b + 2]
+    y2 = items[b + 3]
+    weight = items[b + 4]
+    k = 0
+    if x1 == x2 or y1 == y2:  # a degenerate rectangle overlaps nothing
+        return k
+    for j in range(lo, hi):
+        b = 5 * j
+        rx1 = items[b]
+        ry1 = items[b + 1]
+        rx2 = items[b + 2]
+        ry2 = items[b + 3]
+        if (
+            rx1 < x2
+            and x1 < rx2
+            and ry1 < y2
+            and y1 < ry2
+            and rx1 != rx2
+            and ry1 != ry2
+        ):
+            if upper is not None:
+                upper[j] += weight
+                dirty[j] = 1
+            if hits is not None:
+                hits[k] = j
+            k += 1
+    return k
+
+
+def _local_python(items: array, i: int, n: int) -> _Cell | None:
+    """The Python ``maxrs_local``: gather the neighbours of flat item
+    ``i`` — the items in ``(i, n)`` that overlap it — clip each to it,
+    in index order, and sweep item ``i`` with the clips."""
+    hits = array("q", bytes(8 * (n - i)))
+    degree = _scan_python(items, i, i + 1, n, None, None, hits)
+    b = 5 * i
+    ax1 = items[b]
+    ay1 = items[b + 1]
+    ax2 = items[b + 2]
+    ay2 = items[b + 3]
+    buf = items[b:b + 5]
     push = buf.extend
-    for idx in range(start, len(neighbors)):
-        nb = neighbors[idx]
-        r = nb.rect
-        x1 = r.x1 if r.x1 > ax1 else ax1
-        y1 = r.y1 if r.y1 > ay1 else ay1
-        x2 = r.x2 if r.x2 < ax2 else ax2
-        y2 = r.y2 if r.y2 < ay2 else ay2
+    for k in range(degree):
+        b = 5 * hits[k]
+        x1 = items[b]
+        y1 = items[b + 1]
+        x2 = items[b + 2]
+        y2 = items[b + 3]
+        x1 = x1 if x1 > ax1 else ax1
+        y1 = y1 if y1 > ay1 else ay1
+        x2 = x2 if x2 < ax2 else ax2
+        y2 = y2 if y2 < ay2 else ay2
         if x1 < x2 and y1 < y2:
-            push((x1, y1, x2, y2, nb.weight))
+            push((x1, y1, x2, y2, items[b + 4]))
+    return _sweep_python(buf) if len(buf) > 5 else None
 
 
-def _anchor_buf(anchor: WeightedRect) -> array:
-    r = anchor.rect
-    return array("d", (r.x1, r.y1, r.x2, r.y2, anchor.weight))
-
-
-def _sweep_clipped(anchor: WeightedRect, buf: array) -> Region:
-    cell = _sweep_flat(buf) if len(buf) > 5 else None
-    if cell is None:  # no clipped neighbour, or nothing of positive area
+def _anchored(cell: _Cell | None, anchor: WeightedRect) -> Region:
+    """The local sweep's answer as a region anchored at ``anchor``: the
+    anchor itself when no neighbour (or nothing of positive area) was
+    swept."""
+    if cell is None:
         return Region(
             rect=anchor.rect, weight=anchor.weight, anchor_oid=anchor.oid
         )
@@ -437,34 +591,39 @@ def local_plane_sweep(
 
     Neighbour rectangles are clipped to the anchor's extent (the space
     ``si`` is by definition a subspace of ``ri``), then a sweep bounded
-    to the anchor's y-range finds the heaviest overlap.  With no
-    overlapping neighbours the anchor's own extent and weight are
-    returned.  The result carries ``anchor_oid`` so graph-based monitors
-    can de-duplicate spaces by anchor (Property 1).
+    to the anchor's y-range finds the heaviest overlap.  Neighbours that
+    do not overlap the anchor are skipped.  With no overlapping
+    neighbours the anchor's own extent and weight are returned.  The
+    result carries ``anchor_oid`` so graph-based monitors can
+    de-duplicate spaces by anchor (Property 1).
     """
-    buf = _anchor_buf(anchor)
-    _clip_into(buf, anchor.rect, neighbors, 0)
-    return _sweep_clipped(anchor, buf)
+    buf = _pack(
+        chain(
+            ((anchor.rect, anchor.weight),),
+            ((nb.rect, nb.weight) for nb in neighbors),
+        )
+    )
+    return local_plane_sweep_items(anchor, buf)
+
+
+def local_plane_sweep_items(anchor: WeightedRect, items: array) -> Region:
+    """:func:`local_plane_sweep` over flat items: the anchor's own row
+    first, then its neighbours', 5 doubles each — the form a monitor
+    that keeps explicit neighbour lists can append to per edge."""
+    return _anchored(_local_flat(items, 0, len(items) // 5), anchor)
 
 
 def local_plane_sweep_cached(vertex: "Vertex") -> Region:
-    """:func:`local_plane_sweep` over a graph vertex, reusing clips.
+    """:func:`local_plane_sweep` of a graph vertex over its N(ri).
 
-    A vertex's neighbour list is append-only while it is alive
-    (Property 3: expiry removes whole vertices, never edges), so the
-    clipped items of neighbours already processed by a previous sweep
-    of the same vertex are still valid.  They live in the vertex's flat
-    ``clip_items`` buffer, anchor first; only ``neighbors[clip_upto:]``
-    — the arrivals since the last sweep — are clipped here.  The result
-    is identical to the uncached reference (tests assert it).
+    The vertex's cell buffer holds its rectangle and, after it, every
+    newer rectangle of the cell in arrival order; N(ri) is the part of
+    that suffix overlapping it (Property 3).  One kernel call gathers,
+    clips and sweeps it, so the items are those
+    ``local_plane_sweep(vertex.wr, vertex.neighbors)`` would build and
+    the result is identical (tests assert it).
     """
-    anchor = vertex.wr
-    buf = vertex.clip_items
-    if buf is None:
-        buf = vertex.clip_items = _anchor_buf(anchor)
-    neighbors = vertex.neighbors
-    start = vertex.clip_upto
-    if start < len(neighbors):
-        _clip_into(buf, anchor.rect, neighbors, start)
-        vertex.clip_upto = len(neighbors)
-    return _sweep_clipped(anchor, buf)
+    graph = vertex.graph
+    i = vertex.pos - graph.base
+    cell = _local_flat(graph.items, i, len(graph.seqs))
+    return _anchored(cell, graph.wrs[i])

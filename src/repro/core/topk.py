@@ -41,23 +41,32 @@ __all__ = ["TopKAG2Monitor"]
 
 _NEG_INF = float("-inf")
 
-# candidate pool entry: anchor oid -> (vertex, key of the cell it lives in)
-_Candidates = Dict[int, tuple[Vertex, CellKey]]
+# candidate pool entry: anchor oid -> (its exact space weight, the
+# vertex, key of the cell it lives in); the weight is refreshed whenever
+# the vertex is re-swept, so it always equals vertex.space.weight
+_Candidates = Dict[int, tuple[float, Vertex, CellKey]]
 
 
 class _TopKCell(AG2Cell):
-    """aG2 cell extended with its k best vertices (exact-space order)."""
+    """aG2 cell extended with its k best vertices (exact-space order),
+    each as ``(weight, oid, vertex)``.  Its vertices are swept only by
+    the exact pass that ends in :meth:`rebuild_top`, so the weights
+    stay current."""
 
     __slots__ = ("top",)
 
     def __init__(self) -> None:
         super().__init__()
-        self.top: list[Vertex] = []
+        self.top: list[tuple[float, int, Vertex]] = []
 
     def rebuild_top(self, k: int) -> None:
-        self.top = heapq.nlargest(
-            k, self.graph.iter_vertices(), key=lambda v: v.space.weight
+        graph = self.graph
+        exact = graph.exact
+        wrs = graph.wrs
+        best = heapq.nlargest(
+            k, range(graph.head, len(graph.seqs)), key=exact.__getitem__
         )
+        self.top = [(exact[i], wrs[i].oid, graph.vertex(i)) for i in best]
 
 
 class TopKAG2Monitor(AG2Monitor):
@@ -90,7 +99,7 @@ class TopKAG2Monitor(AG2Monitor):
 
     def _cell_purged(self, cell: AG2Cell) -> None:
         assert isinstance(cell, _TopKCell)
-        alive = [v for v in cell.top if v.seq > self._expired_upto]
+        alive = [e for e in cell.top if e[2].seq > self._expired_upto]
         if len(alive) != len(cell.top):
             # a listed vertex expired: the list may now omit one of the
             # cell's k best, so rebuild from the graph
@@ -113,10 +122,8 @@ class TopKAG2Monitor(AG2Monitor):
         # the threshold is as honest as possible before pruning starts
         priority = {
             key
-            for _v, key in heapq.nlargest(
-                self.k,
-                candidates.values(),
-                key=lambda entry: entry[0].space.weight,
+            for _w, _v, key in heapq.nlargest(
+                self.k, candidates.values(), key=lambda entry: entry[0]
             )
         }
         if not priority:
@@ -154,27 +161,26 @@ class TopKAG2Monitor(AG2Monitor):
         merged: _Candidates = {}
         for key, cell in self._cells.items():
             assert isinstance(cell, _TopKCell)
-            for v in cell.top:
-                oid = v.wr.oid
+            for w, oid, v in cell.top:
                 held = merged.get(oid)
-                if held is None or v.space.weight > held[0].space.weight:
-                    merged[oid] = (v, key)
+                if held is None or w > held[0]:
+                    merged[oid] = (w, v, key)
         return merged
 
     def _kth_weight(self, candidates: _Candidates) -> float:
         if len(candidates) < self.k:
             return _NEG_INF
         return heapq.nlargest(
-            self.k, (v.space.weight for v, _key in candidates.values())
+            self.k, (w for w, _v, _key in candidates.values())
         )[-1]
 
     def _rank(self, candidates: _Candidates) -> list[Vertex]:
         return [
             v
-            for v, _key in heapq.nlargest(
+            for _w, v, _key in heapq.nlargest(
                 self.k,
                 candidates.values(),
-                key=lambda entry: (entry[0].space.weight, -entry[0].seq),
+                key=lambda entry: (entry[0], -entry[1].seq),
             )
         ]
 
@@ -188,21 +194,30 @@ class TopKAG2Monitor(AG2Monitor):
         candidate pool, rebuild the cell list, and return the raised ρ."""
         cell = self._cells[key]
         assert isinstance(cell, _TopKCell)
-        cw = 0.0
-        for v in cell.graph.iter_vertices():
-            if v.upper > rho:
-                # dirty ⟺ edges appended since the last exact sweep
-                if v.dirty:
-                    self._sweep_vertex(v)
-                oid = v.wr.oid
-                held = candidates.get(oid)
-                if held is None or v.space.weight > held[0].space.weight:
-                    candidates[oid] = (v, key)
-            else:
-                self.stats.vertices_pruned += 1
-            if v.upper > cw:
-                cw = v.upper
-        cell.cw = cw
+        graph = cell.graph
+        n = len(graph.seqs)
+        dirty = graph.dirty
+        exact = graph.exact
+        i = graph.head
+        while True:
+            j = graph.next_above(i, 1.0, rho)
+            self.stats.vertices_pruned += j - i
+            if j == n:
+                break
+            i = j + 1
+            # dirty ⟺ edges added since the last exact sweep
+            if dirty[j]:
+                self._sweep_vertex(graph, j)
+            oid = graph.wrs[j].oid
+            held = candidates.get(oid)
+            if held is None or exact[j] > held[0]:
+                candidates[oid] = (exact[j], graph.vertex(j), key)
+            elif held[1].graph is graph and held[1].pos == graph.base + j:
+                # the held vertex itself was re-swept: keep its weight
+                candidates[oid] = (exact[j], held[1], key)
+        # the largest bound, or 0.0 when none is positive
+        cw = graph.max_upper()
+        cell.cw = cw if cw > 0.0 else 0.0
         cell.rebuild_top(self.k)
         return max(rho, self._kth_weight(candidates))
 

@@ -3,7 +3,8 @@
 Before paying for a ``Local-Plane-Sweep`` on a vertex whose Equation-(3)
 bound exceeds the pruning threshold, Algorithm 5 tries to *derive a
 smaller but still valid* bound from the geometry of the neighbours
-added since the last exact computation (``R(ri)``):
+added since the last exact computation (``R(ri)``, the vertex's
+neighbours past its sweep watermark, ``Vertex.fresh``):
 
 * a new neighbour overlapping the current exact space ``si`` must be
   charged in full (it can extend the known-best space),
@@ -34,11 +35,11 @@ __all__ = ["tighten_upper_bound", "conditional_tightener", "make_tightener"]
 def tighten_upper_bound(v: Vertex, threshold: float) -> float:
     """Algorithm 5: a tightened upper bound on the vertex's true ``si``.
 
-    Processes ``R(ri) = neighbors[swept_degree:]`` incrementally;
+    Processes ``R(ri) = v.fresh`` incrementally;
     returns early (with the bound computed so far) as soon as the bound
     exceeds ``threshold``, because the caller will have to sweep anyway.
     """
-    fresh = v.neighbors[v.swept_degree:]
+    fresh = v.fresh
     if not fresh:
         return v.upper
     tau = v.space.weight
@@ -77,7 +78,7 @@ def conditional_tightener(v: Vertex, threshold: float) -> float:
     former is smaller (i.e. ``|R(ri)| < 2·log₂|N(ri)|``).
     """
     degree = len(v.neighbors)
-    fresh_count = degree - v.swept_degree
+    fresh_count = len(v.fresh)
     if degree < 2 or fresh_count >= 2.0 * math.log2(degree):
         return v.upper
     return tighten_upper_bound(v, threshold)

@@ -8,7 +8,7 @@ from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, InvariantViolationError
 from repro.window import CountWindow, TimeWindow
 
 
@@ -149,19 +149,29 @@ class TestAG2Basics:
 
 
 class TestDirtyLifecycle:
-    """The `dirty` flag must mean exactly "edges appended since the last
-    exact sweep" — it drives the Rule-2 resweep decision, so a stale
-    flag would either skip a needed sweep (wrong answers) or redo
-    provably identical work (the Property 3 argument wasted)."""
+    """The `dirty` flag must mean exactly "an overlapping rectangle
+    arrived past the vertex's sweep watermark" — it drives the Rule-2
+    resweep decision, so a stale flag would either skip a needed sweep
+    (wrong answers) or redo provably identical work (the Property 3
+    argument wasted)."""
 
     @staticmethod
-    def _assert_flag_consistent(m: AG2Monitor) -> None:
-        for cell in m._cells.values():
-            for v in cell.graph.iter_vertices():
-                assert v.dirty == (len(v.neighbors) != v.swept_degree), (
-                    f"vertex seq={v.seq}: dirty={v.dirty} but "
-                    f"deg={len(v.neighbors)} swept={v.swept_degree}"
-                )
+    def _vertices(m: AG2Monitor):
+        return [
+            v
+            for cell in m._cells.values()
+            if cell.graph is not None
+            for v in cell.graph
+        ]
+
+    @classmethod
+    def _assert_flag_consistent(cls, m: AG2Monitor) -> None:
+        for v in cls._vertices(m):
+            assert v.dirty == bool(v.fresh), (
+                f"vertex seq={v.seq}: dirty={v.dirty} but "
+                f"{len(v.fresh)} of {len(v.neighbors)} neighbours past "
+                f"the watermark"
+            )
 
     def test_dirty_tracks_unswept_edges_over_stream(self):
         m = mk(capacity=40)
@@ -185,12 +195,7 @@ class TestDirtyLifecycle:
             ]
         )
         assert m.result.best_weight == 100.0
-        light = [
-            v
-            for cell in m._cells.values()
-            for v in cell.graph.iter_vertices()
-            if v.wr.obj.x > 20
-        ]
+        light = [v for v in self._vertices(m) if v.wr.obj.x > 20]
         assert len(light) == 2, "light pair should have vertices"
         # edges live on the older endpoint: the older light vertex holds
         # the edge and must be dirty because Rule 2 pruned its sweep
@@ -215,3 +220,81 @@ class TestDirtyLifecycle:
         assert result.best_weight == 2.0
         self._assert_flag_consistent(m)
         m.check_invariants()
+
+
+class TestFlatLayoutInvariants:
+    """``check_invariants`` reads the cells' flat buffers: every way of
+    corrupting one by hand is reported, never silently accepted."""
+
+    @staticmethod
+    def _monitor() -> AG2Monitor:
+        # one big cell, so its buffer holds every vertex: some swept,
+        # some left dirty by Rule 2
+        m = mk(capacity=40, side=4.0, cell_size=1000.0)
+        for i in range(4):
+            batch = make_objects(10, seed=900 + i, domain=12.0)
+            m.update(
+                [SpatialObject(x=o.x + 20, y=o.y + 20, weight=o.weight)
+                 for o in batch]
+            )
+        m.check_invariants()
+        return m
+
+    @staticmethod
+    def _graph(m: AG2Monitor):
+        (cell,) = m._cells.values()
+        return cell.graph
+
+    def _corrupt(self, how) -> None:
+        m = self._monitor()
+        how(self._graph(m))
+        with pytest.raises(InvariantViolationError):
+            m.check_invariants()
+
+    def test_uneven_arrays(self):
+        self._corrupt(lambda g: g.upper.pop())
+
+    def test_head_past_the_end(self):
+        def past(g):
+            g.head = len(g.seqs) + 1
+
+        self._corrupt(past)
+
+    def test_seqs_out_of_order(self):
+        def swap(g):
+            g.seqs[-1], g.seqs[-2] = g.seqs[-2], g.seqs[-1]
+
+        self._corrupt(swap)
+
+    def test_bound_below_space(self):
+        def lower(g):
+            g.upper[-1] = g.exact[-1] - 1.0
+
+        self._corrupt(lower)
+
+    def test_dirty_flag_without_fresh_edge(self):
+        def flip(g):
+            i = next(
+                i for i in range(g.head, len(g.seqs)) if not g.dirty[i]
+            )
+            g.dirty[i] = 1
+
+        self._corrupt(flip)
+
+    def test_clean_flag_over_fresh_edge(self):
+        def clear(g):
+            i = next(i for i in range(g.head, len(g.seqs)) if g.dirty[i])
+            g.dirty[i] = 0
+
+        self._corrupt(clear)
+
+    def test_watermark_moved_back(self):
+        def rewind(g):
+            i = next(
+                i
+                for i in range(g.head, len(g.seqs))
+                if not g.dirty[i] and g.vertex(i).neighbors
+            )
+            g.marks[i] = g.seqs[i]
+
+        self._corrupt(rewind)

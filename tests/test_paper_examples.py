@@ -65,13 +65,21 @@ def test_placement_realises_figure_4_overlaps():
             assert rects[a].rect.overlaps(rects[b].rect) == should, (a, b)
 
 
-def test_table_2_edge_and_neighbor_sets():
-    """Table 2: edges are held by the older endpoint; N(ri) follows."""
-    rects = paper_rects()
+def _cell_graph(rects: dict[str, WeightedRect]) -> dict:
+    """The running example connected into one cell in arrival order;
+    name -> vertex view."""
     graph = CellGraph()
-    vertices = {}
     for seq, name in enumerate(_PLACEMENT):
-        vertices[name], _ = graph.connect(rects[name], seq)
+        graph.connect(rects[name], seq)
+    return dict(zip(_PLACEMENT, graph))
+
+
+def test_table_2_edge_and_neighbor_sets():
+    """Table 2: edges are held by the older endpoint; N(ri) follows —
+    here derived from the cell buffer as the newer overlapping
+    rectangles."""
+    rects = paper_rects()
+    vertices = _cell_graph(rects)
     neighbor_names = {
         name: {nb.oid for nb in vertices[name].neighbors}
         for name in _PLACEMENT
@@ -144,16 +152,19 @@ def test_table_3_style_si_weights():
     only — verify with the weighted variant of the running example."""
     weights = {"r1": 10.0, "r2": 30.0, "r3": 15.0, "r4": 25.0, "r5": 20.0, "r6": 5.0}
     rects = paper_rects(weights)
-    graph = CellGraph()
-    vertices = {}
-    for seq, name in enumerate(_PLACEMENT):
-        vertices[name], _ = graph.connect(rects[name], seq)
-    from repro.core.planesweep import local_plane_sweep
+    vertices = _cell_graph(rects)
+    from repro.core.planesweep import (
+        local_plane_sweep,
+        local_plane_sweep_cached,
+    )
 
     si = {
         name: local_plane_sweep(rects[name], vertices[name].neighbors).weight
         for name in _PLACEMENT
     }
+    # the monitors' sweep, straight from the cell buffer, agrees
+    for name, v in vertices.items():
+        assert local_plane_sweep_cached(v).weight == si[name]
     # r1's anchored space can stack r1+r2+r3 = 55, exactly Table 3's s1
     assert si["r1"] == pytest.approx(55.0)
     # r2's space stacks r2+r3 = 45 (r1 is OLDER: not in N(r2))

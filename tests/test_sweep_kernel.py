@@ -1,12 +1,14 @@
-"""Differential tests: the compiled sweep kernel against the Python tree.
+"""Differential tests: the compiled kernel against the Python code.
 
-``repro.core.planesweep`` runs every max sweep through ``_sweep.c`` when
-it compiled and loaded at import, and through the Python segment tree
-otherwise.  The two must agree bit for bit, so every comparison here is
-on ``float.hex`` of the weight and of all four region coordinates, over
-inputs chosen to stress the tie rules: grid-aligned rectangles with
-shared edges, degenerate rectangles, duplicated x coordinates, ``-0.0``
-next to ``0.0``, and zero and negative weights.  The loader tests force
+``repro.core.planesweep`` runs every max sweep, and the graph cells'
+connect scan, gather-clip-sweep and bound maximum, through ``_sweep.c``
+when it compiled and loaded at import, and through Python otherwise.
+The two must agree bit for bit, so every comparison here is on
+``float.hex`` of the weight and of all four region coordinates (and of
+every vertex bound), over inputs chosen to stress the tie rules:
+grid-aligned rectangles with shared edges, degenerate rectangles,
+duplicated x coordinates, ``-0.0`` next to ``0.0``, and zero and
+negative weights.  The loader tests force
 the build or the load to fail and check that the Python tree then
 answers, identically and without raising.
 """
@@ -15,20 +17,27 @@ from __future__ import annotations
 
 import ctypes
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import planesweep
+from repro.core.ag2 import AG2Monitor
+from repro.core.g2 import G2Monitor
 from repro.core.geometry import Rect
-from repro.core.graph import Vertex
+from repro.core.graph import CellGraph
 from repro.core.objects import SpatialObject, WeightedRect
 from repro.core.planesweep import (
+    _local_flat,
+    _pack,
     local_plane_sweep_cached,
     plane_sweep_max,
     sweep_items_max,
 )
+from repro.core.topk import TopKAG2Monitor
+from repro.window import CountWindow
 
 needs_kernel = pytest.mark.skipif(
     planesweep._KERNEL is None, reason="compiled sweep kernel not loaded"
@@ -93,16 +102,55 @@ def _assert_same_items(items) -> None:
 
 
 def _assert_same_vertex_sweeps(anchor, rounds) -> None:
-    """Grow two vertices identically; sweep one per kernel each round."""
-    fast = Vertex(anchor, seq=0)
-    slow = Vertex(anchor, seq=0)
-    for batch in rounds:
-        fast.neighbors.extend(batch)
-        slow.neighbors.extend(batch)
-        compiled = local_plane_sweep_cached(fast)
-        python = _python(local_plane_sweep_cached, slow)
-        assert _hex_region(compiled) == _hex_region(python)
-        assert fast.clip_items == slow.clip_items
+    """Grow one cell round by round; after each round sweep every live
+    vertex with both kernels, then settle it."""
+    graph = CellGraph()
+    seq = 0
+    for batch in [[anchor], *rounds]:
+        for wr in batch:
+            graph.connect(wr, seq)
+            seq += 1
+        for v in graph:
+            compiled = local_plane_sweep_cached(v)
+            python = _python(local_plane_sweep_cached, v)
+            assert _hex_region(compiled) == _hex_region(python)
+            graph.settle(v.index, compiled)
+
+
+def _hex_bounds(graph: CellGraph) -> list[str]:
+    return [u.hex() for u in graph.upper]
+
+
+def _assert_same_connects(rects) -> None:
+    """Connect the same rectangles into two cells, one per kernel: the
+    touched indices, every bound and every dirty flag must agree after
+    each arrival, and so must the bound maximum and the Rule 2 scan."""
+    fast, slow = CellGraph(), CellGraph()
+    fast_hits, slow_hits = array("q"), array("q")
+    for seq, wr in enumerate(rects):
+        touched = fast.connect(wr, seq, fast_hits)
+        assert _python(slow.connect, wr, seq, slow_hits) == touched
+        assert fast_hits == slow_hits
+        assert _hex_bounds(fast) == _hex_bounds(slow)
+        assert fast.dirty == slow.dirty
+        assert fast.max_upper().hex() == _python(slow.max_upper).hex()
+        for rho in (-0.0, 0.0, *fast.upper[-3:]):
+            for relax in (1.0, 0.75):
+                assert fast.next_above(0, relax, rho) == _python(
+                    slow.next_above, 0, relax, rho
+                )
+
+
+def _assert_same_local_sweeps(items) -> None:
+    """``maxrs_local`` against ``_local_python`` for every item of one
+    flat buffer."""
+    buf = _pack(items)
+    for i in range(len(items)):
+        compiled = _local_flat(buf, i, len(items))
+        python = _python(_local_flat, buf, i, len(items))
+        assert (compiled is None) == (python is None)
+        if compiled is not None:
+            assert [v.hex() for v in compiled] == [v.hex() for v in python]
 
 
 item = st.tuples(
@@ -146,6 +194,44 @@ def test_cached_vertex_sweep_bit_identical(anchor, rounds):
 
 
 @needs_kernel
+@settings(max_examples=150, deadline=None)
+@given(raw=st.lists(item, max_size=30))
+def test_connect_bit_identical(raw):
+    _assert_same_connects([_wrect(r, w) for r, w in _as_items(raw)])
+
+
+@needs_kernel
+@settings(max_examples=150, deadline=None)
+@given(raw=st.lists(item, max_size=30))
+def test_local_sweep_bit_identical(raw):
+    _assert_same_local_sweeps(_as_items(raw))
+
+
+@needs_kernel
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "uniform"])
+def test_seeded_connect_and_local_bit_identical(grid):
+    rng = random.Random(20162)
+    for n in (0, 1, 2, 17, 100, 400):
+        items = _items(rng, n, grid)
+        _assert_same_connects([_wrect(r, w) for r, w in items])
+        _assert_same_local_sweeps(items)
+
+
+@needs_kernel
+def test_signed_zero_bounds_and_clips():
+    """``-0.0`` weights and coordinates reach the bounds and the clips
+    exactly as Python's float add and min/max leave them."""
+    items = [
+        (Rect(-0.0, 0.0, 1.0, 1.0), -0.0),
+        (Rect(0.0, -0.0, 2.0, 1.0), -0.0),
+        (Rect(-1.0, -1.0, 0.0, 0.0), 0.0),
+        (Rect(-0.5, -0.5, 0.5, 0.5), -0.0),
+    ]
+    _assert_same_connects([_wrect(r, w) for r, w in items])
+    _assert_same_local_sweeps(items)
+
+
+@needs_kernel
 @pytest.mark.parametrize("grid", [True, False], ids=["grid", "uniform"])
 def test_seeded_sizes_bit_identical(grid):
     rng = random.Random(20161)
@@ -186,6 +272,69 @@ def test_degenerate_and_empty_inputs():
     flat = [(Rect(0, 0, 0, 5), 1.0), (Rect(1, 1, 4, 1), 2.0)]
     assert sweep_items_max(flat) is None
     assert _python(sweep_items_max, flat) is None
+
+
+# -- whole monitors: compiled and Python runs give the same answers ---------
+
+
+def _monitors():
+    return {
+        "g2": G2Monitor(2.0, 2.0, CountWindow(40)),
+        "ag2": AG2Monitor(2.0, 2.0, CountWindow(40)),
+        "ag2_eps": AG2Monitor(2.0, 2.0, CountWindow(40), epsilon=0.25),
+        "topk": TopKAG2Monitor(2.0, 2.0, CountWindow(40), k=3),
+    }
+
+
+def _run_monitors(batches) -> dict:
+    """Every monitor's answers (``float.hex`` of every region) and
+    stats counters over the batches."""
+    out = {}
+    for name, monitor in _monitors().items():
+        answers = []
+        for batch in batches:
+            result = monitor.update(batch)
+            answers.append(
+                [(*_hex_region(r), r.anchor_oid) for r in result.regions]
+            )
+        monitor_stats = monitor.stats
+        out[name] = (
+            answers,
+            monitor_stats.local_sweeps,
+            monitor_stats.overlap_tests,
+            monitor_stats.vertices_pruned,
+            monitor_stats.cells_pruned,
+            monitor_stats.cells_visited,
+        )
+        if hasattr(monitor, "check_invariants"):
+            monitor.check_invariants()
+    return out
+
+
+point = st.tuples(
+    st.sampled_from(GRID), st.sampled_from(GRID),
+    st.sampled_from((0.0, -0.0, 0.1, 0.2, 0.3, 1.0, 2.5, 1e-17)),
+)
+
+
+@needs_kernel
+@settings(max_examples=40, deadline=None)
+@given(
+    raw=st.lists(
+        st.lists(point, max_size=12), min_size=1, max_size=8
+    )
+)
+def test_monitors_bit_identical_across_kernels(raw):
+    """G2, aG2 (exact and ε > 0) and top-k over tie-heavy points (a
+    half-unit grid scaled by 2, both signed zeros, equal weights, a
+    query side of 2, so rectangles share edges and corners): the
+    compiled and the Python runs report ``float.hex``-identical regions
+    with equal counters."""
+    batches = [
+        [SpatialObject(x=x * 2.0, y=y * 2.0, weight=w) for x, y, w in b]
+        for b in raw
+    ]
+    assert _run_monitors(batches) == _python(_run_monitors, batches)
 
 
 # -- loader failures fall back to the Python tree ---------------------------

@@ -10,10 +10,10 @@ from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.bruteforce import brute_force_anchored_best
 from repro.core.geometry import Rect
-from repro.core.graph import Vertex
+from repro.core.graph import CellGraph, Vertex
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject, WeightedRect
-from repro.core.planesweep import local_plane_sweep
+from repro.core.planesweep import local_plane_sweep_cached
 from repro.core.upperbound import (
     conditional_tightener,
     make_tightener,
@@ -30,15 +30,17 @@ def wr(x1, y1, x2, y2, w=1.0) -> WeightedRect:
 
 def vertex_with_history(anchor, old_neighbors, new_neighbors) -> Vertex:
     """A vertex swept over ``old_neighbors``, then grown by
-    ``new_neighbors`` via Equation (3)."""
-    v = Vertex(anchor, seq=0)
-    v.neighbors = list(old_neighbors)
-    v.space = local_plane_sweep(anchor, v.neighbors)
-    v.upper = v.space.weight
-    v.swept_degree = len(v.neighbors)
-    for nb in new_neighbors:
-        v.neighbors.append(nb)
-        v.upper += nb.weight
+    ``new_neighbors`` via Equation (3), in one cell."""
+    graph = CellGraph()
+    graph.connect(anchor, 0)
+    for seq, nb in enumerate(old_neighbors, start=1):
+        graph.connect(nb, seq)
+    v = graph.vertex(0)
+    graph.settle(0, local_plane_sweep_cached(v))
+    for seq, nb in enumerate(new_neighbors, start=len(old_neighbors) + 1):
+        graph.connect(nb, seq)
+    assert v.neighbors == (*old_neighbors, *new_neighbors)
+    assert v.fresh == tuple(new_neighbors)  # R(ri): past the watermark
     return v
 
 
