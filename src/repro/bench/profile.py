@@ -37,8 +37,7 @@ _PREFERRED = (
     "full_sweeps",
     "objects_swept",
     "nodes_expanded",
-    "window.insertions",
-    "window.evictions",
+    "objects_expired",
 )
 
 

@@ -167,29 +167,24 @@ class AG2Monitor(MaxRSMonitor):
                 neg_cw, _rank, key = heappop(heap)
                 cell = self._cells[key]
                 if not self._may_beat(cell.cw):
-                    pruned = len(heap) + 1
-                    self.stats.cells_pruned += pruned
-                    self.metrics.inc("cells_pruned", pruned)
+                    self.stats.cells_pruned += len(heap) + 1
                     break
                 self._overlap_computation(cell)
                 if self._may_beat(cell.cw):
                     self._exact_weight_computation(key)
                 else:
                     self.stats.cells_pruned += 1
-                    self.metrics.inc("cells_pruned")
             return
         for key in [key for key in self._cells if key != start_key]:
             cell = self._cells[key]
             if not self._may_beat(cell.cw):
                 self.stats.cells_pruned += 1
-                self.metrics.inc("cells_pruned")
                 continue
             self._overlap_computation(cell)
             if self._may_beat(cell.cw):
                 self._exact_weight_computation(key)
             else:
                 self.stats.cells_pruned += 1
-                self.metrics.inc("cells_pruned")
 
     # -- batch plumbing --------------------------------------------------------
 
@@ -291,19 +286,15 @@ class AG2Monitor(MaxRSMonitor):
         re-derive the cell bound from all vertex bounds (Equation 4)."""
         stats = self.stats
         stats.cells_visited += 1
-        metrics = self.metrics
-        metrics.inc("cells_visited")
         graph = cell.graph
         if graph is None:
             graph = cell.graph = CellGraph()
         for seq, wr in cell.pending:
-            live = len(graph)
-            stats.overlap_tests += live
-            metrics.inc("overlap_tests", live)
-            metrics.inc("edges_touched", graph.connect(wr, seq))
+            stats.overlap_tests += len(graph)
+            stats.edges_touched += graph.connect(wr, seq)
         cell.pending.clear()
         cell.cw = graph.max_upper()
-        metrics.inc("upper_bound_recomputes")
+        stats.upper_bound_recomputes += 1
 
     # -- Algorithm 4 -------------------------------------------------------------
 
@@ -314,7 +305,7 @@ class AG2Monitor(MaxRSMonitor):
         graph = self._cells[key].graph
         relax = 1.0 - self.epsilon
         tighten = self._tighten
-        metrics = self.metrics
+        stats = self.stats
         upper = graph.upper
         exact = graph.exact
         dirty = graph.dirty
@@ -332,7 +323,7 @@ class AG2Monitor(MaxRSMonitor):
             i = j + 1
             if tighten is not None and upper[j] > exact[j]:
                 upper[j] = tighten(graph.vertex(j), rho)
-                metrics.inc("bound_tightenings")
+                stats.bound_tightenings += 1
                 if not relax * upper[j] > rho:
                     pruned += 1
                     continue
@@ -347,13 +338,11 @@ class AG2Monitor(MaxRSMonitor):
                 self._star = graph.vertex(j)
                 self._star_w = exact[j]
                 self._star_cell = key
-        if pruned:
-            self.stats.vertices_pruned += pruned
-            metrics.inc("vertices_pruned", pruned)
+        stats.vertices_pruned += pruned
         # the largest bound, or 0.0 when none is positive
         cw = graph.max_upper()
         self._cells[key].cw = cw if cw > 0.0 else 0.0
-        metrics.inc("upper_bound_recomputes")
+        stats.upper_bound_recomputes += 1
 
     def _sweep_vertex(self, graph: CellGraph, i: int) -> None:
         # looked up per call: the end-to-end tracer patches this name
@@ -365,7 +354,6 @@ class AG2Monitor(MaxRSMonitor):
             # may be a new region, or even a weight one ulp apart
             self._star_w = space.weight
         self.stats.local_sweeps += 1
-        self.metrics.inc("local_sweeps")
 
     # -- result --------------------------------------------------------------------
 

@@ -94,7 +94,6 @@ class G2Monitor(MaxRSMonitor):
         # Windows expire strictly in arrival order, so the expired batch
         # is exactly the next len(expired) sequence numbers.
         self._expired_upto += len(delta.expired)
-        metrics = self.metrics
         stats = self.stats
         cells = self._cells
         grid_keys = self.grid.cell_keys
@@ -115,12 +114,9 @@ class G2Monitor(MaxRSMonitor):
                     cells[key] = cell
                 self._purge(cell)
                 stats.cells_visited += 1
-                metrics.inc("cells_visited")
                 graph = cell.graph
-                live = len(graph)
-                stats.overlap_tests += live
-                metrics.inc("overlap_tests", live)
-                metrics.inc("edges_touched", graph.connect(wr, seq, hits))
+                stats.overlap_tests += len(graph)
+                stats.edges_touched += graph.connect(wr, seq, hits)
                 cell.offer_best(len(graph.seqs) - 1)
                 base = graph.base
                 dirty.extend((cell, base + i) for i in hits)
@@ -134,7 +130,6 @@ class G2Monitor(MaxRSMonitor):
                 continue
             graph.settle(i, local_plane_sweep_cached(graph.vertex(i)))
             stats.local_sweeps += 1
-            metrics.inc("local_sweeps")
             cell.offer_best(i)
 
     def _purge(self, cell: _G2Cell) -> None:
@@ -147,9 +142,9 @@ class G2Monitor(MaxRSMonitor):
 
     def _compute_result(self, tick: int) -> MaxRSResult:
         best: _G2Cell | None = None
+        self.stats.cells_scanned += len(self._cells)
         for key in list(self._cells):
             cell = self._cells[key]
-            self.metrics.inc("cells_scanned")
             self._purge(cell)
             if not cell.graph:
                 del self._cells[key]

@@ -11,19 +11,20 @@ Monitors also expose :class:`MonitorStats`, cheap counters of the
 dominant operations (local sweeps, pairwise overlap tests, cell
 visits/prunes).  The paper's efficiency argument is entirely about
 avoiding ``Local-Plane-Sweep`` executions; the counters make that
-directly observable in tests and benchmarks.
+directly observable in tests and benchmarks.  They are the monitors'
+only counters: a :class:`~repro.engine.engine.StreamEngine` given a
+metrics registry publishes their increases into it after every update.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
 from repro.errors import InvalidParameterError
-from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.window.base import SlidingWindow, WindowUpdate
 
 __all__ = ["MonitorStats", "MaxRSMonitor"]
@@ -31,39 +32,42 @@ __all__ = ["MonitorStats", "MaxRSMonitor"]
 
 @dataclass(slots=True)
 class MonitorStats:
-    """Operation counters accumulated across a monitor's lifetime."""
+    """Operation counters accumulated across a monitor's lifetime.
+
+    Every field is a monotone count; the engine publishes each one
+    under its field name.
+    """
 
     updates: int = 0
     objects_seen: int = 0
+    objects_expired: int = 0
     full_sweeps: int = 0
+    objects_swept: int = 0
     local_sweeps: int = 0
     overlap_tests: int = 0
+    edges_touched: int = 0
     cells_visited: int = 0
+    cells_scanned: int = 0
     cells_pruned: int = 0
     vertices_pruned: int = 0
+    upper_bound_recomputes: int = 0
+    bound_tightenings: int = 0
+    nodes_expanded: int = 0
 
     def snapshot(self) -> "MonitorStats":
-        """An independent copy, for before/after deltas in tests."""
-        return MonitorStats(
-            updates=self.updates,
-            objects_seen=self.objects_seen,
-            full_sweeps=self.full_sweeps,
-            local_sweeps=self.local_sweeps,
-            overlap_tests=self.overlap_tests,
-            cells_visited=self.cells_visited,
-            cells_pruned=self.cells_pruned,
-            vertices_pruned=self.vertices_pruned,
-        )
+        """An independent copy, for before/after deltas."""
+        return replace(self)
 
     def reset(self) -> None:
-        self.updates = 0
-        self.objects_seen = 0
-        self.full_sweeps = 0
-        self.local_sweeps = 0
-        self.overlap_tests = 0
-        self.cells_visited = 0
-        self.cells_pruned = 0
-        self.vertices_pruned = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
+
+    def delta(self, earlier: "MonitorStats") -> dict[str, int]:
+        """Per-field increase since ``earlier``, keyed by field name."""
+        return {
+            f.name: getattr(self, f.name) - getattr(earlier, f.name)
+            for f in fields(self)
+        }
 
 
 class MaxRSMonitor(ABC):
@@ -92,23 +96,9 @@ class MaxRSMonitor(ABC):
         self.rect_height = float(rect_height)
         self.window = window
         self.stats = MonitorStats()
-        # observability attachment point: a no-op registry until an
-        # engine (or caller) attaches a real one via attach_metrics()
-        self.metrics: Metrics = NULL_METRICS
         self._last_result = MaxRSResult()
 
     # -- public API ------------------------------------------------------
-
-    def attach_metrics(self, metrics: Metrics) -> None:
-        """Attach a metrics scope; the window gets a ``window`` child.
-
-        Instrumented hot paths emit into whatever registry is attached;
-        the default :data:`~repro.obs.metrics.NULL_METRICS` makes every
-        emission a no-op, so monitors built without observability pay
-        essentially nothing.
-        """
-        self.metrics = metrics
-        self.window.metrics = metrics.scope("window")
 
     def update(self, objects: Sequence[SpatialObject]) -> MaxRSResult:
         """Push a batch of newly generated objects; return the new answer.
@@ -150,10 +140,10 @@ class MaxRSMonitor(ABC):
         return self._last_result
 
     def _account(self, delta: WindowUpdate) -> None:
-        self.stats.updates += 1
-        self.stats.objects_seen += len(delta.arrived)
-        self.metrics.inc("updates")
-        self.metrics.inc("objects_seen", len(delta.arrived))
+        stats = self.stats
+        stats.updates += 1
+        stats.objects_seen += len(delta.arrived)
+        stats.objects_expired += len(delta.expired)
 
     @property
     def result(self) -> MaxRSResult:

@@ -55,8 +55,7 @@ class NaiveMonitor(MaxRSMonitor):
         if not rects:
             return MaxRSResult(tick=tick, window_size=0)
         self.stats.full_sweeps += 1
-        self.metrics.inc("full_sweeps")
-        self.metrics.inc("objects_swept", len(rects))
+        self.stats.objects_swept += len(rects)
         if self.k == 1:
             region = plane_sweep_max(rects)
             return MaxRSResult.single(

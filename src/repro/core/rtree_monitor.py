@@ -78,7 +78,6 @@ class RTreeMonitor(MaxRSMonitor):
             if vertex is not None:
                 self._tree.delete(vertex.seq, vertex.wr.rect)
         dirty: list[_Vertex] = []
-        metrics = self.metrics
         stats = self.stats
         vertices = self._vertices
         width = self.rect_width
@@ -98,21 +97,17 @@ class RTreeMonitor(MaxRSMonitor):
                     older.dirty = True
                     dirty.append(older)
                 stats.overlap_tests += 1
-                metrics.inc("overlap_tests")
-                metrics.inc("edges_touched")
+                stats.edges_touched += 1
             vertex = _Vertex(wr, seq, row)
             vertices[seq] = vertex
             self._tree.insert(seq, wr.rect)
             heapq.heappush(self._heap, (-vertex.space.weight, seq))
-        metrics.inc(
-            "nodes_expanded", self._tree.nodes_expanded - nodes_before
-        )
+        stats.nodes_expanded += self._tree.nodes_expanded - nodes_before
         for vertex in dirty:
             vertex.dirty = False
             vertex.space = local_plane_sweep_items(vertex.wr, vertex.items)
-            self.stats.local_sweeps += 1
-            metrics.inc("local_sweeps")
-            metrics.inc("objects_swept", len(vertex.items) // 5)
+            stats.local_sweeps += 1
+            stats.objects_swept += len(vertex.items) // 5
             heapq.heappush(self._heap, (-vertex.space.weight, vertex.seq))
         # compact the lazy heap once stale entries dominate, keeping
         # memory proportional to the live vertex count on long runs

@@ -8,8 +8,11 @@ how the experiments compare naive / G2 / aG2 and how the approximation
 benchmark measures the practical error against an exact companion.
 
 When a :class:`~repro.obs.metrics.Metrics` registry is supplied, each
-monitor gets its own named scope (and a ``window`` child scope), the
-engine observes per-update latency into an ``update_ms`` histogram, and
+monitor gets its own named scope.  Monitors count their work only in
+their :class:`~repro.core.monitor.MonitorStats`; after priming and after
+every update the engine adds each monitor's increase since the last
+publish into its scope, one counter per field.  The engine also
+observes per-update latency into an ``update_ms`` histogram, and
 :class:`EngineReport` carries cumulative plus per-batch metric
 snapshots alongside the timings — the substrate of the ``profile`` CLI
 and the CI perf gate.
@@ -30,7 +33,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, Sequence
 
-from repro.core.monitor import MaxRSMonitor
+from repro.core.monitor import MaxRSMonitor, MonitorStats
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
 from repro.engine.stats import TimingStats
@@ -150,10 +153,13 @@ class StreamEngine:
             batch, in mapping order.
         source: The object stream (consumed once per engine).
         batch_size: Arrival batch size ``m``.
-        metrics: Optional metrics registry.  When given, every monitor
-            is attached to ``metrics.scope(name)`` and reports carry
-            metric snapshots; when omitted, monitors keep their no-op
-            default and the engine adds zero observability overhead.
+        metrics: Optional metrics registry.  When given, each monitor's
+            ``stats`` are published into ``metrics.scope(name)`` after
+            priming and after every update, a wrapper with counters of
+            its own (supervisor, degradation ladder) takes that scope
+            through its ``attach_metrics``, and reports carry metric
+            snapshots; when omitted, the engine adds zero
+            observability overhead.
         checkpoint: Optional
             :class:`~repro.resilience.checkpoint.CheckpointManager`;
             notified after every successfully applied timed batch, so
@@ -199,13 +205,12 @@ class StreamEngine:
         self.checkpoint = checkpoint
         self.wal = wal
         self._scopes: Dict[str, Metrics] = {}
+        # each monitor's stats as last published into its scope
+        self._published: Dict[str, MonitorStats] = {}
         self._session: "_RunState | None" = None
         self._torn_down = False
         if metrics is not None:
-            for name, monitor in self.monitors.items():
-                scope = metrics.scope(name)
-                monitor.attach_metrics(scope)
-                self._scopes[name] = scope
+            self._bind_scopes()
             from repro.resilience.guard import IngestGuard
 
             if isinstance(source, IngestGuard):
@@ -216,6 +221,27 @@ class StreamEngine:
                 scope = metrics.scope("wal")
                 wal.metrics = scope
                 self._scopes["wal"] = scope
+
+    def _bind_scopes(self) -> None:
+        """Give every monitor its scope and a publish baseline: its
+        current ``stats``, so only counts made from here on add on."""
+        for name, monitor in self.monitors.items():
+            scope = self.metrics.scope(name)
+            attach = getattr(monitor, "attach_metrics", None)
+            if attach is not None:
+                attach(scope)
+            self._scopes[name] = scope
+            self._published[name] = monitor.stats.snapshot()
+
+    def _publish(self, name: str) -> None:
+        """Add monitor ``name``'s ``stats`` increase since the last
+        publish into its scope: the one path by which monitor counts
+        reach the registry."""
+        stats = self.monitors[name].stats
+        scope = self._scopes[name]
+        for field_name, amount in stats.delta(self._published[name]).items():
+            scope.inc(field_name, amount)
+        self._published[name] = stats.snapshot()
 
     def _next_batch(self, size: int) -> list[SpatialObject]:
         batch: list[SpatialObject] = []
@@ -252,6 +278,9 @@ class StreamEngine:
             for monitor in self.monitors.values():
                 monitor.ingest(batch)
             remaining -= len(batch)
+        if self.metrics is not None:
+            for name in self.monitors:
+                self._publish(name)
         return count - remaining
 
     def run(
@@ -347,18 +376,16 @@ class StreamEngine:
     def restore(self, monitors: Dict[str, MaxRSMonitor]) -> None:
         """Rebind recovered monitors after :meth:`teardown`.
 
-        Metrics scopes are re-attached under the same names, so
-        counters accumulate across the crash — the observable record
-        of the run includes both incarnations.
+        Each monitor publishes into the scope of the same name, with
+        its baseline re-based on its current ``stats``, so the new
+        incarnation's counts add on to the old one's — the observable
+        record of the run includes both incarnations.
         """
         if not monitors:
             raise InvalidParameterError("at least one monitor is required")
         self.monitors = dict(monitors)
         if self.metrics is not None:
-            for name, monitor in self.monitors.items():
-                scope = self.metrics.scope(name)
-                monitor.attach_metrics(scope)
-                self._scopes[name] = scope
+            self._bind_scopes()
         self._torn_down = False
 
 
@@ -380,6 +407,10 @@ class _RunState:
         self.batch_metrics: Dict[str, list[MetricsSnapshot]] = {}
         self.batch_sizes: list[int] = []
         if self.observed:
+            # counts made outside the engine since the last publish (a
+            # caller priming through ingest) belong before the session
+            for name in engine.monitors:
+                engine._publish(name)
             self.previous = {
                 name: scope.snapshot()
                 for name, scope in engine._scopes.items()
@@ -400,6 +431,7 @@ class _RunState:
             if self.track_weights:
                 self.history[name].append(result.best_weight)
             if self.observed:
+                engine._publish(name)
                 scope = engine._scopes[name]
                 scope.observe("update_ms", elapsed * 1000.0)
                 snap = scope.snapshot()

@@ -11,10 +11,14 @@ those quantities first-class observables:
   fixed buckets (``update_ms``);
 * :class:`Metrics` — a registry of the above under named scopes, so one
   engine run owns a tree like ``g2.cells_visited`` /
-  ``g2.window.insertions``;
+  ``ag2.supervisor.heals``;
 * :data:`NULL_METRICS` — a no-op registry that instrumented code holds
-  by default, so a disabled monitor pays one dynamic dispatch per event
-  and allocates nothing.
+  by default, so a disabled component (WAL, ingest guard, queue) pays
+  one dynamic dispatch per event and allocates nothing.
+
+Monitors hold no registry: they count in their
+:class:`~repro.core.monitor.MonitorStats`, and the engine publishes those
+counts into the monitor's scope (:class:`~repro.engine.engine.StreamEngine`).
 
 Snapshots are plain-data (:class:`MetricsSnapshot`) with flattened
 dotted names, which makes per-batch deltas, JSON export and CSV rows
@@ -251,10 +255,10 @@ class Metrics:
     """Registry of named instruments with named child scopes.
 
     One registry belongs to one observed component; child scopes nest
-    components (``engine → monitor → window``).  Instruments are
+    components (``engine → monitor → supervisor``).  Instruments are
     get-or-create by name, so instrumentation sites never need set-up
     code.  Snapshots flatten the tree into dotted names
-    (``window.insertions``).
+    (``supervisor.heals``).
     """
 
     __slots__ = (

@@ -33,7 +33,9 @@ ladder.  Implementation notes:
   maintenance is O(batch)); entering sampling is free, and leaving it
   rebuilds the aG2 index from the surviving window contents — the same
   recovery pattern :class:`~repro.resilience.supervisor.MonitorSupervisor`
-  uses to heal.
+  uses to heal.  Every aG2 built for the ladder shares one
+  :class:`~repro.core.monitor.MonitorStats`, the ladder's ``stats``, so
+  its counts run on across rebuilds and sampling residencies.
 * Every answer carries its contract in the result (``mode``,
   ``guarantee``), so downstream consumers can tell what they got
   without knowing the ladder exists.  The ladder steers after the
@@ -48,7 +50,7 @@ import time
 from typing import Callable, Dict, List, Sequence
 
 from repro.core.ag2 import AG2Monitor
-from repro.core.monitor import MaxRSMonitor
+from repro.core.monitor import MaxRSMonitor, MonitorStats
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
 from repro.core.sampling import SamplingMonitor
@@ -181,7 +183,7 @@ class AdaptiveMonitor:
 
     Drop-in wherever the library consumes a :class:`MaxRSMonitor`
     structurally (``StreamEngine``, ``MultiQueryGroup``): it exposes
-    ``update`` / ``ingest`` / ``result`` / ``window`` /
+    ``update`` / ``ingest`` / ``result`` / ``window`` / ``stats`` /
     ``attach_metrics``.  Internally it serves from the cheapest rung
     that currently meets the latency budget and annotates every answer
     with the guarantee of the rung that produced it.
@@ -251,8 +253,10 @@ class AdaptiveMonitor:
         )
         self._rung = 0
         self._ag2_stale = False
-        self._metrics_base: Metrics = NULL_METRICS
         self.metrics: Metrics = NULL_METRICS
+        # the aG2 lineage's counters, in every rung: each rebuilt aG2
+        # takes this object over, so counts never move backwards
+        self.stats = MonitorStats()
         self._ag2 = self._make_ag2(0.0)
         self._sampler = SamplingMonitor(
             rect_width,
@@ -304,12 +308,11 @@ class AdaptiveMonitor:
             self._window_factory(),
             epsilon=epsilon,
         )
+        monitor.stats = self.stats
         if self.probe_every > 0:
             monitor = MonitorSupervisor(  # type: ignore[assignment]
                 monitor, probe_every=self.probe_every
             )
-        if self._metrics_base is not NULL_METRICS:
-            monitor.attach_metrics(self._metrics_base)
         return monitor
 
     def _ag2_core(self) -> AG2Monitor:
@@ -331,20 +334,10 @@ class AdaptiveMonitor:
     def result(self) -> MaxRSResult:
         return self._last
 
-    @property
-    def stats(self):
-        if self._rung == self.sampling_rung:
-            return self._sampler.stats
-        return self._ag2.stats
-
     def attach_metrics(self, metrics: Metrics) -> None:
-        """Engine attachment point.  The live aG2 gets the scope itself
-        (so ``cells_pruned`` etc. land where profiles expect them), the
-        sampling rung a ``sampler`` child, the ladder and controller an
-        ``overload`` child."""
-        self._metrics_base = metrics
-        self._ag2.attach_metrics(metrics)
-        self._sampler.attach_metrics(metrics.scope("sampler"))
+        """Engine attachment point: the ladder and controller count
+        under ``overload`` in the monitor's scope; the engine publishes
+        :attr:`stats` beside them."""
         self.metrics = metrics.scope("overload")
         self.controller.metrics = self.metrics
         self.metrics.set_gauge("ladder_rung", self._rung)

@@ -54,9 +54,10 @@ class MonitorSupervisor:
 
     Drop-in for a :class:`MaxRSMonitor` anywhere the library consumes
     one structurally (``StreamEngine``, ``MultiQueryGroup``,
-    ``CheckpointManager``): it forwards ``update``/``ingest``/
-    ``attach_metrics`` and exposes ``window``/``result``/``stats`` from
-    the supervised monitor.
+    ``CheckpointManager``): it forwards ``update``/``ingest`` and
+    exposes ``window``/``result``/``stats`` from the supervised
+    monitor.  A healed monitor takes over the ``stats`` of the one it
+    replaces, so the counts run on across heals.
 
     Args:
         monitor: The monitor to supervise.  Must be snapshotable by
@@ -117,10 +118,10 @@ class MonitorSupervisor:
         return self._monitor.rect_height
 
     def attach_metrics(self, metrics: Metrics) -> None:
-        """Engine attachment point: supervisor counters live alongside
-        the monitor's own scope (under ``supervisor``)."""
+        """Engine attachment point: the supervisor's own counters live
+        under ``supervisor`` in the monitor's scope; the engine
+        publishes the monitor's ``stats`` beside them."""
         self.metrics = metrics.scope("supervisor")
-        self._monitor.attach_metrics(metrics)
 
     def check_invariants(self) -> None:
         """Forward to the supervised monitor (no-op when unsupported)."""
@@ -200,8 +201,7 @@ class MonitorSupervisor:
                 f"could not rebuild monitor from {survivors} "
                 f"surviving objects: {heal_exc}"
             ) from cause
-        if self._monitor.metrics is not NULL_METRICS:
-            healed.attach_metrics(self._monitor.metrics)
+        healed.stats = self._monitor.stats
         self._monitor = healed
         self.heals += 1
         self._updates_since_probe = 0

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.core.objects import SpatialObject
-from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["WindowUpdate", "SlidingWindow"]
 
@@ -51,9 +50,6 @@ class SlidingWindow(ABC):
 
     def __init__(self) -> None:
         self._tick = 0
-        # per-window observability scope (no-op unless attached); both
-        # concrete windows report insertions/evictions through it
-        self.metrics: Metrics = NULL_METRICS
 
     @abstractmethod
     def push(self, objects: Sequence[SpatialObject]) -> WindowUpdate:
@@ -86,12 +82,3 @@ class SlidingWindow(ABC):
     def _next_tick(self) -> int:
         self._tick += 1
         return self._tick
-
-    def _record(self, update: WindowUpdate) -> WindowUpdate:
-        """Count a transition's insertions/evictions; returns it back so
-        ``push`` implementations can ``return self._record(update)``."""
-        metrics = self.metrics
-        metrics.inc("insertions", len(update.arrived))
-        metrics.inc("evictions", len(update.expired))
-        metrics.set_gauge("size", len(self))
-        return update

@@ -43,16 +43,12 @@ class CountWindow(SlidingWindow):
             self._items.clear()
             admitted = tuple(objects[-self.capacity:])
             self._items.extend(admitted)
-            return self._record(
-                WindowUpdate(arrived=admitted, expired=expired, tick=tick)
-            )
+            return WindowUpdate(arrived=admitted, expired=expired, tick=tick)
         self._items.extend(objects)
         overflow = len(self._items) - self.capacity
         expired_list = [self._items.popleft() for _ in range(max(0, overflow))]
-        return self._record(
-            WindowUpdate(
-                arrived=tuple(objects), expired=tuple(expired_list), tick=tick
-            )
+        return WindowUpdate(
+            arrived=tuple(objects), expired=tuple(expired_list), tick=tick
         )
 
     @property

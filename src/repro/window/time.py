@@ -65,9 +65,7 @@ class TimeWindow(SlidingWindow):
         admitted = tuple(o for o in objects if self._alive(o))
         self._items.extend(admitted)
         expired = self._expire()
-        return self._record(
-            WindowUpdate(arrived=admitted, expired=expired, tick=tick)
-        )
+        return WindowUpdate(arrived=admitted, expired=expired, tick=tick)
 
     def advance_to(self, now: float) -> WindowUpdate:
         """Move time forward without arrivals, expiring stale objects."""
@@ -77,7 +75,7 @@ class TimeWindow(SlidingWindow):
             )
         tick = self._next_tick()
         self._now = now
-        return self._record(WindowUpdate(expired=self._expire(), tick=tick))
+        return WindowUpdate(expired=self._expire(), tick=tick)
 
     def _alive(self, obj: SpatialObject) -> bool:
         return obj.timestamp > self._now - self.duration

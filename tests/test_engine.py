@@ -198,7 +198,9 @@ class TestEngineMetrics:
         assert set(report.metrics) == {"ag2", "naive"}
         # priming is one (untimed) ingest, then 3 timed updates
         assert report.metrics["ag2"].counters["updates"] == 4
-        assert report.metrics["ag2"].counters["window.insertions"] == 70
+        assert report.metrics["ag2"].counters["objects_seen"] == 70
+        # the 40-object window is full after priming: 30 expire
+        assert report.metrics["ag2"].counters["objects_expired"] == 30
 
     def test_update_ms_histogram_matches_batches(self):
         e, _ = self._observed_engine()

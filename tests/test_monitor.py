@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import make_objects
@@ -74,3 +76,17 @@ class TestMonitorStats:
         assert s.updates == 0
         assert s.overlap_tests == 0
         assert s.cells_pruned == 0
+
+    def test_every_field_is_covered(self):
+        # snapshot/reset/delta derive their field lists from the
+        # dataclass, so a new counter cannot be forgotten in one of them
+        names = [f.name for f in dataclasses.fields(MonitorStats)]
+        s = MonitorStats(**{name: i + 1 for i, name in enumerate(names)})
+        snap = s.snapshot()
+        assert dataclasses.asdict(snap) == dataclasses.asdict(s)
+        assert snap is not s
+        delta = s.delta(MonitorStats())
+        assert list(delta) == names
+        assert delta == dataclasses.asdict(s)
+        s.reset()
+        assert dataclasses.asdict(s) == dict.fromkeys(names, 0)

@@ -67,8 +67,10 @@ class TestRunProfile:
 
     def test_window_counters_flow_through_scope(self, profile):
         ag2 = profile.report.metrics["ag2"].counters
+        # window arrivals and expiries are monitor stats now
         expected = TINY.window_size + TINY.batch_size * TINY.batches
-        assert ag2["window.insertions"] == expected
+        assert ag2["objects_seen"] == expected
+        assert ag2["objects_expired"] == TINY.batch_size * TINY.batches
 
     def test_to_dict_json_round_trip(self, profile):
         doc = json.loads(json.dumps(profile.to_dict()))

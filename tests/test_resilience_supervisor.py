@@ -130,15 +130,30 @@ class TestMonitorSupervisorHealing:
         monitor = FailingAG2(10, 10, CountWindow(20))
         supervised = MonitorSupervisor(monitor)
         metrics = Metrics()
-        supervised.attach_metrics(metrics)
-        supervised.update(make_objects(4, seed=11, domain=40.0, start_t=0.0))
+        engine = StreamEngine(
+            {"ag2": supervised}, iter(()), batch_size=4, metrics=metrics
+        )
+        engine.process(make_objects(4, seed=11, domain=40.0, start_t=0.0))
         monitor.fail_next = 1
-        supervised.update(make_objects(4, seed=12, domain=40.0, start_t=10.0))
-        snap = metrics.snapshot()
+        engine.process(make_objects(4, seed=12, domain=40.0, start_t=10.0))
+        snap = metrics.scope("ag2").snapshot()
         assert snap.counters["supervisor.monitor_failures"] == 1
         assert snap.counters["supervisor.heals"] == 1
         # the monitor's own counters keep accumulating after the heal
         assert snap.counters["updates"] >= 2
+
+    def test_healed_monitor_takes_over_stats(self):
+        monitor = FailingAG2(10, 10, CountWindow(20))
+        supervised = MonitorSupervisor(monitor)
+        stats = supervised.stats
+        supervised.update(make_objects(4, seed=11, domain=40.0, start_t=0.0))
+        monitor.fail_next = 1
+        supervised.update(make_objects(4, seed=12, domain=40.0, start_t=10.0))
+        assert supervised.heals == 1
+        assert supervised.monitor is not monitor
+        assert supervised.stats is stats
+        assert stats.updates == 2
+        assert stats.objects_seen == 8
 
     def test_ingest_failure_healed(self):
         monitor = FailingAG2(10, 10, CountWindow(30))

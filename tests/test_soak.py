@@ -475,6 +475,27 @@ class TestEngineSession:
         # both incarnations observed under the same scope
         assert snap.counters["m.objects_seen"] == 20
 
+    def test_restore_rebases_the_publish_baseline(self):
+        metrics = Metrics("t")
+        engine = StreamEngine(
+            {"m": NaiveMonitor(12, 12, CountWindow(40))},
+            iter(()),
+            batch_size=10,
+            metrics=metrics,
+        )
+        engine.process(make_objects(10, seed=1))
+        engine.teardown()
+        # recovery rebuilds the replacement before the engine takes it
+        # back: those counts were made before restore and stay out
+        replacement = NaiveMonitor(12, 12, CountWindow(40))
+        replacement.ingest(make_objects(30, seed=2))
+        engine.restore({"m": replacement})
+        engine.process(make_objects(10, seed=3))
+        snap = metrics.snapshot()
+        assert snap.counters["m.objects_seen"] == 20
+        assert snap.counters["m.updates"] == 2
+        assert replacement.stats.objects_seen == 40
+
 
 class TestCustomScenario:
     def test_tiny_custom_scenario_runs(self, tmp_path):
