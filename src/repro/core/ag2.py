@@ -23,6 +23,10 @@ Implementation notes (see DESIGN.md §5):
   vertex holds the maximum, and Property 4 must never be violated.
 * Candidate cells are visited in decreasing ``c.w`` order, so the
   branch-and-bound loop can stop at the first cell that fails Rule 1.
+  The order is one persistent lazy heap of ``(-c.w, rank, key)``
+  entries: a batch pushes one entry per cell it maps to or visits and
+  pops only the cells it visits (plus dead entries), so it never ranks
+  the cells Rule 1 prunes.
 * Optional Algorithm 5 upper-bound tightening (§5.3) plugs in via the
   ``tighten`` argument; it exists for the Table 5 ablation and is off
   by default, matching the paper's conclusion that it does not pay off.
@@ -32,8 +36,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from heapq import heapify, heappop
-from typing import Callable, Deque, Dict
+from heapq import heapify, heappop, heappush
+from typing import Callable, Deque, Dict, Iterator
 
 from repro.core.graph import CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
@@ -69,7 +73,8 @@ class AG2Cell:
         self.cw = 0.0
         # creation order within the owning monitor; mirrors the cell
         # dict's insertion order so heap-based candidate ordering
-        # breaks c.w ties exactly like a stable sort over the dict did
+        # breaks c.w ties exactly like a stable sort over the dict did,
+        # and marks a dropped cell's heap entries dead if its key returns
         self.rank = 0
 
     @property
@@ -133,6 +138,12 @@ class AG2Monitor(MaxRSMonitor):
         self._star: Vertex | None = None
         self._star_w = _NEG_INF
         self._star_cell: CellKey | None = None
+        # the persistent candidate order: a lazy min-heap of
+        # (-c.w, rank, key).  An entry is live while its cell exists
+        # with that rank and c.w and was not visited this batch; every
+        # cell has a live entry between batches (_settle_order)
+        self._order: list[tuple[float, int, CellKey]] = []
+        self._visited: set[CellKey] = set()
 
     # -- Algorithm 2 ---------------------------------------------------------
 
@@ -140,51 +151,89 @@ class AG2Monitor(MaxRSMonitor):
         self._expired_upto += len(delta.expired)
         self._map_arrivals(delta)
         self._purge_all()
-        if not self._cells:
+        cells = self._cells
+        if not cells:
             self._clear_star()
+            self._order.clear()
             return
         # lines 6-10: refresh (or re-seed) the monitored answer first so
         # the pruning threshold is as large as possible
         start_key = self._pick_start_cell()
-        self._overlap_computation(self._cells[start_key])
+        self._visit(start_key, cells[start_key])
         self._exact_weight_computation(start_key)
         # lines 11-15: branch-and-bound over the remaining cells; in
         # "bound" order the first Rule-1 failure prunes the rest, in
-        # "arbitrary" order every cell is tested individually
+        # "arbitrary" order every cell is tested individually.  Every
+        # cell not exactly computed is pruned.
+        exact = 0
         if self.visit_order == "bound":
-            # a heap beats a full sort here: the typical batch visits a
-            # handful of cells before the first Rule-1 failure prunes
-            # everything else, so most candidates are never popped.
-            # (-cw, rank) pops in the exact order sorted() produced —
-            # rank mirrors the cell dict's insertion order.
-            heap = [
-                (-cell.cw, cell.rank, key)
-                for key, cell in self._cells.items()
-                if key != start_key
-            ]
-            heapify(heap)
-            while heap:
-                neg_cw, _rank, key = heappop(heap)
-                cell = self._cells[key]
+            for key, cell in self._candidates():
                 if not self._may_beat(cell.cw):
-                    self.stats.cells_pruned += len(heap) + 1
                     break
-                self._overlap_computation(cell)
+                self._visit(key, cell)
                 if self._may_beat(cell.cw):
                     self._exact_weight_computation(key)
-                else:
-                    self.stats.cells_pruned += 1
-            return
-        for key in [key for key in self._cells if key != start_key]:
-            cell = self._cells[key]
-            if not self._may_beat(cell.cw):
-                self.stats.cells_pruned += 1
-                continue
-            self._overlap_computation(cell)
-            if self._may_beat(cell.cw):
-                self._exact_weight_computation(key)
+                    exact += 1
+        else:
+            for key in [key for key in cells if key != start_key]:
+                cell = cells[key]
+                if not self._may_beat(cell.cw):
+                    continue
+                self._visit(key, cell)
+                if self._may_beat(cell.cw):
+                    self._exact_weight_computation(key)
+                    exact += 1
+        self.stats.cells_pruned += len(cells) - 1 - exact
+        self._settle_order()
+
+    # -- candidate order -------------------------------------------------------
+
+    def _visit(self, key: CellKey, cell: AG2Cell) -> None:
+        """Overlap-compute a candidate cell; its heap entries are dead
+        until :meth:`_settle_order` pushes its new bound."""
+        self._visited.add(key)
+        self._overlap_computation(cell)
+
+    def _live(self, entry: tuple[float, int, CellKey]) -> bool:
+        neg_cw, rank, key = entry
+        cell = self._cells.get(key)
+        return (
+            cell is not None
+            and cell.rank == rank
+            and cell.cw == -neg_cw
+            and key not in self._visited
+        )
+
+    def _candidates(self) -> Iterator[tuple[CellKey, AG2Cell]]:
+        """Unvisited cells in decreasing ``(c.w, -rank)`` order — the
+        order a stable sort over the cell dict gives.
+
+        Yields the top live entry without popping it; the caller either
+        visits the cell (killing the entry, which the next step pops) or
+        stops, leaving the entry in place.  Dead entries are dropped.
+        """
+        order = self._order
+        cells = self._cells
+        while order:
+            entry = order[0]
+            if self._live(entry):
+                yield entry[2], cells[entry[2]]
             else:
-                self.stats.cells_pruned += 1
+                heappop(order)
+
+    def _settle_order(self) -> None:
+        """Push the bound of every cell visited this batch, then rebuild
+        the heap from the cell dict once dead entries outnumber the
+        live cells, so it holds at most ``2 × len(cells)`` entries."""
+        order = self._order
+        cells = self._cells
+        for key in self._visited:
+            cell = cells[key]
+            heappush(order, (-cell.cw, cell.rank, key))
+        self._visited.clear()
+        if len(order) > 2 * len(cells):
+            order[:] = [(-cell.cw, cell.rank, key) for key, cell in cells.items()]
+            heapify(order)
 
     # -- batch plumbing --------------------------------------------------------
 
@@ -196,6 +245,7 @@ class AG2Monitor(MaxRSMonitor):
         width = self.rect_width
         height = self.rect_height
         log = self._expiry_log.append
+        touched: Dict[CellKey, AG2Cell] = {}
         for obj in delta.arrived:
             seq = self._next_seq
             self._next_seq += 1
@@ -210,7 +260,11 @@ class AG2Monitor(MaxRSMonitor):
                     cells[key] = cell
                 cell.pending.append((seq, wr))
                 cell.cw += weight
+                touched[key] = cell
                 log((seq, key))
+        order = self._order
+        for key, cell in touched.items():
+            heappush(order, (-cell.cw, cell.rank, key))
 
     def _make_cell(self) -> AG2Cell:
         """Cell factory; the top-k monitor overrides it to attach the
@@ -267,9 +321,26 @@ class AG2Monitor(MaxRSMonitor):
         heuristic: the cell with the largest upper bound."""
         if self._star_cell is not None and self._star_cell in self._cells:
             return self._star_cell
-        return max(
-            (cell.cw, key) for key, cell in self._cells.items()
-        )[1]
+        return self._top_bound_cell()
+
+    def _top_bound_cell(self) -> CellKey:
+        """The live cell with the largest ``c.w``; ties go to the largest
+        key, as ``max((c.w, key))`` over the cell dict would pick.
+
+        Entries tied with the root's bound form a subtree under the
+        root, so only they are read.  Requires a live cell.
+        """
+        top_key, _cell = next(self._candidates())
+        order = self._order
+        neg_cw = order[0][0]
+        stack = [1, 2]
+        while stack:
+            i = stack.pop()
+            if i < len(order) and order[i][0] == neg_cw:
+                if order[i][2] > top_key and self._live(order[i]):
+                    top_key = order[i][2]
+                stack += (2 * i + 1, 2 * i + 2)
+        return top_key
 
     def _may_beat(self, bound: float) -> bool:
         """Pruning Rule 1 (ε = 0) / Rule 3 (ε > 0): can a cell with this
@@ -395,7 +466,9 @@ class AG2Monitor(MaxRSMonitor):
 
     def check_invariants(self) -> None:
         """Verify Property 4's checkable half and the flat cell layout
-        (see :meth:`CellGraph.check_invariants`) on every cell.
+        (see :meth:`CellGraph.check_invariants`) on every cell, and that
+        every cell has a live candidate-order entry at its current
+        ``c.w``.
 
         Raises :class:`InvariantViolationError` on the first violation.
         Intended for tests and debugging; never called on hot paths.
@@ -424,6 +497,12 @@ class AG2Monitor(MaxRSMonitor):
                     raise InvariantViolationError(
                         f"cell {key}: non-finite bound on seq={seq}"
                     )
+        entries = set(self._order)
+        for key, cell in self._cells.items():
+            if (-cell.cw, cell.rank, key) not in entries:
+                raise InvariantViolationError(
+                    f"cell {key}: no candidate-order entry for c.w={cell.cw}"
+                )
         star = self._star
         if star is not None and star.space.weight != self._star_w:
             raise InvariantViolationError(

@@ -16,7 +16,8 @@ Bookkeeping beyond Algorithm 2 (see DESIGN.md §1 "Top-k semantics"):
   pruning soundness requires);
 * the branch-and-bound pass visits the cells currently owning ``S*``
   first (Algorithm 6 line 2), then the rest in decreasing ``c.w``
-  order, raising ``ρ`` as exact values improve.
+  order — read from aG2's persistent candidate heap — raising ``ρ`` as
+  exact values improve.
 
 Correctness argument: after a pass, every alive vertex either carries
 its exact ``si`` or was pruned while its bound was ≤ the then-current
@@ -113,8 +114,10 @@ class TopKAG2Monitor(AG2Monitor):
         self._purge_all()
         self._star = None  # top-1 bookkeeping unused in top-k mode
         self._star_cell = None
-        if not self._cells:
+        cells = self._cells
+        if not cells:
             self._answer = []
+            self._order.clear()
             return
         candidates = self._merge_candidates()
         rho = self._kth_weight(candidates)
@@ -127,31 +130,23 @@ class TopKAG2Monitor(AG2Monitor):
             )
         }
         if not priority:
-            priority = {
-                max(self._cells, key=lambda key: (self._cells[key].cw, key))
-            }
+            priority = {self._top_bound_cell()}
         for key in priority:
-            cell = self._cells.get(key)
-            if cell is None:
-                continue
-            self._overlap_computation(cell)
+            self._visit(key, cells[key])
             rho = self._exact_topk(key, rho, candidates)
-        # lines 7-8: branch-and-bound over the remaining cells
-        order = sorted(
-            (key for key in self._cells if key not in priority),
-            key=lambda key: -self._cells[key].cw,
-        )
-        for pos, key in enumerate(order):
-            cell = self._cells[key]
+        # lines 7-8: branch-and-bound over the remaining cells in
+        # decreasing c.w; every cell not exactly computed is pruned
+        exact = 0
+        for key, cell in self._candidates():
             if not cell.cw > rho:
-                self.stats.cells_pruned += len(order) - pos
                 break
-            self._overlap_computation(cell)
+            self._visit(key, cell)
             if cell.cw > rho:
                 rho = self._exact_topk(key, rho, candidates)
-            else:
-                self.stats.cells_pruned += 1
+                exact += 1
+        self.stats.cells_pruned += len(cells) - len(priority) - exact
         self._answer = self._rank(candidates)
+        self._settle_order()
 
     # -- candidate management ----------------------------------------------------------
 

@@ -205,7 +205,7 @@ def atomic_write_json(path: str | Path, document: Any) -> None:
     )
     try:
         with os.fdopen(fd, "w") as fh:
-            json.dump(document, fh)
+            fh.write(json.dumps(document))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_name, target)

@@ -34,6 +34,7 @@ from repro.resilience import (
     IngestGuard,
     MonitorSupervisor,
 )
+from repro.resilience.checkpoint import _payload_crc
 from repro.streams import UniformStream
 from repro.window import CountWindow
 
@@ -175,6 +176,35 @@ class TestCheckpointManager:
         snap = metrics.snapshot()
         assert snap.counters["checkpoint.checkpoints_written"] == 2
         assert snap.gauges["checkpoint.checkpoint_batch_index"] == 4
+
+    def test_file_bytes_are_one_dumps_of_the_document(self, tmp_path):
+        """The file holds exactly ``json.dumps`` of the envelope, and
+        its CRC survives the round trip through ``load``."""
+        monitor = FACTORIES["topk"]()
+        path = tmp_path / "ckpt.json"
+        manager = CheckpointManager(monitor, path, every=3)
+        for batch in stream_batches(3):
+            monitor.update(batch)
+            manager.note_batch()
+        state = persist.snapshot(monitor)
+        document = {
+            "format": 1,
+            "batch_index": 3,
+            "state": state,
+            "crc32": _payload_crc(3, state),
+        }
+        assert path.read_text() == json.dumps(document)
+        restored, index = CheckpointManager.load(path)
+        assert index == 3
+        assert persist.snapshot(restored) == json.loads(json.dumps(state))
+        assert restored.refresh().regions == monitor.result.regions
+
+    def test_atomic_write_json_is_one_dumps(self, tmp_path):
+        document = {"b": [1.5, -0.0, 1e-300], "a": {"n": None, "s": "é"}}
+        target = tmp_path / "doc.json"
+        persist.atomic_write_json(target, document)
+        assert target.read_text() == json.dumps(document)
+        assert persist.read_json(target) == document
 
     def test_supervisor_is_unwrapped(self, tmp_path):
         supervised = MonitorSupervisor(FACTORIES["ag2"]())
