@@ -25,10 +25,11 @@
  * Returns 1 when found, 0 when no item has positive area, -1 when out
  * of memory.
  *
- * maxrs_connect, maxrs_local, maxrs_max and maxrs_above work on one
- * graph cell's arrival-ordered buffer of the same 5-double items and
- * on its bounds; they port the Python of planesweep._scan_python,
- * _local_python, _max_flat and _above_flat.  Their comparisons are
+ * maxrs_connect, maxrs_insert, maxrs_local, maxrs_max and maxrs_above
+ * work on one graph cell's arrival-ordered buffer of the same 5-double
+ * items and on its bounds; they port the Python of
+ * planesweep._scan_python, _insert_python, _local_python, _max_flat and
+ * _above_flat.  Their comparisons are
  * exact, the bound adds run in index order and clipping is a min/max,
  * so they too match the Python bit for bit.
  */
@@ -319,6 +320,34 @@ long maxrs_connect(const double *items, long q, long lo, long hi,
         k++;
     }
     return k;
+}
+
+/*
+ * CellGraph.connect of a whole pending set: m new rectangles, the rows
+ * seqs[k] - base of the arrival table, become items n .. n + m - 1 of
+ * the cell buffer, each with bound and exact weight = its own weight
+ * (upper, exact and dirty are already extended, dirty with zeros).
+ * Then, for each new item in arrival order, maxrs_connect adds its
+ * weight to every older overlapping item in [head, n + k), so every
+ * bound receives its adds in the order one-at-a-time inserts made them.
+ * When hits is not NULL the touched indices of all edges are stored
+ * there, one after another.  Returns the number of edges made.
+ */
+long maxrs_insert(const double *table, long base, const long *seqs, long m,
+                  double *items, long head, long n, double *upper,
+                  double *exact, signed char *dirty, long *hits)
+{
+    for (long k = 0; k < m; k++) {
+        const double *r = table + 5 * (seqs[k] - base);
+        memcpy(items + 5 * (n + k), r, 5 * sizeof(double));
+        upper[n + k] = r[4];
+        exact[n + k] = r[4];
+    }
+    long edges = 0;
+    for (long k = 0; k < m; k++)
+        edges += maxrs_connect(items, n + k, head, n + k, upper, dirty,
+                               hits == NULL ? NULL : hits + edges);
+    return edges;
 }
 
 /*

@@ -17,6 +17,13 @@ monitor of §6.1 is the same algorithm with both tests relaxed by
 
 Implementation notes (see DESIGN.md §5):
 
+* The arrival path is flat: a batch is routed in one pass into the
+  monitor's :class:`~repro.core.graph.ArrivalTable` (each row's dual
+  rectangle, weight and cell cover), a cell's pending set is an
+  ``array('q')`` of seqs, and a visited cell connects its whole pending
+  set in one kernel call.  Purging re-derives the cells that hold
+  expired rectangles from the expired rows' covers.  No per-arrival
+  object is built besides the stream object the window already holds.
 * ``OverlapComputation`` re-derives ``c.w`` as the maximum bound over
   *all* cell vertices, not only those touched by pending rectangles —
   the literal pseudocode could under-set ``c.w`` when an untouched
@@ -35,14 +42,17 @@ Implementation notes (see DESIGN.md §5):
 from __future__ import annotations
 
 import math
-from collections import deque
+from array import array
+from bisect import bisect_right
 from heapq import heapify, heappop, heappush
-from typing import Callable, Deque, Dict, Iterator
+from typing import Callable, Dict, Iterator
 
-from repro.core.graph import CellGraph, Vertex
+from repro.core.graph import ArrivalTable, CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
-from repro.core.objects import WeightedRect, dual_rect
+# not called here any more: the end-to-end benchmark's tracer still
+# patches ``ag2.dual_rect`` as the dual transform's span
+from repro.core.objects import dual_rect  # noqa: F401
 from repro.core.planesweep import local_plane_sweep_cached
 from repro.core.spaces import MaxRSResult
 from repro.errors import InvalidParameterError, InvariantViolationError
@@ -67,9 +77,9 @@ class AG2Cell:
         # allocated by the cell's first _overlap_computation: in a
         # sparse window most mapped cells are pruned and never visited
         self.graph: CellGraph | None = None
-        # rectangles mapped here but not yet overlap-checked, in
-        # arrival order: (sequence number, rectangle)
-        self.pending: Deque[tuple[int, WeightedRect]] = deque()
+        # seqs of the rectangles mapped here but not yet overlap-checked,
+        # in arrival order (rows of the monitor's arrival table)
+        self.pending = array("q")
         self.cw = 0.0
         # creation order within the owning monitor; mirrors the cell
         # dict's insertion order so heap-based candidate ordering
@@ -126,13 +136,12 @@ class AG2Monitor(MaxRSMonitor):
         # the paper's literal reading — any order, every cell tested.
         self.visit_order = visit_order
         self._cells: Dict[CellKey, AG2Cell] = {}
-        self._next_seq = 0
         self._next_cell_rank = 0
         self._expired_upto = -1
-        # every (seq, key) mapping made by _map_arrivals, in seq order;
-        # purging pops the expired prefix and touches only those cells
+        # every live arrival's rectangle and cell cover, by seq; purging
+        # reads the expired rows' covers and touches only those cells
         # instead of scanning the whole cell dict per batch
-        self._expiry_log: Deque[tuple[int, CellKey]] = deque()
+        self._table = ArrivalTable()
         # the monitored answer: the vertex whose exact space we report,
         # and that space's weight (kept equal to star.space.weight)
         self._star: Vertex | None = None
@@ -240,28 +249,24 @@ class AG2Monitor(MaxRSMonitor):
     def _map_arrivals(self, delta: WindowUpdate) -> None:
         """Lines 1-5: route new rectangles to their cells, growing each
         cell bound by the arriving weight (Equation 5)."""
+        table = self._table
+        start = table.route(
+            delta.arrived, self.rect_width, self.rect_height, self.grid
+        )
         cells = self._cells
-        grid_keys = self.grid.cell_keys
-        width = self.rect_width
-        height = self.rect_height
-        log = self._expiry_log.append
+        rows = table.rows
+        base = table.base
         touched: Dict[CellKey, AG2Cell] = {}
-        for obj in delta.arrived:
-            seq = self._next_seq
-            self._next_seq += 1
-            wr = dual_rect(obj, width, height)
-            weight = wr.weight
-            for key in grid_keys(wr.rect):
-                cell = cells.get(key)
-                if cell is None:
-                    cell = self._make_cell()
-                    cell.rank = self._next_cell_rank
-                    self._next_cell_rank += 1
-                    cells[key] = cell
-                cell.pending.append((seq, wr))
-                cell.cw += weight
-                touched[key] = cell
-                log((seq, key))
+        for row, key in table.cells(start, len(table.objs)):
+            cell = cells.get(key)
+            if cell is None:
+                cell = self._make_cell()
+                cell.rank = self._next_cell_rank
+                self._next_cell_rank += 1
+                cells[key] = cell
+            cell.pending.append(base + row)
+            cell.cw += rows[5 * row + 4]
+            touched[key] = cell
         order = self._order
         for key, cell in touched.items():
             heappush(order, (-cell.cw, cell.rank, key))
@@ -275,37 +280,38 @@ class AG2Monitor(MaxRSMonitor):
         """Expire stale vertices/pending entries from the cells that
         hold them.
 
-        The expiry log records every ``(seq, key)`` mapping in arrival
-        order, so the cells owning expired entries are exactly those in
-        the log's expired prefix — O(expired × cells-per-rect) per
-        batch instead of a scan over every materialised cell.  Purging
-        only removes weight, so cell bounds remain valid upper bounds
-        without adjustment; empty cells are dropped.
+        The arrival table keeps every live row's cell cover, so the
+        cells owning expired entries are exactly those covered by the
+        expired rows — O(expired × cells-per-rect) per batch instead of
+        a scan over every materialised cell.  Purging only removes
+        weight, so cell bounds remain valid upper bounds without
+        adjustment; empty cells are dropped.
         """
         expired_upto = self._expired_upto
         if self._star is not None and self._star.seq <= expired_upto:
             self._clear_star()
-        log = self._expiry_log
-        if not log or log[0][0] > expired_upto:
+        table = self._table
+        head = table.head
+        stop = expired_upto + 1 - table.base
+        if stop <= head:
             return
-        touched: set[CellKey] = set()
-        add = touched.add
-        while log and log[0][0] <= expired_upto:
-            add(log.popleft()[1])
         cells = self._cells
-        for key in touched:
+        for _row, key in table.cells(head, stop):
             cell = cells.get(key)
             if cell is None:
                 continue
+            # an expired row's cell: drop every expired entry (later
+            # rows covering it find nothing left to drop)
+            pending = cell.pending
+            if pending and pending[0] <= expired_upto:
+                del pending[:bisect_right(pending, expired_upto)]
             graph = cell.graph
             removed = 0 if graph is None else graph.expire_upto(expired_upto)
-            pending = cell.pending
-            while pending and pending[0][0] <= expired_upto:
-                pending.popleft()
             if not pending and not graph:
                 del cells[key]
             elif removed:
                 self._cell_purged(cell)
+        table.expire_upto(expired_upto)
 
     def _cell_purged(self, cell: AG2Cell) -> None:
         """Hook invoked after vertices expired from a surviving cell;
@@ -360,10 +366,13 @@ class AG2Monitor(MaxRSMonitor):
         graph = cell.graph
         if graph is None:
             graph = cell.graph = CellGraph()
-        for seq, wr in cell.pending:
-            stats.overlap_tests += len(graph)
-            stats.edges_touched += graph.connect(wr, seq)
-        cell.pending.clear()
+        pending = cell.pending
+        m = len(pending)
+        if m:
+            # row k of the set is tested against len(graph) + k vertices
+            stats.overlap_tests += m * len(graph) + m * (m - 1) // 2
+            stats.edges_touched += graph.connect(self._table, pending)
+            del pending[:]
         cell.cw = graph.max_upper()
         stats.upper_bound_recomputes += 1
 
@@ -465,21 +474,35 @@ class AG2Monitor(MaxRSMonitor):
         return sum(len(c.pending) for c in self._cells.values())
 
     def check_invariants(self) -> None:
-        """Verify Property 4's checkable half and the flat cell layout
-        (see :meth:`CellGraph.check_invariants`) on every cell, and that
-        every cell has a live candidate-order entry at its current
-        ``c.w``.
+        """Verify Property 4's checkable half, the flat cell layout
+        (see :meth:`CellGraph.check_invariants`) on every cell, the
+        arrival table and the pending sets (increasing live seqs, all
+        newer than the cell's vertices), and that every cell has a live
+        candidate-order entry at its current ``c.w``.
 
         Raises :class:`InvariantViolationError` on the first violation.
         Intended for tests and debugging; never called on hot paths.
         """
         tol = 1e-6
+        table = self._table
+        table.check_invariants(self._expired_upto)
+        end = table.base + len(table.objs)
         for key, cell in self._cells.items():
             graph = cell.graph
             if graph is not None:
                 graph.check_invariants(f"cell {key}")
             if cell.is_empty:
                 raise InvariantViolationError(f"empty cell {key} retained")
+            pending = cell.pending
+            newest = graph.seqs[-1] if graph else self._expired_upto
+            for seq in pending:
+                if not newest < seq < end:
+                    raise InvariantViolationError(
+                        f"cell {key}: pending seq={seq} not in "
+                        f"({newest}, {end}): expired, repeated, out of "
+                        "order or older than a vertex"
+                    )
+                newest = seq
             top = cell.max_upper()
             if cell.cw < top - tol:
                 raise InvariantViolationError(

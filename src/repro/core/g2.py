@@ -20,10 +20,9 @@ from __future__ import annotations
 from array import array
 from typing import Dict
 
-from repro.core.graph import CellGraph, Vertex
+from repro.core.graph import ArrivalTable, CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
-from repro.core.objects import dual_rect
 from repro.core.planesweep import local_plane_sweep_cached
 from repro.core.spaces import MaxRSResult
 from repro.window.base import SlidingWindow, WindowUpdate
@@ -85,7 +84,9 @@ class G2Monitor(MaxRSMonitor):
             cell_size = default_cell_size(rect_width, rect_height)
         self.grid = UniformGrid(cell_size=cell_size)
         self._cells: Dict[CellKey, _G2Cell] = {}
-        self._next_seq = 0
+        # every live arrival's rectangle and cell cover, by seq (the
+        # flat route aG2 uses)
+        self._table = ArrivalTable()
         self._expired_upto = -1
 
     # -- index maintenance -------------------------------------------------
@@ -96,30 +97,31 @@ class G2Monitor(MaxRSMonitor):
         self._expired_upto += len(delta.expired)
         stats = self.stats
         cells = self._cells
-        grid_keys = self.grid.cell_keys
-        width = self.rect_width
-        height = self.rect_height
+        table = self._table
+        table.expire_upto(self._expired_upto)
+        start = table.route(
+            delta.arrived, self.rect_width, self.rect_height, self.grid
+        )
         # (cell, pos) of every vertex that gained an edge, in the order
         # the edges were made; pos survives compaction
         dirty: list[tuple[_G2Cell, int]] = []
         hits = array("q")
-        for obj in delta.arrived:
-            seq = self._next_seq
-            self._next_seq += 1
-            wr = dual_rect(obj, width, height)
-            for key in grid_keys(wr.rect):
-                cell = cells.get(key)
-                if cell is None:
-                    cell = _G2Cell()
-                    cells[key] = cell
-                self._purge(cell)
-                stats.cells_visited += 1
-                graph = cell.graph
-                stats.overlap_tests += len(graph)
-                stats.edges_touched += graph.connect(wr, seq, hits)
-                cell.offer_best(len(graph.seqs) - 1)
-                base = graph.base
-                dirty.extend((cell, base + i) for i in hits)
+        # each arrival is connected on its own: a one-seq pending set
+        one = array("q", [0])
+        for row, key in table.cells(start, len(table.objs)):
+            cell = cells.get(key)
+            if cell is None:
+                cell = _G2Cell()
+                cells[key] = cell
+            self._purge(cell)
+            stats.cells_visited += 1
+            graph = cell.graph
+            stats.overlap_tests += len(graph)
+            one[0] = table.base + row
+            stats.edges_touched += graph.connect(table, one, hits)
+            cell.offer_best(len(graph.seqs) - 1)
+            base = graph.base
+            dirty.extend((cell, base + i) for i in hits)
         # Recompute si exactly — once — for every vertex whose N(ri)
         # changed this batch (the dirty flag de-duplicates vertices
         # touched by several arrivals).

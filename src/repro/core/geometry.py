@@ -11,8 +11,8 @@ the brute-force oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Iterator
 
 from repro.errors import InvalidGeometryError
@@ -88,8 +88,13 @@ class Rect:
                 "rect bounds inverted or NaN: "
                 f"[{self.x1}, {self.x2}] x [{self.y1}, {self.y2}]"
             )
-        if not all(
-            math.isfinite(v) for v in (self.x1, self.y1, self.x2, self.y2)
+        # four calls, no generator: this runs for every Rect built
+        # (answers, clips and on-demand WeightedRects)
+        if not (
+            isfinite(self.x1)
+            and isfinite(self.y1)
+            and isfinite(self.x2)
+            and isfinite(self.y2)
         ):
             raise InvalidGeometryError("rect bounds must be finite")
 

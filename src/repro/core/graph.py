@@ -15,8 +15,10 @@ buffer.
 Per-vertex state lives in arrays parallel to the buffer, indexed alike:
 
 * ``items`` — ``array('d')``, 5 doubles per vertex ``(x1, y1, x2, y2,
-  w)``: the layout the compiled kernel reads;
-* ``wrs`` — the :class:`~repro.core.objects.WeightedRect` itself;
+  w)``: the dual rectangle and its weight, the layout the compiled
+  kernel reads;
+* ``objs`` — the originating :class:`~repro.core.objects.SpatialObject`
+  (no ``WeightedRect`` is kept: :attr:`Vertex.wr` builds one on demand);
 * ``seqs`` — arrival sequence numbers, strictly increasing;
 * ``upper`` — the aG2 bound ``s̄i`` (Equation 3), with
   ``space.weight ≤ true si ≤ upper`` (Property 4's vertex half); G2,
@@ -32,29 +34,177 @@ Per-vertex state lives in arrays parallel to the buffer, indexed alike:
   ``R(ri)`` is the part of ``N(ri)`` past it, and ``dirty`` holds iff
   that part is not empty.
 
-:meth:`CellGraph.connect` is one call into the compiled
-``maxrs_connect`` (``repro.core.planesweep``), which scans the buffer
-and adds the arrival's weight to the bound of every older overlapping
-vertex, in index order.  :class:`Vertex` is a read-only view of one
-vertex; the monitors pass it to
+New rectangles come from an :class:`ArrivalTable`, the monitor's one
+seq-indexed table of routed arrivals (rows of the same 5 doubles plus
+each row's cell cover).  :meth:`CellGraph.connect` inserts a whole
+pending set — a cell's ``array('q')`` of seqs — in one call into the
+compiled ``maxrs_insert`` (``repro.core.planesweep``), which copies the
+rows in and, for each new row in arrival order, adds its weight to the
+bound of every older overlapping vertex.  :class:`Vertex` is a
+read-only view of one vertex; the monitors pass it to
 :func:`~repro.core.planesweep.local_plane_sweep_cached`, which gathers,
-clips and sweeps ``N(ri)`` in one call as well.
+clips and sweeps ``N(ri)`` in one call as well.  ``WeightedRect``,
+``Rect`` and ``Region`` objects are built only on demand: for answers,
+top-k and Algorithm 5.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
+from math import isfinite
+from typing import Iterator, Sequence
 
-from repro.core.objects import WeightedRect
-from repro.core.planesweep import _above_flat, _max_flat, _scan_flat
+from repro.core.geometry import Rect
+from repro.core.grid import CellKey, UniformGrid, _axis_cells
+from repro.core.objects import SpatialObject, WeightedRect
+from repro.core.planesweep import (
+    _above_flat,
+    _insert_flat,
+    _max_flat,
+    _scan_flat,
+)
 from repro.core.spaces import Region
 from repro.errors import InvariantViolationError
 
-__all__ = ["Vertex", "CellGraph"]
+__all__ = ["ArrivalTable", "Vertex", "CellGraph"]
 
 #: a dead prefix this long is compacted once it is half the buffer
 _COMPACT_MIN = 32
+
+
+class ArrivalTable:
+    """A graph monitor's routed arrivals, oldest first, indexed by
+    sequence number: row ``r`` is the arrival with seq ``base + r``.
+
+    * ``rows`` — ``array('d')``, 5 doubles per row ``(x1, y1, x2, y2,
+      w)``: the dual rectangle (Definition 2) and its weight, the layout
+      of a cell buffer, so :meth:`CellGraph.connect` copies rows in;
+    * ``cover`` — ``array('q')``, 4 ints per row ``(i0, i1, j0, j1)``:
+      the grid cells ``i0..i1 × j0..j1`` the rectangle is mapped to,
+      none (``i0 > i1``) for a degenerate rectangle;
+    * ``objs`` — the stream objects; expired slots hold ``None`` until
+      compaction.
+
+    The live rows are ``head .. len(objs) - 1``.  Expiry moves ``head``
+    past a prefix, which is compacted away once it is half the table,
+    as in :class:`CellGraph`.
+    """
+
+    __slots__ = ("rows", "cover", "objs", "head", "base")
+
+    def __init__(self, base: int = 0) -> None:
+        self.rows = array("d")
+        self.cover = array("q")
+        self.objs: list[SpatialObject | None] = []
+        #: index of the oldest live row
+        self.head = 0
+        #: seq of the row at index 0
+        self.base = base
+
+    def __len__(self) -> int:
+        return len(self.objs) - self.head
+
+    def route(
+        self,
+        arrived: Sequence[SpatialObject],
+        width: float,
+        height: float,
+        grid: UniformGrid,
+    ) -> int:
+        """Append one row per arrival, in order, and return the index of
+        the first.
+
+        The bounds are ``Rect.from_center``'s, float operation for
+        float operation, and the cover is ``grid.cell_keys``' (one
+        ``_axis_cells`` per axis), but no ``Rect`` is built unless a
+        bound is not finite: then ``Rect`` raises the error the dual
+        transform raises, before any row is appended.
+        """
+        hw = width / 2.0
+        hh = height / 2.0
+        cs = grid.cell_size
+        ox = grid.origin_x
+        oy = grid.origin_y
+        rows: list[float] = []
+        cover: list[int] = []
+        for obj in arrived:
+            x = obj.x
+            y = obj.y
+            x1 = x - hw
+            y1 = y - hh
+            x2 = x + hw
+            y2 = y + hh
+            if not (
+                isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
+            ):
+                Rect(x1, y1, x2, y2)  # raises InvalidGeometryError
+            rows += (x1, y1, x2, y2, obj.weight)
+            if x1 == x2 or y1 == y2:  # degenerate: overlaps no cell
+                cover += (0, -1, 0, -1)
+                continue
+            xs = _axis_cells(x1, x2, ox, cs)
+            ys = _axis_cells(y1, y2, oy, cs)
+            cover += (xs.start, xs.stop - 1, ys.start, ys.stop - 1)
+        start = len(self.objs)
+        self.rows.fromlist(rows)
+        self.cover.fromlist(cover)
+        self.objs += arrived
+        return start
+
+    def cells(self, start: int, stop: int) -> Iterator[tuple[int, CellKey]]:
+        """``(row, cell key)`` for every cell the rows ``start .. stop -
+        1`` are mapped to: rows in order, each row's cells in
+        ``grid.cell_keys`` order."""
+        cover = iter(self.cover[4 * start:4 * stop])
+        row = start
+        for i0, i1, j0, j1 in zip(cover, cover, cover, cover):
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    yield row, (i, j)
+            row += 1
+
+    def expire_upto(self, seq: int) -> None:
+        """Drop every row with ``seq`` ≤ the given sequence number."""
+        objs = self.objs
+        start = self.head
+        head = min(seq + 1 - self.base, len(objs))
+        if head <= start:
+            return
+        if head >= _COMPACT_MIN and 2 * head >= len(objs):
+            del self.rows[:5 * head]
+            del self.cover[:4 * head]
+            del objs[:head]
+            self.base += head
+            head = 0
+        else:
+            # the dead prefix must not keep expired objects reachable
+            objs[start:head] = [None] * (head - start)
+        self.head = head
+
+    def check_invariants(self, expired_upto: int) -> None:
+        """Verify the flat layout and that the live rows are exactly the
+        arrivals newer than ``expired_upto``; raises
+        :class:`InvariantViolationError`.  Tests only."""
+        objs = self.objs
+        n = len(objs)
+        if len(self.rows) != 5 * n or len(self.cover) != 4 * n:
+            raise InvariantViolationError(
+                f"arrival table: {len(self.rows)} row doubles and "
+                f"{len(self.cover)} cover ints for {n} objects"
+            )
+        if self.base + self.head != expired_upto + 1:
+            raise InvariantViolationError(
+                f"arrival table: oldest live seq {self.base + self.head}, "
+                f"expected {expired_upto + 1}"
+            )
+        if any(obj is not None for obj in objs[:self.head]):
+            raise InvariantViolationError(
+                "arrival table: an expired object is retained"
+            )
+        if any(obj is None for obj in objs[self.head:]):
+            raise InvariantViolationError(
+                "arrival table: a live row lost its object"
+            )
 
 
 class Vertex:
@@ -80,8 +230,8 @@ class Vertex:
 
     @property
     def wr(self) -> WeightedRect:
-        graph = self.graph
-        return graph.wrs[self.pos - graph.base]
+        """The vertex's weighted rectangle (built on each read)."""
+        return self.graph.wr(self.index)
 
     @property
     def space(self) -> Region:
@@ -105,8 +255,7 @@ class Vertex:
         """``N(ri)``: the newer rectangles of the cell overlapping this
         one, in arrival order (derived from the buffer)."""
         graph = self.graph
-        wrs = graph.wrs
-        return tuple(wrs[j] for j in graph.neighbor_indices(self.index))
+        return tuple(graph.wr(j) for j in graph.neighbor_indices(self.index))
 
     @property
     def fresh(self) -> tuple[WeightedRect, ...]:
@@ -116,9 +265,8 @@ class Vertex:
         i = self.index
         mark = graph.marks[i]
         seqs = graph.seqs
-        wrs = graph.wrs
         return tuple(
-            wrs[j] for j in graph.neighbor_indices(i) if seqs[j] > mark
+            graph.wr(j) for j in graph.neighbor_indices(i) if seqs[j] > mark
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -138,14 +286,14 @@ class CellGraph:
     """
 
     __slots__ = (
-        "items", "wrs", "seqs", "upper", "exact", "spaces", "dirty", "marks",
-        "head", "base",
+        "items", "objs", "seqs", "upper", "exact", "spaces", "dirty",
+        "marks", "head", "base",
     )
 
     def __init__(self) -> None:
         self.items = array("d")
         # expired slots hold None until compaction
-        self.wrs: list[WeightedRect | None] = []
+        self.objs: list[SpatialObject | None] = []
         self.seqs = array("q")
         self.upper = array("d")
         self.exact = array("d")
@@ -169,43 +317,42 @@ class CellGraph:
         return Vertex(self, self.base + i, self.seqs[i])
 
     def connect(
-        self, wr: WeightedRect, seq: int, hits: array | None = None
+        self, table: ArrivalTable, seqs: array, hits: array | None = None
     ) -> int:
-        """Insert a new rectangle, adding an edge from every older
-        overlapping vertex (Definition 5): each such vertex's bound
-        grows by the new weight (Equation 3) and it turns dirty.
+        """Insert the table rows of ``seqs`` (an increasing
+        ``array('q')`` of seqs newer than every vertex), in order, each
+        with an edge from every older overlapping vertex (Definition 5):
+        the older vertex's bound grows by the new weight (Equation 3)
+        and it turns dirty.  One call into ``maxrs_insert``.
 
-        Returns how many vertices gained an edge.  When ``hits`` (an
-        ``array('q')``) is given, it is overwritten with their array
-        indices, oldest first.  The caller counts the ``len(self)``
-        pairwise overlap tests.
+        Returns how many edges were made.  When ``hits`` (an
+        ``array('q')``) is given, it is overwritten with the array index
+        of the older vertex of each edge, in the order made.  The caller
+        counts the ``len(self)`` pairwise overlap tests of each row.
         """
-        rect = wr.rect
-        weight = wr.weight
-        items = self.items
-        seqs = self.seqs
-        n = len(seqs)
+        m = len(seqs)
+        n = len(self.seqs)
         head = self.head
-        items.extend((rect.x1, rect.y1, rect.x2, rect.y2, weight))
+        self.items.frombytes(bytes(40 * m))
+        self.upper.frombytes(bytes(8 * m))
+        self.exact.frombytes(bytes(8 * m))
+        self.dirty.frombytes(bytes(m))
         if hits is not None:
             del hits[:]
-        touched = 0
-        if n > head:  # else there is nothing to scan
-            if hits is not None:
-                hits.frombytes(bytes(8 * (n - head)))
-            touched = _scan_flat(
-                items, n, head, n, self.upper, self.dirty, hits
-            )
-            if hits is not None:
-                del hits[touched:]
-        self.wrs.append(wr)
-        seqs.append(seq)
-        self.upper.append(weight)
-        self.exact.append(weight)
-        self.spaces.append(None)
-        self.dirty.append(0)
-        self.marks.append(seq)
-        return touched
+            hits.frombytes(bytes(8 * (m * (n - head) + m * (m - 1) // 2)))
+        edges = _insert_flat(
+            table.rows, table.base, seqs, self.items, head, n,
+            self.upper, self.exact, self.dirty, hits,
+        )
+        if hits is not None:
+            del hits[edges:]
+        self.seqs.extend(seqs)
+        self.marks.extend(seqs)
+        objs = table.objs
+        base = table.base
+        self.objs += [objs[seq - base] for seq in seqs]
+        self.spaces += [None] * m
+        return edges
 
     def expire_upto(self, seq: int) -> int:
         """Drop every vertex with ``seq`` ≤ the given sequence number and
@@ -222,7 +369,7 @@ class CellGraph:
         removed = head - start
         if head >= _COMPACT_MIN and 2 * head >= n:
             del self.items[:5 * head]
-            del self.wrs[:head]
+            del self.objs[:head]
             del seqs[:head]
             del self.upper[:head]
             del self.exact[:head]
@@ -234,19 +381,33 @@ class CellGraph:
         elif removed:
             # the dead prefix must not keep expired objects reachable
             dead = [None] * removed
-            self.wrs[start:head] = dead
+            self.objs[start:head] = dead
             self.spaces[start:head] = dead
         self.head = head
         return removed
+
+    def wr(self, i: int) -> WeightedRect:
+        """The weighted rectangle of the vertex at array index ``i``,
+        built from its buffer row and object."""
+        items = self.items
+        b = 5 * i
+        rect = Rect(items[b], items[b + 1], items[b + 2], items[b + 3])
+        return WeightedRect(rect, items[b + 4], self.objs[i])
+
+    def anchor_space(self, i: int) -> Region:
+        """The rectangle of the vertex at array index ``i`` as a space:
+        its ``si`` while no neighbour has been swept with it."""
+        items = self.items
+        b = 5 * i
+        rect = Rect(items[b], items[b + 1], items[b + 2], items[b + 3])
+        return Region(rect=rect, weight=items[b + 4],
+                      anchor_oid=self.objs[i].oid)
 
     def space(self, i: int) -> Region:
         """``si`` of the vertex at array index ``i``."""
         space = self.spaces[i]
         if space is None:
-            wr = self.wrs[i]
-            space = self.spaces[i] = Region(
-                rect=wr.rect, weight=wr.weight, anchor_oid=wr.oid
-            )
+            space = self.spaces[i] = self.anchor_space(i)
         return space
 
     def settle(self, i: int, space: Region) -> None:
@@ -279,7 +440,7 @@ class CellGraph:
         naming ``where`` on the first violation.  Tests only."""
         n = len(self.seqs)
         lengths = {
-            "items/5": len(self.items) / 5, "wrs": len(self.wrs),
+            "items/5": len(self.items) / 5, "objs": len(self.objs),
             "upper": len(self.upper), "exact": len(self.exact),
             "spaces": len(self.spaces), "dirty": len(self.dirty),
             "marks": len(self.marks),

@@ -87,8 +87,10 @@ class UniformGrid:
     def cell_keys(self, rect: Rect) -> tuple[CellKey, ...]:
         """The cell cover of a rectangle as a tuple.
 
-        Same semantics as :meth:`cells_overlapping`; this is the form
-        the monitors use on their arrival hot path.
+        Same semantics as :meth:`cells_overlapping`.  The graph
+        monitors' batch route (``ArrivalTable.route``) calls
+        :func:`_axis_cells` itself and stores the cover as
+        ``i0..i1 × j0..j1``.
         """
         if rect.is_degenerate:
             return ()

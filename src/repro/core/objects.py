@@ -92,9 +92,12 @@ def dual_rect(
 ) -> WeightedRect:
     """The Definition 2 dual transform of one arrival.
 
-    The graph monitors route every arrival through this one name, so a
-    tracer can time the transform by patching it.  Nothing is cached:
-    a process-wide cache would keep expired objects alive.
+    The R-tree ablation monitor calls it per arrival.  The graph
+    monitors (G2, aG2, top-k) no longer do: they route a whole batch
+    with ``ArrivalTable.route`` (``repro.core.graph``), which computes
+    the same bounds without building a ``WeightedRect``, so a tracer
+    patching this name sees no graph-monitor arrivals.  Nothing is
+    cached: a process-wide cache would keep expired objects alive.
     """
     return WeightedRect.from_object(obj, width, height)
 

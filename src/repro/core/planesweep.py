@@ -18,9 +18,10 @@ weight covering each elementary x-interval.  Entry points:
 * :func:`local_plane_sweep_cached` — the same sweep of one
   :class:`~repro.core.graph.Vertex`, read straight from its cell's flat
   buffer: N(ri) is gathered from the buffer past the vertex, clipped
-  and swept in one call.  Nothing is cached any more; the name stays
-  because the end-to-end benchmark's frozen tracer patches it as the
-  boundary of one local sweep.
+  and swept in one call, and only the answer becomes a
+  :class:`~repro.core.spaces.Region`.  Nothing is cached any more; the
+  name stays because the end-to-end benchmark's frozen tracer patches
+  it as the boundary of one local sweep.
 
 Reported regions are elementary cells of the sweep arrangement: a
 sub-rectangle of the (possibly wider) maximal-weight space.  Every
@@ -30,11 +31,13 @@ Hot path (docs/PERFORMANCE.md §1-§2): one compiled C library,
 ``_sweep.c``, runs every max sweep (``maxrs_sweep``, a port of
 :func:`_prepare`, :meth:`MaxCoverSegmentTree.add` and the group loop of
 :func:`_sweep_python` that returns the same answer bit for bit) and the
-graph cells' buffer work: ``maxrs_connect`` (the overlap scan of
-``CellGraph.connect``, :func:`_scan_python`), ``maxrs_local`` (gather,
-clip and sweep, :func:`_local_python`), ``maxrs_max`` and
-``maxrs_above`` (the bound scans of ``CellGraph``).  Each has one
-dispatcher here (``_sweep_flat``, ``_scan_flat``, ``_local_flat``,
+graph cells' buffer work: ``maxrs_connect`` (the overlap scan of one
+rectangle, :func:`_scan_python`), ``maxrs_insert`` (``CellGraph.connect``
+of a whole pending set: copy the rows in, then one overlap scan per new
+row, :func:`_insert_python`), ``maxrs_local`` (gather, clip and sweep,
+:func:`_local_python`), ``maxrs_max`` and ``maxrs_above`` (the bound
+scans of ``CellGraph``).  Each has one dispatcher here
+(``_sweep_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
 ``_max_flat``, ``_above_flat``) and nothing else reads ``_KERNEL``.  Items are a
 flat ``array('d')`` of 5 doubles each, ``(x1, y1, x2, y2, weight)`` —
 the layout of a graph cell's buffer, so a call passes a pointer and a
@@ -150,6 +153,7 @@ class _Kernel(NamedTuple):
 
     sweep: object
     connect: object
+    insert: object
     local: object
     max: object
     above: object
@@ -168,6 +172,7 @@ def _open(path: Path) -> _Kernel:
     kernel = _Kernel(
         library.maxrs_sweep,
         library.maxrs_connect,
+        library.maxrs_insert,
         library.maxrs_local,
         library.maxrs_max,
         library.maxrs_above,
@@ -176,6 +181,10 @@ def _open(path: Path) -> _Kernel:
     kernel.sweep.restype = ctypes.c_int
     kernel.connect.argtypes = (ptr, long_, long_, long_, ptr, ptr, ptr)
     kernel.connect.restype = long_
+    kernel.insert.argtypes = (
+        ptr, long_, ptr, long_, ptr, long_, long_, ptr, ptr, ptr, ptr
+    )
+    kernel.insert.restype = long_
     kernel.local.argtypes = (ptr, long_, long_, ptr)
     kernel.local.restype = ctypes.c_int
     kernel.max.argtypes = (ptr, long_)
@@ -265,6 +274,31 @@ def _scan_flat(
     return kernel.connect(
         items.buffer_info()[0], q, lo, hi,
         _address(upper), _address(dirty), _address(hits),
+    )
+
+
+def _insert_flat(
+    table: array,
+    base: int,
+    seqs: array,
+    items: array,
+    head: int,
+    n: int,
+    upper: array,
+    exact: array,
+    dirty: array,
+    hits: array | None,
+) -> int:
+    """``maxrs_insert``, or :func:`_insert_python` without the kernel."""
+    kernel = _KERNEL
+    if kernel is None:
+        return _insert_python(
+            table, base, seqs, items, head, n, upper, exact, dirty, hits
+        )
+    return kernel.insert(
+        table.buffer_info()[0], base, seqs.buffer_info()[0], len(seqs),
+        items.buffer_info()[0], head, n, upper.buffer_info()[0],
+        exact.buffer_info()[0], dirty.buffer_info()[0], _address(hits),
     )
 
 
@@ -506,21 +540,23 @@ def _scan_python(
     upper: array | None,
     dirty: array | None,
     hits: array | None,
+    at: int = 0,
 ) -> int:
     """The Python ``maxrs_connect``: visit every flat item ``j`` in
     ``[lo, hi)``, in index order, whose rectangle overlaps item ``q``'s
     (``Rect.overlaps``, inlined).  With ``upper``, add item ``q``'s
     weight to ``upper[j]`` and set ``dirty[j]``; with ``hits``, store
-    ``j`` at ``hits[k]`` for the ``k``-th item.  Returns the count."""
+    ``j`` at ``hits[at + k]`` for the ``k``-th item.  Returns the
+    count."""
     b = 5 * q
     x1 = items[b]
     y1 = items[b + 1]
     x2 = items[b + 2]
     y2 = items[b + 3]
     weight = items[b + 4]
-    k = 0
+    k = at
     if x1 == x2 or y1 == y2:  # a degenerate rectangle overlaps nothing
-        return k
+        return 0
     for j in range(lo, hi):
         b = 5 * j
         rx1 = items[b]
@@ -541,7 +577,35 @@ def _scan_python(
             if hits is not None:
                 hits[k] = j
             k += 1
-    return k
+    return k - at
+
+
+def _insert_python(
+    table: array,
+    base: int,
+    seqs: array,
+    items: array,
+    head: int,
+    n: int,
+    upper: array,
+    exact: array,
+    dirty: array,
+    hits: array | None,
+) -> int:
+    """The Python ``maxrs_insert``: copy the table rows of ``seqs`` to
+    items ``n, n + 1, ...`` (their bounds and exact weights start at the
+    row's weight), then connect each new item in order to the older
+    items ``[head, n + k)`` with :func:`_scan_python`, appending the
+    touched indices to ``hits``.  Returns the number of edges."""
+    for k, seq in enumerate(seqs):
+        b = 5 * (seq - base)
+        q = n + k
+        items[5 * q:5 * q + 5] = table[b:b + 5]
+        upper[q] = exact[q] = table[b + 4]
+    edges = 0
+    for q in range(n, n + len(seqs)):
+        edges += _scan_python(items, q, head, q, upper, dirty, hits, edges)
+    return edges
 
 
 def _local_python(items: array, i: int, n: int) -> _Cell | None:
@@ -621,9 +685,16 @@ def local_plane_sweep_cached(vertex: "Vertex") -> Region:
     that suffix overlapping it (Property 3).  One kernel call gathers,
     clips and sweeps it, so the items are those
     ``local_plane_sweep(vertex.wr, vertex.neighbors)`` would build and
-    the result is identical (tests assert it).
+    the result is identical (tests assert it).  No ``WeightedRect`` is
+    built: the answer's numbers come from the buffer and its anchor oid
+    from the stored object.
     """
     graph = vertex.graph
     i = vertex.pos - graph.base
     cell = _local_flat(graph.items, i, len(graph.seqs))
-    return _anchored(cell, graph.wrs[i])
+    if cell is None:
+        return graph.anchor_space(i)
+    w, x1, y1, x2, y2 = cell
+    return Region(
+        rect=Rect(x1, y1, x2, y2), weight=w, anchor_oid=graph.objs[i].oid
+    )

@@ -63,11 +63,11 @@ class _TopKCell(AG2Cell):
     def rebuild_top(self, k: int) -> None:
         graph = self.graph
         exact = graph.exact
-        wrs = graph.wrs
+        objs = graph.objs
         best = heapq.nlargest(
             k, range(graph.head, len(graph.seqs)), key=exact.__getitem__
         )
-        self.top = [(exact[i], wrs[i].oid, graph.vertex(i)) for i in best]
+        self.top = [(exact[i], objs[i].oid, graph.vertex(i)) for i in best]
 
 
 class TopKAG2Monitor(AG2Monitor):
@@ -203,7 +203,7 @@ class TopKAG2Monitor(AG2Monitor):
             # dirty ⟺ edges added since the last exact sweep
             if dirty[j]:
                 self._sweep_vertex(graph, j)
-            oid = graph.wrs[j].oid
+            oid = graph.objs[j].oid
             held = candidates.get(oid)
             if held is None or exact[j] > held[0]:
                 candidates[oid] = (exact[j], graph.vertex(j), key)

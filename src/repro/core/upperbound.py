@@ -39,15 +39,21 @@ def tighten_upper_bound(v: Vertex, threshold: float) -> float:
     returns early (with the bound computed so far) as soon as the bound
     exceeds ``threshold``, because the caller will have to sweep anyway.
     """
-    fresh = v.fresh
-    if not fresh:
+    graph = v.graph
+    i = v.index
+    mark = graph.marks[i]
+    seqs = graph.seqs
+    hits = graph.neighbor_indices(i)
+    if not hits or seqs[hits[-1]] <= mark:  # R(ri) is empty
         return v.upper
     tau = v.space.weight
     if tau > threshold:
         return v.upper
     si_rect = v.space.rect
     anchor = v.wr
-    all_neighbors = v.neighbors
+    # N(ri) is built once, so R(ri) holds the very same objects
+    all_neighbors = [graph.wr(j) for j in hits]
+    fresh = [r for j, r in zip(hits, all_neighbors) if seqs[j] > mark]
     for r in fresh:
         if r.rect.overlaps(si_rect):
             # r can extend the known-best space: charge it in full

@@ -49,7 +49,12 @@ from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["CheckpointManager"]
 
-_CHECKPOINT_FORMAT = 1
+#: format 2 checksums the bytes written; format 1 files (a checksum of
+#: a second, canonical encoding of the payload) still load
+_CHECKPOINT_FORMAT = 2
+#: what separates the checksummed bytes of a format-2 file from its
+#: ``crc32`` field, the document's last
+_CRC_FIELD = b', "crc32": '
 
 
 def _snapshot_target(monitor: Any) -> MaxRSMonitor:
@@ -68,8 +73,30 @@ def _snapshot_target(monitor: Any) -> MaxRSMonitor:
     return inner if isinstance(inner, MaxRSMonitor) else monitor
 
 
+def _encode(batch_index: int, state: Any) -> bytes:
+    """A format-2 checkpoint file: ``json.dumps`` of the document
+    ``{"format", "batch_index", "state", "crc32"}``, with the state
+    encoded once and the CRC32 taken over every byte before the
+    ``crc32`` field, exactly as written."""
+    blob = (
+        f'{{"format": {_CHECKPOINT_FORMAT}, "batch_index": {batch_index}, '
+        f'"state": {json.dumps(state)}'
+    ).encode()
+    crc = zlib.crc32(blob) & 0xFFFFFFFF
+    return blob + _CRC_FIELD + b"%d}" % crc
+
+
+def _written_crc(path: str | Path) -> int | None:
+    """CRC32 of a format-2 file's checksummed bytes, ``None`` when its
+    ``crc32`` field cannot be found."""
+    raw = Path(path).read_bytes()
+    cut = raw.rfind(_CRC_FIELD)
+    return None if cut < 0 else zlib.crc32(raw[:cut]) & 0xFFFFFFFF
+
+
 def _payload_crc(batch_index: int, state: Any) -> int:
-    """CRC32 over the canonical JSON form of the checkpoint payload.
+    """The format-1 checksum: CRC32 over the canonical JSON form of the
+    checkpoint payload.
 
     Canonical = sorted keys, no whitespace — the same bytes regardless
     of envelope key order, so the stored checksum survives a parse +
@@ -152,13 +179,9 @@ class CheckpointManager:
         (:class:`~repro.errors.DiskFullError` for a full disk), never a
         bare ``OSError``.
         """
-        state = persist.snapshot(_snapshot_target(self._monitor))
-        document = {
-            "format": _CHECKPOINT_FORMAT,
-            "batch_index": self.batch_index,
-            "state": state,
-            "crc32": _payload_crc(self.batch_index, state),
-        }
+        data = _encode(
+            self.batch_index, persist.snapshot(_snapshot_target(self._monitor))
+        )
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent or Path("."),
             prefix=self.path.name,
@@ -166,10 +189,10 @@ class CheckpointManager:
         )
         try:
             try:
-                with os.fdopen(fd, "w") as fh:
+                with os.fdopen(fd, "wb") as fh:
                     # one encode, one write: json.dump's chunked
                     # writes cost more CPU than the encode itself
-                    fh.write(json.dumps(document))
+                    fh.write(data)
                     fh.flush()
                     self._fsync(fh.fileno())
                 # the new checkpoint is durable; only now disturb history
@@ -264,12 +287,14 @@ class CheckpointManager:
         envelope carries a ``crc32`` and ``verify_checksum`` is on,
         silent payload corruption raises
         :class:`~repro.errors.CheckpointChecksumError`; checksum-less
-        checkpoints from older versions still load.
+        checkpoints from older versions still load, and so do format-1
+        files, whose checksum covers a canonical re-encoding.
         """
         document = persist.read_json(path)
         if not isinstance(document, dict):
             raise SnapshotError(f"checkpoint {path} is not a JSON object")
-        if document.get("format") != _CHECKPOINT_FORMAT:
+        fmt = document.get("format")
+        if fmt not in (1, _CHECKPOINT_FORMAT):
             raise SnapshotError(
                 f"unsupported checkpoint format "
                 f"{document.get('format')!r} in {path}"
@@ -279,7 +304,10 @@ class CheckpointManager:
         batch_index = int(document["batch_index"])
         stored_crc = document.get("crc32")
         if verify_checksum and stored_crc is not None:
-            actual = _payload_crc(batch_index, document["state"])
+            if fmt == 1:
+                actual = _payload_crc(batch_index, document["state"])
+            else:
+                actual = _written_crc(path)
             if actual != int(stored_crc):
                 raise CheckpointChecksumError(
                     f"checkpoint {path} failed its checksum: stored "

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
+from repro.core.graph import ArrivalTable, CellGraph
 from repro.core.objects import SpatialObject, WeightedRect
 
 
@@ -41,6 +43,20 @@ def make_rects(
         WeightedRect.from_object(o, side, side)
         for o in make_objects(count, seed=seed, domain=domain, weight_max=weight_max)
     ]
+
+
+def connect_rect(
+    graph: CellGraph, wr: WeightedRect, seq: int, hits: array | None = None
+) -> int:
+    """Insert one weighted rectangle into a cell graph as arrival
+    ``seq``, through a one-row arrival table (any rectangle and weight,
+    not only a dual transform's); returns ``graph.connect``'s edges."""
+    table = ArrivalTable(base=seq)
+    r = wr.rect
+    table.rows.fromlist([r.x1, r.y1, r.x2, r.y2, wr.weight])
+    table.cover.fromlist([0, -1, 0, -1])
+    table.objs.append(wr.obj)
+    return graph.connect(table, array("q", [seq]), hits)
 
 
 @pytest.fixture

@@ -10,6 +10,9 @@ and the indexes are pure functions of the arrival sequence.
 from __future__ import annotations
 
 import json
+import random
+import zlib
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro import persist
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
+from repro.core.objects import SpatialObject
 from repro.core.spaces import region_key
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import (
@@ -178,8 +182,9 @@ class TestCheckpointManager:
         assert snap.gauges["checkpoint.checkpoint_batch_index"] == 4
 
     def test_file_bytes_are_one_dumps_of_the_document(self, tmp_path):
-        """The file holds exactly ``json.dumps`` of the envelope, and
-        its CRC survives the round trip through ``load``."""
+        """The file holds exactly ``json.dumps`` of the envelope, whose
+        CRC covers every byte written before its ``crc32`` field, and
+        the CRC survives the round trip through ``load``."""
         monitor = FACTORIES["topk"]()
         path = tmp_path / "ckpt.json"
         manager = CheckpointManager(monitor, path, every=3)
@@ -187,12 +192,9 @@ class TestCheckpointManager:
             monitor.update(batch)
             manager.note_batch()
         state = persist.snapshot(monitor)
-        document = {
-            "format": 1,
-            "batch_index": 3,
-            "state": state,
-            "crc32": _payload_crc(3, state),
-        }
+        document = {"format": 2, "batch_index": 3, "state": state}
+        checksummed = json.dumps(document)[:-1].encode()
+        document["crc32"] = zlib.crc32(checksummed)
         assert path.read_text() == json.dumps(document)
         restored, index = CheckpointManager.load(path)
         assert index == 3
@@ -385,6 +387,67 @@ class TestChecksum:
         assert snap.counters["ckpt.checkpoint_checksum_failures"] == 1
         assert snap.counters["ckpt.checkpoint_fallbacks"] == 1
         assert snap.counters["ckpt.recoveries"] == 1
+
+    def test_flipped_byte_in_the_state_is_caught(self, tmp_path):
+        """One bit of one digit of the written state flipped in place:
+        the file still parses, but the CRC of its bytes no longer
+        matches."""
+        _, path = self._checkpointed(tmp_path)
+        raw = bytearray(path.read_bytes())
+        stored = json.loads(raw)["crc32"]
+        weight = raw.rindex(b'"weight": ') + len(b'"weight": ')
+        last = weight
+        while chr(raw[last + 1]) in "0123456789.e-+":
+            last += 1
+        raw[last] ^= 1  # the number's last digit: 0<->1, ..., 8<->9
+        path.write_bytes(bytes(raw))
+        assert json.loads(path.read_text())["crc32"] == stored
+        with pytest.raises(CheckpointChecksumError, match="checksum"):
+            CheckpointManager.load(path)
+        restored, _ = CheckpointManager.load(path, verify_checksum=False)
+        assert len(restored.window) == 3 * BATCH
+
+
+class TestFormat1:
+    """Checkpoints written before the single-encode format (format 1,
+    whose CRC covers a canonical re-encoding of the payload) still
+    restore and still verify.  The fixture was written by that code
+    from the monitor :meth:`_monitor` rebuilds."""
+
+    FIXTURE = Path(__file__).parent / "data" / "checkpoint_format1.json"
+
+    @staticmethod
+    def _monitor() -> AG2Monitor:
+        rng = random.Random(5)
+        objects = [
+            SpatialObject(
+                x=rng.uniform(0, 100), y=rng.uniform(0, 100),
+                weight=rng.uniform(0, 10), timestamp=float(i), oid=i,
+            )
+            for i in range(20)
+        ]
+        monitor = AG2Monitor(12, 12, CountWindow(15))
+        monitor.update(objects[:10])
+        monitor.update(objects[10:])
+        return monitor
+
+    def test_format_1_file_restores(self):
+        document = json.loads(self.FIXTURE.read_text())
+        assert document["format"] == 1
+        assert document["crc32"] == _payload_crc(2, document["state"])
+        restored, index = CheckpointManager.load(self.FIXTURE)
+        assert index == 2
+        original = self._monitor()
+        assert restored.refresh().regions == original.result.regions
+        assert persist.snapshot(restored) == document["state"]
+
+    def test_format_1_tamper_is_caught(self, tmp_path):
+        document = json.loads(self.FIXTURE.read_text())
+        document["state"]["objects"][-1]["weight"] += 1.0
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(document))  # crc32 left stale
+        with pytest.raises(CheckpointChecksumError, match="checksum"):
+            CheckpointManager.load(path)
 
 
 class TestTornWrite:

@@ -72,6 +72,35 @@ class TestRectConstruction:
         with pytest.raises(InvalidGeometryError):
             Rect(0, 0, math.inf, 1)
 
+    @pytest.mark.parametrize("slot", range(4))
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_messages(self, slot, bad):
+        """Every non-finite bound is refused with the message of the
+        first failed check: NaN and a bound that inverts its interval
+        fail the order check, any other infinity the finite check."""
+        bounds = [0.0, 0.0, 1.0, 1.0]
+        bounds[slot] = bad
+        x1, y1, x2, y2 = bounds
+        inverted = not (x1 <= x2 and y1 <= y2)
+        expected = (
+            "rect bounds inverted or NaN: "
+            f"[{x1}, {x2}] x [{y1}, {y2}]"
+            if inverted
+            else "rect bounds must be finite"
+        )
+        with pytest.raises(InvalidGeometryError) as info:
+            Rect(*bounds)
+        assert str(info.value) == expected
+        if math.isnan(bad):
+            assert inverted
+
+    def test_inverted_bounds_message(self):
+        with pytest.raises(InvalidGeometryError) as info:
+            Rect(4.0, 0.0, 0.0, 2.0)
+        assert str(info.value) == (
+            "rect bounds inverted or NaN: [4.0, 0.0] x [0.0, 2.0]"
+        )
+
     def test_from_center(self):
         r = Rect.from_center(10, 20, 4, 6)
         assert (r.x1, r.y1, r.x2, r.y2) == (8, 17, 12, 23)

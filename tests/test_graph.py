@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from array import array
 
+from conftest import connect_rect
 from repro.core.geometry import Rect
 from repro.core.graph import CellGraph
 from repro.core.objects import SpatialObject, WeightedRect
@@ -19,10 +20,10 @@ class TestVertex:
     def test_initial_state(self):
         g = CellGraph()
         rect = wr(0, 0, 4, 4, w=2.0)
-        g.connect(rect, 7)
+        connect_rect(g, rect, 7)
         (v,) = g
         assert v.seq == 7
-        assert v.wr is rect
+        assert v.wr == rect  # rebuilt from the buffer row and object
         assert v.neighbors == ()
         assert v.fresh == ()
         assert v.space.weight == 2.0
@@ -35,7 +36,7 @@ class TestVertex:
     def test_view_survives_compaction(self):
         g = CellGraph()
         for seq in range(100):
-            g.connect(wr(seq * 10, 0, seq * 10 + 2, 2, w=float(seq)), seq)
+            connect_rect(g, wr(seq * 10, 0, seq * 10 + 2, 2, w=float(seq)), seq)
         v = g.vertex(90)
         g.expire_upto(79)  # 80 of 100 dead: the prefix is compacted
         assert g.head == 0 and g.base == 80
@@ -48,9 +49,9 @@ class TestCellGraph:
         g = CellGraph()
         a = wr(0, 0, 4, 4, w=1.0)
         b = wr(2, 2, 6, 6, w=2.0)
-        g.connect(a, 0)
+        connect_rect(g, a, 0)
         hits = array("q")
-        assert g.connect(b, 1, hits) == 1
+        assert connect_rect(g, b, 1, hits) == 1
         va, vb = g
         # edge held by the OLDER vertex (Definition 5)
         assert list(hits) == [0]
@@ -61,15 +62,15 @@ class TestCellGraph:
 
     def test_connect_skips_non_overlapping(self):
         g = CellGraph()
-        g.connect(wr(0, 0, 2, 2), 0)
+        connect_rect(g, wr(0, 0, 2, 2), 0)
         hits = array("q")
-        assert g.connect(wr(10, 10, 12, 12), 1, hits) == 0
+        assert connect_rect(g, wr(10, 10, 12, 12), 1, hits) == 0
         assert list(hits) == []
 
     def test_connect_touching_is_no_edge(self):
         g = CellGraph()
-        g.connect(wr(0, 0, 2, 2), 0)
-        g.connect(wr(2, 0, 4, 2), 1)
+        connect_rect(g, wr(0, 0, 2, 2), 0)
+        connect_rect(g, wr(2, 0, 4, 2), 1)
         va, _ = g
         assert va.neighbors == ()
         assert not va.dirty
@@ -91,7 +92,7 @@ class TestCellGraph:
                 expected = [
                     v.seq for v in g if v.wr.rect.overlaps(new.rect)
                 ]
-                g.connect(new, seq, hits)
+                connect_rect(g, new, seq, hits)
                 assert [g.seqs[i] for i in hits] == expected
                 rects.append(new)
             for v in g:
@@ -102,10 +103,10 @@ class TestCellGraph:
 
     def test_multiple_older_vertices_gain_edges(self):
         g = CellGraph()
-        g.connect(wr(0, 0, 4, 4), 0)
-        g.connect(wr(1, 1, 5, 5), 1)
+        connect_rect(g, wr(0, 0, 4, 4), 0)
+        connect_rect(g, wr(1, 1, 5, 5), 1)
         hits = array("q")
-        assert g.connect(wr(2, 2, 3, 3, w=5.0), 2, hits) == 2
+        assert connect_rect(g, wr(2, 2, 3, 3, w=5.0), 2, hits) == 2
         va, vb, _ = g
         assert list(hits) == [0, 1]
         assert va.upper == 1.0 + 1.0 + 5.0
@@ -114,14 +115,14 @@ class TestCellGraph:
     def test_expire_upto_pops_front_only(self):
         g = CellGraph()
         for i in range(5):
-            g.connect(wr(i * 10, 0, i * 10 + 2, 2), i)
+            connect_rect(g, wr(i * 10, 0, i * 10 + 2, 2), i)
         assert g.expire_upto(2) == 3
         assert [v.seq for v in g] == [3, 4]
         assert g.head == 3  # a short dead prefix is not compacted yet
 
     def test_expire_nothing(self):
         g = CellGraph()
-        g.connect(wr(0, 0, 1, 1), 5)
+        connect_rect(g, wr(0, 0, 1, 1), 5)
         assert g.expire_upto(4) == 0
         assert len(g) == 1
 
@@ -130,10 +131,10 @@ class TestCellGraph:
         compaction: nothing may keep them reachable."""
         g = CellGraph()
         for i in range(5):
-            g.connect(wr(i * 10, 0, i * 10 + 2, 2), i)
+            connect_rect(g, wr(i * 10, 0, i * 10 + 2, 2), i)
         g.space(0)  # materialise a space to be released too
         g.expire_upto(1)
-        assert g.wrs[:2] == [None, None]
+        assert g.objs[:2] == [None, None]
         assert g.spaces[:2] == [None, None]
 
     def test_compaction_keeps_live_state(self):
@@ -141,7 +142,7 @@ class TestCellGraph:
         rng = random.Random(4)
         for seq in range(200):
             x, y = rng.uniform(0, 20), rng.uniform(0, 20)
-            g.connect(wr(x, y, x + 3, y + 3), seq)
+            connect_rect(g, wr(x, y, x + 3, y + 3), seq)
         before = {v.seq: (v.upper, v.dirty, v.neighbors) for v in g}
         g.expire_upto(149)
         assert g.head == 0 and g.base == 150
@@ -154,10 +155,10 @@ class TestCellGraph:
         """Property 3: edges point old→new, so removing the oldest
         leaves every survivor's neighbour set untouched and valid."""
         g = CellGraph()
-        g.connect(wr(0, 0, 4, 4), 0)
-        g.connect(wr(2, 2, 6, 6), 1)
+        connect_rect(g, wr(0, 0, 4, 4), 0)
+        connect_rect(g, wr(2, 2, 6, 6), 1)
         c = wr(3, 3, 7, 7)
-        g.connect(c, 2)
+        connect_rect(g, c, 2)
         g.expire_upto(0)
         vb, vc = g
         assert [vb.seq, vc.seq] == [1, 2]
@@ -166,24 +167,24 @@ class TestCellGraph:
 
     def test_settle_moves_the_watermark(self):
         g = CellGraph()
-        g.connect(wr(0, 0, 4, 4), 0)
+        connect_rect(g, wr(0, 0, 4, 4), 0)
         b = wr(1, 1, 5, 5)
-        g.connect(b, 1)
+        connect_rect(g, b, 1)
         (va, _) = g
         assert va.fresh == (b,)
         g.settle(0, va.space)
         assert not va.dirty and va.fresh == () and g.marks[0] == 1
         c = wr(2, 2, 6, 6)
-        g.connect(c, 2)
+        connect_rect(g, c, 2)
         assert va.dirty and va.fresh == (c,)
         assert va.neighbors == (b, c)
 
     def test_max_upper(self):
         g = CellGraph()
         assert g.max_upper() == 0.0
-        g.connect(wr(0, 0, 4, 4, w=1.0), 0)
-        g.connect(wr(10, 0, 14, 4, w=3.0), 1)
-        g.connect(wr(11, 1, 15, 5, w=2.0), 2)
+        connect_rect(g, wr(0, 0, 4, 4, w=1.0), 0)
+        connect_rect(g, wr(10, 0, 14, 4, w=3.0), 1)
+        connect_rect(g, wr(11, 1, 15, 5, w=2.0), 2)
         assert g.max_upper() == 5.0  # 3 + the overlapping 2
         g.expire_upto(1)
         assert g.max_upper() == 2.0
@@ -191,5 +192,5 @@ class TestCellGraph:
     def test_len(self):
         g = CellGraph()
         assert len(g) == 0
-        g.connect(wr(0, 0, 1, 1), 0)
+        connect_rect(g, wr(0, 0, 1, 1), 0)
         assert len(g) == 1

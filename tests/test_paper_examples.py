@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import connect_rect
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.geometry import Rect
@@ -70,7 +71,7 @@ def _cell_graph(rects: dict[str, WeightedRect]) -> dict:
     name -> vertex view."""
     graph = CellGraph()
     for seq, name in enumerate(_PLACEMENT):
-        graph.connect(rects[name], seq)
+        connect_rect(graph, rects[name], seq)
     return dict(zip(_PLACEMENT, graph))
 
 

@@ -16,6 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import connect_rect
 from repro.core import planesweep
 from repro.core.geometry import Rect
 from repro.core.graph import CellGraph
@@ -50,7 +51,7 @@ class _Cell:
         self.add(anchor)
 
     def add(self, wr: WeightedRect) -> None:
-        self.graph.connect(wr, self.seq)
+        connect_rect(self.graph, wr, self.seq)
         self.seq += 1
 
     def vertex(self):

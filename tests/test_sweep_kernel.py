@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import connect_rect
 from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
@@ -108,7 +109,7 @@ def _assert_same_vertex_sweeps(anchor, rounds) -> None:
     seq = 0
     for batch in [[anchor], *rounds]:
         for wr in batch:
-            graph.connect(wr, seq)
+            connect_rect(graph, wr, seq)
             seq += 1
         for v in graph:
             compiled = local_plane_sweep_cached(v)
@@ -128,8 +129,8 @@ def _assert_same_connects(rects) -> None:
     fast, slow = CellGraph(), CellGraph()
     fast_hits, slow_hits = array("q"), array("q")
     for seq, wr in enumerate(rects):
-        touched = fast.connect(wr, seq, fast_hits)
-        assert _python(slow.connect, wr, seq, slow_hits) == touched
+        touched = connect_rect(fast, wr, seq, fast_hits)
+        assert _python(connect_rect, slow, wr, seq, slow_hits) == touched
         assert fast_hits == slow_hits
         assert _hex_bounds(fast) == _hex_bounds(slow)
         assert fast.dirty == slow.dirty

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_objects
+from conftest import connect_rect, make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.bruteforce import brute_force_anchored_best
 from repro.core.geometry import Rect
@@ -32,13 +32,13 @@ def vertex_with_history(anchor, old_neighbors, new_neighbors) -> Vertex:
     """A vertex swept over ``old_neighbors``, then grown by
     ``new_neighbors`` via Equation (3), in one cell."""
     graph = CellGraph()
-    graph.connect(anchor, 0)
+    connect_rect(graph, anchor, 0)
     for seq, nb in enumerate(old_neighbors, start=1):
-        graph.connect(nb, seq)
+        connect_rect(graph, nb, seq)
     v = graph.vertex(0)
     graph.settle(0, local_plane_sweep_cached(v))
     for seq, nb in enumerate(new_neighbors, start=len(old_neighbors) + 1):
-        graph.connect(nb, seq)
+        connect_rect(graph, nb, seq)
     assert v.neighbors == (*old_neighbors, *new_neighbors)
     assert v.fresh == tuple(new_neighbors)  # R(ri): past the watermark
     return v
