@@ -5,14 +5,22 @@ A :class:`SpatialObject` is the unit delivered by a spatial data stream:
 Definition 2 converts each object into a *weighted rectangle* of the
 user-specified query size centred at the object; :class:`WeightedRect`
 is that dual representation, carrying the originating object.
+
+The on-disk formats (snapshots, checkpoints, WAL batches) store a run
+of objects as columns (:func:`objects_to_columns`): the oids as a list
+of ints, and each float field as one base64 string of little-endian
+IEEE-754 doubles, which round-trips every float bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
 import itertools
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.geometry import Rect
 from repro.errors import InvalidParameterError
@@ -23,6 +31,10 @@ __all__ = [
     "dual_rect",
     "to_weighted_rects",
     "object_ids",
+    "objects_from_columns",
+    "objects_to_columns",
+    "pack_doubles",
+    "unpack_doubles",
 ]
 
 _AUTO_ID = itertools.count()
@@ -116,3 +128,55 @@ def to_weighted_rects(
 def object_ids(objects: Sequence[SpatialObject]) -> list[int]:
     """Identifiers of a batch, in order — convenience for logging/tests."""
     return [o.oid for o in objects]
+
+
+_SWAP = sys.byteorder != "little"
+
+
+def pack_doubles(values: Iterable[float]) -> str:
+    """Base64 of ``values`` as little-endian IEEE-754 doubles."""
+    column = array("d", values)
+    if _SWAP:
+        column.byteswap()
+    return base64.b64encode(column).decode("ascii")
+
+
+def unpack_doubles(text: str) -> list[float]:
+    """Inverse of :func:`pack_doubles`; raises ``ValueError`` on text
+    that is not base64 of a whole number of doubles."""
+    column = array("d")
+    column.frombytes(base64.b64decode(text, validate=True))
+    if _SWAP:
+        column.byteswap()
+    return column.tolist()
+
+
+def objects_to_columns(objects: Sequence[SpatialObject]) -> dict[str, Any]:
+    """Column form of a run of objects: ``oid`` as a list of ints,
+    ``x``, ``y``, ``weight`` and ``timestamp`` each packed by
+    :func:`pack_doubles`."""
+    return {
+        "oid": [o.oid for o in objects],
+        "x": pack_doubles([o.x for o in objects]),
+        "y": pack_doubles([o.y for o in objects]),
+        "weight": pack_doubles([o.weight for o in objects]),
+        "timestamp": pack_doubles([o.timestamp for o in objects]),
+    }
+
+
+def objects_from_columns(columns: Mapping[str, Any]) -> list[SpatialObject]:
+    """Rebuild the objects of :func:`objects_to_columns`, in order.
+
+    Missing columns raise ``KeyError``; undecodable or unequal-length
+    columns raise ``ValueError``.
+    """
+    xs = unpack_doubles(columns["x"])
+    ys = unpack_doubles(columns["y"])
+    ws = unpack_doubles(columns["weight"])
+    ts = unpack_doubles(columns["timestamp"])
+    return [
+        SpatialObject(x, y, w, t, int(oid))
+        for oid, x, y, w, t in zip(
+            columns["oid"], xs, ys, ws, ts, strict=True
+        )
+    ]

@@ -10,7 +10,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any
 
-from repro.durability.record import decode_payload, scan_frames
+from repro.durability.record import (
+    decode_payload,
+    payload_object_count,
+    scan_frames,
+)
 from repro.durability.segment import list_segments
 from repro.errors import WalCorruptionError
 
@@ -38,7 +42,9 @@ def _segment_doc(first_seq: int, path: Path) -> dict[str, Any]:
             else:
                 entry["kind"] = document.get("kind")
                 entry["index"] = document.get("index")
-                entry["objects"] = len(document.get("objects", []))
+                entry["objects"] = payload_object_count(
+                    document.get("objects", [])
+                )
         else:
             entry["reason"] = record.reason
         records.append(entry)

@@ -27,6 +27,19 @@ Frame layout (big-endian)::
 Payloads are canonical JSON (sorted keys, no whitespace) so a record
 byte-identically round-trips through decode + re-encode — the property
 the crash-consistency loop in ``scripts/wal_crashtest.py`` pins.
+
+A batch or spill payload is ``{"index": i, "kind": k, "objects": c}``
+where ``c`` is the batch in column form
+(:func:`repro.core.objects.objects_to_columns`)::
+
+    {"oid": [int, ...], "timestamp": "<base64>", "weight": "<base64>",
+     "x": "<base64>", "y": "<base64>"}
+
+Each base64 string packs one float field as little-endian IEEE-754
+doubles, so floats replay bit for bit without being printed as decimal
+text.  Logs written before the column form carry ``c`` as a list of
+``[oid, x, y, w, t]`` rows; :func:`objects_from_payload` still reads
+them, and nothing writes them.
 """
 
 from __future__ import annotations
@@ -37,7 +50,11 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, BinaryIO, Iterator
 
-from repro.core.objects import SpatialObject
+from repro.core.objects import (
+    SpatialObject,
+    objects_from_columns,
+    objects_to_columns,
+)
 from repro.errors import WalCorruptionError
 
 __all__ = [
@@ -51,6 +68,7 @@ __all__ = [
     "iter_frames",
     "objects_from_payload",
     "objects_to_payload",
+    "payload_object_count",
     "scan_frames",
 ]
 
@@ -100,20 +118,23 @@ def decode_payload(payload: bytes) -> dict[str, Any]:
     return document
 
 
-def objects_to_payload(objects: list[SpatialObject]) -> list[list[float]]:
-    """Compact positional encoding of a batch: ``[oid, x, y, w, t]``."""
-    return [
-        [o.oid, o.x, o.y, o.weight, o.timestamp] for o in objects
-    ]
+def objects_to_payload(objects: list[SpatialObject]) -> dict[str, Any]:
+    """The ``objects`` field of a record: the batch in column form."""
+    return objects_to_columns(objects)
 
 
-def objects_from_payload(rows: list[list[float]]) -> list[SpatialObject]:
-    """Rebuild a batch from its positional encoding.
+def objects_from_payload(
+    objects: dict[str, Any] | list[list[float]],
+) -> list[SpatialObject]:
+    """Rebuild a batch from a record's ``objects`` field: the column
+    form, or the ``[oid, x, y, w, t]`` rows of an older log.
 
-    JSON floats repr-round-trip exactly, so the rebuilt objects compare
+    Both round-trip every float exactly, so the rebuilt objects compare
     equal field-for-field with the originals — which is what makes WAL
     replay bit-identical to the uninterrupted run.
     """
+    if isinstance(objects, dict):
+        return objects_from_columns(objects)
     return [
         SpatialObject(
             x=float(x),
@@ -122,8 +143,16 @@ def objects_from_payload(rows: list[list[float]]) -> list[SpatialObject]:
             timestamp=float(t),
             oid=int(oid),
         )
-        for oid, x, y, w, t in rows
+        for oid, x, y, w, t in objects
     ]
+
+
+def payload_object_count(objects: dict[str, Any] | list[Any]) -> int:
+    """How many objects a record's ``objects`` field holds, in either
+    shape, without decoding them."""
+    if isinstance(objects, dict):
+        return len(objects.get("oid", ()))
+    return len(objects)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,22 @@ Only data is persisted — never code or derived index structures — so
 snapshots are portable across library versions that keep the object
 model stable.
 
+Snapshot format 2 (the one written)::
+
+    {"format": 2, "kind": "ag2", "rect_width": ..., "rect_height": ...,
+     "window": {"kind": "count", "capacity": ...}, "tick": ...,
+     "extra": {...},
+     "objects": {"oid": [int, ...], "x": "<base64>", "y": "<base64>",
+                 "weight": "<base64>", "timestamp": "<base64>"}}
+
+``objects`` holds the alive window in arrival order as columns (see
+:func:`repro.core.objects.objects_to_columns`): the oids as a JSON int
+list, and each float field as one base64 string of little-endian
+IEEE-754 doubles, so every float — ``-0.0`` and infinite timestamps
+included — restores bit for bit, without decimal float text.  Format 1
+(one ``{"oid", "x", "y", "weight", "timestamp"}`` dict per object) is
+still restored, never written.
+
 Example::
 
     snap = snapshot(monitor)
@@ -35,7 +51,11 @@ from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
-from repro.core.objects import SpatialObject
+from repro.core.objects import (
+    SpatialObject,
+    objects_from_columns,
+    objects_to_columns,
+)
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import InvalidParameterError, SnapshotError
 from repro.window import CountWindow, SlidingWindow, TimeWindow
@@ -49,7 +69,8 @@ __all__ = [
     "read_json",
 ]
 
-_FORMAT_VERSION = 1
+#: the format :func:`snapshot` writes; :func:`restore` also reads 1
+_FORMAT_VERSION = 2
 
 _MONITOR_KINDS = {
     "naive": NaiveMonitor,
@@ -119,23 +140,15 @@ def snapshot(monitor: MaxRSMonitor) -> dict[str, Any]:
         "window": _window_spec(monitor.window),
         "tick": monitor.window.tick,
         "extra": extra,
-        "objects": [
-            {
-                "oid": o.oid,
-                "x": o.x,
-                "y": o.y,
-                "weight": o.weight,
-                "timestamp": o.timestamp,
-            }
-            for o in monitor.window.contents
-        ],
+        "objects": objects_to_columns(monitor.window.contents),
     }
 
 
 def restore(state: dict[str, Any]) -> MaxRSMonitor:
     """Rebuild a monitor from a snapshot and replay its window.
 
-    Unknown format versions and unknown monitor/window kinds raise
+    Format 1 and format 2 snapshots both restore.  Other format
+    versions and unknown monitor/window kinds raise
     :class:`InvalidParameterError`; a structurally damaged snapshot
     (missing fields, wrong field types) raises :class:`SnapshotError`
     rather than leaking ``KeyError``/``TypeError`` — both are
@@ -149,7 +162,8 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
         raise SnapshotError(
             f"snapshot must be a JSON object, got {type(state).__name__}"
         )
-    if state.get("format") != _FORMAT_VERSION:
+    fmt = state.get("format")
+    if fmt not in (1, _FORMAT_VERSION):
         raise InvalidParameterError(
             f"unsupported snapshot format {state.get('format')!r}"
         )
@@ -170,16 +184,19 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
         monitor = cls(
             state["rect_width"], state["rect_height"], window, **extra
         )
-        objects = [
-            SpatialObject(
-                x=rec["x"],
-                y=rec["y"],
-                weight=rec["weight"],
-                timestamp=rec["timestamp"],
-                oid=int(rec["oid"]),
-            )
-            for rec in state.get("objects", [])
-        ]
+        if fmt == 1:
+            objects = [
+                SpatialObject(
+                    x=rec["x"],
+                    y=rec["y"],
+                    weight=rec["weight"],
+                    timestamp=rec["timestamp"],
+                    oid=int(rec["oid"]),
+                )
+                for rec in state.get("objects", [])
+            ]
+        else:
+            objects = objects_from_columns(state["objects"])
         tick = state.get("tick")
         tick = None if tick is None else int(tick)
     except (KeyError, TypeError, ValueError) as exc:

@@ -26,7 +26,7 @@ and the end-to-end benchmark call ahead of their backpressure queue).
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.errors import QuarantineError, ReproError

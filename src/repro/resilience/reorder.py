@@ -71,15 +71,23 @@ class ReorderBuffer:
 
         Emission rule: a record leaves the buffer once the watermark
         reaches its timestamp, so nothing emitted can ever be trailed
-        by an admissible record with a smaller timestamp.
+        by an admissible record with a smaller timestamp.  A record the
+        new watermark already passes, offered to an empty buffer, is
+        released as it is, without a heap round trip: every in-order
+        record when ``max_lateness`` is 0.
         """
-        if obj.timestamp < self.watermark:
+        ts = obj.timestamp
+        if ts < self._max_seen - self.max_lateness:
             return None
-        if obj.timestamp < self._max_seen:
+        if ts < self._max_seen:
             self.reordered += 1
             self.metrics.inc("late_reordered")
-        self._max_seen = max(self._max_seen, obj.timestamp)
-        heapq.heappush(self._heap, (obj.timestamp, next(self._seq), obj))
+        if ts > self._max_seen:
+            self._max_seen = ts
+        if not self._heap and ts <= self._max_seen - self.max_lateness:
+            self.metrics.set_gauge("reorder_depth", 0)
+            return [obj]
+        heapq.heappush(self._heap, (ts, next(self._seq), obj))
         released = self._release(self.watermark)
         self.metrics.set_gauge("reorder_depth", len(self._heap))
         return released

@@ -28,7 +28,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from repro.core.objects import SpatialObject
+from repro.core.objects import SpatialObject, pack_doubles, unpack_doubles
 from repro.errors import InvalidParameterError, ReproError
 
 __all__ = [
@@ -110,8 +110,10 @@ def corrupt_checkpoint(path: str | Path, mode: str) -> None:
       object's weight — the oldest would be evicted during tail replay
       before any check could see it — or the batch index when the
       window was empty) without touching the stored ``crc32``.  The
-      file still parses and restores; only checksum verification can
-      tell it is wrong.
+      weight is changed inside the snapshot's packed ``weight`` column,
+      so the file must hold a format-2 snapshot (the one checkpoints
+      write).  The file still parses and restores; only checksum
+      verification can tell it is wrong.
     """
     file = Path(path)
     if not file.exists():
@@ -122,9 +124,11 @@ def corrupt_checkpoint(path: str | Path, mode: str) -> None:
         return
     if mode == "bitflip":
         document = json.loads(file.read_text())
-        objects = document.get("state", {}).get("objects", [])
-        if objects:
-            objects[-1]["weight"] = float(objects[-1]["weight"]) + 1.0
+        columns = document["state"]["objects"]
+        if columns["oid"]:
+            weights = unpack_doubles(columns["weight"])
+            weights[-1] += 1.0
+            columns["weight"] = pack_doubles(weights)
         else:
             document["batch_index"] = int(document.get("batch_index", 0)) + 1
         file.write_text(json.dumps(document))

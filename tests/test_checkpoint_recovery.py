@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import string
 import zlib
 from pathlib import Path
 
@@ -21,7 +22,12 @@ from repro import persist
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
-from repro.core.objects import SpatialObject
+from repro.core.objects import (
+    SpatialObject,
+    objects_from_columns,
+    pack_doubles,
+    unpack_doubles,
+)
 from repro.core.spaces import region_key
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import (
@@ -333,6 +339,13 @@ class TestCrashRecoveryEquivalence:
         ]
 
 
+def _shift_column(state, field, index, delta):
+    """Add ``delta`` to one value of a snapshot's packed float column."""
+    values = unpack_doubles(state["objects"][field])
+    values[index] += delta
+    state["objects"][field] = pack_doubles(values)
+
+
 class TestChecksum:
     def _checkpointed(self, tmp_path, *, keep=1):
         monitor = FACTORIES["ag2"]()
@@ -356,7 +369,7 @@ class TestChecksum:
     def test_silent_payload_tamper_is_caught(self, tmp_path):
         _, path = self._checkpointed(tmp_path)
         document = json.loads(path.read_text())
-        document["state"]["objects"][0]["weight"] += 1.0
+        _shift_column(document["state"], "weight", 0, 1.0)
         path.write_text(json.dumps(document))  # crc32 left stale
         with pytest.raises(CheckpointChecksumError, match="checksum"):
             CheckpointManager.load(path)
@@ -375,7 +388,7 @@ class TestChecksum:
     def test_recover_skips_tampered_latest_with_metrics(self, tmp_path):
         _, path = self._checkpointed(tmp_path, keep=2)
         document = json.loads(path.read_text())
-        document["state"]["objects"][-1]["x"] += 0.5
+        _shift_column(document["state"], "x", -1, 0.5)
         path.write_text(json.dumps(document))
         metrics = Metrics()
         restored, index = CheckpointManager.recover(
@@ -389,18 +402,22 @@ class TestChecksum:
         assert snap.counters["ckpt.recoveries"] == 1
 
     def test_flipped_byte_in_the_state_is_caught(self, tmp_path):
-        """One bit of one digit of the written state flipped in place:
-        the file still parses, but the CRC of its bytes no longer
-        matches."""
-        _, path = self._checkpointed(tmp_path)
+        """One bit of one base64 digit of the packed weight column
+        flipped in place: the file still parses and decodes, but the
+        CRC of its bytes no longer matches."""
+        monitor, path = self._checkpointed(tmp_path)
         raw = bytearray(path.read_bytes())
         stored = json.loads(raw)["crc32"]
-        weight = raw.rindex(b'"weight": ') + len(b'"weight": ')
-        last = weight
-        while chr(raw[last + 1]) in "0123456789.e-+":
-            last += 1
-        raw[last] ^= 1  # the number's last digit: 0<->1, ..., 8<->9
+        column = raw.index(b'"weight": "') + len(b'"weight": "')
+        # digit 32 carries the top 6 bits of byte 24, the lowest
+        # mantissa byte of the 4th little-endian weight: the weight
+        # stays valid, so the damaged file still restores unverified
+        alphabet = string.ascii_letters.encode() + string.digits.encode() + b"+/"
+        bit = next(b for b in (1, 2, 4) if (raw[column + 32] ^ b) in alphabet)
+        raw[column + 32] ^= bit
         path.write_bytes(bytes(raw))
+        weights = unpack_doubles(json.loads(raw)["state"]["objects"]["weight"])
+        assert weights[3] != monitor.window.contents[3].weight
         assert json.loads(path.read_text())["crc32"] == stored
         with pytest.raises(CheckpointChecksumError, match="checksum"):
             CheckpointManager.load(path)
@@ -439,7 +456,15 @@ class TestFormat1:
         assert index == 2
         original = self._monitor()
         assert restored.refresh().regions == original.result.regions
-        assert persist.snapshot(restored) == document["state"]
+        # the snapshot is written in format 2 now: the same state, with
+        # the window in columns
+        legacy = dict(document["state"])
+        snap = persist.snapshot(restored)
+        assert (legacy.pop("format"), snap.pop("format")) == (1, 2)
+        assert objects_from_columns(snap.pop("objects")) == [
+            SpatialObject(**rec) for rec in legacy.pop("objects")
+        ]
+        assert snap == legacy
 
     def test_format_1_tamper_is_caught(self, tmp_path):
         document = json.loads(self.FIXTURE.read_text())
