@@ -68,6 +68,10 @@ class SpatialObject:
             raise InvalidParameterError(
                 f"object weight must be non-negative, got {self.weight}"
             )
+        # ±inf is a legal timestamp (snapshots carry it); NaN orders
+        # against nothing and would stall the reorder buffer forever
+        if math.isnan(self.timestamp):
+            raise InvalidParameterError("object timestamp must not be NaN")
 
     def to_rect(self, width: float, height: float) -> Rect:
         """The dual rectangle of the query size centred at this object."""

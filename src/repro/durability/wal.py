@@ -30,6 +30,11 @@ Write failures never surface as bare ``OSError``: ``ENOSPC`` becomes
 retry) and anything else :class:`~repro.errors.DurableWriteError`.
 A ``fault_hook`` attribute lets the soak injectors simulate exactly
 those failures on the append path.
+
+The log counts in plain attributes: ``appends``, ``fsyncs``,
+``torn_tails_truncated``, ``segments_compacted``, with ``last_seq`` and
+``last_index`` as its position.  Bytes written are the one count kept
+in a registry: ``wal_bytes_written`` in :attr:`WriteAheadLog.metrics`.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from repro.errors import (
     WalError,
     wrap_os_error,
 )
-from repro.obs.metrics import NULL_METRICS, Metrics
+from repro.obs.metrics import NULL_METRICS
 
 __all__ = ["WriteAheadLog"]
 
@@ -84,7 +89,6 @@ class WriteAheadLog:
         segment_records: Rotate to a fresh segment after this many
             records (bounds both the recovery scan unit and the
             granularity of retention).
-        metrics: Scope for the ``wal_*`` counters.
 
     Attributes:
         fault_hook: Test/soak injection point — when set, called as
@@ -92,6 +96,11 @@ class WriteAheadLog:
             before the corresponding physical operation; an ``OSError``
             raised by the hook takes the same typed-error path as a
             real disk failure.
+        metrics: Registry of the ``wal_bytes_written`` counter, the
+            log's only count outside its attributes.  The frozen
+            end-to-end benchmark (``benchmarks/e2e/stack.py``) sets this
+            attribute and reads the counter there, so it stays; it
+            holds :data:`~repro.obs.metrics.NULL_METRICS` until set.
     """
 
     def __init__(
@@ -100,7 +109,6 @@ class WriteAheadLog:
         *,
         fsync: FsyncPolicy | str = FsyncPolicy.ALWAYS,
         segment_records: int = 256,
-        metrics: Metrics = NULL_METRICS,
     ) -> None:
         if segment_records <= 0:
             raise InvalidParameterError(
@@ -110,7 +118,7 @@ class WriteAheadLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.fsync_policy = FsyncPolicy.coerce(fsync)
         self.segment_records = int(segment_records)
-        self.metrics = metrics
+        self.metrics = NULL_METRICS
         self.fault_hook: Callable[[str], None] | None = None
         self.last_seq = 0  # newest record sequence number on disk
         self.last_index = 0  # newest batch index journalled
@@ -157,7 +165,6 @@ class WriteAheadLog:
             with newest.path.open("r+b") as fh:
                 fh.truncate(truncate_at)
             self.torn_tails_truncated += 1
-            self.metrics.inc("wal_torn_tail_truncations")
         self.last_seq = last_seq
         self.last_index = last_index
         self._records_in_current = count
@@ -236,9 +243,9 @@ class WriteAheadLog:
         self.last_seq = seq
         self.appends += 1
         self._records_in_current += 1
-        self.metrics.inc("wal_appends")
+        # the one registry count outside the engine: the e2e benchmark
+        # reads it (see the ``metrics`` attribute)
         self.metrics.inc("wal_bytes_written", len(frame))
-        self.metrics.set_gauge("wal_last_seq", seq)
         if self._records_in_current >= self.segment_records:
             self._rotate()
         return seq
@@ -272,7 +279,6 @@ class WriteAheadLog:
             self.fault_hook("fsync")
         os.fsync(fh.fileno())
         self.fsyncs += 1
-        self.metrics.inc("wal_fsyncs")
 
     def _current_handle(self):
         if self._fh is None or self._fh.closed:
@@ -290,7 +296,6 @@ class WriteAheadLog:
         )
         self._fh = path.open("ab")
         self._records_in_current = 0
-        self.metrics.inc("wal_segments_created")
 
     def _rotate(self) -> None:
         """Seal the current segment and start the next one."""
@@ -334,7 +339,6 @@ class WriteAheadLog:
             removed += 1
         if removed:
             self.segments_compacted += removed
-            self.metrics.inc("wal_segments_compacted", removed)
         return removed
 
     def _read_first_index(self, segment: _Segment) -> int | None:

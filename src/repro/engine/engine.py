@@ -15,7 +15,11 @@ publish into its scope, one counter per field.  The engine also
 observes per-update latency into an ``update_ms`` histogram, and
 :class:`EngineReport` carries cumulative plus per-batch metric
 snapshots alongside the timings — the substrate of the ``profile`` CLI
-and the CI perf gate.
+and the CI perf gate.  The registry holds monitor stats plus
+``update_ms`` only: the layers around the monitors (guard, queue, WAL,
+checkpoint manager, supervisor, ladder) count their events in plain
+attributes of their own, and the engine counts the ``ENOSPC``
+recoveries of its journal path in :attr:`StreamEngine.enospc_recoveries`.
 
 :meth:`StreamEngine.run` pulls batches from the source itself.
 :meth:`StreamEngine.process` is the push side: a driver that owns the
@@ -155,11 +159,9 @@ class StreamEngine:
         batch_size: Arrival batch size ``m``.
         metrics: Optional metrics registry.  When given, each monitor's
             ``stats`` are published into ``metrics.scope(name)`` after
-            priming and after every update, a wrapper with counters of
-            its own (supervisor, degradation ladder) takes that scope
-            through its ``attach_metrics``, and reports carry metric
-            snapshots; when omitted, the engine adds zero
-            observability overhead.
+            priming and after every update, with its ``update_ms``
+            histogram beside them, and reports carry metric snapshots;
+            when omitted, the engine adds zero observability overhead.
         checkpoint: Optional
             :class:`~repro.resilience.checkpoint.CheckpointManager`;
             notified after every successfully applied timed batch, so
@@ -174,13 +176,8 @@ class StreamEngine:
             ``sync()`` and a compaction down to the manager's
             ``retention_floor``; a :class:`~repro.errors.DiskFullError`
             on the append path triggers the documented recovery action
-            automatically — checkpoint, compact, retry once.
-
-    An :class:`~repro.resilience.guard.IngestGuard` passed as the
-    ``source`` is wired in automatically: with metrics enabled it gets
-    the ``ingest`` scope, so ``records_quarantined`` / ``late_dropped``
-    / ``late_reordered`` and dead-letter depth show up in the report
-    next to the per-monitor counters.
+            automatically — checkpoint, compact, retry once — and
+            counted in :attr:`enospc_recoveries`.
     """
 
     def __init__(
@@ -204,6 +201,7 @@ class StreamEngine:
         self.metrics = metrics
         self.checkpoint = checkpoint
         self.wal = wal
+        self.enospc_recoveries = 0  # ENOSPC appends absorbed inline
         self._scopes: Dict[str, Metrics] = {}
         # each monitor's stats as last published into its scope
         self._published: Dict[str, MonitorStats] = {}
@@ -211,26 +209,12 @@ class StreamEngine:
         self._torn_down = False
         if metrics is not None:
             self._bind_scopes()
-            from repro.resilience.guard import IngestGuard
-
-            if isinstance(source, IngestGuard):
-                scope = metrics.scope("ingest")
-                source.attach_metrics(scope)
-                self._scopes["ingest"] = scope
-            if wal is not None:
-                scope = metrics.scope("wal")
-                wal.metrics = scope
-                self._scopes["wal"] = scope
 
     def _bind_scopes(self) -> None:
         """Give every monitor its scope and a publish baseline: its
         current ``stats``, so only counts made from here on add on."""
         for name, monitor in self.monitors.items():
-            scope = self.metrics.scope(name)
-            attach = getattr(monitor, "attach_metrics", None)
-            if attach is not None:
-                attach(scope)
-            self._scopes[name] = scope
+            self._scopes[name] = self.metrics.scope(name)
             self._published[name] = monitor.stats.snapshot()
 
     def _publish(self, name: str) -> None:
@@ -459,7 +443,7 @@ class _RunState:
                 raise
             engine.checkpoint.checkpoint()
             engine.wal.compact(engine.checkpoint.retention_floor)
-            engine.wal.metrics.inc("wal_enospc_recoveries")
+            engine.enospc_recoveries += 1
             engine.wal.append_batch(batch)
 
     def report(

@@ -15,7 +15,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
     Ewma,
-    Gauge,
     Histogram,
     Metrics,
     MetricsSnapshot,
@@ -25,7 +24,6 @@ from repro.obs.metrics import (
 __all__ = [
     "Counter",
     "Ewma",
-    "Gauge",
     "Histogram",
     "Metrics",
     "MetricsSnapshot",

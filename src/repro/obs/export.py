@@ -55,11 +55,6 @@ def snapshot_rows(
                 {"monitor": monitor, "kind": "counter",
                  "metric": name, "value": value}
             )
-        for name, value in snap.gauges.items():
-            rows.append(
-                {"monitor": monitor, "kind": "gauge",
-                 "metric": name, "value": value}
-            )
         for name, summary in snap.histograms.items():
             for stat, value in summary.items():
                 rows.append(

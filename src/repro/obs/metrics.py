@@ -1,4 +1,4 @@
-"""Dependency-free metrics primitives: counters, gauges, histograms.
+"""Dependency-free metrics primitives: counters and histograms.
 
 The paper's efficiency argument (§7) is carried by *internal* quantities
 — cells visited, branch-and-bound prunings, upper-bound recomputations —
@@ -6,19 +6,24 @@ not only wall-clock time.  This module provides the substrate that makes
 those quantities first-class observables:
 
 * :class:`Counter` — monotone event count (``cells_visited``);
-* :class:`Gauge` — last-written level (``window_size``);
 * :class:`Histogram` — streaming distribution summary with optional
   fixed buckets (``update_ms``);
-* :class:`Metrics` — a registry of the above under named scopes, so one
-  engine run owns a tree like ``g2.cells_visited`` /
-  ``ag2.supervisor.heals``;
-* :data:`NULL_METRICS` — a no-op registry that instrumented code holds
-  by default, so a disabled component (WAL, ingest guard, queue) pays
-  one dynamic dispatch per event and allocates nothing.
+* :class:`Ewma` — exponentially weighted moving average, the smoothing
+  primitive of the overload controller (it holds one directly);
+* :class:`Metrics` — a registry of counters and histograms under named
+  scopes, so one engine run owns a tree like ``g2.cells_visited`` /
+  ``ag2.update_ms``;
+* :data:`NULL_METRICS` — a no-op registry.
 
-Monitors hold no registry: they count in their
-:class:`~repro.core.monitor.MonitorStats`, and the engine publishes those
-counts into the monitor's scope (:class:`~repro.engine.engine.StreamEngine`).
+The registry holds monitor stats plus ``update_ms`` only.  Monitors
+count in their :class:`~repro.core.monitor.MonitorStats`, and the
+engine (:class:`~repro.engine.engine.StreamEngine`) publishes those
+counts into the monitor's scope and observes ``update_ms`` beside
+them.  Every other component counts its events in plain attributes
+(``IngestGuard.quarantined``, ``WriteAheadLog.fsyncs``,
+``MonitorSupervisor.heals``, …) and writes nothing here; the one
+exception is ``WriteAheadLog.metrics``, whose ``wal_bytes_written``
+counter the end-to-end benchmark reads.
 
 Snapshots are plain-data (:class:`MetricsSnapshot`) with flattened
 dotted names, which makes per-batch deltas, JSON export and CSV rows
@@ -36,7 +41,6 @@ from repro.errors import InvalidParameterError
 __all__ = [
     "Counter",
     "Ewma",
-    "Gauge",
     "Histogram",
     "Metrics",
     "MetricsSnapshot",
@@ -60,28 +64,6 @@ class Counter:
                 f"counter {self.name!r} cannot decrease (inc {amount})"
             )
         self.value += amount
-
-    def reset(self) -> None:
-        self.value = 0.0
-
-
-class Gauge:
-    """Last-written level; unlike a counter it may move both ways."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def reset(self) -> None:
         self.value = 0.0
@@ -172,7 +154,7 @@ class Ewma:
     tracks ``update_ms`` through one of these): ``value`` follows the
     series with weight ``alpha`` on the newest sample, and the first
     sample seeds it directly, so the average is meaningful from the
-    first observation on.  Snapshots report it alongside gauges.
+    first observation on.
     """
 
     __slots__ = ("name", "alpha", "value", "count")
@@ -205,15 +187,13 @@ class MetricsSnapshot:
     """Point-in-time, plain-data view of a registry (dotted flat names)."""
 
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
         """What happened between ``earlier`` and this snapshot.
 
         Counters and histogram count/sum subtract; min/max/mean are not
-        recoverable from two cumulative summaries and are omitted;
-        gauges are levels, so the later value is kept as-is.
+        recoverable from two cumulative summaries and are omitted.
         """
         counters = {
             name: value - earlier.counters.get(name, 0.0)
@@ -227,16 +207,11 @@ class MetricsSnapshot:
                 for key in summ
                 if key not in ("min", "max", "mean")
             }
-        return MetricsSnapshot(
-            counters=counters,
-            gauges=dict(self.gauges),
-            histograms=histograms,
-        )
+        return MetricsSnapshot(counters=counters, histograms=histograms)
 
     def to_dict(self) -> dict[str, object]:
         return {
             "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
             "histograms": {k: dict(v) for k, v in self.histograms.items()},
         }
 
@@ -246,7 +221,6 @@ class MetricsSnapshot:
         histograms = data.get("histograms", {})  # type: ignore[assignment]
         return cls(
             counters=dict(data.get("counters", {})),  # type: ignore[arg-type]
-            gauges=dict(data.get("gauges", {})),  # type: ignore[arg-type]
             histograms={k: dict(v) for k, v in histograms.items()},
         )
 
@@ -255,27 +229,17 @@ class Metrics:
     """Registry of named instruments with named child scopes.
 
     One registry belongs to one observed component; child scopes nest
-    components (``engine → monitor → supervisor``).  Instruments are
-    get-or-create by name, so instrumentation sites never need set-up
-    code.  Snapshots flatten the tree into dotted names
-    (``supervisor.heals``).
+    components (``engine → monitor``).  Instruments are get-or-create by
+    name, so instrumentation sites never need set-up code.  Snapshots
+    flatten the tree into dotted names (``ag2.cells_visited``).
     """
 
-    __slots__ = (
-        "namespace",
-        "_counters",
-        "_gauges",
-        "_histograms",
-        "_ewmas",
-        "_scopes",
-    )
+    __slots__ = ("namespace", "_counters", "_histograms", "_scopes")
 
     def __init__(self, namespace: str = "") -> None:
         self.namespace = namespace
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._ewmas: Dict[str, Ewma] = {}
         self._scopes: Dict[str, Metrics] = {}
 
     # -- structure ---------------------------------------------------------
@@ -304,13 +268,6 @@ class Metrics:
             self._counters[name] = instrument
         return instrument
 
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = Gauge(name)
-            self._gauges[name] = instrument
-        return instrument
-
     def histogram(
         self, name: str, buckets: Iterable[float] | None = None
     ) -> Histogram:
@@ -320,20 +277,10 @@ class Metrics:
             self._histograms[name] = instrument
         return instrument
 
-    def ewma(self, name: str, alpha: float = 0.3) -> Ewma:
-        instrument = self._ewmas.get(name)
-        if instrument is None:
-            instrument = Ewma(name, alpha=alpha)
-            self._ewmas[name] = instrument
-        return instrument
-
     # -- hot-path conveniences ---------------------------------------------
 
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
@@ -343,42 +290,29 @@ class Metrics:
     def snapshot(self) -> MetricsSnapshot:
         """Flattened cumulative view of this registry and its scopes."""
         counters: Dict[str, float] = {}
-        gauges: Dict[str, float] = {}
         histograms: Dict[str, Dict[str, float]] = {}
-        self._collect(counters, gauges, histograms, prefix="")
-        return MetricsSnapshot(
-            counters=counters, gauges=gauges, histograms=histograms
-        )
+        self._collect(counters, histograms, prefix="")
+        return MetricsSnapshot(counters=counters, histograms=histograms)
 
     def _collect(
         self,
         counters: Dict[str, float],
-        gauges: Dict[str, float],
         histograms: Dict[str, Dict[str, float]],
         prefix: str,
     ) -> None:
         for name, c in self._counters.items():
             counters[prefix + name] = c.value
-        for name, g in self._gauges.items():
-            gauges[prefix + name] = g.value
-        # EWMAs snapshot as gauges: a level, not a monotone count
-        for name, e in self._ewmas.items():
-            gauges[prefix + name] = e.value
         for name, h in self._histograms.items():
             histograms[prefix + name] = h.summary()
         for name, child in self._scopes.items():
-            child._collect(counters, gauges, histograms, f"{prefix}{name}.")
+            child._collect(counters, histograms, f"{prefix}{name}.")
 
     def reset(self) -> None:
         """Zero every instrument, recursively; structure is kept."""
         for c in self._counters.values():
             c.reset()
-        for g in self._gauges.values():
-            g.reset()
         for h in self._histograms.values():
             h.reset()
-        for e in self._ewmas.values():
-            e.reset()
         for child in self._scopes.values():
             child.reset()
 
@@ -399,12 +333,6 @@ class _NullInstrument:
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
     def observe(self, value: float) -> None:
         pass
 
@@ -421,9 +349,9 @@ _NULL_INSTRUMENT = _NullInstrument()
 class NullMetrics(Metrics):
     """The disabled registry: every operation is a no-op.
 
-    Instrumented code holds :data:`NULL_METRICS` until something
-    attaches a real registry, so the disabled cost is a single method
-    call per event — no branches at instrumentation sites, no state.
+    ``WriteAheadLog.metrics`` holds :data:`NULL_METRICS` until a caller
+    sets a real registry, so the disabled cost is a single method call
+    per append — no branches at the instrumentation site, no state.
     """
 
     __slots__ = ()
@@ -438,26 +366,17 @@ class NullMetrics(Metrics):
     def counter(self, name: str) -> Counter:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def gauge(self, name: str) -> Gauge:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
     def histogram(
         self, name: str, buckets: Iterable[float] | None = None
     ) -> Histogram:
         return _NULL_INSTRUMENT  # type: ignore[return-value]
 
-    def ewma(self, name: str, alpha: float = 0.3) -> Ewma:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
     def inc(self, name: str, amount: float = 1.0) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
         pass
 
     def observe(self, name: str, value: float) -> None:
         pass
 
 
-#: Module-level singleton every instrumented component defaults to.
+#: The shared disabled registry (``WriteAheadLog.metrics``'s default).
 NULL_METRICS = NullMetrics()

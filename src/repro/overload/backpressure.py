@@ -19,7 +19,8 @@ accounting of :mod:`repro.resilience`:
     ``offered == processed + shed + refused + spilled + pending``
 
 which :attr:`BackpressureQueue.ledger_closed` verifies and the overload
-soak harness asserts at end of run.
+soak harness asserts at end of run.  The ledger's attributes are the
+queue's only counts; its depth is :attr:`BackpressureQueue.pending`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from typing import Deque, Dict, Iterable, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError
-from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["BackpressureQueue", "ShedPolicy"]
 
@@ -63,9 +63,6 @@ class BackpressureQueue:
         max_batch: Coalescing limit — :meth:`take_batch` never returns
             more than this many objects, so a deep backlog drains as a
             few large (but bounded) batches instead of one giant one.
-        metrics: Optional scope; emits the ``queue_depth`` gauge and
-            ``shed_objects`` / ``refused_objects`` / ``coalesced_batches``
-            counters.
     """
 
     def __init__(
@@ -73,7 +70,6 @@ class BackpressureQueue:
         capacity: int,
         policy: ShedPolicy | str = ShedPolicy.SHED_OLDEST,
         max_batch: int | None = None,
-        metrics: Metrics = NULL_METRICS,
     ) -> None:
         if capacity <= 0:
             raise InvalidParameterError(
@@ -86,7 +82,6 @@ class BackpressureQueue:
         self.capacity = int(capacity)
         self.policy = ShedPolicy.coerce(policy)
         self.max_batch = int(max_batch) if max_batch is not None else None
-        self.metrics = metrics
         self._items: Deque[SpatialObject] = deque()
         # conservation ledger
         self.offered = 0
@@ -140,15 +135,12 @@ class BackpressureQueue:
         if len(self._items) >= self.capacity:
             if self.policy is ShedPolicy.BLOCK:
                 self.refused += 1
-                self.metrics.inc("refused_objects")
                 return False
             self._items.popleft()
             self.shed += 1
-            self.metrics.inc("shed_objects")
         self._items.append(obj)
         if len(self._items) > self.high_water:
             self.high_water = len(self._items)
-        self.metrics.set_gauge("queue_depth", len(self._items))
         return True
 
     def offer_all(
@@ -182,10 +174,6 @@ class BackpressureQueue:
         else:
             batch = [items.popleft() for _ in range(limit)]
         self.processed += len(batch)
-        if len(batch) > 0:
-            self.metrics.inc("coalesced_batches")
-            self.metrics.inc("processed_objects", len(batch))
-        self.metrics.set_gauge("queue_depth", len(items))
         return batch
 
     def spill(self, wal=None) -> int:
@@ -211,8 +199,6 @@ class BackpressureQueue:
         if lost:
             self._items.clear()
             self.spilled += lost
-            self.metrics.inc("spilled_objects", lost)
-            self.metrics.set_gauge("queue_depth", 0)
         return lost
 
     def restore_spilled(self, objects: Sequence[SpatialObject]) -> int:
@@ -236,8 +222,6 @@ class BackpressureQueue:
             )
         self._items.extend(objects)
         self.spilled -= count
-        self.metrics.inc("restored_spilled_objects", count)
-        self.metrics.set_gauge("queue_depth", len(self._items))
         if len(self._items) > self.high_water:
             self.high_water = len(self._items)
         return count

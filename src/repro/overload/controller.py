@@ -36,6 +36,9 @@ ladder.  Implementation notes:
   uses to heal.  Every aG2 built for the ladder shares one
   :class:`~repro.core.monitor.MonitorStats`, the ladder's ``stats``, so
   its counts run on across rebuilds and sampling residencies.
+* The ladder counts in plain attributes: ``transitions`` (one record
+  per move, with its reason), ``rebuilds``, ``deescalations_deferred``,
+  ``rung`` and the controller's ``latency_ewma_ms``.
 * Every answer carries its contract in the result (``mode``,
   ``guarantee``), so downstream consumers can tell what they got
   without knowing the ladder exists.  The ladder steers after the
@@ -56,7 +59,7 @@ from repro.core.objects import SpatialObject
 from repro.core.sampling import SamplingMonitor
 from repro.core.spaces import MaxRSResult
 from repro.errors import InvalidParameterError
-from repro.obs.metrics import NULL_METRICS, Ewma, Metrics
+from repro.obs.metrics import Ewma
 from repro.resilience.supervisor import MonitorSupervisor
 from repro.window.base import SlidingWindow
 
@@ -107,19 +110,14 @@ class DeadlineController:
 
     Args:
         budget_ms: Per-update latency budget the ladder must defend.
-        metrics: Optional scope; mirrors the EWMA into the
-            ``latency_ewma_ms`` gauge.
     """
 
-    def __init__(
-        self, budget_ms: float, *, metrics: Metrics = NULL_METRICS
-    ) -> None:
+    def __init__(self, budget_ms: float) -> None:
         if budget_ms <= 0:
             raise InvalidParameterError(
                 f"latency budget must be positive, got {budget_ms}"
             )
         self.budget_ms = float(budget_ms)
-        self.metrics = metrics
         self.ewma = Ewma("latency_ewma_ms", alpha=ALPHA)
         self._breaches = 0
         self._clears = 0
@@ -140,7 +138,6 @@ class DeadlineController:
         the one-rung staircase absorb.
         """
         value = self.ewma.observe(elapsed_ms)
-        self.metrics.set_gauge("latency_ewma_ms", value)
         self._residency += 1
         if backlog > 0 and elapsed_ms > PANIC_FACTOR * self.budget_ms:
             return LadderDecision.PANIC
@@ -183,10 +180,10 @@ class AdaptiveMonitor:
 
     Drop-in wherever the library consumes a :class:`MaxRSMonitor`
     structurally (``StreamEngine``, ``MultiQueryGroup``): it exposes
-    ``update`` / ``ingest`` / ``result`` / ``window`` / ``stats`` /
-    ``attach_metrics``.  Internally it serves from the cheapest rung
-    that currently meets the latency budget and annotates every answer
-    with the guarantee of the rung that produced it.
+    ``update`` / ``ingest`` / ``result`` / ``window`` / ``stats``.
+    Internally it serves from the cheapest rung that currently meets
+    the latency budget and annotates every answer with the guarantee
+    of the rung that produced it.
 
     Args:
         rect_width / rect_height: Query rectangle.
@@ -253,7 +250,6 @@ class AdaptiveMonitor:
         )
         self._rung = 0
         self._ag2_stale = False
-        self.metrics: Metrics = NULL_METRICS
         # the aG2 lineage's counters, in every rung: each rebuilt aG2
         # takes this object over, so counts never move backwards
         self.stats = MonitorStats()
@@ -333,14 +329,6 @@ class AdaptiveMonitor:
     @property
     def result(self) -> MaxRSResult:
         return self._last
-
-    def attach_metrics(self, metrics: Metrics) -> None:
-        """Engine attachment point: the ladder and controller count
-        under ``overload`` in the monitor's scope; the engine publishes
-        :attr:`stats` beside them."""
-        self.metrics = metrics.scope("overload")
-        self.controller.metrics = self.metrics
-        self.metrics.set_gauge("ladder_rung", self._rung)
 
     def checkpoint_target(self) -> MaxRSMonitor:
         """The ladder's persistable view, for :mod:`repro.persist`.
@@ -439,7 +427,6 @@ class AdaptiveMonitor:
                 # controller's clear-counter stays primed, so recovery
                 # begins on the first clear sample afterwards)
                 self.deescalations_deferred += 1
-                self.metrics.inc("deescalations_deferred")
             elif self._rung > 0:
                 self._transition(self._rung - 1, "headroom")
 
@@ -459,7 +446,6 @@ class AdaptiveMonitor:
         # else: leaving sampling with a stale index — the rebuild is
         # deferred to the next idle moment (note_pressure with an empty
         # queue) or, failing that, the top of the next update
-        direction = "degrade" if rung > self._rung else "recover"
         self._rung = rung
         self.controller.note_transition()
         self.transitions.append(
@@ -470,9 +456,6 @@ class AdaptiveMonitor:
                 "reason": reason,
             }
         )
-        self.metrics.inc("ladder_transitions")
-        self.metrics.inc(f"ladder_{direction}")
-        self.metrics.set_gauge("ladder_rung", rung)
 
     def _rebuild_ag2(self, epsilon: float) -> None:
         """Re-enter an aG2 rung: rebuild the index from the warm window."""
@@ -482,4 +465,3 @@ class AdaptiveMonitor:
             self._ag2.ingest(survivors)
         self._ag2_stale = False
         self.rebuilds += 1
-        self.metrics.inc("ladder_rebuilds")

@@ -26,6 +26,11 @@ makes ``ENOSPC`` safe: the new document is written and fsynced to a
 temporary file *before* the history is rotated, so a full disk raises
 :class:`~repro.errors.DiskFullError` with every previous checkpoint
 still readable in place.
+
+The manager counts in plain attributes: ``checkpoints_written`` and
+``batch_index`` on the write side, and ``recoveries``, ``fallbacks``
+and ``checksum_failures`` on the recovery side.  Recovery is a method
+of the manager, so its counts outlive the monitor a crash discards.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from repro.errors import (
     SnapshotError,
     wrap_os_error,
 )
-from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["CheckpointManager"]
 
@@ -116,7 +120,9 @@ class CheckpointManager:
     Args:
         monitor: Monitor to checkpoint; a
             :class:`~repro.resilience.supervisor.MonitorSupervisor` is
-            unwrapped automatically.
+            unwrapped automatically.  ``None`` builds a manager that
+            can only :meth:`recover` until :meth:`resume` binds the
+            recovered monitor.
         path: Checkpoint file.  Rotated history lives next to it as
             ``<name>.1``, ``<name>.2``, … (most recent first).
         every: Take a checkpoint each time this many batches have been
@@ -124,8 +130,6 @@ class CheckpointManager:
             still works on demand).
         keep: How many *previous* checkpoints to retain besides the
             current one.
-        metrics: Scope for ``checkpoints_written`` / ``recoveries``
-            counters and the ``checkpoint_batch_index`` gauge.
     """
 
     def __init__(
@@ -135,7 +139,6 @@ class CheckpointManager:
         *,
         every: int = 0,
         keep: int = 1,
-        metrics: Metrics = NULL_METRICS,
     ) -> None:
         if every < 0:
             raise InvalidParameterError(f"every must be >= 0, got {every}")
@@ -145,9 +148,11 @@ class CheckpointManager:
         self.path = Path(path)
         self.every = every
         self.keep = keep
-        self.metrics = metrics
         self.batch_index = 0  # arrival batches consumed so far
         self.checkpoints_written = 0
+        self.recoveries = 0  # recover() calls that found a checkpoint
+        self.fallbacks = 0  # damaged candidates recover() skipped
+        self.checksum_failures = 0  # of those, checksum mismatches
         self._fsync = os.fsync  # injectable for disk-fault tests
         # positions (batch indexes) of the retained checkpoints on
         # disk, newest first — scanned so a manager constructed over an
@@ -210,8 +215,6 @@ class CheckpointManager:
             : self.keep + 1
         ]
         self.checkpoints_written += 1
-        self.metrics.inc("checkpoints_written")
-        self.metrics.set_gauge("checkpoint_batch_index", self.batch_index)
         return self.path
 
     def _rotate(self) -> None:
@@ -229,6 +232,18 @@ class CheckpointManager:
 
     # -- retention ---------------------------------------------------------
 
+    def _candidates(self) -> list[Path]:
+        """The checkpoint files on disk, newest first: ``<name>``, then
+        ``<name>.1``, ``<name>.2``, … up to the first missing slot."""
+        candidates = [self.path] if self.path.exists() else []
+        slot = 1
+        while True:
+            rotated = self.path.with_name(f"{self.path.name}.{slot}")
+            if not rotated.exists():
+                return candidates
+            candidates.append(rotated)
+            slot += 1
+
     def _scan_positions(self) -> list[int]:
         """Batch indexes of the checkpoints already on disk, newest first.
 
@@ -236,18 +251,8 @@ class CheckpointManager:
         parsed can never be a recovery target, so it does not constrain
         WAL retention either.
         """
-        candidates = [self.path]
-        slot = 1
-        while True:
-            rotated = self.path.with_name(f"{self.path.name}.{slot}")
-            if not rotated.exists():
-                break
-            candidates.append(rotated)
-            slot += 1
         found: list[int] = []
-        for candidate in candidates:
-            if not candidate.exists():
-                continue
+        for candidate in self._candidates():
             try:
                 document = persist.read_json(candidate)
                 found.append(int(document["batch_index"]))
@@ -316,51 +321,35 @@ class CheckpointManager:
         monitor = persist.restore(document["state"])
         return monitor, batch_index
 
-    @classmethod
     def recover(
-        cls,
-        path: str | Path,
-        *,
-        metrics: Metrics = NULL_METRICS,
-        verify_checksum: bool = True,
+        self, *, verify_checksum: bool = True
     ) -> tuple[MaxRSMonitor, int]:
         """Load the newest readable checkpoint, falling back through
         the rotated history when the current file is damaged.
 
-        Every damaged candidate skipped increments the
-        ``checkpoint_fallbacks`` counter (``checkpoint_checksum_failures``
-        additionally when the damage was a checksum mismatch), so silent
-        corruption leaves an observable trace even though recovery
-        succeeds.  Raises :class:`SnapshotError` when no retained
-        checkpoint is readable.
+        Every damaged candidate skipped counts in :attr:`fallbacks`
+        (and in :attr:`checksum_failures` when the damage was a
+        checksum mismatch), so silent corruption leaves an observable
+        trace even though recovery succeeds; a success counts in
+        :attr:`recoveries`.  Raises :class:`SnapshotError` when no
+        retained checkpoint is readable.
         """
-        primary = Path(path)
-        candidates = [primary]
-        slot = 1
-        while True:
-            rotated = primary.with_name(f"{primary.name}.{slot}")
-            if not rotated.exists():
-                break
-            candidates.append(rotated)
-            slot += 1
         last_error: Exception | None = None
-        for candidate in candidates:
-            if not candidate.exists():
-                continue
+        for candidate in self._candidates():
             try:
-                monitor, batch_index = cls.load(
+                monitor, batch_index = self.load(
                     candidate, verify_checksum=verify_checksum
                 )
             except (SnapshotError, InvalidParameterError) as exc:
                 if isinstance(exc, CheckpointChecksumError):
-                    metrics.inc("checkpoint_checksum_failures")
-                metrics.inc("checkpoint_fallbacks")
+                    self.checksum_failures += 1
+                self.fallbacks += 1
                 last_error = exc
                 continue
-            metrics.inc("recoveries")
+            self.recoveries += 1
             return monitor, batch_index
         raise SnapshotError(
-            f"no readable checkpoint at {primary}"
+            f"no readable checkpoint at {self.path}"
             + (f" (last error: {last_error})" if last_error else "")
         )
 

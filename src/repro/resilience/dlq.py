@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Any, Deque, Iterator
 
 from repro.errors import InvalidParameterError, wrap_os_error
-from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["ErrorPolicy", "DeadLetter", "DeadLetterQueue"]
 
@@ -105,18 +104,16 @@ class DeadLetterQueue:
     queue is a diagnostic surface, and recent rejections are worth more
     than ancient ones.  ``total_enqueued`` keeps global accounting
     intact even after evictions: every record ever rejected under
-    QUARANTINE is counted exactly once.
+    QUARANTINE is counted exactly once.  ``total_evicted`` counts the
+    evictions and ``len()`` is the depth retained now.
     """
 
-    def __init__(
-        self, capacity: int = 1024, metrics: Metrics = NULL_METRICS
-    ) -> None:
+    def __init__(self, capacity: int = 1024) -> None:
         if capacity <= 0:
             raise InvalidParameterError(
                 f"dead-letter capacity must be positive, got {capacity}"
             )
         self.capacity = capacity
-        self.metrics = metrics
         self._entries: Deque[DeadLetter] = deque()
         self.total_enqueued = 0
         self.total_evicted = 0
@@ -127,18 +124,14 @@ class DeadLetterQueue:
         if len(self._entries) >= self.capacity:
             self._entries.popleft()
             self.total_evicted += 1
-            self.metrics.inc("dead_letters_evicted")
         self._entries.append(letter)
         self.total_enqueued += 1
         self._by_reason[letter.reason] += 1
-        self.metrics.inc("dead_letters")
-        self.metrics.set_gauge("dead_letter_depth", len(self._entries))
 
     def drain(self) -> list[DeadLetter]:
         """Remove and return all retained entries, oldest first."""
         out = list(self._entries)
         self._entries.clear()
-        self.metrics.set_gauge("dead_letter_depth", 0)
         return out
 
     def drain_to_jsonl(self, path: "str | Path") -> int:
@@ -171,8 +164,6 @@ class DeadLetterQueue:
             raise wrap_os_error(exc, "dead-letter drain") from exc
         count = len(lines)
         self._entries.clear()
-        self.metrics.inc("dead_letters_persisted", count)
-        self.metrics.set_gauge("dead_letter_depth", 0)
         return count
 
     def counts_by_reason(self) -> dict[str, int]:

@@ -12,10 +12,12 @@ guard is where dirty reality is converted into that contract:
   absorbed by a :class:`ReorderBuffer` and re-emitted in timestamp
   order; records later than the bound are rejected (reason ``"late"``)
   instead of blowing up ``TimeWindow`` with ``WindowOrderError``;
-* **accounting** — `records_admitted`, ``records_quarantined``,
-  ``records_skipped``, ``late_dropped`` and ``late_reordered``
-  counters flow through the :mod:`repro.obs` registry, so a chaos soak
-  can prove that every injected fault is accounted for.
+* **accounting** — every record offered is counted exactly once, in
+  plain attributes: :attr:`IngestGuard.admitted`, ``quarantined``,
+  ``skipped`` and ``late_dropped``, with ``late_reordered`` and
+  ``reorder.pending`` read from the reorder buffer and the dead-letter
+  depth from ``len(dead_letters)``.  The soak harness proves from them
+  that every injected fault is accounted for.
 
 The guard works in both shapes the library uses: as a
 :class:`StreamSource` wrapper (``StreamEngine(..., source=guard)``) and
@@ -30,7 +32,6 @@ from collections.abc import Iterator, Mapping, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.errors import QuarantineError, ReproError
-from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue, ErrorPolicy
 from repro.resilience.reorder import ReorderBuffer
 from repro.streams.source import StreamSource
@@ -59,6 +60,7 @@ def coerce_record(record: object) -> SpatialObject:
             math.isfinite(record.x)
             and math.isfinite(record.y)
             and record.weight >= 0.0
+            and not math.isnan(record.timestamp)
         ):
             raise ValueError(f"forged invalid object: {record!r}")
         return record
@@ -94,8 +96,6 @@ class IngestGuard(StreamSource):
             means strict order (any out-of-order record is late).
         dead_letters: Share an existing queue, or let the guard own one.
         dlq_capacity: Capacity of the owned queue when none is shared.
-        metrics: Observability scope (also settable later through
-            :meth:`attach_metrics`, which is what ``StreamEngine`` calls).
     """
 
     def __init__(
@@ -106,27 +106,18 @@ class IngestGuard(StreamSource):
         max_lateness: float = 0.0,
         dead_letters: DeadLetterQueue | None = None,
         dlq_capacity: int = 1024,
-        metrics: Metrics = NULL_METRICS,
     ) -> None:
         self._source = source
         self.policy = ErrorPolicy.parse(policy)
         self.dead_letters = dead_letters or DeadLetterQueue(dlq_capacity)
         self.reorder = ReorderBuffer(max_lateness)
-        self.metrics = NULL_METRICS
         self.admitted = 0
         self.quarantined = 0  # invalid records rejected
         self.skipped = 0  # invalid records dropped under SKIP
         self.late_dropped = 0  # orderable-no-more records rejected
         self._seq = 0  # arrival position, for dead-letter context
-        self.attach_metrics(metrics)
 
-    # -- observability -----------------------------------------------------
-
-    def attach_metrics(self, metrics: Metrics) -> None:
-        """Point the guard (and its queue/buffer) at a metrics scope."""
-        self.metrics = metrics
-        self.dead_letters.metrics = metrics
-        self.reorder.metrics = metrics
+    # -- accounting --------------------------------------------------------
 
     @property
     def late_reordered(self) -> int:
@@ -175,8 +166,6 @@ class IngestGuard(StreamSource):
             )
             return []
         self.admitted += len(released)
-        if released:
-            self.metrics.inc("records_admitted", len(released))
         return released
 
     def filter(self, records: Sequence[object]) -> list[SpatialObject]:
@@ -190,8 +179,6 @@ class IngestGuard(StreamSource):
         """Release everything the reorder buffer still holds, in order."""
         released = self.reorder.flush()
         self.admitted += len(released)
-        if released:
-            self.metrics.inc("records_admitted", len(released))
         return released
 
     def __iter__(self) -> Iterator[SpatialObject]:
@@ -212,17 +199,14 @@ class IngestGuard(StreamSource):
     ) -> None:
         if late:
             self.late_dropped += 1
-            self.metrics.inc("late_dropped")
         if self.policy is ErrorPolicy.RAISE:
             raise QuarantineError(f"{reason}: {detail}", record=record)
         if self.policy is ErrorPolicy.SKIP:
             if not late:
                 self.skipped += 1
-                self.metrics.inc("records_skipped")
             return
         if not late:
             self.quarantined += 1
-            self.metrics.inc("records_quarantined")
         self.dead_letters.put(
             DeadLetter(record=record, reason=reason, detail=detail, seq=self._seq)
         )

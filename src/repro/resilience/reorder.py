@@ -23,7 +23,6 @@ from typing import Iterable, List, Tuple
 
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError
-from repro.obs.metrics import NULL_METRICS, Metrics
 
 __all__ = ["ReorderBuffer"]
 
@@ -36,19 +35,17 @@ class ReorderBuffer:
             maximum timestamp seen and still be re-sequenced.  ``0``
             keeps in-order records flowing through unbuffered and
             classifies any out-of-order record as too late.
-        metrics: Optional scope; emits ``late_reordered`` (absorbed
-            out-of-order records) and ``reorder_depth`` (buffered count).
+
+    Counts: :attr:`reordered` (out-of-order records absorbed) and
+    :attr:`pending` (records buffered now).
     """
 
-    def __init__(
-        self, max_lateness: float = 0.0, metrics: Metrics = NULL_METRICS
-    ) -> None:
+    def __init__(self, max_lateness: float = 0.0) -> None:
         if max_lateness < 0:
             raise InvalidParameterError(
                 f"max_lateness must be >= 0, got {max_lateness}"
             )
         self.max_lateness = float(max_lateness)
-        self.metrics = metrics
         self._heap: List[Tuple[float, int, SpatialObject]] = []
         self._seq = itertools.count()
         self._max_seen = float("-inf")
@@ -81,16 +78,12 @@ class ReorderBuffer:
             return None
         if ts < self._max_seen:
             self.reordered += 1
-            self.metrics.inc("late_reordered")
         if ts > self._max_seen:
             self._max_seen = ts
         if not self._heap and ts <= self._max_seen - self.max_lateness:
-            self.metrics.set_gauge("reorder_depth", 0)
             return [obj]
         heapq.heappush(self._heap, (ts, next(self._seq), obj))
-        released = self._release(self.watermark)
-        self.metrics.set_gauge("reorder_depth", len(self._heap))
-        return released
+        return self._release(self.watermark)
 
     def offer_all(
         self, objects: Iterable[SpatialObject]
@@ -112,9 +105,7 @@ class ReorderBuffer:
         Call at end-of-stream (or checkpoint barrier); afterwards the
         watermark is effectively the max timestamp seen.
         """
-        out = self._release(float("inf"))
-        self.metrics.set_gauge("reorder_depth", 0)
-        return out
+        return self._release(float("inf"))
 
     def _release(self, frontier: float) -> list[SpatialObject]:
         out: list[SpatialObject] = []

@@ -24,6 +24,9 @@ window before it touches the index, so a batch that fails half-way is
 kept exactly once: the rebuilt index contains it, and the answer
 carries its tick.
 
+The supervisor counts in plain attributes: ``failures``,
+``invariant_failures``, ``heals`` and ``batches_rejected``.
+
 Supervision covers the index only.  The input side has no retry layer:
 every soak campaign reads a non-replayable source, and a crash recovers
 from checkpoint + WAL tail without reading the source again
@@ -43,7 +46,6 @@ from repro.errors import (
     UnrecoverableMonitorError,
     WindowOrderError,
 )
-from repro.obs.metrics import NULL_METRICS, Metrics
 from repro.window.base import SlidingWindow
 
 __all__ = ["MonitorSupervisor"]
@@ -67,9 +69,6 @@ class MonitorSupervisor:
             the method are probed as no-ops.
         max_heals: Heal budget; one more failure past it raises
             :class:`UnrecoverableMonitorError` (None = unlimited).
-        metrics: Observability scope; counters ``monitor_failures``,
-            ``invariant_failures``, ``heals``, ``batches_rejected``,
-            ``objects_resurrected``.
     """
 
     def __init__(
@@ -78,12 +77,10 @@ class MonitorSupervisor:
         *,
         probe_every: int = 0,
         max_heals: int | None = None,
-        metrics: Metrics = NULL_METRICS,
     ) -> None:
         self._monitor = monitor
         self.probe_every = max(0, int(probe_every))
         self.max_heals = max_heals
-        self.metrics = metrics
         self.failures = 0  # update/ingest raised mid-flight
         self.invariant_failures = 0  # probe caught corruption
         self.heals = 0  # successful index rebuilds
@@ -117,12 +114,6 @@ class MonitorSupervisor:
     def rect_height(self) -> float:
         return self._monitor.rect_height
 
-    def attach_metrics(self, metrics: Metrics) -> None:
-        """Engine attachment point: the supervisor's own counters live
-        under ``supervisor`` in the monitor's scope; the engine
-        publishes the monitor's ``stats`` beside them."""
-        self.metrics = metrics.scope("supervisor")
-
     def check_invariants(self) -> None:
         """Forward to the supervised monitor (no-op when unsupported)."""
         probe = getattr(self._monitor, "check_invariants", None)
@@ -140,11 +131,9 @@ class MonitorSupervisor:
             # drop it and keep the previous answer (an IngestGuard
             # upstream makes this path unreachable in practice)
             self.batches_rejected += 1
-            self.metrics.inc("batches_rejected")
             return self._monitor.result
         except Exception as exc:  # index corrupted mid-update
             self.failures += 1
-            self.metrics.inc("monitor_failures")
             self._heal(exc)
             # the window admitted the batch before the index failed: the
             # rebuild holds it, so answer at its tick without a new push
@@ -161,10 +150,8 @@ class MonitorSupervisor:
             self._monitor.ingest(objects)
         except WindowOrderError:
             self.batches_rejected += 1
-            self.metrics.inc("batches_rejected")
         except Exception as exc:
             self.failures += 1
-            self.metrics.inc("monitor_failures")
             self._heal(exc)
 
     # -- healing -----------------------------------------------------------
@@ -181,7 +168,6 @@ class MonitorSupervisor:
             self.check_invariants()
         except InvariantViolationError as exc:
             self.invariant_failures += 1
-            self.metrics.inc("invariant_failures")
             self._heal(exc)
             return True
         return False
@@ -205,5 +191,3 @@ class MonitorSupervisor:
         self._monitor = healed
         self.heals += 1
         self._updates_since_probe = 0
-        self.metrics.inc("heals")
-        self.metrics.inc("objects_resurrected", survivors)

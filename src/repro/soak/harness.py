@@ -49,7 +49,6 @@ from repro.durability.wal import WriteAheadLog
 from repro.engine.engine import StreamEngine
 from repro.engine.stats import TimingStats
 from repro.errors import InvalidParameterError, ReproError, SnapshotError
-from repro.obs.metrics import Metrics
 from repro.overload.backpressure import BackpressureQueue
 from repro.overload.controller import AdaptiveMonitor
 from repro.resilience.chaos import FaultInjectingSource
@@ -303,8 +302,6 @@ class _SoakRun:
         self.seed = seed
         self.verify_checksum = verify_checksum
         self.ckpt_path = checkpoint_dir / f"{scn.name}.ckpt.json"
-        self.metrics = Metrics("soak")
-        self.ckpt_scope = self.metrics.scope("checkpoint")
 
         self.calibrated = scn.unit_ms is None
         self._latency_model = None
@@ -354,13 +351,11 @@ class _SoakRun:
             self.ckpt_path,
             every=scn.checkpoint_every,
             keep=scn.checkpoint_keep,
-            metrics=self.ckpt_scope,
         )
         self.engine = StreamEngine(
             {_MONITOR: self.adaptive},
             iter(()),  # externally driven: the engine never pulls
             batch_size=scn.rate,
-            metrics=self.metrics,
             checkpoint=self.manager,
             wal=self.wal,
         )
@@ -380,7 +375,6 @@ class _SoakRun:
         self.rebuilds = 0
         self.ticks = 0
         self.crashes = 0
-        self.recoveries = 0
         self.cold_starts = 0
         self.replayed = 0
         # WAL counters banked across log incarnations (each crash
@@ -542,7 +536,7 @@ class _SoakRun:
 
         The engine's journal path must absorb it inline: checkpoint,
         compact to the new retention floor, retry the append — counted
-        by the ``wal_enospc_recoveries`` metric the report exposes.
+        in the engine's ``enospc_recoveries``, which the report exposes.
         """
         wal = self.wal
 
@@ -580,13 +574,10 @@ class _SoakRun:
             corrupt_wal(self.wal_dir, mode)
         reads_before = self.source.reads
         try:
-            snapshot, position = CheckpointManager.recover(
-                self.ckpt_path,
-                metrics=self.ckpt_scope,
-                verify_checksum=self.verify_checksum,
+            snapshot, position = self.manager.recover(
+                verify_checksum=self.verify_checksum
             )
             contents = list(snapshot.window.contents)
-            self.recoveries += 1
         except (SnapshotError, InvalidParameterError):
             # every checkpoint unreadable: the primed window was
             # retained in memory, so position 0 is reachable without a
@@ -596,7 +587,6 @@ class _SoakRun:
         # reopen first (truncating any torn tail on disk), then scan the
         # now-consistent log and reconcile it against the checkpoint
         self.wal = self._open_wal()
-        self.wal.metrics = self.metrics.scope("wal")
         scan = scan_wal(self.wal_dir)
         tail = reconcile(scan, position)
         self.wal_skipped += len(scan.skipped)
@@ -709,7 +699,7 @@ class _SoakRun:
 
     def _report(self, p95_ms: float | None) -> SoakReport:
         guard, queue, inv = self.guard, self.queue, self.invariants
-        counter = self.ckpt_scope.counter
+        manager = self.manager
         return SoakReport(
             scenario=self.scenario.name,
             seed=self.seed,
@@ -736,14 +726,12 @@ class _SoakRun:
             delayed=self.tallies["delayed"],
             skewed=self.tallies["skewed"],
             crashes=self.crashes,
-            recoveries=self.recoveries,
+            recoveries=manager.recoveries,
             cold_starts=self.cold_starts,
             replayed_batches=self.replayed,
-            checkpoints_written=self.manager.checkpoints_written,
-            checkpoint_fallbacks=int(counter("checkpoint_fallbacks").value),
-            checksum_failures=int(
-                counter("checkpoint_checksum_failures").value
-            ),
+            checkpoints_written=manager.checkpoints_written,
+            checkpoint_fallbacks=manager.fallbacks,
+            checksum_failures=manager.checksum_failures,
             ladder_transitions=sum(self.transition_reasons.values()),
             final_mode=self.adaptive.mode,
             rebuilds=self.rebuilds,
@@ -758,11 +746,7 @@ class _SoakRun:
             wal_segments_compacted=self.wal_compacted,
             wal_spill_restored=self.spill_restored,
             enospc_injected=self.enospc_injected,
-            enospc_recovered=int(
-                self.metrics.scope("wal")
-                .counter("wal_enospc_recoveries")
-                .value
-            ),
+            enospc_recovered=self.engine.enospc_recoveries,
             recovery_source_reads=self.recovery_source_reads,
             budget_ms=self.budget_ms,
             calibrated=self.calibrated,

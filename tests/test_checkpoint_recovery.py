@@ -37,7 +37,6 @@ from repro.errors import (
     ReproError,
     SnapshotError,
 )
-from repro.obs import Metrics
 from repro.resilience import (
     CheckpointManager,
     FaultInjectingSource,
@@ -159,13 +158,13 @@ class TestCheckpointManager:
             monitor.update(batch)
             manager.note_batch()
         path.write_text("corrupted!!!")  # current checkpoint damaged
-        restored, index = CheckpointManager.recover(path)
+        restored, index = manager.recover()
         assert index == 2  # newest readable is the rotated predecessor
         assert len(restored.window) == 2 * BATCH
 
     def test_recover_with_nothing_readable(self, tmp_path):
         with pytest.raises(SnapshotError):
-            CheckpointManager.recover(tmp_path / "absent.json")
+            CheckpointManager(None, tmp_path / "absent.json").recover()
 
     def test_unknown_checkpoint_format_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -174,18 +173,15 @@ class TestCheckpointManager:
             CheckpointManager.load(path)
 
     def test_metrics_counters(self, tmp_path):
-        metrics = Metrics()
+        """The manager's attributes count its writes and position."""
         monitor = FACTORIES["naive"]()
-        manager = CheckpointManager(
-            monitor, tmp_path / "c.json", every=2,
-            metrics=metrics.scope("checkpoint"),
-        )
+        manager = CheckpointManager(monitor, tmp_path / "c.json", every=2)
         for batch in stream_batches(4):
             monitor.update(batch)
             manager.note_batch()
-        snap = metrics.snapshot()
-        assert snap.counters["checkpoint.checkpoints_written"] == 2
-        assert snap.gauges["checkpoint.checkpoint_batch_index"] == 4
+        assert manager.checkpoints_written == 2
+        assert manager.batch_index == 4
+        assert manager.positions == [4, 2]
 
     def test_file_bytes_are_one_dumps_of_the_document(self, tmp_path):
         """The file holds exactly ``json.dumps`` of the envelope, whose
@@ -245,7 +241,7 @@ class TestCrashRecoveryEquivalence:
         del victim  # crash
 
         # recovery: load last checkpoint, replay the tail
-        recovered, resume_from = CheckpointManager.recover(path)
+        recovered, resume_from = CheckpointManager(None, path).recover()
         assert resume_from == EVERY
         for batch in batches[resume_from:]:
             recovered.update(batch)
@@ -267,10 +263,9 @@ class TestCrashRecoveryEquivalence:
         manager = CheckpointManager(monitor, path, every=1)
         monitor.update(stream_batches(1)[0])
         manager.note_batch()
-        metrics = Metrics()
-        CheckpointManager.recover(path, metrics=metrics.scope("recovery"))
-        snap = metrics.snapshot()
-        assert snap.counters["recovery.recoveries"] == 1
+        manager.recover()
+        assert manager.recoveries == 1
+        assert (manager.fallbacks, manager.checksum_failures) == (0, 0)
 
     def test_resumed_manager_keeps_period_alignment(self, tmp_path):
         batches = stream_batches(8)
@@ -280,8 +275,8 @@ class TestCrashRecoveryEquivalence:
         for batch in batches[:5]:
             monitor.update(batch)
             manager.note_batch()
-        recovered, index = CheckpointManager.recover(path)
-        fresh = CheckpointManager(recovered, path, every=4)
+        fresh = CheckpointManager(None, path, every=4)
+        recovered, index = fresh.recover()
         fresh.resume(recovered, index)
         for batch in batches[index:]:
             recovered.update(batch)
@@ -326,7 +321,7 @@ class TestCrashRecoveryEquivalence:
             manager.note_batch()
         del victim  # crash after batch 60; last checkpoint at 50
 
-        recovered, resume_from = CheckpointManager.recover(path)
+        recovered, resume_from = CheckpointManager(None, path).recover()
         assert resume_from == 50
         for batch in batches[resume_from:]:
             recovered.update(batch)
@@ -390,16 +385,13 @@ class TestChecksum:
         document = json.loads(path.read_text())
         _shift_column(document["state"], "x", -1, 0.5)
         path.write_text(json.dumps(document))
-        metrics = Metrics()
-        restored, index = CheckpointManager.recover(
-            path, metrics=metrics.scope("ckpt")
-        )
+        manager = CheckpointManager(None, path)
+        restored, index = manager.recover()
         assert index == 2  # fell back to the previous rotation
         assert len(restored.window) == 2 * BATCH
-        snap = metrics.snapshot()
-        assert snap.counters["ckpt.checkpoint_checksum_failures"] == 1
-        assert snap.counters["ckpt.checkpoint_fallbacks"] == 1
-        assert snap.counters["ckpt.recoveries"] == 1
+        assert manager.checksum_failures == 1
+        assert manager.fallbacks == 1
+        assert manager.recoveries == 1
 
     def test_flipped_byte_in_the_state_is_caught(self, tmp_path):
         """One bit of one base64 digit of the packed weight column
@@ -489,7 +481,7 @@ class TestTornWrite:
         committed = path.read_text()
         # simulate the mid-write crash: a half-serialised temp file
         (tmp_path / "ckpt.json12345.tmp").write_text(committed[:25])
-        restored, index = CheckpointManager.recover(path)
+        restored, index = manager.recover()
         assert index == 2
         assert path.read_text() == committed  # committed file untouched
         assert len(restored.window) == 2 * BATCH
@@ -515,6 +507,6 @@ class TestTornWrite:
         with pytest.raises(DurableWriteError):
             manager.note_batch()
         monkeypatch.undo()
-        _, index = CheckpointManager.recover(path)
+        _, index = manager.recover()
         assert index == 1  # the pre-crash checkpoint, complete
         assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]

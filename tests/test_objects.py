@@ -35,6 +35,14 @@ class TestSpatialObject:
         with pytest.raises(InvalidParameterError):
             SpatialObject(x=0, y=0, weight=float("nan"))
 
+    def test_nan_timestamp_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            SpatialObject(x=0, y=0, timestamp=float("nan"))
+
+    def test_infinite_timestamps_allowed(self):
+        for t in (float("inf"), float("-inf")):
+            assert SpatialObject(x=0, y=0, timestamp=t).timestamp == t
+
     def test_zero_weight_allowed(self):
         assert SpatialObject(x=0, y=0, weight=0.0).weight == 0.0
 

@@ -11,7 +11,6 @@ from repro.errors import InvalidParameterError
 from repro.obs import (
     NULL_METRICS,
     Counter,
-    Gauge,
     Histogram,
     Metrics,
     MetricsSnapshot,
@@ -42,21 +41,6 @@ class TestCounter:
         c.inc(7)
         c.reset()
         assert c.value == 0.0
-
-
-class TestGauge:
-    def test_set_and_move(self):
-        g = Gauge("level")
-        g.set(5)
-        g.inc(2)
-        g.dec(3)
-        assert g.value == pytest.approx(4.0)
-
-    def test_reset(self):
-        g = Gauge("level")
-        g.set(9)
-        g.reset()
-        assert g.value == 0.0
 
 
 class TestHistogram:
@@ -105,7 +89,6 @@ class TestMetricsRegistry:
     def test_instruments_are_get_or_create(self):
         m = Metrics()
         assert m.counter("a") is m.counter("a")
-        assert m.gauge("g") is m.gauge("g")
         assert m.histogram("h") is m.histogram("h")
 
     def test_scopes_nest_and_flatten(self):
@@ -120,11 +103,9 @@ class TestMetricsRegistry:
     def test_conveniences(self):
         m = Metrics()
         m.inc("n")
-        m.set_gauge("level", 4.0)
         m.observe("ms", 2.0)
         snap = m.snapshot()
         assert snap.counters["n"] == 1.0
-        assert snap.gauges["level"] == 4.0
         assert snap.histograms["ms"]["count"] == 1.0
 
     def test_reset_zeroes_but_keeps_structure(self):
@@ -157,14 +138,6 @@ class TestSnapshotDelta:
         # min/max/mean are not delta-recoverable and must be omitted
         assert "mean" not in delta.histograms["h"]
 
-    def test_gauges_keep_latest_level(self):
-        m = Metrics()
-        m.set_gauge("size", 10)
-        before = m.snapshot()
-        m.set_gauge("size", 7)
-        delta = m.snapshot().delta(before)
-        assert delta.gauges["size"] == 7.0
-
     def test_new_counter_delta_from_zero(self):
         m = Metrics()
         before = m.snapshot()
@@ -177,14 +150,11 @@ class TestNullMetrics:
     def test_all_operations_are_noops(self):
         n = NullMetrics()
         n.inc("x", 100)
-        n.set_gauge("g", 5)
         n.observe("h", 1.0)
         n.counter("x").inc(10)
-        n.gauge("g").set(3)
         n.histogram("h").observe(2.0)
         snap = n.snapshot()
         assert snap.counters == {}
-        assert snap.gauges == {}
         assert snap.histograms == {}
 
     def test_scope_returns_self(self):
@@ -203,7 +173,6 @@ class TestSnapshotRoundTrip:
         m = Metrics()
         m.scope("mon").inc("c", 4)
         m.scope("mon").observe("h", 1.5)
-        m.set_gauge("size", 3)
         snap = m.snapshot()
         rebuilt = MetricsSnapshot.from_dict(
             json.loads(json.dumps(snap.to_dict()))
@@ -223,7 +192,6 @@ class TestExport:
     def _snaps(self):
         m = Metrics()
         m.inc("c", 2)
-        m.set_gauge("g", 1)
         m.observe("h", 3.0)
         return {"mon": m.snapshot()}
 
@@ -231,7 +199,6 @@ class TestExport:
         rows = snapshot_rows(self._snaps())
         kinds = {(r["kind"], r["metric"]) for r in rows}
         assert ("counter", "c") in kinds
-        assert ("gauge", "g") in kinds
         assert ("histogram", "h.count") in kinds
 
     def test_write_json(self, tmp_path):

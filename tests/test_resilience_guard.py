@@ -63,11 +63,22 @@ class TestCoerceRecord:
             (1.0, 2.0, "garbage"),
             "not a record",
             object(),
+            {"x": 0.0, "y": 0.0, "timestamp": float("nan")},
         ],
     )
     def test_bad_payloads_raise(self, payload):
         with pytest.raises((InvalidParameterError, ValueError, TypeError)):
             coerce_record(payload)
+
+    def test_forged_nan_timestamp_rejected(self):
+        forged = object.__new__(SpatialObject)
+        for name, value in zip(
+            ("x", "y", "weight", "timestamp", "oid"),
+            (1.0, 2.0, 1.0, float("nan"), 7),
+        ):
+            object.__setattr__(forged, name, value)
+        with pytest.raises(ValueError, match="forged"):
+            coerce_record(forged)
 
 
 class TestDeadLetterQueue:
@@ -166,11 +177,15 @@ class TestDeadLetterDrainToJsonl:
         assert len(q) == 2
 
     def test_persisted_counter_in_metrics(self, tmp_path):
-        q = DeadLetterQueue(capacity=8, metrics=Metrics("test"))
+        """The drain's return value counts what reached the disk."""
+        q = DeadLetterQueue(capacity=8)
         for letter in self._letters(4):
             q.put(letter)
-        q.drain_to_jsonl(tmp_path / "dead.jsonl")
-        assert q.metrics.counter("dead_letters_persisted").value == 4
+        path = tmp_path / "dead.jsonl"
+        assert q.drain_to_jsonl(path) == 4
+        assert len(q) == 0
+        assert len(path.read_text().splitlines()) == 4
+        assert q.total_enqueued == 4
 
 
 class TestReorderBuffer:
@@ -327,15 +342,31 @@ class TestIngestGuardPolicies:
             list(IngestGuard())
 
     def test_metrics_counters_emitted(self):
-        metrics = Metrics()
+        """Each rejection and re-sequencing counts in one attribute."""
         guard = IngestGuard(policy="quarantine", max_lateness=2.0)
-        guard.attach_metrics(metrics)
         guard.filter([obj(5.0), "bad", obj(4.0), obj(0.5)])
-        snap = metrics.snapshot()
-        assert snap.counters["records_quarantined"] == 1
-        assert snap.counters["late_reordered"] == 1
-        assert snap.counters["late_dropped"] == 1
-        assert snap.counters["dead_letters"] == 2  # invalid + late
+        assert guard.quarantined == 1
+        assert guard.late_reordered == 1
+        assert guard.late_dropped == 1
+        assert guard.dead_letters.total_enqueued == 2  # invalid + late
+        assert len(guard.dead_letters) == 2
+        assert guard.reorder.pending == 2
+
+    @pytest.mark.parametrize("max_lateness", [2.0, 0.0])
+    def test_nan_timestamp_is_quarantined_not_buffered(self, max_lateness):
+        """A NaN timestamp compares false against every watermark; had
+        it reached the reorder buffer it would sit at the heap top
+        forever and hold back every later record."""
+        stamps = [0.0, 1.0, float("nan")] + [float(t) for t in range(2, 200)]
+        guard = IngestGuard(policy="quarantine", max_lateness=max_lateness)
+        admitted = guard.filter(
+            [{"x": 1.0, "y": 1.0, "timestamp": t} for t in stamps]
+        )
+        admitted += guard.flush()
+        assert [o.timestamp for o in admitted] == [float(t) for t in range(200)]
+        assert guard.quarantined == 1
+        assert guard.dead_letters.counts_by_reason() == {"invalid": 1}
+        assert guard.reorder.pending == 0
 
 
 class TestChaosAccounting:
@@ -373,6 +404,8 @@ class TestChaosAccounting:
 
 class TestEngineAndGroupWiring:
     def test_engine_reports_ingest_scope(self):
+        """A guard as the engine's source counts in its attributes; the
+        registry holds the monitors' stats only."""
         objects = make_objects(200, seed=5, domain=60.0)
         records: list[object] = list(objects)
         records.insert(10, {"x": float("nan"), "y": 1.0})
@@ -385,5 +418,5 @@ class TestEngineAndGroupWiring:
             metrics=metrics,
         )
         report = engine.run(10)
-        assert "ingest" in report.metrics
-        assert report.metrics["ingest"].counters["records_quarantined"] == 1
+        assert guard.quarantined == 1
+        assert set(report.metrics) == {"ag2"}

@@ -137,8 +137,8 @@ class TestMonitorSupervisorHealing:
         monitor.fail_next = 1
         engine.process(make_objects(4, seed=12, domain=40.0, start_t=10.0))
         snap = metrics.scope("ag2").snapshot()
-        assert snap.counters["supervisor.monitor_failures"] == 1
-        assert snap.counters["supervisor.heals"] == 1
+        assert supervised.failures == 1
+        assert supervised.heals == 1
         # the monitor's own counters keep accumulating after the heal
         assert snap.counters["updates"] >= 2
 

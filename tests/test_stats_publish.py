@@ -124,5 +124,4 @@ def test_ladder_stats_never_move_backwards():
     for snap in report.batch_metrics["ladder"]:
         assert min(snap.counters.values()) >= 0
     counters = registry.scope("ladder").snapshot().counters
-    for field, value in dataclasses.asdict(lineage).items():
-        assert counters[field] == value, field
+    assert counters == dataclasses.asdict(lineage)

@@ -206,9 +206,7 @@ class TestCheckpointEnospc:
         assert exc_info.value.errno == errno.ENOSPC
         # the failed write touched neither the live file nor a rotation
         assert (tmp_path / "state.ckpt.json").read_bytes() == before
-        snapshot, position = CheckpointManager.recover(
-            tmp_path / "state.ckpt.json"
-        )
+        snapshot, position = manager.recover()
         assert position == 0
         assert sorted(o.oid for o in snapshot.window.contents) == sorted(
             o.oid for o in monitor.window.contents
