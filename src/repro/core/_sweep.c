@@ -32,6 +32,12 @@
  * _above_flat.  Their comparisons are
  * exact, the bound adds run in index order and clipping is a min/max,
  * so they too match the Python bit for bit.
+ *
+ * maxrs_route, maxrs_map, maxrs_purge, maxrs_pending, maxrs_top,
+ * maxrs_top_bound and maxrs_settle are aG2's cell index (see
+ * repro/core/cells.py, whose Python twins they port operation for
+ * operation): the batch route into the arrival table, and the flat cell
+ * table -- key hash, per-cell bound and bookkeeping, candidate heap.
  */
 
 #include <math.h>
@@ -407,4 +413,423 @@ long maxrs_above(const double *values, long lo, long hi, double relax,
         if (relax * values[j] > rho)
             return j;
     return hi;
+}
+
+/* ---- the batch route (cells._route_python) ---------------------------- */
+
+/* 2**52: below it every cell index and its neighbours are exact doubles */
+#define EXACT_INDEX 4503599627370496.0
+/* cover sides and pair totals whose sums and products fit in a long */
+#define MAX_AXIS (1L << 30)
+#define MAX_PAIRS (1L << 61)
+
+/* grid._axis_cells: the cells i0..i1 whose interior meets (lo, hi);
+ * 0 when an index is out of the exact range */
+static int axis_cells(double lo, double hi, double origin, double cs,
+                      long *out)
+{
+    double a = floor((lo - origin) / cs);
+    double b = floor((hi - origin) / cs);
+    if (!(fabs(a) < EXACT_INDEX && fabs(b) < EXACT_INDEX))
+        return 0;
+    long i0 = (long)a - 1;
+    long i1 = (long)b + 1;
+    while (origin + (double)(i0 + 1) * cs <= lo)
+        i0++;
+    while (origin + (double)i1 * cs >= hi)
+        i1--;
+    out[0] = i0;
+    out[1] = i1;
+    return 1;
+}
+
+/*
+ * ArrivalTable.route of n objects given as (x, y, weight) triples: the
+ * dual rectangle and weight of each into rows (5 doubles a row), its
+ * cell cover (i0, i1, j0, j1) into cover.  Returns the number of
+ * (row, cell) pairs, -1 when a bound is not finite and -2 when a cell
+ * index is out of the exact range or the pairs cannot be counted in a
+ * long; the caller then routes the batch in Python, which raises or
+ * computes with exact integers.
+ */
+long maxrs_route(const double *xyw, long n, double hw, double hh,
+                 double cs, double ox, double oy, double *rows,
+                 long *cover)
+{
+    long pairs = 0;
+    for (long k = 0; k < n; k++) {
+        const double *o = xyw + 3 * k;
+        double x1 = o[0] - hw, y1 = o[1] - hh;
+        double x2 = o[0] + hw, y2 = o[1] + hh;
+        if (!(isfinite(x1) && isfinite(y1) && isfinite(x2) && isfinite(y2)))
+            return -1;
+        double *r = rows + 5 * k;
+        long *c = cover + 4 * k;
+        r[0] = x1;
+        r[1] = y1;
+        r[2] = x2;
+        r[3] = y2;
+        r[4] = o[2];
+        if (x1 == x2 || y1 == y2) { /* degenerate: overlaps no cell */
+            c[0] = 0;
+            c[1] = -1;
+            c[2] = 0;
+            c[3] = -1;
+            continue;
+        }
+        if (!axis_cells(x1, x2, ox, cs, c) || !axis_cells(y1, y2, oy, cs, c + 2))
+            return -2;
+        long nx = c[1] - c[0] + 1, ny = c[3] - c[2] + 1;
+        if (nx > 0 && ny > 0) {
+            /* a cover too large to count in 64 bits is left to Python */
+            if (nx > MAX_AXIS || ny > MAX_AXIS || pairs > MAX_PAIRS)
+                return -2;
+            pairs += nx * ny;
+        }
+    }
+    return pairs;
+}
+
+/* ---- the cell table (cells.CellTable) ----------------------------------- */
+
+/* ints per cell in meta, and their offsets */
+#define CF 8
+enum { C_I, C_J, C_RANK, C_NEWEST, C_FIRST, C_MARK, C_VISIT, C_HELD };
+/* the state array */
+enum { S_COUNT, S_HWM, S_NFREE, S_RANK, S_HEAP, S_STAMP, S_VSTAMP, S_MASK };
+
+typedef struct {
+    double *cw;     /* c.w per cell */
+    long *meta;     /* CF ints per cell */
+    long *slots;    /* hash slots: cell id or -1 */
+    long *free_ids; /* stack of deleted ids */
+    double *hcw;    /* heap entry bound */
+    long *hent;     /* heap entry (rank, id) */
+    long *state;
+} cells;
+
+/* p: the table's array addresses, in the order of the struct */
+static cells unpack(const unsigned long *p)
+{
+    cells t = {(double *)p[0], (long *)p[1], (long *)p[2], (long *)p[3],
+               (double *)p[4], (long *)p[5], (long *)p[6]};
+    return t;
+}
+
+static unsigned long home(long i, long j, unsigned long mask)
+{
+    unsigned long h = (unsigned long)i * 0x9E3779B97F4A7C15UL
+                      + (unsigned long)j * 0xC2B2AE3D27D4EB4FUL;
+    return (h ^ (h >> 32)) & mask;
+}
+
+/* the id of cell (i, j), or -1; *slot is its slot or the empty slot
+ * that ends its probe chain */
+static long find(const cells *t, long i, long j, unsigned long *slot)
+{
+    unsigned long mask = (unsigned long)t->state[S_MASK];
+    unsigned long s = home(i, j, mask);
+    while (1) {
+        long c = t->slots[s];
+        if (c < 0 || (t->meta[CF * c + C_I] == i && t->meta[CF * c + C_J] == j)) {
+            *slot = s;
+            return c;
+        }
+        s = (s + 1) & mask;
+    }
+}
+
+static long create(cells *t, unsigned long slot, long i, long j)
+{
+    long *st = t->state;
+    long c = st[S_NFREE] > 0 ? t->free_ids[--st[S_NFREE]] : st[S_HWM]++;
+    long *m = t->meta + CF * c;
+    m[C_I] = i;
+    m[C_J] = j;
+    m[C_RANK] = st[S_RANK]++;
+    m[C_NEWEST] = -1;
+    m[C_FIRST] = -1;
+    m[C_MARK] = 0;
+    m[C_VISIT] = -1;
+    m[C_HELD] = 0;
+    t->cw[c] = 0.0;
+    t->slots[slot] = c;
+    st[S_COUNT]++;
+    return c;
+}
+
+/* delete cell c: backward-shift its probe chain, free its id */
+static void drop(cells *t, long c)
+{
+    unsigned long mask = (unsigned long)t->state[S_MASK];
+    long *m = t->meta + CF * c;
+    unsigned long s = home(m[C_I], m[C_J], mask);
+    while (t->slots[s] != c)
+        s = (s + 1) & mask;
+    unsigned long j = s;
+    while (1) {
+        j = (j + 1) & mask;
+        long d = t->slots[j];
+        if (d < 0)
+            break;
+        unsigned long h = home(t->meta[CF * d + C_I], t->meta[CF * d + C_J], mask);
+        /* d moves into the hole unless its home lies in (s, j] */
+        if (((j - h) & mask) >= ((j - s) & mask)) {
+            t->slots[s] = d;
+            s = j;
+        }
+    }
+    t->slots[s] = -1;
+    m[C_RANK] = -1;
+    m[C_HELD] = 0;
+    t->free_ids[t->state[S_NFREE]++] = c;
+    t->state[S_COUNT]--;
+}
+
+/* heap entry a goes before entry b: larger bound, then smaller rank */
+static int ahead(const cells *t, long a, long b)
+{
+    double x = t->hcw[a], y = t->hcw[b];
+    return x > y || (x == y && t->hent[2 * a] < t->hent[2 * b]);
+}
+
+static void swap_entries(cells *t, long a, long b)
+{
+    double w = t->hcw[a];
+    t->hcw[a] = t->hcw[b];
+    t->hcw[b] = w;
+    long r = t->hent[2 * a], c = t->hent[2 * a + 1];
+    t->hent[2 * a] = t->hent[2 * b];
+    t->hent[2 * a + 1] = t->hent[2 * b + 1];
+    t->hent[2 * b] = r;
+    t->hent[2 * b + 1] = c;
+}
+
+static void sift_down(cells *t, long k, long n)
+{
+    while (1) {
+        long l = 2 * k + 1;
+        if (l >= n)
+            return;
+        long b = l + 1 < n && ahead(t, l + 1, l) ? l + 1 : l;
+        if (!ahead(t, b, k))
+            return;
+        swap_entries(t, b, k);
+        k = b;
+    }
+}
+
+static void push(cells *t, long c)
+{
+    long k = t->state[S_HEAP]++;
+    t->hcw[k] = t->cw[c];
+    t->hent[2 * k] = t->meta[CF * c + C_RANK];
+    t->hent[2 * k + 1] = c;
+    while (k > 0) {
+        long parent = (k - 1) / 2;
+        if (!ahead(t, k, parent))
+            return;
+        swap_entries(t, k, parent);
+        k = parent;
+    }
+}
+
+static void pop(cells *t)
+{
+    long n = --t->state[S_HEAP];
+    if (n > 0) {
+        t->hcw[0] = t->hcw[n];
+        t->hent[0] = t->hent[2 * n];
+        t->hent[1] = t->hent[2 * n + 1];
+        sift_down(t, 0, n);
+    }
+}
+
+/* entry k names a live cell, at its current bound, not visited yet */
+static int live(const cells *t, long k)
+{
+    long c = t->hent[2 * k + 1];
+    const long *m = t->meta + CF * c;
+    return m[C_RANK] == t->hent[2 * k] && t->cw[c] == t->hcw[k]
+           && m[C_VISIT] != t->state[S_VSTAMP];
+}
+
+/*
+ * Algorithm 2 lines 1-5 for the rows start .. stop - 1 of the arrival
+ * table: find or create every covered cell, rows in order, each row's
+ * cells in cover order; add the row's weight to c.w (Equation 5) and
+ * record the row as the cell's newest (and first pending, if none).
+ * Then push one heap entry for each touched cell, in first-touch order,
+ * at its final bound.  touched receives the touched ids.  Returns their
+ * number.  The caller has reserved room for every new cell and entry.
+ */
+long maxrs_map(const unsigned long *p, const double *rows, const long *cover,
+               long base, long start, long stop, long *touched)
+{
+    cells t = unpack(p);
+    long stamp = ++t.state[S_STAMP];
+    long nt = 0;
+    for (long r = start; r < stop; r++) {
+        const long *cv = cover + 4 * r;
+        double w = rows[5 * r + 4];
+        long seq = base + r;
+        for (long i = cv[0]; i <= cv[1]; i++) {
+            for (long j = cv[2]; j <= cv[3]; j++) {
+                unsigned long slot;
+                long c = find(&t, i, j, &slot);
+                if (c < 0)
+                    c = create(&t, slot, i, j);
+                long *m = t.meta + CF * c;
+                t.cw[c] += w;
+                m[C_NEWEST] = seq;
+                if (m[C_FIRST] < 0)
+                    m[C_FIRST] = seq;
+                if (m[C_MARK] != stamp) {
+                    m[C_MARK] = stamp;
+                    touched[nt++] = c;
+                }
+            }
+        }
+    }
+    for (long k = 0; k < nt; k++)
+        push(&t, touched[k]);
+    return nt;
+}
+
+/*
+ * Expire the rows head .. stop - 1 (seqs up to expired_upto) from the
+ * cells they cover, each cell once, in row order: a cell whose newest
+ * row expired is empty and deleted.  held receives every touched cell
+ * that holds a graph (deleted ones included: their rank is then -1), so
+ * the caller can expire the graph.  Returns their number.
+ */
+long maxrs_purge(const unsigned long *p, const long *cover, long head,
+                 long stop, long expired_upto, long *held)
+{
+    cells t = unpack(p);
+    long stamp = ++t.state[S_STAMP];
+    long n = 0;
+    for (long r = head; r < stop; r++) {
+        const long *cv = cover + 4 * r;
+        for (long i = cv[0]; i <= cv[1]; i++) {
+            for (long j = cv[2]; j <= cv[3]; j++) {
+                unsigned long slot;
+                long c = find(&t, i, j, &slot);
+                if (c < 0)
+                    continue;
+                long *m = t.meta + CF * c;
+                if (m[C_MARK] == stamp)
+                    continue;
+                m[C_MARK] = stamp;
+                if (m[C_HELD])
+                    held[n++] = c;
+                if (m[C_NEWEST] <= expired_upto)
+                    drop(&t, c);
+            }
+        }
+    }
+    return n;
+}
+
+/*
+ * Visit cell c: mark it visited and take its pending set -- the seqs of
+ * the live table rows (from seq live on) between its first pending seq
+ * and its newest whose cover holds the cell -- into out, in order.
+ * Returns their number.
+ */
+long maxrs_pending(const unsigned long *p, long c, const long *cover,
+                   long base, long live, long *out)
+{
+    cells t = unpack(p);
+    long *m = t.meta + CF * c;
+    m[C_VISIT] = t.state[S_VSTAMP];
+    long first = m[C_FIRST];
+    if (first < 0)
+        return 0;
+    m[C_FIRST] = -1;
+    long i = m[C_I], j = m[C_J], n = 0;
+    /* branch-free: most rows of a long span miss the cell */
+    for (long seq = first > live ? first : live; seq <= m[C_NEWEST]; seq++) {
+        const long *cv = cover + 4 * (seq - base);
+        out[n] = seq;
+        n += (cv[0] <= i) & (i <= cv[1]) & (cv[2] <= j) & (j <= cv[3]);
+    }
+    return n;
+}
+
+/* the cell of the first live heap entry, dropping dead ones; -1 when
+ * none is left */
+long maxrs_top(const unsigned long *p)
+{
+    cells t = unpack(p);
+    while (t.state[S_HEAP] > 0) {
+        if (live(&t, 0))
+            return t.hent[1];
+        pop(&t);
+    }
+    return -1;
+}
+
+/*
+ * The live cell with the largest bound, ties to the largest (i, j) key:
+ * entries tied with the root's bound form a subtree under the root, so
+ * only they are read.  -1 when no live entry is left, -2 when out of
+ * memory.
+ */
+long maxrs_top_bound(const unsigned long *p)
+{
+    long best = maxrs_top(p);
+    if (best < 0)
+        return best;
+    cells t = unpack(p);
+    long n = t.state[S_HEAP];
+    double bound = t.hcw[0];
+    long *stack = malloc((size_t)(n + 2) * sizeof(long));
+    if (stack == NULL)
+        return -2;
+    long sp = 0;
+    stack[sp++] = 1;
+    stack[sp++] = 2;
+    while (sp > 0) {
+        long k = stack[--sp];
+        if (k >= n || t.hcw[k] != bound)
+            continue;
+        long c = t.hent[2 * k + 1];
+        const long *m = t.meta + CF * c, *b = t.meta + CF * best;
+        if ((m[C_I] > b[C_I] || (m[C_I] == b[C_I] && m[C_J] > b[C_J]))
+            && live(&t, k))
+            best = c;
+        stack[sp++] = 2 * k + 1;
+        stack[sp++] = 2 * k + 2;
+    }
+    free(stack);
+    return best;
+}
+
+/*
+ * End of a batch: push the bound of every visited cell, end the visit
+ * epoch, and rebuild the heap from the live cells once dead entries
+ * outnumber them, so it holds at most twice the live cells.
+ */
+void maxrs_settle(const unsigned long *p, const long *visited, long n)
+{
+    cells t = unpack(p);
+    for (long k = 0; k < n; k++)
+        push(&t, visited[k]);
+    long *st = t.state;
+    st[S_VSTAMP]++;
+    if (st[S_HEAP] > 2 * st[S_COUNT]) {
+        long size = 0;
+        for (long c = 0; c < st[S_HWM]; c++) {
+            if (t.meta[CF * c + C_RANK] < 0)
+                continue;
+            t.hcw[size] = t.cw[c];
+            t.hent[2 * size] = t.meta[CF * c + C_RANK];
+            t.hent[2 * size + 1] = c;
+            size++;
+        }
+        st[S_HEAP] = size;
+        for (long k = size / 2 - 1; k >= 0; k--)
+            sift_down(&t, k, size);
+    }
 }

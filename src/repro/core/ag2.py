@@ -17,23 +17,30 @@ monitor of §6.1 is the same algorithm with both tests relaxed by
 
 Implementation notes (see DESIGN.md §5):
 
-* The arrival path is flat: a batch is routed in one pass into the
-  monitor's :class:`~repro.core.graph.ArrivalTable` (each row's dual
-  rectangle, weight and cell cover), a cell's pending set is an
-  ``array('q')`` of seqs, and a visited cell connects its whole pending
-  set in one kernel call.  Purging re-derives the cells that hold
-  expired rectangles from the expired rows' covers.  No per-arrival
-  object is built besides the stream object the window already holds.
+* The cell index is flat (:class:`~repro.core.cells.CellTable`): a
+  batch is routed in one call into the monitor's
+  :class:`~repro.core.graph.ArrivalTable` (each row's dual rectangle,
+  weight and cell cover), and one more call maps it — finds or creates
+  every covered cell in a key hash, grows ``c.w``, and pushes each
+  touched cell onto the candidate heap once.  Purging is one call over
+  the expired rows' covers.  A cell's bound, rank and bookkeeping are
+  array slots; it gets a Python object (:class:`AG2Cell`, holding its
+  :class:`~repro.core.graph.CellGraph`) only on its first visit, and
+  its pending set is not stored but read at visit time: the live table
+  rows from its first pending seq on whose cover holds the cell.  A
+  visited cell connects that whole set in one kernel call.  No
+  per-arrival object is built besides the stream object the window
+  already holds, and no per-cell object for the cells Rule 1 prunes.
 * ``OverlapComputation`` re-derives ``c.w`` as the maximum bound over
   *all* cell vertices, not only those touched by pending rectangles —
   the literal pseudocode could under-set ``c.w`` when an untouched
   vertex holds the maximum, and Property 4 must never be violated.
 * Candidate cells are visited in decreasing ``c.w`` order, so the
   branch-and-bound loop can stop at the first cell that fails Rule 1.
-  The order is one persistent lazy heap of ``(-c.w, rank, key)``
-  entries: a batch pushes one entry per cell it maps to or visits and
-  pops only the cells it visits (plus dead entries), so it never ranks
-  the cells Rule 1 prunes.
+  The order is one persistent lazy heap of ``(c.w, rank, id)``
+  entries, ties to the older cell: a batch pushes one entry per cell it
+  maps to or visits and pops only the cells it visits (plus dead
+  entries), so it never ranks the cells Rule 1 prunes.
 * Optional Algorithm 5 upper-bound tightening (§5.3) plugs in via the
   ``tighten`` argument; it exists for the Table 5 ablation and is off
   by default, matching the paper's conclusion that it does not pay off.
@@ -43,10 +50,9 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
-from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterator
+from typing import Callable, Iterator
 
+from repro.core.cells import C_NEWEST, CF, CellTable
 from repro.core.graph import ArrivalTable, CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
@@ -69,30 +75,17 @@ Tightener = Callable[[Vertex, float], float]
 
 
 class AG2Cell:
-    """One aG2 cell: graph + pending set ``R`` + cell bound ``c.w``."""
+    """A visited aG2 cell's Python side: its key and overlap graph.
 
-    __slots__ = ("graph", "pending", "cw", "rank")
+    Built on the cell's first visit; its bound ``c.w``, rank and
+    pending set live in the monitor's :class:`CellTable`.
+    """
 
-    def __init__(self) -> None:
-        # allocated by the cell's first _overlap_computation: in a
-        # sparse window most mapped cells are pruned and never visited
-        self.graph: CellGraph | None = None
-        # seqs of the rectangles mapped here but not yet overlap-checked,
-        # in arrival order (rows of the monitor's arrival table)
-        self.pending = array("q")
-        self.cw = 0.0
-        # creation order within the owning monitor; mirrors the cell
-        # dict's insertion order so heap-based candidate ordering
-        # breaks c.w ties exactly like a stable sort over the dict did,
-        # and marks a dropped cell's heap entries dead if its key returns
-        self.rank = 0
+    __slots__ = ("key", "graph")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.graph and not self.pending
-
-    def max_upper(self) -> float:
-        return 0.0 if self.graph is None else self.graph.max_upper()
+    def __init__(self, key: CellKey) -> None:
+        self.key = key
+        self.graph = CellGraph()
 
 
 class AG2Monitor(MaxRSMonitor):
@@ -135,24 +128,20 @@ class AG2Monitor(MaxRSMonitor):
         # Rule-1 failure prunes the remainder (our default); "arbitrary":
         # the paper's literal reading — any order, every cell tested.
         self.visit_order = visit_order
-        self._cells: Dict[CellKey, AG2Cell] = {}
-        self._next_cell_rank = 0
+        # the live cells, their key hash and the candidate heap
+        self._cells = CellTable()
         self._expired_upto = -1
-        # every live arrival's rectangle and cell cover, by seq; purging
-        # reads the expired rows' covers and touches only those cells
-        # instead of scanning the whole cell dict per batch
+        # every live arrival's rectangle and cell cover, by seq; mapping
+        # and purging read the covers, a visit reads a cell's pending rows
         self._table = ArrivalTable()
         # the monitored answer: the vertex whose exact space we report,
-        # and that space's weight (kept equal to star.space.weight)
+        # that space's weight (kept equal to star.space.weight) and the
+        # id of its cell (alive while the vertex is)
         self._star: Vertex | None = None
         self._star_w = _NEG_INF
-        self._star_cell: CellKey | None = None
-        # the persistent candidate order: a lazy min-heap of
-        # (-c.w, rank, key).  An entry is live while its cell exists
-        # with that rank and c.w and was not visited this batch; every
-        # cell has a live entry between batches (_settle_order)
-        self._order: list[tuple[float, int, CellKey]] = []
-        self._visited: set[CellKey] = set()
+        self._star_cell: int | None = None
+        # ids of the cells visited this batch, in visit order
+        self._visited = array("q")
 
     # -- Algorithm 2 ---------------------------------------------------------
 
@@ -161,88 +150,75 @@ class AG2Monitor(MaxRSMonitor):
         self._map_arrivals(delta)
         self._purge_all()
         cells = self._cells
-        if not cells:
+        count = cells.count
+        if not count:
             self._clear_star()
-            self._order.clear()
+            cells.clear_heap()
             return
         # lines 6-10: refresh (or re-seed) the monitored answer first so
         # the pruning threshold is as large as possible
-        start_key = self._pick_start_cell()
-        self._visit(start_key, cells[start_key])
-        self._exact_weight_computation(start_key)
+        start = self._pick_start_cell()
+        self._visit(start)
+        self._exact_weight_computation(start)
         # lines 11-15: branch-and-bound over the remaining cells; in
         # "bound" order the first Rule-1 failure prunes the rest, in
         # "arbitrary" order every cell is tested individually.  Every
         # cell not exactly computed is pruned.
         exact = 0
+        cw = cells.cw
         if self.visit_order == "bound":
-            for key, cell in self._candidates():
-                if not self._may_beat(cell.cw):
+            for c in self._candidates():
+                if not self._may_beat(cw[c]):
                     break
-                self._visit(key, cell)
-                if self._may_beat(cell.cw):
-                    self._exact_weight_computation(key)
+                self._visit(c)
+                if self._may_beat(cw[c]):
+                    self._exact_weight_computation(c)
                     exact += 1
         else:
-            for key in [key for key in cells if key != start_key]:
-                cell = cells[key]
-                if not self._may_beat(cell.cw):
+            for c in cells.by_rank():
+                if c == start or not self._may_beat(cw[c]):
                     continue
-                self._visit(key, cell)
-                if self._may_beat(cell.cw):
-                    self._exact_weight_computation(key)
+                self._visit(c)
+                if self._may_beat(cw[c]):
+                    self._exact_weight_computation(c)
                     exact += 1
-        self.stats.cells_pruned += len(cells) - 1 - exact
+        self.stats.cells_pruned += count - 1 - exact
         self._settle_order()
 
     # -- candidate order -------------------------------------------------------
 
-    def _visit(self, key: CellKey, cell: AG2Cell) -> None:
-        """Overlap-compute a candidate cell; its heap entries are dead
-        until :meth:`_settle_order` pushes its new bound."""
-        self._visited.add(key)
-        self._overlap_computation(cell)
+    def _visit(self, c: int) -> None:
+        """Overlap-compute a candidate cell, giving it its Python object
+        on the first visit; its heap entries are dead until
+        :meth:`_settle_order` pushes its new bound."""
+        cells = self._cells
+        cell = cells.objs[c]
+        if cell is None:
+            cell = self._make_cell(cells.key(c))
+            cells.hold(c, cell)
+        self._visited.append(c)
+        self._overlap_computation(c, cell)
 
-    def _live(self, entry: tuple[float, int, CellKey]) -> bool:
-        neg_cw, rank, key = entry
-        cell = self._cells.get(key)
-        return (
-            cell is not None
-            and cell.rank == rank
-            and cell.cw == -neg_cw
-            and key not in self._visited
-        )
-
-    def _candidates(self) -> Iterator[tuple[CellKey, AG2Cell]]:
-        """Unvisited cells in decreasing ``(c.w, -rank)`` order — the
-        order a stable sort over the cell dict gives.
+    def _candidates(self) -> Iterator[int]:
+        """Unvisited cells in decreasing ``(c.w, -rank)`` order: the
+        creation order breaks ties.
 
         Yields the top live entry without popping it; the caller either
-        visits the cell (killing the entry, which the next step pops) or
-        stops, leaving the entry in place.  Dead entries are dropped.
+        visits the cell (killing the entry, which the next step drops)
+        or stops, leaving the entry in place.  Dead entries are dropped.
         """
-        order = self._order
-        cells = self._cells
-        while order:
-            entry = order[0]
-            if self._live(entry):
-                yield entry[2], cells[entry[2]]
-            else:
-                heappop(order)
+        top = self._cells.top
+        c = top()
+        while c >= 0:
+            yield c
+            c = top()
 
     def _settle_order(self) -> None:
-        """Push the bound of every cell visited this batch, then rebuild
-        the heap from the cell dict once dead entries outnumber the
-        live cells, so it holds at most ``2 × len(cells)`` entries."""
-        order = self._order
-        cells = self._cells
-        for key in self._visited:
-            cell = cells[key]
-            heappush(order, (-cell.cw, cell.rank, key))
-        self._visited.clear()
-        if len(order) > 2 * len(cells):
-            order[:] = [(-cell.cw, cell.rank, key) for key, cell in cells.items()]
-            heapify(order)
+        """Push the bound of every cell visited this batch; the heap is
+        rebuilt from the live cells once dead entries outnumber them,
+        so it holds at most ``2 × cell_count`` entries."""
+        self._cells.settle(self._visited)
+        del self._visited[:]
 
     # -- batch plumbing --------------------------------------------------------
 
@@ -253,28 +229,12 @@ class AG2Monitor(MaxRSMonitor):
         start = table.route(
             delta.arrived, self.rect_width, self.rect_height, self.grid
         )
-        cells = self._cells
-        rows = table.rows
-        base = table.base
-        touched: Dict[CellKey, AG2Cell] = {}
-        for row, key in table.cells(start, len(table.objs)):
-            cell = cells.get(key)
-            if cell is None:
-                cell = self._make_cell()
-                cell.rank = self._next_cell_rank
-                self._next_cell_rank += 1
-                cells[key] = cell
-            cell.pending.append(base + row)
-            cell.cw += rows[5 * row + 4]
-            touched[key] = cell
-        order = self._order
-        for key, cell in touched.items():
-            heappush(order, (-cell.cw, cell.rank, key))
+        self._cells.map(table, start)
 
-    def _make_cell(self) -> AG2Cell:
-        """Cell factory; the top-k monitor overrides it to attach the
-        per-cell candidate list."""
-        return AG2Cell()
+    def _make_cell(self, key: CellKey) -> AG2Cell:
+        """Cell factory (first visit); the top-k monitor overrides it to
+        attach the per-cell candidate list."""
+        return AG2Cell(key)
 
     def _purge_all(self) -> None:
         """Expire stale vertices/pending entries from the cells that
@@ -285,7 +245,8 @@ class AG2Monitor(MaxRSMonitor):
         expired rows — O(expired × cells-per-rect) per batch instead of
         a scan over every materialised cell.  Purging only removes
         weight, so cell bounds remain valid upper bounds without
-        adjustment; empty cells are dropped.
+        adjustment; a cell whose newest row expired is empty and
+        dropped.
         """
         expired_upto = self._expired_upto
         if self._star is not None and self._star.seq <= expired_upto:
@@ -296,19 +257,12 @@ class AG2Monitor(MaxRSMonitor):
         if stop <= head:
             return
         cells = self._cells
-        for _row, key in table.cells(head, stop):
-            cell = cells.get(key)
-            if cell is None:
-                continue
-            # an expired row's cell: drop every expired entry (later
-            # rows covering it find nothing left to drop)
-            pending = cell.pending
-            if pending and pending[0] <= expired_upto:
-                del pending[:bisect_right(pending, expired_upto)]
-            graph = cell.graph
-            removed = 0 if graph is None else graph.expire_upto(expired_upto)
-            if not pending and not graph:
-                del cells[key]
+        objs = cells.objs
+        for c in cells.purge(table, head, stop, expired_upto):
+            cell = objs[c]
+            removed = cell.graph.expire_upto(expired_upto)
+            if not cells.alive(c):
+                cells.release(c)
             elif removed:
                 self._cell_purged(cell)
         table.expire_upto(expired_upto)
@@ -322,31 +276,18 @@ class AG2Monitor(MaxRSMonitor):
         self._star_w = _NEG_INF
         self._star_cell = None
 
-    def _pick_start_cell(self) -> CellKey:
+    def _pick_start_cell(self) -> int:
         """The cell holding ``s*``; if it expired, the Equation (6)
         heuristic: the cell with the largest upper bound."""
-        if self._star_cell is not None and self._star_cell in self._cells:
+        if self._star_cell is not None:
             return self._star_cell
         return self._top_bound_cell()
 
-    def _top_bound_cell(self) -> CellKey:
+    def _top_bound_cell(self) -> int:
         """The live cell with the largest ``c.w``; ties go to the largest
-        key, as ``max((c.w, key))`` over the cell dict would pick.
-
-        Entries tied with the root's bound form a subtree under the
-        root, so only they are read.  Requires a live cell.
-        """
-        top_key, _cell = next(self._candidates())
-        order = self._order
-        neg_cw = order[0][0]
-        stack = [1, 2]
-        while stack:
-            i = stack.pop()
-            if i < len(order) and order[i][0] == neg_cw:
-                if order[i][2] > top_key and self._live(order[i]):
-                    top_key = order[i][2]
-                stack += (2 * i + 1, 2 * i + 2)
-        return top_key
+        key, as ``max((c.w, key))`` over the cells would pick.
+        Requires a live cell."""
+        return self._cells.top_bound()
 
     def _may_beat(self, bound: float) -> bool:
         """Pruning Rule 1 (ε = 0) / Rule 3 (ε > 0): can a cell with this
@@ -357,32 +298,30 @@ class AG2Monitor(MaxRSMonitor):
 
     # -- Algorithm 3 -------------------------------------------------------------
 
-    def _overlap_computation(self, cell: AG2Cell) -> None:
+    def _overlap_computation(self, c: int, cell: AG2Cell) -> None:
         """Move pending rectangles into the graph, adding edges from
         older overlapping vertices (Equation 3 grows their bounds), then
         re-derive the cell bound from all vertex bounds (Equation 4)."""
         stats = self.stats
         stats.cells_visited += 1
         graph = cell.graph
-        if graph is None:
-            graph = cell.graph = CellGraph()
-        pending = cell.pending
+        table = self._table
+        pending = self._cells.take_pending(c, table)
         m = len(pending)
         if m:
             # row k of the set is tested against len(graph) + k vertices
             stats.overlap_tests += m * len(graph) + m * (m - 1) // 2
-            stats.edges_touched += graph.connect(self._table, pending)
-            del pending[:]
-        cell.cw = graph.max_upper()
+            stats.edges_touched += graph.connect(table, pending)
+        self._cells.cw[c] = graph.max_upper()
         stats.upper_bound_recomputes += 1
 
     # -- Algorithm 4 -------------------------------------------------------------
 
-    def _exact_weight_computation(self, key: CellKey) -> None:
+    def _exact_weight_computation(self, c: int) -> None:
         """Scan the cell's vertices; run ``Local-Plane-Sweep`` for every
         vertex that survives Pruning Rule 2/4, adopting improvements
         into the monitored answer."""
-        graph = self._cells[key].graph
+        graph = self._cells.objs[c].graph
         relax = 1.0 - self.epsilon
         tighten = self._tighten
         stats = self.stats
@@ -417,11 +356,11 @@ class AG2Monitor(MaxRSMonitor):
             if self._star is None or exact[j] > self._star_w:
                 self._star = graph.vertex(j)
                 self._star_w = exact[j]
-                self._star_cell = key
+                self._star_cell = c
         stats.vertices_pruned += pruned
         # the largest bound, or 0.0 when none is positive
         cw = graph.max_upper()
-        self._cells[key].cw = cw if cw > 0.0 else 0.0
+        self._cells.cw[c] = cw if cw > 0.0 else 0.0
         stats.upper_bound_recomputes += 1
 
     def _sweep_vertex(self, graph: CellGraph, i: int) -> None:
@@ -461,74 +400,94 @@ class AG2Monitor(MaxRSMonitor):
 
     @property
     def cell_count(self) -> int:
-        return len(self._cells)
+        return self._cells.count
 
     @property
     def vertex_count(self) -> int:
-        return sum(
-            len(c.graph) for c in self._cells.values() if c.graph is not None
-        )
+        return sum(len(c.graph) for c in self._cells.objs if c is not None)
 
     @property
     def pending_count(self) -> int:
-        return sum(len(c.pending) for c in self._cells.values())
+        cells = self._cells
+        return sum(len(cells.pending(c, self._table)) for c in cells.ids())
 
     def check_invariants(self) -> None:
-        """Verify Property 4's checkable half, the flat cell layout
-        (see :meth:`CellGraph.check_invariants`) on every cell, the
-        arrival table and the pending sets (increasing live seqs, all
-        newer than the cell's vertices), and that every cell has a live
-        candidate-order entry at its current ``c.w``.
+        """Verify Property 4's checkable half, the cell table (one hash
+        slot per live cell, a live candidate-order entry at its current
+        ``c.w``, free and held ids), the flat cell layout (see
+        :meth:`CellGraph.check_invariants`) on every visited cell, the
+        arrival table, and that each cell's vertices followed by its
+        derived pending set are exactly the live rows whose cover holds
+        it, in order.
 
         Raises :class:`InvariantViolationError` on the first violation.
         Intended for tests and debugging; never called on hot paths.
         """
         tol = 1e-6
         table = self._table
-        table.check_invariants(self._expired_upto)
-        end = table.base + len(table.objs)
-        for key, cell in self._cells.items():
-            graph = cell.graph
-            if graph is not None:
-                graph.check_invariants(f"cell {key}")
-            if cell.is_empty:
-                raise InvariantViolationError(f"empty cell {key} retained")
-            pending = cell.pending
-            newest = graph.seqs[-1] if graph else self._expired_upto
-            for seq in pending:
-                if not newest < seq < end:
-                    raise InvariantViolationError(
-                        f"cell {key}: pending seq={seq} not in "
-                        f"({newest}, {end}): expired, repeated, out of "
-                        "order or older than a vertex"
-                    )
-                newest = seq
-            top = cell.max_upper()
-            if cell.cw < top - tol:
+        expired_upto = self._expired_upto
+        table.check_invariants(expired_upto)
+        cells = self._cells
+        cells.check_invariants()
+        # the live rows covering each key, in seq order
+        covering: dict[CellKey, list[int]] = {}
+        cover = table.cover
+        for r in range(table.head, len(table.objs)):
+            i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    covering.setdefault((i, j), []).append(table.base + r)
+        ids = cells.ids()
+        if {cells.key(c) for c in ids} != set(covering):
+            raise InvariantViolationError(
+                "the live cells are not exactly the cells live rows cover"
+            )
+        for c in ids:
+            key = cells.key(c)
+            cell = cells.objs[c]
+            graph = None if cell is None else cell.graph
+            if cell is not None and cell.key != key:
                 raise InvariantViolationError(
-                    f"cell {key}: c.w={cell.cw} below max vertex bound {top}"
+                    f"cell {key}: its object names cell {cell.key}"
+                )
+            pending = cells.pending(c, table)
+            seqs = [] if graph is None else list(graph.seqs[graph.head:])
+            if seqs + pending != covering[key]:
+                raise InvariantViolationError(
+                    f"cell {key}: vertices {seqs} and pending seq="
+                    f"{pending} are not the covering rows {covering[key]}:"
+                    " a pending row expired, repeated, out of order or "
+                    "older than a vertex"
+                )
+            newest = cells.meta[CF * c + C_NEWEST]
+            if newest != covering[key][-1]:
+                raise InvariantViolationError(
+                    f"cell {key}: newest seq {newest}, "
+                    f"expected {covering[key][-1]}"
                 )
             if graph is None:
                 continue
+            graph.check_invariants(f"cell {key}")
+            top = graph.max_upper()
+            if cells.cw[c] < top - tol:
+                raise InvariantViolationError(
+                    f"cell {key}: c.w={cells.cw[c]} below max vertex "
+                    f"bound {top}"
+                )
             for i in range(graph.head, len(graph.seqs)):
-                seq = graph.seqs[i]
-                if seq <= self._expired_upto:
-                    raise InvariantViolationError(
-                        f"cell {key}: expired vertex seq={seq} retained"
-                    )
                 if not math.isfinite(graph.upper[i]):
                     raise InvariantViolationError(
-                        f"cell {key}: non-finite bound on seq={seq}"
+                        f"cell {key}: non-finite bound on seq={graph.seqs[i]}"
                     )
-        entries = set(self._order)
-        for key, cell in self._cells.items():
-            if (-cell.cw, cell.rank, key) not in entries:
-                raise InvariantViolationError(
-                    f"cell {key}: no candidate-order entry for c.w={cell.cw}"
-                )
         star = self._star
-        if star is not None and star.space.weight != self._star_w:
-            raise InvariantViolationError(
-                f"answer weight {self._star_w} differs from its vertex's "
-                f"space {star.space.weight}"
-            )
+        if star is not None:
+            if star.space.weight != self._star_w:
+                raise InvariantViolationError(
+                    f"answer weight {self._star_w} differs from its "
+                    f"vertex's space {star.space.weight}"
+                )
+            c = self._star_cell
+            if c is None or not cells.alive(c) or cells.objs[c].graph is not star.graph:
+                raise InvariantViolationError(
+                    "the answer's cell is not the live cell of its vertex"
+                )

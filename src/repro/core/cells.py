@@ -1,0 +1,744 @@
+"""aG2's cell index in flat arrays (paper §5, Algorithm 2; DESIGN.md §5).
+
+aG2 materialises a grid cell for every cell a live rectangle is mapped
+to, but on a sparse window Rule 1 prunes almost all of them: they are
+mapped to, their bound grows, they expire, and they are never visited.
+So a cell is a row of flat arrays, not a Python object, until its first
+visit.  :class:`CellTable` holds, per cell id:
+
+* ``cw`` — ``array('d')``: the cell bound ``c.w`` (Equations 4–5);
+* ``meta`` — ``array('q')``, :data:`CF` ints per cell: its key ``(i,
+  j)``; its creation rank (``-1`` once deleted); the seq of the newest
+  row mapped to it; the seq of its first pending row (``-1`` when
+  none; it may have expired since); a dedupe mark for map and purge;
+  the visit epoch it was last visited in; and whether it holds a
+  Python object;
+* ``objs`` — the cell's :class:`~repro.core.ag2.AG2Cell` (graph and key)
+  from its first visit on, else ``None``.
+
+A cell's pending set ``R`` is not stored: it is every live arrival-table
+row from the cell's first pending seq to its newest whose cover holds
+the cell (a visit moves all of them into the graph, and later rows join
+in seq order).  A cell is empty, and deleted, exactly when its newest row has
+expired.  Keys are found through an open-addressing hash (``slots``:
+linear probing, at most half full, backward-shift deletion); deleted
+ids are reused from a free stack.  The candidate order is one lazy heap
+of ``(c.w, rank, id)`` entries (``hcw`` and ``hent``), larger bound and
+then smaller rank first; an entry is live while its cell exists with
+that rank and bound and was not visited in the current epoch.
+
+Each operation is one call into the compiled library (``_sweep.c``:
+``maxrs_route``, ``maxrs_map``, ``maxrs_purge``, ``maxrs_pending``,
+``maxrs_top``, ``maxrs_top_bound``, ``maxrs_settle``), which reads and
+writes these same arrays through their addresses.  Without the library
+(``planesweep._KERNEL is None``) the Python twin below of each does the
+same work in the same order, so the arrays end up equal bit for bit.
+The arrays only grow from Python, in :meth:`CellTable.reserve`, before
+a call that may need the room.
+"""
+
+from __future__ import annotations
+
+from array import array
+from itertools import chain
+from math import isfinite
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any, Sequence
+
+from repro.core import planesweep
+from repro.core.geometry import Rect
+from repro.core.grid import UniformGrid, _axis_cells
+from repro.core.objects import SpatialObject
+from repro.errors import InvariantViolationError
+
+if TYPE_CHECKING:  # graph imports this module; annotation only
+    from repro.core.graph import ArrivalTable
+
+__all__ = ["CellTable", "route_rows"]
+
+#: ints per cell in ``meta``, and their offsets
+CF = 8
+C_I, C_J, C_RANK, C_NEWEST, C_FIRST, C_MARK, C_VISIT, C_HELD = range(CF)
+#: the ``state`` array: live cells, ids ever used, free ids, next rank,
+#: heap entries, map/purge stamp, visit epoch, hash mask
+S_COUNT, S_HWM, S_NFREE, S_RANK, S_HEAP, S_STAMP, S_VSTAMP, S_MASK = range(8)
+
+_M64 = (1 << 64) - 1
+#: cell ids a new table has room for
+_MIN_CELLS = 16
+
+
+def _home(i: int, j: int, mask: int) -> int:
+    """The home slot of key ``(i, j)``: ``_sweep.c``'s ``home``, in
+    64-bit unsigned arithmetic."""
+    h = (i * 0x9E3779B97F4A7C15 + j * 0xC2B2AE3D27D4EB4F) & _M64
+    return (h ^ (h >> 32)) & mask
+
+
+# -- the batch route ---------------------------------------------------------
+
+_XYW = attrgetter("x", "y", "weight")
+
+
+def route_rows(
+    rows: array,
+    cover: array,
+    arrived: Sequence[SpatialObject],
+    hw: float,
+    hh: float,
+    grid: UniformGrid,
+) -> int:
+    """Append each arrival's dual rectangle and weight to ``rows`` and
+    its cell cover ``(i0, i1, j0, j1)`` to ``cover``; return the number
+    of (row, cell) pairs.  ``maxrs_route``, or :func:`_route_python`
+    without the kernel or when the kernel declines the batch (a bound
+    that is not finite, a cell index beyond 2**52, a cover too large to
+    count in 64 bits)."""
+    kernel = planesweep._KERNEL
+    n = len(arrived)
+    if kernel is not None and n:
+        xyw = array("d", chain.from_iterable(map(_XYW, arrived)))
+        r0 = len(rows)
+        c0 = len(cover)
+        rows.frombytes(bytes(40 * n))
+        cover.frombytes(bytes(32 * n))
+        pairs = kernel.route(
+            xyw.buffer_info()[0], n, hw, hh,
+            grid.cell_size, grid.origin_x, grid.origin_y,
+            rows.buffer_info()[0] + 8 * r0, cover.buffer_info()[0] + 8 * c0,
+        )
+        if pairs >= 0:
+            return pairs
+        del rows[r0:]
+        del cover[c0:]
+    return _route_python(rows, cover, arrived, hw, hh, grid)
+
+
+def _route_python(
+    rows: array,
+    cover: array,
+    arrived: Sequence[SpatialObject],
+    hw: float,
+    hh: float,
+    grid: UniformGrid,
+) -> int:
+    """The Python ``maxrs_route``: ``Rect.from_center``'s bounds, float
+    operation for float operation, and ``grid.cell_keys``' cover (one
+    ``_axis_cells`` per axis, in exact integers).  A bound that is not
+    finite makes ``Rect`` raise the error the dual transform raises,
+    before any row is appended."""
+    cs = grid.cell_size
+    ox = grid.origin_x
+    oy = grid.origin_y
+    new_rows: list[float] = []
+    new_cover: list[int] = []
+    pairs = 0
+    for obj in arrived:
+        x = obj.x
+        y = obj.y
+        x1 = x - hw
+        y1 = y - hh
+        x2 = x + hw
+        y2 = y + hh
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+            Rect(x1, y1, x2, y2)  # raises InvalidGeometryError
+        new_rows += (x1, y1, x2, y2, obj.weight)
+        if x1 == x2 or y1 == y2:  # degenerate: overlaps no cell
+            new_cover += (0, -1, 0, -1)
+            continue
+        xs = _axis_cells(x1, x2, ox, cs)
+        ys = _axis_cells(y1, y2, oy, cs)
+        new_cover += (xs.start, xs.stop - 1, ys.start, ys.stop - 1)
+        pairs += len(xs) * len(ys)
+    # the cover first: an index beyond 64 bits fails there, and a
+    # failed fromlist appends nothing
+    cover.fromlist(new_cover)
+    rows.fromlist(new_rows)
+    return pairs
+
+
+# -- the cell table ------------------------------------------------------------
+
+
+class CellTable:
+    """aG2's live cells, their hash index and the candidate heap, as flat
+    arrays (see the module docstring).  The monitor drives it once per
+    batch: :meth:`map`, :meth:`purge`, then visits (:meth:`take_pending`,
+    :meth:`top`, :meth:`top_bound`), then :meth:`settle`."""
+
+    __slots__ = (
+        "cw", "meta", "slots", "free", "hcw", "hent", "state", "objs",
+        "scratch", "pend", "cap", "hcap", "addr", "_ptrs",
+    )
+
+    def __init__(self) -> None:
+        self.cw = array("d")
+        self.meta = array("q")
+        self.slots = array("q")
+        self.free = array("q")
+        self.hcw = array("d")
+        self.hent = array("q")
+        self.state = array("q", bytes(64))
+        #: the Python object of every cell visited at least once
+        self.objs: list[Any] = []
+        #: per-call output of map (touched ids) and purge (held ids)
+        self.scratch = array("q")
+        #: per-call output of a visit's pending scan
+        self.pend = array("q")
+        self.cap = 0
+        self.hcap = 0
+        self._grow(_MIN_CELLS)
+        self._grow_heap(2 * _MIN_CELLS)
+
+    # -- sizing ------------------------------------------------------------
+
+    def _address(self) -> None:
+        """Refresh the address array the kernel reads the table from."""
+        self._ptrs = array("Q", [
+            a.buffer_info()[0]
+            for a in (self.cw, self.meta, self.slots, self.free, self.hcw,
+                      self.hent, self.state)
+        ])
+        self.addr = self._ptrs.buffer_info()[0]
+
+    def _grow(self, need: int) -> None:
+        """Room for ``need`` cell ids, and a hash of at least twice as
+        many slots, rebuilt from the live cells in id order."""
+        extra = max(need, 2 * self.cap) - self.cap
+        self.cap += extra
+        self.cw.frombytes(bytes(8 * extra))
+        self.meta.frombytes(bytes(8 * CF * extra))
+        self.free.frombytes(bytes(8 * extra))
+        self.scratch.frombytes(bytes(8 * extra))
+        self.objs += [None] * extra
+        size = 1 << (2 * self.cap - 1).bit_length()
+        mask = size - 1
+        slots = self.slots = array("q", [-1]) * size
+        meta = self.meta
+        self.state[S_MASK] = mask
+        for c in self.ids():
+            s = _home(meta[CF * c + C_I], meta[CF * c + C_J], mask)
+            while slots[s] >= 0:
+                s = (s + 1) & mask
+            slots[s] = c
+        self._address()
+
+    def _grow_heap(self, need: int) -> None:
+        extra = max(need, 2 * self.hcap) - self.hcap
+        self.hcap += extra
+        self.hcw.frombytes(bytes(8 * extra))
+        self.hent.frombytes(bytes(16 * extra))
+        self._address()
+
+    def reserve(self, pairs: int) -> None:
+        """Room for a batch of ``pairs`` (row, cell) pairs: as many new
+        cells and heap entries at most."""
+        state = self.state
+        need = state[S_HWM] + max(0, pairs - state[S_NFREE])
+        if need > self.cap:
+            self._grow(need)
+        if state[S_HEAP] + pairs > self.hcap:
+            self._grow_heap(state[S_HEAP] + pairs)
+
+    # -- reading -------------------------------------------------------------
+
+    @property
+    def count(self) -> int:
+        """The number of live cells."""
+        return self.state[S_COUNT]
+
+    def alive(self, c: int) -> bool:
+        return self.meta[CF * c + C_RANK] >= 0
+
+    def key(self, c: int) -> tuple[int, int]:
+        b = CF * c
+        return self.meta[b + C_I], self.meta[b + C_J]
+
+    def rank(self, c: int) -> int:
+        return self.meta[CF * c + C_RANK]
+
+    def find(self, key: tuple[int, int]) -> int:
+        """The id of the live cell with this key, or ``-1``."""
+        return _find(self, key[0], key[1])[0]
+
+    def ids(self) -> list[int]:
+        """The live cell ids, ascending."""
+        meta = self.meta
+        return [
+            c for c in range(self.state[S_HWM]) if meta[CF * c + C_RANK] >= 0
+        ]
+
+    def by_rank(self) -> list[int]:
+        """The live cell ids in creation order."""
+        ids = self.ids()
+        ids.sort(key=self.rank)
+        return ids
+
+    def held_by_rank(self) -> list[Any]:
+        """The objects of the visited live cells, in creation order."""
+        objs = self.objs
+        ids = [c for c in range(self.state[S_HWM]) if objs[c] is not None]
+        ids.sort(key=self.rank)
+        return [objs[c] for c in ids]
+
+    def pending(self, c: int, table: "ArrivalTable") -> list[int]:
+        """The seqs of cell ``c``'s pending set, oldest first (no side
+        effect; diagnostics and checks)."""
+        base = table.base
+        return _pending_rows(self, c, table.cover, base, base + table.head)
+
+    # -- the batch steps -------------------------------------------------
+
+    def map(self, table: "ArrivalTable", start: int) -> None:
+        """Algorithm 2 lines 1–5 for the table rows from ``start`` on
+        (the batch :meth:`ArrivalTable.route` just appended)."""
+        self.reserve(table.pairs)
+        rows = table.rows
+        cover = table.cover
+        stop = len(table.objs)
+        kernel = planesweep._KERNEL
+        if kernel is None:
+            _map_python(self, rows, cover, table.base, start, stop)
+        else:
+            kernel.map(
+                self.addr, rows.buffer_info()[0], cover.buffer_info()[0],
+                table.base, start, stop, self.scratch.buffer_info()[0],
+            )
+
+    def purge(
+        self, table: "ArrivalTable", head: int, stop: int, expired_upto: int
+    ) -> array:
+        """Expire the table rows ``head .. stop - 1`` from their cells
+        (deleting the cells left empty); returns the ids of the touched
+        cells that hold an object, deleted ones included."""
+        cover = table.cover
+        kernel = planesweep._KERNEL
+        if kernel is None:
+            n = _purge_python(self, cover, head, stop, expired_upto)
+        else:
+            n = kernel.purge(
+                self.addr, cover.buffer_info()[0], head, stop, expired_upto,
+                self.scratch.buffer_info()[0],
+            )
+        return self.scratch[:n]
+
+    def take_pending(self, c: int, table: "ArrivalTable") -> array:
+        """Mark cell ``c`` visited and hand over its pending set, an
+        increasing ``array('q')`` of seqs; the set is then empty."""
+        b = CF * c
+        meta = self.meta
+        first = meta[b + C_FIRST]
+        if first < 0:
+            meta[b + C_VISIT] = self.state[S_VSTAMP]
+            return array("q")
+        base = table.base
+        live = base + table.head
+        out = self.pend
+        span = meta[b + C_NEWEST] - max(first, live) + 1
+        if len(out) < span:
+            out.frombytes(bytes(8 * max(span, len(out))))
+        kernel = planesweep._KERNEL
+        if kernel is None:
+            n = _pending_python(self, c, table.cover, base, live, out)
+        else:
+            n = kernel.pending(
+                self.addr, c, table.cover.buffer_info()[0], base, live,
+                out.buffer_info()[0],
+            )
+        return out[:n]
+
+    def top(self) -> int:
+        """The unvisited live cell first in ``(c.w desc, rank)`` order,
+        or ``-1``; dead heap entries above it are dropped."""
+        kernel = planesweep._KERNEL
+        if kernel is None:
+            return _top_python(self)
+        return kernel.top(self.addr)
+
+    def top_bound(self) -> int:
+        """The live cell with the largest ``c.w``, ties to the largest
+        key; ``-1`` when none is left."""
+        kernel = planesweep._KERNEL
+        if kernel is None:
+            return _top_bound_python(self)
+        c = kernel.top_bound(self.addr)
+        if c < -1:
+            raise MemoryError("cell heap kernel out of memory")
+        return c
+
+    def settle(self, visited: array) -> None:
+        """End of a batch: push the bound of every visited cell (an
+        ``array('q')`` of ids), end the visit epoch, and rebuild the
+        heap once it holds more than twice the live cells."""
+        state = self.state
+        if state[S_HEAP] + len(visited) > self.hcap:
+            self._grow_heap(state[S_HEAP] + len(visited))
+        kernel = planesweep._KERNEL
+        if kernel is None:
+            _settle_python(self, visited)
+        else:
+            kernel.settle(self.addr, visited.buffer_info()[0], len(visited))
+
+    def clear_heap(self) -> None:
+        self.state[S_HEAP] = 0
+
+    def hold(self, c: int, obj: Any) -> None:
+        """Attach the Python object of cell ``c`` (its first visit)."""
+        self.objs[c] = obj
+        self.meta[CF * c + C_HELD] = 1
+
+    def release(self, c: int) -> None:
+        """Let go of a deleted cell's object."""
+        self.objs[c] = None
+
+    # -- checks ------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Verify the id bookkeeping, the hash and the heap; raises
+        :class:`InvariantViolationError`.  Between batches only (no cell
+        marked visited).  Tests only."""
+        state = self.state
+        meta = self.meta
+        hwm = state[S_HWM]
+        live = self.ids()
+        dead = sorted(set(range(hwm)) - set(live))
+        if state[S_COUNT] != len(live):
+            raise InvariantViolationError(
+                f"cell table: count {state[S_COUNT]}, {len(live)} live ids"
+            )
+        if sorted(self.free[:state[S_NFREE]]) != dead:
+            raise InvariantViolationError(
+                "cell table: the free ids are not exactly the deleted ones"
+            )
+        ranks = [meta[CF * c + C_RANK] for c in live]
+        if len(set(ranks)) != len(ranks) or any(
+            r >= state[S_RANK] for r in ranks
+        ):
+            raise InvariantViolationError("cell table: ranks not unique")
+        slots = self.slots
+        mask = state[S_MASK]
+        if len(slots) != mask + 1 or len(slots) < 2 * self.cap:
+            raise InvariantViolationError("cell table: hash size")
+        held = [c for c in slots if c >= 0]
+        if sorted(held) != live:
+            raise InvariantViolationError(
+                "cell table: hash slots are not one per live cell"
+            )
+        for c in live:
+            b = CF * c
+            if _find(self, meta[b + C_I], meta[b + C_J])[0] != c:
+                raise InvariantViolationError(
+                    f"cell {self.key(c)}: not reachable from its home slot"
+                )
+            if meta[b + C_VISIT] == state[S_VSTAMP]:
+                raise InvariantViolationError(
+                    f"cell {self.key(c)}: still marked visited"
+                )
+            if bool(meta[b + C_HELD]) != (self.objs[c] is not None):
+                raise InvariantViolationError(
+                    f"cell {self.key(c)}: held flag disagrees with its object"
+                )
+        if any(self.objs[c] is not None for c in dead) or any(
+            obj is not None for obj in self.objs[hwm:]
+        ):
+            raise InvariantViolationError(
+                "cell table: a deleted cell keeps its object"
+            )
+        n = state[S_HEAP]
+        for k in range(1, n):
+            if _ahead(self, k, (k - 1) // 2):
+                raise InvariantViolationError(
+                    f"candidate heap out of order at entry {k}"
+                )
+        entries = {
+            (self.hcw[k], self.hent[2 * k], self.hent[2 * k + 1])
+            for k in range(n)
+        }
+        for c in live:
+            if (self.cw[c], meta[CF * c + C_RANK], c) not in entries:
+                raise InvariantViolationError(
+                    f"cell {self.key(c)}: no candidate-order entry for "
+                    f"c.w={self.cw[c]}"
+                )
+
+
+# -- the Python twins ------------------------------------------------------------
+
+
+def _find(t: CellTable, i: int, j: int) -> tuple[int, int]:
+    """``(id, slot)`` of cell ``(i, j)``, or ``(-1, empty slot)``."""
+    meta = t.meta
+    slots = t.slots
+    mask = t.state[S_MASK]
+    s = _home(i, j, mask)
+    while True:
+        c = slots[s]
+        if c < 0 or (meta[CF * c + C_I] == i and meta[CF * c + C_J] == j):
+            return c, s
+        s = (s + 1) & mask
+
+
+def _create(t: CellTable, slot: int, i: int, j: int) -> int:
+    state = t.state
+    if state[S_NFREE] > 0:
+        state[S_NFREE] -= 1
+        c = t.free[state[S_NFREE]]
+    else:
+        c = state[S_HWM]
+        state[S_HWM] += 1
+    b = CF * c
+    t.meta[b:b + CF] = array("q", (i, j, state[S_RANK], -1, -1, 0, -1, 0))
+    state[S_RANK] += 1
+    t.cw[c] = 0.0
+    t.slots[slot] = c
+    state[S_COUNT] += 1
+    return c
+
+
+def _drop(t: CellTable, c: int) -> None:
+    """Delete cell ``c``: backward-shift its probe chain, free its id."""
+    meta = t.meta
+    slots = t.slots
+    state = t.state
+    mask = state[S_MASK]
+    b = CF * c
+    s = _home(meta[b + C_I], meta[b + C_J], mask)
+    while slots[s] != c:
+        s = (s + 1) & mask
+    j = s
+    while True:
+        j = (j + 1) & mask
+        d = slots[j]
+        if d < 0:
+            break
+        h = _home(meta[CF * d + C_I], meta[CF * d + C_J], mask)
+        # d moves into the hole unless its home lies in (s, j]
+        if (j - h) & mask >= (j - s) & mask:
+            slots[s] = d
+            s = j
+    slots[s] = -1
+    meta[b + C_RANK] = -1
+    meta[b + C_HELD] = 0
+    t.free[state[S_NFREE]] = c
+    state[S_NFREE] += 1
+    state[S_COUNT] -= 1
+
+
+def _ahead(t: CellTable, a: int, b: int) -> bool:
+    """Heap entry ``a`` goes before ``b``: larger bound, then smaller
+    rank."""
+    x = t.hcw[a]
+    y = t.hcw[b]
+    return x > y or (x == y and t.hent[2 * a] < t.hent[2 * b])
+
+
+def _swap(t: CellTable, a: int, b: int) -> None:
+    hcw = t.hcw
+    hent = t.hent
+    hcw[a], hcw[b] = hcw[b], hcw[a]
+    hent[2 * a], hent[2 * b] = hent[2 * b], hent[2 * a]
+    hent[2 * a + 1], hent[2 * b + 1] = hent[2 * b + 1], hent[2 * a + 1]
+
+
+def _sift_down(t: CellTable, k: int, n: int) -> None:
+    while True:
+        left = 2 * k + 1
+        if left >= n:
+            return
+        b = left + 1 if left + 1 < n and _ahead(t, left + 1, left) else left
+        if not _ahead(t, b, k):
+            return
+        _swap(t, b, k)
+        k = b
+
+
+def _push(t: CellTable, c: int) -> None:
+    state = t.state
+    k = state[S_HEAP]
+    state[S_HEAP] += 1
+    t.hcw[k] = t.cw[c]
+    t.hent[2 * k] = t.meta[CF * c + C_RANK]
+    t.hent[2 * k + 1] = c
+    while k > 0:
+        parent = (k - 1) // 2
+        if not _ahead(t, k, parent):
+            return
+        _swap(t, k, parent)
+        k = parent
+
+
+def _pop(t: CellTable) -> None:
+    state = t.state
+    state[S_HEAP] -= 1
+    n = state[S_HEAP]
+    if n > 0:
+        t.hcw[0] = t.hcw[n]
+        t.hent[0] = t.hent[2 * n]
+        t.hent[1] = t.hent[2 * n + 1]
+        _sift_down(t, 0, n)
+
+
+def _live(t: CellTable, k: int) -> bool:
+    c = t.hent[2 * k + 1]
+    b = CF * c
+    meta = t.meta
+    return (
+        meta[b + C_RANK] == t.hent[2 * k]
+        and t.cw[c] == t.hcw[k]
+        and meta[b + C_VISIT] != t.state[S_VSTAMP]
+    )
+
+
+def _map_python(
+    t: CellTable, rows: array, cover: array, base: int, start: int, stop: int
+) -> int:
+    """The Python ``maxrs_map``: find or create every covered cell, rows
+    in order; grow its bound by the row's weight (Equation 5) and make
+    the row its newest (and first pending, if none); then push one heap
+    entry per touched cell, in first-touch order, at its final bound."""
+    state = t.state
+    state[S_STAMP] += 1
+    stamp = state[S_STAMP]
+    meta = t.meta
+    cw = t.cw
+    touched = t.scratch
+    nt = 0
+    for r in range(start, stop):
+        i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
+        w = rows[5 * r + 4]
+        seq = base + r
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                c, slot = _find(t, i, j)
+                if c < 0:
+                    c = _create(t, slot, i, j)
+                b = CF * c
+                cw[c] += w
+                meta[b + C_NEWEST] = seq
+                if meta[b + C_FIRST] < 0:
+                    meta[b + C_FIRST] = seq
+                if meta[b + C_MARK] != stamp:
+                    meta[b + C_MARK] = stamp
+                    touched[nt] = c
+                    nt += 1
+    for k in range(nt):
+        _push(t, touched[k])
+    return nt
+
+
+def _purge_python(
+    t: CellTable, cover: array, head: int, stop: int, expired_upto: int
+) -> int:
+    """The Python ``maxrs_purge``: each cell covered by an expired row,
+    once, in row order — reported when it holds an object, deleted when
+    its newest row expired."""
+    state = t.state
+    state[S_STAMP] += 1
+    stamp = state[S_STAMP]
+    meta = t.meta
+    held = t.scratch
+    n = 0
+    for r in range(head, stop):
+        i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                c = _find(t, i, j)[0]
+                if c < 0:
+                    continue
+                b = CF * c
+                if meta[b + C_MARK] == stamp:
+                    continue
+                meta[b + C_MARK] = stamp
+                if meta[b + C_HELD]:
+                    held[n] = c
+                    n += 1
+                if meta[b + C_NEWEST] <= expired_upto:
+                    _drop(t, c)
+    return n
+
+
+def _pending_rows(
+    t: CellTable, c: int, cover: array, base: int, live: int
+) -> list[int]:
+    """The seqs of cell ``c``'s pending rows that are live (from seq
+    ``live`` on), in order."""
+    meta = t.meta
+    b = CF * c
+    first = meta[b + C_FIRST]
+    if first < 0:
+        return []
+    i = meta[b + C_I]
+    j = meta[b + C_J]
+    seqs = []
+    for seq in range(max(first, live), meta[b + C_NEWEST] + 1):
+        k = 4 * (seq - base)
+        if cover[k] <= i <= cover[k + 1] and cover[k + 2] <= j <= cover[k + 3]:
+            seqs.append(seq)
+    return seqs
+
+
+def _pending_python(
+    t: CellTable, c: int, cover: array, base: int, live: int, out: array
+) -> int:
+    """The Python ``maxrs_pending``: mark the cell visited and move its
+    pending seqs into ``out``."""
+    b = CF * c
+    t.meta[b + C_VISIT] = t.state[S_VSTAMP]
+    seqs = _pending_rows(t, c, cover, base, live)
+    t.meta[b + C_FIRST] = -1
+    out[:len(seqs)] = array("q", seqs)
+    return len(seqs)
+
+
+def _top_python(t: CellTable) -> int:
+    """The Python ``maxrs_top``."""
+    state = t.state
+    while state[S_HEAP] > 0:
+        if _live(t, 0):
+            return t.hent[1]
+        _pop(t)
+    return -1
+
+
+def _top_bound_python(t: CellTable) -> int:
+    """The Python ``maxrs_top_bound``: entries tied with the root's
+    bound form a subtree under the root, so only they are read."""
+    best = _top_python(t)
+    if best < 0:
+        return best
+    n = t.state[S_HEAP]
+    bound = t.hcw[0]
+    meta = t.meta
+    stack = [1, 2]
+    while stack:
+        k = stack.pop()
+        if k >= n or t.hcw[k] != bound:
+            continue
+        c = t.hent[2 * k + 1]
+        if (meta[CF * c + C_I], meta[CF * c + C_J]) > (
+            meta[CF * best + C_I], meta[CF * best + C_J]
+        ) and _live(t, k):
+            best = c
+        stack += (2 * k + 1, 2 * k + 2)
+    return best
+
+
+def _settle_python(t: CellTable, visited: array) -> None:
+    """The Python ``maxrs_settle``."""
+    for c in visited:
+        _push(t, c)
+    state = t.state
+    state[S_VSTAMP] += 1
+    if state[S_HEAP] > 2 * state[S_COUNT]:
+        size = 0
+        meta = t.meta
+        for c in range(state[S_HWM]):
+            if meta[CF * c + C_RANK] < 0:
+                continue
+            t.hcw[size] = t.cw[c]
+            t.hent[2 * size] = meta[CF * c + C_RANK]
+            t.hent[2 * size + 1] = c
+            size += 1
+        state[S_HEAP] = size
+        for k in range(size // 2 - 1, -1, -1):
+            _sift_down(t, k, size)

@@ -37,7 +37,7 @@ Per-vertex state lives in arrays parallel to the buffer, indexed alike:
 New rectangles come from an :class:`ArrivalTable`, the monitor's one
 seq-indexed table of routed arrivals (rows of the same 5 doubles plus
 each row's cell cover).  :meth:`CellGraph.connect` inserts a whole
-pending set — a cell's ``array('q')`` of seqs — in one call into the
+pending set — an ``array('q')`` of seqs — in one call into the
 compiled ``maxrs_insert`` (``repro.core.planesweep``), which copies the
 rows in and, for each new row in arrival order, adds its weight to the
 bound of every older overlapping vertex.  :class:`Vertex` is a
@@ -51,11 +51,11 @@ top-k and Algorithm 5.
 from __future__ import annotations
 
 from array import array
-from math import isfinite
 from typing import Iterator, Sequence
 
+from repro.core.cells import route_rows
 from repro.core.geometry import Rect
-from repro.core.grid import CellKey, UniformGrid, _axis_cells
+from repro.core.grid import CellKey, UniformGrid
 from repro.core.objects import SpatialObject, WeightedRect
 from repro.core.planesweep import (
     _above_flat,
@@ -90,7 +90,7 @@ class ArrivalTable:
     as in :class:`CellGraph`.
     """
 
-    __slots__ = ("rows", "cover", "objs", "head", "base")
+    __slots__ = ("rows", "cover", "objs", "head", "base", "pairs")
 
     def __init__(self, base: int = 0) -> None:
         self.rows = array("d")
@@ -100,6 +100,8 @@ class ArrivalTable:
         self.head = 0
         #: seq of the row at index 0
         self.base = base
+        #: (row, cell) pairs of the last routed batch
+        self.pairs = 0
 
     def __len__(self) -> int:
         return len(self.objs) - self.head
@@ -112,42 +114,21 @@ class ArrivalTable:
         grid: UniformGrid,
     ) -> int:
         """Append one row per arrival, in order, and return the index of
-        the first.
+        the first; :attr:`pairs` becomes the batch's (row, cell) pair
+        count.
 
         The bounds are ``Rect.from_center``'s, float operation for
         float operation, and the cover is ``grid.cell_keys``' (one
-        ``_axis_cells`` per axis), but no ``Rect`` is built unless a
-        bound is not finite: then ``Rect`` raises the error the dual
-        transform raises, before any row is appended.
+        ``_axis_cells`` per axis); one ``maxrs_route`` call computes
+        both for the whole batch (:func:`repro.core.cells.route_rows`).
+        No ``Rect`` is built unless a bound is not finite: then
+        ``Rect`` raises the error the dual transform raises, before any
+        row is appended.
         """
-        hw = width / 2.0
-        hh = height / 2.0
-        cs = grid.cell_size
-        ox = grid.origin_x
-        oy = grid.origin_y
-        rows: list[float] = []
-        cover: list[int] = []
-        for obj in arrived:
-            x = obj.x
-            y = obj.y
-            x1 = x - hw
-            y1 = y - hh
-            x2 = x + hw
-            y2 = y + hh
-            if not (
-                isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
-            ):
-                Rect(x1, y1, x2, y2)  # raises InvalidGeometryError
-            rows += (x1, y1, x2, y2, obj.weight)
-            if x1 == x2 or y1 == y2:  # degenerate: overlaps no cell
-                cover += (0, -1, 0, -1)
-                continue
-            xs = _axis_cells(x1, x2, ox, cs)
-            ys = _axis_cells(y1, y2, oy, cs)
-            cover += (xs.start, xs.stop - 1, ys.start, ys.stop - 1)
         start = len(self.objs)
-        self.rows.fromlist(rows)
-        self.cover.fromlist(cover)
+        self.pairs = route_rows(
+            self.rows, self.cover, arrived, width / 2.0, height / 2.0, grid
+        )
         self.objs += arrived
         return start
 
@@ -280,8 +261,9 @@ class Vertex:
 class CellGraph:
     """The dynamic graph of one grid cell, in arrival order.
 
-    Used directly by G2; aG2 wraps it with the pending set ``R`` and
-    the cell bound ``c.w`` (see ``repro.core.ag2``).  The live vertices
+    Used directly by G2; aG2 holds one per visited cell and keeps the
+    pending set ``R`` and the cell bound ``c.w`` in its cell table (see
+    ``repro.core.cells``).  The live vertices
     are the array indices ``head .. len(seqs) - 1``.
     """
 

@@ -38,7 +38,11 @@ row, :func:`_insert_python`), ``maxrs_local`` (gather, clip and sweep,
 :func:`_local_python`), ``maxrs_max`` and ``maxrs_above`` (the bound
 scans of ``CellGraph``).  Each has one dispatcher here
 (``_sweep_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
-``_max_flat``, ``_above_flat``) and nothing else reads ``_KERNEL``.  Items are a
+``_max_flat``, ``_above_flat``); the same library's aG2 cell-index
+entry points (``maxrs_route``, ``maxrs_map``, ``maxrs_purge``,
+``maxrs_pending``, ``maxrs_top``, ``maxrs_top_bound``,
+``maxrs_settle``) are dispatched, with their Python twins, in
+``repro.core.cells``; nothing else reads ``_KERNEL``.  Items are a
 flat ``array('d')`` of 5 doubles each, ``(x1, y1, x2, y2, weight)`` —
 the layout of a graph cell's buffer, so a call passes a pointer and a
 count.  The library is compiled with gcc on first import into a
@@ -157,6 +161,13 @@ class _Kernel(NamedTuple):
     local: object
     max: object
     above: object
+    route: object
+    map: object
+    purge: object
+    pending: object
+    top: object
+    top_bound: object
+    settle: object
 
 
 def _open(path: Path) -> _Kernel:
@@ -176,6 +187,13 @@ def _open(path: Path) -> _Kernel:
         library.maxrs_local,
         library.maxrs_max,
         library.maxrs_above,
+        library.maxrs_route,
+        library.maxrs_map,
+        library.maxrs_purge,
+        library.maxrs_pending,
+        library.maxrs_top,
+        library.maxrs_top_bound,
+        library.maxrs_settle,
     )
     kernel.sweep.argtypes = (ptr, long_, ptr)
     kernel.sweep.restype = ctypes.c_int
@@ -193,6 +211,24 @@ def _open(path: Path) -> _Kernel:
         ptr, long_, long_, ctypes.c_double, ctypes.c_double
     )
     kernel.above.restype = long_
+    double = ctypes.c_double
+    kernel.route.argtypes = (
+        ptr, long_, double, double, double, double, double, ptr, ptr
+    )
+    kernel.route.restype = long_
+    # the cell-table entry points take the table's address array first
+    kernel.map.argtypes = (ptr, ptr, ptr, long_, long_, long_, ptr)
+    kernel.map.restype = long_
+    kernel.purge.argtypes = (ptr, ptr, long_, long_, long_, ptr)
+    kernel.purge.restype = long_
+    kernel.pending.argtypes = (ptr, long_, ptr, long_, long_, ptr)
+    kernel.pending.restype = long_
+    kernel.top.argtypes = (ptr,)
+    kernel.top.restype = long_
+    kernel.top_bound.argtypes = (ptr,)
+    kernel.top_bound.restype = long_
+    kernel.settle.argtypes = (ptr, ptr, long_)
+    kernel.settle.restype = None
     return kernel
 
 

@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
-from typing import Deque, Sequence
+from array import array
+from typing import Sequence
 
+from repro.core.geometry import Rect
 from repro.core.monitor import MaxRSMonitor
-from repro.core.objects import WeightedRect
-from repro.core.planesweep import plane_sweep_max
+from repro.core.objects import WeightedRect, dual_rect
+from repro.core.planesweep import _sweep_flat, plane_sweep_max
 from repro.core.spaces import MaxRSResult, Region
 from repro.errors import InvalidParameterError
 from repro.window.base import SlidingWindow, WindowUpdate
@@ -105,31 +106,53 @@ class SamplingMonitor(MaxRSMonitor):
             )
         self.epsilon = epsilon
         self._rng = random.Random(seed)
-        self._alive: Deque[WeightedRect] = deque()
 
     def _on_delta(self, delta: WindowUpdate) -> None:
-        for _ in delta.expired:
-            self._alive.popleft()
+        # rectangles are built for the sample only, at answer time; an
+        # arrival whose dual rectangle has a bound that is not finite
+        # still fails here, as the dual transform would
+        hw = self.rect_width / 2.0
+        hh = self.rect_height / 2.0
         for obj in delta.arrived:
-            self._alive.append(
-                WeightedRect.from_object(obj, self.rect_width, self.rect_height)
-            )
+            x = obj.x
+            y = obj.y
+            if not (
+                math.isfinite(x - hw) and math.isfinite(x + hw)
+                and math.isfinite(y - hh) and math.isfinite(y + hh)
+            ):
+                dual_rect(obj, self.rect_width, self.rect_height)
 
     def _compute_result(self, tick: int) -> MaxRSResult:
         # sampling gives no deterministic weight floor (only the
         # probabilistic 1-1/n bound), so the contract says guarantee 0
-        rects = list(self._alive)
-        if not rects:
+        objs = self.window.contents
+        n = len(objs)
+        if not n:
             return MaxRSResult(
                 tick=tick, window_size=0, mode="sampling", guarantee=0.0
             )
         self.stats.full_sweeps += 1
-        size = suggested_sample_size(len(rects), self.epsilon)
-        region = sample_maxrs(rects, size, self._rng)
+        # sample_maxrs over the window, drawing the same sample, but
+        # building only the sampled rectangles, as flat sweep items
+        size = suggested_sample_size(n, self.epsilon)
+        chosen = objs if size >= n else self._rng.sample(objs, size)
+        hw = self.rect_width / 2.0
+        hh = self.rect_height / 2.0
+        cell = _sweep_flat(array("d", [
+            v for o in chosen
+            for v in (o.x - hw, o.y - hh, o.x + hw, o.y + hh, o.weight)
+        ]))
+        region = None
+        if cell is not None:
+            w, x1, y1, x2, y2 = cell
+            region = Region(
+                rect=Rect(x1, y1, x2, y2),
+                weight=w if size >= n else w * (n / size),
+            )
         return MaxRSResult.single(
             region,
             tick=tick,
-            window_size=len(rects),
+            window_size=n,
             mode="sampling",
             guarantee=0.0,
         )

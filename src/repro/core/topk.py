@@ -8,9 +8,10 @@ anchored spaces, de-duplicated by anchor object across grid cells.
 
 Bookkeeping beyond Algorithm 2 (see DESIGN.md §1 "Top-k semantics"):
 
-* every cell keeps ``top`` — its k best vertices by exact space weight —
-  rebuilt whenever the cell is exactly recomputed or loses a listed
-  vertex to expiry;
+* every visited cell's object (``_TopKCell``, made on its first visit)
+  keeps ``top`` — its k best vertices by exact space weight — rebuilt
+  whenever the cell is exactly recomputed or loses a listed vertex to
+  expiry; a cell never visited has no vertex to list;
 * the global threshold ``ρ`` is the k-th best weight over all cell
   lists (a valid lower bound of the true k-th value, which is all
   pruning soundness requires);
@@ -56,8 +57,8 @@ class _TopKCell(AG2Cell):
 
     __slots__ = ("top",)
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, key: CellKey) -> None:
+        super().__init__(key)
         self.top: list[tuple[float, int, Vertex]] = []
 
     def rebuild_top(self, k: int) -> None:
@@ -95,8 +96,8 @@ class TopKAG2Monitor(AG2Monitor):
 
     # -- cell plumbing overrides ------------------------------------------------
 
-    def _make_cell(self) -> AG2Cell:
-        return _TopKCell()
+    def _make_cell(self, key: CellKey) -> AG2Cell:
+        return _TopKCell(key)
 
     def _cell_purged(self, cell: AG2Cell) -> None:
         assert isinstance(cell, _TopKCell)
@@ -115,9 +116,10 @@ class TopKAG2Monitor(AG2Monitor):
         self._star = None  # top-1 bookkeeping unused in top-k mode
         self._star_cell = None
         cells = self._cells
-        if not cells:
+        count = cells.count
+        if not count:
             self._answer = []
-            self._order.clear()
+            cells.clear_heap()
             return
         candidates = self._merge_candidates()
         rho = self._kth_weight(candidates)
@@ -129,22 +131,25 @@ class TopKAG2Monitor(AG2Monitor):
                 self.k, candidates.values(), key=lambda entry: entry[0]
             )
         }
-        if not priority:
-            priority = {self._top_bound_cell()}
-        for key in priority:
-            self._visit(key, cells[key])
-            rho = self._exact_topk(key, rho, candidates)
+        first = (
+            [cells.find(key) for key in priority] if priority
+            else [self._top_bound_cell()]
+        )
+        for c in first:
+            self._visit(c)
+            rho = self._exact_topk(c, rho, candidates)
         # lines 7-8: branch-and-bound over the remaining cells in
         # decreasing c.w; every cell not exactly computed is pruned
         exact = 0
-        for key, cell in self._candidates():
-            if not cell.cw > rho:
+        cw = cells.cw
+        for c in self._candidates():
+            if not cw[c] > rho:
                 break
-            self._visit(key, cell)
-            if cell.cw > rho:
-                rho = self._exact_topk(key, rho, candidates)
+            self._visit(c)
+            if cw[c] > rho:
+                rho = self._exact_topk(c, rho, candidates)
                 exact += 1
-        self.stats.cells_pruned += len(cells) - len(priority) - exact
+        self.stats.cells_pruned += count - len(first) - exact
         self._answer = self._rank(candidates)
         self._settle_order()
 
@@ -154,12 +159,12 @@ class TopKAG2Monitor(AG2Monitor):
         """All cell-list vertices, de-duplicated by anchor object
         (keeping the copy with the larger exact space)."""
         merged: _Candidates = {}
-        for key, cell in self._cells.items():
-            assert isinstance(cell, _TopKCell)
+        # creation order, so ties keep the older cell's copy
+        for cell in self._cells.held_by_rank():
             for w, oid, v in cell.top:
                 held = merged.get(oid)
                 if held is None or w > held[0]:
-                    merged[oid] = (w, v, key)
+                    merged[oid] = (w, v, cell.key)
         return merged
 
     def _kth_weight(self, candidates: _Candidates) -> float:
@@ -182,13 +187,13 @@ class TopKAG2Monitor(AG2Monitor):
     # -- exact recomputation ---------------------------------------------------
 
     def _exact_topk(
-        self, key: CellKey, rho: float, candidates: _Candidates
+        self, c: int, rho: float, candidates: _Candidates
     ) -> float:
         """Algorithm 4 generalised to the k-th-weight threshold: sweep
         every vertex whose bound beats ρ, fold results into the global
         candidate pool, rebuild the cell list, and return the raised ρ."""
-        cell = self._cells[key]
-        assert isinstance(cell, _TopKCell)
+        cell = self._cells.objs[c]
+        key = cell.key
         graph = cell.graph
         n = len(graph.seqs)
         dirty = graph.dirty
@@ -212,7 +217,7 @@ class TopKAG2Monitor(AG2Monitor):
                 candidates[oid] = (exact[j], held[1], key)
         # the largest bound, or 0.0 when none is positive
         cw = graph.max_upper()
-        cell.cw = cw if cw > 0.0 else 0.0
+        self._cells.cw[c] = cw if cw > 0.0 else 0.0
         cell.rebuild_top(self.k)
         return max(rho, self._kth_weight(candidates))
 

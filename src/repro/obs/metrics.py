@@ -65,9 +65,6 @@ class Counter:
             )
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0.0
-
 
 class Histogram:
     """Streaming distribution summary: count/sum/min/max (+ buckets).
@@ -137,13 +134,6 @@ class Histogram:
                 out[f"le_{bound:g}"] = float(running)
             out["le_inf"] = float(self.count)
         return out
-
-    def reset(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self._min = float("inf")
-        self._max = float("-inf")
-        self.bins = [0] * len(self.bins)
 
 
 class Ewma:
@@ -244,10 +234,6 @@ class Metrics:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def scope(self, name: str) -> "Metrics":
         """Get-or-create the child scope ``name``."""
         child = self._scopes.get(name)
@@ -307,15 +293,6 @@ class Metrics:
         for name, child in self._scopes.items():
             child._collect(counters, histograms, f"{prefix}{name}.")
 
-    def reset(self) -> None:
-        """Zero every instrument, recursively; structure is kept."""
-        for c in self._counters.values():
-            c.reset()
-        for h in self._histograms.values():
-            h.reset()
-        for child in self._scopes.values():
-            child.reset()
-
 
 class _NullInstrument:
     """Shared do-nothing stand-in for any instrument type."""
@@ -339,9 +316,6 @@ class _NullInstrument:
     def summary(self) -> dict[str, float]:
         return {}
 
-    def reset(self) -> None:
-        pass
-
 
 _NULL_INSTRUMENT = _NullInstrument()
 
@@ -355,10 +329,6 @@ class NullMetrics(Metrics):
     """
 
     __slots__ = ()
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def scope(self, name: str) -> "Metrics":
         return self

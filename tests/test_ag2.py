@@ -158,10 +158,7 @@ class TestDirtyLifecycle:
     @staticmethod
     def _vertices(m: AG2Monitor):
         return [
-            v
-            for cell in m._cells.values()
-            if cell.graph is not None
-            for v in cell.graph
+            v for cell in m._cells.objs if cell is not None for v in cell.graph
         ]
 
     @classmethod
@@ -242,8 +239,8 @@ class TestFlatLayoutInvariants:
 
     @staticmethod
     def _graph(m: AG2Monitor):
-        (cell,) = m._cells.values()
-        return cell.graph
+        (c,) = m._cells.ids()
+        return m._cells.objs[c].graph
 
     def _corrupt(self, how) -> None:
         m = self._monitor()

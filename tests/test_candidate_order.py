@@ -1,9 +1,10 @@
 """aG2's persistent candidate order against the per-tick rebuild it
 replaced.
 
-aG2 and top-k keep one lazy heap of ``(-c.w, rank, key)`` entries across
-batches.  The reference monitors below keep the earlier loops, which
-ranked every live cell on every tick; answers (to the bit) and every
+aG2 and top-k keep one lazy heap of ``(c.w, rank, id)`` entries across
+batches, in the flat cell table.  The reference monitors below keep the
+earlier loops, which ranked every live cell on every tick, over the
+dict-per-cell monitors of ``dict_cells``; answers (to the bit) and every
 ``MonitorStats`` field must agree on every tick, and the heap must stay
 within twice the live cell count.
 """
@@ -17,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dict_cells import DictAG2Monitor, DictTopKMonitor
 from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
+from repro.core.cells import S_HEAP
 from repro.core.objects import SpatialObject
 from repro.core.spaces import region_key
 from repro.core.topk import TopKAG2Monitor
@@ -26,7 +29,7 @@ from repro.errors import InvariantViolationError
 from repro.window import CountWindow, TimeWindow
 
 
-class _RebuildAG2(AG2Monitor):
+class _RebuildAG2(DictAG2Monitor):
     """aG2 with the per-tick heap over every live cell."""
 
     def _on_delta(self, delta):
@@ -76,7 +79,7 @@ class _RebuildAG2(AG2Monitor):
         return max((cell.cw, key) for key, cell in self._cells.items())[1]
 
 
-class _RebuildTopK(TopKAG2Monitor):
+class _RebuildTopK(DictTopKMonitor):
     """Top-k with the per-tick sort over every live cell."""
 
     def _on_delta(self, delta):
@@ -202,7 +205,7 @@ def test_persistent_order_equals_per_tick_rebuild(
                 assert dataclasses.asdict(new.stats) == dataclasses.asdict(
                     old.stats
                 )
-                assert len(new._order) <= 2 * new.cell_count
+                assert new._cells.state[S_HEAP] <= 2 * new.cell_count
                 new.check_invariants()
 
 
@@ -212,8 +215,9 @@ class TestStartCellTieBreak:
         cell is the largest key (as ``max((c.w, key))`` picks), not the
         oldest cell that tops the heap."""
         m = AG2Monitor(2.0, 2.0, CountWindow(4), cell_size=10.0)
+        key = m._cells.key
         m.update([SpatialObject(x=55.0, y=55.0, weight=5.0)])
-        assert m._star_cell == (5, 5)
+        assert key(m._star_cell) == (5, 5)
         # cells created in rank order (1,1), (4,4), (2,2); all c.w = 1
         tied = [
             SpatialObject(x=15.0, y=15.0, weight=1.0),
@@ -223,7 +227,7 @@ class TestStartCellTieBreak:
         m.update(tied)
         # the fourth arrival expires s*; its cell's bound is 0
         result = m.update([SpatialObject(x=75.0, y=75.0, weight=0.0)])
-        assert m._star_cell == (4, 4)
+        assert key(m._star_cell) == (4, 4)
         assert result.best.anchor_oid == tied[1].oid
         assert result.best_weight == 1.0
         m.check_invariants()
@@ -238,13 +242,12 @@ class TestOrderInvariant:
 
     def test_missing_entry_is_a_violation(self):
         m = self._monitor()
-        m._order.clear()
+        m._cells.clear_heap()
         with pytest.raises(InvariantViolationError, match="candidate-order"):
             m.check_invariants()
 
     def test_entry_at_a_stale_bound_is_a_violation(self):
         m = self._monitor()
-        cell = next(iter(m._cells.values()))
-        cell.cw += 1.0
+        m._cells.cw[m._cells.ids()[0]] += 1.0
         with pytest.raises(InvariantViolationError, match="candidate-order"):
             m.check_invariants()

@@ -36,12 +36,6 @@ class TestCounter:
         with pytest.raises(InvalidParameterError):
             c.inc(-1)
 
-    def test_reset(self):
-        c = Counter("hits")
-        c.inc(7)
-        c.reset()
-        assert c.value == 0.0
-
 
 class TestHistogram:
     def test_streaming_summary(self):
@@ -77,13 +71,6 @@ class TestHistogram:
         with pytest.raises(InvalidParameterError):
             Histogram("ms", buckets=(1.0, 1.0))
 
-    def test_reset(self):
-        h = Histogram("ms", buckets=(1.0,))
-        h.observe(0.5)
-        h.reset()
-        assert h.count == 0
-        assert h.summary()["le_1"] == 0.0
-
 
 class TestMetricsRegistry:
     def test_instruments_are_get_or_create(self):
@@ -107,20 +94,6 @@ class TestMetricsRegistry:
         snap = m.snapshot()
         assert snap.counters["n"] == 1.0
         assert snap.histograms["ms"]["count"] == 1.0
-
-    def test_reset_zeroes_but_keeps_structure(self):
-        m = Metrics()
-        m.scope("a").inc("x", 5)
-        m.observe("h", 1.0)
-        m.reset()
-        snap = m.snapshot()
-        assert snap.counters["a.x"] == 0.0
-        assert snap.histograms["h"]["count"] == 0.0
-        assert "a" in m.scopes()
-
-    def test_enabled_flag(self):
-        assert Metrics().enabled
-        assert not NULL_METRICS.enabled
 
 
 class TestSnapshotDelta:

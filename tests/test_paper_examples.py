@@ -128,8 +128,9 @@ def test_example_5_2_equation_5_cell_bound_arithmetic():
     # establish the cluster: best space weight 3 anchored at r1
     monitor.update([rects[n].obj for n in ("r1", "r2", "r3")])
     assert monitor.result.best_weight == 3.0
-    (cell,) = monitor._cells.values()
-    settled_cw = cell.cw
+    cells = monitor._cells
+    (c,) = cells.ids()
+    settled_cw = cells.cw[c]
     assert settled_cw == pytest.approx(3.0)
     # Equation (5): three unit-weight arrivals mapped (pending) to the
     # same huge cell raise its bound by exactly their total weight —
@@ -140,9 +141,9 @@ def test_example_5_2_equation_5_cell_bound_arithmetic():
     monitor._map_arrivals(  # the pending phase, before any pruning
         type("D", (), {"arrived": far, "expired": ()})()
     )
-    (cell,) = monitor._cells.values()
-    assert cell.cw == pytest.approx(settled_cw + 3.0)
-    assert len(cell.pending) == 3
+    assert cells.ids() == [c]
+    assert cells.cw[c] == pytest.approx(settled_cw + 3.0)
+    assert len(cells.pending(c, monitor._table)) == 3
     # ...and a full update settles every bound back to Property 4 form
     monitor.update([])
     monitor.check_invariants()
