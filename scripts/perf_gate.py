@@ -30,6 +30,10 @@ index too.  Both documents must name the same ``sweep_kernel``
 (``compiled`` or ``python``; documents older than bench schema 6 ran
 the Python tree): the compiled kernel speeds naive up far more than
 the indexed monitors, so speedups across kernels are not comparable.
+Both must also carry the same bench ``schema``: a schema change marks a
+change in what is measured (schema 8: the window turnover and timed
+batches come from one pass over the stream), so speedups across
+schemas are not comparable either.
 
 Usage::
 
@@ -120,6 +124,15 @@ def check_bench(
         current = json.load(fh)
     with open(baseline_path, encoding="utf-8") as fh:
         baseline = json.load(fh)
+
+    schemas = [doc.get("schema") for doc in (current, baseline)]
+    if schemas[0] != schemas[1]:
+        return [
+            f"bench schema mismatch: this run is schema {schemas[0]}, "
+            f"the baseline schema {schemas[1]}; the schemas measure "
+            "differently, so their speedups are not comparable "
+            "(regenerate the baseline)"
+        ]
 
     kernels = [doc.get("sweep_kernel", "python") for doc in (current, baseline)]
     if kernels[0] != kernels[1]:

@@ -14,8 +14,8 @@ from repro.bench.config import (
 from repro.bench.bench import (
     BENCH_DATASETS,
     BENCH_MONITORS,
-    BenchProfile,
     bench_rows,
+    measure,
     run_bench,
 )
 from repro.bench.profile import ProfileReport, run_profile
@@ -25,6 +25,7 @@ from repro.bench.runners import (
     run_ablation,
     run_approx_sweep,
     run_config,
+    run_monitors,
     run_sweep,
     run_topk_sweep,
 )
@@ -34,7 +35,6 @@ __all__ = [
     "ALGORITHMS",
     "BENCH_DATASETS",
     "BENCH_MONITORS",
-    "BenchProfile",
     "DEFAULT_CONFIG",
     "ExperimentConfig",
     "FIG7_WINDOWS",
@@ -48,11 +48,13 @@ __all__ = [
     "bench_rows",
     "build_monitor",
     "format_rows",
+    "measure",
     "run_bench",
     "format_table",
     "run_ablation",
     "run_approx_sweep",
     "run_config",
+    "run_monitors",
     "run_profile",
     "run_sweep",
     "run_topk_sweep",

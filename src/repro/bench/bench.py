@@ -1,4 +1,9 @@
-"""Fixed-seed benchmark suite with a committed baseline (``bench``).
+"""The measurement loop and the fixed-seed benchmark suite (``bench``).
+
+:func:`measure` is the only timing code in ``repro.bench``: the bench
+rows below and every paper experiment (``repro.bench.runners``, the
+CLI sweeps, ``benchmarks/run_experiments.py``) time their monitors
+through it.
 
 ``run_bench`` drives every monitor implementation over the two
 canonical workloads (uniform = ``synthetic``, gaussian =
@@ -22,9 +27,8 @@ so speedups from different kernels are not comparable.
 Three *skewed* workloads (``gauss_static``, ``gauss_drift``,
 ``powerlaw``) additionally run naive and aG2.  They pin aG2 where the
 uniform grid degrades: dense cells make every arrival's overlap
-search and local sweep expensive, and aG2 runs at 0.24–0.51x naive
-there in the committed baseline, its largest loss in the suite (see
-docs/PERFORMANCE.md).
+search and local sweep expensive, and aG2 has its largest loss to
+naive there (see docs/PERFORMANCE.md).
 
 ``speedup_vs_naive`` is the number the CI gate compares across runs:
 it is a ratio *within* one run on one machine, so it tracks algorithmic
@@ -36,7 +40,7 @@ numerator and denominator alike, and every dataset is measured as
 ``repeats`` *rounds* over the identical seeded stream, each batch
 keeping its fastest observation — noise only ever adds time, so
 per-batch minima converge on the true cost and the ratio of denoised
-means survives a 15% tolerance (see ``_time_round``).
+means survives a 15% tolerance (see :func:`measure`).
 
 The committed baseline lives in ``BENCH_PR9.json`` at the repo root
 (the quick profile, measured with the compiled sweep kernel);
@@ -51,15 +55,17 @@ from __future__ import annotations
 import gc
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
+from repro.bench.config import ExperimentConfig
 from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
+from repro.core.objects import SpatialObject
 from repro.core.rtree_monitor import RTreeMonitor
+from repro.core.spaces import MaxRSResult
 from repro.core.topk import TopKAG2Monitor
 from repro.datasets import make_stream
 from repro.errors import InvalidParameterError
@@ -71,13 +77,17 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_SKEW_DATASETS",
     "BENCH_SKEW_MONITORS",
-    "BenchProfile",
     "PROFILES",
     "bench_rows",
+    "mean_ms",
+    "measure",
     "run_bench",
     "run_profile_suite",
 ]
 
+#: 8: one pass over the seeded stream feeds the window fill, the
+#: turnover and the timed batches; every earlier schema re-read the
+#: stream's first objects for each of them
 #: 7: rows drop the ``index`` field and the skew-adaptive aG2 monitor
 #: is gone; each monitor label names exactly one index
 #: 6: the document names its ``sweep_kernel`` (``compiled`` or
@@ -91,7 +101,7 @@ __all__ = [
 #: to the new ``index`` field
 #: 2: added the skewed workload rows, the skew-adaptive aG2 monitor and the
 #: per-row ``backend`` field (PR 6)
-BENCH_SCHEMA = 7
+BENCH_SCHEMA = 8
 
 #: benchmark dataset label -> repro.datasets workload name
 BENCH_DATASETS = {"uniform": "synthetic", "gaussian": "geolife_like"}
@@ -121,96 +131,110 @@ BENCH_MONITORS: Dict[str, MonitorFactory] = {
 BENCH_SKEW_MONITORS = ("naive", "ag2")
 
 
-@dataclass(frozen=True, slots=True)
-class BenchProfile:
-    """One benchmark sizing; ``quick`` for the committed baseline and
-    the CI smoke job, ``full`` for a longer run by hand."""
-
-    window_size: int
-    batch_size: int
-    batches: int
-    rect_side: float = 1000.0
-    domain: float = 140_000.0
-    #: measurement rounds per dataset; every row's numbers come from
-    #: per-batch minima across rounds (see ``_time_round`` for the
-    #: noise argument).
-    repeats: int = 1
-
-
-PROFILES: Dict[str, BenchProfile] = {
-    "full": BenchProfile(
+PROFILES: Dict[str, ExperimentConfig] = {
+    "full": ExperimentConfig(
         window_size=4_000, batch_size=200, batches=12, repeats=2
     ),
-    "quick": BenchProfile(
+    "quick": ExperimentConfig(
         window_size=1_000, batch_size=100, batches=10, repeats=5
     ),
 }
 
+Timings = Dict[str, List[float]]
+Answers = Dict[str, List[MaxRSResult]]
 
-def _prime(
-    monitor: MaxRSMonitor, profile: BenchProfile, dataset: str, seed: int
-) -> List[list]:
-    """Bring ``monitor`` to its steady state untimed and return the
-    ``batches`` it is to be timed on.
 
-    The window is filled in one ingest, then one full window turnover
-    runs before the clock starts: the one-shot priming ingest leaves
-    every monitor in an atypical state, and per-batch cost ramps to its
-    steady plateau only once the primed cohort has expired (G2's climbs
-    ~20x over that span, naive's falls ~2x).  Timing from the plateau
-    measures what a long-running monitor actually costs per batch.
+def measure(
+    cfg: ExperimentConfig, build: Callable[[], Dict[str, MaxRSMonitor]]
+) -> Tuple[Timings, Answers]:
+    """Per-batch update times (s) and answers of the monitors ``build``
+    returns, over ``cfg``'s seeded stream: the one measurement loop of
+    the benchmark and the paper experiments.
+
+    One pass over the stream supplies, as consecutive disjoint slices,
+    the window fill, one full window turnover and the ``cfg.batches``
+    timed batches; every monitor sees the same objects.  Each of the
+    ``cfg.repeats`` rounds builds fresh monitors and times every batch
+    on them (see :func:`_time_round`), and each batch keeps its fastest
+    observation across rounds.  Scheduler preemption and page faults
+    only ever *add* time, so the per-batch minimum converges on the
+    true cost as rounds accumulate.  The answers are the last round's
+    (every round computes the same ones).
     """
-    stream = make_stream(dataset, domain=profile.domain, seed=seed)
-    monitor.ingest(stream.take(profile.window_size))
-    turnover = -(-profile.window_size // profile.batch_size)
-    for _ in range(turnover):
-        monitor.update(stream.take(profile.batch_size))
-    return [stream.take(profile.batch_size) for _ in range(profile.batches)]
+    turnover = -(-cfg.window_size // cfg.batch_size)
+    stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
+    objects = stream.take(
+        cfg.window_size + (turnover + cfg.batches) * cfg.batch_size
+    )
+    batches = [
+        objects[start : start + cfg.batch_size]
+        for start in range(cfg.window_size, len(objects), cfg.batch_size)
+    ]
+    prime = objects[: cfg.window_size]
+    warm, timed = batches[:turnover], batches[turnover:]
+    best: Timings = {}
+    for _ in range(cfg.repeats):
+        times, answers = _time_round(build(), prime, warm, timed)
+        best = {
+            label: list(map(min, best[label], sample)) if best else sample
+            for label, sample in times.items()
+        }
+    return best, answers
 
 
 def _time_round(
-    labels: Sequence[str], profile: BenchProfile, dataset: str, seed: int
-) -> Dict[str, List[float]]:
-    """One measurement round: per-batch update times (s) of every
-    monitor in ``labels``.
+    monitors: Dict[str, MaxRSMonitor],
+    prime: List[SpatialObject],
+    warm: List[List[SpatialObject]],
+    timed: List[List[SpatialObject]],
+) -> Tuple[Timings, Answers]:
+    """One measurement round: bring every monitor to its steady state
+    untimed, then time every batch of ``timed`` on each.
 
-    Every monitor is built and primed first; then batch ``i`` is timed
-    on each monitor back to back before batch ``i + 1`` is timed on
-    any.  The monitors' ``i``-th samples are thus milliseconds apart,
-    so a slow phase of the host (co-tenant load, frequency scaling)
-    lands on naive and on the monitor it is divided by alike, and
-    cancels out of ``speedup_vs_naive``.  Such phases last seconds,
-    and naive's batch is ~1 ms with the compiled sweep, so rows timed
-    one after another drifted apart by up to 1.6x.  Garbage is
-    collected before the clock starts and the collector is paused
-    while it runs, so no monitor pays for another's garbage inside its
-    timed region.
+    The window is filled in one ingest, then one full window turnover
+    (``warm``) runs before the clock starts: the one-shot fill leaves
+    every monitor in an atypical state, and per-batch cost reaches its
+    steady plateau only once the primed cohort has expired.  Timing
+    from the plateau measures what a long-running monitor costs per
+    batch.
+
+    Batch ``i`` is timed on each monitor back to back before batch
+    ``i + 1`` is timed on any.  The monitors' ``i``-th samples are thus
+    milliseconds apart, so a slow phase of the host (co-tenant load,
+    frequency scaling) lands on naive and on the monitor it is divided
+    by alike, and cancels out of ``speedup_vs_naive``.  Such phases
+    last seconds, and naive's batch is ~1 ms with the compiled sweep,
+    so rows timed one after another drifted apart by up to 1.6x.
+    Garbage is collected before the clock starts and the collector is
+    paused while it runs, so no monitor pays for another's garbage
+    inside its timed region.
     """
-    monitors = {
-        label: BENCH_MONITORS[label](profile.rect_side, profile.window_size)
-        for label in labels
-    }
-    batches = {
-        label: _prime(monitor, profile, dataset, seed)
-        for label, monitor in monitors.items()
-    }
-    times: Dict[str, List[float]] = {label: [] for label in labels}
+    for monitor in monitors.values():
+        monitor.ingest(prime)
+        for batch in warm:
+            monitor.update(batch)
+    times: Timings = {label: [] for label in monitors}
+    answers: Answers = {label: [] for label in monitors}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         perf = time.perf_counter
-        for i in range(profile.batches):
-            for label in labels:
-                update = monitors[label].update
-                batch = batches[label][i]
+        for batch in timed:
+            for label, monitor in monitors.items():
                 start = perf()
-                update(batch)
+                result = monitor.update(batch)
                 times[label].append(perf() - start)
+                answers[label].append(result)
     finally:
         if was_enabled:
             gc.enable()
-    return times
+    return times, answers
+
+
+def mean_ms(sample: Sequence[float]) -> float:
+    """Mean of per-batch times (s), in milliseconds."""
+    return sum(sample) / len(sample) * 1000.0
 
 
 def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
@@ -225,44 +249,28 @@ def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
     def run_dataset(
         ds_label: str, dataset: str, monitor_labels: Sequence[str]
     ) -> None:
-        """One dataset's rows, from per-batch minima over rounds.
-
-        Each round times every monitor (naive included) over the
-        identical seeded stream (see :func:`_time_round`), and each
-        batch keeps its fastest observation across rounds.  Scheduler
-        preemption and page faults only ever *add* time, so the
-        per-batch minimum converges on the true cost as rounds
-        accumulate.  ``speedup_vs_naive`` — the number the CI gate
-        compares — is the ratio of these denoised means.
-        """
-        best: Dict[str, List[float]] = {}
-        for _ in range(max(1, profile.repeats)):
-            times = _time_round(monitor_labels, profile, dataset, seed)
-            for label, sample in times.items():
-                prev = best.get(label)
-                best[label] = (
-                    sample if prev is None else list(map(min, prev, sample))
-                )
-        naive = best.get("naive")
-        naive_mean_ms = sum(naive) / len(naive) * 1000.0 if naive else 0.0
+        """One dataset's rows; ``speedup_vs_naive``, the number the CI
+        gate compares, is the ratio of per-batch-minimum means."""
+        cfg = profile.with_(dataset=dataset, seed=seed)
+        best, _ = measure(
+            cfg,
+            lambda: {
+                label: BENCH_MONITORS[label](cfg.rect_side, cfg.window_size)
+                for label in monitor_labels
+            },
+        )
+        naive_ms = mean_ms(best["naive"])
         for label in monitor_labels:
             times = best[label]
-            total = sum(times)
-            mean_ms = total / len(times) * 1000.0
+            row_ms = mean_ms(times)
             rows.append(
                 {
                     "monitor": label,
                     "dataset": ds_label,
-                    "ops_per_s": (
-                        profile.batch_size * len(times) / total
-                        if total > 0
-                        else 0.0
-                    ),
-                    "mean_ms": mean_ms,
+                    "ops_per_s": cfg.batch_size * len(times) / sum(times),
+                    "mean_ms": row_ms,
                     "max_ms": max(times) * 1000.0,
-                    "speedup_vs_naive": (
-                        naive_mean_ms / mean_ms if mean_ms > 0 else 0.0
-                    ),
+                    "speedup_vs_naive": naive_ms / row_ms,
                 }
             )
 

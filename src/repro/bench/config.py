@@ -64,6 +64,9 @@ class ExperimentConfig:
     epsilon: float = 0.0
     k: int = 1
     cell_size: float | None = None
+    #: measurement rounds; each batch keeps its fastest round (see
+    #: :func:`repro.bench.bench.measure`)
+    repeats: int = 1
 
     def __post_init__(self) -> None:
         if self.window_size <= 0:
@@ -74,6 +77,8 @@ class ExperimentConfig:
             raise InvalidParameterError("rect_side must be positive")
         if self.batches <= 0:
             raise InvalidParameterError("batches must be positive")
+        if self.repeats <= 0:
+            raise InvalidParameterError("repeats must be positive")
 
     def with_(self, **changes: object) -> "ExperimentConfig":
         """A modified copy — convenience for sweep construction."""

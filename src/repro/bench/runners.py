@@ -1,16 +1,19 @@
 """Experiment runners: regenerate each table/figure's data series.
 
 Each function mirrors one artefact of the paper's §7 and returns plain
-data (lists of dict rows) that the table formatter and the pytest
-benchmarks consume.  All runners follow the measurement protocol of the
-paper: prime the window to capacity untimed, then time ``cfg.batches``
-arrival batches of ``cfg.batch_size`` objects.
+data (lists of dict rows) that the table formatter, the CLI and
+``benchmarks/run_experiments.py`` consume.  All of them time through
+:func:`repro.bench.bench.measure`: fill the window and turn it over
+once untimed, then time ``cfg.batches`` arrival batches of
+``cfg.batch_size`` objects, reporting each batch's fastest of
+``cfg.repeats`` rounds.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Callable, Dict, Sequence
 
+from repro.bench.bench import mean_ms, measure
 from repro.bench.config import ExperimentConfig
 from repro.core.ag2 import AG2Monitor
 from repro.core.approx import practical_error
@@ -19,13 +22,12 @@ from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.core.upperbound import make_tightener
-from repro.datasets import make_stream
-from repro.engine import StreamEngine
 from repro.errors import InvalidParameterError
 from repro.window import CountWindow
 
 __all__ = [
     "build_monitor",
+    "run_monitors",
     "run_config",
     "run_sweep",
     "run_approx_sweep",
@@ -70,21 +72,28 @@ def build_monitor(
     )
 
 
+def run_monitors(
+    cfg: ExperimentConfig, build: Callable[[], Dict[str, MaxRSMonitor]]
+) -> Dict[str, float]:
+    """Mean update time (ms) per monitor ``build`` returns, from the
+    per-batch minima of :func:`~repro.bench.bench.measure`."""
+    times, _ = measure(cfg, build)
+    return {name: mean_ms(sample) for name, sample in times.items()}
+
+
 def run_config(
     cfg: ExperimentConfig,
     algorithms: Sequence[str],
     tighten_mode: str = "off",
 ) -> Dict[str, float]:
     """Mean update time (ms) per algorithm for one configuration."""
-    monitors = {
-        name: build_monitor(name, cfg, tighten_mode=tighten_mode)
-        for name in algorithms
-    }
-    stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
-    engine = StreamEngine(monitors, stream, batch_size=cfg.batch_size)
-    engine.prime(cfg.window_size)
-    report = engine.run(cfg.batches)
-    return {name: report.mean_ms(name) for name in monitors}
+    return run_monitors(
+        cfg,
+        lambda: {
+            name: build_monitor(name, cfg, tighten_mode=tighten_mode)
+            for name in algorithms
+        },
+    )
 
 
 def run_sweep(
@@ -109,33 +118,35 @@ def run_approx_sweep(
     base: ExperimentConfig, epsilons: Sequence[float]
 ) -> list[dict[str, object]]:
     """Figure 10: per ε, the approximate monitor's mean update time and
-    its practical error measured against an exact companion fed the
-    same batches."""
+    its practical error against an exact companion.  Every ε and the
+    companion are timed in one measurement, so each error compares
+    answers to the same batches."""
+    cfg = base.with_(epsilon=0.0)
+    labels = {eps: f"eps={eps}" for eps in epsilons}
+    times, answers = measure(
+        cfg,
+        lambda: {
+            "exact": build_monitor("ag2", cfg),
+            **{
+                label: build_monitor("ag2", cfg.with_(epsilon=eps))
+                for eps, label in labels.items()
+            },
+        },
+    )
+    exact = [result.best_weight for result in answers["exact"]]
     rows: list[dict[str, object]] = []
-    for eps in epsilons:
-        cfg = base.with_(epsilon=eps)
-        monitors = {
-            "approx": build_monitor("ag2", cfg),
-            "exact": build_monitor("ag2", cfg.with_(epsilon=0.0)),
-        }
-        stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
-        engine = StreamEngine(monitors, stream, batch_size=cfg.batch_size)
-        engine.prime(cfg.window_size)
-        report = engine.run(cfg.batches, track_weights=True)
+    for eps, label in labels.items():
         errors = [
-            practical_error(a, e)
-            for a, e in zip(
-                report.weight_history["approx"],
-                report.weight_history["exact"],
-            )
+            practical_error(result.best_weight, best)
+            for result, best in zip(answers[label], exact)
         ]
         rows.append(
             {
                 "epsilon": eps,
-                "ag2_ms": report.mean_ms("approx"),
-                "exact_ms": report.mean_ms("exact"),
-                "mean_error": sum(errors) / len(errors) if errors else 0.0,
-                "max_error": max(errors, default=0.0),
+                "ag2_ms": mean_ms(times[label]),
+                "exact_ms": mean_ms(times["exact"]),
+                "mean_error": sum(errors) / len(errors),
+                "max_error": max(errors),
             }
         )
     return rows
@@ -160,12 +171,16 @@ def run_ablation(
 ) -> list[dict[str, object]]:
     """Table 5: Algorithm 2 vs Algorithm 5 (conditional / always), mean
     update time per dataset.  ``off`` is plain Algorithm 2."""
-    rows: list[dict[str, object]] = []
-    for mode in modes:
-        row: dict[str, object] = {"mode": mode}
-        for dataset in datasets:
-            cfg = base.with_(dataset=dataset)
-            times = run_config(cfg, ("ag2",), tighten_mode=mode)
-            row[dataset] = times["ag2"]
-        rows.append(row)
+    rows: list[dict[str, object]] = [{"mode": mode} for mode in modes]
+    for dataset in datasets:
+        cfg = base.with_(dataset=dataset)
+        times = run_monitors(
+            cfg,
+            lambda: {
+                mode: build_monitor("ag2", cfg, tighten_mode=mode)
+                for mode in modes
+            },
+        )
+        for row in rows:
+            row[dataset] = times[row["mode"]]
     return rows

@@ -81,9 +81,6 @@ class UniformGrid:
         y1 = self.origin_y + j * cs
         return Rect(x1, y1, x1 + cs, y1 + cs)
 
-    def _axis_range(self, lo: float, hi: float, origin: float) -> range:
-        return _axis_cells(lo, hi, origin, self.cell_size)
-
     def cell_keys(self, rect: Rect) -> tuple[CellKey, ...]:
         """The cell cover of a rectangle as a tuple.
 
@@ -108,7 +105,3 @@ class UniformGrid:
         convention) and yield no cells.
         """
         return iter(self.cell_keys(rect))
-
-    def cell_count_for(self, rect: Rect) -> int:
-        """Number of cells the rectangle maps to (diagnostics)."""
-        return len(self.cell_keys(rect))

@@ -65,8 +65,6 @@ class EngineReport:
     batch_size: int
     timings: Dict[str, TimingStats]
     final_results: Dict[str, MaxRSResult]
-    # per-batch best weights, recorded when track_weights=True
-    weight_history: Dict[str, list[float]] = field(default_factory=dict)
     # batches asked for; batches < requested_batches ⇒ source ran dry
     requested_batches: int = 0
     source_exhausted: bool = False
@@ -109,24 +107,6 @@ class EngineReport:
         for snap in self.metrics.values():
             names.update(snap.counters)
         return sorted(names)
-
-    def metrics_table(self, counters: Sequence[str] | None = None) -> str:
-        """Per-monitor counter table (columns = counter names)."""
-        if not self.metrics:
-            return "(no metrics recorded — run with a Metrics registry)"
-        names = list(counters) if counters else self.counter_names()
-        widths = [max(len(n), 12) for n in names]
-        header = f"{'monitor':<16}" + "".join(
-            n.rjust(w + 2) for n, w in zip(names, widths)
-        )
-        lines = [header]
-        for monitor, snap in self.metrics.items():
-            cells = "".join(
-                f"{snap.counters.get(n, 0.0):>{w + 2}.0f}"
-                for n, w in zip(names, widths)
-            )
-            lines.append(f"{monitor:<16}{cells}")
-        return "\n".join(lines)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-able document: timings summaries + metric snapshots."""
@@ -267,9 +247,7 @@ class StreamEngine:
                 self._publish(name)
         return count - remaining
 
-    def run(
-        self, batches: int, track_weights: bool = False
-    ) -> EngineReport:
+    def run(self, batches: int) -> EngineReport:
         """Push ``batches`` timed arrival batches through every monitor.
 
         A source that runs dry mid-run stops the loop early; the report
@@ -281,7 +259,7 @@ class StreamEngine:
             raise InvalidParameterError(
                 f"batch count must be positive, got {batches}"
             )
-        state = _RunState(self, track_weights)
+        state = _RunState(self)
         executed = 0
         exhausted = False
         for _ in range(batches):
@@ -326,7 +304,7 @@ class StreamEngine:
         if not batch:
             raise InvalidParameterError("process() needs a non-empty batch")
         if self._session is None:
-            self._session = _RunState(self, track_weights=False)
+            self._session = _RunState(self)
         self._session.apply(list(batch))
         return dict(self._session.final)
 
@@ -375,16 +353,12 @@ class StreamEngine:
 
 class _RunState:
     """Shared per-batch bookkeeping of :meth:`StreamEngine.run` and
-    :meth:`StreamEngine.process` sessions: timings, weight history,
-    metric snapshot deltas, checkpoints."""
+    :meth:`StreamEngine.process` sessions: timings, metric snapshot
+    deltas, checkpoints."""
 
-    def __init__(self, engine: StreamEngine, track_weights: bool) -> None:
+    def __init__(self, engine: StreamEngine) -> None:
         self.engine = engine
-        self.track_weights = track_weights
         self.timings = {name: TimingStats() for name in engine.monitors}
-        self.history: Dict[str, list[float]] = (
-            {name: [] for name in engine.monitors} if track_weights else {}
-        )
         self.final: Dict[str, MaxRSResult] = {}
         self.observed = engine.metrics is not None
         self.previous: Dict[str, MetricsSnapshot] = {}
@@ -412,8 +386,6 @@ class _RunState:
             elapsed = time.perf_counter() - start
             self.timings[name].record(elapsed)
             self.final[name] = result
-            if self.track_weights:
-                self.history[name].append(result.best_weight)
             if self.observed:
                 engine._publish(name)
                 scope = engine._scopes[name]
@@ -458,7 +430,6 @@ class _RunState:
             batch_size=engine.batch_size,
             timings=self.timings,
             final_results=self.final,
-            weight_history=self.history,
             requested_batches=requested_batches,
             source_exhausted=source_exhausted,
             metrics=(

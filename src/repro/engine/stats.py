@@ -65,16 +65,6 @@ class TimingStats:
         self._require_samples()
         return max(self.samples)
 
-    @property
-    def stdev(self) -> float:
-        self._require_samples()
-        n = len(self.samples)
-        if n < 2:
-            return 0.0
-        mu = self.mean
-        var = sum((s - mu) ** 2 for s in self.samples) / (n - 1)
-        return math.sqrt(var)
-
     def percentile(self, p: float) -> float:
         """Linear-interpolated percentile, ``p`` in [0, 100]."""
         self._require_samples()

@@ -272,11 +272,6 @@ class CheckpointManager:
         """
         return min(self.positions) if self.positions else 0
 
-    @property
-    def last_position(self) -> int:
-        """Position of the newest checkpoint written or found on disk."""
-        return max(self.positions) if self.positions else 0
-
     # -- recovery ----------------------------------------------------------
 
     @staticmethod

@@ -26,7 +26,11 @@ class StreamSource(ABC):
         """Yield objects in non-decreasing timestamp order."""
 
     def take(self, count: int) -> list[SpatialObject]:
-        """The next ``count`` objects as a list (fewer if exhausted)."""
+        """The first ``count`` objects as a list (fewer if exhausted).
+
+        Every call iterates the source afresh, so two calls return the
+        same prefix, not consecutive runs; read on with one ``iter``.
+        """
         if count < 0:
             raise InvalidParameterError(f"count must be >= 0, got {count}")
         out: list[SpatialObject] = []

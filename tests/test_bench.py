@@ -1,4 +1,5 @@
-"""Tests for the benchmark harness (configs, runners, tables)."""
+"""Tests for the benchmark harness (configs, the measurement loop,
+runners, tables)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ from repro.bench import (
     build_monitor,
     format_rows,
     format_table,
+    measure,
     run_ablation,
     run_approx_sweep,
     run_config,
@@ -20,7 +22,9 @@ from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
+from repro.datasets import make_stream
 from repro.errors import InvalidParameterError
+from repro.window import CountWindow
 
 TINY = ExperimentConfig(
     window_size=150, batch_size=25, rect_side=2000.0,
@@ -39,6 +43,8 @@ class TestConfig:
             ExperimentConfig(window_size=0)
         with pytest.raises(InvalidParameterError):
             ExperimentConfig(batches=0)
+        with pytest.raises(InvalidParameterError):
+            ExperimentConfig(repeats=0)
 
     def test_with_copies(self):
         cfg = TINY.with_(window_size=99)
@@ -64,6 +70,53 @@ class TestBuildMonitor:
     def test_unknown_algorithm(self):
         with pytest.raises(InvalidParameterError):
             build_monitor("quadtree", TINY)
+
+
+class _Recorder(NaiveMonitor):
+    """Naive monitor logging every batch the measurement loop feeds it."""
+
+    def __init__(self, cfg: ExperimentConfig) -> None:
+        super().__init__(
+            cfg.rect_side, cfg.rect_side, CountWindow(cfg.window_size)
+        )
+        self.fed: list[list] = []
+
+    def ingest(self, objects):
+        self.fed.append(list(objects))
+        super().ingest(objects)
+
+    def update(self, objects):
+        self.fed.append(list(objects))
+        return super().update(objects)
+
+
+class TestMeasure:
+    def test_one_pass_over_the_stream(self):
+        """The fill, the turnover and the timed batches are consecutive,
+        disjoint slices of one stream, the same in every round."""
+        cfg = TINY.with_(repeats=2)
+        rounds: list[_Recorder] = []
+
+        def build():
+            rounds.append(_Recorder(cfg))
+            return {"rec": rounds[-1]}
+
+        times, answers = measure(cfg, build)
+        turnover = -(-cfg.window_size // cfg.batch_size)
+        sizes = [cfg.window_size] + [cfg.batch_size] * (turnover + cfg.batches)
+        stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
+        expected = [
+            (o.x, o.y, o.weight, o.timestamp) for o in stream.take(sum(sizes))
+        ]
+        assert len(rounds) == 2
+        for rec in rounds:
+            assert [len(batch) for batch in rec.fed] == sizes
+            fed = [o for batch in rec.fed for o in batch]
+            oids = [o.oid for o in fed]
+            assert all(a < b for a, b in zip(oids, oids[1:]))
+            assert [(o.x, o.y, o.weight, o.timestamp) for o in fed] == expected
+        assert len(times["rec"]) == len(answers["rec"]) == cfg.batches
+        assert all(t > 0 for t in times["rec"])
 
 
 class TestRunners:

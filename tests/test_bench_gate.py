@@ -24,7 +24,7 @@ from repro.core import planesweep
 from repro.bench import (
     BENCH_DATASETS,
     BENCH_MONITORS,
-    BenchProfile,
+    ExperimentConfig,
     bench_rows,
     run_bench,
 )
@@ -41,7 +41,7 @@ def _load_perf_gate():
 
 
 #: seconds-not-minutes sizing, injected under the name "tiny"
-TINY = BenchProfile(
+TINY = ExperimentConfig(
     window_size=200,
     batch_size=40,
     batches=2,
@@ -228,6 +228,18 @@ class TestBenchGate:
         legacy["sweep_kernel"] = "python"
         same = self._write(tmp_path, "same.json", legacy)
         assert gate.check_bench(same, base, tolerance=0.15) == []
+
+    def test_schema_mismatch_fails_with_a_clear_message(self, gate, tmp_path):
+        """A baseline of another bench schema measured another loop:
+        identical speedups still fail."""
+        base = self._write(tmp_path, "base.json", _fake_doc(ag2_speedup=3.0))
+        newer = _fake_doc(ag2_speedup=3.0)
+        newer["schema"] = 2
+        cur = self._write(tmp_path, "cur.json", newer)
+        failures = gate.check_bench(cur, base, tolerance=0.15)
+        assert len(failures) == 1
+        assert "bench schema mismatch" in failures[0]
+        assert gate.main(["perf_gate.py", "--bench", cur, "--baseline", base]) == 1
 
     def test_bench_mode_needs_both_paths(self, gate, tmp_path):
         doc = self._write(tmp_path, "doc.json", _fake_doc(ag2_speedup=3.0))

@@ -62,11 +62,6 @@ class TestTimingStats:
         with pytest.raises(ValueError):
             stats.percentile(101)
 
-    def test_stdev(self):
-        stats = TimingStats(samples=[1.0, 3.0])
-        assert stats.stdev == pytest.approx(2.0 ** 0.5)
-        assert TimingStats(samples=[1.0]).stdev == 0.0
-
     def test_summary_keys(self):
         stats = TimingStats(samples=[0.001, 0.002])
         summary = stats.summary()
@@ -109,11 +104,6 @@ class TestStreamEngine:
         wa = report.final_results["a"].best_weight
         wb = report.final_results["b"].best_weight
         assert wa == pytest.approx(wb)
-
-    def test_track_weights(self):
-        e = engine()
-        report = e.run(3, track_weights=True)
-        assert len(report.weight_history["ag2"]) == 3
 
     def test_run_stops_on_exhausted_source(self):
         mons = {"m": NaiveMonitor(5, 5, CountWindow(10))}
@@ -224,7 +214,6 @@ class TestEngineMetrics:
         report = engine().run(2)
         assert report.metrics == {}
         assert report.batch_metrics == {}
-        assert "no metrics recorded" in report.metrics_table()
 
     def test_to_dict_round_trip(self):
         e, _ = self._observed_engine()
@@ -236,12 +225,11 @@ class TestEngineMetrics:
         assert rebuilt == report.metrics
         assert len(doc["batch_metrics"]["ag2"]) == 2
 
-    def test_metrics_table_renders_counters(self):
+    def test_counter_names_cover_the_monitors(self):
         e, _ = self._observed_engine()
         report = e.run(2)
-        text = report.metrics_table(["updates", "cells_visited"])
-        assert "updates" in text and "ag2" in text and "naive" in text
-        assert "cells_visited" in report.counter_names()
+        names = report.counter_names()
+        assert "updates" in names and "cells_visited" in names
 
 
 class TestReportErrors:

@@ -65,10 +65,6 @@ class TestCellMath:
         keys = set(g.cells_overlapping(Rect(-15, -5, -2, 5)))
         assert keys == {(-2, -1), (-1, -1), (-2, 0), (-1, 0)}
 
-    def test_cell_count_for(self):
-        g = UniformGrid(cell_size=10.0)
-        assert g.cell_count_for(Rect(0, 0, 25, 15)) == 3 * 2
-
 
 coord = st.floats(
     min_value=-1000.0, max_value=1000.0, allow_nan=False, allow_infinity=False

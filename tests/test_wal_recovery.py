@@ -234,7 +234,6 @@ class TestCheckpointEnospc:
         # keep=2 retains keep+1 positions; the floor is the oldest
         assert manager.positions == [11, 7, 3]
         assert manager.retention_floor == 3
-        assert manager.last_position == 11
 
 
 class TestEngineInlineEnospcRecovery:
