@@ -1,9 +1,11 @@
 """repro — Monitoring MaxRS in spatial data streams.
 
-A pure-Python reproduction of Amagata & Hara, "Monitoring MaxRS in
-Spatial Data Streams" (EDBT 2016): continuous (top-k / approximate)
+A Python reproduction of Amagata & Hara, "Monitoring MaxRS in Spatial
+Data Streams" (EDBT 2016): continuous (top-k / approximate)
 maximizing-range-sum queries over sliding windows, built on the G2 and
-aG2 graph-in-grid indexes.
+aG2 graph-in-grid indexes.  Every sweep step runs in one small C
+library compiled on first import, which needs gcc (or cc): without it
+the import raises ``repro.errors.KernelUnavailableError``.
 
 Quickstart::
 

@@ -19,10 +19,11 @@ canonical workloads (uniform = ``synthetic``, gaussian =
 Each monitor label names exactly one spatial index, so a gate failure
 on a row already names the offending index.
 
-The document also names the ``sweep_kernel`` that ran every sweep
-(``compiled`` or ``python``, see ``repro.core.planesweep``): the
-compiled kernel speeds naive up far more than the indexed monitors,
-so speedups from different kernels are not comparable.
+The document also names the ``sweep_kernel`` that ran every sweep.  It
+always reads ``compiled`` now (the library is required, see
+``repro.core.planesweep``); older baselines may read ``python``, and
+the compiled kernel speeds naive up far more than the indexed
+monitors, so speedups from different kernels are not comparable.
 
 Three *skewed* workloads (``gauss_static``, ``gauss_drift``,
 ``powerlaw``) additionally run naive and aG2.  They pin aG2 where the
@@ -58,7 +59,6 @@ import time
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.bench.config import ExperimentConfig
-from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.monitor import MaxRSMonitor
@@ -296,7 +296,7 @@ def run_bench(
         "schema": BENCH_SCHEMA,
         "seed": seed,
         "cpu_count": os.cpu_count() or 1,
-        "sweep_kernel": planesweep.sweep_kernel(),
+        "sweep_kernel": "compiled",
         "profiles": {name: run_profile_suite(name, seed) for name in profiles},
     }
 

@@ -21,7 +21,6 @@ from repro.core.sampling import (
     sample_maxrs,
     suggested_sample_size,
 )
-from repro.core.segment_tree import MaxCoverSegmentTree
 from repro.core.spaces import MaxRSResult, Region
 from repro.core.topk import TopKAG2Monitor
 from repro.core.upperbound import (
@@ -38,7 +37,6 @@ __all__ = [
     "CellKey",
     "G2Monitor",
     "Interval",
-    "MaxCoverSegmentTree",
     "MaxRSMonitor",
     "MaxRSResult",
     "MonitorStats",

@@ -1,14 +1,18 @@
 /*
  * Compiled max-cover plane sweep and the aG2 cell-buffer scans (see
- * repro/core/planesweep.py and repro/core/graph.py).
+ * repro/core/planesweep.py and repro/core/graph.py).  This library is
+ * the only implementation of every sweep step; the Python it ports,
+ * operation for operation, is kept as the reference in the tests
+ * (tests/reference_kernel.py, tests/segment_tree.py), and the
+ * differentials hold each entry point to it on float.hex.
  *
- * maxrs_sweep is a port of three pieces of Python: planesweep._prepare
- * (slot coordinates and the (y, kind, seq)-ordered event list),
- * MaxCoverSegmentTree.add (the iterative mid-split range add) and the
- * max-only group loop of planesweep._sweep_python.  The tree add and the
- * group loop are line for line; the two sorts reach Python's order with
- * one stable index sort.  It returns the same answer as the Python tree
- * bit for bit:
+ * maxrs_sweep is a port of three pieces of that Python: _prepare (slot
+ * coordinates and the (y, kind, seq)-ordered event list; prepare here),
+ * MaxCoverSegmentTree.add (the iterative mid-split range add;
+ * tree_add) and the max-only group loop of sweep_flat.  The tree add
+ * and the group loop are line for line; the two sorts reach Python's
+ * order with one stable index sort.  It returns the same answer as the
+ * Python tree bit for bit:
  *
  *   - x coordinates are de-duplicated after a stable sort (ties broken
  *     by input index), so among equal values such as -0.0 and 0.0 the
@@ -25,19 +29,23 @@
  * Returns 1 when found, 0 when no item has positive area, -1 when out
  * of memory.
  *
+ * maxrs_topk is the single-sweep top-k of topk_flat on the same prepare
+ * and tree_add, with range_max ported from MaxCoverSegmentTree.range_max
+ * (left to right, strict >, ancestor adds summed top down).
+ *
  * maxrs_connect, maxrs_insert, maxrs_local, maxrs_max and maxrs_above
  * work on one graph cell's arrival-ordered buffer of the same 5-double
- * items and on its bounds; they port the Python of
- * planesweep._scan_python, _insert_python, _local_python, _max_flat and
- * _above_flat.  Their comparisons are
- * exact, the bound adds run in index order and clipping is a min/max,
- * so they too match the Python bit for bit.
+ * items and on its bounds; they port scan_flat, insert_flat,
+ * local_flat, max_flat and above_flat.  Their comparisons are exact,
+ * the bound adds run in index order and clipping is a min/max, so they
+ * too match the Python bit for bit.
  *
  * maxrs_route, maxrs_map, maxrs_purge, maxrs_pending, maxrs_top,
  * maxrs_top_bound and maxrs_settle are aG2's cell index (see
- * repro/core/cells.py, whose Python twins they port operation for
- * operation): the batch route into the arrival table, and the flat cell
- * table -- key hash, per-cell bound and bookkeeping, candidate heap.
+ * repro/core/cells.py; the reference ports are map_rows, purge_rows,
+ * top, top_bound and settle, and cells._route_python for the route):
+ * the batch route into the arrival table, and the flat cell table --
+ * key hash, per-cell bound and bookkeeping, candidate heap.
  */
 
 #include <math.h>
@@ -190,13 +198,35 @@ static void tree_add(tree *t, long lo, long hi, double delta)
     }
 }
 
-int maxrs_sweep(const double *items, long n, double *out)
+/*
+ * One sweep's working state: the slot coordinates xs, the live items'
+ * slot ranges, the (y, kind, seq)-ordered events and the tree, all in
+ * one block (key, then the rest).  key[events[i]] is event i's y.
+ */
+typedef struct {
+    long nlive;
+    long ne;
+    double *key;
+    double *xs;
+    long *events;
+    long *slot_of;
+    long *live;
+    long *extra; /* the caller's scratch: `extra` longs asked of prepare */
+    tree t;
+} sweep;
+
+/*
+ * The slot coordinates, the event order and an all-zero tree over the
+ * slots for the n items.  Returns 1, or 0 when no item has positive
+ * area and -1 when out of memory (nothing is then left allocated).
+ */
+static int prepare(sweep *s, const double *items, long n, long extra)
 {
     long m = 2 * n;
     long cap = 4 * (m > 2 ? m - 1 : 1); /* tree nodes for up to m - 1 slots */
     /* one block: sort keys, x slots, tree values, then the index arrays */
     double *key = malloc((size_t)(2 * m + 2 * cap) * sizeof(double)
-                         + (size_t)(3 * m + n + cap) * sizeof(long));
+                         + (size_t)(3 * m + n + cap + extra) * sizeof(long));
     if (key == NULL)
         return -1;
     double *xs = key + m;
@@ -208,7 +238,7 @@ int maxrs_sweep(const double *items, long n, double *out)
     long *live = slot_of + m;
     long *arg = live + n;
 
-    /* _prepare: live items and their x coordinates, in input order */
+    /* live items and their x coordinates, in input order */
     long nlive = 0;
     for (long i = 0; i < n; i++) {
         const double *r = items + 5 * i;
@@ -241,57 +271,178 @@ int maxrs_sweep(const double *items, long n, double *out)
         key[k] = r[3];
         key[nlive + k] = r[1];
     }
-    long ne = 2 * nlive;
-    long *events = stable_sort(ord, tmp, key, ne);
+    s->nlive = nlive;
+    s->ne = 2 * nlive;
+    s->key = key;
+    s->xs = xs;
+    s->events = stable_sort(ord, tmp, key, 2 * nlive);
+    s->slot_of = slot_of;
+    s->live = live;
+    s->extra = arg + cap;
+    /* an all-zero tree over max(1, len(xs) - 1) slots */
+    s->t.size = nxs > 1 ? nxs - 1 : 1;
+    s->t.mx = mx;
+    s->t.add = adds;
+    s->t.arg = arg;
+    memset(mx, 0, (size_t)(4 * s->t.size) * sizeof *mx);
+    memset(adds, 0, (size_t)(4 * s->t.size) * sizeof *adds);
+    init_arg(arg, 1, 0, s->t.size - 1);
+    return 1;
+}
 
-    /* MaxCoverSegmentTree(max(1, len(xs) - 1)) */
-    tree t = {nxs > 1 ? nxs - 1 : 1, mx, adds, arg};
-    memset(mx, 0, (size_t)(4 * t.size) * sizeof *mx);
-    memset(adds, 0, (size_t)(4 * t.size) * sizeof *adds);
-    init_arg(arg, 1, 0, t.size - 1);
+/* event i as a live item k and its slot range [*lo, *hi]; nonzero for
+ * an insertion */
+static int event(const sweep *s, long i, long *k, long *lo, long *hi)
+{
+    long e = s->events[i];
+    *k = e < s->nlive ? e : e - s->nlive;
+    *lo = s->slot_of[2 * *k];
+    *hi = s->slot_of[2 * *k + 1] - 1;
+    return e >= s->nlive;
+}
 
+/* apply the events from i on that share event i's y; returns the index
+ * past them, and sets *inserted when one of them was an insertion */
+static long apply_group(sweep *s, const double *items, long i, int *inserted)
+{
+    double y = s->key[s->events[i]];
+    *inserted = 0;
+    while (i < s->ne && s->key[s->events[i]] == y) {
+        long k, lo, hi;
+        int insert = event(s, i, &k, &lo, &hi);
+        double w = items[5 * s->live[k] + 4];
+        tree_add(&s->t, lo, hi, insert ? w : -w);
+        *inserted |= insert;
+        i++;
+    }
+    return i;
+}
+
+int maxrs_sweep(const double *items, long n, double *out)
+{
+    sweep s;
+    int ready = prepare(&s, items, n, 0);
+    if (ready <= 0)
+        return ready;
     /* the max-only group loop */
     int found = 0;
     double best_w = -HUGE_VAL, best_y = 0.0, best_y_next = 0.0;
     long best_slot = 0;
     long i = 0;
-    while (i < ne) {
-        double y = key[events[i]];
-        int inserted = 0;
-        while (i < ne && key[events[i]] == y) {
-            long e = events[i];
-            long k = e < nlive ? e : e - nlive;
-            long lo = slot_of[2 * k];
-            long hi = slot_of[2 * k + 1] - 1;
-            double w = items[5 * live[k] + 4];
-            if (e >= nlive) {
-                tree_add(&t, lo, hi, w);
-                inserted = 1;
-            } else {
-                tree_add(&t, lo, hi, -w);
-            }
-            i++;
-        }
-        if (inserted && i < ne) {
-            double value = mx[1];
+    while (i < s.ne) {
+        double y = s.key[s.events[i]];
+        int inserted;
+        i = apply_group(&s, items, i, &inserted);
+        if (inserted && i < s.ne) {
+            double value = s.t.mx[1];
             if (value > best_w) {
                 found = 1;
                 best_w = value;
-                best_slot = arg[1];
+                best_slot = s.t.arg[1];
                 best_y = y;
-                best_y_next = key[events[i]];
+                best_y_next = s.key[s.events[i]];
             }
         }
     }
     if (found) {
         out[0] = best_w;
-        out[1] = xs[best_slot];
+        out[1] = s.xs[best_slot];
         out[2] = best_y;
-        out[3] = xs[best_slot + 1];
+        out[3] = s.xs[best_slot + 1];
         out[4] = best_y_next;
     }
-    free(key);
+    free(s.key);
     return found;
+}
+
+/*
+ * The best slot in [lo, hi] below node (covering [a, b]), acc being the
+ * sum of its strict ancestors' adds, top down: canonical nodes are met
+ * left to right and a later one wins only when strictly greater, so
+ * ties keep the leftmost slot.
+ */
+static void range_max(const tree *t, long node, long a, long b, long lo,
+                      long hi, double acc, double *best, long *best_arg)
+{
+    while (1) {
+        if (lo <= a && b <= hi) {
+            double value = t->mx[node] + acc;
+            if (value > *best) {
+                *best = value;
+                *best_arg = t->arg[node];
+            }
+            return;
+        }
+        acc += t->add[node];
+        long mid = (a + b) >> 1;
+        if (lo <= mid && hi > mid)
+            range_max(t, node + node, a, mid, lo, hi, acc, best, best_arg);
+        if (hi > mid) {
+            node = node + node + 1;
+            a = mid + 1;
+        } else {
+            node = node + node;
+            b = mid;
+        }
+    }
+}
+
+/*
+ * Single-sweep top-k candidates: after every group of events at one y
+ * that inserted an item (but the last group), each inserted item, in
+ * event order, offers the best slot within its x-span.  A slot offered
+ * twice in one group keeps its first position and the larger value.
+ * Writes (weight, x1, y1, x2, y2) of each candidate to out, in order;
+ * out has room for n.  Returns their number, -1 when out of memory.
+ */
+long maxrs_topk(const double *items, long n, double *out)
+{
+    sweep s;
+    int ready = prepare(&s, items, n, 4 * n);
+    if (ready <= 0)
+        return ready;
+    /* per slot (at most 2n - 1): the last group that offered it, and
+     * its candidate */
+    long *seen = s.extra;
+    long *where = seen + 2 * n;
+    for (long j = 0; j < s.t.size; j++)
+        seen[j] = -1;
+    long count = 0;
+    long i = 0;
+    while (i < s.ne) {
+        long group = i;
+        double y = s.key[s.events[i]];
+        int inserted;
+        i = apply_group(&s, items, i, &inserted);
+        if (!inserted || i == s.ne)
+            continue;
+        double y_next = s.key[s.events[i]];
+        for (long g = group; g < i; g++) {
+            long k, lo, hi;
+            if (!event(&s, g, &k, &lo, &hi))
+                continue;
+            double value = -HUGE_VAL;
+            long slot = lo;
+            range_max(&s.t, 1, 0, s.t.size - 1, lo, hi, 0.0, &value, &slot);
+            double *c;
+            if (seen[slot] == group) {
+                c = out + 5 * where[slot];
+                if (!(value > c[0]))
+                    continue;
+            } else {
+                seen[slot] = group;
+                where[slot] = count;
+                c = out + 5 * count++;
+            }
+            c[0] = value;
+            c[1] = s.xs[slot];
+            c[2] = y;
+            c[3] = s.xs[slot + 1];
+            c[4] = y_next;
+        }
+    }
+    free(s.key);
+    return count;
 }
 
 /* Rect.overlaps: both rectangles have positive area and their

@@ -30,9 +30,10 @@ that rank and bound and was not visited in the current epoch.
 Each operation is one call into the compiled library (``_sweep.c``:
 ``maxrs_route``, ``maxrs_map``, ``maxrs_purge``, ``maxrs_pending``,
 ``maxrs_top``, ``maxrs_top_bound``, ``maxrs_settle``), which reads and
-writes these same arrays through their addresses.  Without the library
-(``planesweep._KERNEL is None``) the Python twin below of each does the
-same work in the same order, so the arrays end up equal bit for bit.
+writes these same arrays through their addresses.  The Python
+reference of each, which must leave the arrays equal bit for bit, lives
+with the tests (``tests/reference_kernel.py``); the only Python route
+here is :func:`_route_python`, for the batches the kernel declines.
 The arrays only grow from Python, in :meth:`CellTable.reserve`, before
 a call that may need the room.
 """
@@ -91,18 +92,16 @@ def route_rows(
     """Append each arrival's dual rectangle and weight to ``rows`` and
     its cell cover ``(i0, i1, j0, j1)`` to ``cover``; return the number
     of (row, cell) pairs.  ``maxrs_route``, or :func:`_route_python`
-    without the kernel or when the kernel declines the batch (a bound
-    that is not finite, a cell index beyond 2**52, a cover too large to
-    count in 64 bits)."""
-    kernel = planesweep._KERNEL
+    when the kernel declines the batch (a bound that is not finite, a
+    cell index beyond 2**52, a cover too large to count in 64 bits)."""
     n = len(arrived)
-    if kernel is not None and n:
+    if n:
         xyw = array("d", chain.from_iterable(map(_XYW, arrived)))
         r0 = len(rows)
         c0 = len(cover)
         rows.frombytes(bytes(40 * n))
         cover.frombytes(bytes(32 * n))
-        pairs = kernel.route(
+        pairs = planesweep._KERNEL.route(
             xyw.buffer_info()[0], n, hw, hh,
             grid.cell_size, grid.origin_x, grid.origin_y,
             rows.buffer_info()[0] + 8 * r0, cover.buffer_info()[0] + 8 * c0,
@@ -122,7 +121,8 @@ def _route_python(
     hh: float,
     grid: UniformGrid,
 ) -> int:
-    """The Python ``maxrs_route``: ``Rect.from_center``'s bounds, float
+    """The route of a batch ``maxrs_route`` declines, and its reference:
+    ``Rect.from_center``'s bounds, float
     operation for float operation, and ``grid.cell_keys``' cover (one
     ``_axis_cells`` per axis, in exact integers).  A bound that is not
     finite makes ``Rect`` raise the error the dual transform raises,
@@ -295,15 +295,10 @@ class CellTable:
         self.reserve(table.pairs)
         rows = table.rows
         cover = table.cover
-        stop = len(table.objs)
-        kernel = planesweep._KERNEL
-        if kernel is None:
-            _map_python(self, rows, cover, table.base, start, stop)
-        else:
-            kernel.map(
-                self.addr, rows.buffer_info()[0], cover.buffer_info()[0],
-                table.base, start, stop, self.scratch.buffer_info()[0],
-            )
+        planesweep._KERNEL.map(
+            self.addr, rows.buffer_info()[0], cover.buffer_info()[0],
+            table.base, start, len(table.objs), self.scratch.buffer_info()[0],
+        )
 
     def purge(
         self, table: "ArrivalTable", head: int, stop: int, expired_upto: int
@@ -311,15 +306,10 @@ class CellTable:
         """Expire the table rows ``head .. stop - 1`` from their cells
         (deleting the cells left empty); returns the ids of the touched
         cells that hold an object, deleted ones included."""
-        cover = table.cover
-        kernel = planesweep._KERNEL
-        if kernel is None:
-            n = _purge_python(self, cover, head, stop, expired_upto)
-        else:
-            n = kernel.purge(
-                self.addr, cover.buffer_info()[0], head, stop, expired_upto,
-                self.scratch.buffer_info()[0],
-            )
+        n = planesweep._KERNEL.purge(
+            self.addr, table.cover.buffer_info()[0], head, stop,
+            expired_upto, self.scratch.buffer_info()[0],
+        )
         return self.scratch[:n]
 
     def take_pending(self, c: int, table: "ArrivalTable") -> array:
@@ -337,31 +327,21 @@ class CellTable:
         span = meta[b + C_NEWEST] - max(first, live) + 1
         if len(out) < span:
             out.frombytes(bytes(8 * max(span, len(out))))
-        kernel = planesweep._KERNEL
-        if kernel is None:
-            n = _pending_python(self, c, table.cover, base, live, out)
-        else:
-            n = kernel.pending(
-                self.addr, c, table.cover.buffer_info()[0], base, live,
-                out.buffer_info()[0],
-            )
+        n = planesweep._KERNEL.pending(
+            self.addr, c, table.cover.buffer_info()[0], base, live,
+            out.buffer_info()[0],
+        )
         return out[:n]
 
     def top(self) -> int:
         """The unvisited live cell first in ``(c.w desc, rank)`` order,
         or ``-1``; dead heap entries above it are dropped."""
-        kernel = planesweep._KERNEL
-        if kernel is None:
-            return _top_python(self)
-        return kernel.top(self.addr)
+        return planesweep._KERNEL.top(self.addr)
 
     def top_bound(self) -> int:
         """The live cell with the largest ``c.w``, ties to the largest
         key; ``-1`` when none is left."""
-        kernel = planesweep._KERNEL
-        if kernel is None:
-            return _top_bound_python(self)
-        c = kernel.top_bound(self.addr)
+        c = planesweep._KERNEL.top_bound(self.addr)
         if c < -1:
             raise MemoryError("cell heap kernel out of memory")
         return c
@@ -373,11 +353,9 @@ class CellTable:
         state = self.state
         if state[S_HEAP] + len(visited) > self.hcap:
             self._grow_heap(state[S_HEAP] + len(visited))
-        kernel = planesweep._KERNEL
-        if kernel is None:
-            _settle_python(self, visited)
-        else:
-            kernel.settle(self.addr, visited.buffer_info()[0], len(visited))
+        planesweep._KERNEL.settle(
+            self.addr, visited.buffer_info()[0], len(visited)
+        )
 
     def clear_heap(self) -> None:
         self.state[S_HEAP] = 0
@@ -462,7 +440,7 @@ class CellTable:
                 )
 
 
-# -- the Python twins ------------------------------------------------------------
+# -- lookups for find, pending and the checks ----------------------------------
 
 
 def _find(t: CellTable, i: int, j: int) -> tuple[int, int]:
@@ -478,183 +456,12 @@ def _find(t: CellTable, i: int, j: int) -> tuple[int, int]:
         s = (s + 1) & mask
 
 
-def _create(t: CellTable, slot: int, i: int, j: int) -> int:
-    state = t.state
-    if state[S_NFREE] > 0:
-        state[S_NFREE] -= 1
-        c = t.free[state[S_NFREE]]
-    else:
-        c = state[S_HWM]
-        state[S_HWM] += 1
-    b = CF * c
-    t.meta[b:b + CF] = array("q", (i, j, state[S_RANK], -1, -1, 0, -1, 0))
-    state[S_RANK] += 1
-    t.cw[c] = 0.0
-    t.slots[slot] = c
-    state[S_COUNT] += 1
-    return c
-
-
-def _drop(t: CellTable, c: int) -> None:
-    """Delete cell ``c``: backward-shift its probe chain, free its id."""
-    meta = t.meta
-    slots = t.slots
-    state = t.state
-    mask = state[S_MASK]
-    b = CF * c
-    s = _home(meta[b + C_I], meta[b + C_J], mask)
-    while slots[s] != c:
-        s = (s + 1) & mask
-    j = s
-    while True:
-        j = (j + 1) & mask
-        d = slots[j]
-        if d < 0:
-            break
-        h = _home(meta[CF * d + C_I], meta[CF * d + C_J], mask)
-        # d moves into the hole unless its home lies in (s, j]
-        if (j - h) & mask >= (j - s) & mask:
-            slots[s] = d
-            s = j
-    slots[s] = -1
-    meta[b + C_RANK] = -1
-    meta[b + C_HELD] = 0
-    t.free[state[S_NFREE]] = c
-    state[S_NFREE] += 1
-    state[S_COUNT] -= 1
-
-
 def _ahead(t: CellTable, a: int, b: int) -> bool:
     """Heap entry ``a`` goes before ``b``: larger bound, then smaller
     rank."""
     x = t.hcw[a]
     y = t.hcw[b]
     return x > y or (x == y and t.hent[2 * a] < t.hent[2 * b])
-
-
-def _swap(t: CellTable, a: int, b: int) -> None:
-    hcw = t.hcw
-    hent = t.hent
-    hcw[a], hcw[b] = hcw[b], hcw[a]
-    hent[2 * a], hent[2 * b] = hent[2 * b], hent[2 * a]
-    hent[2 * a + 1], hent[2 * b + 1] = hent[2 * b + 1], hent[2 * a + 1]
-
-
-def _sift_down(t: CellTable, k: int, n: int) -> None:
-    while True:
-        left = 2 * k + 1
-        if left >= n:
-            return
-        b = left + 1 if left + 1 < n and _ahead(t, left + 1, left) else left
-        if not _ahead(t, b, k):
-            return
-        _swap(t, b, k)
-        k = b
-
-
-def _push(t: CellTable, c: int) -> None:
-    state = t.state
-    k = state[S_HEAP]
-    state[S_HEAP] += 1
-    t.hcw[k] = t.cw[c]
-    t.hent[2 * k] = t.meta[CF * c + C_RANK]
-    t.hent[2 * k + 1] = c
-    while k > 0:
-        parent = (k - 1) // 2
-        if not _ahead(t, k, parent):
-            return
-        _swap(t, k, parent)
-        k = parent
-
-
-def _pop(t: CellTable) -> None:
-    state = t.state
-    state[S_HEAP] -= 1
-    n = state[S_HEAP]
-    if n > 0:
-        t.hcw[0] = t.hcw[n]
-        t.hent[0] = t.hent[2 * n]
-        t.hent[1] = t.hent[2 * n + 1]
-        _sift_down(t, 0, n)
-
-
-def _live(t: CellTable, k: int) -> bool:
-    c = t.hent[2 * k + 1]
-    b = CF * c
-    meta = t.meta
-    return (
-        meta[b + C_RANK] == t.hent[2 * k]
-        and t.cw[c] == t.hcw[k]
-        and meta[b + C_VISIT] != t.state[S_VSTAMP]
-    )
-
-
-def _map_python(
-    t: CellTable, rows: array, cover: array, base: int, start: int, stop: int
-) -> int:
-    """The Python ``maxrs_map``: find or create every covered cell, rows
-    in order; grow its bound by the row's weight (Equation 5) and make
-    the row its newest (and first pending, if none); then push one heap
-    entry per touched cell, in first-touch order, at its final bound."""
-    state = t.state
-    state[S_STAMP] += 1
-    stamp = state[S_STAMP]
-    meta = t.meta
-    cw = t.cw
-    touched = t.scratch
-    nt = 0
-    for r in range(start, stop):
-        i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
-        w = rows[5 * r + 4]
-        seq = base + r
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                c, slot = _find(t, i, j)
-                if c < 0:
-                    c = _create(t, slot, i, j)
-                b = CF * c
-                cw[c] += w
-                meta[b + C_NEWEST] = seq
-                if meta[b + C_FIRST] < 0:
-                    meta[b + C_FIRST] = seq
-                if meta[b + C_MARK] != stamp:
-                    meta[b + C_MARK] = stamp
-                    touched[nt] = c
-                    nt += 1
-    for k in range(nt):
-        _push(t, touched[k])
-    return nt
-
-
-def _purge_python(
-    t: CellTable, cover: array, head: int, stop: int, expired_upto: int
-) -> int:
-    """The Python ``maxrs_purge``: each cell covered by an expired row,
-    once, in row order — reported when it holds an object, deleted when
-    its newest row expired."""
-    state = t.state
-    state[S_STAMP] += 1
-    stamp = state[S_STAMP]
-    meta = t.meta
-    held = t.scratch
-    n = 0
-    for r in range(head, stop):
-        i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                c = _find(t, i, j)[0]
-                if c < 0:
-                    continue
-                b = CF * c
-                if meta[b + C_MARK] == stamp:
-                    continue
-                meta[b + C_MARK] = stamp
-                if meta[b + C_HELD]:
-                    held[n] = c
-                    n += 1
-                if meta[b + C_NEWEST] <= expired_upto:
-                    _drop(t, c)
-    return n
 
 
 def _pending_rows(
@@ -675,70 +482,3 @@ def _pending_rows(
         if cover[k] <= i <= cover[k + 1] and cover[k + 2] <= j <= cover[k + 3]:
             seqs.append(seq)
     return seqs
-
-
-def _pending_python(
-    t: CellTable, c: int, cover: array, base: int, live: int, out: array
-) -> int:
-    """The Python ``maxrs_pending``: mark the cell visited and move its
-    pending seqs into ``out``."""
-    b = CF * c
-    t.meta[b + C_VISIT] = t.state[S_VSTAMP]
-    seqs = _pending_rows(t, c, cover, base, live)
-    t.meta[b + C_FIRST] = -1
-    out[:len(seqs)] = array("q", seqs)
-    return len(seqs)
-
-
-def _top_python(t: CellTable) -> int:
-    """The Python ``maxrs_top``."""
-    state = t.state
-    while state[S_HEAP] > 0:
-        if _live(t, 0):
-            return t.hent[1]
-        _pop(t)
-    return -1
-
-
-def _top_bound_python(t: CellTable) -> int:
-    """The Python ``maxrs_top_bound``: entries tied with the root's
-    bound form a subtree under the root, so only they are read."""
-    best = _top_python(t)
-    if best < 0:
-        return best
-    n = t.state[S_HEAP]
-    bound = t.hcw[0]
-    meta = t.meta
-    stack = [1, 2]
-    while stack:
-        k = stack.pop()
-        if k >= n or t.hcw[k] != bound:
-            continue
-        c = t.hent[2 * k + 1]
-        if (meta[CF * c + C_I], meta[CF * c + C_J]) > (
-            meta[CF * best + C_I], meta[CF * best + C_J]
-        ) and _live(t, k):
-            best = c
-        stack += (2 * k + 1, 2 * k + 2)
-    return best
-
-
-def _settle_python(t: CellTable, visited: array) -> None:
-    """The Python ``maxrs_settle``."""
-    for c in visited:
-        _push(t, c)
-    state = t.state
-    state[S_VSTAMP] += 1
-    if state[S_HEAP] > 2 * state[S_COUNT]:
-        size = 0
-        meta = t.meta
-        for c in range(state[S_HWM]):
-            if meta[CF * c + C_RANK] < 0:
-                continue
-            t.hcw[size] = t.cw[c]
-            t.hent[2 * size] = meta[CF * c + C_RANK]
-            t.hent[2 * size + 1] = c
-            size += 1
-        state[S_HEAP] = size
-        for k in range(size // 2 - 1, -1, -1):
-            _sift_down(t, k, size)

@@ -2,9 +2,9 @@
 
 Implements the optimal O(n log n) in-memory algorithm of Nandy &
 Bhattacharya [18] / Imai & Asano [12]: sweep a horizontal line from the
-bottom to the top of a set of weighted rectangles while a
-:class:`~repro.core.segment_tree.MaxCoverSegmentTree` tracks the total
-weight covering each elementary x-interval.  Entry points:
+bottom to the top of a set of weighted rectangles while a max-cover
+segment tree tracks the total weight covering each elementary
+x-interval.  Entry points:
 
 * :func:`plane_sweep_max` — the classic one-shot MaxRS over a rectangle
   set; this is what the *naive* baseline re-runs from scratch per batch.
@@ -28,31 +28,29 @@ sub-rectangle of the (possibly wider) maximal-weight space.  Every
 interior point attains the reported weight, which is all MaxRS needs.
 
 Hot path (docs/PERFORMANCE.md §1-§2): one compiled C library,
-``_sweep.c``, runs every max sweep (``maxrs_sweep``, a port of
-:func:`_prepare`, :meth:`MaxCoverSegmentTree.add` and the group loop of
-:func:`_sweep_python` that returns the same answer bit for bit) and the
-graph cells' buffer work: ``maxrs_connect`` (the overlap scan of one
-rectangle, :func:`_scan_python`), ``maxrs_insert`` (``CellGraph.connect``
-of a whole pending set: copy the rows in, then one overlap scan per new
-row, :func:`_insert_python`), ``maxrs_local`` (gather, clip and sweep,
-:func:`_local_python`), ``maxrs_max`` and ``maxrs_above`` (the bound
-scans of ``CellGraph``).  Each has one dispatcher here
-(``_sweep_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
+``_sweep.c``, runs every sweep step: ``maxrs_sweep`` (the max sweep),
+``maxrs_topk`` (the top-k candidates of one sweep), ``maxrs_connect``
+(the overlap scan of one rectangle), ``maxrs_insert``
+(``CellGraph.connect`` of a whole pending set: copy the rows in, then
+one overlap scan per new row), ``maxrs_local`` (gather, clip and
+sweep), ``maxrs_max`` and ``maxrs_above`` (the bound scans of
+``CellGraph``).  Each has one dispatcher here (``_sweep_flat``,
+``_topk_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
 ``_max_flat``, ``_above_flat``); the same library's aG2 cell-index
 entry points (``maxrs_route``, ``maxrs_map``, ``maxrs_purge``,
 ``maxrs_pending``, ``maxrs_top``, ``maxrs_top_bound``,
-``maxrs_settle``) are dispatched, with their Python twins, in
-``repro.core.cells``; nothing else reads ``_KERNEL``.  Items are a
-flat ``array('d')`` of 5 doubles each, ``(x1, y1, x2, y2, weight)`` —
-the layout of a graph cell's buffer, so a call passes a pointer and a
-count.  The library is compiled with gcc on first import into a
-per-user cache and loaded with :mod:`ctypes`.  Without a compiler, or
-when building or loading fails, ``_KERNEL`` is ``None`` and the Python
-code below runs instead: it is the reference and the fallback, and it
-does the same work in the same order.  Its sweep events are 6-tuples
-``(y, kind, seq, lo_slot, hi_slot, weight)`` sorted natively (``seq``
-reproduces the stable-sort tie order), and it borrows a pooled segment
-tree via :func:`_acquire_tree` / :func:`_release_tree`.
+``maxrs_settle``) are called from ``repro.core.cells``; nothing else
+reads ``_KERNEL``.  Items are a flat ``array('d')`` of 5 doubles each,
+``(x1, y1, x2, y2, weight)`` — the layout of a graph cell's buffer, so
+a call passes a pointer and a count.
+
+The library is compiled with gcc (or cc) on first import into a
+per-user cache and loaded with :mod:`ctypes`.  It is required: when no
+compiler is found, or building or loading fails, the import raises
+:class:`~repro.errors.KernelUnavailableError`.  The Python reference
+that every entry point is held to, ``float.hex`` for ``float.hex``,
+lives with the tests (``tests/reference_kernel.py`` and
+``tests/segment_tree.py``).
 """
 
 from __future__ import annotations
@@ -61,18 +59,15 @@ import os
 import shutil
 import sysconfig
 import tempfile
-import warnings
 from array import array
-from bisect import bisect_left
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from repro.core.geometry import Rect
 from repro.core.objects import WeightedRect
-from repro.core.segment_tree import MaxCoverSegmentTree
 from repro.core.spaces import Region
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, KernelUnavailableError
 
 try:  # CPython's own SHA-256; hashlib's OpenSSL adds ~3.7 MiB of RSS
     from _sha256 import sha256  # Python <= 3.11
@@ -93,9 +88,6 @@ __all__ = [
     "local_plane_sweep_items",
     "sweep_items_max",
 ]
-
-_REMOVE = 0
-_INSERT = 1
 
 #: result of a flat sweep: ``(weight, x1, y1, x2, y2)``
 _Cell = Sequence[float]
@@ -156,6 +148,7 @@ class _Kernel(NamedTuple):
     """The compiled library's entry points (see ``_sweep.c``)."""
 
     sweep: object
+    topk: object
     connect: object
     insert: object
     local: object
@@ -182,6 +175,7 @@ def _open(path: Path) -> _Kernel:
     ptr, long_ = ctypes.c_void_p, ctypes.c_long
     kernel = _Kernel(
         library.maxrs_sweep,
+        library.maxrs_topk,
         library.maxrs_connect,
         library.maxrs_insert,
         library.maxrs_local,
@@ -197,6 +191,8 @@ def _open(path: Path) -> _Kernel:
     )
     kernel.sweep.argtypes = (ptr, long_, ptr)
     kernel.sweep.restype = ctypes.c_int
+    kernel.topk.argtypes = (ptr, long_, ptr)
+    kernel.topk.restype = long_
     kernel.connect.argtypes = (ptr, long_, long_, long_, ptr, ptr, ptr)
     kernel.connect.restype = long_
     kernel.insert.argtypes = (
@@ -232,16 +228,19 @@ def _open(path: Path) -> _Kernel:
     return kernel
 
 
-def _load_kernel() -> _Kernel | None:
-    """The compiled entry points, or ``None``.
+def _load_kernel() -> _Kernel:
+    """The compiled entry points.
 
     Loads the cached library, building it first when missing, and
     rebuilds it once when a cached file does not load (damaged, or
-    built on a host with another C library).  On any failure after
-    that it warns and leaves the Python code in charge.
+    built on a host with another C library).  Raises
+    :class:`KernelUnavailableError` when that fails too: no other
+    implementation of the sweep steps ships.
     """
+    cache: Path | str = "unknown"
     try:
-        path = _cache_dir() / _kernel_name()
+        cache = _cache_dir()
+        path = cache / _kernel_name()
         built = not path.exists()
         if built:
             _build(path)
@@ -253,41 +252,43 @@ def _load_kernel() -> _Kernel | None:
             _build(path)
             return _open(path)
     except (ImportError, OSError, AttributeError) as exc:
-        warnings.warn(
-            f"compiled sweep kernel unavailable ({exc}); "
-            "sweeps run on the slower Python segment tree",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return None
+        raise KernelUnavailableError(
+            f"cannot build or load the compiled sweep kernel "
+            f"{_C_SOURCE.name} in the cache directory {cache}: {exc}.  "
+            f"The kernel is required: put gcc (or cc) on PATH and keep "
+            f"the cache directory writable (XDG_CACHE_HOME)"
+        ) from exc
 
 
-#: resolved once, at import, never inside a timed update; ``None``
-#: selects the Python code for every entry point (tests set it so)
+#: resolved once, at import, never inside a timed update
 _KERNEL = _load_kernel()
 #: initial contents of the kernel's per-call output buffer
 _OUT = (0.0,) * 5
 
 
-def sweep_kernel() -> str:
-    """``"compiled"`` when the C kernel runs the max sweeps, else
-    ``"python"`` (bench documents record it)."""
-    return "python" if _KERNEL is None else "compiled"
-
-
 def _sweep_flat(buf: array) -> _Cell | None:
     """``(weight, x1, y1, x2, y2)`` of a maximum-weight cell of the flat
     items in ``buf``, or ``None`` when no item has positive area."""
-    kernel = _KERNEL
-    if kernel is None:
-        return _sweep_python(buf)
     out = array("d", _OUT)
-    found = kernel.sweep(
+    found = _KERNEL.sweep(
         buf.buffer_info()[0], len(buf) // 5, out.buffer_info()[0]
     )
     if found < 0:
         raise MemoryError("plane sweep kernel out of memory")
     return out if found else None
+
+
+def _topk_flat(buf: array) -> array:
+    """The single-sweep top-k candidates of the flat items in ``buf``:
+    ``(weight, x1, y1, x2, y2)`` each, 5 doubles a candidate, in the
+    order the sweep first offered them (``maxrs_topk``)."""
+    n = len(buf) // 5
+    out = array("d", bytes(8 * len(buf)))
+    count = _KERNEL.topk(buf.buffer_info()[0], n, out.buffer_info()[0])
+    if count < 0:
+        raise MemoryError("plane sweep kernel out of memory")
+    del out[5 * count:]
+    return out
 
 
 def _address(buf: array | None) -> int | None:
@@ -303,11 +304,12 @@ def _scan_flat(
     dirty: array | None,
     hits: array | None,
 ) -> int:
-    """``maxrs_connect``, or :func:`_scan_python` without the kernel."""
-    kernel = _KERNEL
-    if kernel is None:
-        return _scan_python(items, q, lo, hi, upper, dirty, hits)
-    return kernel.connect(
+    """``maxrs_connect``: every flat item ``j`` in ``[lo, hi)``, in index
+    order, whose rectangle overlaps item ``q``'s (``Rect.overlaps``).
+    With ``upper``, add item ``q``'s weight to ``upper[j]`` and set
+    ``dirty[j]``; with ``hits``, store ``j`` at ``hits[k]`` for the
+    ``k``-th item.  Returns the count."""
+    return _KERNEL.connect(
         items.buffer_info()[0], q, lo, hi,
         _address(upper), _address(dirty), _address(hits),
     )
@@ -325,13 +327,12 @@ def _insert_flat(
     dirty: array,
     hits: array | None,
 ) -> int:
-    """``maxrs_insert``, or :func:`_insert_python` without the kernel."""
-    kernel = _KERNEL
-    if kernel is None:
-        return _insert_python(
-            table, base, seqs, items, head, n, upper, exact, dirty, hits
-        )
-    return kernel.insert(
+    """``maxrs_insert``: copy the table rows of ``seqs`` to items ``n, n +
+    1, ...`` (their bounds and exact weights start at the row's weight),
+    then connect each new item in order to the older items ``[head, n +
+    k)`` as :func:`_scan_flat` does, appending the touched indices to
+    ``hits``.  Returns the number of edges."""
+    return _KERNEL.insert(
         table.buffer_info()[0], base, seqs.buffer_info()[0], len(seqs),
         items.buffer_info()[0], head, n, upper.buffer_info()[0],
         exact.buffer_info()[0], dirty.buffer_info()[0], _address(hits),
@@ -341,33 +342,21 @@ def _insert_flat(
 def _max_flat(values: array, lo: int) -> float:
     """``max(values[lo:])``, the first of equal maxima; ``0.0`` when
     empty."""
-    kernel = _KERNEL
-    if kernel is None:
-        return max(values[lo:], default=0.0)
-    return kernel.max(values.buffer_info()[0] + 8 * lo, len(values) - lo)
+    return _KERNEL.max(values.buffer_info()[0] + 8 * lo, len(values) - lo)
 
 
 def _above_flat(values: array, lo: int, relax: float, rho: float) -> int:
     """The first index ``j ≥ lo`` with ``relax * values[j] > rho``, or
     ``len(values)``."""
-    kernel = _KERNEL
-    n = len(values)
-    if kernel is None:
-        for j in range(lo, n):
-            if relax * values[j] > rho:
-                return j
-        return n
-    return kernel.above(values.buffer_info()[0], lo, n, relax, rho)
+    return _KERNEL.above(values.buffer_info()[0], lo, len(values), relax, rho)
 
 
 def _local_flat(items: array, i: int, n: int) -> _Cell | None:
-    """The sweep of flat item ``i`` with its neighbours clipped to it
-    (see :func:`_local_python`), or ``None`` when it has none."""
-    kernel = _KERNEL
-    if kernel is None:
-        return _local_python(items, i, n)
+    """The sweep of flat item ``i`` with its neighbours — the items in
+    ``(i, n)`` that overlap it — each clipped to it, in index order
+    (``maxrs_local``); ``None`` when it has none."""
     out = array("d", _OUT)
-    found = kernel.local(items.buffer_info()[0], i, n, out.buffer_info()[0])
+    found = _KERNEL.local(items.buffer_info()[0], i, n, out.buffer_info()[0])
     if found < 0:
         raise MemoryError("plane sweep kernel out of memory")
     return out if found else None
@@ -378,127 +367,6 @@ def _pack(items: Iterable[tuple[Rect, float]]) -> array:
     return array(
         "d", [v for r, w in items for v in (r.x1, r.y1, r.x2, r.y2, w)]
     )
-
-
-# -- the Python tree: reference and fallback ------------------------------
-
-# Pool of reusable segment trees: a sweep borrows one, resets it to the
-# needed slot count (reusing the backing arrays), and returns it.  Kept
-# tiny — sweeps never nest more than top-level sweep → local sweep.
-_TREE_POOL: list[MaxCoverSegmentTree] = []
-_POOL_MAX = 4
-
-
-def _acquire_tree(size: int) -> MaxCoverSegmentTree:
-    if _TREE_POOL:
-        tree = _TREE_POOL.pop()
-        tree.reset(size)
-        return tree
-    return MaxCoverSegmentTree(size)
-
-
-def _release_tree(tree: MaxCoverSegmentTree) -> None:
-    if len(_TREE_POOL) < _POOL_MAX:
-        _TREE_POOL.append(tree)
-
-
-def _prepare(
-    buf: array,
-) -> tuple[list[float], list[tuple[float, int, int, int, int, float]]] | None:
-    """Build the slot coordinate array and the y-sorted event list.
-
-    Returns ``None`` when no item has positive area.  Each event is
-    ``(y, kind, seq, lo_slot, hi_slot, weight)``; removals sort before
-    insertions at equal ``y`` so that every queried strip has positive
-    height (strict-interior semantics), and the per-rectangle ``seq``
-    makes the native tuple sort reproduce input order on (y, kind) ties.
-    """
-    xs_all: list[float] = []
-    push_x = xs_all.append
-    live: list[int] = []
-    push_live = live.append
-    for i in range(0, len(buf), 5):
-        x1 = buf[i]
-        x2 = buf[i + 2]
-        if x1 == x2 or buf[i + 1] == buf[i + 3]:  # empty interior
-            continue
-        push_live(i)
-        push_x(x1)
-        push_x(x2)
-    if not live:
-        return None
-    xs_all.sort()
-    xs = [xs_all[0]]
-    push_slot = xs.append
-    prev = xs_all[0]
-    for x in xs_all:
-        if x != prev:
-            push_slot(x)
-            prev = x
-    events: list[tuple[float, int, int, int, int, float]] = []
-    push_event = events.append
-    seq = 0
-    for i in live:
-        lo = bisect_left(xs, buf[i])
-        hi = bisect_left(xs, buf[i + 2]) - 1
-        w = buf[i + 4]
-        push_event((buf[i + 1], _INSERT, seq, lo, hi, w))
-        push_event((buf[i + 3], _REMOVE, seq, lo, hi, w))
-        seq += 1
-    events.sort()
-    return xs, events
-
-
-def _iter_y_groups(
-    events: list[tuple[float, int, int, int, int, float]],
-    tree: MaxCoverSegmentTree,
-) -> Iterable[tuple[float, float, list[tuple[int, int]]]]:
-    """Apply events group-by-group; yield ``(y, y_next, inserted_spans)``
-    after each group that performed at least one insertion."""
-    n = len(events)
-    i = 0
-    add = tree.add
-    while i < n:
-        y = events[i][0]
-        inserted: list[tuple[int, int]] = []
-        push = inserted.append
-        while i < n and events[i][0] == y:
-            ev = events[i]
-            lo = ev[3]
-            hi = ev[4]
-            if ev[1]:
-                add(lo, hi, ev[5])
-                push((lo, hi))
-            else:
-                add(lo, hi, -ev[5])
-            i += 1
-        if inserted and i < n:
-            yield y, events[i][0], inserted
-
-
-def _sweep_python(buf: array) -> _Cell | None:
-    """The Python tree's answer to :func:`_sweep_flat`."""
-    prepared = _prepare(buf)
-    if prepared is None:
-        return None
-    xs, events = prepared
-    tree = _acquire_tree(max(1, len(xs) - 1))
-    try:
-        mx = tree._mx  # root max/arg read per strip; skip property calls
-        arg = tree._arg
-        best_w = float("-inf")
-        best: tuple[int, float, float] | None = None
-        for y, y_next, _inserted in _iter_y_groups(events, tree):
-            value = mx[1]
-            if value > best_w:
-                best_w = value
-                best = (arg[1], y, y_next)
-    finally:
-        _release_tree(tree)
-    if best is None:
-        return None
-    slot, y, y_next = best
-    return best_w, xs[slot], y, xs[slot + 1], y_next
 
 
 def sweep_items_max(
@@ -540,136 +408,16 @@ def plane_sweep_topk(rects: Sequence[WeightedRect], k: int) -> list[Region]:
     """
     if k <= 0:
         raise InvalidParameterError(f"k must be positive, got {k}")
-    prepared = _prepare(_pack((wr.rect, wr.weight) for wr in rects))
-    if prepared is None:
-        return []
-    xs, events = prepared
-    tree = _acquire_tree(max(1, len(xs) - 1))
-    try:
-        range_max = tree.range_max
-        # arrangement cell -> (weight, slot, y, y_next)
-        candidates: dict[
-            tuple[int, float], tuple[float, int, float, float]
-        ] = {}
-        get = candidates.get
-        for y, y_next, inserted in _iter_y_groups(events, tree):
-            for lo, hi in inserted:
-                value, slot = range_max(lo, hi)
-                key = (slot, y)
-                prev = get(key)
-                if prev is None or value > prev[0]:
-                    candidates[key] = (value, slot, y, y_next)
-    finally:
-        _release_tree(tree)
-    ranked = sorted(candidates.values(), key=lambda c: c[0], reverse=True)
+    found = _topk_flat(_pack((wr.rect, wr.weight) for wr in rects))
+    # stable: equal weights keep the order the sweep offered them in
+    ranked = sorted(range(0, len(found), 5), key=found.__getitem__, reverse=True)
     return [
-        Region(rect=Rect(xs[slot], y, xs[slot + 1], y_next), weight=value)
-        for value, slot, y, y_next in ranked[:k]
+        Region(
+            rect=Rect(found[b + 1], found[b + 2], found[b + 3], found[b + 4]),
+            weight=found[b],
+        )
+        for b in ranked[:k]
     ]
-
-
-def _scan_python(
-    items: array,
-    q: int,
-    lo: int,
-    hi: int,
-    upper: array | None,
-    dirty: array | None,
-    hits: array | None,
-    at: int = 0,
-) -> int:
-    """The Python ``maxrs_connect``: visit every flat item ``j`` in
-    ``[lo, hi)``, in index order, whose rectangle overlaps item ``q``'s
-    (``Rect.overlaps``, inlined).  With ``upper``, add item ``q``'s
-    weight to ``upper[j]`` and set ``dirty[j]``; with ``hits``, store
-    ``j`` at ``hits[at + k]`` for the ``k``-th item.  Returns the
-    count."""
-    b = 5 * q
-    x1 = items[b]
-    y1 = items[b + 1]
-    x2 = items[b + 2]
-    y2 = items[b + 3]
-    weight = items[b + 4]
-    k = at
-    if x1 == x2 or y1 == y2:  # a degenerate rectangle overlaps nothing
-        return 0
-    for j in range(lo, hi):
-        b = 5 * j
-        rx1 = items[b]
-        ry1 = items[b + 1]
-        rx2 = items[b + 2]
-        ry2 = items[b + 3]
-        if (
-            rx1 < x2
-            and x1 < rx2
-            and ry1 < y2
-            and y1 < ry2
-            and rx1 != rx2
-            and ry1 != ry2
-        ):
-            if upper is not None:
-                upper[j] += weight
-                dirty[j] = 1
-            if hits is not None:
-                hits[k] = j
-            k += 1
-    return k - at
-
-
-def _insert_python(
-    table: array,
-    base: int,
-    seqs: array,
-    items: array,
-    head: int,
-    n: int,
-    upper: array,
-    exact: array,
-    dirty: array,
-    hits: array | None,
-) -> int:
-    """The Python ``maxrs_insert``: copy the table rows of ``seqs`` to
-    items ``n, n + 1, ...`` (their bounds and exact weights start at the
-    row's weight), then connect each new item in order to the older
-    items ``[head, n + k)`` with :func:`_scan_python`, appending the
-    touched indices to ``hits``.  Returns the number of edges."""
-    for k, seq in enumerate(seqs):
-        b = 5 * (seq - base)
-        q = n + k
-        items[5 * q:5 * q + 5] = table[b:b + 5]
-        upper[q] = exact[q] = table[b + 4]
-    edges = 0
-    for q in range(n, n + len(seqs)):
-        edges += _scan_python(items, q, head, q, upper, dirty, hits, edges)
-    return edges
-
-
-def _local_python(items: array, i: int, n: int) -> _Cell | None:
-    """The Python ``maxrs_local``: gather the neighbours of flat item
-    ``i`` — the items in ``(i, n)`` that overlap it — clip each to it,
-    in index order, and sweep item ``i`` with the clips."""
-    hits = array("q", bytes(8 * (n - i)))
-    degree = _scan_python(items, i, i + 1, n, None, None, hits)
-    b = 5 * i
-    ax1 = items[b]
-    ay1 = items[b + 1]
-    ax2 = items[b + 2]
-    ay2 = items[b + 3]
-    buf = items[b:b + 5]
-    push = buf.extend
-    for k in range(degree):
-        b = 5 * hits[k]
-        x1 = items[b]
-        y1 = items[b + 1]
-        x2 = items[b + 2]
-        y2 = items[b + 3]
-        x1 = x1 if x1 > ax1 else ax1
-        y1 = y1 if y1 > ay1 else ay1
-        x2 = x2 if x2 < ax2 else ax2
-        y2 = y2 if y2 < ay2 else ay2
-        if x1 < x2 and y1 < y2:
-            push((x1, y1, x2, y2, items[b + 4]))
-    return _sweep_python(buf) if len(buf) > 5 else None
 
 
 def _anchored(cell: _Cell | None, anchor: WeightedRect) -> Region:

@@ -39,6 +39,18 @@ class InvariantViolationError(ReproError):
     """
 
 
+class KernelUnavailableError(ReproError, ImportError):
+    """The compiled sweep kernel (``repro/core/_sweep.c``) could not be
+    built or loaded.
+
+    Raised by the import of :mod:`repro.core`: every sweep step runs in
+    that one library, so a host without a C compiler cannot run the
+    monitors.  The message names the compiler looked for and the cache
+    directory the library is built into.  It is an ``ImportError`` too,
+    since the failed import of ``repro`` is where it shows.
+    """
+
+
 class SnapshotError(ReproError):
     """A persisted snapshot or checkpoint is unreadable.
 

@@ -1,0 +1,605 @@
+"""The Python reference of every compiled sweep step, and the seam that
+swaps it in for the kernel calls.
+
+``repro.core`` runs every sweep step in one compiled library
+(``repro/core/_sweep.c``).  Each entry point ports the Python below
+operation for operation, so the two must agree bit for bit: the
+differentials compare them on ``float.hex`` of every number.  The max
+sweep and the top-k candidates run on :class:`MaxCoverSegmentTree`
+(``tests/segment_tree.py``), borrowed from a small pool; the graph
+cells' scans on the same flat items; the aG2 cell table's map, purge,
+visit, candidate heap and settle on the table's own arrays.
+
+:func:`use_reference` (with a ``MonkeyPatch``) and
+:func:`reference_kernel` (a context manager) replace every binding of a
+kernel dispatcher in the loaded ``repro`` modules — ``_sweep_flat``,
+``_topk_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
+``_max_flat``, ``_above_flat`` and ``route_rows`` — and the
+:class:`~repro.core.cells.CellTable` methods that call the kernel, so a
+whole monitor runs on the reference.
+"""
+
+from __future__ import annotations
+
+import sys
+from array import array
+from bisect import bisect_left
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
+
+import pytest
+
+from repro.core import cells, planesweep
+from repro.core.cells import (
+    C_FIRST, C_HELD, C_I, C_J, C_MARK, C_NEWEST, C_RANK, C_VISIT, CF,
+    S_COUNT, S_HEAP, S_HWM, S_MASK, S_NFREE, S_RANK, S_STAMP, S_VSTAMP,
+    CellTable, _ahead, _find, _home, _pending_rows,
+)
+from segment_tree import MaxCoverSegmentTree
+
+_REMOVE = 0
+_INSERT = 1
+
+#: a flat sweep's answer: ``(weight, x1, y1, x2, y2)``
+_Cell = Sequence[float]
+_Event = tuple[float, int, int, int, int, float]
+
+# -- the sweeps ------------------------------------------------------------
+
+# Pool of reusable segment trees: a sweep borrows one, resets it to the
+# needed slot count (reusing the backing arrays), and returns it.  Kept
+# tiny — sweeps never nest more than top-level sweep → local sweep.
+_TREE_POOL: list[MaxCoverSegmentTree] = []
+_POOL_MAX = 4
+
+
+def _acquire_tree(size: int) -> MaxCoverSegmentTree:
+    if _TREE_POOL:
+        tree = _TREE_POOL.pop()
+        tree.reset(size)
+        return tree
+    return MaxCoverSegmentTree(size)
+
+
+def _release_tree(tree: MaxCoverSegmentTree) -> None:
+    if len(_TREE_POOL) < _POOL_MAX:
+        _TREE_POOL.append(tree)
+
+
+def _prepare(buf: array) -> tuple[list[float], list[_Event]] | None:
+    """Build the slot coordinate array and the y-sorted event list
+    (``prepare`` in ``_sweep.c``).
+
+    Returns ``None`` when no item has positive area.  Each event is
+    ``(y, kind, seq, lo_slot, hi_slot, weight)``; removals sort before
+    insertions at equal ``y`` so that every queried strip has positive
+    height (strict-interior semantics), and the per-rectangle ``seq``
+    makes the native tuple sort reproduce input order on (y, kind) ties.
+    """
+    xs_all: list[float] = []
+    live: list[int] = []
+    for i in range(0, len(buf), 5):
+        x1 = buf[i]
+        x2 = buf[i + 2]
+        if x1 == x2 or buf[i + 1] == buf[i + 3]:  # empty interior
+            continue
+        live.append(i)
+        xs_all += (x1, x2)
+    if not live:
+        return None
+    xs_all.sort()
+    xs = [xs_all[0]]
+    prev = xs_all[0]
+    for x in xs_all:
+        if x != prev:
+            xs.append(x)
+            prev = x
+    events: list[_Event] = []
+    for seq, i in enumerate(live):
+        lo = bisect_left(xs, buf[i])
+        hi = bisect_left(xs, buf[i + 2]) - 1
+        w = buf[i + 4]
+        events.append((buf[i + 1], _INSERT, seq, lo, hi, w))
+        events.append((buf[i + 3], _REMOVE, seq, lo, hi, w))
+    events.sort()
+    return xs, events
+
+
+def _iter_y_groups(
+    events: list[_Event], tree: MaxCoverSegmentTree
+) -> Iterable[tuple[float, float, list[tuple[int, int]]]]:
+    """Apply events group-by-group; yield ``(y, y_next, inserted_spans)``
+    after each group but the last that performed at least one
+    insertion."""
+    n = len(events)
+    i = 0
+    while i < n:
+        y = events[i][0]
+        inserted: list[tuple[int, int]] = []
+        while i < n and events[i][0] == y:
+            _y, kind, _seq, lo, hi, w = events[i]
+            if kind == _INSERT:
+                tree.add(lo, hi, w)
+                inserted.append((lo, hi))
+            else:
+                tree.add(lo, hi, -w)
+            i += 1
+        if inserted and i < n:
+            yield y, events[i][0], inserted
+
+
+def sweep_flat(buf: array) -> _Cell | None:
+    """``maxrs_sweep``: ``(weight, x1, y1, x2, y2)`` of a maximum-weight
+    cell of the flat items, or ``None`` when no item has positive
+    area."""
+    prepared = _prepare(buf)
+    if prepared is None:
+        return None
+    xs, events = prepared
+    tree = _acquire_tree(max(1, len(xs) - 1))
+    try:
+        best_w = float("-inf")
+        best: tuple[int, float, float] | None = None
+        for y, y_next, _inserted in _iter_y_groups(events, tree):
+            value = tree.max_value
+            if value > best_w:
+                best_w = value
+                best = (tree.argmax, y, y_next)
+    finally:
+        _release_tree(tree)
+    if best is None:
+        return None
+    slot, y, y_next = best
+    return best_w, xs[slot], y, xs[slot + 1], y_next
+
+
+def topk_flat(buf: array) -> array:
+    """``maxrs_topk``: at every sweep strip where insertions happened,
+    each inserted rectangle offers the best arrangement cell within its
+    x-span; a cell ``(slot, strip)`` offered twice keeps its first
+    position and the larger weight.  The candidates, 5 doubles each."""
+    prepared = _prepare(buf)
+    if prepared is None:
+        return array("d")
+    xs, events = prepared
+    tree = _acquire_tree(max(1, len(xs) - 1))
+    try:
+        # arrangement cell -> (weight, x1, y1, x2, y2)
+        candidates: dict[tuple[int, float], tuple[float, ...]] = {}
+        for y, y_next, inserted in _iter_y_groups(events, tree):
+            for lo, hi in inserted:
+                value, slot = tree.range_max(lo, hi)
+                prev = candidates.get((slot, y))
+                if prev is None or value > prev[0]:
+                    candidates[slot, y] = (
+                        value, xs[slot], y, xs[slot + 1], y_next
+                    )
+    finally:
+        _release_tree(tree)
+    return array("d", [v for c in candidates.values() for v in c])
+
+
+def scan_flat(
+    items: array,
+    q: int,
+    lo: int,
+    hi: int,
+    upper: array | None,
+    dirty: array | None,
+    hits: array | None,
+    at: int = 0,
+) -> int:
+    """``maxrs_connect``: visit every flat item ``j`` in ``[lo, hi)``, in
+    index order, whose rectangle overlaps item ``q``'s
+    (``Rect.overlaps``, inlined).  With ``upper``, add item ``q``'s
+    weight to ``upper[j]`` and set ``dirty[j]``; with ``hits``, store
+    ``j`` at ``hits[at + k]`` for the ``k``-th item.  Returns the
+    count."""
+    b = 5 * q
+    x1, y1, x2, y2, weight = items[b:b + 5]
+    k = at
+    if x1 == x2 or y1 == y2:  # a degenerate rectangle overlaps nothing
+        return 0
+    for j in range(lo, hi):
+        rx1, ry1, rx2, ry2 = items[5 * j:5 * j + 4]
+        if (
+            rx1 < x2
+            and x1 < rx2
+            and ry1 < y2
+            and y1 < ry2
+            and rx1 != rx2
+            and ry1 != ry2
+        ):
+            if upper is not None:
+                upper[j] += weight
+                dirty[j] = 1
+            if hits is not None:
+                hits[k] = j
+            k += 1
+    return k - at
+
+
+def insert_flat(
+    table: array,
+    base: int,
+    seqs: array,
+    items: array,
+    head: int,
+    n: int,
+    upper: array,
+    exact: array,
+    dirty: array,
+    hits: array | None,
+) -> int:
+    """``maxrs_insert``: copy the table rows of ``seqs`` to items ``n, n
+    + 1, ...`` (their bounds and exact weights start at the row's
+    weight), then connect each new item in order to the older items
+    ``[head, n + k)`` with :func:`scan_flat`, appending the touched
+    indices to ``hits``.  Returns the number of edges."""
+    for k, seq in enumerate(seqs):
+        b = 5 * (seq - base)
+        q = n + k
+        items[5 * q:5 * q + 5] = table[b:b + 5]
+        upper[q] = exact[q] = table[b + 4]
+    edges = 0
+    for q in range(n, n + len(seqs)):
+        edges += scan_flat(items, q, head, q, upper, dirty, hits, edges)
+    return edges
+
+
+def local_flat(items: array, i: int, n: int) -> _Cell | None:
+    """``maxrs_local``: gather the neighbours of flat item ``i`` — the
+    items in ``(i, n)`` that overlap it — clip each to it, in index
+    order, and sweep item ``i`` with the clips."""
+    hits = array("q", bytes(8 * (n - i)))
+    degree = scan_flat(items, i, i + 1, n, None, None, hits)
+    b = 5 * i
+    ax1, ay1, ax2, ay2 = items[b:b + 4]
+    buf = items[b:b + 5]
+    for k in range(degree):
+        b = 5 * hits[k]
+        x1, y1, x2, y2 = items[b:b + 4]
+        x1 = x1 if x1 > ax1 else ax1
+        y1 = y1 if y1 > ay1 else ay1
+        x2 = x2 if x2 < ax2 else ax2
+        y2 = y2 if y2 < ay2 else ay2
+        if x1 < x2 and y1 < y2:
+            buf.extend((x1, y1, x2, y2, items[b + 4]))
+    return sweep_flat(buf) if len(buf) > 5 else None
+
+
+def max_flat(values: array, lo: int) -> float:
+    """``maxrs_max``: ``max(values[lo:])``, the first of equal maxima;
+    ``0.0`` when empty."""
+    return max(values[lo:], default=0.0)
+
+
+def above_flat(values: array, lo: int, relax: float, rho: float) -> int:
+    """``maxrs_above``: the first index ``j ≥ lo`` with ``relax *
+    values[j] > rho``, or ``len(values)``."""
+    for j in range(lo, len(values)):
+        if relax * values[j] > rho:
+            return j
+    return len(values)
+
+
+def route_rows(rows, cover, arrived, hw, hh, grid) -> int:
+    """``maxrs_route``: the route the kernel falls back to for the
+    batches it declines (looked up per call, so a test may spy on it)."""
+    return cells._route_python(rows, cover, arrived, hw, hh, grid)
+
+
+# -- the cell table ----------------------------------------------------------
+
+
+def _create(t: CellTable, slot: int, i: int, j: int) -> int:
+    state = t.state
+    if state[S_NFREE] > 0:
+        state[S_NFREE] -= 1
+        c = t.free[state[S_NFREE]]
+    else:
+        c = state[S_HWM]
+        state[S_HWM] += 1
+    b = CF * c
+    t.meta[b:b + CF] = array("q", (i, j, state[S_RANK], -1, -1, 0, -1, 0))
+    state[S_RANK] += 1
+    t.cw[c] = 0.0
+    t.slots[slot] = c
+    state[S_COUNT] += 1
+    return c
+
+
+def _drop(t: CellTable, c: int) -> None:
+    """Delete cell ``c``: backward-shift its probe chain, free its id."""
+    meta = t.meta
+    slots = t.slots
+    state = t.state
+    mask = state[S_MASK]
+    b = CF * c
+    s = _home(meta[b + C_I], meta[b + C_J], mask)
+    while slots[s] != c:
+        s = (s + 1) & mask
+    j = s
+    while True:
+        j = (j + 1) & mask
+        d = slots[j]
+        if d < 0:
+            break
+        h = _home(meta[CF * d + C_I], meta[CF * d + C_J], mask)
+        # d moves into the hole unless its home lies in (s, j]
+        if (j - h) & mask >= (j - s) & mask:
+            slots[s] = d
+            s = j
+    slots[s] = -1
+    meta[b + C_RANK] = -1
+    meta[b + C_HELD] = 0
+    t.free[state[S_NFREE]] = c
+    state[S_NFREE] += 1
+    state[S_COUNT] -= 1
+
+
+def _swap(t: CellTable, a: int, b: int) -> None:
+    hcw = t.hcw
+    hent = t.hent
+    hcw[a], hcw[b] = hcw[b], hcw[a]
+    hent[2 * a], hent[2 * b] = hent[2 * b], hent[2 * a]
+    hent[2 * a + 1], hent[2 * b + 1] = hent[2 * b + 1], hent[2 * a + 1]
+
+
+def _sift_down(t: CellTable, k: int, n: int) -> None:
+    while True:
+        left = 2 * k + 1
+        if left >= n:
+            return
+        b = left + 1 if left + 1 < n and _ahead(t, left + 1, left) else left
+        if not _ahead(t, b, k):
+            return
+        _swap(t, b, k)
+        k = b
+
+
+def _push(t: CellTable, c: int) -> None:
+    state = t.state
+    k = state[S_HEAP]
+    state[S_HEAP] += 1
+    t.hcw[k] = t.cw[c]
+    t.hent[2 * k] = t.meta[CF * c + C_RANK]
+    t.hent[2 * k + 1] = c
+    while k > 0:
+        parent = (k - 1) // 2
+        if not _ahead(t, k, parent):
+            return
+        _swap(t, k, parent)
+        k = parent
+
+
+def _pop(t: CellTable) -> None:
+    state = t.state
+    state[S_HEAP] -= 1
+    n = state[S_HEAP]
+    if n > 0:
+        t.hcw[0] = t.hcw[n]
+        t.hent[0] = t.hent[2 * n]
+        t.hent[1] = t.hent[2 * n + 1]
+        _sift_down(t, 0, n)
+
+
+def _live(t: CellTable, k: int) -> bool:
+    c = t.hent[2 * k + 1]
+    b = CF * c
+    meta = t.meta
+    return (
+        meta[b + C_RANK] == t.hent[2 * k]
+        and t.cw[c] == t.hcw[k]
+        and meta[b + C_VISIT] != t.state[S_VSTAMP]
+    )
+
+
+def map_rows(
+    t: CellTable, rows: array, cover: array, base: int, start: int, stop: int
+) -> int:
+    """``maxrs_map``: find or create every covered cell, rows in order;
+    grow its bound by the row's weight (Equation 5) and make the row its
+    newest (and first pending, if none); then push one heap entry per
+    touched cell, in first-touch order, at its final bound."""
+    state = t.state
+    state[S_STAMP] += 1
+    stamp = state[S_STAMP]
+    meta = t.meta
+    cw = t.cw
+    touched = t.scratch
+    nt = 0
+    for r in range(start, stop):
+        i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
+        w = rows[5 * r + 4]
+        seq = base + r
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                c, slot = _find(t, i, j)
+                if c < 0:
+                    c = _create(t, slot, i, j)
+                b = CF * c
+                cw[c] += w
+                meta[b + C_NEWEST] = seq
+                if meta[b + C_FIRST] < 0:
+                    meta[b + C_FIRST] = seq
+                if meta[b + C_MARK] != stamp:
+                    meta[b + C_MARK] = stamp
+                    touched[nt] = c
+                    nt += 1
+    for k in range(nt):
+        _push(t, touched[k])
+    return nt
+
+
+def purge_rows(
+    t: CellTable, cover: array, head: int, stop: int, expired_upto: int
+) -> int:
+    """``maxrs_purge``: each cell covered by an expired row, once, in
+    row order — reported when it holds an object, deleted when its
+    newest row expired."""
+    state = t.state
+    state[S_STAMP] += 1
+    stamp = state[S_STAMP]
+    meta = t.meta
+    held = t.scratch
+    n = 0
+    for r in range(head, stop):
+        i0, i1, j0, j1 = cover[4 * r:4 * r + 4]
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                c = _find(t, i, j)[0]
+                if c < 0:
+                    continue
+                b = CF * c
+                if meta[b + C_MARK] == stamp:
+                    continue
+                meta[b + C_MARK] = stamp
+                if meta[b + C_HELD]:
+                    held[n] = c
+                    n += 1
+                if meta[b + C_NEWEST] <= expired_upto:
+                    _drop(t, c)
+    return n
+
+
+def top(t: CellTable) -> int:
+    """``maxrs_top``: the cell of the first live heap entry, dropping
+    dead ones; ``-1`` when none is left."""
+    state = t.state
+    while state[S_HEAP] > 0:
+        if _live(t, 0):
+            return t.hent[1]
+        _pop(t)
+    return -1
+
+
+def top_bound(t: CellTable) -> int:
+    """``maxrs_top_bound``: entries tied with the root's bound form a
+    subtree under the root, so only they are read."""
+    best = top(t)
+    if best < 0:
+        return best
+    n = t.state[S_HEAP]
+    bound = t.hcw[0]
+    meta = t.meta
+    stack = [1, 2]
+    while stack:
+        k = stack.pop()
+        if k >= n or t.hcw[k] != bound:
+            continue
+        c = t.hent[2 * k + 1]
+        if (meta[CF * c + C_I], meta[CF * c + C_J]) > (
+            meta[CF * best + C_I], meta[CF * best + C_J]
+        ) and _live(t, k):
+            best = c
+        stack += (2 * k + 1, 2 * k + 2)
+    return best
+
+
+def settle(t: CellTable, visited: array) -> None:
+    """``maxrs_settle``: push the bound of every visited cell, end the
+    visit epoch, and rebuild the heap from the live cells once dead
+    entries outnumber them."""
+    for c in visited:
+        _push(t, c)
+    state = t.state
+    state[S_VSTAMP] += 1
+    if state[S_HEAP] > 2 * state[S_COUNT]:
+        size = 0
+        meta = t.meta
+        for c in range(state[S_HWM]):
+            if meta[CF * c + C_RANK] < 0:
+                continue
+            t.hcw[size] = t.cw[c]
+            t.hent[2 * size] = meta[CF * c + C_RANK]
+            t.hent[2 * size + 1] = c
+            size += 1
+        state[S_HEAP] = size
+        for k in range(size // 2 - 1, -1, -1):
+            _sift_down(t, k, size)
+
+
+# -- the CellTable methods that call the kernel, on the reference ------------
+
+
+def _table_map(self: CellTable, table, start: int) -> None:
+    self.reserve(table.pairs)
+    map_rows(self, table.rows, table.cover, table.base, start, len(table.objs))
+
+
+def _table_purge(self: CellTable, table, head: int, stop: int, upto: int):
+    return self.scratch[:purge_rows(self, table.cover, head, stop, upto)]
+
+
+def _table_take_pending(self: CellTable, c: int, table) -> array:
+    """``maxrs_pending``: mark the cell visited and hand over its
+    pending seqs."""
+    b = CF * c
+    self.meta[b + C_VISIT] = self.state[S_VSTAMP]
+    base = table.base
+    seqs = _pending_rows(self, c, table.cover, base, base + table.head)
+    self.meta[b + C_FIRST] = -1
+    return array("q", seqs)
+
+
+def _table_settle(self: CellTable, visited: array) -> None:
+    if self.state[S_HEAP] + len(visited) > self.hcap:
+        self._grow_heap(self.state[S_HEAP] + len(visited))
+    settle(self, visited)
+
+
+#: planesweep dispatcher name -> its reference
+_DISPATCHERS = {
+    "_sweep_flat": sweep_flat,
+    "_topk_flat": topk_flat,
+    "_scan_flat": scan_flat,
+    "_insert_flat": insert_flat,
+    "_local_flat": local_flat,
+    "_max_flat": max_flat,
+    "_above_flat": above_flat,
+}
+
+_TABLE_METHODS = {
+    "map": _table_map,
+    "purge": _table_purge,
+    "take_pending": _table_take_pending,
+    "top": top,
+    "top_bound": top_bound,
+    "settle": _table_settle,
+}
+
+
+def use_reference(mp: pytest.MonkeyPatch) -> None:
+    """Swap the reference in for every kernel call until ``mp`` undoes
+    it: each binding of a dispatcher in a loaded ``repro`` module (found
+    by identity, so a module that imported one by name is covered too),
+    and the kernel-calling :class:`CellTable` methods."""
+    swaps = {
+        id(getattr(planesweep, name)): ref
+        for name, ref in _DISPATCHERS.items()
+    }
+    swaps[id(cells.route_rows)] = route_rows
+    for name, module in list(sys.modules.items()):
+        if name != "repro" and not name.startswith("repro."):
+            continue
+        for attr, value in list(vars(module).items()):
+            ref = swaps.get(id(value))
+            if ref is not None:
+                mp.setattr(module, attr, ref)
+    for name, ref in _TABLE_METHODS.items():
+        mp.setattr(CellTable, name, ref)
+
+
+@contextmanager
+def reference_kernel() -> Iterator[None]:
+    """Run the body on the Python reference instead of the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        use_reference(mp)
+        yield
+
+
+def on_reference(fn, *args):
+    """``fn(*args)`` on the Python reference."""
+    with reference_kernel():
+        return fn(*args)

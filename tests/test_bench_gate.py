@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 import repro.bench.bench as bench_mod
-from repro.core import planesweep
 from repro.bench import (
     BENCH_DATASETS,
     BENCH_MONITORS,
@@ -64,7 +63,7 @@ class TestRunBench:
         assert tiny_doc["schema"] == bench_mod.BENCH_SCHEMA
         assert tiny_doc["seed"] == 42
         assert tiny_doc["cpu_count"] >= 1
-        assert tiny_doc["sweep_kernel"] == planesweep.sweep_kernel()
+        assert tiny_doc["sweep_kernel"] == "compiled"
         rows = tiny_doc["profiles"]["tiny"]["rows"]
         seen = [(r["monitor"], r["dataset"]) for r in rows]
         expected = {(m, d) for m in BENCH_MONITORS for d in BENCH_DATASETS}

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dict_cells import DictAG2Monitor, DictTopKMonitor
-from repro.core import planesweep
+from reference_kernel import use_reference
 from repro.core.ag2 import AG2Monitor
 from repro.core.cells import S_HEAP
 from repro.core.objects import SpatialObject
@@ -192,7 +192,7 @@ def test_persistent_order_equals_per_tick_rebuild(
     ]
     with pytest.MonkeyPatch.context() as mp:
         if kernel == "python":
-            mp.setattr(planesweep, "_KERNEL", None)
+            use_reference(mp)
         for tick, batch in enumerate(_batches(objs, splits)):
             for new, old in pairs:
                 if visit_order == "switch":

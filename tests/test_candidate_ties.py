@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import planesweep
+from reference_kernel import use_reference
 from repro.core.ag2 import AG2Monitor
 from repro.core.cells import S_HEAP
 from repro.core.objects import SpatialObject
@@ -27,7 +27,7 @@ def _at(i: int, j: int, weight: float) -> SpatialObject:
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
 def test_ties_skip_dead_entries_at_the_tied_bound(kernel, monkeypatch):
     if kernel == "python":
-        monkeypatch.setattr(planesweep, "_KERNEL", None)
+        use_reference(monkeypatch)
     m = AG2Monitor(2.0, 2.0, CountWindow(6), cell_size=10.0)
     key = m._cells.key
     # ranks 0, 1, 2: (3, 1) and (1, 5) at c.w 0, (9, 9) at c.w 1

@@ -1,7 +1,7 @@
 """aG2's flat cell table: the compiled entry points against their Python
-twins.
+references (``tests/reference_kernel.py``).
 
-Two monitors, one on the compiled kernel and one with ``_KERNEL = None``,
+Two monitors, one on the compiled kernel and one on the reference,
 take the same random interleaving of map, purge and visit steps; after
 every step their cell tables (every array, bit for bit), arrival tables
 and visited cells' graphs must be equal, and ``check_invariants`` must
@@ -13,6 +13,7 @@ at 16 cells and grows, and deleted ids are reused.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from array import array
 
@@ -20,20 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import planesweep
+from reference_kernel import reference_kernel, use_reference
 from repro.core.ag2 import AG2Monitor
 from repro.core.cells import (
     CF, S_HEAP, S_HWM, S_NFREE, CellTable, _home,
 )
 from repro.core.objects import SpatialObject
 from repro.window import CountWindow
-
-_COMPILED = planesweep._KERNEL
-
-pytestmark = pytest.mark.skipif(
-    _COMPILED is None, reason="the compiled kernel did not load"
-)
-
 
 def _bucket_keys(count: int) -> list[tuple[int, int]]:
     """``count`` keys in each of the two fullest home buckets of a
@@ -114,11 +108,12 @@ def test_entry_points_equal_their_python_twins(ops):
         kernel: AG2Monitor(0.5, 0.5, CountWindow(10 ** 6), cell_size=1.0)
         for kernel in ("compiled", "python")
     }
-    try:
-        for op, arg in ops:
-            answers = {}
-            for kernel, m in pair.items():
-                planesweep._KERNEL = _COMPILED if kernel == "compiled" else None
+    for op, arg in ops:
+        answers = {}
+        for kernel, m in pair.items():
+            with contextlib.ExitStack() as stack:
+                if kernel == "python":
+                    stack.enter_context(reference_kernel())
                 if op == "map":
                     m._map_arrivals(_Delta(
                         [_point(KEYS[k], edge, w) for k, edge, w in arg]
@@ -141,11 +136,9 @@ def test_entry_points_equal_their_python_twins(ops):
                     bound = m._top_bound_cell()
                     answers[kernel] = (top, bound)
                 m.check_invariants()
-            compiled, python = pair["compiled"], pair["python"]
-            assert answers.get("compiled") == answers.get("python"), op
-            assert _state(compiled) == _state(python), op
-    finally:
-        planesweep._KERNEL = _COMPILED
+        compiled, python = pair["compiled"], pair["python"]
+        assert answers.get("compiled") == answers.get("python"), op
+        assert _state(compiled) == _state(python), op
 
 
 @pytest.mark.parametrize("kernel", ["compiled", "python"])
@@ -156,7 +149,7 @@ def test_deleting_inside_a_probe_chain_keeps_every_key_found(
     middle of the chain, and reuse the freed ids: every remaining key is
     still found, and new keys take the freed ids, newest freed first."""
     if kernel == "python":
-        monkeypatch.setattr(planesweep, "_KERNEL", None)
+        use_reference(monkeypatch)
     m = AG2Monitor(0.5, 0.5, CountWindow(10 ** 6), cell_size=1.0)
     chain = _bucket_keys(10)[:10]
     m._map_arrivals(_Delta([_point(key, False, 1.0) for key in chain]))

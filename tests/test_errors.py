@@ -38,8 +38,7 @@ def test_single_except_clause_catches_library_failures():
 
 def test_library_never_wraps_type_errors():
     """Genuine bugs (wrong types) must propagate as-is, not be masked."""
-    from repro.core.segment_tree import MaxCoverSegmentTree
+    from repro.core.planesweep import plane_sweep_topk
 
-    tree = MaxCoverSegmentTree(4)
     with pytest.raises(TypeError):
-        tree.add("a", 2, 1.0)  # type: ignore[arg-type]
+        plane_sweep_topk([], "a")  # type: ignore[arg-type]

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from conftest import connect_rect
 from dict_cells import DictAG2Monitor, DictTopKMonitor
-from repro.core import planesweep
+from reference_kernel import use_reference
 from repro.core.ag2 import AG2Cell, AG2Monitor
 from repro.core.cells import C_FIRST, C_NEWEST, CF
 from repro.core.g2 import G2Monitor, _G2Cell
@@ -254,7 +254,7 @@ def test_flat_path_equals_per_rectangle_path(
     ]
     with pytest.MonkeyPatch.context() as mp:
         if kernel == "python":
-            mp.setattr(planesweep, "_KERNEL", None)
+            use_reference(mp)
         for tick, batch in enumerate(_batches(objs, splits)):
             for new, old in pairs:
                 got = new.update(batch)
@@ -288,7 +288,7 @@ class TestConnect:
         for kernel in ("compiled", "python"):
             with pytest.MonkeyPatch.context() as mp:
                 if kernel == "python":
-                    mp.setattr(planesweep, "_KERNEL", None)
+                    use_reference(mp)
                 graph = CellGraph()
                 graph.connect(table, array("q", [0]))
                 hits = array("q")
@@ -325,7 +325,7 @@ class TestConnect:
         bounds = sorted({0, n, *(min(c, n) for c in cuts)})
         with pytest.MonkeyPatch.context() as mp:
             if kernel == "python":
-                mp.setattr(planesweep, "_KERNEL", None)
+                use_reference(mp)
             batched, single = CellGraph(), CellGraph()
             hits, one_hits, all_hits = array("q"), array("q"), []
             edges = single_edges = 0
@@ -470,7 +470,7 @@ class TestRoute:
         from repro.core import cells
 
         if kernel == "python":
-            monkeypatch.setattr(planesweep, "_KERNEL", None)
+            use_reference(monkeypatch)
         twin_rows = []
         route_python = cells._route_python
 
@@ -526,7 +526,7 @@ class TestRoute:
         """At x = 1e300 a 1000-wide rectangle is degenerate (its sides
         round to one double): no cell, no index computed."""
         if kernel == "python":
-            monkeypatch.setattr(planesweep, "_KERNEL", None)
+            use_reference(monkeypatch)
         grid = UniformGrid(cell_size=2000.0)
         table = ArrivalTable()
         obj = SpatialObject(x=1e300, y=-1e300)
@@ -544,7 +544,7 @@ class TestRoute:
         ``InvalidGeometryError``; rows, covers and objects stay as they
         were, so the next batch routes as if it never came."""
         if kernel == "python":
-            monkeypatch.setattr(planesweep, "_KERNEL", None)
+            use_reference(monkeypatch)
         grid = UniformGrid(cell_size=2e308 / 10)
         table = ArrivalTable()
         table.route([SpatialObject(x=1.0, y=1.0)], 1e308, 1.0, grid)

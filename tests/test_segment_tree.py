@@ -1,4 +1,5 @@
-"""Unit and property tests for the max-cover segment tree."""
+"""Unit and property tests for the max-cover segment tree, the Python
+reference of the compiled kernel's tree (``tests/segment_tree.py``)."""
 
 from __future__ import annotations
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.segment_tree import MaxCoverSegmentTree
 from repro.errors import InvalidParameterError
+from segment_tree import MaxCoverSegmentTree
 
 
 class TestBasics:

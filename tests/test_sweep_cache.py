@@ -16,16 +16,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernel
 from conftest import connect_rect
-from repro.core import planesweep
 from repro.core.geometry import Rect
 from repro.core.graph import CellGraph
 from repro.core.objects import SpatialObject, WeightedRect
-from repro.core.planesweep import (
-    _TREE_POOL,
-    local_plane_sweep,
-    local_plane_sweep_cached,
-)
+from repro.core.planesweep import local_plane_sweep, local_plane_sweep_cached
 
 
 def _wrect(rng: random.Random, near: WeightedRect | None = None) -> WeightedRect:
@@ -96,9 +92,9 @@ class TestCachedSweep:
         assert cell.graph.spaces[v.index] is not None
 
     def test_pool_bounded_and_reused(self, monkeypatch):
-        # the pool belongs to the Python tree; the compiled kernel never
-        # touches it, so pin it under the forced Python fallback
-        monkeypatch.setattr(planesweep, "_KERNEL", None)
+        # the pool belongs to the Python reference's tree; the compiled
+        # kernel never touches it, so pin it on the reference
+        reference_kernel.use_reference(monkeypatch)
         rng = random.Random(5)
         anchor = _wrect(rng)
         cell = _Cell(anchor)
@@ -108,7 +104,7 @@ class TestCachedSweep:
         for _ in range(10):
             local_plane_sweep(anchor, v.neighbors)
             local_plane_sweep_cached(v)
-        assert 1 <= len(_TREE_POOL) <= 4
+        assert 1 <= len(reference_kernel._TREE_POOL) <= 4
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,59 +1,60 @@
-"""Differential tests: the compiled kernel against the Python code.
+"""Differential tests: the compiled kernel against the Python reference.
 
-``repro.core.planesweep`` runs every max sweep, and the graph cells'
-connect scan, gather-clip-sweep and bound maximum, through ``_sweep.c``
-when it compiled and loaded at import, and through Python otherwise.
-The two must agree bit for bit, so every comparison here is on
-``float.hex`` of the weight and of all four region coordinates (and of
-every vertex bound), over inputs chosen to stress the tie rules:
-grid-aligned rectangles with shared edges, degenerate rectangles,
-duplicated x coordinates, ``-0.0`` next to ``0.0``, and zero and
-negative weights.  The loader tests force
-the build or the load to fail and check that the Python tree then
-answers, identically and without raising.
+``repro.core.planesweep`` runs every max sweep, every top-k candidate
+collection, and the graph cells' connect scan, gather-clip-sweep and
+bound maximum, through ``_sweep.c``; ``tests/reference_kernel.py`` holds
+the Python each entry point ports.  The two must agree bit for bit, so
+every comparison here is on ``float.hex`` of the weight and of all four
+region coordinates (and of every vertex bound), over inputs chosen to
+stress the tie rules: grid-aligned rectangles with shared edges,
+degenerate rectangles, duplicated x coordinates, ``-0.0`` next to
+``0.0``, and zero and negative weights.  The loader tests force the
+build or the load to fail and check that the import then raises
+:class:`~repro.errors.KernelUnavailableError`, naming the compiler and
+the cache directory.
 """
 
 from __future__ import annotations
 
 import ctypes
 import random
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_kernel
 from conftest import connect_rect
+import repro
+from reference_kernel import on_reference, use_reference
 from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
+from repro.core.allmax import plane_sweep_all_max
 from repro.core.g2 import G2Monitor
 from repro.core.geometry import Rect
 from repro.core.graph import CellGraph
+from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject, WeightedRect
 from repro.core.planesweep import (
     _local_flat,
     _pack,
     local_plane_sweep_cached,
     plane_sweep_max,
+    plane_sweep_topk,
     sweep_items_max,
 )
+from repro.core.sampling import SamplingMonitor
 from repro.core.topk import TopKAG2Monitor
+from repro.errors import KernelUnavailableError
 from repro.window import CountWindow
-
-needs_kernel = pytest.mark.skipif(
-    planesweep._KERNEL is None, reason="compiled sweep kernel not loaded"
-)
 
 #: tie-heavy coordinates: a half-unit grid with both signed zeros
 GRID = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
 WEIGHTS = (0.0, -0.0, -1.0, 0.1, 0.2, 0.3, 1.0, 2.5, -0.7, 1e-17)
-
-
-def _python(fn, *args):
-    """``fn(*args)`` with the compiled kernel switched off."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(planesweep, "_KERNEL", None)
-        return fn(*args)
 
 
 def _hex_items(result) -> tuple[str, ...] | None:
@@ -98,7 +99,7 @@ def _wrect(rect: Rect, weight: float) -> WeightedRect:
 
 def _assert_same_items(items) -> None:
     compiled = _hex_items(sweep_items_max(items))
-    python = _hex_items(_python(sweep_items_max, items))
+    python = _hex_items(on_reference(sweep_items_max, items))
     assert compiled == python
 
 
@@ -113,7 +114,7 @@ def _assert_same_vertex_sweeps(anchor, rounds) -> None:
             seq += 1
         for v in graph:
             compiled = local_plane_sweep_cached(v)
-            python = _python(local_plane_sweep_cached, v)
+            python = on_reference(local_plane_sweep_cached, v)
             assert _hex_region(compiled) == _hex_region(python)
             graph.settle(v.index, compiled)
 
@@ -130,25 +131,25 @@ def _assert_same_connects(rects) -> None:
     fast_hits, slow_hits = array("q"), array("q")
     for seq, wr in enumerate(rects):
         touched = connect_rect(fast, wr, seq, fast_hits)
-        assert _python(connect_rect, slow, wr, seq, slow_hits) == touched
+        assert on_reference(connect_rect, slow, wr, seq, slow_hits) == touched
         assert fast_hits == slow_hits
         assert _hex_bounds(fast) == _hex_bounds(slow)
         assert fast.dirty == slow.dirty
-        assert fast.max_upper().hex() == _python(slow.max_upper).hex()
+        assert fast.max_upper().hex() == on_reference(slow.max_upper).hex()
         for rho in (-0.0, 0.0, *fast.upper[-3:]):
             for relax in (1.0, 0.75):
-                assert fast.next_above(0, relax, rho) == _python(
+                assert fast.next_above(0, relax, rho) == on_reference(
                     slow.next_above, 0, relax, rho
                 )
 
 
 def _assert_same_local_sweeps(items) -> None:
-    """``maxrs_local`` against ``_local_python`` for every item of one
-    flat buffer."""
+    """``maxrs_local`` against its reference for every item of one flat
+    buffer."""
     buf = _pack(items)
     for i in range(len(items)):
         compiled = _local_flat(buf, i, len(items))
-        python = _python(_local_flat, buf, i, len(items))
+        python = reference_kernel.local_flat(buf, i, len(items))
         assert (compiled is None) == (python is None)
         if compiled is not None:
             assert [v.hex() for v in compiled] == [v.hex() for v in python]
@@ -173,14 +174,12 @@ def _as_items(raw) -> list[tuple[Rect, float]]:
     return out
 
 
-@needs_kernel
 @settings(max_examples=300, deadline=None)
 @given(raw=st.lists(item, max_size=40))
 def test_sweep_items_max_bit_identical(raw):
     _assert_same_items(_as_items(raw))
 
 
-@needs_kernel
 @settings(max_examples=100, deadline=None)
 @given(
     anchor=item,
@@ -194,21 +193,18 @@ def test_cached_vertex_sweep_bit_identical(anchor, rounds):
     )
 
 
-@needs_kernel
 @settings(max_examples=150, deadline=None)
 @given(raw=st.lists(item, max_size=30))
 def test_connect_bit_identical(raw):
     _assert_same_connects([_wrect(r, w) for r, w in _as_items(raw)])
 
 
-@needs_kernel
 @settings(max_examples=150, deadline=None)
 @given(raw=st.lists(item, max_size=30))
 def test_local_sweep_bit_identical(raw):
     _assert_same_local_sweeps(_as_items(raw))
 
 
-@needs_kernel
 @pytest.mark.parametrize("grid", [True, False], ids=["grid", "uniform"])
 def test_seeded_connect_and_local_bit_identical(grid):
     rng = random.Random(20162)
@@ -218,7 +214,6 @@ def test_seeded_connect_and_local_bit_identical(grid):
         _assert_same_local_sweeps(items)
 
 
-@needs_kernel
 def test_signed_zero_bounds_and_clips():
     """``-0.0`` weights and coordinates reach the bounds and the clips
     exactly as Python's float add and min/max leave them."""
@@ -232,7 +227,6 @@ def test_signed_zero_bounds_and_clips():
     _assert_same_local_sweeps(items)
 
 
-@needs_kernel
 @pytest.mark.parametrize("grid", [True, False], ids=["grid", "uniform"])
 def test_seeded_sizes_bit_identical(grid):
     rng = random.Random(20161)
@@ -240,7 +234,6 @@ def test_seeded_sizes_bit_identical(grid):
         _assert_same_items(_items(rng, n, grid))
 
 
-@needs_kernel
 def test_seeded_vertex_growth_bit_identical():
     rng = random.Random(15)
     for _ in range(40):
@@ -253,7 +246,6 @@ def test_seeded_vertex_growth_bit_identical():
         _assert_same_vertex_sweeps(anchor, rounds)
 
 
-@needs_kernel
 def test_signed_zero_keeps_first_in_input_order():
     """Equal x values -0.0 and 0.0 share a slot named by the first one
     in input order; both kernels must report that same zero."""
@@ -267,15 +259,78 @@ def test_signed_zero_keeps_first_in_input_order():
         assert rect.x1.hex() == first.hex()
 
 
-@needs_kernel
 def test_degenerate_and_empty_inputs():
     assert sweep_items_max([]) is None
     flat = [(Rect(0, 0, 0, 5), 1.0), (Rect(1, 1, 4, 1), 2.0)]
     assert sweep_items_max(flat) is None
-    assert _python(sweep_items_max, flat) is None
+    assert on_reference(sweep_items_max, flat) is None
 
 
-# -- whole monitors: compiled and Python runs give the same answers ---------
+# -- top-k: maxrs_topk against the reference candidate collection ----------
+
+
+def _hex_ranked(regions) -> list[tuple[str, ...]]:
+    return [_hex_region(r) for r in regions]
+
+
+def _assert_same_topk(items) -> None:
+    """Every candidate of ``maxrs_topk``, in order, and the ranked
+    ``plane_sweep_topk`` answers for small and oversized ``k``, equal the
+    reference's.  With no negative weight (stream objects carry none)
+    the top-1 is ``plane_sweep_max``'s weight: the same covering
+    weights, summed in another association."""
+    buf = _pack(items)
+    compiled = planesweep._topk_flat(buf)
+    python = reference_kernel.topk_flat(buf)
+    assert [v.hex() for v in compiled] == [v.hex() for v in python]
+    rects = [_wrect(r, w) for r, w in items]
+    candidates = len(compiled) // 5
+    for k in (1, 2, 5, candidates + 3):
+        top = plane_sweep_topk(rects, k)
+        assert _hex_ranked(top) == _hex_ranked(
+            on_reference(plane_sweep_topk, rects, k)
+        )
+        assert len(top) == min(k, candidates)
+    best = plane_sweep_max(rects)
+    top = plane_sweep_topk(rects, 1)
+    assert (best is None) == (top == [])
+    if best is not None and all(w >= 0 for _, w in items):
+        assert top[0].weight == pytest.approx(best.weight, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.lists(item, max_size=40))
+def test_topk_candidates_bit_identical(raw):
+    _assert_same_topk(_as_items(raw))
+
+
+@pytest.mark.parametrize("grid", [True, False], ids=["grid", "uniform"])
+def test_seeded_topk_bit_identical(grid):
+    rng = random.Random(20163)
+    for n in (0, 1, 2, 3, 16, 17, 100, 600):
+        _assert_same_topk(_items(rng, n, grid))
+
+
+def test_topk_ties_signed_zero_and_degenerate_items():
+    """Stacked equal rectangles tie in one cell, equal weights tie across
+    cells (stable order), ``-0.0`` names the shared slot, and zero-area
+    items offer nothing."""
+    items = [
+        (Rect(-0.0, 0.0, 1.0, 1.0), 1.0),
+        (Rect(0.0, -0.0, 1.0, 1.0), 1.0),
+        (Rect(2.0, 0.0, 3.0, 1.0), 2.0),
+        (Rect(4.0, 0.0, 5.0, 1.0), -0.0),
+        (Rect(0.0, 0.0, 0.0, 5.0), 9.0),
+        (Rect(1.0, 1.0, 4.0, 1.0), 9.0),
+    ]
+    _assert_same_topk(items)
+    top = plane_sweep_topk([_wrect(r, w) for r, w in items], 10)
+    assert [r.weight for r in top] == [2.0, 2.0, -0.0]
+    assert top[0].rect.x1.hex() == (-0.0).hex()
+    assert plane_sweep_topk([_wrect(r, w) for r, w in items[4:]], 3) == []
+
+
+# -- whole monitors: compiled and reference runs give the same answers -----
 
 
 def _monitors():
@@ -318,7 +373,6 @@ point = st.tuples(
 )
 
 
-@needs_kernel
 @settings(max_examples=40, deadline=None)
 @given(
     raw=st.lists(
@@ -329,16 +383,51 @@ def test_monitors_bit_identical_across_kernels(raw):
     """G2, aG2 (exact and ε > 0) and top-k over tie-heavy points (a
     half-unit grid scaled by 2, both signed zeros, equal weights, a
     query side of 2, so rectangles share edges and corners): the
-    compiled and the Python runs report ``float.hex``-identical regions
+    compiled and the reference runs report ``float.hex``-identical regions
     with equal counters."""
     batches = [
         [SpatialObject(x=x * 2.0, y=y * 2.0, weight=w) for x, y, w in b]
         for b in raw
     ]
-    assert _run_monitors(batches) == _python(_run_monitors, batches)
+    assert _run_monitors(batches) == on_reference(_run_monitors, batches)
 
 
-# -- loader failures fall back to the Python tree ---------------------------
+class _NoKernel:
+    """A ``_KERNEL`` whose every entry point fails the test."""
+
+    def __getattr__(self, name: str):
+        raise AssertionError(f"maxrs_{name} ran under the reference seam")
+
+
+def test_reference_seam_reaches_no_kernel_call(monkeypatch):
+    """Under the seam nothing calls the library: every graph monitor,
+    naive (k = 1 and top-k), the sampling monitor and AllMaxRS answer
+    with ``_KERNEL`` replaced by an object that fails on any entry
+    point, so no kernel-vs-reference differential compares the kernel
+    with itself."""
+    rng = random.Random(11)
+    batches = [
+        [SpatialObject(x=rng.uniform(0, 8), y=rng.uniform(0, 8),
+                       weight=rng.choice((0.5, 1.0, 2.0)))
+         for _ in range(12)]
+        for _ in range(6)
+    ]
+    expected = _run_monitors(batches)
+    use_reference(monkeypatch)
+    monkeypatch.setattr(planesweep, "_KERNEL", _NoKernel())
+    assert _run_monitors(batches) == expected
+    for monitor in (
+        NaiveMonitor(2.0, 2.0, CountWindow(40)),
+        NaiveMonitor(2.0, 2.0, CountWindow(40), k=3),
+        SamplingMonitor(2.0, 2.0, CountWindow(40), epsilon=0.5, seed=1),
+    ):
+        for batch in batches:
+            monitor.update(batch)
+    items = _items(rng, 30, grid=True)
+    assert plane_sweep_all_max([_wrect(r, abs(w)) for r, w in items])
+
+
+# -- loader failures raise the typed error ----------------------------------
 
 
 def _answers():
@@ -356,9 +445,16 @@ def _fail(*_args, **_kwargs):
     raise OSError("forced failure")
 
 
+def _assert_unavailable(tmp_path) -> None:
+    with pytest.raises(KernelUnavailableError) as raised:
+        planesweep._load_kernel()
+    message = str(raised.value)
+    assert "gcc" in message and str(tmp_path) in message
+    assert isinstance(raised.value, ImportError)
+
+
 @pytest.mark.parametrize("failure", ["no_compiler", "build", "load"])
-def test_loader_failure_falls_back_to_python(failure, monkeypatch, tmp_path):
-    expected = _answers()
+def test_loader_failure_raises_the_typed_error(failure, monkeypatch, tmp_path):
     monkeypatch.setattr(planesweep, "_cache_dir", lambda: tmp_path)
     if failure == "no_compiler":
         monkeypatch.setattr(planesweep.shutil, "which", lambda _name: None)
@@ -366,46 +462,52 @@ def test_loader_failure_falls_back_to_python(failure, monkeypatch, tmp_path):
         monkeypatch.setattr(planesweep, "_build", _fail)
     else:
         monkeypatch.setattr(ctypes, "PyDLL", _fail)
-    with pytest.warns(RuntimeWarning, match="sweep kernel unavailable"):
-        kernel = planesweep._load_kernel()
-    assert kernel is None
-    monkeypatch.setattr(planesweep, "_KERNEL", kernel)
-    assert _answers() == expected
+    _assert_unavailable(tmp_path)
 
 
-def test_unloadable_cached_library_falls_back(monkeypatch, tmp_path):
+def test_unloadable_cached_library_raises(monkeypatch, tmp_path):
     """A damaged file under the cache key fails to load and cannot be
-    rebuilt; the Python tree answers instead."""
-    expected = _answers()
+    rebuilt: the typed error, not a half-working import."""
     (tmp_path / planesweep._kernel_name()).write_bytes(b"not an ELF file")
     monkeypatch.setattr(planesweep, "_cache_dir", lambda: tmp_path)
     monkeypatch.setattr(planesweep, "_build", _fail)
-    with pytest.warns(RuntimeWarning, match="sweep kernel unavailable"):
-        kernel = planesweep._load_kernel()
-    assert kernel is None
-    monkeypatch.setattr(planesweep, "_KERNEL", kernel)
-    assert _answers() == expected
+    _assert_unavailable(tmp_path)
 
 
-@needs_kernel
 def test_loader_builds_into_an_empty_cache(monkeypatch, tmp_path):
     monkeypatch.setattr(planesweep, "_cache_dir", lambda: tmp_path / "c")
     kernel = planesweep._load_kernel()
-    assert kernel is not None
     built = list((tmp_path / "c").iterdir())
     assert len(built) == 1 and built[0].name.startswith("_sweep-")
     monkeypatch.setattr(planesweep, "_KERNEL", kernel)
-    assert _answers() == _python(_answers)
+    assert _answers() == on_reference(_answers)
 
 
-@needs_kernel
 def test_unloadable_cached_library_is_rebuilt(monkeypatch, tmp_path):
     """A damaged file under the cache key is rebuilt once and loaded."""
     damaged = tmp_path / planesweep._kernel_name()
     damaged.write_bytes(b"not an ELF file")
     monkeypatch.setattr(planesweep, "_cache_dir", lambda: tmp_path)
     kernel = planesweep._load_kernel()
-    assert kernel is not None
     assert damaged.read_bytes()[:4] == b"\x7fELF"
     monkeypatch.setattr(planesweep, "_KERNEL", kernel)
-    assert _answers() == _python(_answers)
+    assert _answers() == on_reference(_answers)
+
+
+def test_import_without_a_compiler_raises_the_typed_error(tmp_path):
+    """``import repro`` on a host with no compiler on ``PATH`` and an
+    empty cache exits non-zero with the typed error, which names the
+    compiler it looked for and the cache directory."""
+    env = {
+        "PATH": "",
+        "XDG_CACHE_HOME": str(tmp_path),
+        "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+    }
+    done = subprocess.run(
+        [sys.executable, "-c", "import repro"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode != 0
+    assert "KernelUnavailableError" in done.stderr
+    assert "gcc" in done.stderr
+    assert str(tmp_path / "repro-maxrs") in done.stderr
