@@ -28,8 +28,14 @@ monitors, so speedups from different kernels are not comparable.
 Three *skewed* workloads (``gauss_static``, ``gauss_drift``,
 ``powerlaw``) additionally run naive and aG2.  They pin aG2 where the
 uniform grid degrades: dense cells make every arrival's overlap
-search and local sweep expensive, and aG2 has its largest loss to
-naive there (see docs/PERFORMANCE.md).
+search and every cell's sweep expensive (see docs/PERFORMANCE.md).
+
+The ``paper`` profile times the paper's default sizing
+(``DEFAULT_CONFIG``: n = 10000, l = 1000, domain 140k) where the quick
+profile's n = 1000 window is too sparse to show the dense-cell cost:
+naive and aG2 on ``uniform``, ``gaussian`` and ``gauss_static``, and
+G2 on ``uniform`` only (:data:`PAPER_ROWS`).  It is not in the default
+``both``: ``bench --profile paper`` runs it (~20 s).
 
 ``speedup_vs_naive`` is the number the CI gate compares across runs:
 it is a ratio *within* one run on one machine, so it tracks algorithmic
@@ -44,10 +50,11 @@ per-batch minima converge on the true cost and the ratio of denoised
 means survives a 15% tolerance (see :func:`measure`).
 
 The committed baseline lives in ``BENCH_PR9.json`` at the repo root
-(the quick profile, measured with the compiled sweep kernel);
-regenerate it with
-``maxrs-stream bench --profile quick --seed 42 --out BENCH_PR9.json``
-and compare a fresh run against it with
+(the quick and paper profiles, measured with the compiled sweep
+kernel); regenerate a profile with
+``maxrs-stream bench --profile quick --seed 42 --out new.json`` and
+copy its ``profiles`` entry into the baseline, and compare a fresh run
+against it with
 ``python scripts/perf_gate.py --bench new.json --baseline BENCH_PR9.json``.
 """
 
@@ -77,6 +84,7 @@ __all__ = [
     "BENCH_SCHEMA",
     "BENCH_SKEW_DATASETS",
     "BENCH_SKEW_MONITORS",
+    "PAPER_ROWS",
     "PROFILES",
     "bench_rows",
     "mean_ms",
@@ -107,7 +115,7 @@ BENCH_SCHEMA = 8
 BENCH_DATASETS = {"uniform": "synthetic", "gaussian": "geolife_like"}
 
 #: skewed workload label -> repro.datasets workload name; these rows
-#: track aG2's largest loss to naive, where dense grid cells degrade it
+#: track aG2 where dense grid cells degrade it
 BENCH_SKEW_DATASETS = {
     "gauss_static": "hotspot_static",
     "gauss_drift": "hotspot_drift",
@@ -130,6 +138,16 @@ BENCH_MONITORS: Dict[str, MonitorFactory] = {
 #: runtime)
 BENCH_SKEW_MONITORS = ("naive", "ag2")
 
+#: the ``paper`` profile's rows, dataset label -> monitors: naive and
+#: aG2 at the paper's default sizing on three densities, G2 on the
+#: uniform one only (on ``hotspot_static`` it takes ~1.3 s a batch at
+#: this window, ~150 s a round)
+PAPER_ROWS = {
+    "uniform": ("naive", "g2", "ag2"),
+    "gaussian": ("naive", "ag2"),
+    "gauss_static": ("naive", "ag2"),
+}
+
 
 PROFILES: Dict[str, ExperimentConfig] = {
     "full": ExperimentConfig(
@@ -138,6 +156,9 @@ PROFILES: Dict[str, ExperimentConfig] = {
     "quick": ExperimentConfig(
         window_size=1_000, batch_size=100, batches=10, repeats=5
     ),
+    # DEFAULT_CONFIG's sizing: n = 10000, m = 100, l = 1000, domain
+    # 140k, whose overlap degree matches the paper's default
+    "paper": ExperimentConfig(batches=10, repeats=2),
 }
 
 Timings = Dict[str, List[float]]
@@ -274,10 +295,15 @@ def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
                 }
             )
 
-    for ds_label, dataset in BENCH_DATASETS.items():
-        run_dataset(ds_label, dataset, tuple(BENCH_MONITORS))
-    for ds_label, dataset in BENCH_SKEW_DATASETS.items():
-        run_dataset(ds_label, dataset, BENCH_SKEW_MONITORS)
+    if name == "paper":
+        datasets = {**BENCH_DATASETS, **BENCH_SKEW_DATASETS}
+        for ds_label, monitor_labels in PAPER_ROWS.items():
+            run_dataset(ds_label, datasets[ds_label], monitor_labels)
+    else:
+        for ds_label, dataset in BENCH_DATASETS.items():
+            run_dataset(ds_label, dataset, tuple(BENCH_MONITORS))
+        for ds_label, dataset in BENCH_SKEW_DATASETS.items():
+            run_dataset(ds_label, dataset, BENCH_SKEW_MONITORS)
     return {
         "window_size": profile.window_size,
         "batch_size": profile.batch_size,

@@ -30,6 +30,7 @@ _PREFERRED = (
     "cells_pruned",
     "vertices_pruned",
     "local_sweeps",
+    "cell_sweeps",
     "upper_bound_recomputes",
     "bound_tightenings",
     "edges_touched",

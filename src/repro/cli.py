@@ -8,7 +8,7 @@ Subcommands mirror the paper's evaluation artefacts::
     maxrs-stream topk --ks 1,10,25
     maxrs-stream ablation
     maxrs-stream profile --window 2000 --batches 10 --json metrics.json
-    maxrs-stream bench --profile quick --seed 42 --out BENCH_PR9.json
+    maxrs-stream bench --profile paper --seed 42 --out bench.json
     maxrs-stream soak --scenario crash_recovery --wal-dir run.wal
     maxrs-stream wal inspect --dir run.wal
 
@@ -233,8 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="fixed-seed benchmark suite: every monitor x uniform/gaussian, "
         "plus naive and aG2 on skewed workloads (static/drifting "
-        "hotspot, power-law cities), where aG2 still loses to naive; "
-        "writes the JSON "
+        "hotspot, power-law cities); writes the JSON "
         "document the CI bench gate compares against the committed "
         "BENCH_PR9.json",
     )
@@ -243,9 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream seed (default: %(default)s)",
     )
     p_bench.add_argument(
-        "--profile", default="both", choices=("full", "quick", "both"),
-        help="suite sizing: full (baseline), quick (CI smoke), or both "
-        "(default: %(default)s)",
+        "--profile", default="both",
+        choices=("full", "quick", "paper", "both"),
+        help="suite sizing: full, quick (the CI smoke and the committed "
+        "baseline), paper (the paper's default n = 10000, naive/G2/aG2 "
+        "rows), or both full and quick (default: %(default)s)",
     )
     p_bench.add_argument(
         "--out", metavar="PATH", help="write the bench document as JSON"

@@ -33,12 +33,12 @@
  * and tree_add, with range_max ported from MaxCoverSegmentTree.range_max
  * (left to right, strict >, ancestor adds summed top down).
  *
- * maxrs_connect, maxrs_insert, maxrs_local, maxrs_max and maxrs_above
- * work on one graph cell's arrival-ordered buffer of the same 5-double
- * items and on its bounds; they port scan_flat, insert_flat,
- * local_flat, max_flat and above_flat.  Their comparisons are exact,
- * the bound adds run in index order and clipping is a min/max, so they
- * too match the Python bit for bit.
+ * maxrs_connect, maxrs_insert, maxrs_local, maxrs_cell, maxrs_max and
+ * maxrs_above work on one graph cell's arrival-ordered buffer of the
+ * same 5-double items and on its bounds; they port scan_flat,
+ * insert_flat, local_flat, cell_flat, max_flat and above_flat.  Their
+ * comparisons are exact, the bound adds run in index order and
+ * clipping is a min/max, so they too match the Python bit for bit.
  *
  * maxrs_route, maxrs_map, maxrs_purge, maxrs_pending, maxrs_top,
  * maxrs_top_bound and maxrs_settle are aG2's cell index (see
@@ -542,6 +542,80 @@ int maxrs_local(const double *items, long i, long n, double *out)
     int found = m > 1 ? maxrs_sweep(buf, m, out) : 0;
     free(buf);
     return found;
+}
+
+/*
+ * One sweep of a whole cell (aG2's dense-cell path): the items [head,
+ * n), each clipped to the cell's extent (cx1, cy1, cx2, cy2), in index
+ * order, swept with maxrs_sweep.  out receives its answer (M, x1, y1,
+ * x2, y2) and then the cap M+ = M + (8 m + 512) 2^-52 W, where m = n -
+ * head and W is the sum of their weights in index order.
+ *
+ * Returns the anchor -- the oldest item whose rectangle holds the
+ * answer's face -- after capping every bound at M+:
+ * upper[j] = max(exact[j], min(upper[j], M+)).  Returns -1, leaving
+ * the bounds as they are, when nothing of positive area is swept or no
+ * item holds the face (possible only when rounding or zero weights
+ * pick an uncovered face), and -2 when out of memory.
+ *
+ * Why M+ bounds every float local sweep s_j of the cell: every
+ * rectangle of N(rj) and rj meets the open cell, and boxes that share a
+ * point and each meet an open box share a point inside it, so the true
+ * s_j is at most the true cell max M*.  Each computed tree value of a
+ * sweep of E events over weights >= 0 is within (2E + depth) u W' of
+ * its true value (u = 2^-53; an event adds to one node of a root-leaf
+ * chain, and a node's recompute carries its children's error, its own
+ * add's and one rounding), so s_j <= M* + (4 m + 64) u W' and M* <=
+ * M + (4 m + 64) u W'.  The cap takes more than twice their sum, which
+ * also covers W itself being a rounded sum and the rounding of M + slack.
+ */
+long maxrs_cell(const double *items, long head, long n, double cx1,
+                double cy1, double cx2, double cy2, double *upper,
+                const double *exact, double *out)
+{
+    long m = n - head;
+    double *buf = malloc((size_t)(5 * (m > 0 ? m : 1)) * sizeof(double));
+    if (buf == NULL)
+        return -2;
+    double total = 0.0;
+    long k = 0;
+    for (long j = head; j < n; j++) {
+        const double *r = items + 5 * j;
+        total += r[4];
+        double x1 = r[0] > cx1 ? r[0] : cx1;
+        double y1 = r[1] > cy1 ? r[1] : cy1;
+        double x2 = r[2] < cx2 ? r[2] : cx2;
+        double y2 = r[3] < cy2 ? r[3] : cy2;
+        if (x1 < x2 && y1 < y2) {
+            double *c = buf + 5 * k++;
+            c[0] = x1;
+            c[1] = y1;
+            c[2] = x2;
+            c[3] = y2;
+            c[4] = r[4];
+        }
+    }
+    int found = k > 0 ? maxrs_sweep(buf, k, out) : 0;
+    free(buf);
+    if (found <= 0)
+        return found < 0 ? -2 : -1;
+    long anchor = -1;
+    for (long j = head; j < n; j++) {
+        const double *r = items + 5 * j;
+        if (r[0] <= out[1] && out[3] <= r[2] && r[1] <= out[2]
+            && out[4] <= r[3]) {
+            anchor = j;
+            break;
+        }
+    }
+    if (anchor < 0)
+        return -1;
+    double cap = out[0] + (double)(8 * m + 512) * 0x1p-52 * total;
+    out[5] = cap;
+    for (long j = head; j < n; j++)
+        if (upper[j] > cap)
+            upper[j] = cap > exact[j] ? cap : exact[j];
+    return anchor;
 }
 
 /* max() over values[0..n-1]: the first of equal maxima, 0.0 if n == 0 */

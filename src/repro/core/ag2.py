@@ -41,6 +41,14 @@ Implementation notes (see DESIGN.md §5):
   entries, ties to the older cell: a batch pushes one entry per cell it
   maps to or visits and pops only the cells it visits (plus dead
   entries), so it never ranks the cells Rule 1 prunes.
+* A dense cell is swept once as a whole instead of vertex by vertex
+  (:meth:`AG2Monitor._exact_weight_computation`, docs/ALGORITHMS.md
+  §4): one clipped sweep gives the cell max, every vertex bound is
+  capped at it plus a proven rounding slack (every rectangle of a cell
+  meets its open interior, so no ``si`` exceeds the cell max: Property
+  4 holds as stated), and only the anchor of the max face is swept
+  locally.  Answers keep their weight; among regions of equal weight
+  the reported one may differ (DESIGN.md §1's tie contract).
 * Optional Algorithm 5 upper-bound tightening (§5.3) plugs in via the
   ``tighten`` argument; it exists for the Table 5 ablation and is off
   by default, matching the paper's conclusion that it does not pay off.
@@ -67,6 +75,10 @@ from repro.window.base import SlidingWindow, WindowUpdate
 __all__ = ["AG2Monitor", "AG2Cell"]
 
 _NEG_INF = float("-inf")
+#: the dense-cell cost rule: a visited cell with at least this many
+#: dirty vertices past Rule 2/4 is swept once as a whole instead of
+#: vertex by vertex (docs/PERFORMANCE.md §9)
+_CELL_SWEEP_MIN = 2
 
 # Signature of an upper-bound tightener (Algorithm 5): given a vertex
 # whose bound exceeds the threshold, return a possibly smaller — but
@@ -318,10 +330,70 @@ class AG2Monitor(MaxRSMonitor):
     # -- Algorithm 4 -------------------------------------------------------------
 
     def _exact_weight_computation(self, c: int) -> None:
+        """Algorithm 4 on a visited cell, then re-derive its bound.
+
+        A cell where at least :data:`_CELL_SWEEP_MIN` dirty vertices
+        survive Pruning Rule 2/4 is swept once as a whole
+        (:meth:`_sweep_cell`); any other cell, and every cell under an
+        Algorithm 5 tightener, runs ``Local-Plane-Sweep`` for each
+        surviving vertex (:meth:`_sweep_vertices`)."""
+        graph = self._cells.objs[c].graph
+        if not (
+            self._tighten is None
+            and self._dense(graph)
+            and self._sweep_cell(graph, c)
+        ):
+            self._sweep_vertices(graph, c)
+        # the largest bound, or 0.0 when none is positive
+        cw = graph.max_upper()
+        self._cells.cw[c] = cw if cw > 0.0 else 0.0
+        self.stats.upper_bound_recomputes += 1
+
+    def _dense(self, graph: CellGraph) -> bool:
+        """The cost rule: do at least :data:`_CELL_SWEEP_MIN` dirty
+        vertices pass Pruning Rule 2/4?"""
+        relax = 1.0 - self.epsilon
+        rho = self._star_w
+        dirty = graph.dirty
+        n = len(dirty)
+        need = _CELL_SWEEP_MIN
+        j = graph.next_above(graph.head, relax, rho)
+        while j < n:
+            if dirty[j]:
+                need -= 1
+                if not need:
+                    return True
+            j = graph.next_above(j + 1, relax, rho)
+        return False
+
+    def _sweep_cell(self, graph: CellGraph, c: int) -> bool:
+        """One sweep of the whole cell caps every vertex bound at the
+        cell max (``CellGraph.cap_at_cell_max``); then only the anchor,
+        the oldest vertex holding the max face, is swept locally, if it
+        still passes Rule 2/4, and offered as the answer.  Every other
+        vertex counts as pruned.  False when the sweep capped nothing
+        (the caller then sweeps vertex by vertex)."""
+        anchor = graph.cap_at_cell_max(
+            self.grid.cell_extent(self._cells.key(c))
+        )
+        stats = self.stats
+        stats.cell_sweeps += 1
+        if anchor < 0:
+            return False
+        pruned = len(graph) - 1
+        if (1.0 - self.epsilon) * graph.upper[anchor] > self._star_w:
+            if graph.dirty[anchor]:
+                self._sweep_vertex(graph, anchor)
+            self._offer(graph, anchor, c)
+        else:
+            pruned += 1
+        stats.vertices_pruned += pruned
+        return True
+
+    def _sweep_vertices(self, graph: CellGraph, c: int) -> None:
         """Scan the cell's vertices; run ``Local-Plane-Sweep`` for every
         vertex that survives Pruning Rule 2/4, adopting improvements
         into the monitored answer."""
-        graph = self._cells.objs[c].graph
         relax = 1.0 - self.epsilon
         tighten = self._tighten
         stats = self.stats
@@ -353,15 +425,17 @@ class AG2Monitor(MaxRSMonitor):
             # exactly that condition.
             if dirty[j]:
                 self._sweep_vertex(graph, j)
-            if self._star is None or exact[j] > self._star_w:
-                self._star = graph.vertex(j)
-                self._star_w = exact[j]
-                self._star_cell = c
+            self._offer(graph, j, c)
         stats.vertices_pruned += pruned
-        # the largest bound, or 0.0 when none is positive
-        cw = graph.max_upper()
-        self._cells.cw[c] = cw if cw > 0.0 else 0.0
-        stats.upper_bound_recomputes += 1
+
+    def _offer(self, graph: CellGraph, j: int, c: int) -> None:
+        """Adopt vertex ``j`` of cell ``c`` as the answer if its exact
+        weight beats the monitored one (strictly: ties keep the
+        answer)."""
+        if self._star is None or graph.exact[j] > self._star_w:
+            self._star = graph.vertex(j)
+            self._star_w = graph.exact[j]
+            self._star_cell = c
 
     def _sweep_vertex(self, graph: CellGraph, i: int) -> None:
         # looked up per call: the end-to-end tracer patches this name

@@ -43,7 +43,8 @@ rows in and, for each new row in arrival order, adds its weight to the
 bound of every older overlapping vertex.  :class:`Vertex` is a
 read-only view of one vertex; the monitors pass it to
 :func:`~repro.core.planesweep.local_plane_sweep_cached`, which gathers,
-clips and sweeps ``N(ri)`` in one call as well.  ``WeightedRect``,
+clips and sweeps ``N(ri)`` in one call as well, and aG2 sweeps a dense
+cell once with :meth:`CellGraph.cap_at_cell_max`.  ``WeightedRect``,
 ``Rect`` and ``Region`` objects are built only on demand: for answers,
 top-k and Algorithm 5.
 """
@@ -59,6 +60,7 @@ from repro.core.grid import CellKey, UniformGrid
 from repro.core.objects import SpatialObject, WeightedRect
 from repro.core.planesweep import (
     _above_flat,
+    _cell_flat,
     _insert_flat,
     _max_flat,
     _scan_flat,
@@ -411,6 +413,23 @@ class CellGraph:
         """The largest live bound (the first of equal ones), ``0.0``
         when the graph is empty."""
         return _max_flat(self.upper, self.head)
+
+    def cap_at_cell_max(self, extent: Sequence[float]) -> int:
+        """Sweep the live rectangles clipped to the cell ``extent`` ``(x1,
+        y1, x2, y2)`` once, and cap every live bound at that cell max
+        ``M`` plus its rounding slack, ``M⁺`` (never below the vertex's
+        exact weight): no local sweep of a vertex can exceed ``M⁺``, as
+        every rectangle here meets the cell's open interior.  Vertices
+        stay dirty.  One call into ``maxrs_cell``.
+
+        Returns the anchor: the array index of the oldest vertex whose
+        rectangle holds the max face, whose local sweep reaches ``M``;
+        ``-1`` when nothing was capped.
+        """
+        return _cell_flat(
+            self.items, self.head, len(self.seqs), extent, self.upper,
+            self.exact,
+        )[0]
 
     def next_above(self, i: int, relax: float, rho: float) -> int:
         """The first array index ``j ≥ i`` whose bound passes Pruning

@@ -73,13 +73,18 @@ class UniformGrid:
             math.floor((y - self.origin_y) / self.cell_size),
         )
 
-    def cell_bounds(self, key: CellKey) -> Rect:
-        """The spatial extent of a cell."""
+    def cell_extent(self, key: CellKey) -> tuple[float, float, float, float]:
+        """``(x1, y1, x2, y2)`` of a cell: the bounds :func:`_axis_cells`
+        tests a rectangle against, float for float, so every rectangle
+        mapped to the cell meets the open extent."""
         i, j = key
         cs = self.cell_size
-        x1 = self.origin_x + i * cs
-        y1 = self.origin_y + j * cs
-        return Rect(x1, y1, x1 + cs, y1 + cs)
+        ox, oy = self.origin_x, self.origin_y
+        return ox + i * cs, oy + j * cs, ox + (i + 1) * cs, oy + (j + 1) * cs
+
+    def cell_bounds(self, key: CellKey) -> Rect:
+        """The spatial extent of a cell (:meth:`cell_extent`)."""
+        return Rect(*self.cell_extent(key))
 
     def cell_keys(self, rect: Rect) -> tuple[CellKey, ...]:
         """The cell cover of a rectangle as a tuple.

@@ -44,6 +44,7 @@ class MonitorStats:
     full_sweeps: int = 0
     objects_swept: int = 0
     local_sweeps: int = 0
+    cell_sweeps: int = 0
     overlap_tests: int = 0
     edges_touched: int = 0
     cells_visited: int = 0

@@ -33,9 +33,11 @@ Hot path (docs/PERFORMANCE.md §1-§2): one compiled C library,
 (the overlap scan of one rectangle), ``maxrs_insert``
 (``CellGraph.connect`` of a whole pending set: copy the rows in, then
 one overlap scan per new row), ``maxrs_local`` (gather, clip and
-sweep), ``maxrs_max`` and ``maxrs_above`` (the bound scans of
-``CellGraph``).  Each has one dispatcher here (``_sweep_flat``,
-``_topk_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
+sweep), ``maxrs_cell`` (aG2's dense-cell path: one clipped sweep of a
+whole cell, which caps every vertex bound at the cell max),
+``maxrs_max`` and ``maxrs_above`` (the bound scans of ``CellGraph``).
+Each has one dispatcher here (``_sweep_flat``, ``_topk_flat``,
+``_scan_flat``, ``_insert_flat``, ``_local_flat``, ``_cell_flat``,
 ``_max_flat``, ``_above_flat``); the same library's aG2 cell-index
 entry points (``maxrs_route``, ``maxrs_map``, ``maxrs_purge``,
 ``maxrs_pending``, ``maxrs_top``, ``maxrs_top_bound``,
@@ -152,6 +154,7 @@ class _Kernel(NamedTuple):
     connect: object
     insert: object
     local: object
+    cell: object
     max: object
     above: object
     route: object
@@ -179,6 +182,7 @@ def _open(path: Path) -> _Kernel:
         library.maxrs_connect,
         library.maxrs_insert,
         library.maxrs_local,
+        library.maxrs_cell,
         library.maxrs_max,
         library.maxrs_above,
         library.maxrs_route,
@@ -201,6 +205,11 @@ def _open(path: Path) -> _Kernel:
     kernel.insert.restype = long_
     kernel.local.argtypes = (ptr, long_, long_, ptr)
     kernel.local.restype = ctypes.c_int
+    kernel.cell.argtypes = (
+        ptr, long_, long_, ctypes.c_double, ctypes.c_double,
+        ctypes.c_double, ctypes.c_double, ptr, ptr, ptr,
+    )
+    kernel.cell.restype = long_
     kernel.max.argtypes = (ptr, long_)
     kernel.max.restype = ctypes.c_double
     kernel.above.argtypes = (
@@ -264,6 +273,7 @@ def _load_kernel() -> _Kernel:
 _KERNEL = _load_kernel()
 #: initial contents of the kernel's per-call output buffer
 _OUT = (0.0,) * 5
+_OUT6 = (0.0,) * 6
 
 
 def _sweep_flat(buf: array) -> _Cell | None:
@@ -360,6 +370,30 @@ def _local_flat(items: array, i: int, n: int) -> _Cell | None:
     if found < 0:
         raise MemoryError("plane sweep kernel out of memory")
     return out if found else None
+
+
+def _cell_flat(
+    items: array,
+    head: int,
+    n: int,
+    extent: Sequence[float],
+    upper: array,
+    exact: array,
+) -> tuple[int, array]:
+    """``maxrs_cell``: sweep the flat items ``[head, n)`` clipped to the
+    cell ``extent`` ``(x1, y1, x2, y2)`` once; cap every bound ``upper[j]``
+    at the sweep's max plus its rounding slack (never below
+    ``exact[j]``).  Returns the anchor — the oldest item holding the
+    max face, or ``-1`` when the bounds were left alone — and the
+    answer ``(M, x1, y1, x2, y2, M⁺)``."""
+    out = array("d", _OUT6)
+    anchor = _KERNEL.cell(
+        items.buffer_info()[0], head, n, *extent,
+        upper.buffer_info()[0], exact.buffer_info()[0], out.buffer_info()[0],
+    )
+    if anchor == -2:
+        raise MemoryError("plane sweep kernel out of memory")
+    return anchor, out
 
 
 def _pack(items: Iterable[tuple[Rect, float]]) -> array:

@@ -4,8 +4,11 @@
 Each live cell is a :class:`DictCell` in a ``Dict[CellKey, DictCell]``
 with its pending set as an ``array('q')`` of seqs, its bound ``cw`` and
 creation rank; the candidate order is a lazy heap of ``(-c.w, rank,
-key)`` tuples.  Answers (to the bit) and every ``MonitorStats`` field
-must equal the production monitors' on every tick.
+key)`` tuples.  Algorithm 4 takes the same two paths as the production
+monitor (one sweep of a dense cell, or a local sweep per surviving
+vertex), by the same rule.  Answers (to the bit) and every
+``MonitorStats`` field must equal the production monitors' on every
+tick.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from bisect import bisect_right
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, Iterator
 
+from repro.core.ag2 import _CELL_SWEEP_MIN
 from repro.core.graph import ArrivalTable, CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
@@ -342,10 +346,41 @@ class DictAG2Monitor(MaxRSMonitor):
     # -- Algorithm 4 -------------------------------------------------------------
 
     def _exact_weight_computation(self, key: CellKey) -> None:
-        """Scan the cell's vertices; run ``Local-Plane-Sweep`` for every
-        vertex that survives Pruning Rule 2/4, adopting improvements
-        into the monitored answer."""
+        """Algorithm 4: one sweep of the whole cell when at least
+        ``_CELL_SWEEP_MIN`` dirty vertices survive Pruning Rule 2/4 (and
+        no tightener is set), else ``Local-Plane-Sweep`` for every
+        vertex that survives it, adopting improvements into the
+        monitored answer."""
         graph = self._cells[key].graph
+        relax = 1.0 - self.epsilon
+        stats = self.stats
+        upper = graph.upper
+        dirty = graph.dirty
+        dirty_survivors = sum(
+            1 for j in range(graph.head, len(upper))
+            if dirty[j] and relax * upper[j] > self._star_w
+        )
+        anchor = -1
+        if self._tighten is None and dirty_survivors >= _CELL_SWEEP_MIN:
+            anchor = graph.cap_at_cell_max(self.grid.cell_extent(key))
+            stats.cell_sweeps += 1
+        if anchor >= 0:
+            pruned = len(graph) - 1
+            if relax * upper[anchor] > self._star_w:
+                if dirty[anchor]:
+                    self._sweep_vertex(graph, anchor)
+                self._adopt(graph, anchor, key)
+            else:
+                pruned += 1
+            stats.vertices_pruned += pruned
+        else:
+            self._sweep_vertices(graph, key)
+        # the largest bound, or 0.0 when none is positive
+        cw = graph.max_upper()
+        self._cells[key].cw = cw if cw > 0.0 else 0.0
+        stats.upper_bound_recomputes += 1
+
+    def _sweep_vertices(self, graph: CellGraph, key: CellKey) -> None:
         relax = 1.0 - self.epsilon
         tighten = self._tighten
         stats = self.stats
@@ -377,15 +412,14 @@ class DictAG2Monitor(MaxRSMonitor):
             # exactly that condition.
             if dirty[j]:
                 self._sweep_vertex(graph, j)
-            if self._star is None or exact[j] > self._star_w:
-                self._star = graph.vertex(j)
-                self._star_w = exact[j]
-                self._star_cell = key
+            self._adopt(graph, j, key)
         stats.vertices_pruned += pruned
-        # the largest bound, or 0.0 when none is positive
-        cw = graph.max_upper()
-        self._cells[key].cw = cw if cw > 0.0 else 0.0
-        stats.upper_bound_recomputes += 1
+
+    def _adopt(self, graph: CellGraph, j: int, key: CellKey) -> None:
+        if self._star is None or graph.exact[j] > self._star_w:
+            self._star = graph.vertex(j)
+            self._star_w = graph.exact[j]
+            self._star_cell = key
 
     def _sweep_vertex(self, graph: CellGraph, i: int) -> None:
         # looked up per call: the end-to-end tracer patches this name

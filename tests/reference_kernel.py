@@ -14,9 +14,9 @@ visit, candidate heap and settle on the table's own arrays.
 :func:`reference_kernel` (a context manager) replace every binding of a
 kernel dispatcher in the loaded ``repro`` modules — ``_sweep_flat``,
 ``_topk_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
-``_max_flat``, ``_above_flat`` and ``route_rows`` — and the
-:class:`~repro.core.cells.CellTable` methods that call the kernel, so a
-whole monitor runs on the reference.
+``_cell_flat``, ``_max_flat``, ``_above_flat`` and ``route_rows`` —
+and the :class:`~repro.core.cells.CellTable` methods that call the
+kernel, so a whole monitor runs on the reference.
 """
 
 from __future__ import annotations
@@ -266,6 +266,51 @@ def local_flat(items: array, i: int, n: int) -> _Cell | None:
         if x1 < x2 and y1 < y2:
             buf.extend((x1, y1, x2, y2, items[b + 4]))
     return sweep_flat(buf) if len(buf) > 5 else None
+
+
+def cell_flat(
+    items: array,
+    head: int,
+    n: int,
+    extent: Sequence[float],
+    upper: array,
+    exact: array,
+) -> tuple[int, array]:
+    """``maxrs_cell``: sweep the items ``[head, n)`` clipped to the cell
+    ``extent``, in index order; the anchor is the oldest item whose
+    rectangle holds the max face.  With an anchor, cap every bound at
+    ``M⁺ = M + (8 m + 512) 2^-52 W`` (``m`` items of total weight ``W``,
+    summed in index order), never below the exact weight.  Returns the
+    anchor (``-1``: bounds untouched) and ``(M, x1, y1, x2, y2, M⁺)``."""
+    cx1, cy1, cx2, cy2 = extent
+    buf = array("d")
+    total = 0.0
+    for j in range(head, n):
+        x1, y1, x2, y2, w = items[5 * j:5 * j + 5]
+        total += w
+        x1 = x1 if x1 > cx1 else cx1
+        y1 = y1 if y1 > cy1 else cy1
+        x2 = x2 if x2 < cx2 else cx2
+        y2 = y2 if y2 < cy2 else cy2
+        if x1 < x2 and y1 < y2:
+            buf.extend((x1, y1, x2, y2, w))
+    out = array("d", bytes(48))
+    found = sweep_flat(buf)
+    if found is None:
+        return -1, out
+    out[:5] = array("d", found)
+    _w, fx1, fy1, fx2, fy2 = found
+    for j in range(head, n):
+        x1, y1, x2, y2 = items[5 * j:5 * j + 4]
+        if x1 <= fx1 and fx2 <= x2 and y1 <= fy1 and fy2 <= y2:
+            break
+    else:
+        return -1, out
+    cap = out[5] = out[0] + (8 * (n - head) + 512) * 2.0**-52 * total
+    for k in range(head, n):
+        if upper[k] > cap:
+            upper[k] = cap if cap > exact[k] else exact[k]
+    return j, out
 
 
 def max_flat(values: array, lo: int) -> float:
@@ -556,6 +601,7 @@ _DISPATCHERS = {
     "_scan_flat": scan_flat,
     "_insert_flat": insert_flat,
     "_local_flat": local_flat,
+    "_cell_flat": cell_flat,
     "_max_flat": max_flat,
     "_above_flat": above_flat,
 }

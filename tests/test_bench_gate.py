@@ -97,6 +97,25 @@ class TestRunBench:
         assert len(rows) == expected
         assert all(row["profile"] == "tiny" for row in rows)
 
+    def test_paper_profile_rows(self, monkeypatch):
+        """The ``paper`` profile runs the paper's default sizing and
+        exactly the :data:`PAPER_ROWS` matrix (here shrunk to TINY)."""
+        paper = bench_mod.PROFILES["paper"]
+        assert (paper.window_size, paper.batch_size, paper.rect_side,
+                paper.domain) == (10_000, 100, 1000.0, 140_000.0)
+        monkeypatch.setattr(
+            bench_mod, "PROFILES", {**bench_mod.PROFILES, "paper": TINY}
+        )
+        rows = bench_mod.run_profile_suite("paper", seed=42)["rows"]
+        assert [(r["dataset"], r["monitor"]) for r in rows] == [
+            (dataset, monitor)
+            for dataset, monitors in bench_mod.PAPER_ROWS.items()
+            for monitor in monitors
+        ]
+        assert {r["dataset"] for r in rows if r["monitor"] == "g2"} == {
+            "uniform"
+        }
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(InvalidParameterError):
             bench_mod.run_profile_suite("no-such-profile", seed=1)
