@@ -150,13 +150,16 @@ class QuarantineError(ReproError):
     """A record was rejected at the ingest boundary under ``RAISE`` policy.
 
     Carries the offending record and the rejection reason so callers
-    that opted into fail-fast ingestion see exactly what was refused.
+    that opted into fail-fast ingestion see exactly what was refused,
+    and as ``released`` the objects the guard admitted ahead of it in
+    the same batch, which would otherwise be lost with the return value.
     """
 
     def __init__(self, reason: str, record: object = None) -> None:
         super().__init__(reason)
         self.reason = reason
         self.record = record
+        self.released: list = []
 
 
 class UnrecoverableMonitorError(ReproError):

@@ -149,12 +149,30 @@ class BackpressureQueue:
         """Offer many objects; return the ones *refused* (``BLOCK`` only).
 
         The caller owns refused objects — under BLOCK they never entered
-        the queue and should be re-offered once depth recedes.
+        the queue and should be re-offered once depth recedes.  The
+        ledger and the queue end as after one :meth:`offer` per object,
+        in order: BLOCK refuses the tail that finds no room, SHED_OLDEST
+        keeps the newest ``max(capacity, pending)`` of queue and batch.
         """
-        back: list[SpatialObject] = []
-        for obj in objects:
-            if not self.offer(obj):
-                back.append(obj)
+        batch = list(objects)
+        items = self._items
+        depth = len(items)
+        self.offered += len(batch)
+        if self.policy is ShedPolicy.BLOCK:
+            room = max(self.capacity - depth, 0)
+            back = batch[room:]
+            self.refused += len(back)
+            items.extend(batch[:room])
+        else:
+            back = []
+            items.extend(batch)
+            drop = len(items) - max(self.capacity, depth)
+            if drop > 0:
+                self.shed += drop
+                for _ in range(drop):
+                    items.popleft()
+        if len(items) > self.high_water:
+            self.high_water = len(items)
         return back
 
     # -- consumer side -------------------------------------------------------

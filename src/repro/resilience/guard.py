@@ -19,16 +19,21 @@ guard is where dirty reality is converted into that contract:
   depth from ``len(dead_letters)``.  The soak harness proves from them
   that every injected fault is accounted for.
 
-The guard works in both shapes the library uses: as a
-:class:`StreamSource` wrapper (``StreamEngine(..., source=guard)``) and
-as a batch filter (:meth:`IngestGuard.filter`, which the soak harness
-and the end-to-end benchmark call ahead of their backpressure queue).
+:meth:`IngestGuard.filter` is the one admission loop: one
+:func:`coerce_record` call per record (plain dicts, the wire shape,
+take a positional branch ahead of the ABC checks), in-order records
+appended straight to the output, and the reorder buffer released once
+per batch, at its final watermark.  The guard works in both shapes the
+library uses, and both go through that loop: as a batch filter (which
+the soak harness and the end-to-end benchmark call ahead of their
+backpressure queue) and as a :class:`StreamSource` wrapper
+(``StreamEngine(..., source=guard)``), one record at a time.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.errors import QuarantineError, ReproError
@@ -39,6 +44,16 @@ from repro.streams.source import StreamSource
 __all__ = ["IngestGuard", "coerce_record"]
 
 _FIELD_NAMES = ("x", "y", "weight", "timestamp", "oid")
+#: what a payload that cannot be coerced raises
+_INVALID = (ReproError, ValueError, TypeError, OverflowError)
+
+
+def _coerce_oid(value: object) -> int:
+    oid = int(value)
+    # a fractional oid names no object: refuse it rather than truncate
+    if oid != value and not isinstance(value, (str, bytes)):
+        raise ValueError(f"record oid must be integral, got {value!r}")
+    return oid
 
 
 def coerce_record(record: object) -> SpatialObject:
@@ -46,12 +61,35 @@ def coerce_record(record: object) -> SpatialObject:
 
     Accepts an already-valid :class:`SpatialObject`, a mapping with
     ``x``/``y`` (and optional ``weight``/``timestamp``/``oid``) keys,
-    or a positional sequence ``(x, y[, weight[, timestamp]])``.
+    or a positional sequence ``(x, y[, weight[, timestamp[, oid]]])``.
+    An oid must be integral (``3.0`` is oid 3, ``3.7`` is refused).
     Anything else — or any payload whose values fail
     :class:`SpatialObject` validation — raises a
-    :class:`~repro.errors.ReproError` (or ``ValueError``/``TypeError``
-    for hopeless payloads), which the guard maps to its error policy.
+    :class:`~repro.errors.ReproError` (or ``ValueError``/``TypeError``/
+    ``OverflowError`` for hopeless payloads), which the guard maps to
+    its error policy.
     """
+    if type(record) is dict:
+        # the wire shape, ahead of the ABC checks: the Mapping path
+        # below, field for field (SpatialObject's defaults, an auto oid
+        # only when none is given), built positionally
+        try:
+            x = record["x"]
+            y = record["y"]
+        except KeyError:
+            raise ValueError(
+                f"record mapping missing x/y: {record!r}"
+            ) from None
+        x = float(x)
+        y = float(y)
+        weight = float(record["weight"]) if "weight" in record else 1.0
+        ts = float(record["timestamp"]) if "timestamp" in record else 0.0
+        if "oid" in record:
+            oid = record["oid"]
+            if type(oid) is not int:
+                oid = _coerce_oid(oid)
+            return SpatialObject(x, y, weight, ts, oid)
+        return SpatialObject(x, y, weight, ts)
     if isinstance(record, SpatialObject):
         # constructed objects are validated in __post_init__; re-check
         # the invariants cheaply in case the instance was forged around
@@ -72,7 +110,7 @@ def coerce_record(record: object) -> SpatialObject:
             if key in kwargs:
                 kwargs[key] = float(kwargs[key])
         if "oid" in kwargs:
-            kwargs["oid"] = int(kwargs["oid"])
+            kwargs["oid"] = _coerce_oid(kwargs["oid"])
         return SpatialObject(**kwargs)
     if isinstance(record, Sequence) and not isinstance(record, (str, bytes)):
         if not 2 <= len(record) <= 5:
@@ -80,6 +118,8 @@ def coerce_record(record: object) -> SpatialObject:
                 f"record sequence must have 2-5 fields, got {record!r}"
             )
         values = [float(v) for v in record[:4]]
+        if len(record) == 5:
+            return SpatialObject(*values, _coerce_oid(record[4]))
         return SpatialObject(*values)
     raise TypeError(f"cannot interpret stream record {record!r}")
 
@@ -141,39 +181,53 @@ class IngestGuard(StreamSource):
 
     # -- core admission ----------------------------------------------------
 
-    def admit(self, record: object) -> list[SpatialObject]:
-        """Validate + re-sequence one record; return releasable objects.
+    def filter(self, records: Iterable[object]) -> list[SpatialObject]:
+        """Validate and re-sequence a batch; return releasable objects.
 
-        The returned list holds zero or more objects (buffered records
-        released by an advancing watermark ride along with the record
-        that advanced it), in non-decreasing timestamp order.
+        The one admission loop: each record is coerced once and taken
+        by the reorder buffer, which is released once, at the batch's
+        final watermark.  The result holds zero or more objects in
+        non-decreasing timestamp order (buffered records released by an
+        advancing watermark ride along with the batch that advanced
+        it), the same objects in the same order as one record at a time.
+
+        Under ``RAISE`` the first rejected record stops the batch: it
+        is counted as rejected, the buffer is released at the watermark
+        reached so far, and the objects admitted ahead of it ride on
+        the :class:`~repro.errors.QuarantineError` as ``released``, so
+        the conservation law holds at the raise.
         """
-        self._seq += 1
-        try:
-            obj = coerce_record(record)
-        except (ReproError, ValueError, TypeError) as exc:
-            self._reject(record, "invalid", str(exc))
-            return []
-        released = self.reorder.offer(obj)
-        if released is None:
-            self._reject(
-                obj,
-                "late",
-                f"timestamp {obj.timestamp} behind watermark "
-                f"{self.reorder.watermark} (max_lateness="
-                f"{self.reorder.max_lateness})",
-                late=True,
-            )
-            return []
-        self.admitted += len(released)
-        return released
-
-    def filter(self, records: Sequence[object]) -> list[SpatialObject]:
-        """Batch admission: guard a whole arrival batch at once."""
         out: list[SpatialObject] = []
-        for record in records:
-            out.extend(self.admit(record))
-        return out
+        reorder = self.reorder
+        accept = reorder.accept
+        try:
+            for record in records:
+                self._seq += 1
+                try:
+                    obj = coerce_record(record)
+                except _INVALID as exc:
+                    self._reject(record, "invalid", str(exc))
+                    continue
+                kept = accept(obj, out)
+                if kept:
+                    self.admitted += 1
+                elif kept is None:
+                    self._reject(
+                        obj,
+                        "late",
+                        f"timestamp {obj.timestamp} behind watermark "
+                        f"{reorder.watermark} (max_lateness="
+                        f"{reorder.max_lateness})",
+                        late=True,
+                    )
+        except QuarantineError as exc:
+            exc.released = self._release_into(out)
+            raise
+        return self._release_into(out)
+
+    def admit(self, record: object) -> list[SpatialObject]:
+        """Validate + re-sequence one record (:meth:`filter` of one)."""
+        return self.filter((record,))
 
     def flush(self) -> list[SpatialObject]:
         """Release everything the reorder buffer still holds, in order."""
@@ -192,6 +246,14 @@ class IngestGuard(StreamSource):
             yield from self.admit(record)
         yield from self.flush()
 
+    def _release_into(self, out: list[SpatialObject]) -> list[SpatialObject]:
+        """Append what the reorder buffer's watermark releases to ``out``."""
+        if self.reorder.pending:
+            released = self.reorder.release()
+            self.admitted += len(released)
+            out += released
+        return out
+
     # -- rejection paths ---------------------------------------------------
 
     def _reject(
@@ -199,14 +261,15 @@ class IngestGuard(StreamSource):
     ) -> None:
         if late:
             self.late_dropped += 1
+        elif self.policy is ErrorPolicy.SKIP:
+            self.skipped += 1
+        else:
+            self.quarantined += 1
         if self.policy is ErrorPolicy.RAISE:
             raise QuarantineError(f"{reason}: {detail}", record=record)
-        if self.policy is ErrorPolicy.SKIP:
-            if not late:
-                self.skipped += 1
-            return
-        if not late:
-            self.quarantined += 1
-        self.dead_letters.put(
-            DeadLetter(record=record, reason=reason, detail=detail, seq=self._seq)
-        )
+        if self.policy is ErrorPolicy.QUARANTINE:
+            self.dead_letters.put(
+                DeadLetter(
+                    record=record, reason=reason, detail=detail, seq=self._seq
+                )
+            )

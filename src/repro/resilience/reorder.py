@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError
@@ -61,43 +61,58 @@ class ReorderBuffer:
         """Records currently held back waiting for the watermark."""
         return len(self._heap)
 
+    def accept(
+        self, obj: SpatialObject, out: list[SpatialObject]
+    ) -> bool | None:
+        """Take one record of a batch without releasing the buffer.
+
+        Returns ``True`` when the record is released at once (appended
+        to ``out``), ``False`` when it is held back, and ``None`` when
+        it is later than ``max_lateness`` allows (the caller decides
+        drop vs raise).  A record the new watermark already passes,
+        offered to an empty buffer, takes the first path without a
+        heap round trip: every in-order record when ``max_lateness`` is
+        0.  Held records leave with :meth:`release`; a batch calls it
+        once, at its final watermark, and emits what per-record
+        releases would have: the watermark only rises, so every record
+        still admissible has a timestamp at or above every record a
+        lower watermark would already have released, and ties leave in
+        arrival order either way.
+        """
+        ts = obj.timestamp
+        max_seen = self._max_seen
+        if ts < max_seen - self.max_lateness:
+            return None
+        if ts < max_seen:
+            self.reordered += 1
+        elif ts > max_seen:
+            self._max_seen = max_seen = ts
+        if not self._heap and ts <= max_seen - self.max_lateness:
+            out.append(obj)
+            return True
+        heapq.heappush(self._heap, (ts, next(self._seq), obj))
+        return False
+
+    def release(self) -> list[SpatialObject]:
+        """Release every held record the watermark has passed, in
+        timestamp order."""
+        return self._release(self.watermark)
+
     def offer(self, obj: SpatialObject) -> list[SpatialObject] | None:
         """Feed one record; return newly releasable records, in
         timestamp order — or ``None`` when the record is later than
-        ``max_lateness`` allows (the caller decides drop vs raise).
+        ``max_lateness`` allows.
 
         Emission rule: a record leaves the buffer once the watermark
         reaches its timestamp, so nothing emitted can ever be trailed
-        by an admissible record with a smaller timestamp.  A record the
-        new watermark already passes, offered to an empty buffer, is
-        released as it is, without a heap round trip: every in-order
-        record when ``max_lateness`` is 0.
+        by an admissible record with a smaller timestamp.
         """
-        ts = obj.timestamp
-        if ts < self._max_seen - self.max_lateness:
+        out: list[SpatialObject] = []
+        if self.accept(obj, out) is None:
             return None
-        if ts < self._max_seen:
-            self.reordered += 1
-        if ts > self._max_seen:
-            self._max_seen = ts
-        if not self._heap and ts <= self._max_seen - self.max_lateness:
-            return [obj]
-        heapq.heappush(self._heap, (ts, next(self._seq), obj))
-        return self._release(self.watermark)
-
-    def offer_all(
-        self, objects: Iterable[SpatialObject]
-    ) -> tuple[list[SpatialObject], list[SpatialObject]]:
-        """Feed many records; return ``(released, too_late)``."""
-        released: list[SpatialObject] = []
-        too_late: list[SpatialObject] = []
-        for obj in objects:
-            out = self.offer(obj)
-            if out is None:
-                too_late.append(obj)
-            else:
-                released.extend(out)
-        return released, too_late
+        if self._heap:
+            out += self.release()
+        return out
 
     def flush(self) -> list[SpatialObject]:
         """Drain everything still buffered, in timestamp order.

@@ -150,3 +150,89 @@ class TestMetrics:
         assert queue.shed == 2
         assert queue.processed == 2
         assert queue.pending == 1
+
+
+class OneAtATimeQueue(BackpressureQueue):
+    """``offer_all`` as one ``offer`` per object, in order."""
+
+    def offer_all(self, objects):
+        return [obj for obj in objects if not self.offer(obj)]
+
+
+class TestOfferAllMatchesPerObjectOffer:
+    """The batch ``offer_all`` leaves the ledger, the refused list and
+    the deque exactly as one ``offer`` per object would."""
+
+    CAPACITY = 8
+
+    def _pair(self, policy, depth, spilled_back=0):
+        queued = make_objects(depth, seed=3)
+        restored = make_objects(spilled_back, seed=4)
+        queues = []
+        for cls in (BackpressureQueue, OneAtATimeQueue):
+            queue = cls(self.CAPACITY, policy=policy)
+            if spilled_back:
+                for obj in restored:
+                    queue.offer(obj)
+                queue.spill()
+            for obj in queued:
+                queue.offer(obj)
+            # a restored spill can leave the queue above capacity
+            queue.restore_spilled(restored)
+            queues.append(queue)
+        return queues
+
+    @staticmethod
+    def _same(batch_queue, ref_queue, got, want):
+        assert [id(o) for o in got] == [id(o) for o in want]
+        assert batch_queue.ledger == ref_queue.ledger
+        assert [id(o) for o in batch_queue._items] == [
+            id(o) for o in ref_queue._items
+        ]
+
+    @pytest.mark.parametrize("policy", ["block", "shed_oldest"])
+    @pytest.mark.parametrize(
+        "depth,count",
+        [
+            (0, 0),  # empty queue, empty batch
+            (0, 5),  # empty queue
+            (0, 8),  # exactly full
+            (3, 5),  # exactly full from a partial queue
+            (0, 9),  # overflow by one
+            (8, 1),  # full queue, one more
+            (0, 20),  # batch larger than capacity
+            (5, 20),  # batch larger than capacity, partial queue
+            (8, 20),  # batch larger than capacity, full queue
+        ],
+    )
+    def test_differential(self, policy, depth, count):
+        batch_queue, ref_queue = self._pair(policy, depth)
+        objects = make_objects(count, seed=9)
+        got = batch_queue.offer_all(objects)
+        want = ref_queue.offer_all(objects)
+        self._same(batch_queue, ref_queue, got, want)
+
+    @pytest.mark.parametrize("policy", ["block", "shed_oldest"])
+    @pytest.mark.parametrize("count", [1, 5, 11, 30])
+    def test_differential_above_capacity(self, policy, count):
+        batch_queue, ref_queue = self._pair(policy, 5, spilled_back=8)
+        assert batch_queue.pending == 13
+        objects = make_objects(count, seed=9)
+        got = batch_queue.offer_all(iter(objects))
+        want = ref_queue.offer_all(iter(objects))
+        self._same(batch_queue, ref_queue, got, want)
+
+    @pytest.mark.parametrize("policy", ["block", "shed_oldest"])
+    def test_differential_random_rounds(self, policy):
+        rng = random.Random(17)
+        batch_queue, ref_queue = self._pair(policy, 0)
+        for round_ in range(200):
+            objects = make_objects(rng.randint(0, 20), seed=round_)
+            self._same(
+                batch_queue,
+                ref_queue,
+                batch_queue.offer_all(objects),
+                ref_queue.offer_all(objects),
+            )
+            size = rng.randint(1, 10)
+            assert batch_queue.take_batch(size) == ref_queue.take_batch(size)

@@ -21,16 +21,17 @@ from repro.resilience import IngestGuard, ReorderBuffer
 
 
 class HeapOnlyBuffer(ReorderBuffer):
-    """The offer every record took before the fast path."""
+    """Every record through the heap, as before the fast path; ``offer``
+    and the guard both take records through ``accept``."""
 
-    def offer(self, obj):
+    def accept(self, obj, out):
         if obj.timestamp < self.watermark:
             return None
         if obj.timestamp < self._max_seen:
             self.reordered += 1
         self._max_seen = max(self._max_seen, obj.timestamp)
         heapq.heappush(self._heap, (obj.timestamp, next(self._seq), obj))
-        return self._release(self.watermark)
+        return False
 
 
 # small integer timestamps make ties and exact-watermark hits common;

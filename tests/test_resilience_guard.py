@@ -70,6 +70,40 @@ class TestCoerceRecord:
         with pytest.raises((InvalidParameterError, ValueError, TypeError)):
             coerce_record(payload)
 
+    def test_five_field_sequence_carries_its_oid(self):
+        from_seq = coerce_record((1, 2, 3, 4, 77))
+        assert from_seq.oid == 77
+        assert (from_seq.x, from_seq.timestamp) == (1.0, 4.0)
+        assert coerce_record([1, 2, 3, 4, 5.0]).oid == 5
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"x": 1, "y": 2, "oid": 3.7},
+            {"x": 1, "y": 2, "oid": float("nan")},
+            (1, 2, 3, 4, 3.7),
+        ],
+    )
+    def test_non_integral_oid_rejected(self, payload):
+        with pytest.raises(ValueError):
+            coerce_record(payload)
+        assert coerce_record({"x": 1, "y": 2, "oid": 3.0}).oid == 3
+        assert coerce_record({"x": 1, "y": 2, "oid": "3"}).oid == 3
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"x": 1, "y": 2, "oid": 3.7},
+            {"x": 1, "y": 2, "oid": float("inf")},  # OverflowError
+            {"x": 10**400, "y": 2},  # OverflowError
+        ],
+    )
+    def test_guard_quarantines_what_coercion_refuses(self, payload):
+        guard = IngestGuard()
+        assert guard.filter([payload]) == []
+        assert guard.quarantined == 1
+        assert [d.reason for d in guard.dead_letters] == ["invalid"]
+
     def test_forged_nan_timestamp_rejected(self):
         forged = object.__new__(SpatialObject)
         for name, value in zip(
@@ -307,6 +341,40 @@ class TestIngestGuardPolicies:
         with pytest.raises(QuarantineError) as exc_info:
             guard.filter([obj(1.0), {"x": 0.0, "y": 0.0, "weight": -2.0}])
         assert exc_info.value.record == {"x": 0.0, "y": 0.0, "weight": -2.0}
+
+    @pytest.mark.parametrize("max_lateness", [0.0, 2.0])
+    def test_raise_keeps_admitted_objects_and_the_ledger(self, max_lateness):
+        """Objects admitted ahead of the failing record ride on the
+        error, and the failing record is counted as rejected."""
+        guard = IngestGuard(policy="raise", max_lateness=max_lateness)
+        o1, o2, o3 = obj(1.0), obj(2.0), obj(3.0)
+        with pytest.raises(QuarantineError) as exc_info:
+            guard.filter([o1, o2, "bad", o3])
+        released = exc_info.value.released
+        assert exc_info.value.record == "bad"
+        assert guard.offered == 3 and guard.rejected == 1
+        assert guard.offered == (
+            guard.admitted + guard.rejected + guard.reorder.pending
+        )
+        # without lateness o1 and o2 are out; with it they wait for
+        # the watermark (2.0 - 2.0 passes neither of them yet)
+        assert released == ([o1, o2] if max_lateness == 0.0 else [])
+        assert guard.admitted == len(released)
+        # the guard goes on from where the raise left it
+        rest = guard.filter([o3]) + guard.flush()
+        assert released + rest == [o1, o2, o3]
+        assert guard.offered == guard.admitted + guard.rejected == 4
+
+    def test_raise_on_late_record_keeps_the_ledger(self):
+        guard = IngestGuard(policy="raise", max_lateness=1.0)
+        early, late = obj(10.0), obj(5.0)
+        with pytest.raises(QuarantineError) as exc_info:
+            guard.filter([obj(8.5), early, late])
+        assert [o.timestamp for o in exc_info.value.released] == [8.5]
+        assert guard.late_dropped == 1 and guard.quarantined == 0
+        assert guard.offered == (
+            guard.admitted + guard.rejected + guard.reorder.pending
+        )
 
     def test_late_records_deadlettered_as_late(self):
         guard = IngestGuard(policy="quarantine", max_lateness=1.0)
