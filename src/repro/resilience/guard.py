@@ -20,8 +20,9 @@ guard is where dirty reality is converted into that contract:
   that every injected fault is accounted for.
 
 :meth:`IngestGuard.filter` is the one admission loop: one
-:func:`coerce_record` call per record (plain dicts, the wire shape,
-take a positional branch ahead of the ABC checks), in-order records
+:func:`coerce_record` call per record (every mapping is built
+positionally; plain dicts, the wire shape, are recognised ahead of the
+ABC checks), in-order records
 appended straight to the output, and the reorder buffer released once
 per batch, at its final watermark.  The guard works in both shapes the
 library uses, and both go through that loop: as a batch filter (which
@@ -43,7 +44,6 @@ from repro.streams.source import StreamSource
 
 __all__ = ["IngestGuard", "coerce_record"]
 
-_FIELD_NAMES = ("x", "y", "weight", "timestamp", "oid")
 #: what a payload that cannot be coerced raises
 _INVALID = (ReproError, ValueError, TypeError, OverflowError)
 
@@ -54,6 +54,25 @@ def _coerce_oid(value: object) -> int:
     if oid != value and not isinstance(value, (str, bytes)):
         raise ValueError(f"record oid must be integral, got {value!r}")
     return oid
+
+
+def _from_mapping(record: Mapping) -> SpatialObject:
+    """A mapping payload, built positionally: SpatialObject's defaults
+    for absent keys, an auto oid only when none is given.  Keys are
+    tested with ``in``, so a ``defaultdict`` lacking x/y is refused
+    rather than defaulted."""
+    if "x" not in record or "y" not in record:
+        raise ValueError(f"record mapping missing x/y: {record!r}")
+    x = float(record["x"])
+    y = float(record["y"])
+    weight = float(record["weight"]) if "weight" in record else 1.0
+    ts = float(record["timestamp"]) if "timestamp" in record else 0.0
+    if "oid" in record:
+        oid = record["oid"]
+        if type(oid) is not int:
+            oid = _coerce_oid(oid)
+        return SpatialObject(x, y, weight, ts, oid)
+    return SpatialObject(x, y, weight, ts)
 
 
 def coerce_record(record: object) -> SpatialObject:
@@ -70,26 +89,8 @@ def coerce_record(record: object) -> SpatialObject:
     its error policy.
     """
     if type(record) is dict:
-        # the wire shape, ahead of the ABC checks: the Mapping path
-        # below, field for field (SpatialObject's defaults, an auto oid
-        # only when none is given), built positionally
-        try:
-            x = record["x"]
-            y = record["y"]
-        except KeyError:
-            raise ValueError(
-                f"record mapping missing x/y: {record!r}"
-            ) from None
-        x = float(x)
-        y = float(y)
-        weight = float(record["weight"]) if "weight" in record else 1.0
-        ts = float(record["timestamp"]) if "timestamp" in record else 0.0
-        if "oid" in record:
-            oid = record["oid"]
-            if type(oid) is not int:
-                oid = _coerce_oid(oid)
-            return SpatialObject(x, y, weight, ts, oid)
-        return SpatialObject(x, y, weight, ts)
+        # the wire shape, ahead of the ABC checks
+        return _from_mapping(record)
     if isinstance(record, SpatialObject):
         # constructed objects are validated in __post_init__; re-check
         # the invariants cheaply in case the instance was forged around
@@ -103,15 +104,7 @@ def coerce_record(record: object) -> SpatialObject:
             raise ValueError(f"forged invalid object: {record!r}")
         return record
     if isinstance(record, Mapping):
-        kwargs = {k: record[k] for k in _FIELD_NAMES if k in record}
-        if "x" not in kwargs or "y" not in kwargs:
-            raise ValueError(f"record mapping missing x/y: {record!r}")
-        for key in ("x", "y", "weight", "timestamp"):
-            if key in kwargs:
-                kwargs[key] = float(kwargs[key])
-        if "oid" in kwargs:
-            kwargs["oid"] = _coerce_oid(kwargs["oid"])
-        return SpatialObject(**kwargs)
+        return _from_mapping(record)
     if isinstance(record, Sequence) and not isinstance(record, (str, bytes)):
         if not 2 <= len(record) <= 5:
             raise ValueError(

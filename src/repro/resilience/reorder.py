@@ -95,24 +95,13 @@ class ReorderBuffer:
 
     def release(self) -> list[SpatialObject]:
         """Release every held record the watermark has passed, in
-        timestamp order."""
-        return self._release(self.watermark)
-
-    def offer(self, obj: SpatialObject) -> list[SpatialObject] | None:
-        """Feed one record; return newly releasable records, in
-        timestamp order — or ``None`` when the record is later than
-        ``max_lateness`` allows.
+        timestamp order.
 
         Emission rule: a record leaves the buffer once the watermark
         reaches its timestamp, so nothing emitted can ever be trailed
         by an admissible record with a smaller timestamp.
         """
-        out: list[SpatialObject] = []
-        if self.accept(obj, out) is None:
-            return None
-        if self._heap:
-            out += self.release()
-        return out
+        return self._release(self.watermark)
 
     def flush(self) -> list[SpatialObject]:
         """Drain everything still buffered, in timestamp order.

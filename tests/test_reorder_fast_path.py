@@ -1,12 +1,13 @@
-"""Differential test of ``ReorderBuffer.offer``'s fast path.
+"""Differential test of ``ReorderBuffer.accept``'s fast path.
 
 A record offered to an empty buffer that the new watermark already
 passes is released without a heap round trip.  Against a reference
-that always goes through the heap, every offer must return the same
-objects (by identity, in the same order) or the same ``None``, and
-leave the same ``reordered``, ``pending`` and watermark — with and
-without lateness, and with timestamp ties.  Through the
-guard, ``late_dropped`` must match too.
+that always goes through the heap, every record taken by ``accept``
+and then ``release`` must come out as the same objects (by identity,
+in the same order) or the same ``None``, and leave the same
+``reordered``, ``pending`` and watermark — with and without lateness,
+and with timestamp ties.  Through the guard, ``late_dropped`` must
+match too.
 """
 
 from __future__ import annotations
@@ -21,8 +22,18 @@ from repro.resilience import IngestGuard, ReorderBuffer
 
 
 class HeapOnlyBuffer(ReorderBuffer):
-    """Every record through the heap, as before the fast path; ``offer``
-    and the guard both take records through ``accept``."""
+    """Every record through the heap, as before the fast path: ``offer``
+    is the one-record path, written out on its own; the guard takes
+    records through ``accept``."""
+
+    def offer(self, obj):
+        if obj.timestamp < self.watermark:
+            return None
+        if obj.timestamp < self._max_seen:
+            self.reordered += 1
+        self._max_seen = max(self._max_seen, obj.timestamp)
+        heapq.heappush(self._heap, (obj.timestamp, next(self._seq), obj))
+        return self._release(self.watermark)
 
     def accept(self, obj, out):
         if obj.timestamp < self.watermark:
@@ -32,6 +43,15 @@ class HeapOnlyBuffer(ReorderBuffer):
         self._max_seen = max(self._max_seen, obj.timestamp)
         heapq.heappush(self._heap, (obj.timestamp, next(self._seq), obj))
         return False
+
+
+def _offer(buffer, obj):
+    """One record through the production buffer: ``accept``, then
+    ``release``; ``None`` when it is too late."""
+    out = []
+    if buffer.accept(obj, out) is None:
+        return None
+    return out + buffer.release()
 
 
 # small integer timestamps make ties and exact-watermark hits common;
@@ -63,7 +83,7 @@ def test_offer_matches_the_heap_path(stamps, max_lateness, in_order):
     fast = ReorderBuffer(max_lateness)
     ref = HeapOnlyBuffer(max_lateness)
     for obj in _objects(stamps):
-        got, want = fast.offer(obj), ref.offer(obj)
+        got, want = _offer(fast, obj), ref.offer(obj)
         if want is None:
             assert got is None
         else:
@@ -97,8 +117,10 @@ def test_in_order_records_skip_the_heap_without_lateness():
     buffer = ReorderBuffer(0.0)
     seqs = []
     for obj in _objects([1.0, 1.0, 2.0, 5.0]):
-        assert buffer.offer(obj) == [obj]
+        out = []
+        assert buffer.accept(obj, out) is True
+        assert out == [obj]
         seqs.append(next(buffer._seq))
     # nothing but this probe drew a tiebreak number: no heap push ran
     assert seqs == [0, 1, 2, 3]
-    assert buffer.offer(_objects([4.0])[0]) is None
+    assert buffer.accept(_objects([4.0])[0], []) is None

@@ -7,6 +7,9 @@ record that went in is accounted for (admitted, rejected, or pending).
 
 from __future__ import annotations
 
+import collections
+import types
+
 import pytest
 
 from conftest import make_objects
@@ -69,6 +72,24 @@ class TestCoerceRecord:
     def test_bad_payloads_raise(self, payload):
         with pytest.raises((InvalidParameterError, ValueError, TypeError)):
             coerce_record(payload)
+
+    def test_every_mapping_shape_reads_the_same_fields(self):
+        fields = {"x": 1, "y": 2, "weight": 3, "timestamp": 4, "oid": 9}
+        shapes = [
+            fields,
+            collections.OrderedDict(fields),
+            types.MappingProxyType(fields),
+        ]
+        for shape in shapes:
+            got = coerce_record(shape)
+            assert (got.x, got.y, got.weight, got.timestamp, got.oid) == (
+                1.0, 2.0, 3.0, 4.0, 9,
+            )
+        bare = coerce_record(types.MappingProxyType({"x": 1, "y": 2}))
+        assert (bare.weight, bare.timestamp) == (1.0, 0.0)
+        # a defaultdict lacking y is refused, not handed a default y
+        with pytest.raises(ValueError, match="missing x/y"):
+            coerce_record(collections.defaultdict(float, {"x": 1.0}))
 
     def test_five_field_sequence_carries_its_oid(self):
         from_seq = coerce_record((1, 2, 3, 4, 77))
@@ -222,12 +243,21 @@ class TestDeadLetterDrainToJsonl:
         assert q.total_enqueued == 4
 
 
+def offer(buf: ReorderBuffer, o: SpatialObject) -> list[SpatialObject] | None:
+    """One record through the buffer: ``accept``, then ``release``.
+    ``None`` when the record is later than the bound allows."""
+    out: list[SpatialObject] = []
+    if buf.accept(o, out) is None:
+        return None
+    return out + buf.release()
+
+
 class TestReorderBuffer:
     def test_in_order_stream_flows_through(self):
         buf = ReorderBuffer(max_lateness=0.0)
         out = []
         for t in range(5):
-            out.extend(buf.offer(obj(float(t))))
+            out.extend(offer(buf, obj(float(t))))
         assert [o.timestamp for o in out] == [0.0, 1.0, 2.0, 3.0, 4.0]
         assert buf.reordered == 0 and buf.pending == 0
 
@@ -235,7 +265,7 @@ class TestReorderBuffer:
         buf = ReorderBuffer(max_lateness=5.0)
         emitted = []
         for t in [1.0, 2.0, 4.0, 3.0, 8.0, 9.0, 10.0]:
-            out = buf.offer(obj(t))
+            out = offer(buf, obj(t))
             assert out is not None
             emitted.extend(out)
         emitted.extend(buf.flush())
@@ -246,9 +276,9 @@ class TestReorderBuffer:
 
     def test_beyond_bound_is_rejected(self):
         buf = ReorderBuffer(max_lateness=1.0)
-        buf.offer(obj(10.0))
-        assert buf.offer(obj(8.0)) is None  # watermark is 9.0
-        assert buf.offer(obj(9.5)) is not None
+        offer(buf, obj(10.0))
+        assert offer(buf, obj(8.0)) is None  # watermark is 9.0
+        assert offer(buf, obj(9.5)) is not None
 
     def test_emitted_order_feeds_time_window(self):
         """The buffer's output satisfies TimeWindow's order contract."""
@@ -256,7 +286,7 @@ class TestReorderBuffer:
         window = TimeWindow(100.0)
         sequence = [1.0, 3.0, 2.0, 5.0, 4.0, 9.0, 7.0, 12.0, 11.0, 15.0]
         for t in sequence:
-            released = buf.offer(obj(t))
+            released = offer(buf, obj(t))
             if released:
                 window.push(released)  # must not raise WindowOrderError
         window.push(buf.flush())
@@ -272,11 +302,11 @@ class TestReorderBuffer:
         buf = ReorderBuffer(max_lateness=2.0)
         emitted = []
         for i in range(3):
-            emitted.extend(buf.offer(obj(5.0, x=float(i))))
+            emitted.extend(offer(buf, obj(5.0, x=float(i))))
         assert emitted == []  # watermark 3.0 — all three held back
         assert buf.pending == 3
         # advancing the watermark past 5.0 releases the whole tie group
-        emitted.extend(buf.offer(obj(8.0, x=99.0)))
+        emitted.extend(offer(buf, obj(8.0, x=99.0)))
         assert [(o.timestamp, o.x) for o in emitted] == [
             (5.0, 0.0),
             (5.0, 1.0),
@@ -289,16 +319,16 @@ class TestReorderBuffer:
         """A tie group arriving exactly at the watermark: members on
         both sides of the boundary are each released exactly once."""
         buf = ReorderBuffer(max_lateness=2.0)
-        assert buf.offer(obj(10.0, x=0.0)) is not None  # watermark -> 8.0
+        assert offer(buf, obj(10.0, x=0.0)) is not None  # watermark -> 8.0
         # timestamp == watermark is on time (strict < classifies late)
-        first = buf.offer(obj(8.0, x=1.0))
+        first = offer(buf, obj(8.0, x=1.0))
         assert [o.x for o in first] == [1.0]
         # a second identical stamp after its twin was already released
         # must come out again (once), not be deduplicated or dropped
-        second = buf.offer(obj(8.0, x=2.0))
+        second = offer(buf, obj(8.0, x=2.0))
         assert [o.x for o in second] == [2.0]
         # below the watermark the tie rule no longer applies: too late
-        assert buf.offer(obj(7.9, x=3.0)) is None
+        assert offer(buf, obj(7.9, x=3.0)) is None
         leftovers = buf.flush()
         assert [o.x for o in leftovers] == [0.0]
         total = first + second + leftovers
@@ -310,7 +340,7 @@ class TestReorderBuffer:
         order on release."""
         buf = ReorderBuffer(max_lateness=5.0)
         for ts, x in [(4.0, 0.0), (4.0, 1.0), (3.0, 2.0), (4.0, 3.0)]:
-            assert buf.offer(obj(ts, x=x)) == []
+            assert offer(buf, obj(ts, x=x)) == []
         released = buf.flush()
         assert [(o.timestamp, o.x) for o in released] == [
             (3.0, 2.0),
