@@ -52,7 +52,7 @@ from repro.errors import (
     WindowOrderError,
 )
 from repro.engine import MultiQueryGroup, ResultChange, ResultRecorder
-from repro.obs import NULL_METRICS, Metrics, MetricsSnapshot
+from repro.obs import NULL_METRICS, Metrics
 from repro.persist import load_json, restore, save_json, snapshot
 from repro.window import CountWindow, SlidingWindow, TimeWindow, WindowUpdate
 
@@ -72,7 +72,6 @@ __all__ = [
     "MaxRSMonitor",
     "MaxRSResult",
     "Metrics",
-    "MetricsSnapshot",
     "MonitorStats",
     "MultiQueryGroup",
     "NULL_METRICS",

@@ -75,7 +75,7 @@ from repro.core.rtree_monitor import RTreeMonitor
 from repro.core.spaces import MaxRSResult
 from repro.core.topk import TopKAG2Monitor
 from repro.datasets import make_stream
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, StreamExhaustedError
 from repro.window import CountWindow
 
 __all__ = [
@@ -163,44 +163,55 @@ PROFILES: Dict[str, ExperimentConfig] = {
 
 Timings = Dict[str, List[float]]
 Answers = Dict[str, List[MaxRSResult]]
+#: per monitor, one ``MonitorStats.delta`` per timed batch
+Counts = Dict[str, List[Dict[str, int]]]
 
 
 def measure(
     cfg: ExperimentConfig, build: Callable[[], Dict[str, MaxRSMonitor]]
-) -> Tuple[Timings, Answers]:
-    """Per-batch update times (s) and answers of the monitors ``build``
-    returns, over ``cfg``'s seeded stream: the one measurement loop of
-    the benchmark and the paper experiments.
+) -> Tuple[Timings, Answers, Counts]:
+    """Per-batch update times (s), answers and counter deltas of the
+    monitors ``build`` returns, over ``cfg``'s seeded stream: the one
+    measurement loop of the benchmark, the paper experiments and
+    ``profile``.
 
     One pass over the stream supplies, as consecutive disjoint slices,
     the window fill, one full window turnover and the ``cfg.batches``
-    timed batches; every monitor sees the same objects.  Each of the
-    ``cfg.repeats`` rounds builds fresh monitors and times every batch
-    on them (see :func:`_time_round`), and each batch keeps its fastest
-    observation across rounds.  Scheduler preemption and page faults
-    only ever *add* time, so the per-batch minimum converges on the
-    true cost as rounds accumulate.  The answers are the last round's
+    timed batches; every monitor sees the same objects.  A stream too
+    short for all of them raises :class:`StreamExhaustedError` naming
+    the objects it got and needed.  Each of the ``cfg.repeats`` rounds
+    builds fresh monitors and times every batch on them (see
+    :func:`_time_round`), and each batch keeps its fastest observation
+    across rounds.  Scheduler preemption and page faults only ever
+    *add* time, so the per-batch minimum converges on the true cost as
+    rounds accumulate.  The answers and counts are the last round's
     (every round computes the same ones).
     """
     turnover = -(-cfg.window_size // cfg.batch_size)
+    needed = cfg.window_size + (turnover + cfg.batches) * cfg.batch_size
     stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
-    objects = stream.take(
-        cfg.window_size + (turnover + cfg.batches) * cfg.batch_size
-    )
+    objects = stream.take(needed)
+    if len(objects) < needed:
+        raise StreamExhaustedError(
+            f"dataset {cfg.dataset!r} ran dry: got {len(objects)} of the "
+            f"{needed} objects needed (window {cfg.window_size}, "
+            f"{turnover} turnover + {cfg.batches} timed batches of "
+            f"{cfg.batch_size})"
+        )
     batches = [
         objects[start : start + cfg.batch_size]
-        for start in range(cfg.window_size, len(objects), cfg.batch_size)
+        for start in range(cfg.window_size, needed, cfg.batch_size)
     ]
     prime = objects[: cfg.window_size]
     warm, timed = batches[:turnover], batches[turnover:]
     best: Timings = {}
     for _ in range(cfg.repeats):
-        times, answers = _time_round(build(), prime, warm, timed)
+        times, answers, counts = _time_round(build(), prime, warm, timed)
         best = {
             label: list(map(min, best[label], sample)) if best else sample
             for label, sample in times.items()
         }
-    return best, answers
+    return best, answers, counts
 
 
 def _time_round(
@@ -208,7 +219,7 @@ def _time_round(
     prime: List[SpatialObject],
     warm: List[List[SpatialObject]],
     timed: List[List[SpatialObject]],
-) -> Tuple[Timings, Answers]:
+) -> Tuple[Timings, Answers, Counts]:
     """One measurement round: bring every monitor to its steady state
     untimed, then time every batch of ``timed`` on each.
 
@@ -228,7 +239,9 @@ def _time_round(
     so rows timed one after another drifted apart by up to 1.6x.
     Garbage is collected before the clock starts and the collector is
     paused while it runs, so no monitor pays for another's garbage
-    inside its timed region.
+    inside its timed region.  Each monitor's ``stats`` are copied after
+    its clock stops, and the counts are the differences of consecutive
+    copies: what each timed batch alone cost in operations.
     """
     for monitor in monitors.values():
         monitor.ingest(prime)
@@ -236,6 +249,7 @@ def _time_round(
             monitor.update(batch)
     times: Timings = {label: [] for label in monitors}
     answers: Answers = {label: [] for label in monitors}
+    seen = {label: [m.stats.snapshot()] for label, m in monitors.items()}
     gc.collect()
     was_enabled = gc.isenabled()
     gc.disable()
@@ -247,10 +261,15 @@ def _time_round(
                 result = monitor.update(batch)
                 times[label].append(perf() - start)
                 answers[label].append(result)
+                seen[label].append(monitor.stats.snapshot())
     finally:
         if was_enabled:
             gc.enable()
-    return times, answers
+    counts: Counts = {
+        label: [after.delta(before) for before, after in zip(s, s[1:])]
+        for label, s in seen.items()
+    }
+    return times, answers, counts
 
 
 def mean_ms(sample: Sequence[float]) -> float:
@@ -273,7 +292,7 @@ def run_profile_suite(name: str, seed: int) -> Dict[str, object]:
         """One dataset's rows; ``speedup_vs_naive``, the number the CI
         gate compares, is the ratio of per-batch-minimum means."""
         cfg = profile.with_(dataset=dataset, seed=seed)
-        best, _ = measure(
+        best, _, _ = measure(
             cfg,
             lambda: {
                 label: BENCH_MONITORS[label](cfg.rect_side, cfg.window_size)

@@ -2,26 +2,27 @@
 
 The paper explains *why* aG2 wins through internal quantities — cells
 visited, branch-and-bound prunings, upper-bound recomputations — not
-only wall-clock means (§7).  ``run_profile`` executes the standard
-measurement protocol (prime untimed, then timed batches) with a live
-:class:`~repro.obs.metrics.Metrics` registry attached, and returns a
-:class:`ProfileReport` whose tables/JSON/CSV expose those quantities
-per monitor and per batch.  The CI perf-regression gate consumes the
-JSON artefact (``scripts/perf_gate.py``).
+only wall-clock means (§7).  ``run_profile`` times the monitors through
+:func:`~repro.bench.bench.measure`, the loop of the bench and the paper
+experiments (window fill and one full turnover untimed, then the timed
+batches), and keeps each timed batch's ``MonitorStats`` delta beside
+its time.  The :class:`ProfileReport` tables/JSON/CSV expose those
+quantities per monitor and per batch.  The CI perf-regression gate
+consumes the JSON artefact (``scripts/perf_gate.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Dict, List, Sequence
 
+from repro.bench.bench import Counts, Timings, mean_ms, measure
 from repro.bench.config import ExperimentConfig
 from repro.bench.runners import ALGORITHMS, build_monitor
-from repro.datasets import make_stream
-from repro.engine.engine import EngineReport, StreamEngine
-from repro.obs.metrics import Metrics
+from repro.core.monitor import MonitorStats
+from repro.engine.stats import TimingStats
 
-__all__ = ["ProfileReport", "run_profile", "counter_columns"]
+__all__ = ["ProfileReport", "run_profile"]
 
 #: counter display order: paper-relevant quantities first
 _PREFERRED = (
@@ -41,51 +42,49 @@ _PREFERRED = (
     "objects_expired",
 )
 
-
-def counter_columns(report: EngineReport) -> list[str]:
-    """Stable column order: preferred counters first, extras sorted."""
-    present = set(report.counter_names())
-    ordered = [name for name in _PREFERRED if name in present]
-    ordered.extend(sorted(present - set(ordered)))
-    return ordered
+#: every ``MonitorStats`` field: preferred counters first, the rest sorted
+_COLUMNS = _PREFERRED + tuple(
+    sorted({f.name for f in fields(MonitorStats)} - set(_PREFERRED))
+)
 
 
 @dataclass
 class ProfileReport:
-    """One profiled run: configuration + metric-carrying engine report."""
+    """One profiled run: per monitor, each timed batch's update time
+    (s) and ``MonitorStats`` delta."""
 
     config: ExperimentConfig
-    report: EngineReport
-    primed: int
+    times: Timings
+    counts: Counts
 
-    def summary_rows(self) -> list[dict[str, object]]:
-        """One row per monitor: mean update time + lifetime counters."""
-        columns = counter_columns(self.report)
-        rows: list[dict[str, object]] = []
-        for name, snap in self.report.metrics.items():
-            row: dict[str, object] = {
-                "monitor": name,
-                "mean_ms": self.report.mean_ms(name),
-            }
-            for column in columns:
-                row[column] = snap.counters.get(column, 0.0)
-            rows.append(row)
-        return rows
+    @property
+    def batches(self) -> int:
+        return self.config.batches
 
-    def per_batch_rows(self) -> list[dict[str, object]]:
+    def counters(self, name: str) -> Dict[str, int]:
+        """Monitor ``name``'s counts summed over the timed batches: its
+        ``stats`` increase from the first timed batch to the last."""
+        return {
+            column: sum(delta[column] for delta in self.counts[name])
+            for column in _COLUMNS
+        }
+
+    def summary_rows(self) -> List[Dict[str, object]]:
+        """One row per monitor: mean update time + timed-batch counters."""
+        return [
+            {"monitor": name, "mean_ms": mean_ms(sample), **self.counters(name)}
+            for name, sample in self.times.items()
+        ]
+
+    def per_batch_rows(self) -> List[Dict[str, object]]:
         """One row per (batch, monitor) with that batch's counter deltas."""
-        columns = counter_columns(self.report)
-        rows: list[dict[str, object]] = []
-        for index in range(self.report.batches):
-            for name, deltas in self.report.batch_metrics.items():
-                snap = deltas[index]
-                row: dict[str, object] = {"batch": index + 1, "monitor": name}
-                for column in columns:
-                    row[column] = snap.counters.get(column, 0.0)
-                rows.append(row)
-        return rows
+        return [
+            {"batch": index + 1, "monitor": name, **deltas[index]}
+            for index in range(self.batches)
+            for name, deltas in self.counts.items()
+        ]
 
-    def rate_rows(self) -> list[dict[str, object]]:
+    def rate_rows(self) -> List[Dict[str, object]]:
         """Per-(batch, monitor) *derived* rates, normalising raw counters
         by the work offered (see docs/PERFORMANCE.md):
 
@@ -98,40 +97,67 @@ class ProfileReport:
           arriving object; the neighbour-discovery cost driver.
         """
         arrivals = float(self.config.batch_size)
-        rows: list[dict[str, object]] = []
-        for index in range(self.report.batches):
-            for name, deltas in self.report.batch_metrics.items():
-                c = deltas[index].counters
-                visited = c.get("cells_visited", 0.0)
-                pruned = c.get("cells_pruned", 0.0)
-                considered = visited + pruned
-                sweeps = c.get("local_sweeps", 0.0) + c.get("full_sweeps", 0.0)
+        rows: List[Dict[str, object]] = []
+        for index in range(self.batches):
+            for name, deltas in self.counts.items():
+                c = deltas[index]
+                considered = c["cells_visited"] + c["cells_pruned"]
+                sweeps = c["local_sweeps"] + c["full_sweeps"]
                 rows.append(
                     {
                         "batch": index + 1,
                         "monitor": name,
                         "prune_fraction": (
-                            pruned / considered if considered else 0.0
-                        ),
-                        "sweeps_per_arrival": (
-                            sweeps / arrivals if arrivals else 0.0
-                        ),
-                        "overlap_tests_per_arrival": (
-                            c.get("overlap_tests", 0.0) / arrivals
-                            if arrivals
+                            c["cells_pruned"] / considered
+                            if considered
                             else 0.0
+                        ),
+                        "sweeps_per_arrival": sweeps / arrivals,
+                        "overlap_tests_per_arrival": (
+                            c["overlap_tests"] / arrivals
                         ),
                     }
                 )
         return rows
 
-    def to_dict(self) -> dict[str, object]:
-        """The JSON artefact shape (consumed by the CI perf gate)."""
-        doc = self.report.to_dict()
-        doc["config"] = asdict(self.config)
-        doc["primed"] = self.primed
-        doc["derived_rates"] = self.rate_rows()
-        return doc
+    def csv_rows(self) -> List[Dict[str, object]]:
+        """Flat (monitor, kind, metric, value) rows: every timing
+        summary statistic and every timed-batch counter."""
+        rows: List[Dict[str, object]] = []
+        for name, sample in self.times.items():
+            for metric, value in TimingStats(sample).summary().items():
+                rows.append(
+                    {"monitor": name, "kind": "timing",
+                     "metric": metric, "value": value}
+                )
+            for metric, value in self.counters(name).items():
+                rows.append(
+                    {"monitor": name, "kind": "counter",
+                     "metric": metric, "value": value}
+                )
+        return rows
+
+    def to_dict(self) -> Dict[str, object]:
+        """The JSON artefact shape (consumed by the CI perf gate, which
+        reads ``metrics.<monitor>.counters`` and
+        ``timings.<monitor>.mean_ms``)."""
+        return {
+            "config": asdict(self.config),
+            "batches": self.batches,
+            "batch_size": self.config.batch_size,
+            "timings": {
+                name: TimingStats(sample).summary()
+                for name, sample in self.times.items()
+            },
+            "metrics": {
+                name: {"counters": self.counters(name)} for name in self.counts
+            },
+            "batch_metrics": {
+                name: [{"counters": delta} for delta in deltas]
+                for name, deltas in self.counts.items()
+            },
+            "derived_rates": self.rate_rows(),
+        }
 
 
 def run_profile(
@@ -139,16 +165,13 @@ def run_profile(
     algorithms: Sequence[str] = ALGORITHMS,
     tighten_mode: str = "off",
 ) -> ProfileReport:
-    """Run one workload with metrics attached to every monitor."""
-    monitors = {
-        name: build_monitor(name, cfg, tighten_mode=tighten_mode)
-        for name in algorithms
-    }
-    registry = Metrics()
-    stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
-    engine = StreamEngine(
-        monitors, stream, batch_size=cfg.batch_size, metrics=registry
+    """Time and count one workload on every algorithm through
+    :func:`~repro.bench.bench.measure`."""
+    times, _, counts = measure(
+        cfg,
+        lambda: {
+            name: build_monitor(name, cfg, tighten_mode=tighten_mode)
+            for name in algorithms
+        },
     )
-    primed = engine.prime(cfg.window_size)
-    report = engine.run(cfg.batches)
-    return ProfileReport(config=cfg, report=report, primed=primed)
+    return ProfileReport(config=cfg, times=times, counts=counts)

@@ -77,7 +77,7 @@ def run_monitors(
 ) -> Dict[str, float]:
     """Mean update time (ms) per monitor ``build`` returns, from the
     per-batch minima of :func:`~repro.bench.bench.measure`."""
-    times, _ = measure(cfg, build)
+    times, _, _ = measure(cfg, build)
     return {name: mean_ms(sample) for name, sample in times.items()}
 
 
@@ -123,7 +123,7 @@ def run_approx_sweep(
     answers to the same batches."""
     cfg = base.with_(epsilon=0.0)
     labels = {eps: f"eps={eps}" for eps in epsilons}
-    times, answers = measure(
+    times, answers, _ = measure(
         cfg,
         lambda: {
             "exact": build_monitor("ag2", cfg),

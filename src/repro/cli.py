@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_profile = sub.add_parser(
         "profile",
-        help="run a workload with metrics attached; print per-monitor "
+        help="time a workload as the bench does and print per-monitor "
         "operation counters (cells visited, prunings, sweeps, ...)",
     )
     _add_common(p_profile)
@@ -296,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         profile = run_profile(cfg, _parse_list(args.algorithms, str))
         title = (
             f"profile [{cfg.dataset}] window={cfg.window_size} "
-            f"rate={cfg.batch_size} batches={profile.report.batches} "
+            f"rate={cfg.batch_size} batches={profile.batches} "
             f"seed={cfg.seed}"
         )
         print(format_rows(profile.summary_rows(), title=title))
@@ -314,16 +314,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                     profile.rate_rows(), title="per-batch derived rates"
                 )
             )
-        if profile.report.source_exhausted:
-            print(
-                f"warning: source exhausted after {profile.report.batches} "
-                f"of {profile.report.requested_batches} batches"
-            )
         if args.json:
             write_metrics_json(args.json, profile.to_dict())
             print(f"wrote metrics JSON to {args.json}")
         if args.csv:
-            write_metrics_csv(args.csv, profile.report.metrics)
+            write_metrics_csv(args.csv, profile.csv_rows())
             print(f"wrote metrics CSV to {args.csv}")
     elif args.command == "soak":
         from repro.soak import get_scenario, list_scenarios, run_soak

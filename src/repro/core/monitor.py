@@ -12,8 +12,9 @@ dominant operations (local sweeps, pairwise overlap tests, cell
 visits/prunes).  The paper's efficiency argument is entirely about
 avoiding ``Local-Plane-Sweep`` executions; the counters make that
 directly observable in tests and benchmarks.  They are the monitors'
-only counters: a :class:`~repro.engine.engine.StreamEngine` given a
-metrics registry publishes their increases into it after every update.
+only counters, and nothing mirrors them: :func:`repro.bench.measure`
+(behind ``maxrs-stream profile``) reads a batch's counts as the
+difference of two :meth:`MonitorStats.snapshot` copies.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ __all__ = ["MonitorStats", "MaxRSMonitor"]
 class MonitorStats:
     """Operation counters accumulated across a monitor's lifetime.
 
-    Every field is a monotone count; the engine publishes each one
-    under its field name.
+    Every field is a monotone count, so :meth:`delta` between two
+    snapshots is never negative.
     """
 
     updates: int = 0

@@ -172,12 +172,10 @@ class UnrecoverableMonitorError(ReproError):
     """
 
 
-class StreamExhaustedWarning(RuntimeWarning):
-    """A stream source ran dry before the requested work completed.
+class StreamExhaustedError(ReproError):
+    """A stream source ran dry before a measurement had all its objects.
 
-    Emitted (never raised) by :class:`~repro.engine.engine.StreamEngine`
-    when ``prime()`` cannot fill the requested count or ``run()``
-    executes fewer batches than asked — benchmarks that silently run
-    short would otherwise report numbers for a workload that never
-    happened.
+    Raised by :func:`repro.bench.measure` with the counts it got and
+    needed: a measurement over fewer (or shorter) batches than asked
+    would otherwise report numbers for a workload that never happened.
     """

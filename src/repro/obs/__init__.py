@@ -1,23 +1,16 @@
-"""Observability: dependency-free metrics registry + export.
+"""Observability: dependency-free metrics primitives + export.
 
-See :mod:`repro.obs.metrics` for the instrument/registry model and
-:mod:`repro.obs.export` for the JSON/CSV artefact shapes.
+See :mod:`repro.obs.metrics` for the instruments and the registry and
+:mod:`repro.obs.export` for the JSON/CSV artefact writers.
 """
 
-from repro.obs.export import (
-    snapshot_rows,
-    snapshots_from_dict,
-    snapshots_to_dict,
-    write_metrics_csv,
-    write_metrics_json,
-)
+from repro.obs.export import write_metrics_csv, write_metrics_json
 from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
     Ewma,
     Histogram,
     Metrics,
-    MetricsSnapshot,
     NullMetrics,
 )
 
@@ -26,12 +19,8 @@ __all__ = [
     "Ewma",
     "Histogram",
     "Metrics",
-    "MetricsSnapshot",
     "NullMetrics",
     "NULL_METRICS",
-    "snapshot_rows",
-    "snapshots_from_dict",
-    "snapshots_to_dict",
     "write_metrics_csv",
     "write_metrics_json",
 ]

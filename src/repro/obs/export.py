@@ -1,9 +1,8 @@
-"""Export helpers: metric snapshots → JSON documents / CSV rows.
+"""Export helpers: metrics documents → JSON files / CSV rows.
 
-The CI perf gate and offline analysis both consume the same artefacts:
-``snapshots_to_dict`` is the JSON shape, ``snapshot_rows`` the flat
-relational shape.  Keeping them here (not in the CLI) lets tests assert
-the round-trip without argv plumbing.
+``maxrs-stream profile`` and the other CLI commands write their
+artefacts through these, so tests can assert the shapes without argv
+plumbing.
 """
 
 from __future__ import annotations
@@ -12,56 +11,7 @@ import csv
 import json
 from typing import IO, Mapping, Sequence
 
-from repro.obs.metrics import MetricsSnapshot
-
-__all__ = [
-    "snapshots_to_dict",
-    "snapshots_from_dict",
-    "snapshot_rows",
-    "write_metrics_json",
-    "write_metrics_csv",
-]
-
-
-def snapshots_to_dict(
-    snapshots: Mapping[str, MetricsSnapshot],
-) -> dict[str, dict[str, object]]:
-    """JSON-able mapping ``monitor name → snapshot dict``."""
-    return {name: snap.to_dict() for name, snap in snapshots.items()}
-
-
-def snapshots_from_dict(
-    data: Mapping[str, Mapping[str, object]],
-) -> dict[str, MetricsSnapshot]:
-    """Inverse of :func:`snapshots_to_dict`."""
-    return {
-        name: MetricsSnapshot.from_dict(snap) for name, snap in data.items()
-    }
-
-
-def snapshot_rows(
-    snapshots: Mapping[str, MetricsSnapshot],
-) -> list[dict[str, object]]:
-    """Flat relational rows: one per (monitor, instrument, value).
-
-    Histogram summaries expand to one row per summary statistic
-    (``update_ms.count``, ``update_ms.mean``, ...), so the CSV needs no
-    nested encoding.
-    """
-    rows: list[dict[str, object]] = []
-    for monitor, snap in snapshots.items():
-        for name, value in snap.counters.items():
-            rows.append(
-                {"monitor": monitor, "kind": "counter",
-                 "metric": name, "value": value}
-            )
-        for name, summary in snap.histograms.items():
-            for stat, value in summary.items():
-                rows.append(
-                    {"monitor": monitor, "kind": "histogram",
-                     "metric": f"{name}.{stat}", "value": value}
-                )
-    return rows
+__all__ = ["write_metrics_json", "write_metrics_csv"]
 
 
 def write_metrics_json(
@@ -79,11 +29,10 @@ def write_metrics_json(
 
 def write_metrics_csv(
     target: str | IO[str],
-    snapshots: Mapping[str, MetricsSnapshot],
+    rows: Sequence[Mapping[str, object]],
     fieldnames: Sequence[str] = ("monitor", "kind", "metric", "value"),
 ) -> None:
-    """Write :func:`snapshot_rows` as CSV."""
-    rows = snapshot_rows(snapshots)
+    """Write flat rows (one per monitor, kind, metric, value) as CSV."""
     if isinstance(target, str):
         with open(target, "w", encoding="utf-8", newline="") as fh:
             _write_csv(fh, rows, fieldnames)
@@ -93,7 +42,7 @@ def write_metrics_csv(
 
 def _write_csv(
     fh: IO[str],
-    rows: list[dict[str, object]],
+    rows: Sequence[Mapping[str, object]],
     fieldnames: Sequence[str],
 ) -> None:
     writer = csv.DictWriter(fh, fieldnames=list(fieldnames))

@@ -1,40 +1,27 @@
 """Dependency-free metrics primitives: counters and histograms.
 
-The paper's efficiency argument (§7) is carried by *internal* quantities
-— cells visited, branch-and-bound prunings, upper-bound recomputations —
-not only wall-clock time.  This module provides the substrate that makes
-those quantities first-class observables:
-
-* :class:`Counter` — monotone event count (``cells_visited``);
+* :class:`Counter` — monotone event count;
 * :class:`Histogram` — streaming distribution summary with optional
-  fixed buckets (``update_ms``);
+  fixed buckets;
 * :class:`Ewma` — exponentially weighted moving average, the smoothing
   primitive of the overload controller (it holds one directly);
-* :class:`Metrics` — a registry of counters and histograms under named
-  scopes, so one engine run owns a tree like ``g2.cells_visited`` /
-  ``ag2.update_ms``;
+* :class:`Metrics` — a flat registry of named counters;
 * :data:`NULL_METRICS` — a no-op registry.
 
-The registry holds monitor stats plus ``update_ms`` only.  Monitors
-count in their :class:`~repro.core.monitor.MonitorStats`, and the
-engine (:class:`~repro.engine.engine.StreamEngine`) publishes those
-counts into the monitor's scope and observes ``update_ms`` beside
-them.  Every other component counts its events in plain attributes
+Nothing in the library mirrors its counts here.  Monitors count in
+their :class:`~repro.core.monitor.MonitorStats` (``monitor.stats``),
+which ``profile`` reads per batch through :func:`repro.bench.measure`;
+every other component counts its events in plain attributes
 (``IngestGuard.quarantined``, ``WriteAheadLog.fsyncs``,
-``MonitorSupervisor.heals``, …) and writes nothing here; the one
-exception is ``WriteAheadLog.metrics``, whose ``wal_bytes_written``
-counter the end-to-end benchmark reads.
-
-Snapshots are plain-data (:class:`MetricsSnapshot`) with flattened
-dotted names, which makes per-batch deltas, JSON export and CSV rows
-trivial downstream (see :mod:`repro.obs.export`).
+``MonitorSupervisor.heals``, …).  The one registry writer is
+``WriteAheadLog.metrics``, whose ``wal_bytes_written`` counter the
+end-to-end benchmark reads.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable
 
 from repro.errors import InvalidParameterError
 
@@ -43,7 +30,6 @@ __all__ = [
     "Ewma",
     "Histogram",
     "Metrics",
-    "MetricsSnapshot",
     "NullMetrics",
     "NULL_METRICS",
 ]
@@ -141,10 +127,10 @@ class Ewma:
 
     The smoothing primitive behind latency-based control loops (the
     overload :class:`~repro.overload.controller.DeadlineController`
-    tracks ``update_ms`` through one of these): ``value`` follows the
-    series with weight ``alpha`` on the newest sample, and the first
-    sample seeds it directly, so the average is meaningful from the
-    first observation on.
+    tracks per-update milliseconds through one of these): ``value``
+    follows the series with weight ``alpha`` on the newest sample, and
+    the first sample seeds it directly, so the average is meaningful
+    from the first observation on.
     """
 
     __slots__ = ("name", "alpha", "value", "count")
@@ -172,80 +158,18 @@ class Ewma:
         self.count = 0
 
 
-@dataclass(frozen=True)
-class MetricsSnapshot:
-    """Point-in-time, plain-data view of a registry (dotted flat names)."""
-
-    counters: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
-    def delta(self, earlier: "MetricsSnapshot") -> "MetricsSnapshot":
-        """What happened between ``earlier`` and this snapshot.
-
-        Counters and histogram count/sum subtract; min/max/mean are not
-        recoverable from two cumulative summaries and are omitted.
-        """
-        counters = {
-            name: value - earlier.counters.get(name, 0.0)
-            for name, value in self.counters.items()
-        }
-        histograms: Dict[str, Dict[str, float]] = {}
-        for name, summ in self.histograms.items():
-            prev = earlier.histograms.get(name, {})
-            histograms[name] = {
-                key: summ[key] - prev.get(key, 0.0)
-                for key in summ
-                if key not in ("min", "max", "mean")
-            }
-        return MetricsSnapshot(counters=counters, histograms=histograms)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "counters": dict(self.counters),
-            "histograms": {k: dict(v) for k, v in self.histograms.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "MetricsSnapshot":
-        histograms: Mapping[str, Mapping[str, float]]
-        histograms = data.get("histograms", {})  # type: ignore[assignment]
-        return cls(
-            counters=dict(data.get("counters", {})),  # type: ignore[arg-type]
-            histograms={k: dict(v) for k, v in histograms.items()},
-        )
-
-
 class Metrics:
-    """Registry of named instruments with named child scopes.
+    """Registry of named counters.
 
-    One registry belongs to one observed component; child scopes nest
-    components (``engine → monitor``).  Instruments are get-or-create by
-    name, so instrumentation sites never need set-up code.  Snapshots
-    flatten the tree into dotted names (``ag2.cells_visited``).
+    Counters are get-or-create by name, so instrumentation sites never
+    need set-up code.
     """
 
-    __slots__ = ("namespace", "_counters", "_histograms", "_scopes")
+    __slots__ = ("namespace", "_counters")
 
     def __init__(self, namespace: str = "") -> None:
         self.namespace = namespace
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
-        self._scopes: Dict[str, Metrics] = {}
-
-    # -- structure ---------------------------------------------------------
-
-    def scope(self, name: str) -> "Metrics":
-        """Get-or-create the child scope ``name``."""
-        child = self._scopes.get(name)
-        if child is None:
-            child = Metrics(namespace=name)
-            self._scopes[name] = child
-        return child
-
-    def scopes(self) -> tuple[str, ...]:
-        return tuple(self._scopes)
-
-    # -- instruments -------------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
@@ -254,70 +178,23 @@ class Metrics:
             self._counters[name] = instrument
         return instrument
 
-    def histogram(
-        self, name: str, buckets: Iterable[float] | None = None
-    ) -> Histogram:
-        instrument = self._histograms.get(name)
-        if instrument is None:
-            instrument = Histogram(name, buckets=buckets)
-            self._histograms[name] = instrument
-        return instrument
-
-    # -- hot-path conveniences ---------------------------------------------
-
     def inc(self, name: str, amount: float = 1.0) -> None:
         self.counter(name).inc(amount)
 
-    def observe(self, name: str, value: float) -> None:
-        self.histogram(name).observe(value)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def snapshot(self) -> MetricsSnapshot:
-        """Flattened cumulative view of this registry and its scopes."""
-        counters: Dict[str, float] = {}
-        histograms: Dict[str, Dict[str, float]] = {}
-        self._collect(counters, histograms, prefix="")
-        return MetricsSnapshot(counters=counters, histograms=histograms)
-
-    def _collect(
-        self,
-        counters: Dict[str, float],
-        histograms: Dict[str, Dict[str, float]],
-        prefix: str,
-    ) -> None:
-        for name, c in self._counters.items():
-            counters[prefix + name] = c.value
-        for name, h in self._histograms.items():
-            histograms[prefix + name] = h.summary()
-        for name, child in self._scopes.items():
-            child._collect(counters, histograms, f"{prefix}{name}.")
-
-
-class _NullInstrument:
-    """Shared do-nothing stand-in for any instrument type."""
+class _NullCounter:
+    """Shared do-nothing stand-in for a counter."""
 
     __slots__ = ()
 
     name = "null"
     value = 0.0
-    count = 0
-    total = 0.0
-    mean = 0.0
-    minimum = 0.0
-    maximum = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
 
-    def observe(self, value: float) -> None:
-        pass
 
-    def summary(self) -> dict[str, float]:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
+_NULL_COUNTER = _NullCounter()
 
 
 class NullMetrics(Metrics):
@@ -330,21 +207,10 @@ class NullMetrics(Metrics):
 
     __slots__ = ()
 
-    def scope(self, name: str) -> "Metrics":
-        return self
-
     def counter(self, name: str) -> Counter:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
-
-    def histogram(
-        self, name: str, buckets: Iterable[float] | None = None
-    ) -> Histogram:
-        return _NULL_INSTRUMENT  # type: ignore[return-value]
+        return _NULL_COUNTER  # type: ignore[return-value]
 
     def inc(self, name: str, amount: float = 1.0) -> None:
-        pass
-
-    def observe(self, name: str, value: float) -> None:
         pass
 
 

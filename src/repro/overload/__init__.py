@@ -12,8 +12,8 @@ compose into one overload path with explicit, conserved accounting:
   tracked in a conservation ledger
   (``offered == processed + shed + refused + spilled + pending``).
 * :class:`~repro.overload.controller.DeadlineController` — hysteresis
-  controller over the per-update latency EWMA (the same measurement the
-  ``update_ms`` histogram records) against a user latency budget.
+  controller over the per-update latency EWMA (the wall time of each
+  ``update``) against a user latency budget.
 * :class:`~repro.overload.controller.AdaptiveMonitor` — the
   ε-guaranteed degradation ladder the controller walks: exact
   ``AG2Monitor`` → approximate monitoring with escalating ε on the same

@@ -9,8 +9,8 @@ arranges them by cost:
     exact aG2 (ε=0)  →  approx aG2 (ε₁ < ε₂ < … < εₖ)  →  sampling
 
 :class:`DeadlineController` decides *when* to move: it tracks the
-per-update latency EWMA — the same measurement the engine's
-``update_ms`` histogram records — against a user latency budget, with
+per-update latency EWMA — the same wall time the engine records per
+update in ``EngineReport.timings`` — against a user latency budget, with
 hysteresis (separate high/low watermarks, consecutive-sample counters,
 a minimum residency before stepping back down) so one slow batch does
 not cause mode flapping.  A single catastrophic sample (``PANIC_FACTOR``
@@ -382,9 +382,9 @@ class AdaptiveMonitor:
     def update(self, objects: Sequence[SpatialObject]) -> MaxRSResult:
         """Push one arrival batch through the current rung.
 
-        The update is timed internally (the same quantity the engine's
-        ``update_ms`` histogram observes), the latency sample drives the
-        controller, and the answer carries the producing rung's
+        The update is timed internally (the same quantity the engine
+        records in ``EngineReport.timings``), the latency sample drives
+        the controller, and the answer carries the producing rung's
         contract.  The controller steers *after* the answer exists, so
         a move it makes applies from the next update on: the rung
         (:attr:`mode`) can already differ from ``result.mode``.

@@ -5,10 +5,11 @@ production serving cannot.  This package wraps the existing pipeline
 in the four layers a long-running deployment needs, without touching
 the algorithms themselves:
 
-* :class:`IngestGuard` + :class:`DeadLetterQueue` — validate records
-  at the boundary under an :class:`ErrorPolicy`, quarantine rejects,
-  and absorb bounded-lateness out-of-order arrivals through a
-  :class:`ReorderBuffer` watermark buffer;
+* :class:`IngestGuard` + :class:`DeadLetterQueue` — validate each
+  batch of records at the boundary under an :class:`ErrorPolicy`,
+  quarantine rejects, and absorb bounded-lateness out-of-order
+  arrivals through a :class:`ReorderBuffer` watermark buffer; a driver
+  hands the admitted objects on to ``StreamEngine.process``;
 * :class:`MonitorSupervisor` — catch mid-update failures and
   invariant violations, and self-heal by rebuilding the index from the
   surviving window;

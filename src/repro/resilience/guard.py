@@ -24,23 +24,20 @@ guard is where dirty reality is converted into that contract:
 positionally; plain dicts, the wire shape, are recognised ahead of the
 ABC checks), in-order records
 appended straight to the output, and the reorder buffer released once
-per batch, at its final watermark.  The guard works in both shapes the
-library uses, and both go through that loop: as a batch filter (which
-the soak harness and the end-to-end benchmark call ahead of their
-backpressure queue) and as a :class:`StreamSource` wrapper
-(``StreamEngine(..., source=guard)``), one record at a time.
+per batch, at its final watermark.  The soak harness and the
+end-to-end benchmark call it ahead of their backpressure queue, and
+:meth:`IngestGuard.flush` drains the reorder buffer at end of input.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.errors import QuarantineError, ReproError
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue, ErrorPolicy
 from repro.resilience.reorder import ReorderBuffer
-from repro.streams.source import StreamSource
 
 __all__ = ["IngestGuard", "coerce_record"]
 
@@ -117,13 +114,10 @@ def coerce_record(record: object) -> SpatialObject:
     raise TypeError(f"cannot interpret stream record {record!r}")
 
 
-class IngestGuard(StreamSource):
+class IngestGuard:
     """Validating, re-sequencing stream boundary with a dead-letter queue.
 
     Args:
-        source: Optional upstream producer of records (raw payloads or
-            objects).  Required for iterator use; the batch API
-            (:meth:`filter` / :meth:`flush`) works without one.
         policy: What to do with rejected records (default QUARANTINE).
         max_lateness: Lateness bound for the reorder buffer; ``0``
             means strict order (any out-of-order record is late).
@@ -133,14 +127,12 @@ class IngestGuard(StreamSource):
 
     def __init__(
         self,
-        source: StreamSource | Iterator[object] | None = None,
         *,
         policy: ErrorPolicy | str = ErrorPolicy.QUARANTINE,
         max_lateness: float = 0.0,
         dead_letters: DeadLetterQueue | None = None,
         dlq_capacity: int = 1024,
     ) -> None:
-        self._source = source
         self.policy = ErrorPolicy.parse(policy)
         self.dead_letters = dead_letters or DeadLetterQueue(dlq_capacity)
         self.reorder = ReorderBuffer(max_lateness)
@@ -218,26 +210,11 @@ class IngestGuard(StreamSource):
             raise
         return self._release_into(out)
 
-    def admit(self, record: object) -> list[SpatialObject]:
-        """Validate + re-sequence one record (:meth:`filter` of one)."""
-        return self.filter((record,))
-
     def flush(self) -> list[SpatialObject]:
         """Release everything the reorder buffer still holds, in order."""
         released = self.reorder.flush()
         self.admitted += len(released)
         return released
-
-    def __iter__(self) -> Iterator[SpatialObject]:
-        """Stream mode: guard the wrapped source, flushing at the end."""
-        if self._source is None:
-            raise ReproError(
-                "IngestGuard has no source; construct with one or use "
-                "the batch API (filter/flush)"
-            )
-        for record in self._source:
-            yield from self.admit(record)
-        yield from self.flush()
 
     def _release_into(self, out: list[SpatialObject]) -> list[SpatialObject]:
         """Append what the reorder buffer's watermark releases to ``out``."""

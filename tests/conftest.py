@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from array import array
 
@@ -28,6 +29,25 @@ def make_objects(
             timestamp=start_t + i,
         )
         for i in range(count)
+    ]
+
+
+def guarded_batches(guard, records, count: int, size: int) -> list[list]:
+    """Push ``records`` through ``guard.filter`` ``size`` at a time, as
+    the soak harness does, and cut what it admits into consecutive
+    batches of ``size``: the first ``count`` of them (fewer when
+    ``records`` runs out, after a final ``flush``)."""
+    records = iter(records)
+    admitted: list = []
+    while len(admitted) < count * size:
+        chunk = list(itertools.islice(records, size))
+        if not chunk:
+            admitted += guard.flush()
+            break
+        admitted += guard.filter(chunk)
+    return [
+        admitted[i : i + size]
+        for i in range(0, min(len(admitted), count * size), size)
     ]
 
 

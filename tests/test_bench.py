@@ -22,8 +22,9 @@ from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
-from repro.datasets import make_stream
-from repro.errors import InvalidParameterError
+from repro.datasets import make_stream, registry
+from repro.errors import InvalidParameterError, StreamExhaustedError
+from repro.streams import ReplayStream
 from repro.window import CountWindow
 
 TINY = ExperimentConfig(
@@ -80,6 +81,8 @@ class _Recorder(NaiveMonitor):
             cfg.rect_side, cfg.rect_side, CountWindow(cfg.window_size)
         )
         self.fed: list[list] = []
+        # per update call: (stats, oids in the window) as it began
+        self.before: list[tuple] = []
 
     def ingest(self, objects):
         self.fed.append(list(objects))
@@ -87,6 +90,9 @@ class _Recorder(NaiveMonitor):
 
     def update(self, objects):
         self.fed.append(list(objects))
+        self.before.append(
+            (self.stats.snapshot(), {o.oid for o in self.window.contents})
+        )
         return super().update(objects)
 
 
@@ -101,7 +107,7 @@ class TestMeasure:
             rounds.append(_Recorder(cfg))
             return {"rec": rounds[-1]}
 
-        times, answers = measure(cfg, build)
+        times, answers, counts = measure(cfg, build)
         turnover = -(-cfg.window_size // cfg.batch_size)
         sizes = [cfg.window_size] + [cfg.batch_size] * (turnover + cfg.batches)
         stream = make_stream(cfg.dataset, domain=cfg.domain, seed=cfg.seed)
@@ -116,7 +122,76 @@ class TestMeasure:
             assert all(a < b for a, b in zip(oids, oids[1:]))
             assert [(o.x, o.y, o.weight, o.timestamp) for o in fed] == expected
         assert len(times["rec"]) == len(answers["rec"]) == cfg.batches
+        assert len(counts["rec"]) == cfg.batches
         assert all(t > 0 for t in times["rec"])
+
+    def test_timing_starts_after_one_full_turnover(self):
+        """No object of the window fill is left when the first timed
+        batch arrives, and the last untimed batch still met some."""
+        rounds: list[_Recorder] = []
+
+        def build():
+            rounds.append(_Recorder(TINY))
+            return {"rec": rounds[-1]}
+
+        measure(TINY, build)
+        (rec,) = rounds
+        primed = {o.oid for o in rec.fed[0]}
+        seen = [oids & primed for _, oids in rec.before]
+        assert len(seen) == -(-TINY.window_size // TINY.batch_size) + TINY.batches
+        assert seen[-TINY.batches - 1]
+        assert not any(seen[-TINY.batches:])
+
+    def test_counts_are_the_timed_batches_stats_deltas(self):
+        """Each timed batch's counts are the monitor's ``stats``
+        increase over that batch alone, so they sum to the increase
+        over the timed batches."""
+        rounds: list[_Recorder] = []
+
+        def build():
+            rounds.append(_Recorder(TINY))
+            return {"rec": rounds[-1]}
+
+        _, _, counts = measure(TINY.with_(batches=4), build)
+        (rec,) = rounds
+        starts = [stats for stats, _ in rec.before[-4:]] + [rec.stats]
+        assert counts["rec"] == [
+            after.delta(before) for before, after in zip(starts, starts[1:])
+        ]
+        increase = rec.stats.delta(starts[0])
+        for field, total in increase.items():
+            assert sum(delta[field] for delta in counts["rec"]) == total
+        assert increase["updates"] == 4 and increase["full_sweeps"] == 4
+
+    @pytest.mark.parametrize(
+        "window, needed", [(2000, 5000), (1000, 3000), (651, 2351)]
+    )
+    def test_short_stream_raises_naming_got_and_needed(
+        self, monkeypatch, window, needed
+    ):
+        """A registered finite dataset too short for fill + turnover +
+        timed batches is an error, raised before any monitor is built,
+        never a shorter measurement."""
+        objects = make_stream("synthetic", seed=3).take(2350)
+        monkeypatch.setitem(
+            registry._REGISTRY,
+            "finite_2350",
+            lambda domain, seed, weight_max: ReplayStream(objects),
+        )
+        cfg = ExperimentConfig(
+            dataset="finite_2350", window_size=window, batch_size=100,
+            batches=10,
+        )
+        with pytest.raises(
+            StreamExhaustedError, match=f"got 2350 of the {needed} objects"
+        ):
+            measure(cfg, pytest.fail)
+        # 650 + (7 turnover + 10 timed) * 100 is exactly 2350
+        fits = cfg.with_(window_size=650)
+        times, _, _ = measure(
+            fits, lambda: {"naive": build_monitor("naive", fits)}
+        )
+        assert len(times["naive"]) == 10
 
 
 class TestRunners:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_objects
+from conftest import guarded_batches, make_objects
 from repro import persist
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
@@ -289,25 +289,16 @@ class TestCrashRecoveryEquivalence:
         """Kill mid-chaos, restore, replay the identical guarded stream
         tail: final result matches the uninterrupted chaos run."""
 
-        def guarded_batches():
+        def chaos_batches():
             stream = UniformStream(domain=500.0, seed=21, dt=1.0)
             chaos = FaultInjectingSource(
                 stream, seed=22,
                 p_drop=0.02, p_duplicate=0.02, p_corrupt=0.02, p_delay=0.05,
             )
-            guard = IngestGuard(chaos, policy="quarantine", max_lateness=6.0)
-            iterator = iter(guard)
-            out = []
-            for _ in range(80):
-                batch = []
-                for obj in iterator:
-                    batch.append(obj)
-                    if len(batch) == 10:
-                        break
-                out.append(batch)
-            return out
+            guard = IngestGuard(policy="quarantine", max_lateness=6.0)
+            return guarded_batches(guard, chaos, 80, 10)
 
-        batches = guarded_batches()
+        batches = chaos_batches()
 
         reference = AG2Monitor(40, 40, CountWindow(200))
         for batch in batches:

@@ -183,11 +183,11 @@ def _run(call, auto_start):
 
 def check_same(guard, ref, batches, one_at_a_time=False):
     """Assert ``guard`` and ``ref`` agree after every batch and flush;
-    ``one_at_a_time`` feeds ``guard`` through ``admit``."""
+    ``one_at_a_time`` filters one record per call."""
     for i, batch in enumerate(batches):
         auto_start = 10**15 + 1000 * i
         if one_at_a_time:
-            got = [_run(lambda r=r: guard.admit(r), auto_start) for r in batch]
+            got = [_run(lambda r=r: guard.filter([r]), auto_start) for r in batch]
             want = [_run(lambda r=r: ref.filter([r]), auto_start) for r in batch]
         else:
             got = _run(lambda: guard.filter(batch), auto_start)
@@ -311,7 +311,7 @@ def test_batch_filter_matches_per_record_admission(batches, policy, late):
 
 @settings(max_examples=100, deadline=None)
 @given(split_batches(), policies, lateness)
-def test_admit_and_iteration_match_per_record_admission(
+def test_single_record_filters_match_per_record_admission(
     batches, policy, late
 ):
     check_same(
@@ -320,15 +320,6 @@ def test_admit_and_iteration_match_per_record_admission(
         batches,
         one_at_a_time=True,
     )
-    # stream mode over the same records, RAISE aside (it stops early)
-    if policy is not ErrorPolicy.RAISE:
-        source = [record for batch in batches for record in batch]
-        streamed = IngestGuard(iter(source), policy=policy, max_lateness=late)
-        ref = PerRecordGuard(policy=policy, max_lateness=late)
-        got = _run(lambda: list(streamed), 10**15)
-        want = _run(lambda: ref.filter(source) + ref.flush(), 10**15)
-        assert got == want
-        assert _state(streamed) == _state(ref)
 
 
 def test_mutant_released_at_first_watermark_is_caught():

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import ExperimentConfig, run_profile
+from repro.bench import ExperimentConfig, build_monitor, run_profile
 from repro.cli import main
-from repro.obs import MetricsSnapshot
+from repro.datasets import make_stream
 
 #: small fixed-seed workload — seconds, not minutes
 TINY = ExperimentConfig(
@@ -39,8 +39,8 @@ def profile():
 
 class TestRunProfile:
     def test_ag2_prunes_what_g2_pays_for(self, profile):
-        g2 = profile.report.metrics["g2"].counters
-        ag2 = profile.report.metrics["ag2"].counters
+        g2 = profile.counters("g2")
+        ag2 = profile.counters("ag2")
         assert ag2["cells_visited"] < g2["cells_visited"]
         assert ag2["cells_pruned"] > 0
 
@@ -51,9 +51,9 @@ class TestRunProfile:
             assert row["mean_ms"] > 0
 
     def test_naive_counters(self, profile):
-        naive = profile.report.metrics["naive"].counters
+        naive = profile.counters("naive")
         assert naive["full_sweeps"] == TINY.batches
-        assert naive["objects_swept"] >= TINY.window_size * TINY.batches
+        assert naive["objects_swept"] == TINY.window_size * TINY.batches
 
     def test_per_batch_rows_cover_all_batches(self, profile):
         rows = profile.per_batch_rows()
@@ -61,23 +61,53 @@ class TestRunProfile:
         first = [row for row in rows if row["batch"] == 1]
         assert {row["monitor"] for row in first} == {"naive", "g2", "ag2"}
 
-    def test_update_ms_histogram_recorded(self, profile):
-        hist = profile.report.metrics["ag2"].histograms["update_ms"]
-        assert hist["count"] == TINY.batches
-
-    def test_window_counters_flow_through_scope(self, profile):
-        ag2 = profile.report.metrics["ag2"].counters
-        # window arrivals and expiries are monitor stats now
-        expected = TINY.window_size + TINY.batch_size * TINY.batches
-        assert ag2["objects_seen"] == expected
+    def test_window_counters_reach_the_profile(self, profile):
+        ag2 = profile.counters("ag2")
+        # the window is full and turned over: every timed arrival
+        # expires one object
+        assert ag2["objects_seen"] == TINY.batch_size * TINY.batches
         assert ag2["objects_expired"] == TINY.batch_size * TINY.batches
+        assert ag2["updates"] == TINY.batches
 
     def test_to_dict_json_round_trip(self, profile):
         doc = json.loads(json.dumps(profile.to_dict()))
-        rebuilt = MetricsSnapshot.from_dict(doc["metrics"]["ag2"])
-        assert rebuilt == profile.report.metrics["ag2"]
+        for name in ("naive", "g2", "ag2"):
+            assert doc["metrics"][name]["counters"] == profile.counters(name)
+            assert [b["counters"] for b in doc["batch_metrics"][name]] == (
+                profile.counts[name]
+            )
+            assert doc["timings"][name]["updates"] == TINY.batches
         assert doc["config"]["seed"] == TINY.seed
-        assert doc["primed"] == TINY.window_size
+        assert doc["batches"] == TINY.batches
+
+    def test_counts_replay_after_one_turnover(self, profile):
+        """The protocol: fill, one full window turnover untimed, then
+        the timed batches.  A replay of that protocol on fresh monitors
+        shows, batch by batch, the ``stats`` increases the profile
+        reports, and they sum to each monitor's increase over the timed
+        batches."""
+        turnover = -(-TINY.window_size // TINY.batch_size)
+        stream = make_stream(TINY.dataset, domain=TINY.domain, seed=TINY.seed)
+        objects = stream.take(
+            TINY.window_size + (turnover + TINY.batches) * TINY.batch_size
+        )
+        batches = [
+            objects[i : i + TINY.batch_size]
+            for i in range(TINY.window_size, len(objects), TINY.batch_size)
+        ]
+        for name in ("naive", "g2", "ag2"):
+            monitor = build_monitor(name, TINY)
+            monitor.ingest(objects[: TINY.window_size])
+            for batch in batches[:turnover]:
+                monitor.update(batch)
+            start = monitor.stats.snapshot()
+            expected = []
+            for batch in batches[turnover:]:
+                before = monitor.stats.snapshot()
+                monitor.update(batch)
+                expected.append(monitor.stats.delta(before))
+            assert profile.counts[name] == expected
+            assert profile.counters(name) == monitor.stats.delta(start)
 
 
 class TestPerfGate:

@@ -12,12 +12,11 @@ import types
 
 import pytest
 
-from conftest import make_objects
+from conftest import guarded_batches, make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.objects import SpatialObject
 from repro.engine import StreamEngine
 from repro.errors import InvalidParameterError, QuarantineError
-from repro.obs import Metrics
 from repro.resilience import (
     DeadLetterQueue,
     ErrorPolicy,
@@ -425,19 +424,14 @@ class TestIngestGuardPolicies:
         assert guard.reorder.pending == 0
         assert guard.offered == guard.admitted + guard.rejected
 
-    def test_iterator_mode_flushes_at_end(self):
+    def test_flush_at_end_releases_the_rest_in_order(self):
         source = [obj(1.0), obj(3.0), obj(2.0), "junk", obj(8.0)]
-        guard = IngestGuard(iter(source), policy="quarantine", max_lateness=5.0)
-        out = list(guard)
-        stamps = [o.timestamp for o in out]
-        assert stamps == [1.0, 2.0, 3.0, 8.0]
+        guard = IngestGuard(policy="quarantine", max_lateness=5.0)
+        out = guard.filter(source)
+        assert guard.reorder.pending == 1  # 8.0 waits for the watermark
+        out += guard.flush()
+        assert [o.timestamp for o in out] == [1.0, 2.0, 3.0, 8.0]
         assert guard.quarantined == 1
-
-    def test_batch_guard_without_source_cannot_iterate(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError):
-            list(IngestGuard())
 
     def test_metrics_counters_emitted(self):
         """Each rejection and re-sequencing counts in one attribute."""
@@ -479,8 +473,8 @@ class TestChaosAccounting:
         chaos = FaultInjectingSource(
             ReplayStream(objects), seed=14, p_corrupt=0.1
         )
-        guard = IngestGuard(chaos, policy="quarantine")
-        survivors = list(guard)
+        guard = IngestGuard(policy="quarantine")
+        survivors = guard.filter(chaos) + guard.flush()
         assert chaos.corrupted > 0
         assert guard.quarantined == chaos.corrupted
         assert guard.dead_letters.total_enqueued == chaos.corrupted
@@ -491,8 +485,8 @@ class TestChaosAccounting:
         chaos = FaultInjectingSource(
             ReplayStream(objects), seed=15, p_corrupt=0.05
         )
-        guard = IngestGuard(chaos, policy="skip")
-        survivors = list(guard)
+        guard = IngestGuard(policy="skip")
+        survivors = guard.filter(chaos) + guard.flush()
         assert chaos.corrupted > 0
         assert guard.skipped == chaos.corrupted
         assert guard.quarantined == 0
@@ -501,20 +495,18 @@ class TestChaosAccounting:
 
 
 class TestEngineAndGroupWiring:
-    def test_engine_reports_ingest_scope(self):
-        """A guard as the engine's source counts in its attributes; the
-        registry holds the monitors' stats only."""
+    def test_guard_ahead_of_the_engine_counts_in_its_attributes(self):
+        """Records pushed through the guard and on into the engine: the
+        guard counts its rejections, the engine applies what it admits."""
         objects = make_objects(200, seed=5, domain=60.0)
         records: list[object] = list(objects)
         records.insert(10, {"x": float("nan"), "y": 1.0})
-        guard = IngestGuard(iter(records), policy="quarantine")
-        metrics = Metrics()
-        engine = StreamEngine(
-            {"ag2": AG2Monitor(10, 10, CountWindow(50))},
-            guard,
-            batch_size=20,
-            metrics=metrics,
-        )
-        report = engine.run(10)
+        guard = IngestGuard(policy="quarantine")
+        monitor = AG2Monitor(10, 10, CountWindow(50))
+        engine = StreamEngine({"ag2": monitor}, [], batch_size=20)
+        for batch in guarded_batches(guard, records, 10, 20):
+            engine.process(batch)
+        report = engine.collect_report()
         assert guard.quarantined == 1
-        assert set(report.metrics) == {"ag2"}
+        assert report.batches == 10
+        assert monitor.stats.objects_seen == 200

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import make_objects
+from conftest import guarded_batches, make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
@@ -23,7 +23,6 @@ from repro.errors import (
     UnrecoverableMonitorError,
 )
 from repro.engine import StreamEngine
-from repro.obs import Metrics
 from repro.resilience import (
     ErrorPolicy,
     FaultInjectingSource,
@@ -129,18 +128,14 @@ class TestMonitorSupervisorHealing:
     def test_supervisor_metrics_counters(self):
         monitor = FailingAG2(10, 10, CountWindow(20))
         supervised = MonitorSupervisor(monitor)
-        metrics = Metrics()
-        engine = StreamEngine(
-            {"ag2": supervised}, iter(()), batch_size=4, metrics=metrics
-        )
+        engine = StreamEngine({"ag2": supervised}, [], batch_size=4)
         engine.process(make_objects(4, seed=11, domain=40.0, start_t=0.0))
         monitor.fail_next = 1
         engine.process(make_objects(4, seed=12, domain=40.0, start_t=10.0))
-        snap = metrics.scope("ag2").snapshot()
         assert supervised.failures == 1
         assert supervised.heals == 1
         # the monitor's own counters keep accumulating after the heal
-        assert snap.counters["updates"] >= 2
+        assert supervised.stats.updates >= 2
 
     def test_healed_monitor_takes_over_stats(self):
         monitor = FailingAG2(10, 10, CountWindow(20))
@@ -181,11 +176,12 @@ class TestMonitorSupervisorHealing:
         chaos = FaultInjectingSource(
             stream, seed=32, p_drop=0.03, p_corrupt=0.03, p_delay=0.04
         )
-        guard = IngestGuard(chaos, policy=ErrorPolicy.QUARANTINE,
-                            max_lateness=6.0)
+        guard = IngestGuard(policy=ErrorPolicy.QUARANTINE, max_lateness=6.0)
         supervised = MonitorSupervisor(FailingAG2(40, 40, CountWindow(150)))
-        engine = StreamEngine({"ag2": supervised}, guard, batch_size=10)
-        report = engine.run(100)
+        engine = StreamEngine({"ag2": supervised}, [], batch_size=10)
+        for batch in guarded_batches(guard, chaos, 100, 10):
+            engine.process(batch)
+        report = engine.collect_report()
         assert report.batches == 100
         assert supervised.heals >= 1
         contents = list(supervised.window.contents)

@@ -25,7 +25,6 @@ from conftest import make_objects
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError, ReproError
-from repro.obs import Metrics
 from repro.overload import AdaptiveMonitor, BackpressureQueue
 from repro.resilience import IngestGuard
 from repro.resilience.checkpoint import CheckpointManager
@@ -428,7 +427,7 @@ class TestSoakReportProtocol:
 class TestEngineSession:
     def _engine(self):
         monitor = NaiveMonitor(12, 12, CountWindow(40))
-        return StreamEngine({"m": monitor}, iter(()), batch_size=10), monitor
+        return StreamEngine({"m": monitor}, [], batch_size=10), monitor
 
     def test_process_accumulates_one_session(self):
         engine, monitor = self._engine()
@@ -459,42 +458,6 @@ class TestEngineSession:
         engine.restore({"m": replacement})
         results = engine.process(make_objects(10, seed=3))
         assert results["m"].window_size == 10
-
-    def test_restore_reattaches_metrics_scopes(self):
-        metrics = Metrics("t")
-        monitor = NaiveMonitor(12, 12, CountWindow(40))
-        engine = StreamEngine(
-            {"m": monitor}, iter(()), batch_size=10, metrics=metrics
-        )
-        engine.process(make_objects(10, seed=1))
-        engine.teardown()
-        replacement = NaiveMonitor(12, 12, CountWindow(40))
-        engine.restore({"m": replacement})
-        engine.process(make_objects(10, seed=2))
-        snap = metrics.snapshot()
-        # both incarnations observed under the same scope
-        assert snap.counters["m.objects_seen"] == 20
-
-    def test_restore_rebases_the_publish_baseline(self):
-        metrics = Metrics("t")
-        engine = StreamEngine(
-            {"m": NaiveMonitor(12, 12, CountWindow(40))},
-            iter(()),
-            batch_size=10,
-            metrics=metrics,
-        )
-        engine.process(make_objects(10, seed=1))
-        engine.teardown()
-        # recovery rebuilds the replacement before the engine takes it
-        # back: those counts were made before restore and stay out
-        replacement = NaiveMonitor(12, 12, CountWindow(40))
-        replacement.ingest(make_objects(30, seed=2))
-        engine.restore({"m": replacement})
-        engine.process(make_objects(10, seed=3))
-        snap = metrics.snapshot()
-        assert snap.counters["m.objects_seen"] == 20
-        assert snap.counters["m.updates"] == 2
-        assert replacement.stats.objects_seen == 40
 
 
 class TestCustomScenario:

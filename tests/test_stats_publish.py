@@ -1,17 +1,14 @@
-"""One counter per monitor event: ``MonitorStats`` reaches the registry
-only through the engine's publish path.
+"""One counter per monitor event: ``MonitorStats``, read per batch.
 
-Every monitor counts its work in plain ``stats`` fields; a
-``StreamEngine`` given a registry adds each monitor's increase into the
-monitor's scope after priming and after every update.  The registry
-therefore reads exactly what ``stats`` reads, for every monitor class,
-and counts survive the replacements a run can make: a rebuilt ladder
-rung takes over the ``stats`` of the one it replaces.
+Every monitor counts its work in plain ``stats`` fields, and nothing
+mirrors them elsewhere.  :func:`repro.bench.measure` (the loop behind
+``profile``) reads each timed batch's counts as the difference of two
+``stats`` copies, so the counts it reports are exactly what ``stats``
+reads, for every monitor class.  Counts survive the replacements a run
+can make: a rebuilt ladder rung takes over the ``stats`` of the one it
+replaces, so no delta is ever negative.
 """
-
 from __future__ import annotations
-
-import dataclasses
 
 import pytest
 
@@ -24,9 +21,9 @@ from repro.core.naive import NaiveMonitor
 from repro.core.rtree_monitor import RTreeMonitor
 from repro.core.sampling import SamplingMonitor
 from repro.core.topk import TopKAG2Monitor
+from repro.bench import ExperimentConfig, measure
 from repro.datasets import make_stream
 from repro.engine import StreamEngine
-from repro.obs import Metrics
 from repro.overload import AdaptiveMonitor
 from repro.window import CountWindow
 
@@ -34,6 +31,10 @@ SIDE = 300.0
 WINDOW = 300
 BATCH = 30
 BATCHES = 6
+CFG = ExperimentConfig(
+    dataset="geolife_like", window_size=WINDOW, batch_size=BATCH,
+    batches=BATCHES, rect_side=SIDE, domain=10_000.0, seed=7,
+)
 
 FACTORIES = {
     "naive": lambda w: NaiveMonitor(SIDE, SIDE, w),
@@ -48,35 +49,49 @@ FACTORIES = {
 
 
 @pytest.mark.parametrize("name", sorted(FACTORIES))
-def test_registry_reads_what_stats_read(name):
-    monitor = FACTORIES[name](CountWindow(WINDOW))
-    registry = Metrics()
-    engine = StreamEngine(
-        {name: monitor},
-        make_stream("geolife_like", domain=10_000.0, seed=7),
-        batch_size=BATCH,
-        metrics=registry,
+def test_measured_counts_read_what_stats_read(name):
+    """``measure``'s counts of each timed batch equal the ``stats``
+    increase a replay of the same slices shows over that batch, so
+    they sum to the increase over the timed batches."""
+    built = []
+
+    def build():
+        built.append(FACTORIES[name](CountWindow(WINDOW)))
+        return {name: built[-1]}
+
+    _, _, counts = measure(CFG, build)
+    turnover = -(-WINDOW // BATCH)
+    objects = make_stream(CFG.dataset, domain=CFG.domain, seed=CFG.seed).take(
+        WINDOW + (turnover + BATCHES) * BATCH
     )
-    engine.prime(WINDOW)
-    primed = registry.scope(name).snapshot().counters
-    report = engine.run(BATCHES)
-    stats = dataclasses.asdict(monitor.stats)
-    assert report.metrics[name].counters == stats
-    deltas = report.batch_metrics[name]
-    assert len(deltas) == BATCHES
-    for field, total in stats.items():
-        run = sum(snap.counters[field] for snap in deltas)
-        assert primed[field] + run == total, field
+    replay = FACTORIES[name](CountWindow(WINDOW))
+    replay.ingest(objects[:WINDOW])
+    chunks = [
+        objects[i : i + BATCH] for i in range(WINDOW, len(objects), BATCH)
+    ]
+    for batch in chunks[:turnover]:
+        replay.update(batch)
+    start = replay.stats.snapshot()
+    expected = []
+    for batch in chunks[turnover:]:
+        before = replay.stats.snapshot()
+        replay.update(batch)
+        expected.append(replay.stats.delta(before))
+    assert counts[name] == expected
+    increase = replay.stats.delta(start)
+    assert built[-1].stats == replay.stats
+    for field, total in increase.items():
+        assert sum(delta[field] for delta in counts[name]) == total, field
     if name in ("ag2", "approx", "topk", "allmax"):
         # non-vacuous: top-k once counted its prunings only in stats
-        assert stats["cells_pruned"] > 0
-        assert stats["vertices_pruned"] > 0
+        assert increase["cells_pruned"] > 0
+        assert increase["vertices_pruned"] > 0
 
 
 def test_ladder_stats_never_move_backwards():
     """Across a sampling residency and a rebuild of the aG2 rung the
-    ladder's ``stats`` stay one object that only grows, so every delta
-    the engine publishes is non-negative (a negative one would raise)."""
+    ladder's ``stats`` stay one object that only grows, so every
+    per-batch ``MonitorStats.delta`` is non-negative."""
     latency = {"ms": 0.0}
     adaptive = AdaptiveMonitor(
         20.0,
@@ -88,10 +103,7 @@ def test_ladder_stats_never_move_backwards():
         latency_model=lambda rung, batch: latency["ms"],
     )
     lineage = adaptive.stats
-    registry = Metrics()
-    engine = StreamEngine(
-        {"ladder": adaptive}, iter(()), batch_size=10, metrics=registry
-    )
+    engine = StreamEngine({"ladder": adaptive}, [], batch_size=10)
     adaptive.ingest(make_objects(120, seed=1))
     previous = lineage.snapshot()
     modes = []
@@ -120,8 +132,4 @@ def test_ladder_stats_never_move_backwards():
     assert "sampling" in modes and modes[-1] != "sampling"
     assert adaptive.stats is lineage
     assert adaptive._ag2_core().stats is lineage
-    report = engine.collect_report()
-    for snap in report.batch_metrics["ladder"]:
-        assert min(snap.counters.values()) >= 0
-    counters = registry.scope("ladder").snapshot().counters
-    assert counters == dataclasses.asdict(lineage)
+    assert engine.collect_report().batches == len(modes) == 12
