@@ -99,11 +99,6 @@ def check(metrics_path: str) -> list[str]:
             f"(measured mean_ms={ag2_mean:.3f}, threshold > 0)"
         )
 
-    if doc.get("source_exhausted"):
-        failures.append(
-            "stream exhausted mid-run: "
-            f"{doc.get('batches')} of {doc.get('requested_batches')} batches"
-        )
     return failures
 
 

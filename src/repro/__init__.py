@@ -23,7 +23,6 @@ Quickstart::
 from repro.core import (
     AG2Monitor,
     AllMaxRSMonitor,
-    ApproxAG2Monitor,
     G2Monitor,
     Interval,
     MaxRSMonitor,
@@ -61,7 +60,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AG2Monitor",
     "AllMaxRSMonitor",
-    "ApproxAG2Monitor",
     "CountWindow",
     "EmptyWindowError",
     "G2Monitor",

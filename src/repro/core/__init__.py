@@ -2,7 +2,7 @@
 
 from repro.core.ag2 import AG2Cell, AG2Monitor
 from repro.core.allmax import AllMaxRSMonitor, plane_sweep_all_max
-from repro.core.approx import ApproxAG2Monitor, practical_error
+from repro.core.approx import practical_error
 from repro.core.g2 import G2Monitor
 from repro.core.geometry import Interval, Rect, bounding_box
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
@@ -33,7 +33,6 @@ __all__ = [
     "AG2Cell",
     "AG2Monitor",
     "AllMaxRSMonitor",
-    "ApproxAG2Monitor",
     "CellKey",
     "G2Monitor",
     "Interval",

@@ -1,49 +1,15 @@
 """Approximate monitoring MaxRS (paper §6.1).
 
-The approximate monitor *is* the branch-and-bound monitor with both
-pruning tests relaxed by ``(1-ε)`` (Pruning Rules 3 and 4); Theorem 1
-proves the monitored space ``s`` always satisfies
-``s.w ≥ (1-ε) · s*.w``.  :class:`AG2Monitor` already takes ``epsilon``,
-so this module only adds the named entry point users reach for and the
-error metric the paper's Figure 10 reports.
+The approximate monitor is ``AG2Monitor(..., epsilon=ε)``: the
+branch-and-bound monitor with both pruning tests relaxed by ``(1-ε)``
+(Pruning Rules 3 and 4).  Theorem 1 proves the monitored space ``s``
+always satisfies ``s.w ≥ (1-ε) · s*.w``.  This module adds the error
+metric the paper's Figure 10 reports.
 """
 
 from __future__ import annotations
 
-from repro.core.ag2 import AG2Monitor
-from repro.errors import InvalidParameterError
-from repro.window.base import SlidingWindow
-
-__all__ = ["ApproxAG2Monitor", "practical_error"]
-
-
-class ApproxAG2Monitor(AG2Monitor):
-    """Error-guaranteed approximate monitor: ``s.w ≥ (1-ε)·s*.w``.
-
-    Identical to :class:`AG2Monitor` except ``epsilon`` is a required,
-    strictly positive argument — reaching for this class documents the
-    intent to trade accuracy for update speed.
-    """
-
-    def __init__(
-        self,
-        rect_width: float,
-        rect_height: float,
-        window: SlidingWindow,
-        epsilon: float,
-        cell_size: float | None = None,
-    ) -> None:
-        if not (0.0 < epsilon < 1.0):
-            raise InvalidParameterError(
-                f"approximate monitoring needs 0 < epsilon < 1, got {epsilon}"
-            )
-        super().__init__(
-            rect_width,
-            rect_height,
-            window,
-            cell_size=cell_size,
-            epsilon=epsilon,
-        )
+__all__ = ["practical_error"]
 
 
 def practical_error(approx_weight: float, exact_weight: float) -> float:

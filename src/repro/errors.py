@@ -162,16 +162,6 @@ class QuarantineError(ReproError):
         self.released: list = []
 
 
-class UnrecoverableMonitorError(ReproError):
-    """A supervised monitor failed and could not be healed.
-
-    Raised by :class:`~repro.resilience.supervisor.MonitorSupervisor`
-    when rebuilding from the surviving window also fails, or the heal
-    budget (``max_heals``) is exhausted.  The original failure is
-    chained as ``__cause__``.
-    """
-
-
 class StreamExhaustedError(ReproError):
     """A stream source ran dry before a measurement had all its objects.
 

@@ -13,7 +13,7 @@ their :class:`~repro.core.monitor.MonitorStats` (``monitor.stats``),
 which ``profile`` reads per batch through :func:`repro.bench.measure`;
 every other component counts its events in plain attributes
 (``IngestGuard.quarantined``, ``WriteAheadLog.fsyncs``,
-``MonitorSupervisor.heals``, …).  The one registry writer is
+``AdaptiveMonitor.rebuilds``, …).  The one registry writer is
 ``WriteAheadLog.metrics``, whose ``wal_bytes_written`` counter the
 end-to-end benchmark reads.
 """

@@ -6,7 +6,7 @@ guarantee at a fraction of the exact cost, and the sampling comparator
 of [25] is cheaper still (with only a probabilistic bound).  The ladder
 arranges them by cost:
 
-    exact aG2 (ε=0)  →  approx aG2 (ε₁ < ε₂ < … < εₖ)  →  sampling
+    exact aG2  →  aG2 at ε = 0.2  →  aG2 at ε = 0.4  →  sampling
 
 :class:`DeadlineController` decides *when* to move: it tracks the
 per-update latency EWMA — the same wall time the engine records per
@@ -23,22 +23,30 @@ them and why they have the values they do).
 :class:`AdaptiveMonitor` is the monitor-shaped wrapper that walks the
 ladder.  Implementation notes:
 
-* The aG2 rungs are *one* ``AG2Monitor`` whose ``epsilon`` is dialed.
-  This is sound: Theorem 1's argument is per-update — after any update
-  performed with tolerance ε, every un-adopted space was pruned against
-  ``(1-ε)``, so the answer satisfies the ``(1-ε)`` floor for the ε *in
-  effect during that update*, regardless of history.  Transitions
-  between aG2 rungs are therefore free.
-* The sampling rung's window is kept warm on every update (its
-  maintenance is O(batch)); entering sampling is free, and leaving it
-  rebuilds the aG2 index from the surviving window contents — the same
-  recovery pattern :class:`~repro.resilience.supervisor.MonitorSupervisor`
-  uses to heal.  Every aG2 built for the ladder shares one
+* The aG2 rungs are *one* ``AG2Monitor`` whose ``epsilon`` is dialed
+  along the fixed schedule :data:`EPSILONS`.  This is sound: Theorem
+  1's argument is per-update — after any update performed with
+  tolerance ε, every un-adopted space was pruned against ``(1-ε)``, so
+  the answer satisfies the ``(1-ε)`` floor for the ε *in effect during
+  that update*, regardless of history.  Transitions between aG2 rungs
+  are therefore free.
+* The ladder owns one window.  Each batch is pushed once and the rung
+  that serves it is fed the delta (:meth:`MaxRSMonitor.apply`); the
+  sampling rung keeps no state beyond that window, so entering
+  sampling is free.
+* There is one rebuild: a fresh aG2 indexes the window's contents as
+  one arrival delta, without a push, so answers keep the window's
+  tick.  Leaving sampling runs it, and so does a heal — an exception
+  raised by the aG2 rung mid-update, or a failed ``check_invariants``
+  probe every ``probe_every`` updates.  The window admitted the batch
+  before the index saw it, so a healed update holds it exactly once.
+  Every aG2 built for the ladder shares one
   :class:`~repro.core.monitor.MonitorStats`, the ladder's ``stats``, so
   its counts run on across rebuilds and sampling residencies.
 * The ladder counts in plain attributes: ``transitions`` (one record
-  per move, with its reason), ``rebuilds``, ``deescalations_deferred``,
-  ``rung`` and the controller's ``latency_ewma_ms``.
+  per move, with its reason), ``rebuilds`` (re-entries and heals),
+  ``deescalations_deferred``, ``rung`` and the controller's
+  ``latency_ewma_ms``.
 * Every answer carries its contract in the result (``mode``,
   ``guarantee``), so downstream consumers can tell what they got
   without knowing the ladder exists.  The ladder steers after the
@@ -58,12 +66,11 @@ from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
 from repro.core.sampling import SamplingMonitor
 from repro.core.spaces import MaxRSResult
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, InvariantViolationError
 from repro.obs.metrics import Ewma
-from repro.resilience.supervisor import MonitorSupervisor
-from repro.window.base import SlidingWindow
+from repro.window.base import SlidingWindow, WindowUpdate
 
-__all__ = ["AdaptiveMonitor", "DeadlineController", "LadderDecision"]
+__all__ = ["AdaptiveMonitor", "DeadlineController", "EPSILONS", "LadderDecision"]
 
 # Controller tuning.  One setting serves every campaign; the values are
 # the ones the overload_wall soak was tuned on (10x flash crowds against
@@ -87,10 +94,20 @@ DEESCALATE_AFTER = 2
 MIN_RESIDENCY = 3
 #: A single sample over ``1.6 * budget`` jumps to the cheapest rung.
 PANIC_FACTOR = 1.6
+#: Tolerances of the approximate rungs, cheapest last.  ε = 0.1 is no
+#: rung: on ``synthetic`` it was measured no cheaper than exact, by mean
+#: or by max (docs/OVERLOAD.md).
+EPSILONS = (0.2, 0.4)
 #: Target error sizing the sampling rung's samples.  Deliberately
 #: coarse: the bottom rung exists to shed load, and O(log n / eps^2)
 #: samples only beat the exact sweep when eps is large.
 SAMPLING_EPSILON = 0.5
+
+
+def _rung_epsilon(rung: int) -> float:
+    """The ε an aG2 rung runs at: 0 for exact, ``EPSILONS[rung - 1]``
+    for an approximate rung."""
+    return 0.0 if rung == 0 else EPSILONS[rung - 1]
 
 
 class LadderDecision(enum.Enum):
@@ -187,16 +204,14 @@ class AdaptiveMonitor:
 
     Args:
         rect_width / rect_height: Query rectangle.
-        window_factory: Zero-argument factory producing *fresh* sliding
-            windows of the query's configuration (each rung monitor
-            owns one; they observe identical pushes).
+        window: The ladder's one sliding window.  The ladder takes
+            ownership: every batch is pushed here once, and the rung
+            that serves it is fed the delta.
         budget_ms: Per-update latency budget.
-        epsilon_schedule: Strictly increasing tolerances of the
-            approximate rungs, each in (0, 1).
         seed: Seed of the sampling rung's private RNG.
-        probe_every: When ``probe_every > 0`` the aG2 rungs run
-            supervised (:class:`MonitorSupervisor`) with periodic
-            invariant probes.
+        probe_every: When ``probe_every > 0``, every N-th batch an aG2
+            rung indexes is followed by a ``check_invariants`` probe; a
+            failed probe heals the rung.
         latency_model: Optional ``(rung, batch_size) -> ms`` callable.
             When given, the controller is steered by *modeled* latency
             samples instead of wall-clock measurements — the soak
@@ -207,57 +222,40 @@ class AdaptiveMonitor:
 
     SAMPLING = "sampling"
     EXACT = "exact"
+    # rung 0 = exact, 1 = approx(0.2), 2 = approx(0.4), 3 = sampling
+    mode_names: tuple[str, ...] = (
+        (EXACT,) + tuple(f"approx({eps:g})" for eps in EPSILONS) + (SAMPLING,)
+    )
+    sampling_rung = len(EPSILONS) + 1
 
     def __init__(
         self,
         rect_width: float,
         rect_height: float,
-        window_factory: Callable[[], SlidingWindow],
+        window: SlidingWindow,
         *,
         budget_ms: float = 50.0,
-        epsilon_schedule: Sequence[float] = (0.1, 0.2, 0.4),
         seed: int = 0,
         probe_every: int = 0,
         latency_model: Callable[[int, int], float] | None = None,
     ) -> None:
-        schedule = tuple(float(e) for e in epsilon_schedule)
-        if not schedule:
-            raise InvalidParameterError(
-                "epsilon_schedule needs at least one tolerance"
-            )
-        for eps in schedule:
-            if not (0.0 < eps < 1.0):
-                raise InvalidParameterError(
-                    "approximate monitoring needs 0 < epsilon < 1, "
-                    f"got {eps} in schedule {schedule}"
-                )
-        if list(schedule) != sorted(set(schedule)):
-            raise InvalidParameterError(
-                f"epsilon_schedule must be strictly increasing, got {schedule}"
-            )
         self.rect_width = float(rect_width)
         self.rect_height = float(rect_height)
-        self._window_factory = window_factory
-        self.epsilon_schedule = schedule
+        self.window = window
         self.controller = DeadlineController(budget_ms)
-        self.probe_every = int(probe_every)
+        self.probe_every = max(0, int(probe_every))
         self.latency_model = latency_model
-        # rung 0 = exact, rungs 1..k = approx(εᵢ), rung k+1 = sampling
-        self.mode_names: tuple[str, ...] = (
-            (self.EXACT,)
-            + tuple(f"approx({eps:g})" for eps in schedule)
-            + (self.SAMPLING,)
-        )
         self._rung = 0
-        self._ag2_stale = False
         # the aG2 lineage's counters, in every rung: each rebuilt aG2
         # takes this object over, so counts never move backwards
         self.stats = MonitorStats()
         self._ag2 = self._make_ag2(0.0)
+        self._ag2_stale = False
+        self._since_probe = 0
         self._sampler = SamplingMonitor(
             rect_width,
             rect_height,
-            window_factory(),
+            window,
             epsilon=SAMPLING_EPSILON,
             seed=seed,
         )
@@ -272,10 +270,6 @@ class AdaptiveMonitor:
     # -- rung bookkeeping ----------------------------------------------------
 
     @property
-    def sampling_rung(self) -> int:
-        return len(self.epsilon_schedule) + 1
-
-    @property
     def rung(self) -> int:
         return self._rung
 
@@ -286,45 +280,14 @@ class AdaptiveMonitor:
     @property
     def guarantee(self) -> float:
         """Deterministic weight floor of the current rung."""
-        if self._rung == 0:
-            return 1.0
         if self._rung == self.sampling_rung:
             return 0.0
-        return 1.0 - self.epsilon_schedule[self._rung - 1]
+        return 1.0 - _rung_epsilon(self._rung)
 
-    def _rung_epsilon(self, rung: int) -> float:
-        return 0.0 if rung == 0 else self.epsilon_schedule[rung - 1]
-
-    # -- monitor construction ------------------------------------------------
-
-    def _make_ag2(self, epsilon: float) -> MaxRSMonitor:
-        monitor: MaxRSMonitor = AG2Monitor(
-            self.rect_width,
-            self.rect_height,
-            self._window_factory(),
-            epsilon=epsilon,
-        )
-        monitor.stats = self.stats
-        if self.probe_every > 0:
-            monitor = MonitorSupervisor(  # type: ignore[assignment]
-                monitor, probe_every=self.probe_every
-            )
-        return monitor
-
-    def _ag2_core(self) -> AG2Monitor:
-        inner = self._ag2
-        if isinstance(inner, MonitorSupervisor):
-            inner = inner.monitor
-        return inner  # type: ignore[return-value]
+    def _ag2_serves(self) -> bool:
+        return self._rung != self.sampling_rung and not self._ag2_stale
 
     # -- monitor surface -----------------------------------------------------
-
-    @property
-    def window(self) -> SlidingWindow:
-        """The authoritative window: the sampling rung's, which stays
-        warm in every mode (the aG2 window goes stale during sampling
-        residency)."""
-        return self._sampler.window
 
     @property
     def result(self) -> MaxRSResult:
@@ -334,20 +297,16 @@ class AdaptiveMonitor:
         """The ladder's persistable view, for :mod:`repro.persist`.
 
         The ladder itself is not a snapshot kind, but its state *is*
-        its authoritative window (the index is derived); a NaiveMonitor
-        over that same window captures exactly the configuration +
-        window contents a checkpoint needs, and restores cheaply
-        (naive ingest is a window push, no sweep).
+        its window (the index is derived); a NaiveMonitor over that
+        same window captures exactly the configuration + window
+        contents a checkpoint needs, and restores cheaply (naive ingest
+        is a window push, no sweep).
         """
-        return NaiveMonitor(
-            self.rect_width, self.rect_height, self._sampler.window
-        )
+        return NaiveMonitor(self.rect_width, self.rect_height, self.window)
 
     def check_invariants(self) -> None:
-        if self._rung != self.sampling_rung and not self._ag2_stale:
-            probe = getattr(self._ag2, "check_invariants", None)
-            if probe is not None:
-                probe()
+        if self._ag2_serves():
+            self._ag2.check_invariants()
 
     # -- serving -------------------------------------------------------------
 
@@ -371,13 +330,14 @@ class AdaptiveMonitor:
             and self._ag2_stale
             and self._rung != self.sampling_rung
         ):
-            self._rebuild_ag2(self._rung_epsilon(self._rung))
+            self._rebuild()
 
     def ingest(self, objects: Sequence[SpatialObject]) -> None:
-        """Bulk-load (priming, backfill) every warm rung."""
-        if self._rung != self.sampling_rung and not self._ag2_stale:
-            self._ag2.ingest(objects)
-        self._sampler.ingest(objects)
+        """Bulk-load (priming, backfill): one push, indexed by a warm
+        aG2 rung."""
+        delta = self.window.push(objects)
+        if self._ag2_serves():
+            self._serve_ag2(delta)
 
     def update(self, objects: Sequence[SpatialObject]) -> MaxRSResult:
         """Push one arrival batch through the current rung.
@@ -387,21 +347,23 @@ class AdaptiveMonitor:
         the controller, and the answer carries the producing rung's
         contract.  The controller steers *after* the answer exists, so
         a move it makes applies from the next update on: the rung
-        (:attr:`mode`) can already differ from ``result.mode``.
+        (:attr:`mode`) can already differ from ``result.mode``.  A batch
+        the window refuses (:class:`~repro.errors.WindowOrderError`)
+        propagates with the window and the answer unchanged.
         """
-        self._updates += 1
         if self._rung != self.sampling_rung and self._ag2_stale:
-            # rebuild before the clock starts: a full-window re-ingest is
+            # rebuild before the clock starts: a full-window re-index is
             # recovery cost, not steady-state cost, and timing it would
             # hand the controller a spurious panic sample
-            self._rebuild_ag2(self._rung_epsilon(self._rung))
+            self._rebuild()
         serving_rung = self._rung
         start = time.perf_counter()
-        if self._rung == self.sampling_rung:
-            result = self._sampler.update(objects)
+        delta = self.window.push(objects)
+        self._updates += 1
+        if serving_rung == self.sampling_rung:
+            result = self._sampler.apply(delta)
         else:
-            result = self._ag2.update(objects)
-            self._sampler.ingest(objects)
+            result = self._serve_ag2(delta)
         if self.latency_model is not None:
             elapsed_ms = float(self.latency_model(serving_rung, len(objects)))
         else:
@@ -409,6 +371,27 @@ class AdaptiveMonitor:
         self._last = result
         self.residency[self.mode] += 1
         self._steer(elapsed_ms)
+        return result
+
+    def _serve_ag2(self, delta: WindowUpdate) -> MaxRSResult:
+        """Feed the aG2 rung one delta the window already holds; heal
+        the rung when it raises or a due probe fails.
+
+        Either way the window keeps the batch exactly once, and the
+        heal's rebuild answers at the window's tick.
+        """
+        try:
+            result = self._ag2.apply(delta)
+        except Exception:  # the index broke mid-update
+            return self._rebuild()
+        if self.probe_every:
+            self._since_probe += 1
+            if self._since_probe >= self.probe_every:
+                self._since_probe = 0
+                try:
+                    self._ag2.check_invariants()
+                except InvariantViolationError:
+                    return self._rebuild()
         return result
 
     def _steer(self, elapsed_ms: float) -> None:
@@ -437,12 +420,12 @@ class AdaptiveMonitor:
         if rung == self._rung:
             return
         if rung == self.sampling_rung:
-            # the sampler's window is warm; the aG2 index stops being
-            # maintained from here on
+            # the sampler reads the same window; the aG2 index stops
+            # being maintained from here on
             self._ag2_stale = True
         elif not self._ag2_stale:
             # aG2 → aG2: dialing ε is free (Theorem 1 is per-update)
-            self._ag2_core().epsilon = self._rung_epsilon(rung)
+            self._ag2.epsilon = _rung_epsilon(rung)
         # else: leaving sampling with a stale index — the rebuild is
         # deferred to the next idle moment (note_pressure with an empty
         # queue) or, failing that, the top of the next update
@@ -457,11 +440,23 @@ class AdaptiveMonitor:
             }
         )
 
-    def _rebuild_ag2(self, epsilon: float) -> None:
-        """Re-enter an aG2 rung: rebuild the index from the warm window."""
-        self._ag2 = self._make_ag2(epsilon)
-        survivors = list(self._sampler.window.contents)
-        if survivors:
-            self._ag2.ingest(survivors)
+    def _make_ag2(self, epsilon: float) -> AG2Monitor:
+        monitor = AG2Monitor(
+            self.rect_width, self.rect_height, self.window, epsilon=epsilon
+        )
+        monitor.stats = self.stats
+        return monitor
+
+    def _rebuild(self) -> MaxRSResult:
+        """The ladder's one rebuild, for re-entry from sampling and for
+        a heal: a fresh aG2 at the current rung's ε indexes the window's
+        contents as one arrival delta — no push, so the window keeps
+        its tick — and answers at that tick."""
+        self._ag2 = self._make_ag2(_rung_epsilon(self._rung))
         self._ag2_stale = False
+        self._since_probe = 0
         self.rebuilds += 1
+        window = self.window
+        return self._ag2.apply(
+            WindowUpdate(arrived=window.contents, tick=window.tick)
+        )

@@ -7,9 +7,7 @@ monitor and bulk-loads the objects through :meth:`ingest`, which
 reconstructs the index deterministically (the indexes are pure
 functions of the arrival sequence), then resumes the window's tick so
 later answers continue the original tick sequence.  This JSON is the
-library's one state format: checkpoints write it to disk, and
-:class:`~repro.resilience.supervisor.MonitorSupervisor` round-trips it
-in memory to heal an index.
+library's one state format, which checkpoints write to disk.
 
 Only data is persisted — never code or derived index structures — so
 snapshots are portable across library versions that keep the object

@@ -13,7 +13,7 @@ The injected-fault tallies are public attributes, which is what lets
 the chaos CLI (and the soak test) prove end-to-end accounting: every
 corrupt record must reappear in the dead-letter queue, every delayed
 record must be either re-sequenced or dead-lettered as late, and the
-supervised answer must match a naive recompute over whatever survived.
+answer must match a naive recompute over whatever survived.
 """
 
 from __future__ import annotations

@@ -62,19 +62,11 @@ _CRC_FIELD = b', "crc32": '
 
 
 def _snapshot_target(monitor: Any) -> MaxRSMonitor:
-    """Unwrap to the snapshotable monitor.
-
-    A monitor exposing ``checkpoint_target()`` (the degradation ladder)
-    nominates its own persistable view; otherwise a MonitorSupervisor
-    (or anything exposing ``.monitor``) is unwrapped.
-    """
+    """The snapshotable monitor: a monitor exposing
+    ``checkpoint_target()`` (the degradation ladder) nominates its own
+    persistable view."""
     nominate = getattr(monitor, "checkpoint_target", None)
-    if callable(nominate):
-        target = nominate()
-        if isinstance(target, MaxRSMonitor):
-            return target
-    inner = getattr(monitor, "monitor", None)
-    return inner if isinstance(inner, MaxRSMonitor) else monitor
+    return monitor if nominate is None else nominate()
 
 
 def _encode(batch_index: int, state: Any) -> bytes:
@@ -115,14 +107,13 @@ def _payload_crc(batch_index: int, state: Any) -> int:
 
 
 class CheckpointManager:
-    """Periodic atomic snapshots of one monitor (or its supervisor).
+    """Periodic atomic snapshots of one monitor.
 
     Args:
-        monitor: Monitor to checkpoint; a
-            :class:`~repro.resilience.supervisor.MonitorSupervisor` is
-            unwrapped automatically.  ``None`` builds a manager that
-            can only :meth:`recover` until :meth:`resume` binds the
-            recovered monitor.
+        monitor: Monitor to checkpoint; a degradation ladder is
+            checkpointed through its ``checkpoint_target()``.  ``None``
+            builds a manager that can only :meth:`recover` until
+            :meth:`resume` binds the recovered monitor.
         path: Checkpoint file.  Rotated history lives next to it as
             ``<name>.1``, ``<name>.2``, … (most recent first).
         every: Take a checkpoint each time this many batches have been

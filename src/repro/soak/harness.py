@@ -50,7 +50,7 @@ from repro.engine.engine import StreamEngine
 from repro.engine.stats import TimingStats
 from repro.errors import InvalidParameterError, ReproError, SnapshotError
 from repro.overload.backpressure import BackpressureQueue
-from repro.overload.controller import AdaptiveMonitor
+from repro.overload.controller import EPSILONS, AdaptiveMonitor
 from repro.resilience.chaos import FaultInjectingSource
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.guard import ErrorPolicy, IngestGuard
@@ -75,6 +75,9 @@ _MAX_FAILURE_LINES = 20
 _CALIBRATION_WARMUP = 2
 _CALIBRATION_TICKS = 100
 _MIN_BUDGET_MS = 0.05
+#: the latency budget in units of the exact update's cost (modeled or
+#: calibrated): room for 3x flash crowds before the ladder must move
+_BUDGET_FACTOR = 3.0
 
 
 @dataclass
@@ -279,7 +282,7 @@ def _calibrate_budget_ms(scn: Scenario, seed: int) -> float:
         run.execute()
     timings = TimingStats(run.update_times.samples[_CALIBRATION_WARMUP:])
     p75_ms = timings.percentile(75.0) * 1000.0
-    return max(scn.budget_factor * p75_ms, _MIN_BUDGET_MS)
+    return max(_BUDGET_FACTOR * p75_ms, _MIN_BUDGET_MS)
 
 
 class _SoakRun:
@@ -310,14 +313,14 @@ class _SoakRun:
         elif scn.unit_ms is None:
             self.budget_ms = _calibrate_budget_ms(scn, seed)
         else:
-            self.budget_ms = scn.unit_ms * scn.rate * scn.budget_factor
+            self.budget_ms = scn.unit_ms * scn.rate * _BUDGET_FACTOR
             # rung cost factors for the modeled latency: exact work is
             # the unit, each approximation rung is proportionally
             # cheaper, and sampling is an order of magnitude cheaper —
             # the shape (not the absolute numbers) is what the
             # controller steers on
             discounts = [1.0] + [
-                1.0 / (i + 2) for i in range(len(scn.epsilons))
+                1.0 / (i + 2) for i in range(len(EPSILONS))
             ] + [0.1]
             unit = scn.unit_ms
 
@@ -411,9 +414,8 @@ class _SoakRun:
         return AdaptiveMonitor(
             scn.side,
             scn.side,
-            lambda: CountWindow(scn.window),
+            CountWindow(scn.window),
             budget_ms=self.budget_ms,
-            epsilon_schedule=scn.epsilons,
             seed=self.seed,
             probe_every=scn.probe_every,
             latency_model=self._latency_model,
@@ -483,8 +485,7 @@ class _SoakRun:
         pull, chaos, skew = self._phase_source(phase, index)
         period = phase.period or phase.ticks
         generator = LoadGenerator(
-            max(1, round(scn.rate * phase.rate_factor)),
-            pattern=phase.pattern,
+            scn.rate,
             burst_factor=phase.burst_factor,
             period=period,
             burst_ticks=phase.burst_ticks or period,
@@ -578,11 +579,12 @@ class _SoakRun:
                 verify_checksum=self.verify_checksum
             )
             contents = list(snapshot.window.contents)
+            tick = snapshot.window.tick
         except (SnapshotError, InvalidParameterError):
             # every checkpoint unreadable: the primed window was
-            # retained in memory, so position 0 is reachable without a
-            # source read
-            contents, position = self.prime, 0
+            # retained in memory, so position 0 (the prime's one push,
+            # tick 1) is reachable without a source read
+            contents, position, tick = self.prime, 0, 1
             self.cold_starts += 1
         # reopen first (truncating any torn tail on disk), then scan the
         # now-consistent log and reconcile it against the checkpoint
@@ -593,6 +595,9 @@ class _SoakRun:
         self.adaptive = self._make_adaptive()
         if contents:
             self.adaptive.ingest(contents)
+        # as persist.restore does: the bulk load is one push, but the
+        # answers continue the checkpointed window's tick sequence
+        self.adaptive.window.resume_at(tick)
         for _index, objects in tail.batches:
             self.adaptive.update(objects)
         self.replayed += len(tail.batches)

@@ -2,7 +2,7 @@
 
 A :class:`Scenario` is a seeded, fully deterministic schedule: global
 stack configuration (dataset, window, rates, checkpoint cadence,
-degradation-ladder shape) plus an ordered tuple of :class:`Phase`
+latency budget) plus an ordered tuple of :class:`Phase`
 entries.  Each phase binds a load shape (the
 :class:`~repro.soak.load.LoadGenerator` parameters), a fault mix
 (the :class:`~repro.resilience.chaos.FaultInjectingSource`
@@ -44,9 +44,9 @@ class Phase:
             — reports group by it; the mechanics are
             entirely determined by the other fields.
         ticks: Arrival ticks in this phase.
-        rate_factor: Multiplier on the scenario's base rate.
-        pattern / burst_factor / period / burst_ticks / jitter: Load
-            shape, as in :class:`~repro.soak.load.LoadGenerator`.
+        burst_factor / period / burst_ticks / jitter: Load shape at the
+            scenario's base rate, as in
+            :class:`~repro.soak.load.LoadGenerator`.
             ``period``/``burst_ticks`` default to the phase length
             (a flat phase when ``burst_factor`` is 1).
         p_drop / p_duplicate / p_corrupt / p_delay / max_delay: Fault
@@ -77,8 +77,6 @@ class Phase:
     name: str
     kind: str = "clean"
     ticks: int = 10
-    rate_factor: float = 1.0
-    pattern: str = "square"
     burst_factor: float = 1.0
     period: int | None = None
     burst_ticks: int | None = None
@@ -104,10 +102,6 @@ class Phase:
             raise InvalidParameterError(
                 f"phase {self.name!r}: ticks must be positive, got "
                 f"{self.ticks}"
-            )
-        if self.rate_factor <= 0:
-            raise InvalidParameterError(
-                f"phase {self.name!r}: rate_factor must be positive"
             )
         for label, p in (
             ("p_drop", self.p_drop),
@@ -179,16 +173,15 @@ class Scenario:
     write-ahead log and reads a non-replayable source, so a crash
     recovers from checkpoint + WAL tail alone.
 
-    ``unit_ms`` / ``budget_factor`` parameterise the latency the
-    deadline controller steers on, with budget
-    ``unit_ms × rate × budget_factor``.  A number makes the latency
-    *modeled* (``cost = unit_ms × batch × rung_discount``), so ladder
-    trajectories — and therefore entire soak reports — are
+    ``unit_ms`` parameterises the latency the deadline controller
+    steers on, with budget ``unit_ms × rate × 3``.  A number makes the
+    latency *modeled* (``cost = unit_ms × batch × rung_discount``), so
+    ladder trajectories — and therefore entire soak reports — are
     bit-identical across runs and hosts.  ``None`` means "measure it":
-    the budget is ``budget_factor`` × the p75 of timed exact updates on
-    a calm prefix of the campaign run through its own stack, the ladder
-    steers on wall-clock time, and a p95 update latency over the budget
-    is a campaign violation.
+    the budget is 3 × the p75 of timed exact updates on a calm prefix
+    of the campaign run through its own stack, the ladder steers on
+    wall-clock time, and a p95 update latency over the budget is a
+    campaign violation.
     """
 
     name: str
@@ -201,7 +194,6 @@ class Scenario:
     rate: int = 40
     side: float = 1000.0
     max_lateness: float = 8.0
-    epsilons: Tuple[float, ...] = (0.2, 0.4)
     probe_every: int = 25
     checkpoint_every: int = 10
     checkpoint_keep: int = 2
@@ -210,7 +202,6 @@ class Scenario:
     max_batch_factor: int = 6
     shed_policy: str = "shed_oldest"
     unit_ms: float | None = 0.05
-    budget_factor: float = 3.0
     wal_fsync: str = "always"
     wal_segment_records: int = 64
 
@@ -477,8 +468,8 @@ def _overload_wall() -> Scenario:
         window=800,
         rate=30,
         stride=5,
-        # unsupervised rungs: periodic invariant probes would put
-        # recovery work, not serving work, into the p95
+        # no invariant probes: they would put checking work, not
+        # serving work, into the p95
         probe_every=0,
         capacity_factor=20,
         max_batch_factor=8,

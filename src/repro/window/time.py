@@ -43,8 +43,8 @@ class TimeWindow(SlidingWindow):
         return self._now
 
     def push(self, objects: Sequence[SpatialObject]) -> WindowUpdate:
-        """Admit ``objects`` (non-decreasing timestamps) and expire."""
-        tick = self._next_tick()
+        """Admit ``objects`` (non-decreasing timestamps) and expire.  A
+        refused batch changes nothing, the tick included."""
         # guard against self._now even when the window has drained empty:
         # a timestamp before the current window time is a time-travel
         # push whether or not any object is still alive (advance_to
@@ -57,6 +57,7 @@ class TimeWindow(SlidingWindow):
                     f"before window time {last}"
                 )
             last = obj.timestamp
+        tick = self._next_tick()
         if objects:
             self._now = max(self._now, objects[-1].timestamp)
         # batch members already out of range never become alive: they

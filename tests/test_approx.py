@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
-from repro.core.approx import ApproxAG2Monitor, practical_error
+from repro.core.approx import practical_error
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
 from repro.errors import InvalidParameterError
@@ -30,11 +30,13 @@ class TestPracticalError:
 
 
 class TestApproxMonitor:
+    """The approximate monitor is ``AG2Monitor(..., epsilon=ε)``."""
+
     def test_epsilon_required_positive(self):
+        # ε = 0 is the exact monitor; ε = 1 would promise nothing
+        assert AG2Monitor(10, 10, CountWindow(5), epsilon=0.0).epsilon == 0.0
         with pytest.raises(InvalidParameterError):
-            ApproxAG2Monitor(10, 10, CountWindow(5), epsilon=0.0)
-        with pytest.raises(InvalidParameterError):
-            ApproxAG2Monitor(10, 10, CountWindow(5), epsilon=1.0)
+            AG2Monitor(10, 10, CountWindow(5), epsilon=1.0)
 
     @pytest.mark.parametrize(
         "epsilon", [1.5, -0.1, float("inf"), float("-inf"), float("nan")]
@@ -44,7 +46,7 @@ class TestApproxMonitor:
         fast at construction — a nan epsilon would silently disable the
         (1-ε) floor the monitor advertises."""
         with pytest.raises(InvalidParameterError):
-            ApproxAG2Monitor(10, 10, CountWindow(5), epsilon=epsilon)
+            AG2Monitor(10, 10, CountWindow(5), epsilon=epsilon)
 
     @pytest.mark.parametrize("epsilon", [1.0, 1.5, -0.1, float("nan")])
     def test_base_monitor_rejects_vacuous_epsilon(self, epsilon):
@@ -52,7 +54,7 @@ class TestApproxMonitor:
             AG2Monitor(10, 10, CountWindow(5), epsilon=epsilon)
 
     def test_result_carries_quality_contract(self):
-        approx = ApproxAG2Monitor(10, 10, CountWindow(30), epsilon=0.25)
+        approx = AG2Monitor(10, 10, CountWindow(30), epsilon=0.25)
         exact = AG2Monitor(10, 10, CountWindow(30), epsilon=0.0)
         batch = make_objects(12, seed=3, domain=60.0)
         a = approx.update(batch)
@@ -73,7 +75,7 @@ class TestApproxMonitor:
 
     @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5, 0.9])
     def test_error_bound_holds_on_stream(self, epsilon):
-        approx = ApproxAG2Monitor(10, 10, CountWindow(40), epsilon=epsilon)
+        approx = AG2Monitor(10, 10, CountWindow(40), epsilon=epsilon)
         naive = NaiveMonitor(10, 10, CountWindow(40))
         for i in range(15):
             batch = make_objects(8, seed=50 + i, domain=60.0)
@@ -85,7 +87,7 @@ class TestApproxMonitor:
 
     def test_never_exceeds_exact(self):
         """The approximate answer is a real space: never above s*."""
-        approx = ApproxAG2Monitor(10, 10, CountWindow(30), epsilon=0.4)
+        approx = AG2Monitor(10, 10, CountWindow(30), epsilon=0.4)
         naive = NaiveMonitor(10, 10, CountWindow(30))
         for i in range(10):
             batch = make_objects(6, seed=80 + i, domain=50.0)
@@ -94,7 +96,7 @@ class TestApproxMonitor:
             assert a.best_weight <= b.best_weight + 1e-9
 
     def test_bound_survives_star_expiry(self):
-        approx = ApproxAG2Monitor(10, 10, CountWindow(4), epsilon=0.3)
+        approx = AG2Monitor(10, 10, CountWindow(4), epsilon=0.3)
         naive = NaiveMonitor(10, 10, CountWindow(4))
         streams = [
             [SpatialObject(x=5, y=5, weight=9), SpatialObject(x=6, y=6, weight=9)],

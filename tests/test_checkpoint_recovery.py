@@ -37,11 +37,11 @@ from repro.errors import (
     ReproError,
     SnapshotError,
 )
+from repro.overload import AdaptiveMonitor
 from repro.resilience import (
     CheckpointManager,
     FaultInjectingSource,
     IngestGuard,
-    MonitorSupervisor,
 )
 from repro.resilience.checkpoint import _payload_crc
 from repro.streams import UniformStream
@@ -210,15 +210,19 @@ class TestCheckpointManager:
         assert target.read_text() == json.dumps(document)
         assert persist.read_json(target) == document
 
-    def test_supervisor_is_unwrapped(self, tmp_path):
-        supervised = MonitorSupervisor(FACTORIES["ag2"]())
+    def test_ladder_checkpoints_its_window(self, tmp_path):
+        # the ladder nominates a naive view of its one window: the
+        # checkpoint holds that window's contents and tick
+        ladder = AdaptiveMonitor(12, 12, CountWindow(WINDOW))
         path = tmp_path / "ckpt.json"
-        manager = CheckpointManager(supervised, path, every=1)
-        supervised.update(stream_batches(1)[0])
-        manager.note_batch()
+        manager = CheckpointManager(ladder, path, every=2)
+        for batch in stream_batches(2):
+            ladder.update(batch)
+            manager.note_batch()
         restored, _ = CheckpointManager.load(path)
-        assert isinstance(restored, AG2Monitor)
-        assert len(restored.window) == BATCH
+        assert isinstance(restored, NaiveMonitor)
+        assert restored.window.contents == ladder.window.contents
+        assert restored.window.tick == ladder.window.tick == 2
 
 
 class TestCrashRecoveryEquivalence:
@@ -304,7 +308,7 @@ class TestCrashRecoveryEquivalence:
         for batch in batches:
             reference.update(batch)
 
-        victim = MonitorSupervisor(AG2Monitor(40, 40, CountWindow(200)))
+        victim = AG2Monitor(40, 40, CountWindow(200))
         path = tmp_path / "chaos-ckpt.json"
         manager = CheckpointManager(victim, path, every=25)
         for batch in batches[:60]:

@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_objects
-from repro.errors import InvalidParameterError
+from repro.datasets import make_stream
+from repro.errors import InvalidParameterError, WindowOrderError
 from repro.overload import AdaptiveMonitor, DeadlineController, LadderDecision
 from repro.soak.invariants import exact_weight_over
-from repro.window import CountWindow
+from repro.window import CountWindow, TimeWindow
 
 
 def controller(**kwargs) -> DeadlineController:
@@ -103,21 +104,12 @@ class TestControllerDecisions:
 
 
 def make_adaptive(**kwargs) -> AdaptiveMonitor:
-    defaults = dict(budget_ms=10_000.0, epsilon_schedule=(0.2, 0.4), seed=3)
+    defaults = dict(budget_ms=10_000.0, seed=3)
     defaults.update(kwargs)
-    return AdaptiveMonitor(
-        20.0, 20.0, lambda: CountWindow(300), **defaults
-    )
+    return AdaptiveMonitor(20.0, 20.0, CountWindow(300), **defaults)
 
 
 class TestAdaptiveValidation:
-    @pytest.mark.parametrize(
-        "schedule", [(), (0.0,), (1.0,), (1.5,), (0.4, 0.2), (0.2, 0.2)]
-    )
-    def test_bad_epsilon_schedule_rejected(self, schedule):
-        with pytest.raises(InvalidParameterError):
-            make_adaptive(epsilon_schedule=schedule)
-
     def test_mode_names_span_the_ladder(self):
         adaptive = make_adaptive()
         assert adaptive.mode_names == (
@@ -150,7 +142,10 @@ class TestAdaptiveServing:
         adaptive = make_adaptive()
         adaptive.ingest(make_objects(40))
         assert len(adaptive.window.contents) == 40
-        assert len(adaptive._ag2_core().window.contents) == 40
+        # one window, pushed once; the warm aG2 rung indexed the delta
+        assert adaptive._ag2.window is adaptive.window
+        assert adaptive.window.tick == 1
+        assert adaptive.stats.objects_seen == 40
 
     def test_approx_rung_honours_its_floor(self):
         # modeled samples in the dead band: the ladder holds its rung
@@ -170,7 +165,7 @@ class TestAdaptiveServing:
         index_before = adaptive._ag2
         adaptive._transition(1, "test")
         assert adaptive._ag2 is index_before  # no rebuild, just a dial
-        assert adaptive._ag2_core().epsilon == pytest.approx(0.2)
+        assert adaptive._ag2.epsilon == pytest.approx(0.2)
         assert adaptive.rebuilds == 0
 
 
@@ -223,9 +218,8 @@ class TestLadderWalk:
         adaptive.note_pressure(0)  # slack: pay the rebuild here
         assert not adaptive._ag2_stale
         assert adaptive.rebuilds == 1
-        assert len(adaptive._ag2_core().window.contents) == len(
-            adaptive.window.contents
-        )
+        assert adaptive._ag2.window is adaptive.window
+        adaptive._ag2.check_invariants()
 
     def test_stale_rebuild_falls_back_to_update_when_no_slack(self):
         adaptive = self._parked_in_sampling()
@@ -259,3 +253,53 @@ class TestLadderWalk:
         assert adaptive.mode == "exact"
         assert result.mode == "approx"
         assert adaptive.result is result
+
+
+class TestOneWindow:
+    """The ladder owns one window: every rung answers over it, and every
+    answer carries its tick."""
+
+    def test_answer_ticks_follow_the_window_across_sampling(self):
+        latency = {"ms": 0.0}
+        ladder = AdaptiveMonitor(
+            1000, 1000, CountWindow(300), budget_ms=10.0,
+            latency_model=lambda rung, batch: latency["ms"],
+        )
+        stream = iter(make_stream("synthetic", domain=80_000.0, seed=7))
+        ticks, modes = [], []
+        for step in range(40):
+            if step == 17:  # one panic sample under backlog
+                ladder.note_pressure(30)
+                latency["ms"] = 100.0
+            result = ladder.update([next(stream) for _ in range(30)])
+            latency["ms"] = 0.0
+            ladder.note_pressure(0)  # slack: a stale rung rebuilds here
+            ticks.append(result.tick)
+            modes.append(result.mode)
+            assert result.tick == ladder.window.tick == step + 1
+        assert "sampling" in modes and modes[-1] == "exact"
+        assert ticks == sorted(ticks)
+        assert ladder.rebuilds == 1
+        exact = exact_weight_over(ladder.window.contents, 1000.0)
+        assert ladder.result.best_weight == pytest.approx(exact)
+
+    @pytest.mark.parametrize("probe_every", [0, 25])
+    @pytest.mark.parametrize("rung", [0, 1, 3])
+    def test_window_order_error_changes_nothing(self, rung, probe_every):
+        ladder = AdaptiveMonitor(
+            20.0, 20.0, TimeWindow(100.0), budget_ms=10_000.0,
+            probe_every=probe_every,
+            latency_model=lambda rung, batch: 6_000.0,  # dead band: hold
+        )
+        ladder._transition(rung, "test")
+        ladder.update(make_objects(20, seed=1, start_t=50.0))
+        before, contents = ladder.result, ladder.window.contents
+        with pytest.raises(WindowOrderError):
+            ladder.update(make_objects(5, seed=2, start_t=0.0))
+        assert ladder.result is before
+        assert ladder.window.contents == contents
+        assert ladder.window.tick == before.tick == 1
+        assert ladder.rebuilds == 0 and ladder.rung == rung
+        after = ladder.update(make_objects(5, seed=3, start_t=70.0))
+        assert after.tick == ladder.window.tick == 2
+        assert len(ladder.window) == 25

@@ -3,7 +3,7 @@ registry but the WAL's ``wal_bytes_written``.
 
 Monitors count in ``MonitorStats`` and every layer around them (ingest
 guard, reorder buffer, dead-letter queue, backpressure queue, write-ahead
-log, checkpoint manager, supervisor, degradation ladder, engine) counts
+log, checkpoint manager, degradation ladder, engine) counts
 its events in plain attributes.  Only the registry's own package may
 hold writer calls; the one exception is the WAL's ``wal_bytes_written``,
 which the end-to-end benchmark sets up and reads through
@@ -16,12 +16,11 @@ import re
 from pathlib import Path
 
 from conftest import make_objects
-from repro.core.ag2 import AG2Monitor
 from repro.durability import WriteAheadLog
 from repro.engine import StreamEngine
 from repro.obs import Metrics
-from repro.overload import BackpressureQueue
-from repro.resilience import CheckpointManager, IngestGuard, MonitorSupervisor
+from repro.overload import AdaptiveMonitor, BackpressureQueue
+from repro.resilience import CheckpointManager, IngestGuard
 from repro.window import CountWindow
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -46,11 +45,11 @@ def test_no_registry_writer_outside_obs():
 
 
 def test_composed_run_writes_only_wal_bytes(tmp_path):
-    """guard -> queue -> WAL -> supervised aG2 -> checkpoint: each layer
+    """guard -> queue -> WAL -> probed ladder -> checkpoint: each layer
     counts in its own attributes, and the WAL's registry, the only one
     attached, holds ``wal_bytes_written`` alone."""
-    monitor = MonitorSupervisor(
-        AG2Monitor(20.0, 20.0, CountWindow(120)), probe_every=2
+    monitor = AdaptiveMonitor(
+        20.0, 20.0, CountWindow(120), budget_ms=1e9, probe_every=2
     )
     wal = WriteAheadLog(tmp_path / "wal")
     wal.metrics = Metrics("wal")

@@ -1,12 +1,14 @@
-"""Supervision tests: self-healing monitors and retrying sources.
+"""Supervision tests: the degradation ladder heals its aG2 rung.
 
-The supervised contract: a mid-update failure (raised exception or a
-failed invariant probe) is absorbed by rebuilding the index from the
-surviving window contents, and the healed monitor answers exactly like
-a never-failed one — because the indexes are pure functions of the
-arrival sequence.  The window admits a batch before the index sees it,
-so a batch that fails half-way is kept exactly once, and the healed
-answer carries that batch's tick.
+The ladder (:class:`~repro.overload.AdaptiveMonitor`) is the one
+composition that supervises a monitor.  A mid-update exception raised
+by its aG2 rung, or a failed invariant probe, is absorbed by the
+ladder's one rebuild: a fresh aG2 re-indexes the window's contents
+without a second push.  The window admits a batch before the index sees
+it, so a batch that fails half-way is kept exactly once, the healed
+answer carries that batch's tick, and from then on the ladder answers
+exactly like a never-failed twin — because the indexes are pure
+functions of the arrival sequence.
 """
 
 from __future__ import annotations
@@ -18,186 +20,189 @@ from repro.core.ag2 import AG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
-from repro.errors import (
-    InvariantViolationError,
-    UnrecoverableMonitorError,
-)
+from repro.errors import InvariantViolationError, WindowOrderError
 from repro.engine import StreamEngine
-from repro.resilience import (
-    ErrorPolicy,
-    FaultInjectingSource,
-    IngestGuard,
-    MonitorSupervisor,
-)
+from repro.overload import AdaptiveMonitor
+from repro.resilience import ErrorPolicy, FaultInjectingSource, IngestGuard
 from repro.streams import UniformStream
 from repro.window import CountWindow, TimeWindow
 
 
-class FailingAG2(AG2Monitor):
-    """AG2 monitor that raises mid-update on command (after the window
-    has admitted the batch — exactly the corruption scenario)."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.fail_next = 0
-
-    def _on_delta(self, delta):
-        if self.fail_next > 0:
-            self.fail_next -= 1
-            raise RuntimeError("injected index corruption")
-        super()._on_delta(delta)
+def make_ladder(side, window, **kwargs) -> AdaptiveMonitor:
+    """A ladder held on the exact rung: every modeled sample clears the
+    de-escalation watermark, and exact has no rung below it."""
+    kwargs.setdefault("latency_model", lambda rung, batch: 0.0)
+    return AdaptiveMonitor(side, side, window, budget_ms=10_000.0, **kwargs)
 
 
-class BadInvariantsAG2(AG2Monitor):
-    """AG2 monitor whose invariant probe can be forced to fail once."""
+def fail_next_update(ladder: AdaptiveMonitor) -> None:
+    """Make the ladder's current aG2 index raise on its next delta,
+    after the window has admitted the batch; a rebuilt index is sound."""
+    monitor = ladder._ag2
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.pretend_corrupt = False
+    def failing(delta):
+        monitor._on_delta = type(monitor)._on_delta.__get__(monitor)
+        raise RuntimeError("injected index corruption")
 
-    def check_invariants(self):
-        if self.pretend_corrupt:
-            self.pretend_corrupt = False
-            raise InvariantViolationError("injected invariant violation")
-        super().check_invariants()
+    monitor._on_delta = failing
 
 
 class TestMonitorSupervisorHealing:
     def test_mid_update_failure_healed_and_equivalent(self):
-        monitor = FailingAG2(10, 10, CountWindow(40))
-        supervised = MonitorSupervisor(monitor)
+        ladder = make_ladder(10, CountWindow(40))
         reference = NaiveMonitor(10, 10, CountWindow(40))
         batches = [make_objects(10, seed=s, domain=60.0, start_t=s * 10.0)
                    for s in range(6)]
         for i, batch in enumerate(batches):
             if i == 3:
-                monitor.fail_next = 1
-            got = supervised.update(batch)
+                faulted = ladder._ag2
+                fail_next_update(ladder)
+            got = ladder.update(batch)
             want = reference.update(batch)
             assert got.best_weight == pytest.approx(want.best_weight)
-        assert supervised.failures == 1
-        assert supervised.heals == 1
-        # the healed instance replaced the failing one
-        assert supervised.monitor is not monitor
-        supervised.check_invariants()
+            assert got.tick == ladder.window.tick == i + 1
+        assert ladder.rebuilds == 1
+        # the healed instance replaced the failing one, over the same
+        # window, which holds the faulted batch exactly once
+        assert ladder._ag2 is not faulted
+        assert ladder.window.contents == reference.window.contents
+        ladder.check_invariants()
 
     def test_heal_preserves_time_window_clock(self):
-        monitor = FailingAG2(10, 10, TimeWindow(50.0))
-        supervised = MonitorSupervisor(monitor)
-        supervised.update(make_objects(5, seed=1, domain=40.0, start_t=0.0))
-        monitor.fail_next = 1
-        supervised.update(make_objects(5, seed=2, domain=40.0, start_t=10.0))
-        assert supervised.heals == 1
-        # post-heal pushes continue from the restored clock
-        result = supervised.update(
+        ladder = make_ladder(10, TimeWindow(50.0))
+        ladder.update(make_objects(5, seed=1, domain=40.0, start_t=0.0))
+        fail_next_update(ladder)
+        ladder.update(make_objects(5, seed=2, domain=40.0, start_t=10.0))
+        assert ladder.rebuilds == 1
+        # post-heal pushes continue on the one window's clock
+        result = ladder.update(
             make_objects(5, seed=3, domain=40.0, start_t=20.0)
         )
         assert result.window_size == 15
+        assert result.tick == ladder.window.tick == 3
 
     def test_invariant_probe_triggers_heal(self):
-        monitor = BadInvariantsAG2(10, 10, CountWindow(30))
-        supervised = MonitorSupervisor(monitor, probe_every=2)
-        supervised.update(make_objects(5, seed=4, domain=50.0, start_t=0.0))
-        monitor.pretend_corrupt = True
-        result = supervised.update(
+        ladder = make_ladder(10, CountWindow(30), probe_every=2)
+        ladder.update(make_objects(5, seed=4, domain=50.0, start_t=0.0))
+        probed = ladder._ag2
+
+        def corrupt():
+            raise InvariantViolationError("injected invariant violation")
+
+        probed.check_invariants = corrupt
+        result = ladder.update(
             make_objects(5, seed=5, domain=50.0, start_t=10.0)
         )
-        assert supervised.invariant_failures == 1
-        assert supervised.heals == 1
+        assert ladder.rebuilds == 1
+        assert ladder._ag2 is not probed
         # re-answered from the rebuilt index, at the probed batch's tick
         assert result.tick == 2 and result.window_size == 10
-        assert supervised.result == result
+        assert ladder.result == result
 
     def test_rejected_batch_is_not_corruption(self):
-        supervised = MonitorSupervisor(AG2Monitor(10, 10, TimeWindow(100.0)))
-        supervised.update(make_objects(5, seed=6, domain=40.0, start_t=50.0))
-        before = supervised.result
-        stale = make_objects(3, seed=7, domain=40.0, start_t=0.0)
-        after = supervised.update(stale)  # WindowOrderError inside
-        assert supervised.batches_rejected == 1
-        assert supervised.heals == 0
-        assert after.best_weight == pytest.approx(before.best_weight)
-
-    def test_heal_budget_exhaustion_raises(self):
-        monitor = FailingAG2(10, 10, CountWindow(20))
-        supervised = MonitorSupervisor(monitor, max_heals=0)
-        monitor.fail_next = 1
-        with pytest.raises(UnrecoverableMonitorError):
-            supervised.update(make_objects(3, seed=8, domain=40.0))
+        """A batch the window refuses changes nothing, so nothing heals:
+        :class:`WindowOrderError` propagates with the window and the
+        answer unchanged, probes on or off."""
+        for probe_every in (0, 25):
+            ladder = make_ladder(
+                10, TimeWindow(100.0), probe_every=probe_every
+            )
+            ladder.update(make_objects(5, seed=6, domain=40.0, start_t=50.0))
+            before = ladder.result
+            contents = ladder.window.contents
+            stale = make_objects(3, seed=7, domain=40.0, start_t=0.0)
+            with pytest.raises(WindowOrderError):
+                ladder.update(stale)
+            assert ladder.rebuilds == 0
+            assert ladder.result is before
+            assert ladder.window.contents == contents
+            assert ladder.window.tick == 1
+            ladder.check_invariants()
+            after = ladder.update(
+                make_objects(3, seed=8, domain=40.0, start_t=60.0)
+            )
+            assert after.tick == ladder.window.tick == 2
 
     def test_supervisor_metrics_counters(self):
-        monitor = FailingAG2(10, 10, CountWindow(20))
-        supervised = MonitorSupervisor(monitor)
-        engine = StreamEngine({"ag2": supervised}, [], batch_size=4)
+        ladder = make_ladder(10, CountWindow(20))
+        engine = StreamEngine({"ladder": ladder}, [], batch_size=4)
         engine.process(make_objects(4, seed=11, domain=40.0, start_t=0.0))
-        monitor.fail_next = 1
+        fail_next_update(ladder)
         engine.process(make_objects(4, seed=12, domain=40.0, start_t=10.0))
-        assert supervised.failures == 1
-        assert supervised.heals == 1
-        # the monitor's own counters keep accumulating after the heal
-        assert supervised.stats.updates >= 2
+        # a heal is a rebuild, and the ladder counts it there
+        assert ladder.rebuilds == 1
+        assert ladder.transitions == []
+        assert engine.collect_report().batches == 2
+        assert ladder.stats.updates >= 2
 
     def test_healed_monitor_takes_over_stats(self):
-        monitor = FailingAG2(10, 10, CountWindow(20))
-        supervised = MonitorSupervisor(monitor)
-        stats = supervised.stats
-        supervised.update(make_objects(4, seed=11, domain=40.0, start_t=0.0))
-        monitor.fail_next = 1
-        supervised.update(make_objects(4, seed=12, domain=40.0, start_t=10.0))
-        assert supervised.heals == 1
-        assert supervised.monitor is not monitor
-        assert supervised.stats is stats
-        assert stats.updates == 2
-        assert stats.objects_seen == 8
+        ladder = make_ladder(10, CountWindow(20))
+        stats = ladder.stats
+        ladder.update(make_objects(4, seed=11, domain=40.0, start_t=0.0))
+        faulted = ladder._ag2
+        fail_next_update(ladder)
+        ladder.update(make_objects(4, seed=12, domain=40.0, start_t=10.0))
+        assert ladder.rebuilds == 1
+        assert ladder._ag2 is not faulted
+        assert ladder.stats is stats and ladder._ag2.stats is stats
+        # the faulted update and the rebuild's re-index both count
+        assert stats.updates == 3
+        assert stats.objects_seen == 4 + 4 + 8
 
     def test_ingest_failure_healed(self):
-        monitor = FailingAG2(10, 10, CountWindow(30))
-        supervised = MonitorSupervisor(monitor)
-        monitor.fail_next = 1
-        supervised.ingest(make_objects(5, seed=13, domain=40.0))
-        assert supervised.heals == 1
-        assert len(supervised.window) == 5
+        ladder = make_ladder(10, CountWindow(30))
+        fail_next_update(ladder)
+        ladder.ingest(make_objects(5, seed=13, domain=40.0))
+        assert ladder.rebuilds == 1
+        assert len(ladder.window) == 5
+        assert ladder.window.tick == 1
+        ladder.check_invariants()
 
-    def test_supervised_survives_chaos_plus_monitor_failures(self):
-        """Both fault axes at once: dirty stream AND a monitor that
-        corrupts mid-run; the supervised answer still matches a naive
-        recompute over the surviving window."""
+    def test_supervised_survives_chaos_plus_monitor_failures(
+        self, monkeypatch
+    ):
+        """Both fault axes at once: dirty stream AND an aG2 rung that
+        corrupts mid-run, rebuilt index included; the ladder's answer
+        still matches a naive recompute over its window."""
+        seen = {"n": 0}
+        on_delta = AG2Monitor._on_delta
 
-        class FailingAG2(AG2Monitor):
-            updates_seen = 0
+        def failing(self, delta):
+            seen["n"] += 1
+            if seen["n"] in (30, 70):
+                raise RuntimeError("injected corruption")
+            on_delta(self, delta)
 
-            def _on_delta(self, delta):
-                type(self).updates_seen += 1
-                if type(self).updates_seen in (30, 70):
-                    raise RuntimeError("injected corruption")
-                super()._on_delta(delta)
-
+        monkeypatch.setattr(AG2Monitor, "_on_delta", failing)
         stream = UniformStream(domain=500.0, seed=31, dt=1.0)
         chaos = FaultInjectingSource(
             stream, seed=32, p_drop=0.03, p_corrupt=0.03, p_delay=0.04
         )
         guard = IngestGuard(policy=ErrorPolicy.QUARANTINE, max_lateness=6.0)
-        supervised = MonitorSupervisor(FailingAG2(40, 40, CountWindow(150)))
-        engine = StreamEngine({"ag2": supervised}, [], batch_size=10)
+        ladder = make_ladder(40, CountWindow(150))
+        engine = StreamEngine({"ag2": ladder}, [], batch_size=10)
         for batch in guarded_batches(guard, chaos, 100, 10):
             engine.process(batch)
         report = engine.collect_report()
         assert report.batches == 100
-        assert supervised.heals >= 1
-        contents = list(supervised.window.contents)
+        assert ladder.rebuilds == 2
+        assert ladder.result.tick == ladder.window.tick == 100
+        contents = list(ladder.window.contents)
         naive = NaiveMonitor(40, 40, CountWindow(len(contents)))
-        assert supervised.result.best_weight == pytest.approx(
+        assert ladder.result.best_weight == pytest.approx(
             naive.update(contents).best_weight
         )
 
 
-#: every monitor kind ``repro.persist`` can snapshot, i.e. every kind
-#: a supervisor can heal
-PERSIST_KINDS = {
+#: the unfaulted twins a healed ladder is compared with: every exact
+#: monitor (naive is the plane-sweep oracle; top-k at k = 1 reports the
+#: one best region) and a never-faulted ladder
+TWINS = {
     "naive": lambda window: NaiveMonitor(12, 12, window),
     "g2": lambda window: G2Monitor(12, 12, window),
     "ag2": lambda window: AG2Monitor(12, 12, window),
-    "topk": lambda window: TopKAG2Monitor(12, 12, window, k=3),
+    "topk": lambda window: TopKAG2Monitor(12, 12, window, k=1),
+    "ladder": lambda window: make_ladder(12, window),
 }
 
 WINDOWS = {
@@ -211,70 +216,54 @@ HEAL_BATCHES = [
 ]
 
 
-def _fail_once_at(monitor, batch: int):
-    """Make ``monitor``'s index raise on the given 0-based update, after
-    the window has admitted that batch."""
-    calls = iter(range(len(HEAL_BATCHES) + 1))
-    on_delta = monitor._on_delta
-
-    def failing(delta):
-        if next(calls) == batch:
-            raise RuntimeError("injected index corruption")
-        on_delta(delta)
-
-    monitor._on_delta = failing
-    return monitor
-
-
-def _run_with_twin(make, fail_at):
-    """Drive a supervised, once-faulted monitor and an unfaulted twin
-    over the same batches; yield ``(index, got, want, supervised, twin)``
-    for every batch."""
-    supervised = MonitorSupervisor(_fail_once_at(make(), fail_at))
-    twin = make()
+def _run_with_twin(ladder, twin, fail_at):
+    """Drive a once-faulted ladder and an unfaulted twin over the same
+    batches; yield ``(index, got, want)`` for every batch."""
     for i, batch in enumerate(HEAL_BATCHES):
-        got = supervised.update(batch)
+        if i == fail_at:
+            fail_next_update(ladder)
+        got = ladder.update(batch)
         want = twin.update(batch)
-        yield i, got, want, supervised, twin
-    assert supervised.failures == supervised.heals == 1
+        yield i, got, want
+    assert ladder.rebuilds == 1
 
 
 class TestHealEquivalence:
-    """Heal differential: from the faulted batch on, a supervised
-    monitor answers exactly like a twin that never failed."""
+    """Heal differential: from the faulted batch on, the ladder answers
+    exactly like a twin that never failed, at the same tick."""
 
     @pytest.mark.parametrize("fail_at", [3, 7])
     @pytest.mark.parametrize("window", sorted(WINDOWS))
-    @pytest.mark.parametrize("kind", sorted(PERSIST_KINDS))
+    @pytest.mark.parametrize("kind", sorted(TWINS))
     def test_heal_matches_unfaulted_twin(self, kind, window, fail_at):
-        def make():
-            return PERSIST_KINDS[kind](WINDOWS[window]())
-
-        for i, got, want, supervised, twin in _run_with_twin(make, fail_at):
-            assert got.tick == want.tick == i + 1
+        ladder = make_ladder(12, WINDOWS[window]())
+        twin = TWINS[kind](WINDOWS[window]())
+        for i, got, want in _run_with_twin(ladder, twin, fail_at):
+            assert got.tick == want.tick == ladder.window.tick == i + 1
             if i < fail_at:
                 continue
-            assert got.regions == want.regions, f"batch {i}"
-            assert supervised.result == got
-            assert supervised.window.contents == twin.window.contents
-            assert supervised.window.tick == twin.window.tick
+            assert got.best_weight == pytest.approx(want.best_weight)
+            if kind != "naive":  # the oracle's sweep region has no anchor
+                assert got.regions == want.regions, f"batch {i}"
+            assert ladder.result == got
+            assert ladder.window.contents == twin.window.contents
 
     @pytest.mark.parametrize("fail_at", [3, 7])
     @pytest.mark.parametrize("window", sorted(WINDOWS))
     def test_approximate_heal_holds_its_guarantee(self, window, fail_at):
         """ε-aG2 prunes with a slack, so the rebuilt index may settle on
         a different region than the twin's; it must still hold (1 − ε)
-        of the exact optimum."""
-        epsilon = 0.2
+        of the exact optimum, and the heal keeps the rung's ε."""
+        # modeled samples in the dead band: the ladder holds its rung
+        ladder = make_ladder(
+            12, WINDOWS[window](), latency_model=lambda rung, batch: 6_000.0
+        )
+        ladder._transition(1, "test")  # approx(0.2)
         exact = AG2Monitor(12, 12, WINDOWS[window]())
-
-        def make():
-            return AG2Monitor(12, 12, WINDOWS[window](), epsilon=epsilon)
-
-        for i, got, _want, supervised, twin in _run_with_twin(make, fail_at):
-            best = exact.update(HEAL_BATCHES[i]).best_weight
+        for i, got, want in _run_with_twin(ladder, exact, fail_at):
             assert got.tick == i + 1
-            if i < fail_at:
-                continue
-            assert got.best_weight >= (1.0 - epsilon) * best - 1e-9
-            assert supervised.window.contents == twin.window.contents
+            assert got.mode == "approx"
+            assert got.guarantee == pytest.approx(0.8)
+            assert got.best_weight >= 0.8 * want.best_weight - 1e-9
+            assert ladder.window.contents == exact.window.contents
+        assert ladder._ag2.epsilon == pytest.approx(0.2)

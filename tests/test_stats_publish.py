@@ -15,7 +15,6 @@ import pytest
 from conftest import make_objects
 from repro.core.ag2 import AG2Monitor
 from repro.core.allmax import AllMaxRSMonitor
-from repro.core.approx import ApproxAG2Monitor
 from repro.core.g2 import G2Monitor
 from repro.core.naive import NaiveMonitor
 from repro.core.rtree_monitor import RTreeMonitor
@@ -40,7 +39,7 @@ FACTORIES = {
     "naive": lambda w: NaiveMonitor(SIDE, SIDE, w),
     "g2": lambda w: G2Monitor(SIDE, SIDE, w),
     "ag2": lambda w: AG2Monitor(SIDE, SIDE, w),
-    "approx": lambda w: ApproxAG2Monitor(SIDE, SIDE, w, epsilon=0.2),
+    "approx": lambda w: AG2Monitor(SIDE, SIDE, w, epsilon=0.2),
     "topk": lambda w: TopKAG2Monitor(SIDE, SIDE, w, k=5),
     "allmax": lambda w: AllMaxRSMonitor(SIDE, SIDE, w),
     "rtree": lambda w: RTreeMonitor(SIDE, SIDE, w),
@@ -96,9 +95,8 @@ def test_ladder_stats_never_move_backwards():
     adaptive = AdaptiveMonitor(
         20.0,
         20.0,
-        lambda: CountWindow(120),
+        CountWindow(120),
         budget_ms=10.0,
-        epsilon_schedule=(0.2, 0.4),
         seed=3,
         latency_model=lambda rung, batch: latency["ms"],
     )
@@ -131,5 +129,5 @@ def test_ladder_stats_never_move_backwards():
     assert adaptive.rebuilds >= 1
     assert "sampling" in modes and modes[-1] != "sampling"
     assert adaptive.stats is lineage
-    assert adaptive._ag2_core().stats is lineage
+    assert adaptive._ag2.stats is lineage
     assert engine.collect_report().batches == len(modes) == 12
