@@ -43,9 +43,12 @@
  * maxrs_route, maxrs_map, maxrs_purge, maxrs_pending, maxrs_top,
  * maxrs_top_bound and maxrs_settle are aG2's cell index (see
  * repro/core/cells.py; the reference ports are map_rows, purge_rows,
- * top, top_bound and settle, and cells._route_python for the route):
- * the batch route into the arrival table, and the flat cell table --
- * key hash, per-cell bound and bookkeeping, candidate heap.
+ * _table_take_pending, top, top_bound and settle, and
+ * cells._route_python for the route): the batch route into the arrival
+ * table, and the flat cell table -- key hash, per-cell bound and
+ * bookkeeping, pending links, candidate heap.  A stale cell's bound is
+ * re-summed in row order, never lowered by a subtraction, so it too
+ * matches the Python bit for bit.
  */
 
 #include <math.h>
@@ -718,10 +721,15 @@ long maxrs_route(const double *xyw, long n, double hw, double hh,
 /* ---- the cell table (cells.CellTable) ----------------------------------- */
 
 /* ints per cell in meta, and their offsets */
-#define CF 8
-enum { C_I, C_J, C_RANK, C_NEWEST, C_FIRST, C_MARK, C_VISIT, C_HELD };
+#define CF 10
+enum { C_I, C_J, C_RANK, C_NEWEST, C_HEAD, C_TAIL, C_MARK, C_VISIT, C_HELD,
+       C_STALE };
 /* the state array */
-enum { S_COUNT, S_HWM, S_NFREE, S_RANK, S_HEAP, S_STAMP, S_VSTAMP, S_MASK };
+enum { S_COUNT, S_HWM, S_NFREE, S_RANK, S_HEAP, S_STAMP, S_VSTAMP, S_MASK,
+       S_LBASE, S_LEND, S_LLIVE };
+/* the link table's dead prefix is compacted away at this size, once it
+ * is half the table (graph._COMPACT_MIN, the arrival table's rule) */
+#define COMPACT_MIN 32
 
 typedef struct {
     double *cw;     /* c.w per cell */
@@ -731,14 +739,35 @@ typedef struct {
     double *hcw;    /* heap entry bound */
     long *hent;     /* heap entry (rank, id) */
     long *state;
+    double *vb;     /* c.w at the cell's last visit, per cell */
+    long *links;    /* pending (row, cell) pairs: (seq, next link id) */
+    double *lw;     /* the weight of each pair's row */
 } cells;
 
 /* p: the table's array addresses, in the order of the struct */
 static cells unpack(const unsigned long *p)
 {
     cells t = {(double *)p[0], (long *)p[1], (long *)p[2], (long *)p[3],
-               (double *)p[4], (long *)p[5], (long *)p[6]};
+               (double *)p[4], (long *)p[5], (long *)p[6], (double *)p[7],
+               (long *)p[8], (double *)p[9]};
     return t;
+}
+
+/* link id -> its (seq, next) pair; ids count every link ever made, the
+ * arrays start at id state[S_LBASE] */
+static long *link_at(const cells *t, long id)
+{
+    return t->links + 2 * (id - t->state[S_LBASE]);
+}
+
+/* the cell's live bound: its bound at the last visit plus the weights
+ * of its pending pairs, added in row order (the adds maxrs_map made) */
+static double live_bound(const cells *t, long c)
+{
+    double s = t->vb[c];
+    for (long id = t->meta[CF * c + C_HEAD]; id >= 0; id = link_at(t, id)[1])
+        s += t->lw[id - t->state[S_LBASE]];
+    return s;
 }
 
 static unsigned long home(long i, long j, unsigned long mask)
@@ -773,11 +802,14 @@ static long create(cells *t, unsigned long slot, long i, long j)
     m[C_J] = j;
     m[C_RANK] = st[S_RANK]++;
     m[C_NEWEST] = -1;
-    m[C_FIRST] = -1;
+    m[C_HEAD] = -1;
+    m[C_TAIL] = -1;
     m[C_MARK] = 0;
     m[C_VISIT] = -1;
     m[C_HELD] = 0;
+    m[C_STALE] = 0;
     t->cw[c] = 0.0;
+    t->vb[c] = 0.0;
     t->slots[slot] = c;
     st[S_COUNT]++;
     return c;
@@ -806,6 +838,8 @@ static void drop(cells *t, long c)
     }
     t->slots[s] = -1;
     m[C_RANK] = -1;
+    m[C_HEAD] = -1;
+    m[C_TAIL] = -1;
     m[C_HELD] = 0;
     t->free_ids[t->state[S_NFREE]++] = c;
     t->state[S_COUNT]--;
@@ -882,17 +916,19 @@ static int live(const cells *t, long k)
 /*
  * Algorithm 2 lines 1-5 for the rows start .. stop - 1 of the arrival
  * table: find or create every covered cell, rows in order, each row's
- * cells in cover order; add the row's weight to c.w (Equation 5) and
- * record the row as the cell's newest (and first pending, if none).
- * Then push one heap entry for each touched cell, in first-touch order,
- * at its final bound.  touched receives the touched ids.  Returns their
- * number.  The caller has reserved room for every new cell and entry.
+ * cells in cover order; add the row's weight to c.w (Equation 5), record
+ * the row as the cell's newest and append the (row, cell) pair to the
+ * cell's pending list.  Then push one heap entry for each touched cell,
+ * in first-touch order, at its final bound.  touched receives the
+ * touched ids.  Returns their number.  The caller has reserved room for
+ * every new cell, link and entry.
  */
 long maxrs_map(const unsigned long *p, const double *rows, const long *cover,
                long base, long start, long stop, long *touched)
 {
     cells t = unpack(p);
-    long stamp = ++t.state[S_STAMP];
+    long *st = t.state;
+    long stamp = ++st[S_STAMP];
     long nt = 0;
     for (long r = start; r < stop; r++) {
         const long *cv = cover + 4 * r;
@@ -907,8 +943,16 @@ long maxrs_map(const unsigned long *p, const double *rows, const long *cover,
                 long *m = t.meta + CF * c;
                 t.cw[c] += w;
                 m[C_NEWEST] = seq;
-                if (m[C_FIRST] < 0)
-                    m[C_FIRST] = seq;
+                long id = st[S_LEND]++;
+                long *l = link_at(&t, id);
+                l[0] = seq;
+                l[1] = -1;
+                t.lw[id - st[S_LBASE]] = w;
+                if (m[C_TAIL] >= 0)
+                    link_at(&t, m[C_TAIL])[1] = id;
+                else
+                    m[C_HEAD] = id;
+                m[C_TAIL] = id;
                 if (m[C_MARK] != stamp) {
                     m[C_MARK] = stamp;
                     touched[nt++] = c;
@@ -924,15 +968,20 @@ long maxrs_map(const unsigned long *p, const double *rows, const long *cover,
 /*
  * Expire the rows head .. stop - 1 (seqs up to expired_upto) from the
  * cells they cover, each cell once, in row order: a cell whose newest
- * row expired is empty and deleted.  held receives every touched cell
- * that holds a graph (deleted ones included: their rank is then -1), so
- * the caller can expire the graph.  Returns their number.
+ * row expired is empty and deleted; any other unlinks its expired pairs
+ * from the front of its pending list and, if there were any, is marked
+ * stale (its c.w still counts their weight).  held receives every
+ * touched cell that holds a graph (deleted ones included: their rank is
+ * then -1), so the caller can expire the graph.  Then the link table's
+ * expired prefix is compacted away once it is half the table.  Returns
+ * the number of held cells.
  */
 long maxrs_purge(const unsigned long *p, const long *cover, long head,
                  long stop, long expired_upto, long *held)
 {
     cells t = unpack(p);
-    long stamp = ++t.state[S_STAMP];
+    long *st = t.state;
+    long stamp = ++st[S_STAMP];
     long n = 0;
     for (long r = head; r < stop; r++) {
         const long *cv = cover + 4 * r;
@@ -948,58 +997,88 @@ long maxrs_purge(const unsigned long *p, const long *cover, long head,
                 m[C_MARK] = stamp;
                 if (m[C_HELD])
                     held[n++] = c;
-                if (m[C_NEWEST] <= expired_upto)
+                if (m[C_NEWEST] <= expired_upto) {
                     drop(&t, c);
+                    continue;
+                }
+                long id = m[C_HEAD];
+                if (id < 0 || link_at(&t, id)[0] > expired_upto)
+                    continue;
+                while (id >= 0 && link_at(&t, id)[0] <= expired_upto)
+                    id = link_at(&t, id)[1];
+                m[C_HEAD] = id;
+                if (id < 0)
+                    m[C_TAIL] = -1;
+                m[C_STALE] = 1;
             }
         }
+    }
+    while (st[S_LLIVE] < st[S_LEND] && link_at(&t, st[S_LLIVE])[0] <= expired_upto)
+        st[S_LLIVE]++;
+    long dead = st[S_LLIVE] - st[S_LBASE], used = st[S_LEND] - st[S_LBASE];
+    if (dead >= COMPACT_MIN && 2 * dead >= used) {
+        memmove(t.links, t.links + 2 * dead, (size_t)(used - dead) * 2 * sizeof(long));
+        memmove(t.lw, t.lw + dead, (size_t)(used - dead) * sizeof(double));
+        st[S_LBASE] = st[S_LLIVE];
     }
     return n;
 }
 
 /*
  * Visit cell c: mark it visited and take its pending set -- the seqs of
- * the live table rows (from seq live on) between its first pending seq
- * and its newest whose cover holds the cell -- into out, in order.
- * Returns their number.
+ * its pending list, in row order -- into out; the list is then empty
+ * and the cell no longer stale.  Returns their number.
  */
-long maxrs_pending(const unsigned long *p, long c, const long *cover,
-                   long base, long live, long *out)
+long maxrs_pending(const unsigned long *p, long c, long *out)
 {
     cells t = unpack(p);
     long *m = t.meta + CF * c;
     m[C_VISIT] = t.state[S_VSTAMP];
-    long first = m[C_FIRST];
-    if (first < 0)
-        return 0;
-    m[C_FIRST] = -1;
-    long i = m[C_I], j = m[C_J], n = 0;
-    /* branch-free: most rows of a long span miss the cell */
-    for (long seq = first > live ? first : live; seq <= m[C_NEWEST]; seq++) {
-        const long *cv = cover + 4 * (seq - base);
-        out[n] = seq;
-        n += (cv[0] <= i) & (i <= cv[1]) & (cv[2] <= j) & (j <= cv[3]);
-    }
+    m[C_STALE] = 0;
+    long n = 0;
+    for (long id = m[C_HEAD]; id >= 0; id = link_at(&t, id)[1])
+        out[n++] = link_at(&t, id)[0];
+    m[C_HEAD] = -1;
+    m[C_TAIL] = -1;
     return n;
 }
 
-/* the cell of the first live heap entry, dropping dead ones; -1 when
- * none is left */
+/*
+ * The cell of the first live heap entry, dropping dead ones; -1 when
+ * none is left.  A stale cell that reaches the root is re-keyed at its
+ * live bound: the root entry takes that bound and, when it is lower,
+ * sinks to its place (the old key is gone, as if popped and pushed).
+ */
 long maxrs_top(const unsigned long *p)
 {
     cells t = unpack(p);
     while (t.state[S_HEAP] > 0) {
-        if (live(&t, 0))
-            return t.hent[1];
-        pop(&t);
+        if (!live(&t, 0)) {
+            pop(&t);
+            continue;
+        }
+        long c = t.hent[1];
+        long *m = t.meta + CF * c;
+        if (!m[C_STALE])
+            return c;
+        double s = live_bound(&t, c);
+        int lower = s < t.cw[c];
+        m[C_STALE] = 0;
+        t.cw[c] = s;
+        t.hcw[0] = s;
+        if (!lower)
+            return c;
+        sift_down(&t, 0, t.state[S_HEAP]);
     }
     return -1;
 }
 
 /*
- * The live cell with the largest bound, ties to the largest (i, j) key:
- * entries tied with the root's bound form a subtree under the root, so
- * only they are read.  -1 when no live entry is left, -2 when out of
- * memory.
+ * The live cell with the largest live bound, ties to the largest (i, j)
+ * key: after maxrs_top the root's bound is the largest, and the entries
+ * tied with it form a subtree under the root, so only they are read (a
+ * stale one counts only if its live bound is the root's).  -1 when no
+ * live entry is left, -2 when out of memory.
  */
 long maxrs_top_bound(const unsigned long *p)
 {
@@ -1022,7 +1101,7 @@ long maxrs_top_bound(const unsigned long *p)
         long c = t.hent[2 * k + 1];
         const long *m = t.meta + CF * c, *b = t.meta + CF * best;
         if ((m[C_I] > b[C_I] || (m[C_I] == b[C_I] && m[C_J] > b[C_J]))
-            && live(&t, k))
+            && live(&t, k) && (!m[C_STALE] || live_bound(&t, c) == bound))
             best = c;
         stack[sp++] = 2 * k + 1;
         stack[sp++] = 2 * k + 2;
@@ -1032,15 +1111,18 @@ long maxrs_top_bound(const unsigned long *p)
 }
 
 /*
- * End of a batch: push the bound of every visited cell, end the visit
- * epoch, and rebuild the heap from the live cells once dead entries
- * outnumber them, so it holds at most twice the live cells.
+ * End of a batch: every visited cell's c.w becomes its last-visit bound
+ * and gets a heap entry; end the visit epoch, and rebuild the heap from
+ * the live cells once dead entries outnumber them, so it holds at most
+ * twice the live cells.
  */
 void maxrs_settle(const unsigned long *p, const long *visited, long n)
 {
     cells t = unpack(p);
-    for (long k = 0; k < n; k++)
+    for (long k = 0; k < n; k++) {
+        t.vb[visited[k]] = t.cw[visited[k]];
         push(&t, visited[k]);
+    }
     long *st = t.state;
     st[S_VSTAMP]++;
     if (st[S_HEAP] > 2 * st[S_COUNT]) {

@@ -26,11 +26,16 @@ Implementation notes (see DESIGN.md §5):
   the expired rows' covers.  A cell's bound, rank and bookkeeping are
   array slots; it gets a Python object (:class:`AG2Cell`, holding its
   :class:`~repro.core.graph.CellGraph`) only on its first visit, and
-  its pending set is not stored but read at visit time: the live table
-  rows from its first pending seq on whose cover holds the cell.  A
-  visited cell connects that whole set in one kernel call.  No
+  its pending set is a list of (row, cell) links in the table, taken
+  whole by a visit, which connects it in one kernel call.  No
   per-arrival object is built besides the stream object the window
   already holds, and no per-cell object for the cells Rule 1 prunes.
+* ``c.w`` follows expiry lazily: purge unlinks an expired row's pending
+  links and marks the cell stale, and a stale cell whose heap entry
+  reaches the root is re-keyed at its live bound — the bound at its
+  last visit plus its live pending weights, added again in row order,
+  never by subtraction — so Rule 1 tests live bounds in the bound
+  order (docs/ALGORITHMS.md §4).
 * ``OverlapComputation`` re-derives ``c.w`` as the maximum bound over
   *all* cell vertices, not only those touched by pending rectangles —
   the literal pseudocode could under-set ``c.w`` when an untouched
@@ -60,7 +65,7 @@ import math
 from array import array
 from typing import Callable, Iterator
 
-from repro.core.cells import C_NEWEST, CF, CellTable
+from repro.core.cells import C_NEWEST, C_STALE, CF, CellTable
 from repro.core.graph import ArrivalTable, CellGraph, Vertex
 from repro.core.grid import CellKey, UniformGrid, default_cell_size
 from repro.core.monitor import MaxRSMonitor
@@ -255,9 +260,13 @@ class AG2Monitor(MaxRSMonitor):
         The arrival table keeps every live row's cell cover, so the
         cells owning expired entries are exactly those covered by the
         expired rows — O(expired × cells-per-rect) per batch instead of
-        a scan over every materialised cell.  Purging only removes
-        weight, so cell bounds remain valid upper bounds without
-        adjustment; a cell whose newest row expired is empty and
+        a scan over every materialised cell.  There the kernel unlinks
+        the expired pending rows and marks their cells stale: purging
+        only removes weight, so a stale ``c.w`` is still an upper bound,
+        and the candidate order re-keys it at its live bound when it
+        reaches the heap root.  A held graph's vertices expire here too;
+        its part of the bound, the last-visit bound, is lowered only by
+        the next visit.  A cell whose newest row expired is empty and
         dropped.
         """
         expired_upto = self._expired_upto
@@ -318,7 +327,7 @@ class AG2Monitor(MaxRSMonitor):
         stats.cells_visited += 1
         graph = cell.graph
         table = self._table
-        pending = self._cells.take_pending(c, table)
+        pending = self._cells.take_pending(c)
         m = len(pending)
         if m:
             # row k of the set is tested against len(graph) + k vertices
@@ -483,16 +492,19 @@ class AG2Monitor(MaxRSMonitor):
     @property
     def pending_count(self) -> int:
         cells = self._cells
-        return sum(len(cells.pending(c, self._table)) for c in cells.ids())
+        return sum(len(cells.pending(c)) for c in cells.ids())
 
     def check_invariants(self) -> None:
         """Verify Property 4's checkable half, the cell table (one hash
         slot per live cell, a live candidate-order entry at its current
-        ``c.w``, free and held ids), the flat cell layout (see
-        :meth:`CellGraph.check_invariants`) on every visited cell, the
-        arrival table, and that each cell's vertices followed by its
-        derived pending set are exactly the live rows whose cover holds
-        it, in order.
+        ``c.w``, free and held ids, the link table), the flat cell
+        layout (see :meth:`CellGraph.check_invariants`) on every visited
+        cell, the arrival table, that each cell's vertices followed by
+        its pending list are exactly the live rows whose cover holds it,
+        in order, with each link carrying its row's weight, and the
+        live bound: a cell's ``c.w`` is its last-visit bound plus its
+        pending weights added in row order, bit for bit, unless the cell
+        is stale, when it is at least that sum.
 
         Raises :class:`InvariantViolationError` on the first violation.
         Intended for tests and debugging; never called on hot paths.
@@ -502,7 +514,7 @@ class AG2Monitor(MaxRSMonitor):
         expired_upto = self._expired_upto
         table.check_invariants(expired_upto)
         cells = self._cells
-        cells.check_invariants()
+        cells.check_invariants(expired_upto)
         # the live rows covering each key, in seq order
         covering: dict[CellKey, list[int]] = {}
         cover = table.cover
@@ -511,6 +523,7 @@ class AG2Monitor(MaxRSMonitor):
             for i in range(i0, i1 + 1):
                 for j in range(j0, j1 + 1):
                     covering.setdefault((i, j), []).append(table.base + r)
+        rows = table.rows
         ids = cells.ids()
         if {cells.key(c) for c in ids} != set(covering):
             raise InvariantViolationError(
@@ -524,7 +537,7 @@ class AG2Monitor(MaxRSMonitor):
                 raise InvariantViolationError(
                     f"cell {key}: its object names cell {cell.key}"
                 )
-            pending = cells.pending(c, table)
+            pending = cells.pending(c)
             seqs = [] if graph is None else list(graph.seqs[graph.head:])
             if seqs + pending != covering[key]:
                 raise InvariantViolationError(
@@ -538,6 +551,27 @@ class AG2Monitor(MaxRSMonitor):
                 raise InvariantViolationError(
                     f"cell {key}: newest seq {newest}, "
                     f"expected {covering[key][-1]}"
+                )
+            weights = cells.pending_weights(c)
+            if [w.hex() for w in weights] != [
+                rows[5 * (seq - table.base) + 4].hex() for seq in pending
+            ]:
+                raise InvariantViolationError(
+                    f"cell {key}: pending link weights {weights} are not "
+                    "their rows' weights"
+                )
+            live = cells.live_bound(c)
+            if cells.meta[CF * c + C_STALE]:
+                if not cells.cw[c] >= live:
+                    raise InvariantViolationError(
+                        f"cell {key}: stale c.w={cells.cw[c]} below its "
+                        f"live bound {live}"
+                    )
+            elif cells.cw[c].hex() != live.hex():
+                raise InvariantViolationError(
+                    f"cell {key}: c.w={cells.cw[c].hex()} is not its "
+                    f"last-visit bound plus its pending weights "
+                    f"{live.hex()}"
                 )
             if graph is None:
                 continue

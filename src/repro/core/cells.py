@@ -6,36 +6,49 @@ mapped to, their bound grows, they expire, and they are never visited.
 So a cell is a row of flat arrays, not a Python object, until its first
 visit.  :class:`CellTable` holds, per cell id:
 
-* ``cw`` — ``array('d')``: the cell bound ``c.w`` (Equations 4–5);
+* ``cw`` — ``array('d')``: the cell bound ``c.w`` (Equations 4–5), the
+  key of the cell's candidate-heap entry;
+* ``vb`` — ``array('d')``: the cell's bound at its last visit (``0.0``
+  before the first), the part of ``c.w`` its graph holds;
 * ``meta`` — ``array('q')``, :data:`CF` ints per cell: its key ``(i,
   j)``; its creation rank (``-1`` once deleted); the seq of the newest
-  row mapped to it; the seq of its first pending row (``-1`` when
-  none; it may have expired since); a dedupe mark for map and purge;
-  the visit epoch it was last visited in; and whether it holds a
-  Python object;
+  row mapped to it; the first and last link of its pending list (``-1``
+  when empty); a dedupe mark for map and purge; the visit epoch it was
+  last visited in; whether it holds a Python object; and whether it is
+  stale;
 * ``objs`` — the cell's :class:`~repro.core.ag2.AG2Cell` (graph and key)
   from its first visit on, else ``None``.
 
-A cell's pending set ``R`` is not stored: it is every live arrival-table
-row from the cell's first pending seq to its newest whose cover holds
-the cell (a visit moves all of them into the graph, and later rows join
-in seq order).  A cell is empty, and deleted, exactly when its newest row has
-expired.  Keys are found through an open-addressing hash (``slots``:
-linear probing, at most half full, backward-shift deletion); deleted
-ids are reused from a free stack.  The candidate order is one lazy heap
-of ``(c.w, rank, id)`` entries (``hcw`` and ``hent``), larger bound and
-then smaller rank first; an entry is live while its cell exists with
-that rank and bound and was not visited in the current epoch.
+A cell's pending set ``R`` — the live rows mapped to it since its last
+visit — is a list threaded through one link table (``links``: ``(seq,
+next link)`` per pair, and ``lw``: the row's weight), appended in row
+order by map, emptied by a visit and unlinked from the front by purge.
+Link ids count every link ever made; the arrays start at id
+``state[S_LBASE]``, and the prefix of links whose rows expired is
+compacted away by the arrival table's rule.  A non-stale cell's ``c.w``
+is its last-visit bound plus its pending weights, added in row order
+(the adds Equation 5 made); purge marks a cell stale when it unlinks an
+expired pair, whose weight ``c.w`` still counts.  A stale cell is
+re-keyed, never by a subtraction, when its heap entry reaches the root
+(:meth:`CellTable.top`): its bound is summed again from the last-visit
+bound and the live pending weights.  A cell is empty, and deleted,
+exactly when its newest row has expired.  Keys are found through an
+open-addressing hash (``slots``: linear probing, at most half full,
+backward-shift deletion); deleted ids are reused from a free stack.  The
+candidate order is one lazy heap of ``(c.w, rank, id)`` entries (``hcw``
+and ``hent``), larger bound and then smaller rank first; an entry is
+live while its cell exists with that rank and bound and was not visited
+in the current epoch.
 
 Each operation is one call into the compiled library (``_sweep.c``:
 ``maxrs_route``, ``maxrs_map``, ``maxrs_purge``, ``maxrs_pending``,
 ``maxrs_top``, ``maxrs_top_bound``, ``maxrs_settle``), which reads and
-writes these same arrays through their addresses.  The Python
-reference of each, which must leave the arrays equal bit for bit, lives
-with the tests (``tests/reference_kernel.py``); the only Python route
-here is :func:`_route_python`, for the batches the kernel declines.
-The arrays only grow from Python, in :meth:`CellTable.reserve`, before
-a call that may need the room.
+writes these same arrays through their addresses.  The Python reference
+of each, which must leave the arrays equal bit for bit, lives with the
+tests (``tests/reference_kernel.py``); the only Python route here is
+:func:`_route_python`, for the batches the kernel declines.  The arrays
+only grow from Python, in :meth:`CellTable.reserve`, before a call that
+may need the room.
 """
 
 from __future__ import annotations
@@ -58,11 +71,19 @@ if TYPE_CHECKING:  # graph imports this module; annotation only
 __all__ = ["CellTable", "route_rows"]
 
 #: ints per cell in ``meta``, and their offsets
-CF = 8
-C_I, C_J, C_RANK, C_NEWEST, C_FIRST, C_MARK, C_VISIT, C_HELD = range(CF)
+CF = 10
+(
+    C_I, C_J, C_RANK, C_NEWEST, C_HEAD, C_TAIL, C_MARK, C_VISIT, C_HELD,
+    C_STALE,
+) = range(CF)
 #: the ``state`` array: live cells, ids ever used, free ids, next rank,
-#: heap entries, map/purge stamp, visit epoch, hash mask
-S_COUNT, S_HWM, S_NFREE, S_RANK, S_HEAP, S_STAMP, S_VSTAMP, S_MASK = range(8)
+#: heap entries, map/purge stamp, visit epoch, hash mask; the link id at
+#: the start of the link arrays, the next link id, and the first link
+#: whose row is live
+(
+    S_COUNT, S_HWM, S_NFREE, S_RANK, S_HEAP, S_STAMP, S_VSTAMP, S_MASK,
+    S_LBASE, S_LEND, S_LLIVE,
+) = range(11)
 
 _M64 = (1 << 64) - 1
 #: cell ids a new table has room for
@@ -167,18 +188,23 @@ class CellTable:
     :meth:`top`, :meth:`top_bound`), then :meth:`settle`."""
 
     __slots__ = (
-        "cw", "meta", "slots", "free", "hcw", "hent", "state", "objs",
-        "scratch", "pend", "cap", "hcap", "addr", "_ptrs",
+        "cw", "vb", "meta", "slots", "free", "hcw", "hent", "state",
+        "links", "lw", "objs", "scratch", "pend", "cap", "hcap", "lcap",
+        "addr", "_ptrs",
     )
 
     def __init__(self) -> None:
         self.cw = array("d")
+        self.vb = array("d")
         self.meta = array("q")
         self.slots = array("q")
         self.free = array("q")
         self.hcw = array("d")
         self.hent = array("q")
-        self.state = array("q", bytes(64))
+        self.state = array("q", bytes(8 * (S_LLIVE + 1)))
+        #: the pending lists: ``(seq, next)`` per link, and its weight
+        self.links = array("q")
+        self.lw = array("d")
         #: the Python object of every cell visited at least once
         self.objs: list[Any] = []
         #: per-call output of map (touched ids) and purge (held ids)
@@ -187,8 +213,10 @@ class CellTable:
         self.pend = array("q")
         self.cap = 0
         self.hcap = 0
+        self.lcap = 0
         self._grow(_MIN_CELLS)
         self._grow_heap(2 * _MIN_CELLS)
+        self._grow_links(2 * _MIN_CELLS)
 
     # -- sizing ------------------------------------------------------------
 
@@ -197,7 +225,7 @@ class CellTable:
         self._ptrs = array("Q", [
             a.buffer_info()[0]
             for a in (self.cw, self.meta, self.slots, self.free, self.hcw,
-                      self.hent, self.state)
+                      self.hent, self.state, self.vb, self.links, self.lw)
         ])
         self.addr = self._ptrs.buffer_info()[0]
 
@@ -207,6 +235,7 @@ class CellTable:
         extra = max(need, 2 * self.cap) - self.cap
         self.cap += extra
         self.cw.frombytes(bytes(8 * extra))
+        self.vb.frombytes(bytes(8 * extra))
         self.meta.frombytes(bytes(8 * CF * extra))
         self.free.frombytes(bytes(8 * extra))
         self.scratch.frombytes(bytes(8 * extra))
@@ -230,15 +259,28 @@ class CellTable:
         self.hent.frombytes(bytes(16 * extra))
         self._address()
 
-    def reserve(self, pairs: int) -> None:
-        """Room for a batch of ``pairs`` (row, cell) pairs: as many new
-        cells and heap entries at most."""
+    def _grow_links(self, need: int) -> None:
+        extra = max(need, 2 * self.lcap) - self.lcap
+        self.lcap += extra
+        self.links.frombytes(bytes(16 * extra))
+        self.lw.frombytes(bytes(8 * extra))
+        self._address()
+
+    def reserve(self, pairs: int, rows: int) -> None:
+        """Room for a batch of ``pairs`` (row, cell) pairs — as many new
+        cells, links and heap entries at most — and for a visit's
+        pending set out of ``rows`` live rows."""
         state = self.state
         need = state[S_HWM] + max(0, pairs - state[S_NFREE])
         if need > self.cap:
             self._grow(need)
         if state[S_HEAP] + pairs > self.hcap:
             self._grow_heap(state[S_HEAP] + pairs)
+        links = state[S_LEND] - state[S_LBASE] + pairs
+        if links > self.lcap:
+            self._grow_links(links)
+        if rows > len(self.pend):
+            self.pend.frombytes(bytes(8 * max(rows, len(self.pend))))
 
     # -- reading -------------------------------------------------------------
 
@@ -281,18 +323,32 @@ class CellTable:
         ids.sort(key=self.rank)
         return [objs[c] for c in ids]
 
-    def pending(self, c: int, table: "ArrivalTable") -> list[int]:
+    def pending(self, c: int) -> list[int]:
         """The seqs of cell ``c``'s pending set, oldest first (no side
         effect; diagnostics and checks)."""
-        base = table.base
-        return _pending_rows(self, c, table.cover, base, base + table.head)
+        links = self.links
+        lbase = self.state[S_LBASE]
+        return [links[2 * (k - lbase)] for k in _chain(self, c)]
+
+    def pending_weights(self, c: int) -> list[float]:
+        """The weights on cell ``c``'s pending links, oldest first (no
+        side effect; checks)."""
+        lw = self.lw
+        lbase = self.state[S_LBASE]
+        return [lw[k - lbase] for k in _chain(self, c)]
+
+    def live_bound(self, c: int) -> float:
+        """Cell ``c``'s live bound: its last-visit bound plus its
+        pending weights, added in row order (no side effect; the sum
+        :meth:`top` re-keys a stale cell with)."""
+        return _live_bound(self, c)
 
     # -- the batch steps -------------------------------------------------
 
     def map(self, table: "ArrivalTable", start: int) -> None:
         """Algorithm 2 lines 1–5 for the table rows from ``start`` on
         (the batch :meth:`ArrivalTable.route` just appended)."""
-        self.reserve(table.pairs)
+        self.reserve(table.pairs, len(table))
         rows = table.rows
         cover = table.cover
         planesweep._KERNEL.map(
@@ -304,52 +360,45 @@ class CellTable:
         self, table: "ArrivalTable", head: int, stop: int, expired_upto: int
     ) -> array:
         """Expire the table rows ``head .. stop - 1`` from their cells
-        (deleting the cells left empty); returns the ids of the touched
-        cells that hold an object, deleted ones included."""
+        (deleting the cells left empty, unlinking the expired pending
+        pairs of the others and marking those stale, compacting the
+        link table); returns the ids of the touched cells that hold an
+        object, deleted ones included."""
         n = planesweep._KERNEL.purge(
             self.addr, table.cover.buffer_info()[0], head, stop,
             expired_upto, self.scratch.buffer_info()[0],
         )
         return self.scratch[:n]
 
-    def take_pending(self, c: int, table: "ArrivalTable") -> array:
+    def take_pending(self, c: int) -> array:
         """Mark cell ``c`` visited and hand over its pending set, an
-        increasing ``array('q')`` of seqs; the set is then empty."""
-        b = CF * c
-        meta = self.meta
-        first = meta[b + C_FIRST]
-        if first < 0:
-            meta[b + C_VISIT] = self.state[S_VSTAMP]
-            return array("q")
-        base = table.base
-        live = base + table.head
+        increasing ``array('q')`` of seqs; the set is then empty and the
+        cell not stale."""
         out = self.pend
-        span = meta[b + C_NEWEST] - max(first, live) + 1
-        if len(out) < span:
-            out.frombytes(bytes(8 * max(span, len(out))))
-        n = planesweep._KERNEL.pending(
-            self.addr, c, table.cover.buffer_info()[0], base, live,
-            out.buffer_info()[0],
-        )
+        n = planesweep._KERNEL.pending(self.addr, c, out.buffer_info()[0])
         return out[:n]
 
     def top(self) -> int:
-        """The unvisited live cell first in ``(c.w desc, rank)`` order,
-        or ``-1``; dead heap entries above it are dropped."""
+        """The unvisited live cell first in ``(live bound desc, rank)``
+        order, or ``-1``: dead heap entries above it are dropped, and a
+        stale cell at the root is re-keyed at its live bound (sinking
+        when that is lower) until the root is a cell whose ``c.w`` is
+        its live bound."""
         return planesweep._KERNEL.top(self.addr)
 
     def top_bound(self) -> int:
-        """The live cell with the largest ``c.w``, ties to the largest
-        key; ``-1`` when none is left."""
+        """The live cell with the largest live bound, ties to the
+        largest key; ``-1`` when none is left."""
         c = planesweep._KERNEL.top_bound(self.addr)
         if c < -1:
             raise MemoryError("cell heap kernel out of memory")
         return c
 
     def settle(self, visited: array) -> None:
-        """End of a batch: push the bound of every visited cell (an
-        ``array('q')`` of ids), end the visit epoch, and rebuild the
-        heap once it holds more than twice the live cells."""
+        """End of a batch: record the bound of every visited cell (an
+        ``array('q')`` of ids) as its last-visit bound and push it, end
+        the visit epoch, and rebuild the heap once it holds more than
+        twice the live cells."""
         state = self.state
         if state[S_HEAP] + len(visited) > self.hcap:
             self._grow_heap(state[S_HEAP] + len(visited))
@@ -371,8 +420,9 @@ class CellTable:
 
     # -- checks ------------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        """Verify the id bookkeeping, the hash and the heap; raises
+    def check_invariants(self, expired_upto: int) -> None:
+        """Verify the id bookkeeping, the hash, the link table (rows up
+        to seq ``expired_upto`` have expired) and the heap; raises
         :class:`InvariantViolationError`.  Between batches only (no cell
         marked visited).  Tests only."""
         state = self.state
@@ -422,6 +472,7 @@ class CellTable:
             raise InvariantViolationError(
                 "cell table: a deleted cell keeps its object"
             )
+        self._check_links(live, expired_upto)
         n = state[S_HEAP]
         for k in range(1, n):
             if _ahead(self, k, (k - 1) // 2):
@@ -438,6 +489,53 @@ class CellTable:
                     f"cell {self.key(c)}: no candidate-order entry for "
                     f"c.w={self.cw[c]}"
                 )
+
+
+    def _check_links(self, live: list[int], expired_upto: int) -> None:
+        """The link table's bookkeeping: no cell or link points outside
+        the uncompacted links, the first live link is the first whose
+        row is newer than ``expired_upto``, and each live cell's list
+        runs forward (row order) from its first link to its last."""
+        state = self.state
+        meta = self.meta
+        lbase, lend, llive = state[S_LBASE], state[S_LEND], state[S_LLIVE]
+        if not lbase <= llive <= lend or lend - lbase > self.lcap:
+            raise InvariantViolationError(
+                f"link table: base {lbase}, live {llive}, end {lend}, "
+                f"room {self.lcap}"
+            )
+        links = self.links
+        first_live = next(
+            (k for k in range(lbase, lend)
+             if links[2 * (k - lbase)] > expired_upto),
+            lend,
+        )
+        if llive != first_live:
+            raise InvariantViolationError(
+                f"link table: first live link {llive}, expected {first_live}"
+            )
+        for c in live:
+            b = CF * c
+            head, tail = meta[b + C_HEAD], meta[b + C_TAIL]
+            if meta[b + C_STALE] not in (0, 1) or (head < 0) != (tail < 0):
+                raise InvariantViolationError(
+                    f"cell {self.key(c)}: pending list ends {head}, {tail}"
+                    f" or stale mark {meta[b + C_STALE]}"
+                )
+            k = head
+            while k >= 0:
+                if not lbase <= k < lend:
+                    raise InvariantViolationError(
+                        f"cell {self.key(c)}: link {k} outside the link "
+                        f"table [{lbase}, {lend})"
+                    )
+                nxt = links[2 * (k - lbase) + 1]
+                if nxt < 0 and k != tail or 0 <= nxt <= k:
+                    raise InvariantViolationError(
+                        f"cell {self.key(c)}: pending list breaks at "
+                        f"link {k} (next {nxt}, last {tail})"
+                    )
+                k = nxt
 
 
 # -- lookups for find, pending and the checks ----------------------------------
@@ -464,21 +562,24 @@ def _ahead(t: CellTable, a: int, b: int) -> bool:
     return x > y or (x == y and t.hent[2 * a] < t.hent[2 * b])
 
 
-def _pending_rows(
-    t: CellTable, c: int, cover: array, base: int, live: int
-) -> list[int]:
-    """The seqs of cell ``c``'s pending rows that are live (from seq
-    ``live`` on), in order."""
-    meta = t.meta
-    b = CF * c
-    first = meta[b + C_FIRST]
-    if first < 0:
-        return []
-    i = meta[b + C_I]
-    j = meta[b + C_J]
-    seqs = []
-    for seq in range(max(first, live), meta[b + C_NEWEST] + 1):
-        k = 4 * (seq - base)
-        if cover[k] <= i <= cover[k + 1] and cover[k + 2] <= j <= cover[k + 3]:
-            seqs.append(seq)
-    return seqs
+def _chain(t: CellTable, c: int) -> list[int]:
+    """The link ids of cell ``c``'s pending list, in order."""
+    links = t.links
+    lbase = t.state[S_LBASE]
+    ids = []
+    k = t.meta[CF * c + C_HEAD]
+    while k >= 0:
+        ids.append(k)
+        k = links[2 * (k - lbase) + 1]
+    return ids
+
+
+def _live_bound(t: CellTable, c: int) -> float:
+    """``maxrs_top``'s re-key sum: cell ``c``'s last-visit bound plus
+    its pending weights, in row order."""
+    lw = t.lw
+    lbase = t.state[S_LBASE]
+    s = t.vb[c]
+    for k in _chain(t, c):
+        s += lw[k - lbase]
+    return s

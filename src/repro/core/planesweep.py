@@ -226,7 +226,7 @@ def _open(path: Path) -> _Kernel:
     kernel.map.restype = long_
     kernel.purge.argtypes = (ptr, ptr, long_, long_, long_, ptr)
     kernel.purge.restype = long_
-    kernel.pending.argtypes = (ptr, long_, ptr, long_, long_, ptr)
+    kernel.pending.argtypes = (ptr, long_, ptr)
     kernel.pending.restype = long_
     kernel.top.argtypes = (ptr,)
     kernel.top.restype = long_

@@ -246,8 +246,8 @@ class AdaptiveMonitor:
         self.probe_every = max(0, int(probe_every))
         self.latency_model = latency_model
         self._rung = 0
-        # the aG2 lineage's counters, in every rung: each rebuilt aG2
-        # takes this object over, so counts never move backwards
+        # the counters of every rung: each rebuilt aG2 and the sampler
+        # count into this one object, so counts never move backwards
         self.stats = MonitorStats()
         self._ag2 = self._make_ag2(0.0)
         self._ag2_stale = False
@@ -259,6 +259,7 @@ class AdaptiveMonitor:
             epsilon=SAMPLING_EPSILON,
             seed=seed,
         )
+        self._sampler.stats = self.stats
         self._last = MaxRSResult()
         self._updates = 0
         self._backlog = 0

@@ -2,9 +2,12 @@
 (``repro.core.cells``) replaced, kept as test oracles.
 
 Each live cell is a :class:`DictCell` in a ``Dict[CellKey, DictCell]``
-with its pending set as an ``array('q')`` of seqs, its bound ``cw`` and
-creation rank; the candidate order is a lazy heap of ``(-c.w, rank,
-key)`` tuples.  Algorithm 4 takes the same two paths as the production
+with its pending set as an ``array('q')`` of seqs, its bound ``cw``, its
+bound at the last visit ``vb``, a stale mark and creation rank; the
+candidate order is a lazy heap of ``(-c.w, rank, key)`` tuples, where a
+stale cell that reaches the top is re-keyed at its live bound (``vb``
+plus its pending weights, added in row order), as the flat table's
+``maxrs_top`` does.  Algorithm 4 takes the same two paths as the production
 monitor (one sweep of a dense cell, or a local sweep per surviving
 vertex), by the same rule.  Answers (to the bit) and every
 ``MonitorStats`` field must equal the production monitors' on every
@@ -16,7 +19,7 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_right
-from heapq import heapify, heappop, heappush
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import Callable, Dict, Iterator
 
 from repro.core.ag2 import _CELL_SWEEP_MIN
@@ -38,7 +41,7 @@ _Candidates = Dict[int, tuple[float, Vertex, CellKey]]
 class DictCell:
     """One aG2 cell: graph + pending set ``R`` + cell bound ``c.w``."""
 
-    __slots__ = ("graph", "pending", "cw", "rank")
+    __slots__ = ("graph", "pending", "cw", "vb", "stale", "rank")
 
     def __init__(self) -> None:
         # allocated by the cell's first _overlap_computation: in a
@@ -48,6 +51,10 @@ class DictCell:
         # in arrival order (rows of the monitor's arrival table)
         self.pending = array("q")
         self.cw = 0.0
+        # c.w at the last visit; c.w is vb plus the pending weights
+        # unless stale (an expired pending row's weight still counted)
+        self.vb = 0.0
+        self.stale = False
         # creation order within the owning monitor; mirrors the cell
         # dict's insertion order so heap-based candidate ordering
         # breaks c.w ties exactly like a stable sort over the dict did,
@@ -180,22 +187,47 @@ class DictAG2Monitor(MaxRSMonitor):
             and key not in self._visited
         )
 
+    def _live_bound(self, cell: DictCell) -> float:
+        """The cell's last-visit bound plus its pending weights, in row
+        order."""
+        rows = self._table.rows
+        base = self._table.base
+        s = cell.vb
+        for seq in cell.pending:
+            s += rows[5 * (seq - base) + 4]
+        return s
+
+    def _rekey(self, cell: DictCell) -> bool:
+        """Re-key a stale cell at its live bound; True when that is
+        lower than its ``c.w``."""
+        s = self._live_bound(cell)
+        lower = s < cell.cw
+        cell.cw = s
+        cell.stale = False
+        return lower
+
     def _candidates(self) -> Iterator[tuple[CellKey, DictCell]]:
-        """Unvisited cells in decreasing ``(c.w, -rank)`` order — the
-        order a stable sort over the cell dict gives.
+        """Unvisited cells in decreasing ``(live bound, -rank)`` order —
+        the order a stable sort over the cell dict by live bound gives.
 
         Yields the top live entry without popping it; the caller either
         visits the cell (killing the entry, which the next step pops) or
-        stops, leaving the entry in place.  Dead entries are dropped.
+        stops, leaving the entry in place.  Dead entries are dropped; a
+        stale cell on top is re-keyed, its entry replaced when the
+        bound drops.
         """
         order = self._order
         cells = self._cells
         while order:
             entry = order[0]
-            if self._live(entry):
-                yield entry[2], cells[entry[2]]
-            else:
+            if not self._live(entry):
                 heappop(order)
+                continue
+            cell = cells[entry[2]]
+            if cell.stale and self._rekey(cell):
+                heapreplace(order, (-cell.cw, entry[1], entry[2]))
+                continue
+            yield entry[2], cell
 
     def _settle_order(self) -> None:
         """Push the bound of every cell visited this batch, then rebuild
@@ -205,6 +237,7 @@ class DictAG2Monitor(MaxRSMonitor):
         cells = self._cells
         for key in self._visited:
             cell = cells[key]
+            cell.vb = cell.cw
             heappush(order, (-cell.cw, cell.rank, key))
         self._visited.clear()
         if len(order) > 2 * len(cells):
@@ -251,8 +284,8 @@ class DictAG2Monitor(MaxRSMonitor):
         cells owning expired entries are exactly those covered by the
         expired rows — O(expired × cells-per-rect) per batch instead of
         a scan over every materialised cell.  Purging only removes
-        weight, so cell bounds remain valid upper bounds without
-        adjustment; empty cells are dropped.
+        weight, so a cell that loses pending rows keeps a valid upper
+        bound and is marked stale; empty cells are dropped.
         """
         expired_upto = self._expired_upto
         if self._star is not None and self._star.seq <= expired_upto:
@@ -272,6 +305,7 @@ class DictAG2Monitor(MaxRSMonitor):
             pending = cell.pending
             if pending and pending[0] <= expired_upto:
                 del pending[:bisect_right(pending, expired_upto)]
+                cell.stale = True
             graph = cell.graph
             removed = 0 if graph is None else graph.expire_upto(expired_upto)
             if not pending and not graph:
@@ -297,11 +331,13 @@ class DictAG2Monitor(MaxRSMonitor):
         return self._top_bound_cell()
 
     def _top_bound_cell(self) -> CellKey:
-        """The live cell with the largest ``c.w``; ties go to the largest
-        key, as ``max((c.w, key))`` over the cell dict would pick.
+        """The live cell with the largest live bound; ties go to the
+        largest key, as ``max((live bound, key))`` over the cell dict
+        would pick.
 
         Entries tied with the root's bound form a subtree under the
-        root, so only they are read.  Requires a live cell.
+        root, so only they are read (a stale one counts only if its live
+        bound is the root's).  Requires a live cell.
         """
         top_key, _cell = next(self._candidates())
         order = self._order
@@ -310,8 +346,14 @@ class DictAG2Monitor(MaxRSMonitor):
         while stack:
             i = stack.pop()
             if i < len(order) and order[i][0] == neg_cw:
-                if order[i][2] > top_key and self._live(order[i]):
-                    top_key = order[i][2]
+                key = order[i][2]
+                cell = self._cells.get(key)
+                if (
+                    key > top_key
+                    and self._live(order[i])
+                    and (not cell.stale or self._live_bound(cell) == -neg_cw)
+                ):
+                    top_key = key
                 stack += (2 * i + 1, 2 * i + 2)
         return top_key
 
@@ -340,6 +382,7 @@ class DictAG2Monitor(MaxRSMonitor):
             stats.overlap_tests += m * len(graph) + m * (m - 1) // 2
             stats.edges_touched += graph.connect(self._table, pending)
             del pending[:]
+        cell.stale = False
         cell.cw = graph.max_upper()
         stats.upper_bound_recomputes += 1
 

@@ -8,7 +8,8 @@ differentials compare them on ``float.hex`` of every number.  The max
 sweep and the top-k candidates run on :class:`MaxCoverSegmentTree`
 (``tests/segment_tree.py``), borrowed from a small pool; the graph
 cells' scans on the same flat items; the aG2 cell table's map, purge,
-visit, candidate heap and settle on the table's own arrays.
+visit, candidate heap and settle on the table's own arrays, pending
+lists and the lazy re-key of a stale cell's bound included.
 
 :func:`use_reference` (with a ``MonkeyPatch``) and
 :func:`reference_kernel` (a context manager) replace every binding of a
@@ -31,10 +32,12 @@ import pytest
 
 from repro.core import cells, planesweep
 from repro.core.cells import (
-    C_FIRST, C_HELD, C_I, C_J, C_MARK, C_NEWEST, C_RANK, C_VISIT, CF,
-    S_COUNT, S_HEAP, S_HWM, S_MASK, S_NFREE, S_RANK, S_STAMP, S_VSTAMP,
-    CellTable, _ahead, _find, _home, _pending_rows,
+    C_HEAD, C_HELD, C_I, C_J, C_MARK, C_NEWEST, C_RANK, C_STALE, C_TAIL,
+    C_VISIT, CF, S_COUNT, S_HEAP, S_HWM, S_LBASE, S_LEND, S_LLIVE, S_MASK,
+    S_NFREE, S_RANK, S_STAMP, S_VSTAMP, CellTable, _ahead, _chain, _find,
+    _home, _live_bound,
 )
+from repro.core.graph import _COMPACT_MIN
 from segment_tree import MaxCoverSegmentTree
 
 _REMOVE = 0
@@ -346,9 +349,12 @@ def _create(t: CellTable, slot: int, i: int, j: int) -> int:
         c = state[S_HWM]
         state[S_HWM] += 1
     b = CF * c
-    t.meta[b:b + CF] = array("q", (i, j, state[S_RANK], -1, -1, 0, -1, 0))
+    t.meta[b:b + CF] = array(
+        "q", (i, j, state[S_RANK], -1, -1, -1, 0, -1, 0, 0)
+    )
     state[S_RANK] += 1
     t.cw[c] = 0.0
+    t.vb[c] = 0.0
     t.slots[slot] = c
     state[S_COUNT] += 1
     return c
@@ -377,6 +383,8 @@ def _drop(t: CellTable, c: int) -> None:
             s = j
     slots[s] = -1
     meta[b + C_RANK] = -1
+    meta[b + C_HEAD] = -1
+    meta[b + C_TAIL] = -1
     meta[b + C_HELD] = 0
     t.free[state[S_NFREE]] = c
     state[S_NFREE] += 1
@@ -444,14 +452,17 @@ def map_rows(
     t: CellTable, rows: array, cover: array, base: int, start: int, stop: int
 ) -> int:
     """``maxrs_map``: find or create every covered cell, rows in order;
-    grow its bound by the row's weight (Equation 5) and make the row its
-    newest (and first pending, if none); then push one heap entry per
-    touched cell, in first-touch order, at its final bound."""
+    grow its bound by the row's weight (Equation 5), make the row its
+    newest and append the (row, cell) pair to its pending list; then
+    push one heap entry per touched cell, in first-touch order, at its
+    final bound."""
     state = t.state
     state[S_STAMP] += 1
     stamp = state[S_STAMP]
     meta = t.meta
     cw = t.cw
+    links = t.links
+    lbase = state[S_LBASE]
     touched = t.scratch
     nt = 0
     for r in range(start, stop):
@@ -466,8 +477,16 @@ def map_rows(
                 b = CF * c
                 cw[c] += w
                 meta[b + C_NEWEST] = seq
-                if meta[b + C_FIRST] < 0:
-                    meta[b + C_FIRST] = seq
+                k = state[S_LEND]
+                state[S_LEND] += 1
+                links[2 * (k - lbase)] = seq
+                links[2 * (k - lbase) + 1] = -1
+                t.lw[k - lbase] = w
+                if meta[b + C_TAIL] >= 0:
+                    links[2 * (meta[b + C_TAIL] - lbase) + 1] = k
+                else:
+                    meta[b + C_HEAD] = k
+                meta[b + C_TAIL] = k
                 if meta[b + C_MARK] != stamp:
                     meta[b + C_MARK] = stamp
                     touched[nt] = c
@@ -482,11 +501,15 @@ def purge_rows(
 ) -> int:
     """``maxrs_purge``: each cell covered by an expired row, once, in
     row order — reported when it holds an object, deleted when its
-    newest row expired."""
+    newest row expired, else stripped of its expired pending links
+    (and then stale); then the link table's expired prefix is compacted
+    away once it is half the table."""
     state = t.state
     state[S_STAMP] += 1
     stamp = state[S_STAMP]
     meta = t.meta
+    links = t.links
+    lbase = state[S_LBASE]
     held = t.scratch
     n = 0
     for r in range(head, stop):
@@ -505,23 +528,58 @@ def purge_rows(
                     n += 1
                 if meta[b + C_NEWEST] <= expired_upto:
                     _drop(t, c)
+                    continue
+                k = meta[b + C_HEAD]
+                if k < 0 or links[2 * (k - lbase)] > expired_upto:
+                    continue
+                while k >= 0 and links[2 * (k - lbase)] <= expired_upto:
+                    k = links[2 * (k - lbase) + 1]
+                meta[b + C_HEAD] = k
+                if k < 0:
+                    meta[b + C_TAIL] = -1
+                meta[b + C_STALE] = 1
+    end = state[S_LEND]
+    while (
+        state[S_LLIVE] < end
+        and links[2 * (state[S_LLIVE] - lbase)] <= expired_upto
+    ):
+        state[S_LLIVE] += 1
+    dead = state[S_LLIVE] - lbase
+    used = end - lbase
+    if dead >= _COMPACT_MIN and 2 * dead >= used:
+        links[:2 * (used - dead)] = links[2 * dead:2 * used]
+        t.lw[:used - dead] = t.lw[dead:used]
+        state[S_LBASE] = state[S_LLIVE]
     return n
 
 
 def top(t: CellTable) -> int:
     """``maxrs_top``: the cell of the first live heap entry, dropping
-    dead ones; ``-1`` when none is left."""
+    dead ones; ``-1`` when none is left.  A stale cell at the root is
+    re-keyed at its live bound, and sinks when that is lower."""
     state = t.state
     while state[S_HEAP] > 0:
-        if _live(t, 0):
-            return t.hent[1]
-        _pop(t)
+        if not _live(t, 0):
+            _pop(t)
+            continue
+        c = t.hent[1]
+        b = CF * c
+        if not t.meta[b + C_STALE]:
+            return c
+        s = _live_bound(t, c)
+        lower = s < t.cw[c]
+        t.meta[b + C_STALE] = 0
+        t.cw[c] = t.hcw[0] = s
+        if not lower:
+            return c
+        _sift_down(t, 0, state[S_HEAP])
     return -1
 
 
 def top_bound(t: CellTable) -> int:
     """``maxrs_top_bound``: entries tied with the root's bound form a
-    subtree under the root, so only they are read."""
+    subtree under the root, so only they are read; a stale one counts
+    only if its live bound is the root's."""
     best = top(t)
     if best < 0:
         return best
@@ -534,19 +592,23 @@ def top_bound(t: CellTable) -> int:
         if k >= n or t.hcw[k] != bound:
             continue
         c = t.hent[2 * k + 1]
-        if (meta[CF * c + C_I], meta[CF * c + C_J]) > (
-            meta[CF * best + C_I], meta[CF * best + C_J]
-        ) and _live(t, k):
+        if (
+            (meta[CF * c + C_I], meta[CF * c + C_J])
+            > (meta[CF * best + C_I], meta[CF * best + C_J])
+            and _live(t, k)
+            and (not meta[CF * c + C_STALE] or _live_bound(t, c) == bound)
+        ):
             best = c
         stack += (2 * k + 1, 2 * k + 2)
     return best
 
 
 def settle(t: CellTable, visited: array) -> None:
-    """``maxrs_settle``: push the bound of every visited cell, end the
-    visit epoch, and rebuild the heap from the live cells once dead
-    entries outnumber them."""
+    """``maxrs_settle``: record the bound of every visited cell as its
+    last-visit bound and push it, end the visit epoch, and rebuild the
+    heap from the live cells once dead entries outnumber them."""
     for c in visited:
+        t.vb[c] = t.cw[c]
         _push(t, c)
     state = t.state
     state[S_VSTAMP] += 1
@@ -569,7 +631,7 @@ def settle(t: CellTable, visited: array) -> None:
 
 
 def _table_map(self: CellTable, table, start: int) -> None:
-    self.reserve(table.pairs)
+    self.reserve(table.pairs, len(table))
     map_rows(self, table.rows, table.cover, table.base, start, len(table.objs))
 
 
@@ -577,15 +639,17 @@ def _table_purge(self: CellTable, table, head: int, stop: int, upto: int):
     return self.scratch[:purge_rows(self, table.cover, head, stop, upto)]
 
 
-def _table_take_pending(self: CellTable, c: int, table) -> array:
-    """``maxrs_pending``: mark the cell visited and hand over its
-    pending seqs."""
+def _table_take_pending(self: CellTable, c: int) -> array:
+    """``maxrs_pending``: mark the cell visited, hand over its pending
+    seqs and empty its list; the cell is no longer stale."""
     b = CF * c
-    self.meta[b + C_VISIT] = self.state[S_VSTAMP]
-    base = table.base
-    seqs = _pending_rows(self, c, table.cover, base, base + table.head)
-    self.meta[b + C_FIRST] = -1
-    return array("q", seqs)
+    meta = self.meta
+    meta[b + C_VISIT] = self.state[S_VSTAMP]
+    meta[b + C_STALE] = 0
+    lbase = self.state[S_LBASE]
+    seqs = array("q", [self.links[2 * (k - lbase)] for k in _chain(self, c)])
+    meta[b + C_HEAD] = meta[b + C_TAIL] = -1
+    return seqs
 
 
 def _table_settle(self: CellTable, visited: array) -> None:

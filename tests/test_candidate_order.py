@@ -2,11 +2,14 @@
 replaced.
 
 aG2 and top-k keep one lazy heap of ``(c.w, rank, id)`` entries across
-batches, in the flat cell table.  The reference monitors below keep the
+batches, in the flat cell table, and re-key a stale cell at its live
+bound when it reaches the root.  The reference monitors below keep the
 earlier loops, which ranked every live cell on every tick, over the
-dict-per-cell monitors of ``dict_cells``; answers (to the bit) and every
-``MonitorStats`` field must agree on every tick, and the heap must stay
-within twice the live cell count.
+dict-per-cell monitors of ``dict_cells``; their per-tick heap re-keys a
+stale cell the same way when it comes to the top, so the bound order is
+the live-bound order.  Answers (to the bit) and every ``MonitorStats``
+field must agree on every tick, and the heap must stay within twice the
+live cell count.
 """
 
 from __future__ import annotations
@@ -29,10 +32,37 @@ from repro.errors import InvariantViolationError
 from repro.window import CountWindow, TimeWindow
 
 
+def _pop_live(m, heap):
+    """The top of a per-tick heap of ``(-c.w, rank, key)``, after
+    re-keying every stale cell that comes to the top (popped)."""
+    while True:
+        _neg_cw, rank, key = heap[0]
+        cell = m._cells[key]
+        if cell.stale and m._rekey(cell):
+            heapq.heapreplace(heap, (-cell.cw, rank, key))
+            continue
+        return heapq.heappop(heap)[2]
+
+
+def _start_by_bound(m):
+    """The live cell with the largest live bound, ties to the largest
+    key — after re-keying the stale cells that rank above it, as the
+    flat table's search for it does."""
+    cells = m._cells
+    heap = [(-cell.cw, cell.rank, key) for key, cell in cells.items()]
+    heapq.heapify(heap)
+    _pop_live(m, heap)
+    return max((m._live_bound(cell), key) for key, cell in cells.items())[1]
+
+
 class _RebuildAG2(DictAG2Monitor):
     """aG2 with the per-tick heap over every live cell."""
 
     def _on_delta(self, delta):
+        self._pass(delta)
+        self._settle_order()  # the visited cells' last-visit bounds
+
+    def _pass(self, delta):
         self._expired_upto += len(delta.expired)
         self._map_arrivals(delta)
         self._order.clear()  # unused here; keep it from growing
@@ -41,7 +71,7 @@ class _RebuildAG2(DictAG2Monitor):
             self._clear_star()
             return
         start_key = self._pick_start_cell()
-        self._overlap_computation(self._cells[start_key])
+        self._visit(start_key, self._cells[start_key])
         self._exact_weight_computation(start_key)
         if self.visit_order == "bound":
             heap = [
@@ -51,12 +81,12 @@ class _RebuildAG2(DictAG2Monitor):
             ]
             heapq.heapify(heap)
             while heap:
-                _neg_cw, _rank, key = heapq.heappop(heap)
+                key = _pop_live(self, heap)
                 cell = self._cells[key]
                 if not self._may_beat(cell.cw):
                     self.stats.cells_pruned += len(heap) + 1
                     break
-                self._overlap_computation(cell)
+                self._visit(key, cell)
                 if self._may_beat(cell.cw):
                     self._exact_weight_computation(key)
                 else:
@@ -67,7 +97,7 @@ class _RebuildAG2(DictAG2Monitor):
             if not self._may_beat(cell.cw):
                 self.stats.cells_pruned += 1
                 continue
-            self._overlap_computation(cell)
+            self._visit(key, cell)
             if self._may_beat(cell.cw):
                 self._exact_weight_computation(key)
             else:
@@ -76,13 +106,17 @@ class _RebuildAG2(DictAG2Monitor):
     def _pick_start_cell(self):
         if self._star_cell is not None and self._star_cell in self._cells:
             return self._star_cell
-        return max((cell.cw, key) for key, cell in self._cells.items())[1]
+        return _start_by_bound(self)
 
 
 class _RebuildTopK(DictTopKMonitor):
     """Top-k with the per-tick sort over every live cell."""
 
     def _on_delta(self, delta):
+        self._pass(delta)
+        self._settle_order()  # the visited cells' last-visit bounds
+
+    def _pass(self, delta):
         self._expired_upto += len(delta.expired)
         self._map_arrivals(delta)
         self._order.clear()
@@ -101,22 +135,22 @@ class _RebuildTopK(DictTopKMonitor):
             )
         }
         if not priority:
-            priority = {
-                max(self._cells, key=lambda key: (self._cells[key].cw, key))
-            }
+            priority = {_start_by_bound(self)}
         for key in priority:
-            self._overlap_computation(self._cells[key])
+            self._visit(key, self._cells[key])
             rho = self._exact_topk(key, rho, candidates)
-        order = sorted(
-            (key for key in self._cells if key not in priority),
-            key=lambda key: -self._cells[key].cw,
-        )
-        for pos, key in enumerate(order):
+        order = [
+            (-cell.cw, cell.rank, key)
+            for key, cell in self._cells.items() if key not in priority
+        ]
+        heapq.heapify(order)
+        while order:
+            key = _pop_live(self, order)
             cell = self._cells[key]
             if not cell.cw > rho:
-                self.stats.cells_pruned += len(order) - pos
+                self.stats.cells_pruned += len(order) + 1
                 break
-            self._overlap_computation(cell)
+            self._visit(key, cell)
             if cell.cw > rho:
                 rho = self._exact_topk(key, rho, candidates)
             else:

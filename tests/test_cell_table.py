@@ -3,7 +3,8 @@ references (``tests/reference_kernel.py``).
 
 Two monitors, one on the compiled kernel and one on the reference,
 take the same random interleaving of map, purge and visit steps; after
-every step their cell tables (every array, bit for bit), arrival tables
+every step their cell tables (every array, bit for bit: bounds,
+last-visit bounds, pending links and stale marks), arrival tables
 and visited cells' graphs must be equal, and ``check_invariants`` must
 hold on both.  Keys are drawn mostly from two hash buckets shared by
 every table size up to 256 slots, so probe chains are long, and
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from reference_kernel import reference_kernel, use_reference
 from repro.core.ag2 import AG2Monitor
 from repro.core.cells import (
-    CF, S_HEAP, S_HWM, S_NFREE, CellTable, _home,
+    CF, S_HEAP, S_HWM, S_LBASE, S_LEND, S_NFREE, CellTable, _home,
 )
 from repro.core.objects import SpatialObject
 from repro.window import CountWindow
@@ -66,9 +67,12 @@ def _state(m: AG2Monitor):
             obj.graph.head)
         for c, obj in enumerate(t.objs) if obj is not None
     }
+    links = st_[S_LEND] - st_[S_LBASE]
     return (
-        list(st_), t.cap, t.hcap,
+        list(st_), t.cap, t.hcap, t.lcap,
         [v.hex() for v in t.cw[:st_[S_HWM]]],
+        [v.hex() for v in t.vb[:st_[S_HWM]]],
+        list(t.links[:2 * links]), [v.hex() for v in t.lw[:links]],
         list(t.meta[:CF * st_[S_HWM]]), list(t.slots),
         list(t.free[:st_[S_NFREE]]),
         [v.hex() for v in t.hcw[:st_[S_HEAP]]],
@@ -127,7 +131,7 @@ def test_entry_points_equal_their_python_twins(ops):
                         if ids else {}
                     pending = []
                     for c in chosen:
-                        pending.append(m._cells.pending(c, m._table))
+                        pending.append(m._cells.pending(c))
                         m._visit(c)
                     m._settle_order()
                     answers[kernel] = pending

@@ -2,16 +2,19 @@
 replaced.
 
 A batch is routed in one pass into the monitor's ``ArrivalTable``, its
-cells are mapped in the flat cell table, a cell's pending set is read
-from the table rows at visit time, purging reads the expired rows' cell
-covers, and a visited cell connects its whole pending set in one
-``CellGraph.connect`` call.  The reference monitors below keep the
-earlier path over the dict-per-cell monitors of ``dict_cells``:
-``dual_rect`` + ``UniformGrid.cell_keys`` per arrival, a ``deque`` of
-``(seq, WeightedRect)`` pending pairs, a ``(seq, key)`` expiry log and
-one ``connect`` per rectangle.  Answers (to the bit), every
-``MonitorStats`` field, every cell and vertex bound and every cell's
-pending seqs must agree on every tick.
+cells are mapped in the flat cell table, a cell's pending set is a list
+of links there, purging reads the expired rows' cell covers (unlinking
+expired pending rows and marking their cells stale), and a visited cell
+connects its whole pending set in one ``CellGraph.connect`` call.  The
+reference monitors below keep the earlier path over the dict-per-cell
+monitors of ``dict_cells``: ``dual_rect`` + ``UniformGrid.cell_keys``
+per arrival, a ``deque`` of ``(seq, WeightedRect)`` pending pairs, a
+``(seq, key)`` expiry log and one ``connect`` per rectangle; a stale
+cell is re-keyed at its live bound (last-visit bound plus the pending
+weights in arrival order) when it tops the candidate heap, as in the
+flat table.  Answers (to the bit), every ``MonitorStats`` field, every
+cell and vertex bound and every cell's pending seqs must agree on every
+tick.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from conftest import connect_rect
 from dict_cells import DictAG2Monitor, DictTopKMonitor
 from reference_kernel import use_reference
 from repro.core.ag2 import AG2Cell, AG2Monitor
-from repro.core.cells import C_FIRST, C_NEWEST, CF
+from repro.core.cells import C_HEAD, C_TAIL, CF, S_LBASE, S_LEND
 from repro.core.g2 import G2Monitor, _G2Cell
 from repro.core.graph import ArrivalTable, CellGraph
 from repro.core.grid import UniformGrid
@@ -89,6 +92,8 @@ class _PerRectArrivals:
             graph = cell.graph
             removed = 0 if graph is None else graph.expire_upto(expired_upto)
             pending = cell.pending
+            if pending and pending[0][0] <= expired_upto:
+                cell.stale = True
             while pending and pending[0][0] <= expired_upto:
                 pending.popleft()
             if not pending and not graph:
@@ -105,8 +110,15 @@ class _PerRectArrivals:
             stats.overlap_tests += len(cell.graph)
             stats.edges_touched += connect_rect(cell.graph, wr, seq)
         cell.pending.clear()
+        cell.stale = False
         cell.cw = cell.graph.max_upper()
         stats.upper_bound_recomputes += 1
+
+    def _live_bound(self, cell):
+        s = cell.vb
+        for _seq, wr in cell.pending:
+            s += wr.weight
+        return s
 
 
 class _PerRectAG2(_PerRectArrivals, DictAG2Monitor):
@@ -170,7 +182,7 @@ def _hex_bounds(monitor):
             (
                 t.key(c), t.cw[c],
                 None if t.objs[c] is None else t.objs[c].graph,
-                t.pending(c, monitor._table),
+                t.pending(c),
             )
             for c in t.by_rank()
         ]
@@ -370,8 +382,10 @@ class TestInvariants:
             type("D", (), {"arrived": [SpatialObject(x=1.0, y=1.0)]})()
         )
         cells = m._cells
-        c = next(c for c in cells.ids() if cells.pending(c, m._table))
-        cells.meta[CF * c + C_NEWEST] = m._expired_upto
+        # the cell of the newest link: that link now names an expired row
+        last = cells.state[S_LEND] - 1
+        c = next(c for c in cells.ids() if cells.meta[CF * c + C_TAIL] == last)
+        cells.links[2 * (last - cells.state[S_LBASE])] = m._expired_upto
         with pytest.raises(InvariantViolationError, match="pending seq"):
             m.check_invariants()
 
@@ -385,7 +399,15 @@ class TestInvariants:
             if cells.objs[c] is not None and cells.objs[c].graph
         )
         graph = cells.objs[c].graph
-        cells.meta[CF * c + C_FIRST] = graph.seqs[graph.head]
+        # a one-link pending list holding the cell's oldest vertex's row
+        cells.reserve(1, 0)
+        state = cells.state
+        k = state[S_LEND]
+        state[S_LEND] += 1
+        at = k - state[S_LBASE]
+        cells.links[2 * at:2 * at + 2] = array("q", [graph.seqs[graph.head], -1])
+        cells.lw[at] = 1.0
+        cells.meta[CF * c + C_HEAD] = cells.meta[CF * c + C_TAIL] = k
         with pytest.raises(InvariantViolationError, match="pending seq"):
             m.check_invariants()
 

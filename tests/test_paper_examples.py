@@ -143,7 +143,7 @@ def test_example_5_2_equation_5_cell_bound_arithmetic():
     )
     assert cells.ids() == [c]
     assert cells.cw[c] == pytest.approx(settled_cw + 3.0)
-    assert len(cells.pending(c, monitor._table)) == 3
+    assert len(cells.pending(c)) == 3
     # ...and a full update settles every bound back to Property 4 form
     monitor.update([])
     monitor.check_invariants()

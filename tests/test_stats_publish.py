@@ -131,3 +131,26 @@ def test_ladder_stats_never_move_backwards():
     assert adaptive.stats is lineage
     assert adaptive._ag2.stats is lineage
     assert engine.collect_report().batches == len(modes) == 12
+
+
+def test_sampling_rung_counts_in_the_ladder_stats():
+    """The sampling rung counts into the ladder's one ``MonitorStats``:
+    its sweeps show in ``ladder.stats``, and it keeps no counter of its
+    own."""
+    adaptive = AdaptiveMonitor(
+        20.0,
+        20.0,
+        CountWindow(120),
+        budget_ms=10.0,
+        seed=3,
+        latency_model=lambda rung, batch: 0.0,
+    )
+    assert adaptive._sampler.stats is adaptive.stats
+    adaptive._transition(adaptive.sampling_rung, "test")
+    adaptive.note_pressure(5)  # a backlog holds the rung
+    for seed in (1, 2):
+        result = adaptive.update(make_objects(10, seed=seed, start_t=float(seed)))
+        assert result.mode == "sampling"
+    assert adaptive.stats.full_sweeps == 2
+    assert adaptive.stats.updates == 2
+    assert adaptive.stats.objects_seen == 20
