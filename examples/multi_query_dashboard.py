@@ -9,10 +9,11 @@ One city-wide GPS stream feeds three continuous MaxRS queries at once
 * ``block``     — which 500m block is hottest right now?
 * ``top3``      — the three busiest distinct blocks (top-k).
 
+One :class:`StreamEngine` fans every batch out to the three monitors.
 A :class:`ResultRecorder` turns the block query into an alert feed
-(only report when the hotspot actually moves), and the monitor state is
-snapshotted to JSON and restored — simulating a process restart without
-losing the window.
+(only report when the hotspot actually moves), and the block query is
+checkpointed to disk and the engine rebuilt from the checkpoint —
+simulating a process restart without losing the window.
 
 Run:  python examples/multi_query_dashboard.py
 """
@@ -20,11 +21,13 @@ Run:  python examples/multi_query_dashboard.py
 import tempfile
 from pathlib import Path
 
-from repro import AG2Monitor, CountWindow, TopKAG2Monitor, load_json, save_json
-from repro.engine import MultiQueryGroup, ResultRecorder
+from repro import AG2Monitor, CountWindow, TopKAG2Monitor
+from repro.engine import ResultRecorder, StreamEngine
+from repro.resilience import CheckpointManager
 from repro.streams import Hotspot, HotspotMixtureStream, batches
 
 CITY = 30_000.0
+BATCH = 100
 
 STREAM = HotspotMixtureStream(
     hotspots=[
@@ -39,10 +42,12 @@ STREAM = HotspotMixtureStream(
 
 
 def main() -> None:
-    group = MultiQueryGroup()
-    group.add("district", AG2Monitor(5000.0, 5000.0, CountWindow(2000)))
-    group.add("block", AG2Monitor(500.0, 500.0, CountWindow(2000)))
-    group.add("top3", TopKAG2Monitor(500.0, 500.0, CountWindow(2000), k=3))
+    monitors = {
+        "district": AG2Monitor(5000.0, 5000.0, CountWindow(2000)),
+        "block": AG2Monitor(500.0, 500.0, CountWindow(2000)),
+        "top3": TopKAG2Monitor(500.0, 500.0, CountWindow(2000), k=3),
+    }
+    engine = StreamEngine(monitors, [], BATCH)
 
     alerts = ResultRecorder(move_threshold=1000.0, weight_threshold=0.5)
     def announce(change) -> None:
@@ -61,8 +66,8 @@ def main() -> None:
 
     alerts.on_change(announce)
 
-    for tick, batch in enumerate(batches(STREAM, 100)):
-        results = group.update(batch)
+    for tick, batch in enumerate(batches(STREAM, BATCH)):
+        results = engine.process(batch)
         alerts.record(results["block"])
         if tick % 10 == 0:
             district = results["district"].best
@@ -73,12 +78,14 @@ def main() -> None:
                 + ", ".join(f"{r.weight:,.0f}" for r in blocks)
             )
         if tick == 20:
-            # simulate a restart: persist the block query, drop it, restore
-            path = Path(tempfile.gettempdir()) / "block_query.json"
-            save_json(group.monitor("block"), path)
-            group.remove("block")
-            group.add("block", load_json(path))
-            print(f"  (block query snapshotted to {path} and restored)")
+            # simulate a restart: checkpoint the block query, drop the
+            # engine, rebuild it with the block query read back from disk
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "block.ckpt.json"
+                CheckpointManager(monitors["block"], path).checkpoint()
+                monitors["block"], _ = CheckpointManager.load(path)
+            engine = StreamEngine(monitors, [], BATCH)
+            print("  (block query checkpointed and the engine rebuilt from it)")
         if tick >= 40:
             break
 

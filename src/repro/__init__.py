@@ -50,9 +50,9 @@ from repro.errors import (
     ReproError,
     WindowOrderError,
 )
-from repro.engine import MultiQueryGroup, ResultChange, ResultRecorder
+from repro.engine import ResultChange, ResultRecorder
 from repro.obs import NULL_METRICS, Metrics
-from repro.persist import load_json, restore, save_json, snapshot
+from repro.persist import restore, snapshot
 from repro.window import CountWindow, SlidingWindow, TimeWindow, WindowUpdate
 
 __version__ = "1.0.0"
@@ -71,7 +71,6 @@ __all__ = [
     "MaxRSResult",
     "Metrics",
     "MonitorStats",
-    "MultiQueryGroup",
     "NULL_METRICS",
     "NaiveMonitor",
     "RTree",
@@ -90,12 +89,10 @@ __all__ = [
     "WeightedRect",
     "WindowOrderError",
     "WindowUpdate",
-    "load_json",
     "plane_sweep_max",
     "plane_sweep_topk",
     "practical_error",
     "restore",
-    "save_json",
     "snapshot",
     "__version__",
 ]

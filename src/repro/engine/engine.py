@@ -1,75 +1,44 @@
 """Continuous-query engine: push assembled batches through monitors.
 
-:class:`StreamEngine` applies each batch a driver hands it to every
-attached monitor and times each ``update`` call.  The driver owns the
-upstream (ingest guard, backpressure queue, fault injectors) and calls
+:class:`StreamEngine` is the library's one fan-out over monitors: it
+applies each batch a driver hands it to every attached monitor and
+times each ``update`` call.  Several continuous queries over one
+stream (paper §8) are several named monitors on one engine — different
+rectangle sizes, windows, tolerances or k — and all of them observe
+identical batches.  The driver owns the upstream (ingest guard,
+backpressure queue, fault injectors) and calls
 :meth:`StreamEngine.process` once per assembled batch: the soak harness
 and the end-to-end benchmark both compose guard → queue → ``process``
 themselves, with an optional write-ahead log and checkpoint manager
-attached to the engine.  Several monitors can be attached to one
-engine; they all observe identical batches.
+attached to the engine.
 
 The engine keeps no counters of the monitors' work: each monitor counts
 in its :class:`~repro.core.monitor.MonitorStats` (``monitor.stats``),
 and the layers around the monitors count in plain attributes of their
-own.  The engine counts the ``ENOSPC`` recoveries of its journal path
-in :attr:`StreamEngine.enospc_recoveries`.  Timed measurement runs
-(the bench, the paper experiments, ``profile``) go through
-:func:`repro.bench.measure`, not through the engine.
+own.  The engine's own are :attr:`StreamEngine.batches`,
+:attr:`StreamEngine.timings` (one :class:`TimingStats` per monitor) and
+:attr:`StreamEngine.enospc_recoveries`.  A crash drops the engine; a
+driver that recovers builds a new one over the recovered monitors.
+Timed measurement runs (the bench, the paper experiments, ``profile``)
+go through :func:`repro.bench.measure`, not through the engine.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Sequence
 
 from repro.core.monitor import MaxRSMonitor
 from repro.core.objects import SpatialObject
 from repro.core.spaces import MaxRSResult
 from repro.engine.stats import TimingStats
-from repro.errors import DiskFullError, InvalidParameterError, ReproError
+from repro.errors import DiskFullError, InvalidParameterError
 
 if TYPE_CHECKING:  # resilience/durability import engine back; keep runtime lazy
     from repro.durability.wal import WriteAheadLog
     from repro.resilience.checkpoint import CheckpointManager
 
-__all__ = ["StreamEngine", "EngineReport"]
-
-
-@dataclass
-class EngineReport:
-    """Outcome of one :meth:`StreamEngine.process` session, per monitor."""
-
-    batches: int
-    timings: Dict[str, TimingStats]
-    final_results: Dict[str, MaxRSResult]
-
-    def _stats(self, name: str) -> TimingStats:
-        stats = self.timings.get(name)
-        if stats is None:
-            attached = ", ".join(sorted(self.timings)) or "<none>"
-            raise InvalidParameterError(
-                f"unknown monitor {name!r}; report covers: {attached}"
-            )
-        return stats
-
-    def mean_ms(self, name: str) -> float:
-        return self._stats(name).mean_ms
-
-    def p95_ms(self, name: str) -> float:
-        return self._stats(name).percentile(95.0) * 1000.0
-
-    def table(self) -> str:
-        """A small human-readable summary table."""
-        lines = [f"{'monitor':<16}{'mean ms':>10}{'median ms':>12}{'p95 ms':>10}"]
-        for name, stats in self.timings.items():
-            s = stats.summary()
-            lines.append(
-                f"{name:<16}{s['mean_ms']:>10.3f}"
-                f"{s['median_ms']:>12.3f}{s['p95_ms']:>10.3f}"
-            )
-        return "\n".join(lines)
+__all__ = ["StreamEngine"]
 
 
 class StreamEngine:
@@ -118,95 +87,40 @@ class StreamEngine:
         self.batch_size = batch_size
         self.checkpoint = checkpoint
         self.wal = wal
+        self.batches = 0  # batches applied
+        # wall time of every monitor.update, per monitor
+        self.timings = {name: TimingStats() for name in self.monitors}
         self.enospc_recoveries = 0  # ENOSPC appends absorbed inline
-        self._session: "_RunState | None" = None
-        self._torn_down = False
 
     def process(
         self, batch: Sequence[SpatialObject]
     ) -> Dict[str, MaxRSResult]:
-        """Apply one externally assembled batch to every monitor.
+        """Apply one externally assembled batch to every monitor and
+        return each monitor's answer, by name.
 
-        The caller owns the upstream (guard, backpressure queue, fault
-        injectors) and hands the engine fully formed batches one at a
-        time.  Batches accumulate into a persistent session — timings
-        and checkpoint positions — which :meth:`collect_report` closes
-        out.
+        The order is WAL append → every ``update`` (timed) →
+        checkpoint, then WAL sync and compaction when the checkpoint
+        was written.
         """
-        if self._torn_down:
-            raise ReproError(
-                "engine has been torn down; restore() monitors before "
-                "processing further batches"
-            )
         if not batch:
             raise InvalidParameterError("process() needs a non-empty batch")
-        if self._session is None:
-            self._session = _RunState(self)
-        self._session.apply(list(batch))
-        return dict(self._session.final)
-
-    def collect_report(self) -> EngineReport:
-        """Close the current :meth:`process` session and report on it."""
-        session = self._session
-        if session is None:
-            raise ReproError("no process() session to report on")
-        self._session = None
-        return EngineReport(
-            batches=session.batches,
-            timings=session.timings,
-            final_results=session.final,
-        )
-
-    def teardown(self) -> None:
-        """Simulate a compute-tier crash: drop monitors and session.
-
-        Everything downstream of the ingest boundary dies — the
-        monitors (and their in-memory indexes) are discarded and the
-        open session is abandoned.  The attached checkpoint manager
-        and any upstream state (guard, queue) survive, exactly as a
-        separate ingest process would across a worker crash.  The
-        engine refuses further :meth:`process` calls until
-        :meth:`restore` rebinds monitors.
-        """
-        self._session = None
-        self.monitors = {}
-        self._torn_down = True
-
-    def restore(self, monitors: Dict[str, MaxRSMonitor]) -> None:
-        """Rebind recovered monitors after :meth:`teardown`."""
-        if not monitors:
-            raise InvalidParameterError("at least one monitor is required")
-        self.monitors = dict(monitors)
-        self._torn_down = False
-
-
-class _RunState:
-    """Per-batch bookkeeping of a :meth:`StreamEngine.process` session:
-    the WAL → update → checkpoint sequence and the update timings."""
-
-    def __init__(self, engine: StreamEngine) -> None:
-        self.engine = engine
-        self.timings = {name: TimingStats() for name in engine.monitors}
-        self.final: Dict[str, MaxRSResult] = {}
-        self.batches = 0
-
-    def apply(self, batch: list[SpatialObject]) -> None:
-        engine = self.engine
-        if engine.wal is not None:
+        batch = list(batch)
+        if self.wal is not None:
             self._journal(batch)
         self.batches += 1
-        for name, monitor in engine.monitors.items():
+        results: Dict[str, MaxRSResult] = {}
+        for name, monitor in self.monitors.items():
             start = time.perf_counter()
-            result = monitor.update(batch)
+            results[name] = monitor.update(batch)
             self.timings[name].record(time.perf_counter() - start)
-            self.final[name] = result
-        if engine.checkpoint is not None:
-            wrote = engine.checkpoint.note_batch()
-            if wrote and engine.wal is not None:
+        if self.checkpoint is not None:
+            wrote = self.checkpoint.note_batch()
+            if wrote and self.wal is not None:
                 # the checkpoint is durable; seal the WAL up to here and
                 # drop segments no retained checkpoint can still need
-                engine.wal.sync()
-                engine.wal.compact(engine.checkpoint.retention_floor)
+                self.wal.sync()
+                self.wal.compact(self.checkpoint.retention_floor)
+        return results
 
     def _journal(self, batch: list[SpatialObject]) -> None:
         """Append-before-apply: the batch is on disk before any monitor
@@ -214,13 +128,12 @@ class _RunState:
         record.  ``ENOSPC`` runs the documented recovery action inline:
         take a checkpoint, compact the segments it covers, retry once.
         """
-        engine = self.engine
         try:
-            engine.wal.append_batch(batch)
+            self.wal.append_batch(batch)
         except DiskFullError:
-            if engine.checkpoint is None:
+            if self.checkpoint is None:
                 raise
-            engine.checkpoint.checkpoint()
-            engine.wal.compact(engine.checkpoint.retention_floor)
-            engine.enospc_recoveries += 1
-            engine.wal.append_batch(batch)
+            self.checkpoint.checkpoint()
+            self.wal.compact(self.checkpoint.retention_floor)
+            self.enospc_recoveries += 1
+            self.wal.append_batch(batch)

@@ -10,7 +10,7 @@ arranges them by cost:
 
 :class:`DeadlineController` decides *when* to move: it tracks the
 per-update latency EWMA — the same wall time the engine records per
-update in ``EngineReport.timings`` — against a user latency budget, with
+update in ``StreamEngine.timings`` — against a user latency budget, with
 hysteresis (separate high/low watermarks, consecutive-sample counters,
 a minimum residency before stepping back down) so one slow batch does
 not cause mode flapping.  A single catastrophic sample (``PANIC_FACTOR``
@@ -196,7 +196,7 @@ class AdaptiveMonitor:
     """Monitor-shaped degradation ladder under a latency budget.
 
     Drop-in wherever the library consumes a :class:`MaxRSMonitor`
-    structurally (``StreamEngine``, ``MultiQueryGroup``): it exposes
+    structurally (``StreamEngine``): it exposes
     ``update`` / ``ingest`` / ``result`` / ``window`` / ``stats``.
     Internally it serves from the cheapest rung that currently meets
     the latency budget and annotates every answer with the guarantee
@@ -344,7 +344,7 @@ class AdaptiveMonitor:
         """Push one arrival batch through the current rung.
 
         The update is timed internally (the same quantity the engine
-        records in ``EngineReport.timings``), the latency sample drives
+        records in ``StreamEngine.timings``), the latency sample drives
         the controller, and the answer carries the producing rung's
         contract.  The controller steers *after* the answer exists, so
         a move it makes applies from the next update on: the rung

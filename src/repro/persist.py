@@ -7,7 +7,10 @@ monitor and bulk-loads the objects through :meth:`ingest`, which
 reconstructs the index deterministically (the indexes are pure
 functions of the arrival sequence), then resumes the window's tick so
 later answers continue the original tick sequence.  This JSON is the
-library's one state format, which checkpoints write to disk.
+library's one state format, and this module never touches a file:
+:class:`~repro.resilience.checkpoint.CheckpointManager` is the one
+writer (and reader) of monitor state on disk, with a CRC, rotated
+history and typed ``OSError`` mapping.
 
 Only data is persisted — never code or derived index structures — so
 snapshots are portable across library versions that keep the object
@@ -31,18 +34,11 @@ still restored, never written.
 
 Example::
 
-    snap = snapshot(monitor)
-    json.dump(snap, open("state.json", "w"))
-    ...
-    monitor = restore(json.load(open("state.json")))
+    clone = restore(snapshot(monitor))
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from pathlib import Path
 from typing import Any
 
 from repro.core.ag2 import AG2Monitor
@@ -58,14 +54,7 @@ from repro.core.topk import TopKAG2Monitor
 from repro.errors import InvalidParameterError, SnapshotError
 from repro.window import CountWindow, SlidingWindow, TimeWindow
 
-__all__ = [
-    "snapshot",
-    "restore",
-    "save_json",
-    "load_json",
-    "atomic_write_json",
-    "read_json",
-]
+__all__ = ["snapshot", "restore"]
 
 #: the format :func:`snapshot` writes; :func:`restore` also reads 1
 _FORMAT_VERSION = 2
@@ -204,53 +193,3 @@ def restore(state: dict[str, Any]) -> MaxRSMonitor:
     if tick is not None:
         monitor.window.resume_at(tick)
     return monitor
-
-
-def atomic_write_json(path: str | Path, document: Any) -> None:
-    """Serialise ``document`` to ``path`` atomically.
-
-    The JSON is written to a temporary file in the same directory,
-    flushed and fsynced, then moved into place with :func:`os.replace`
-    — readers (and crash recovery) see either the old complete file or
-    the new complete file, never a truncated intermediate.
-    """
-    target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=target.parent or Path("."), prefix=target.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(document))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, target)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def read_json(path: str | Path) -> Any:
-    """Load a JSON document, mapping corruption to :class:`SnapshotError`."""
-    file = Path(path)
-    if not file.exists():
-        raise InvalidParameterError(f"no such snapshot file: {file}")
-    try:
-        with file.open() as fh:
-            return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SnapshotError(
-            f"snapshot file {file} is truncated or not valid JSON: {exc}"
-        ) from exc
-
-
-def save_json(monitor: MaxRSMonitor, path: str | Path) -> None:
-    """Snapshot a monitor straight to a JSON file (atomically)."""
-    atomic_write_json(path, snapshot(monitor))
-
-
-def load_json(path: str | Path) -> MaxRSMonitor:
-    """Restore a monitor from a JSON snapshot file."""
-    return restore(read_json(path))

@@ -90,6 +90,22 @@ def _written_crc(path: str | Path) -> int | None:
     return None if cut < 0 else zlib.crc32(raw[:cut]) & 0xFFFFFFFF
 
 
+def _read_document(path: str | Path) -> Any:
+    """Parse one checkpoint file, mapping corruption to
+    :class:`SnapshotError` and a missing file to
+    :class:`InvalidParameterError`."""
+    file = Path(path)
+    if not file.exists():
+        raise InvalidParameterError(f"no such checkpoint file: {file}")
+    try:
+        with file.open() as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise SnapshotError(
+            f"checkpoint file {file} is truncated or not valid JSON: {exc}"
+        ) from exc
+
+
 def _payload_crc(batch_index: int, state: Any) -> int:
     """The format-1 checksum: CRC32 over the canonical JSON form of the
     checkpoint payload.
@@ -245,7 +261,7 @@ class CheckpointManager:
         found: list[int] = []
         for candidate in self._candidates():
             try:
-                document = persist.read_json(candidate)
+                document = _read_document(candidate)
                 found.append(int(document["batch_index"]))
             except (SnapshotError, InvalidParameterError, KeyError,
                     TypeError, ValueError):
@@ -274,14 +290,14 @@ class CheckpointManager:
         Truncated files, non-JSON content, unknown format versions and
         missing fields all raise a :class:`~repro.errors.ReproError`
         subclass (:class:`SnapshotError` / ``InvalidParameterError``),
-        never a bare ``KeyError``/``JSONDecodeError``.  When the
-        envelope carries a ``crc32`` and ``verify_checksum`` is on,
-        silent payload corruption raises
-        :class:`~repro.errors.CheckpointChecksumError`; checksum-less
-        checkpoints from older versions still load, and so do format-1
-        files, whose checksum covers a canonical re-encoding.
+        never a bare ``KeyError``/``JSONDecodeError``.  When
+        ``verify_checksum`` is on, silent payload corruption raises
+        :class:`~repro.errors.CheckpointChecksumError`, and so does a
+        format-2 file without its ``crc32`` field.  Format-1 files
+        still load: their checksum covers a canonical re-encoding, and
+        one without a ``crc32`` loads unverified.
         """
-        document = persist.read_json(path)
+        document = _read_document(path)
         if not isinstance(document, dict):
             raise SnapshotError(f"checkpoint {path} is not a JSON object")
         fmt = document.get("format")
@@ -294,12 +310,14 @@ class CheckpointManager:
             raise SnapshotError(f"checkpoint {path} is missing fields")
         batch_index = int(document["batch_index"])
         stored_crc = document.get("crc32")
-        if verify_checksum and stored_crc is not None:
+        # only format 1 may lack a checksum; every format-2 file is
+        # written with one, so a missing field is damage
+        if verify_checksum and (stored_crc is not None or fmt != 1):
             if fmt == 1:
                 actual = _payload_crc(batch_index, document["state"])
             else:
                 actual = _written_crc(path)
-            if actual != int(stored_crc):
+            if stored_crc is None or actual != int(stored_crc):
                 raise CheckpointChecksumError(
                     f"checkpoint {path} failed its checksum: stored "
                     f"crc32 {stored_crc}, payload hashes to {actual}"

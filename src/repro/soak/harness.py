@@ -48,7 +48,7 @@ from repro.durability.recovery import reconcile, scan_wal
 from repro.durability.wal import WriteAheadLog
 from repro.engine.engine import StreamEngine
 from repro.engine.stats import TimingStats
-from repro.errors import InvalidParameterError, ReproError, SnapshotError
+from repro.errors import InvalidParameterError, SnapshotError
 from repro.overload.backpressure import BackpressureQueue
 from repro.overload.controller import EPSILONS, AdaptiveMonitor
 from repro.resilience.chaos import FaultInjectingSource
@@ -347,7 +347,10 @@ class _SoakRun:
         self.queue = BackpressureQueue(
             scn.capacity, policy=scn.shed_policy, max_batch=scn.max_batch
         )
+        # engine counts banked across incarnations (a crash drops the
+        # engine; recovery builds a new one over the recovered ladder)
         self.update_times = TimingStats()
+        self.enospc_recovered = 0
         self.adaptive = self._make_adaptive()
         self.manager = CheckpointManager(
             self.adaptive,
@@ -355,13 +358,7 @@ class _SoakRun:
             every=scn.checkpoint_every,
             keep=scn.checkpoint_keep,
         )
-        self.engine = StreamEngine(
-            {_MONITOR: self.adaptive},
-            iter(()),  # externally driven: the engine never pulls
-            batch_size=scn.rate,
-            checkpoint=self.manager,
-            wal=self.wal,
-        )
+        self.engine = self._make_engine()
         self.invariants = InvariantMonitor(
             guard=self.guard,
             queue=self.queue,
@@ -419,6 +416,15 @@ class _SoakRun:
             seed=self.seed,
             probe_every=scn.probe_every,
             latency_model=self._latency_model,
+        )
+
+    def _make_engine(self) -> StreamEngine:
+        return StreamEngine(
+            {_MONITOR: self.adaptive},
+            [],  # externally driven: the engine never pulls
+            batch_size=self.scenario.rate,
+            checkpoint=self.manager,
+            wal=self.wal,
         )
 
     def _prime(self) -> None:
@@ -559,13 +565,14 @@ class _SoakRun:
         incarnations, as real corruption lands), and the rebuilt
         monitor is fed only from disk: checkpointed window contents,
         then the reconciled batch tail, then the spill back into the
-        queue.  The non-replayable source makes any deviation from that
-        contract a violation.
+        queue.  The engine is dropped with the tier; a new one is built
+        over the recovered ladder, the surviving checkpoint manager and
+        the reopened log.  The non-replayable source makes any deviation
+        from that contract a violation.
         """
         self.crashes += 1
         self._bank_ladder(self.adaptive)
-        self._bank_update_times()
-        self.engine.teardown()
+        self._bank_engine(self.engine)  # the engine dies with the tier
         self.queue.spill(wal=self.wal)  # journalled, then dies with the tier
         self._bank_wal(self.wal)
         self.wal.close()
@@ -602,7 +609,6 @@ class _SoakRun:
             self.adaptive.update(objects)
         self.replayed += len(tail.batches)
         self.wal.note_recovered(scan.last_index)
-        self.engine.wal = self.wal
         self.spill_restored += self.queue.restore_spilled(tail.spill)
         if scan.last_index != self.applied:
             self.invariants._violate(
@@ -612,7 +618,7 @@ class _SoakRun:
                 f"{self.applied} batches actually applied",
             )
         self.manager.resume(self.adaptive, self.applied)
-        self.engine.restore({_MONITOR: self.adaptive})
+        self.engine = self._make_engine()
         delta = self.source.reads - reads_before
         if delta:
             self.recovery_source_reads += delta
@@ -642,14 +648,9 @@ class _SoakRun:
         )
         self.rebuilds += monitor.rebuilds
 
-    def _bank_update_times(self) -> None:
-        """Keep the ladder's per-update wall times across incarnations:
-        a teardown drops the engine session that records them."""
-        try:
-            report = self.engine.collect_report()
-        except ReproError:  # nothing applied since the last restore
-            return
-        self.update_times.samples.extend(report.timings[_MONITOR].samples)
+    def _bank_engine(self, engine: StreamEngine) -> None:
+        self.update_times.samples.extend(engine.timings[_MONITOR].samples)
+        self.enospc_recovered += engine.enospc_recoveries
 
     def _check_latency_budget(self) -> float | None:
         """Wall-clock p95 against a calibrated budget; modeled-latency
@@ -695,7 +696,7 @@ class _SoakRun:
                 require_exact_mode=False,
             )
             self._bank_ladder(self.adaptive)
-            self._bank_update_times()
+            self._bank_engine(self.engine)
             p95_ms = self._check_latency_budget()
             self._bank_wal(self.wal)
             return self._report(p95_ms)
@@ -751,7 +752,7 @@ class _SoakRun:
             wal_segments_compacted=self.wal_compacted,
             wal_spill_restored=self.spill_restored,
             enospc_injected=self.enospc_injected,
-            enospc_recovered=self.engine.enospc_recoveries,
+            enospc_recovered=self.enospc_recovered,
             recovery_source_reads=self.recovery_source_reads,
             budget_ms=self.budget_ms,
             calibrated=self.calibrated,

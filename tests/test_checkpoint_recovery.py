@@ -82,38 +82,38 @@ def covered_oids(monitor) -> set[int]:
 
 
 class TestAtomicPersistence:
-    def test_save_json_leaves_no_temp_files(self, tmp_path):
+    def test_checkpoint_leaves_no_temp_files(self, tmp_path):
         monitor = FACTORIES["ag2"]()
         monitor.update(make_objects(20, seed=1, domain=80.0))
         target = tmp_path / "snap.json"
-        persist.save_json(monitor, target)
-        assert target.exists()
+        assert CheckpointManager(monitor, target).checkpoint() == target
         assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
 
-    def test_save_json_overwrites_atomically(self, tmp_path):
+    def test_checkpoint_overwrites_atomically(self, tmp_path):
         monitor = FACTORIES["naive"]()
         target = tmp_path / "snap.json"
+        manager = CheckpointManager(monitor, target, keep=0)
         monitor.update(make_objects(5, seed=2, domain=80.0, start_t=0.0))
-        persist.save_json(monitor, target)
+        manager.checkpoint()
         monitor.update(make_objects(5, seed=3, domain=80.0, start_t=10.0))
-        persist.save_json(monitor, target)
-        restored = persist.load_json(target)
-        assert len(restored.window) == len(monitor.window)
+        manager.checkpoint()
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.json"]
+        restored, _ = CheckpointManager.load(target)
+        assert restored.window.contents == monitor.window.contents
 
     def test_truncated_json_raises_snapshot_error(self, tmp_path):
         monitor = FACTORIES["naive"]()
         monitor.update(make_objects(5, seed=4, domain=80.0))
-        target = tmp_path / "snap.json"
-        persist.save_json(monitor, target)
+        target = CheckpointManager(monitor, tmp_path / "snap.json").checkpoint()
         target.write_text(target.read_text()[:40])  # torn write
         with pytest.raises(SnapshotError):
-            persist.load_json(target)
+            CheckpointManager.load(target)
 
     def test_not_json_raises_snapshot_error(self, tmp_path):
         target = tmp_path / "snap.json"
         target.write_text("this is not json{{{")
         with pytest.raises(SnapshotError):
-            persist.load_json(target)
+            CheckpointManager.load(target)
 
     def test_missing_fields_raise_repro_error(self):
         with pytest.raises(ReproError):
@@ -202,13 +202,6 @@ class TestCheckpointManager:
         assert index == 3
         assert persist.snapshot(restored) == json.loads(json.dumps(state))
         assert restored.refresh().regions == monitor.result.regions
-
-    def test_atomic_write_json_is_one_dumps(self, tmp_path):
-        document = {"b": [1.5, -0.0, 1e-300], "a": {"n": None, "s": "é"}}
-        target = tmp_path / "doc.json"
-        persist.atomic_write_json(target, document)
-        assert target.read_text() == json.dumps(document)
-        assert persist.read_json(target) == document
 
     def test_ladder_checkpoints_its_window(self, tmp_path):
         # the ladder nominates a naive view of its one window: the
@@ -368,12 +361,29 @@ class TestChecksum:
         assert len(restored.window) == 3 * BATCH
 
     def test_checksum_less_legacy_checkpoint_still_loads(self, tmp_path):
-        _, path = self._checkpointed(tmp_path)
-        document = json.loads(path.read_text())
+        # only format 1 predates the mandatory checksum
+        document = json.loads(TestFormat1.FIXTURE.read_text())
         del document["crc32"]
+        path = tmp_path / "ckpt.json"
         path.write_text(json.dumps(document))
         _, index = CheckpointManager.load(path)
+        assert index == 2
+
+    def test_format_2_without_checksum_is_refused(self, tmp_path):
+        # every format-2 file is written with its crc32, so one without
+        # it is damaged: recovery falls back past it and counts it
+        _, path = self._checkpointed(tmp_path, keep=2)
+        raw = path.read_bytes()
+        path.write_bytes(raw[: raw.rindex(b', "crc32": ')] + b"}")
+        assert "crc32" not in json.loads(path.read_text())
+        with pytest.raises(CheckpointChecksumError, match="checksum"):
+            CheckpointManager.load(path)
+        _, index = CheckpointManager.load(path, verify_checksum=False)
         assert index == 3
+        manager = CheckpointManager(None, path)
+        _, index = manager.recover()
+        assert index == 2
+        assert manager.fallbacks == manager.checksum_failures == 1
 
     def test_recover_skips_tampered_latest_with_metrics(self, tmp_path):
         _, path = self._checkpointed(tmp_path, keep=2)
@@ -498,7 +508,7 @@ class TestTornWrite:
             raise OSError("simulated crash at the replace boundary")
 
         monitor.update(stream_batches(2)[1])
-        monkeypatch.setattr(persist.os, "replace", explode)
+        monkeypatch.setattr(_os, "replace", explode)
         with pytest.raises(DurableWriteError):
             manager.note_batch()
         monkeypatch.undo()

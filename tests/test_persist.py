@@ -14,7 +14,8 @@ from repro.core.monitor import MaxRSMonitor
 from repro.core.naive import NaiveMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import InvalidParameterError, SnapshotError
-from repro.persist import load_json, restore, save_json, snapshot
+from repro.persist import restore, snapshot
+from repro.resilience.checkpoint import CheckpointManager
 from repro.window import CountWindow, TimeWindow, WindowUpdate
 
 
@@ -208,11 +209,14 @@ class TestSnapshotRestore:
 
 
 class TestJsonFiles:
+    """State on disk goes through the checkpoint manager, the one
+    writer and reader of snapshot files."""
+
     def test_save_and_load(self, tmp_path):
         path = tmp_path / "state.json"
         monitor = primed(AG2Monitor(10, 10, CountWindow(20)))
-        save_json(monitor, path)
-        clone = load_json(path)
+        CheckpointManager(monitor, path).checkpoint()
+        clone, _ = CheckpointManager.load(path)
         batch = make_objects(3, seed=5, domain=60.0)
         assert clone.update(batch).best_weight == pytest.approx(
             monitor.update(batch).best_weight
@@ -220,4 +224,4 @@ class TestJsonFiles:
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(InvalidParameterError):
-            load_json(tmp_path / "missing.json")
+            CheckpointManager.load(tmp_path / "missing.json")

@@ -10,8 +10,9 @@ The headline guarantees under test:
 * a bit-flipped checkpoint fails the campaign when checksum
   verification is disabled and passes (via rotation fallback) when it
   is enabled;
-* the externally driven engine session (process/teardown/restore)
-  behaves like a crash of the compute tier only.
+* the externally driven engine counts in plain attributes, and a crash
+  drops it with the compute tier: the harness banks its update times
+  and ENOSPC recoveries across incarnations.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import pytest
 from conftest import make_objects
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject
-from repro.errors import InvalidParameterError, ReproError
+from repro.errors import InvalidParameterError
 from repro.overload import AdaptiveMonitor, BackpressureQueue
 from repro.resilience import IngestGuard
 from repro.resilience.checkpoint import CheckpointManager
@@ -41,6 +42,7 @@ from repro.soak import (
     list_scenarios,
     run_soak,
 )
+from repro.soak.harness import _SoakRun
 from repro.window import CountWindow
 
 
@@ -422,29 +424,13 @@ class TestEngineSession:
         for batch in batches:
             results = engine.process(batch)
         assert results["m"].window_size == 30
-        report = engine.collect_report()
-        assert report.batches == 3
-        with pytest.raises(ReproError, match="no process"):
-            engine.collect_report()
+        assert engine.batches == 3
+        assert len(engine.timings["m"]) == 3
 
     def test_process_rejects_empty_batches(self):
         engine, _ = self._engine()
         with pytest.raises(InvalidParameterError, match="non-empty"):
             engine.process([])
-
-    def test_teardown_blocks_processing_until_restore(self):
-        engine, monitor = self._engine()
-        engine.process(make_objects(10, seed=1))
-        engine.teardown()
-        assert engine.monitors == {}
-        with pytest.raises(ReproError, match="torn down"):
-            engine.process(make_objects(10, seed=2))
-        with pytest.raises(InvalidParameterError):
-            engine.restore({})
-        replacement = NaiveMonitor(12, 12, CountWindow(40))
-        engine.restore({"m": replacement})
-        results = engine.process(make_objects(10, seed=3))
-        assert results["m"].window_size == 10
 
 
 class TestCustomScenario:
@@ -472,6 +458,31 @@ class TestCustomScenario:
         assert report.crashes == 1
         assert report.recoveries == 1
         assert report.scenario == "tiny"
+
+    def test_engine_counts_are_banked_across_crashes(self, tmp_path):
+        # an ENOSPC absorbed by the first engine, then a crash that drops
+        # it: the report still counts the recovery, and every applied
+        # batch has exactly one update time across both engines
+        scenario = Scenario(
+            name="banked",
+            description="ENOSPC, then a crash",
+            window=80,
+            rate=20,
+            checkpoint_every=2,
+            stride=2,
+            phases=(
+                Phase(name="full", ticks=4, enospc_at=1),
+                Phase(name="crash", kind="crash", ticks=6, crash_at=2),
+            ),
+        )
+        run = _SoakRun(scenario, scenario.seed, True, tmp_path)
+        report = run.execute()
+        assert report.ok, report.failures()
+        assert report.crashes == 1
+        assert report.enospc_injected == report.enospc_recovered == 1
+        assert run.engine.enospc_recoveries == 0  # the rebuilt engine
+        assert len(run.update_times) == report.batches == run.applied
+        assert run.engine.batches < report.batches
 
     @pytest.mark.parametrize("name", ["crash_recovery", "wal_recovery"])
     def test_answer_ticks_run_on_across_crash_recovery(

@@ -130,7 +130,7 @@ def test_ladder_stats_never_move_backwards():
     assert "sampling" in modes and modes[-1] != "sampling"
     assert adaptive.stats is lineage
     assert adaptive._ag2.stats is lineage
-    assert engine.collect_report().batches == len(modes) == 12
+    assert engine.batches == len(modes) == 12
 
 
 def test_sampling_rung_counts_in_the_ladder_stats():
