@@ -1,6 +1,8 @@
 /*
  * Compiled max-cover plane sweep and the aG2 cell-buffer scans (see
- * repro/core/planesweep.py and repro/core/graph.py).  This library is
+ * repro/core/planesweep.py and repro/core/graph.py), built as the
+ * CPython extension module _sweep (its wrappers are at the end of this
+ * file).  This library is
  * the only implementation of every sweep step; the Python it ports,
  * operation for operation, is kept as the reference in the tests
  * (tests/reference_kernel.py, tests/segment_tree.py), and the
@@ -51,9 +53,15 @@
  * matches the Python bit for bit.
  */
 
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+
 #include <math.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* the kernel reads every array('q') as long */
+_Static_assert(sizeof(long) == sizeof(long long), "long is not 64 bits");
 
 /* tree depth <= 64, and add() records at most three chains of nodes */
 #define MAX_PATH (3 * 64)
@@ -1139,4 +1147,536 @@ void maxrs_settle(const unsigned long *p, const long *visited, long n)
         for (long k = size / 2 - 1; k >= 0; k--)
             sift_down(&t, k, size);
     }
+}
+
+/* ---- the extension module ---------------------------------------------- */
+
+/*
+ * One METH_FASTCALL wrapper per entry point.  A wrapper takes the
+ * arrays themselves: it holds each one's buffer for the call, checks its
+ * typecode (TypeError), checks every index and count against the
+ * buffers' lengths so that the entry point reads and writes inside them
+ * (IndexError), then calls the entry point above unchanged.  The GIL is
+ * held throughout, so no other thread can resize an array meanwhile.
+ *
+ * The cell-table entry points take the table as one tuple of its ten
+ * arrays, in the order of the cells struct.  Its shape and counters are
+ * checked; the cell rows, links and heap entries inside it are the
+ * entry points' own writes (CellTable.check_invariants verifies them).
+ */
+
+#include <stdarg.h>
+
+/* the buffers one call holds, released together */
+typedef struct {
+    Py_buffer b[16];
+    int n;
+} held;
+
+static void release(held *h)
+{
+    while (h->n > 0)
+        PyBuffer_Release(&h->b[--h->n]);
+}
+
+/* hold obj's buffer as a writable array of typecode code (its item count
+ * into *len); NULL with TypeError or BufferError set when it is not one */
+static void *take(held *h, const char *name, PyObject *obj, char code,
+                  Py_ssize_t *len)
+{
+    Py_buffer *v = &h->b[h->n];
+    if (PyObject_GetBuffer(obj, v, PyBUF_CONTIG | PyBUF_FORMAT) < 0)
+        return NULL;
+    Py_ssize_t size = code == 'b' ? 1 : 8;
+    if (v->format == NULL || v->format[0] != code || v->format[1] != '\0'
+        || v->itemsize != size) {
+        PyErr_Format(PyExc_TypeError,
+                     "%s(): expected an array('%c'), got format '%s'", name,
+                     code, v->format == NULL ? "B" : v->format);
+        PyBuffer_Release(v);
+        return NULL;
+    }
+    h->n++;
+    *len = v->len / size;
+    return v->buf;
+}
+
+/* the table tuple: its arrays' typecodes, in the order of the struct */
+#define TABLE_ARRAYS 10
+static const char TABLE_CODES[] = "dqqqdqqdqd";
+enum { T_CW, T_META, T_SLOTS, T_FREE, T_HCW, T_HENT, T_STATE, T_VB, T_LINKS,
+       T_LW };
+
+/* the table's shape and counters: the failed check, or NULL when every
+ * count the entry points index the table's arrays by is inside them */
+#define TABLE_CHECK(cond)                                                   \
+    do {                                                                    \
+        if (!(cond))                                                        \
+            return #cond;                                                   \
+    } while (0)
+
+static const char *table_fault(const unsigned long *addr,
+                               const Py_ssize_t *len)
+{
+    TABLE_CHECK(len[T_STATE] > S_LLIVE);
+    const long *st = (const long *)addr[T_STATE];
+    long cap = len[T_CW], nslots = len[T_SLOTS];
+    TABLE_CHECK(len[T_META] >= CF * cap && len[T_VB] >= cap
+                && len[T_FREE] >= cap);
+    TABLE_CHECK(len[T_HENT] >= 2 * len[T_HCW]
+                && len[T_LINKS] >= 2 * len[T_LW]);
+    TABLE_CHECK(0 <= st[S_COUNT] && st[S_COUNT] <= st[S_HWM]
+                && st[S_HWM] <= cap);
+    TABLE_CHECK(0 <= st[S_NFREE] && st[S_NFREE] <= cap);
+    TABLE_CHECK(0 <= st[S_HEAP] && st[S_HEAP] <= len[T_HCW]);
+    TABLE_CHECK(st[S_MASK] == nslots - 1 && (nslots & st[S_MASK]) == 0
+                && nslots > cap);
+    TABLE_CHECK(st[S_LBASE] <= st[S_LLIVE] && st[S_LLIVE] <= st[S_LEND]
+                && (unsigned long)st[S_LEND] - (unsigned long)st[S_LBASE]
+                       <= (unsigned long)len[T_LW]);
+    return NULL;
+}
+
+/*
+ * Parse a call's arguments by spec, one letter each:
+ *   d q b  an array of that typecode: its data (void **) and item count
+ *          (Py_ssize_t *); D Q B: the same, or None (NULL and 0)
+ *   t      the cell table: a tuple of its ten arrays; their addresses
+ *          (unsigned long[10], unpack's input) and item counts
+ *          (Py_ssize_t[10]), after table_fault found nothing
+ *   n      an index or count (long *)
+ *   f      a double (double *)
+ * Returns 0 with an exception set, and nothing held, on failure.
+ */
+static int parse(held *h, const char *name, const char *spec,
+                 PyObject *const *args, Py_ssize_t nargs, ...)
+{
+    Py_ssize_t want = (Py_ssize_t)strlen(spec);
+    if (nargs != want) {
+        PyErr_Format(PyExc_TypeError, "%s() takes %zd arguments (%zd given)",
+                     name, want, nargs);
+        return 0;
+    }
+    va_list ap;
+    va_start(ap, nargs);
+    int ok = 1;
+    for (Py_ssize_t k = 0; ok && k < want; k++) {
+        PyObject *arg = args[k];
+        char c = spec[k];
+        if (c == 'n') {
+            long *out = va_arg(ap, long *);
+            *out = PyLong_AsLong(arg);
+            ok = !(*out == -1 && PyErr_Occurred());
+        } else if (c == 'f') {
+            double *out = va_arg(ap, double *);
+            *out = PyFloat_AsDouble(arg);
+            ok = !(*out == -1.0 && PyErr_Occurred());
+        } else if (c == 't') {
+            unsigned long *addr = va_arg(ap, unsigned long *);
+            Py_ssize_t *lens = va_arg(ap, Py_ssize_t *);
+            if (!PyTuple_Check(arg) || PyTuple_GET_SIZE(arg) != TABLE_ARRAYS) {
+                PyErr_Format(PyExc_TypeError,
+                             "%s(): the cell table is a tuple of %d arrays",
+                             name, TABLE_ARRAYS);
+                ok = 0;
+            }
+            for (int a = 0; ok && a < TABLE_ARRAYS; a++) {
+                void *buf = take(h, name, PyTuple_GET_ITEM(arg, a),
+                                 TABLE_CODES[a], &lens[a]);
+                addr[a] = (unsigned long)buf;
+                ok = buf != NULL;
+            }
+            const char *fault = ok ? table_fault(addr, lens) : NULL;
+            if (fault != NULL) {
+                PyErr_Format(PyExc_IndexError,
+                             "%s(): index or count out of range: %s", name,
+                             fault);
+                ok = 0;
+            }
+        } else {
+            void **data = va_arg(ap, void **);
+            Py_ssize_t *len = va_arg(ap, Py_ssize_t *);
+            if (arg == Py_None && c >= 'A' && c <= 'Z') {
+                *data = NULL;
+                *len = 0;
+            } else {
+                *data = take(h, name, arg, (char)(c | 0x20), len);
+                ok = *data != NULL;
+            }
+        }
+    }
+    va_end(ap);
+    if (!ok)
+        release(h);
+    return ok;
+}
+
+static PyObject *out_of_range(held *h, const char *name, const char *check)
+{
+    release(h);
+    return PyErr_Format(PyExc_IndexError,
+                        "%s(): index or count out of range: %s", name, check);
+}
+
+/* in a wrapper: raise IndexError, releasing the buffers, unless cond */
+#define CHECK(cond)                                                         \
+    do {                                                                    \
+        if (!(cond))                                                        \
+            return out_of_range(&h, name, #cond);                           \
+    } while (0)
+
+static PyObject *py_sweep(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_sweep";
+    held h;
+    h.n = 0;
+    void *items, *out;
+    Py_ssize_t ni, no;
+    long n;
+    if (!parse(&h, name, "dnd", args, nargs, &items, &ni, &n, &out, &no))
+        return NULL;
+    CHECK(0 <= n && n <= ni / 5);
+    CHECK(no >= 5);
+    int found = maxrs_sweep(items, n, out);
+    release(&h);
+    return PyLong_FromLong(found);
+}
+
+static PyObject *py_topk(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_topk";
+    held h;
+    h.n = 0;
+    void *items, *out;
+    Py_ssize_t ni, no;
+    long n;
+    if (!parse(&h, name, "dnd", args, nargs, &items, &ni, &n, &out, &no))
+        return NULL;
+    CHECK(0 <= n && n <= ni / 5 && n <= no / 5);
+    long count = maxrs_topk(items, n, out);
+    release(&h);
+    return PyLong_FromLong(count);
+}
+
+static PyObject *py_connect(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_connect";
+    held h;
+    h.n = 0;
+    void *items, *upper, *dirty, *hits;
+    Py_ssize_t ni, nu, nd, nh;
+    long q, lo, hi;
+    if (!parse(&h, name, "dnnnDBQ", args, nargs, &items, &ni, &q, &lo, &hi,
+               &upper, &nu, &dirty, &nd, &hits, &nh))
+        return NULL;
+    CHECK(0 <= q && q < ni / 5);
+    CHECK(0 <= lo && hi <= ni / 5);
+    CHECK(upper == NULL || (dirty != NULL && hi <= nu && hi <= nd));
+    CHECK(hits == NULL || hi <= lo || hi - lo <= nh);
+    long k = maxrs_connect(items, q, lo, hi, upper, dirty, hits);
+    release(&h);
+    return PyLong_FromLong(k);
+}
+
+static PyObject *py_insert(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_insert";
+    held h;
+    h.n = 0;
+    void *table, *seqs, *items, *upper, *exact, *dirty, *hits;
+    Py_ssize_t nt, ns, ni, nu, ne, nd, nh;
+    long base, m, head, n;
+    if (!parse(&h, name, "dnqndnnddbQ", args, nargs, &table, &nt, &base,
+               &seqs, &ns, &m, &items, &ni, &head, &n, &upper, &nu, &exact,
+               &ne, &dirty, &nd, &hits, &nh))
+        return NULL;
+    CHECK(0 <= m && m <= ns);
+    CHECK(0 <= head && head <= n && n <= ni / 5 - m);
+    CHECK(n <= nu - m && n <= ne - m && n <= nd - m);
+    CHECK(hits == NULL || m * (n - head) + m * (m - 1) / 2 <= nh);
+    const long *s = seqs;
+    for (long k = 0; k < m; k++)
+        CHECK(s[k] >= base && (unsigned long)s[k] - (unsigned long)base
+                                  < (unsigned long)(nt / 5));
+    long edges = maxrs_insert(table, base, seqs, m, items, head, n, upper,
+                              exact, dirty, hits);
+    release(&h);
+    return PyLong_FromLong(edges);
+}
+
+static PyObject *py_local(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_local";
+    held h;
+    h.n = 0;
+    void *items, *out;
+    Py_ssize_t ni, no;
+    long i, n;
+    if (!parse(&h, name, "dnnd", args, nargs, &items, &ni, &i, &n, &out, &no))
+        return NULL;
+    CHECK(0 <= i && i < n && n <= ni / 5);
+    CHECK(no >= 5);
+    int found = maxrs_local(items, i, n, out);
+    release(&h);
+    return PyLong_FromLong(found);
+}
+
+static PyObject *py_cell(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_cell";
+    held h;
+    h.n = 0;
+    void *items, *upper, *exact, *out;
+    Py_ssize_t ni, nu, ne, no;
+    long head, n;
+    double cx1, cy1, cx2, cy2;
+    if (!parse(&h, name, "dnnffffddd", args, nargs, &items, &ni, &head, &n,
+               &cx1, &cy1, &cx2, &cy2, &upper, &nu, &exact, &ne, &out, &no))
+        return NULL;
+    CHECK(0 <= head && n <= ni / 5 && n <= nu && n <= ne);
+    CHECK(no >= 6);
+    long anchor = maxrs_cell(items, head, n, cx1, cy1, cx2, cy2, upper, exact,
+                             out);
+    release(&h);
+    return PyLong_FromLong(anchor);
+}
+
+static PyObject *py_max(PyObject *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_max";
+    held h;
+    h.n = 0;
+    void *values;
+    Py_ssize_t nv;
+    long lo, hi;
+    if (!parse(&h, name, "dnn", args, nargs, &values, &nv, &lo, &hi))
+        return NULL;
+    CHECK(0 <= lo && lo <= hi && hi <= nv);
+    double best = maxrs_max((const double *)values + lo, hi - lo);
+    release(&h);
+    return PyFloat_FromDouble(best);
+}
+
+static PyObject *py_above(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_above";
+    held h;
+    h.n = 0;
+    void *values;
+    Py_ssize_t nv;
+    long lo, hi;
+    double relax, rho;
+    if (!parse(&h, name, "dnnff", args, nargs, &values, &nv, &lo, &hi, &relax,
+               &rho))
+        return NULL;
+    CHECK(0 <= lo && hi <= nv);
+    long j = maxrs_above(values, lo, hi, relax, rho);
+    release(&h);
+    return PyLong_FromLong(j);
+}
+
+static PyObject *py_route(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_route";
+    held h;
+    h.n = 0;
+    void *xyw, *rows, *cover;
+    Py_ssize_t nx, nr, nc;
+    long n, r0, c0;
+    double hw, hh, cs, ox, oy;
+    if (!parse(&h, name, "dnfffffdnqn", args, nargs, &xyw, &nx, &n, &hw, &hh,
+               &cs, &ox, &oy, &rows, &nr, &r0, &cover, &nc, &c0))
+        return NULL;
+    CHECK(0 <= n && n <= nx / 3);
+    CHECK(0 <= r0 && r0 <= nr - 5 * n && 0 <= c0 && c0 <= nc - 4 * n);
+    long pairs = maxrs_route(xyw, n, hw, hh, cs, ox, oy, (double *)rows + r0,
+                             (long *)cover + c0);
+    release(&h);
+    return PyLong_FromLong(pairs);
+}
+
+static PyObject *py_map(PyObject *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_map";
+    held h;
+    h.n = 0;
+    unsigned long addr[TABLE_ARRAYS];
+    Py_ssize_t len[TABLE_ARRAYS], nr, nc, nt;
+    void *rows, *cover, *touched;
+    long base, start, stop;
+    if (!parse(&h, name, "tdqnnnq", args, nargs, addr, len, &rows, &nr,
+               &cover, &nc, &base, &start, &stop, &touched, &nt))
+        return NULL;
+    CHECK(0 <= start && stop <= nr / 5 && stop <= nc / 4);
+    /* room for every new cell, link and heap entry of the batch's pairs:
+     * what CellTable.reserve made */
+    const long *st = (const long *)addr[T_STATE];
+    long room = st[S_NFREE] + len[T_CW] - st[S_HWM];
+    long heap = len[T_HCW] - st[S_HEAP];
+    long links = len[T_LW] - (st[S_LEND] - st[S_LBASE]);
+    room = heap < room ? heap : room;
+    room = links < room ? links : room;
+    long pairs = 0;
+    for (long r = start; r < stop; r++) {
+        const long *cv = (const long *)cover + 4 * r;
+        if (cv[1] < cv[0] || cv[3] < cv[2])
+            continue;
+        unsigned long nx = (unsigned long)cv[1] - (unsigned long)cv[0];
+        unsigned long ny = (unsigned long)cv[3] - (unsigned long)cv[2];
+        CHECK(nx < MAX_AXIS && ny < MAX_AXIS
+              && (long)((nx + 1) * (ny + 1)) <= room - pairs);
+        pairs += (long)((nx + 1) * (ny + 1));
+    }
+    CHECK(nt >= pairs || nt >= len[T_CW]);
+    long n = maxrs_map(addr, rows, cover, base, start, stop, touched);
+    release(&h);
+    return PyLong_FromLong(n);
+}
+
+static PyObject *py_purge(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_purge";
+    held h;
+    h.n = 0;
+    unsigned long addr[TABLE_ARRAYS];
+    Py_ssize_t len[TABLE_ARRAYS], nc, nh;
+    void *cover, *out;
+    long head, stop, expired_upto;
+    if (!parse(&h, name, "tqnnnq", args, nargs, addr, len, &cover, &nc, &head,
+               &stop, &expired_upto, &out, &nh))
+        return NULL;
+    CHECK(0 <= head && stop <= nc / 4);
+    /* the held ids are distinct ids below the high-water mark */
+    CHECK(nh >= ((const long *)addr[T_STATE])[S_HWM]);
+    long n = maxrs_purge(addr, cover, head, stop, expired_upto, out);
+    release(&h);
+    return PyLong_FromLong(n);
+}
+
+static PyObject *py_pending(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_pending";
+    held h;
+    h.n = 0;
+    unsigned long addr[TABLE_ARRAYS];
+    Py_ssize_t len[TABLE_ARRAYS], no;
+    void *out;
+    long c;
+    if (!parse(&h, name, "tnq", args, nargs, addr, len, &c, &out, &no))
+        return NULL;
+    const long *st = (const long *)addr[T_STATE];
+    CHECK(0 <= c && c < st[S_HWM]);
+    /* the pending list fits out, and each link is in the link table */
+    const long *meta = (const long *)addr[T_META];
+    const long *links = (const long *)addr[T_LINKS];
+    long lbase = st[S_LBASE], lend = st[S_LEND], k = 0;
+    for (long id = meta[CF * c + C_HEAD]; id >= 0;
+         id = links[2 * (id - lbase) + 1], k++)
+        CHECK(lbase <= id && id < lend && k < no);
+    long n = maxrs_pending(addr, c, out);
+    release(&h);
+    return PyLong_FromLong(n);
+}
+
+static PyObject *py_top(PyObject *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_top";
+    held h;
+    h.n = 0;
+    unsigned long addr[TABLE_ARRAYS];
+    Py_ssize_t len[TABLE_ARRAYS];
+    if (!parse(&h, name, "t", args, nargs, addr, len))
+        return NULL;
+    long c = maxrs_top(addr);
+    release(&h);
+    return PyLong_FromLong(c);
+}
+
+static PyObject *py_top_bound(PyObject *self, PyObject *const *args,
+                              Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_top_bound";
+    held h;
+    h.n = 0;
+    unsigned long addr[TABLE_ARRAYS];
+    Py_ssize_t len[TABLE_ARRAYS];
+    if (!parse(&h, name, "t", args, nargs, addr, len))
+        return NULL;
+    long c = maxrs_top_bound(addr);
+    release(&h);
+    return PyLong_FromLong(c);
+}
+
+static PyObject *py_settle(PyObject *self, PyObject *const *args,
+                           Py_ssize_t nargs)
+{
+    static const char name[] = "maxrs_settle";
+    held h;
+    h.n = 0;
+    unsigned long addr[TABLE_ARRAYS];
+    Py_ssize_t len[TABLE_ARRAYS], nv;
+    void *visited;
+    long n;
+    if (!parse(&h, name, "tqn", args, nargs, addr, len, &visited, &nv, &n))
+        return NULL;
+    const long *st = (const long *)addr[T_STATE];
+    CHECK(0 <= n && n <= nv && n <= len[T_HCW] - st[S_HEAP]);
+    const long *v = visited;
+    for (long k = 0; k < n; k++)
+        CHECK(0 <= v[k] && v[k] < st[S_HWM]);
+    maxrs_settle(addr, visited, n);
+    release(&h);
+    Py_RETURN_NONE;
+}
+
+#define ENTRY(fn, doc)                                                      \
+    {"maxrs_" #fn, (PyCFunction)(void (*)(void))py_##fn, METH_FASTCALL, doc}
+
+static PyMethodDef methods[] = {
+    ENTRY(sweep, "maxrs_sweep(items, n, out) -> found"),
+    ENTRY(topk, "maxrs_topk(items, n, out) -> count"),
+    ENTRY(connect, "maxrs_connect(items, q, lo, hi, upper, dirty, hits) "
+                   "-> count"),
+    ENTRY(insert, "maxrs_insert(table, base, seqs, m, items, head, n, upper, "
+                  "exact, dirty, hits) -> edges"),
+    ENTRY(local, "maxrs_local(items, i, n, out) -> found"),
+    ENTRY(cell, "maxrs_cell(items, head, n, x1, y1, x2, y2, upper, exact, "
+                "out) -> anchor"),
+    ENTRY(max, "maxrs_max(values, lo, hi) -> max(values[lo:hi])"),
+    ENTRY(above, "maxrs_above(values, lo, hi, relax, rho) -> index"),
+    ENTRY(route, "maxrs_route(xyw, n, hw, hh, cs, ox, oy, rows, r0, cover, "
+                 "c0) -> pairs"),
+    ENTRY(map, "maxrs_map(table, rows, cover, base, start, stop, touched) "
+               "-> count"),
+    ENTRY(purge, "maxrs_purge(table, cover, head, stop, expired_upto, held) "
+                 "-> count"),
+    ENTRY(pending, "maxrs_pending(table, c, out) -> count"),
+    ENTRY(top, "maxrs_top(table) -> cell"),
+    ENTRY(top_bound, "maxrs_top_bound(table) -> cell"),
+    ENTRY(settle, "maxrs_settle(table, visited, n) -> None"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef sweep_module = {
+    PyModuleDef_HEAD_INIT, "_sweep",
+    "The compiled sweep kernel (repro.core.planesweep loads it).", -1, methods,
+    NULL, NULL, NULL, NULL,
+};
+
+PyMODINIT_FUNC PyInit__sweep(void)
+{
+    return PyModule_Create(&sweep_module);
 }

@@ -43,12 +43,13 @@ in the current epoch.
 Each operation is one call into the compiled library (``_sweep.c``:
 ``maxrs_route``, ``maxrs_map``, ``maxrs_purge``, ``maxrs_pending``,
 ``maxrs_top``, ``maxrs_top_bound``, ``maxrs_settle``), which reads and
-writes these same arrays through their addresses.  The Python reference
+writes these same arrays, passed as one tuple (:attr:`CellTable.arrays`)
+and checked against their lengths on every call.  The Python reference
 of each, which must leave the arrays equal bit for bit, lives with the
 tests (``tests/reference_kernel.py``); the only Python route here is
 :func:`_route_python`, for the batches the kernel declines.  The arrays
 only grow from Python, in :meth:`CellTable.reserve`, before a call that
-may need the room.
+may need the room, and in place, so the tuple stays valid.
 """
 
 from __future__ import annotations
@@ -123,9 +124,8 @@ def route_rows(
         rows.frombytes(bytes(40 * n))
         cover.frombytes(bytes(32 * n))
         pairs = planesweep._KERNEL.route(
-            xyw.buffer_info()[0], n, hw, hh,
-            grid.cell_size, grid.origin_x, grid.origin_y,
-            rows.buffer_info()[0] + 8 * r0, cover.buffer_info()[0] + 8 * c0,
+            xyw, n, hw, hh, grid.cell_size, grid.origin_x, grid.origin_y,
+            rows, r0, cover, c0,
         )
         if pairs >= 0:
             return pairs
@@ -190,7 +190,7 @@ class CellTable:
     __slots__ = (
         "cw", "vb", "meta", "slots", "free", "hcw", "hent", "state",
         "links", "lw", "objs", "scratch", "pend", "cap", "hcap", "lcap",
-        "addr", "_ptrs",
+        "arrays",
     )
 
     def __init__(self) -> None:
@@ -214,20 +214,16 @@ class CellTable:
         self.cap = 0
         self.hcap = 0
         self.lcap = 0
+        #: what the kernel reads the table from, in ``_sweep.c``'s order
+        self.arrays = (
+            self.cw, self.meta, self.slots, self.free, self.hcw, self.hent,
+            self.state, self.vb, self.links, self.lw,
+        )
         self._grow(_MIN_CELLS)
         self._grow_heap(2 * _MIN_CELLS)
         self._grow_links(2 * _MIN_CELLS)
 
     # -- sizing ------------------------------------------------------------
-
-    def _address(self) -> None:
-        """Refresh the address array the kernel reads the table from."""
-        self._ptrs = array("Q", [
-            a.buffer_info()[0]
-            for a in (self.cw, self.meta, self.slots, self.free, self.hcw,
-                      self.hent, self.state, self.vb, self.links, self.lw)
-        ])
-        self.addr = self._ptrs.buffer_info()[0]
 
     def _grow(self, need: int) -> None:
         """Room for ``need`` cell ids, and a hash of at least twice as
@@ -242,7 +238,8 @@ class CellTable:
         self.objs += [None] * extra
         size = 1 << (2 * self.cap - 1).bit_length()
         mask = size - 1
-        slots = self.slots = array("q", [-1]) * size
+        slots = self.slots
+        slots[:] = array("q", [-1]) * size
         meta = self.meta
         self.state[S_MASK] = mask
         for c in self.ids():
@@ -250,21 +247,18 @@ class CellTable:
             while slots[s] >= 0:
                 s = (s + 1) & mask
             slots[s] = c
-        self._address()
 
     def _grow_heap(self, need: int) -> None:
         extra = max(need, 2 * self.hcap) - self.hcap
         self.hcap += extra
         self.hcw.frombytes(bytes(8 * extra))
         self.hent.frombytes(bytes(16 * extra))
-        self._address()
 
     def _grow_links(self, need: int) -> None:
         extra = max(need, 2 * self.lcap) - self.lcap
         self.lcap += extra
         self.links.frombytes(bytes(16 * extra))
         self.lw.frombytes(bytes(8 * extra))
-        self._address()
 
     def reserve(self, pairs: int, rows: int) -> None:
         """Room for a batch of ``pairs`` (row, cell) pairs — as many new
@@ -349,11 +343,9 @@ class CellTable:
         """Algorithm 2 lines 1–5 for the table rows from ``start`` on
         (the batch :meth:`ArrivalTable.route` just appended)."""
         self.reserve(table.pairs, len(table))
-        rows = table.rows
-        cover = table.cover
         planesweep._KERNEL.map(
-            self.addr, rows.buffer_info()[0], cover.buffer_info()[0],
-            table.base, start, len(table.objs), self.scratch.buffer_info()[0],
+            self.arrays, table.rows, table.cover, table.base, start,
+            len(table.objs), self.scratch,
         )
 
     def purge(
@@ -365,8 +357,7 @@ class CellTable:
         link table); returns the ids of the touched cells that hold an
         object, deleted ones included."""
         n = planesweep._KERNEL.purge(
-            self.addr, table.cover.buffer_info()[0], head, stop,
-            expired_upto, self.scratch.buffer_info()[0],
+            self.arrays, table.cover, head, stop, expired_upto, self.scratch
         )
         return self.scratch[:n]
 
@@ -375,7 +366,7 @@ class CellTable:
         increasing ``array('q')`` of seqs; the set is then empty and the
         cell not stale."""
         out = self.pend
-        n = planesweep._KERNEL.pending(self.addr, c, out.buffer_info()[0])
+        n = planesweep._KERNEL.pending(self.arrays, c, out)
         return out[:n]
 
     def top(self) -> int:
@@ -384,12 +375,12 @@ class CellTable:
         stale cell at the root is re-keyed at its live bound (sinking
         when that is lower) until the root is a cell whose ``c.w`` is
         its live bound."""
-        return planesweep._KERNEL.top(self.addr)
+        return planesweep._KERNEL.top(self.arrays)
 
     def top_bound(self) -> int:
         """The live cell with the largest live bound, ties to the
         largest key; ``-1`` when none is left."""
-        c = planesweep._KERNEL.top_bound(self.addr)
+        c = planesweep._KERNEL.top_bound(self.arrays)
         if c < -1:
             raise MemoryError("cell heap kernel out of memory")
         return c
@@ -402,9 +393,7 @@ class CellTable:
         state = self.state
         if state[S_HEAP] + len(visited) > self.hcap:
             self._grow_heap(state[S_HEAP] + len(visited))
-        planesweep._KERNEL.settle(
-            self.addr, visited.buffer_info()[0], len(visited)
-        )
+        planesweep._KERNEL.settle(self.arrays, visited, len(visited))
 
     def clear_heap(self) -> None:
         self.state[S_HEAP] = 0

@@ -44,12 +44,15 @@ entry points (``maxrs_route``, ``maxrs_map``, ``maxrs_purge``,
 ``maxrs_settle``) are called from ``repro.core.cells``; nothing else
 reads ``_KERNEL``.  Items are a flat ``array('d')`` of 5 doubles each,
 ``(x1, y1, x2, y2, weight)`` — the layout of a graph cell's buffer, so
-a call passes a pointer and a count.
+a call passes the array, a start index and a count.
 
-The library is compiled with gcc (or cc) on first import into a
-per-user cache and loaded with :mod:`ctypes`.  It is required: when no
-compiler is found, or building or loading fails, the import raises
-:class:`~repro.errors.KernelUnavailableError`.  The Python reference
+The library is a CPython extension module, compiled with gcc (or cc)
+against the interpreter's own headers on first import into a per-user
+cache.  Each entry point takes the arrays themselves, checks their
+typecodes and every index and count against their lengths, and raises
+rather than read or write past one.  It is required: when no compiler
+or no ``Python.h`` is found, or building or loading fails, the import
+raises :class:`~repro.errors.KernelUnavailableError`.  The Python reference
 that every entry point is held to, ``float.hex`` for ``float.hex``,
 lives with the tests (``tests/reference_kernel.py`` and
 ``tests/segment_tree.py``).
@@ -62,6 +65,8 @@ import shutil
 import sysconfig
 import tempfile
 from array import array
+from importlib.machinery import ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -101,6 +106,8 @@ _C_SOURCE = Path(__file__).with_name("_sweep.c")
 #: exactly as CPython's float add does
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+#: the directory holding this interpreter's ``Python.h``
+_INCLUDE = sysconfig.get_paths()["include"]
 
 
 def _cache_dir() -> Path:
@@ -126,12 +133,16 @@ def _build(target: Path) -> None:
     os.close(fd)
     try:
         subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, str(_C_SOURCE)],
+            [cc, *_CFLAGS, "-I", _INCLUDE, "-o", tmp, str(_C_SOURCE)],
             check=True, capture_output=True, timeout=120,
         )
         os.replace(tmp, target)
     except subprocess.SubprocessError as exc:
-        raise OSError(f"{cc} could not build {_C_SOURCE.name}: {exc}") from exc
+        stderr = (getattr(exc, "stderr", None) or b"").decode(errors="replace")
+        error = next((ln for ln in stderr.splitlines() if "error" in ln), exc)
+        raise OSError(
+            f"{cc} could not build {_C_SOURCE.name}: {error}"
+        ) from exc
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -139,10 +150,11 @@ def _build(target: Path) -> None:
 
 def _kernel_name() -> str:
     """The cached library's file name: a SHA-256 of the C source, the
-    flags and the interpreter's extension suffix."""
+    flags, the interpreter's extension suffix and its include path."""
     digest = sha256(_C_SOURCE.read_bytes())
     digest.update(" ".join(_CFLAGS).encode())
     digest.update(_EXT_SUFFIX.encode())
+    digest.update(_INCLUDE.encode())
     return f"_sweep-{digest.hexdigest()[:16]}{_EXT_SUFFIX}"
 
 
@@ -167,74 +179,16 @@ class _Kernel(NamedTuple):
 
 
 def _open(path: Path) -> _Kernel:
-    """Load the library at ``path`` and bind every entry point; raises
-    ``OSError`` or ``AttributeError`` when it does not load or lacks
-    one, so a library is used whole or not at all."""
-    import ctypes
-
-    # PyDLL keeps the GIL for the call, so no other thread can resize a
-    # cell's buffer while the kernel reads it
-    library = ctypes.PyDLL(str(path))
-    ptr, long_ = ctypes.c_void_p, ctypes.c_long
-    kernel = _Kernel(
-        library.maxrs_sweep,
-        library.maxrs_topk,
-        library.maxrs_connect,
-        library.maxrs_insert,
-        library.maxrs_local,
-        library.maxrs_cell,
-        library.maxrs_max,
-        library.maxrs_above,
-        library.maxrs_route,
-        library.maxrs_map,
-        library.maxrs_purge,
-        library.maxrs_pending,
-        library.maxrs_top,
-        library.maxrs_top_bound,
-        library.maxrs_settle,
+    """Load the extension module at ``path`` and bind every entry point;
+    raises ``ImportError``, ``OSError`` or ``AttributeError`` when it
+    does not load or lacks one, so a library is used whole or not at
+    all."""
+    loader = ExtensionFileLoader("repro.core._sweep", str(path))
+    module = module_from_spec(
+        spec_from_file_location(loader.name, str(path), loader=loader)
     )
-    kernel.sweep.argtypes = (ptr, long_, ptr)
-    kernel.sweep.restype = ctypes.c_int
-    kernel.topk.argtypes = (ptr, long_, ptr)
-    kernel.topk.restype = long_
-    kernel.connect.argtypes = (ptr, long_, long_, long_, ptr, ptr, ptr)
-    kernel.connect.restype = long_
-    kernel.insert.argtypes = (
-        ptr, long_, ptr, long_, ptr, long_, long_, ptr, ptr, ptr, ptr
-    )
-    kernel.insert.restype = long_
-    kernel.local.argtypes = (ptr, long_, long_, ptr)
-    kernel.local.restype = ctypes.c_int
-    kernel.cell.argtypes = (
-        ptr, long_, long_, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_double, ptr, ptr, ptr,
-    )
-    kernel.cell.restype = long_
-    kernel.max.argtypes = (ptr, long_)
-    kernel.max.restype = ctypes.c_double
-    kernel.above.argtypes = (
-        ptr, long_, long_, ctypes.c_double, ctypes.c_double
-    )
-    kernel.above.restype = long_
-    double = ctypes.c_double
-    kernel.route.argtypes = (
-        ptr, long_, double, double, double, double, double, ptr, ptr
-    )
-    kernel.route.restype = long_
-    # the cell-table entry points take the table's address array first
-    kernel.map.argtypes = (ptr, ptr, ptr, long_, long_, long_, ptr)
-    kernel.map.restype = long_
-    kernel.purge.argtypes = (ptr, ptr, long_, long_, long_, ptr)
-    kernel.purge.restype = long_
-    kernel.pending.argtypes = (ptr, long_, ptr)
-    kernel.pending.restype = long_
-    kernel.top.argtypes = (ptr,)
-    kernel.top.restype = long_
-    kernel.top_bound.argtypes = (ptr,)
-    kernel.top_bound.restype = long_
-    kernel.settle.argtypes = (ptr, ptr, long_)
-    kernel.settle.restype = None
-    return kernel
+    loader.exec_module(module)
+    return _Kernel(*(getattr(module, f"maxrs_{f}") for f in _Kernel._fields))
 
 
 def _load_kernel() -> _Kernel:
@@ -255,7 +209,7 @@ def _load_kernel() -> _Kernel:
             _build(path)
         try:
             return _open(path)
-        except (OSError, AttributeError):
+        except (ImportError, OSError, AttributeError):
             if built:
                 raise
             _build(path)
@@ -264,8 +218,9 @@ def _load_kernel() -> _Kernel:
         raise KernelUnavailableError(
             f"cannot build or load the compiled sweep kernel "
             f"{_C_SOURCE.name} in the cache directory {cache}: {exc}.  "
-            f"The kernel is required: put gcc (or cc) on PATH and keep "
-            f"the cache directory writable (XDG_CACHE_HOME)"
+            f"The kernel is required: put gcc (or cc) on PATH, install "
+            f"the Python development headers (Python.h in {_INCLUDE}) "
+            f"and keep the cache directory writable (XDG_CACHE_HOME)"
         ) from exc
 
 
@@ -280,9 +235,7 @@ def _sweep_flat(buf: array) -> _Cell | None:
     """``(weight, x1, y1, x2, y2)`` of a maximum-weight cell of the flat
     items in ``buf``, or ``None`` when no item has positive area."""
     out = array("d", _OUT)
-    found = _KERNEL.sweep(
-        buf.buffer_info()[0], len(buf) // 5, out.buffer_info()[0]
-    )
+    found = _KERNEL.sweep(buf, len(buf) // 5, out)
     if found < 0:
         raise MemoryError("plane sweep kernel out of memory")
     return out if found else None
@@ -294,15 +247,11 @@ def _topk_flat(buf: array) -> array:
     order the sweep first offered them (``maxrs_topk``)."""
     n = len(buf) // 5
     out = array("d", bytes(8 * len(buf)))
-    count = _KERNEL.topk(buf.buffer_info()[0], n, out.buffer_info()[0])
+    count = _KERNEL.topk(buf, n, out)
     if count < 0:
         raise MemoryError("plane sweep kernel out of memory")
     del out[5 * count:]
     return out
-
-
-def _address(buf: array | None) -> int | None:
-    return None if buf is None else buf.buffer_info()[0]
 
 
 def _scan_flat(
@@ -319,10 +268,7 @@ def _scan_flat(
     With ``upper``, add item ``q``'s weight to ``upper[j]`` and set
     ``dirty[j]``; with ``hits``, store ``j`` at ``hits[k]`` for the
     ``k``-th item.  Returns the count."""
-    return _KERNEL.connect(
-        items.buffer_info()[0], q, lo, hi,
-        _address(upper), _address(dirty), _address(hits),
-    )
+    return _KERNEL.connect(items, q, lo, hi, upper, dirty, hits)
 
 
 def _insert_flat(
@@ -343,22 +289,21 @@ def _insert_flat(
     k)`` as :func:`_scan_flat` does, appending the touched indices to
     ``hits``.  Returns the number of edges."""
     return _KERNEL.insert(
-        table.buffer_info()[0], base, seqs.buffer_info()[0], len(seqs),
-        items.buffer_info()[0], head, n, upper.buffer_info()[0],
-        exact.buffer_info()[0], dirty.buffer_info()[0], _address(hits),
+        table, base, seqs, len(seqs), items, head, n, upper, exact, dirty,
+        hits,
     )
 
 
 def _max_flat(values: array, lo: int) -> float:
     """``max(values[lo:])``, the first of equal maxima; ``0.0`` when
     empty."""
-    return _KERNEL.max(values.buffer_info()[0] + 8 * lo, len(values) - lo)
+    return _KERNEL.max(values, lo, len(values))
 
 
 def _above_flat(values: array, lo: int, relax: float, rho: float) -> int:
     """The first index ``j ≥ lo`` with ``relax * values[j] > rho``, or
     ``len(values)``."""
-    return _KERNEL.above(values.buffer_info()[0], lo, len(values), relax, rho)
+    return _KERNEL.above(values, lo, len(values), relax, rho)
 
 
 def _local_flat(items: array, i: int, n: int) -> _Cell | None:
@@ -366,7 +311,7 @@ def _local_flat(items: array, i: int, n: int) -> _Cell | None:
     ``(i, n)`` that overlap it — each clipped to it, in index order
     (``maxrs_local``); ``None`` when it has none."""
     out = array("d", _OUT)
-    found = _KERNEL.local(items.buffer_info()[0], i, n, out.buffer_info()[0])
+    found = _KERNEL.local(items, i, n, out)
     if found < 0:
         raise MemoryError("plane sweep kernel out of memory")
     return out if found else None
@@ -387,10 +332,7 @@ def _cell_flat(
     max face, or ``-1`` when the bounds were left alone — and the
     answer ``(M, x1, y1, x2, y2, M⁺)``."""
     out = array("d", _OUT6)
-    anchor = _KERNEL.cell(
-        items.buffer_info()[0], head, n, *extent,
-        upper.buffer_info()[0], exact.buffer_info()[0], out.buffer_info()[0],
-    )
+    anchor = _KERNEL.cell(items, head, n, *extent, upper, exact, out)
     if anchor == -2:
         raise MemoryError("plane sweep kernel out of memory")
     return anchor, out

@@ -8,15 +8,16 @@ every comparison here is on ``float.hex`` of the weight and of all four
 region coordinates (and of every vertex bound), over inputs chosen to
 stress the tie rules: grid-aligned rectangles with shared edges,
 degenerate rectangles, duplicated x coordinates, ``-0.0`` next to
-``0.0``, and zero and negative weights.  The loader tests force the
+``0.0``, and zero and negative weights.  Every entry point checks its
+arrays' typecodes and every index and count against their lengths, and
+raises rather than read or write past one.  The loader tests force the
 build or the load to fail and check that the import then raises
-:class:`~repro.errors.KernelUnavailableError`, naming the compiler and
-the cache directory.
+:class:`~repro.errors.KernelUnavailableError`, naming the compiler, the
+Python headers and the cache directory.
 """
 
 from __future__ import annotations
 
-import ctypes
 import random
 import subprocess
 import sys
@@ -34,9 +35,11 @@ from reference_kernel import on_reference, use_reference
 from repro.core import planesweep
 from repro.core.ag2 import AG2Monitor
 from repro.core.allmax import plane_sweep_all_max
+from repro.core.cells import S_HWM, CellTable
 from repro.core.g2 import G2Monitor
 from repro.core.geometry import Rect
-from repro.core.graph import CellGraph
+from repro.core.graph import ArrivalTable, CellGraph
+from repro.core.grid import UniformGrid
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject, WeightedRect
 from repro.core.planesweep import (
@@ -427,6 +430,186 @@ def test_reference_seam_reaches_no_kernel_call(monkeypatch):
     assert plane_sweep_all_max([_wrect(r, abs(w)) for r, w in items])
 
 
+# -- every entry point checks its arguments ---------------------------------
+
+
+def _flat(n: int, spare: int = 0) -> array:
+    """``n`` overlapping unit-weight items in a row, then ``spare``
+    zeroed rows."""
+    return array(
+        "d", [v for k in range(n) for v in (k, 0.0, k + 2.0, 1.0, 1.0)]
+    ) + array("d", bytes(40 * spare))
+
+
+def _zeros(code: str, n: int) -> array:
+    return array(code, bytes(array(code).itemsize * n))
+
+
+def _routed() -> tuple[CellTable, ArrivalTable, int]:
+    """A cell table with room for one routed batch not yet mapped."""
+    table = ArrivalTable(base=10)
+    start = table.route(
+        [SpatialObject(x=1.0 + k, y=1.0, weight=1.0) for k in range(3)],
+        2.0, 2.0, UniformGrid(2.0),
+    )
+    cells = CellTable()
+    cells.reserve(table.pairs, len(table))
+    return cells, table, start
+
+
+def _mapped() -> tuple[CellTable, ArrivalTable]:
+    cells, table, start = _routed()
+    cells.map(table, start)
+    return cells, table
+
+
+def _bad_table(cells: CellTable) -> tuple:
+    """The table's arrays with a heap entry array shorter than its
+    bounds: every heap index past it."""
+    arrays = cells.arrays
+    return arrays[:5] + (array("q"),) + arrays[6:]
+
+
+def _args(name: str) -> tuple[list, list, list, list]:
+    """A valid call of entry point ``name``: its arguments; the
+    ``(position, value)`` replacements that put an index or count past a
+    buffer, and those that pass an array of the wrong typecode; and the
+    sets of positions that take ``None`` together."""
+    if name in ("sweep", "topk"):
+        out = _zeros("d", 5 if name == "sweep" else 20)
+        return (
+            [_flat(4), 4, out],
+            [(1, 5), (1, -1), (2, _zeros("d", 4))],
+            [(0, array("f", _flat(4))), (2, _zeros("q", len(out)))],
+            [],
+        )
+    if name == "connect":
+        return (
+            [_flat(4), 0, 1, 4, _zeros("d", 4), _zeros("b", 4),
+             _zeros("q", 3)],
+            [(1, 4), (1, -1), (2, -1), (3, 5), (4, _zeros("d", 3)),
+             (5, _zeros("b", 3)), (5, None), (6, _zeros("q", 2))],
+            [(0, array("f", _flat(4))), (4, _zeros("l", 4)),
+             (5, _zeros("B", 4)), (6, _zeros("d", 3))],
+            [(4, 5), (6,), (4, 5, 6)],
+        )
+    if name == "insert":
+        seqs = array("q", [10, 11, 12])
+        return (
+            [_flat(3), 10, seqs, 3, _flat(2, 3), 0, 2, _zeros("d", 5),
+             _zeros("d", 5), _zeros("b", 5), _zeros("q", 9)],
+            [(1, 11), (2, array("q", [10, 11, 13])), (3, 4),
+             (4, _flat(2, 2)), (5, 3), (7, _zeros("d", 4)),
+             (8, _zeros("d", 4)), (9, _zeros("b", 4)), (10, _zeros("q", 8))],
+            [(0, array("f", _flat(3))), (2, array("l", seqs)),
+             (7, _zeros("l", 5)), (9, _zeros("B", 5))],
+            [(10,)],
+        )
+    if name == "local":
+        return (
+            [_flat(4), 0, 4, _zeros("d", 5)],
+            [(1, 4), (1, -1), (2, 5), (3, _zeros("d", 4))],
+            [(0, array("f", _flat(4))), (3, _zeros("f", 5))],
+            [],
+        )
+    if name == "cell":
+        return (
+            [_flat(4), 0, 4, 0.0, 0.0, 10.0, 10.0, _zeros("d", 4),
+             _zeros("d", 4), _zeros("d", 6)],
+            [(1, -1), (2, 5), (7, _zeros("d", 3)), (8, _zeros("d", 3)),
+             (9, _zeros("d", 5))],
+            [(0, array("f", _flat(4))), (7, _zeros("l", 4))],
+            [],
+        )
+    if name in ("max", "above"):
+        values = array("d", [0.5, 2.0, 1.0, 3.0, 0.25])
+        extra = [1.0, 0.5] if name == "above" else []
+        return (
+            [values, 1, 5, *extra],
+            [(1, -1), (2, 6)],
+            [(0, array("f", values)), (0, array("l", [1, 2, 3, 4, 5]))],
+            [],
+        )
+    if name == "route":
+        return (
+            [array("d", [1.0, 1.0, 1.0, 3.0, 1.0, 1.0]), 2, 1.0, 1.0, 2.0,
+             0.0, 0.0, _zeros("d", 15), 5, _zeros("q", 12), 4],
+            [(1, 3), (1, -1), (8, 6), (8, -1), (10, 5)],
+            [(0, array("f", [1.0] * 6)), (7, _zeros("f", 15)),
+             (9, _zeros("d", 12))],
+            [],
+        )
+    if name == "map":
+        cells, table, start = _routed()
+        return (
+            [cells.arrays, table.rows, table.cover, table.base, start,
+             len(table.objs), cells.scratch],
+            [(0, _bad_table(cells)), (4, -1), (5, len(table.objs) + 1),
+             (6, array("q"))],
+            [(1, array("f", table.rows)), (2, array("d", table.cover)),
+             (0, (array("f", cells.cw), *cells.arrays[1:]))],
+            [],
+        )
+    cells, table = _mapped()
+    if name == "purge":
+        return (
+            [cells.arrays, table.cover, 0, 2, table.base + 1, cells.scratch],
+            [(0, _bad_table(cells)), (2, -1), (3, len(table.objs) + 1),
+             (5, array("q", [0]))],
+            [(1, array("d", table.cover)), (5, _zeros("l", cells.cap))],
+            [],
+        )
+    if name == "pending":
+        return (
+            [cells.arrays, 0, cells.pend],
+            [(0, _bad_table(cells)), (1, cells.state[S_HWM]), (1, -1),
+             (2, array("q"))],
+            [(2, _zeros("d", len(cells.pend)))],
+            [],
+        )
+    if name in ("top", "top_bound"):
+        return (
+            [cells.arrays],
+            [(0, _bad_table(cells))],
+            [(0, (*cells.arrays[:6], array("d", cells.state),
+                  *cells.arrays[7:])), (0, cells.arrays[:9])],
+            [],
+        )
+    assert name == "settle"
+    return (
+        [cells.arrays, array("q", [0]), 1],
+        [(0, _bad_table(cells)), (1, array("q", [cells.state[S_HWM]])),
+         (2, 2), (2, -1)],
+        [(1, array("d", [0.0]))],
+        [],
+    )
+
+
+@pytest.mark.parametrize("name", planesweep._Kernel._fields)
+def test_entry_point_checks_indices_and_typecodes(name):
+    """An index or count past its buffer raises ``IndexError`` and an
+    array of the wrong typecode ``TypeError``, before the kernel touches
+    memory; the valid call, and ``None`` where the C side takes
+    ``NULL``, work."""
+    fn = getattr(planesweep._KERNEL, name)
+    args, past, typecodes, nullable = _args(name)
+    for error, bad in ((IndexError, past), (TypeError, typecodes)):
+        for pos, value in bad:
+            args, *_ = _args(name)
+            args[pos] = value
+            with pytest.raises(error):
+                fn(*args)
+    for positions in nullable:
+        args, *_ = _args(name)
+        for pos in positions:
+            args[pos] = None
+        fn(*args)
+    args, *_ = _args(name)
+    fn(*args)
+    with pytest.raises(TypeError):
+        fn(*args[:-1])
+
+
 # -- loader failures raise the typed error ----------------------------------
 
 
@@ -445,24 +628,34 @@ def _fail(*_args, **_kwargs):
     raise OSError("forced failure")
 
 
-def _assert_unavailable(tmp_path) -> None:
+def _assert_unavailable(tmp_path) -> str:
     with pytest.raises(KernelUnavailableError) as raised:
         planesweep._load_kernel()
     message = str(raised.value)
     assert "gcc" in message and str(tmp_path) in message
+    assert "Python development headers" in message
     assert isinstance(raised.value, ImportError)
+    return message
 
 
-@pytest.mark.parametrize("failure", ["no_compiler", "build", "load"])
+@pytest.mark.parametrize(
+    "failure", ["no_compiler", "build", "load", "no_headers"]
+)
 def test_loader_failure_raises_the_typed_error(failure, monkeypatch, tmp_path):
     monkeypatch.setattr(planesweep, "_cache_dir", lambda: tmp_path)
     if failure == "no_compiler":
         monkeypatch.setattr(planesweep.shutil, "which", lambda _name: None)
     elif failure == "build":
         monkeypatch.setattr(planesweep, "_build", _fail)
-    else:
-        monkeypatch.setattr(ctypes, "PyDLL", _fail)
-    _assert_unavailable(tmp_path)
+    elif failure == "load":
+        monkeypatch.setattr(planesweep, "ExtensionFileLoader", _fail)
+    else:  # an include directory without Python.h: the build fails
+        (tmp_path / "include").mkdir()
+        monkeypatch.setattr(planesweep, "_INCLUDE", str(tmp_path / "include"))
+    message = _assert_unavailable(tmp_path)
+    if failure == "no_headers":
+        assert "Python.h" in message
+        assert not any(p.suffix == ".so" for p in tmp_path.iterdir())
 
 
 def test_unloadable_cached_library_raises(monkeypatch, tmp_path):
