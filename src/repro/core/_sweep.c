@@ -51,6 +51,11 @@
  * bookkeeping, pending links, candidate heap.  A stale cell's bound is
  * re-summed in row order, never lowered by a subtraction, so it too
  * matches the Python bit for bit.
+ *
+ * maxrs_admit is the ingest guard's batch pass (see
+ * repro/resilience/guard.py; the reference port is admit): the stream
+ * object of every wire record whose shape and values need no coercion,
+ * built in one walk of the batch.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1642,6 +1647,123 @@ static PyObject *py_settle(PyObject *self, PyObject *const *args,
     Py_RETURN_NONE;
 }
 
+/*
+ * maxrs_admit(records, cls): for each record of the list, the object
+ * cls(x, y, weight, timestamp, oid) when the record is exactly a dict
+ * whose keys are all exactly str, holding all five field keys, with
+ * exact floats x, y, weight and timestamp and an exact int oid that
+ * pass cls's checks (finite x and y, weight >= 0, timestamp not NaN);
+ * None for every other record, which the caller coerces on its general
+ * path.  The object is allocated through cls and its five slots are
+ * set to the record's own value objects, as the dataclass's __init__
+ * sets them with object.__setattr__.  With only exact str keys and
+ * exact float and int values, no lookup or check runs Python code.
+ */
+#include <structmember.h>
+
+/* the field names, interned at module init, in cls's positional order */
+#define WIRE_FIELDS 5
+static const char *const WIRE_NAMES[WIRE_FIELDS] = {"x", "y", "weight",
+                                                    "timestamp", "oid"};
+static PyObject *wire_keys[WIRE_FIELDS];
+
+/* the record's five values (borrowed) when the kernel builds its object */
+static int wire_values(PyObject *rec, PyObject **v)
+{
+    if (!PyDict_CheckExact(rec))
+        return 0;
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(rec, &pos, &key, &value))
+        if (!PyUnicode_CheckExact(key))
+            return 0;
+    for (int k = 0; k < WIRE_FIELDS; k++) {
+        v[k] = PyDict_GetItemWithError(rec, wire_keys[k]);
+        if (v[k] == NULL) {
+            PyErr_Clear();
+            return 0;
+        }
+    }
+    if (!PyFloat_CheckExact(v[0]) || !PyFloat_CheckExact(v[1])
+        || !PyFloat_CheckExact(v[2]) || !PyFloat_CheckExact(v[3])
+        || !PyLong_CheckExact(v[4]))
+        return 0;
+    double x = PyFloat_AS_DOUBLE(v[0]), y = PyFloat_AS_DOUBLE(v[1]);
+    double w = PyFloat_AS_DOUBLE(v[2]), t = PyFloat_AS_DOUBLE(v[3]);
+    return isfinite(x) && isfinite(y) && w >= 0.0 && !isnan(t);
+}
+
+static PyObject *py_admit(PyObject *self, PyObject *const *args,
+                          Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_admit() takes 2 arguments (%zd given)",
+                            nargs);
+    PyObject *records = args[0];
+    if (!PyList_CheckExact(records))
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_admit(): expected a list of records, "
+                            "got %.200s", Py_TYPE(records)->tp_name);
+    if (!PyType_Check(args[1]))
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_admit(): expected a type, got %.200s",
+                            Py_TYPE(args[1])->tp_name);
+    PyTypeObject *cls = (PyTypeObject *)args[1];
+    /* each field's slot: a writable object member of cls or a base */
+    Py_ssize_t offset[WIRE_FIELDS];
+    for (int k = 0; k < WIRE_FIELDS; k++) {
+        PyObject *d = PyObject_GetAttr(args[1], wire_keys[k]);
+        if (d == NULL) {
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+                return NULL;
+            PyErr_Clear();
+        }
+        int ok = d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type);
+        if (ok) {
+            PyMemberDescrObject *m = (PyMemberDescrObject *)d;
+            ok = m->d_member->type == T_OBJECT_EX
+                 && !(m->d_member->flags & READONLY)
+                 && PyType_IsSubtype(cls, m->d_common.d_type);
+            offset[k] = m->d_member->offset;
+        }
+        Py_XDECREF(d);
+        if (!ok)
+            return PyErr_Format(PyExc_TypeError,
+                                "maxrs_admit(): %.200s has no slot '%s'",
+                                cls->tp_name, WIRE_NAMES[k]);
+    }
+    Py_ssize_t n = PyList_GET_SIZE(records);
+    PyObject *out = PyList_New(n);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v[WIRE_FIELDS], *obj = NULL;
+        /* re-read the size: an allocation may run a finalizer */
+        if (i < PyList_GET_SIZE(records)
+            && wire_values(PyList_GET_ITEM(records, i), v)) {
+            for (int k = 0; k < WIRE_FIELDS; k++)
+                Py_INCREF(v[k]);
+            obj = cls->tp_alloc(cls, 0);
+            if (obj == NULL) {
+                for (int k = 0; k < WIRE_FIELDS; k++)
+                    Py_DECREF(v[k]);
+                Py_DECREF(out);
+                return NULL;
+            }
+            /* the fresh slots are NULL: each takes its reference */
+            for (int k = 0; k < WIRE_FIELDS; k++)
+                *(PyObject **)((char *)obj + offset[k]) = v[k];
+        }
+        if (obj == NULL) {
+            obj = Py_None;
+            Py_INCREF(obj);
+        }
+        PyList_SET_ITEM(out, i, obj);
+    }
+    return out;
+}
+
 #define ENTRY(fn, doc)                                                      \
     {"maxrs_" #fn, (PyCFunction)(void (*)(void))py_##fn, METH_FASTCALL, doc}
 
@@ -1667,6 +1789,7 @@ static PyMethodDef methods[] = {
     ENTRY(top, "maxrs_top(table) -> cell"),
     ENTRY(top_bound, "maxrs_top_bound(table) -> cell"),
     ENTRY(settle, "maxrs_settle(table, visited, n) -> None"),
+    ENTRY(admit, "maxrs_admit(records, cls) -> [cls object or None, ...]"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -1678,5 +1801,10 @@ static struct PyModuleDef sweep_module = {
 
 PyMODINIT_FUNC PyInit__sweep(void)
 {
+    for (int k = 0; k < WIRE_FIELDS; k++)
+        if (wire_keys[k] == NULL
+            && (wire_keys[k] = PyUnicode_InternFromString(WIRE_NAMES[k]))
+                   == NULL)
+            return NULL;
     return PyModule_Create(&sweep_module);
 }

@@ -91,6 +91,13 @@ _M64 = (1 << 64) - 1
 _MIN_CELLS = 16
 
 
+def _spare(need: int) -> int:
+    """The room an array that must hold ``need`` entries grows to: half
+    as much again, so that a table sized by one big batch keeps room for
+    the next batches instead of growing, and rehashing, inside them."""
+    return need + need // 2
+
+
 def _home(i: int, j: int, mask: int) -> int:
     """The home slot of key ``(i, j)``: ``_sweep.c``'s ``home``, in
     64-bit unsigned arithmetic."""
@@ -225,10 +232,10 @@ class CellTable:
 
     # -- sizing ------------------------------------------------------------
 
-    def _grow(self, need: int) -> None:
-        """Room for ``need`` cell ids, and a hash of at least twice as
+    def _grow(self, cap: int) -> None:
+        """Room for ``cap`` cell ids, and a hash of at least twice as
         many slots, rebuilt from the live cells in id order."""
-        extra = max(need, 2 * self.cap) - self.cap
+        extra = cap - self.cap
         self.cap += extra
         self.cw.frombytes(bytes(8 * extra))
         self.vb.frombytes(bytes(8 * extra))
@@ -248,14 +255,14 @@ class CellTable:
                 s = (s + 1) & mask
             slots[s] = c
 
-    def _grow_heap(self, need: int) -> None:
-        extra = max(need, 2 * self.hcap) - self.hcap
+    def _grow_heap(self, cap: int) -> None:
+        extra = cap - self.hcap
         self.hcap += extra
         self.hcw.frombytes(bytes(8 * extra))
         self.hent.frombytes(bytes(16 * extra))
 
-    def _grow_links(self, need: int) -> None:
-        extra = max(need, 2 * self.lcap) - self.lcap
+    def _grow_links(self, cap: int) -> None:
+        extra = cap - self.lcap
         self.lcap += extra
         self.links.frombytes(bytes(16 * extra))
         self.lw.frombytes(bytes(8 * extra))
@@ -267,12 +274,12 @@ class CellTable:
         state = self.state
         need = state[S_HWM] + max(0, pairs - state[S_NFREE])
         if need > self.cap:
-            self._grow(need)
+            self._grow(_spare(need))
         if state[S_HEAP] + pairs > self.hcap:
-            self._grow_heap(state[S_HEAP] + pairs)
+            self._grow_heap(_spare(state[S_HEAP] + pairs))
         links = state[S_LEND] - state[S_LBASE] + pairs
         if links > self.lcap:
-            self._grow_links(links)
+            self._grow_links(_spare(links))
         if rows > len(self.pend):
             self.pend.frombytes(bytes(8 * max(rows, len(self.pend))))
 
@@ -392,7 +399,7 @@ class CellTable:
         twice the live cells."""
         state = self.state
         if state[S_HEAP] + len(visited) > self.hcap:
-            self._grow_heap(state[S_HEAP] + len(visited))
+            self._grow_heap(_spare(state[S_HEAP] + len(visited)))
         planesweep._KERNEL.settle(self.arrays, visited, len(visited))
 
     def clear_heap(self) -> None:

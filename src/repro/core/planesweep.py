@@ -41,10 +41,13 @@ Each has one dispatcher here (``_sweep_flat``, ``_topk_flat``,
 ``_max_flat``, ``_above_flat``); the same library's aG2 cell-index
 entry points (``maxrs_route``, ``maxrs_map``, ``maxrs_purge``,
 ``maxrs_pending``, ``maxrs_top``, ``maxrs_top_bound``,
-``maxrs_settle``) are called from ``repro.core.cells``; nothing else
-reads ``_KERNEL``.  Items are a flat ``array('d')`` of 5 doubles each,
-``(x1, y1, x2, y2, weight)`` — the layout of a graph cell's buffer, so
-a call passes the array, a start index and a count.
+``maxrs_settle``) are called from ``repro.core.cells``, and its
+``maxrs_admit`` (the ingest guard's batch pass: the stream objects of
+the wire records that need no coercion) from
+``repro.resilience.guard``; nothing else reads ``_KERNEL``.  Items
+are a flat ``array('d')`` of 5 doubles each, ``(x1, y1, x2, y2,
+weight)`` — the layout of a graph cell's buffer, so a call passes the
+array, a start index and a count.
 
 The library is a CPython extension module, compiled with gcc (or cc)
 against the interpreter's own headers on first import into a per-user
@@ -176,6 +179,7 @@ class _Kernel(NamedTuple):
     top: object
     top_bound: object
     settle: object
+    admit: object
 
 
 def _open(path: Path) -> _Kernel:

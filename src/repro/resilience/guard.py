@@ -19,27 +19,34 @@ guard is where dirty reality is converted into that contract:
   depth from ``len(dead_letters)``.  The soak harness proves from them
   that every injected fault is accounted for.
 
-:meth:`IngestGuard.filter` is the one admission loop: one
-:func:`coerce_record` call per record (every mapping is built
-positionally; plain dicts, the wire shape, are recognised ahead of the
-ABC checks), in-order records
-appended straight to the output, and the reorder buffer released once
-per batch, at its final watermark.  The soak harness and the
-end-to-end benchmark call it ahead of their backpressure queue, and
-:meth:`IngestGuard.flush` drains the reorder buffer at end of input.
+:meth:`IngestGuard.filter` is the one admission loop.  Handed a
+``list``, it first builds the objects of the wire records in one
+compiled pass (:func:`admit_records`, the kernel's ``maxrs_admit``):
+every plain dict with exact-float ``x``/``y``/``weight``/``timestamp``
+and an exact-int ``oid`` that pass :class:`SpatialObject`'s checks.
+Every other record, and every record of any other iterable, which is
+read lazily, goes through one :func:`coerce_record` call (every mapping
+is built positionally; plain dicts are recognised ahead of the ABC
+checks).  In-order objects are appended straight to the output, and the
+reorder buffer is released once per batch, at its final watermark.  The
+soak harness and the end-to-end benchmark call it ahead of their
+backpressure queue, and :meth:`IngestGuard.flush` drains the reorder
+buffer at end of input.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from itertools import repeat
 
+from repro.core import planesweep
 from repro.core.objects import SpatialObject
 from repro.errors import QuarantineError, ReproError
 from repro.resilience.dlq import DeadLetter, DeadLetterQueue, ErrorPolicy
 from repro.resilience.reorder import ReorderBuffer
 
-__all__ = ["IngestGuard", "coerce_record"]
+__all__ = ["IngestGuard", "admit_records", "coerce_record"]
 
 #: what a payload that cannot be coerced raises
 _INVALID = (ReproError, ValueError, TypeError, OverflowError)
@@ -114,6 +121,17 @@ def coerce_record(record: object) -> SpatialObject:
     raise TypeError(f"cannot interpret stream record {record!r}")
 
 
+def admit_records(records: list) -> list[SpatialObject | None]:
+    """One compiled pass over a batch (``maxrs_admit``): for each
+    record, the object :func:`coerce_record` would build when the record
+    is a plain dict with str keys holding all five fields, exact floats
+    ``x``/``y``/``weight``/``timestamp`` that pass
+    :class:`SpatialObject`'s checks and an exact-int ``oid``, holding
+    the record's own value objects; ``None`` for every other record.
+    It raises nothing for a record and never draws an auto oid."""
+    return planesweep._KERNEL.admit(records, SpatialObject)
+
+
 class IngestGuard:
     """Validating, re-sequencing stream boundary with a dead-letter queue.
 
@@ -169,30 +187,41 @@ class IngestGuard:
     def filter(self, records: Iterable[object]) -> list[SpatialObject]:
         """Validate and re-sequence a batch; return releasable objects.
 
-        The one admission loop: each record is coerced once and taken
-        by the reorder buffer, which is released once, at the batch's
-        final watermark.  The result holds zero or more objects in
-        non-decreasing timestamp order (buffered records released by an
-        advancing watermark ride along with the batch that advanced
-        it), the same objects in the same order as one record at a time.
+        The one admission loop: each record becomes an object once and
+        is taken by the reorder buffer, which is released once, at the
+        batch's final watermark.  A ``list`` is read whole, up front,
+        by :func:`admit_records`; each record it leaves as ``None``, and
+        each record of any other iterable, is coerced in the loop by
+        :func:`coerce_record`, so every error, dead letter, count and
+        auto oid is that path's.  The result holds zero or more objects
+        in non-decreasing timestamp order (buffered records released by
+        an advancing watermark ride along with the batch that advanced
+        it), the same objects in the same order as one record at a time,
+        and the same for a list as for an iterator over it.
 
         Under ``RAISE`` the first rejected record stops the batch: it
         is counted as rejected, the buffer is released at the watermark
         reached so far, and the objects admitted ahead of it ride on
         the :class:`~repro.errors.QuarantineError` as ``released``, so
-        the conservation law holds at the raise.
+        the conservation law holds at the raise.  An iterator is
+        consumed no further than the rejected record.
         """
         out: list[SpatialObject] = []
         reorder = self.reorder
         accept = reorder.accept
+        if type(records) is list:
+            pairs = zip(records, admit_records(records))
+        else:
+            pairs = zip(records, repeat(None))
         try:
-            for record in records:
+            for record, obj in pairs:
                 self._seq += 1
-                try:
-                    obj = coerce_record(record)
-                except _INVALID as exc:
-                    self._reject(record, "invalid", str(exc))
-                    continue
+                if obj is None:
+                    try:
+                        obj = coerce_record(record)
+                    except _INVALID as exc:
+                        self._reject(record, "invalid", str(exc))
+                        continue
                 kept = accept(obj, out)
                 if kept:
                     self.admitted += 1

@@ -9,15 +9,17 @@ sweep and the top-k candidates run on :class:`MaxCoverSegmentTree`
 (``tests/segment_tree.py``), borrowed from a small pool; the graph
 cells' scans on the same flat items; the aG2 cell table's map, purge,
 visit, candidate heap and settle on the table's own arrays, pending
-lists and the lazy re-key of a stale cell's bound included.
+lists and the lazy re-key of a stale cell's bound included; the ingest
+guard's batch pass on the records themselves.
 
 :func:`use_reference` (with a ``MonkeyPatch``) and
 :func:`reference_kernel` (a context manager) replace every binding of a
 kernel dispatcher in the loaded ``repro`` modules — ``_sweep_flat``,
 ``_topk_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
-``_cell_flat``, ``_max_flat``, ``_above_flat`` and ``route_rows`` —
-and the :class:`~repro.core.cells.CellTable` methods that call the
-kernel, so a whole monitor runs on the reference.
+``_cell_flat``, ``_max_flat``, ``_above_flat``, ``route_rows`` and
+``admit_records`` — and the :class:`~repro.core.cells.CellTable`
+methods that call the kernel, so a whole monitor runs on the
+reference.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import sys
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
+from math import isfinite, isnan
+from types import MemberDescriptorType
 from typing import Iterable, Iterator, Sequence
 
 import pytest
@@ -35,9 +39,11 @@ from repro.core.cells import (
     C_HEAD, C_HELD, C_I, C_J, C_MARK, C_NEWEST, C_RANK, C_STALE, C_TAIL,
     C_VISIT, CF, S_COUNT, S_HEAP, S_HWM, S_LBASE, S_LEND, S_LLIVE, S_MASK,
     S_NFREE, S_RANK, S_STAMP, S_VSTAMP, CellTable, _ahead, _chain, _find,
-    _home, _live_bound,
+    _home, _live_bound, _spare,
 )
 from repro.core.graph import _COMPACT_MIN
+from repro.core.objects import SpatialObject
+from repro.resilience import guard
 from segment_tree import MaxCoverSegmentTree
 
 _REMOVE = 0
@@ -335,6 +341,53 @@ def route_rows(rows, cover, arrived, hw, hh, grid) -> int:
     """``maxrs_route``: the route the kernel falls back to for the
     batches it declines (looked up per call, so a test may spy on it)."""
     return cells._route_python(rows, cover, arrived, hw, hh, grid)
+
+
+# -- the ingest guard's batch pass --------------------------------------------
+
+#: the wire record's keys, in the object's positional order
+_WIRE_FIELDS = ("x", "y", "weight", "timestamp", "oid")
+
+
+def _wire_values(record: object) -> tuple | None:
+    """``wire_values``: the record's five values when the kernel builds
+    its object, else ``None``."""
+    if type(record) is not dict or any(type(k) is not str for k in record):
+        return None
+    if any(k not in record for k in _WIRE_FIELDS):
+        return None
+    x, y, w, t, oid = (record[k] for k in _WIRE_FIELDS)
+    if not (
+        type(x) is float and type(y) is float and type(w) is float
+        and type(t) is float and type(oid) is int
+    ):
+        return None
+    if isfinite(x) and isfinite(y) and w >= 0.0 and not isnan(t):
+        return x, y, w, t, oid
+    return None
+
+
+def admit(records: list, cls: type) -> list:
+    """``maxrs_admit``: ``cls(x, y, weight, timestamp, oid)`` for each
+    record of the shape and values the kernel builds, ``None`` for every
+    other one."""
+    if type(records) is not list:
+        raise TypeError(f"expected a list of records, got {type(records)}")
+    if not isinstance(cls, type):
+        raise TypeError(f"expected a type, got {type(cls)}")
+    for name in _WIRE_FIELDS:
+        if not isinstance(getattr(cls, name, None), MemberDescriptorType):
+            raise TypeError(f"{cls.__name__} has no slot {name!r}")
+    out = []
+    for record in records:
+        values = _wire_values(record)
+        out.append(None if values is None else cls(*values))
+    return out
+
+
+def admit_records(records: list) -> list:
+    """``guard.admit_records`` on the reference."""
+    return admit(records, SpatialObject)
 
 
 # -- the cell table ----------------------------------------------------------
@@ -654,7 +707,7 @@ def _table_take_pending(self: CellTable, c: int) -> array:
 
 def _table_settle(self: CellTable, visited: array) -> None:
     if self.state[S_HEAP] + len(visited) > self.hcap:
-        self._grow_heap(self.state[S_HEAP] + len(visited))
+        self._grow_heap(_spare(self.state[S_HEAP] + len(visited)))
     settle(self, visited)
 
 
@@ -690,6 +743,7 @@ def use_reference(mp: pytest.MonkeyPatch) -> None:
         for name, ref in _DISPATCHERS.items()
     }
     swaps[id(cells.route_rows)] = route_rows
+    swaps[id(guard.admit_records)] = admit_records
     for name, module in list(sys.modules.items()):
         if name != "repro" and not name.startswith("repro."):
             continue

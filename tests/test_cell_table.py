@@ -7,7 +7,7 @@ every step their cell tables (every array, bit for bit: bounds,
 last-visit bounds, pending links and stale marks), arrival tables
 and visited cells' graphs must be equal, and ``check_invariants`` must
 hold on both.  Keys are drawn mostly from two hash buckets shared by
-every table size up to 256 slots, so probe chains are long, and
+every table size up to 512 slots, so probe chains are long, and
 expiring their cells deletes from inside the chains; the table starts
 at 16 cells and grows, and deleted ids are reused.
 """
@@ -32,11 +32,11 @@ from repro.window import CountWindow
 
 def _bucket_keys(count: int) -> list[tuple[int, int]]:
     """``count`` keys in each of the two fullest home buckets of a
-    256-slot table (so also of every smaller power of two)."""
+    512-slot table (so also of every smaller power of two)."""
     buckets: dict[int, list[tuple[int, int]]] = {}
     for i in range(-60, 60):
         for j in range(-60, 60):
-            buckets.setdefault(_home(i, j, 255), []).append((i, j))
+            buckets.setdefault(_home(i, j, 511), []).append((i, j))
     full = sorted(buckets.values(), key=len, reverse=True)
     return full[0][:count] + full[1][:count]
 
@@ -178,6 +178,29 @@ def test_deleting_inside_a_probe_chain_keeps_every_key_found(
     fresh = [(100, 100), (101, 100)]
     m._map_arrivals(_Delta([_point(key, False, 1.0) for key in fresh]))
     assert [cells.find(key) for key in fresh] == [9, 0]
+    m.check_invariants()
+
+
+@pytest.mark.parametrize("kernel", ["compiled", "python"])
+def test_a_table_primed_by_one_big_batch_has_room_for_the_next(
+    kernel, monkeypatch
+):
+    """A table sized by one big batch keeps room for a small one: the
+    next batch grows no array, so no update rehashes the live cells."""
+    if kernel == "python":
+        use_reference(monkeypatch)
+    m = AG2Monitor(0.5, 0.5, CountWindow(10 ** 6), cell_size=1.0)
+    m._map_arrivals(_Delta(
+        [_point((i, j), False, 1.0) for i in range(30) for j in range(30)]
+    ))
+    cells = m._cells
+    sizes = (cells.cap, cells.hcap, cells.lcap, len(cells.slots))
+    assert cells.count == 900 and cells.cap >= 900 + 30
+    m._map_arrivals(_Delta(
+        [_point((i, 40), False, 1.0) for i in range(30)]
+    ))
+    assert cells.count == 930
+    assert (cells.cap, cells.hcap, cells.lcap, len(cells.slots)) == sizes
     m.check_invariants()
 
 

@@ -8,7 +8,10 @@ every comparison here is on ``float.hex`` of the weight and of all four
 region coordinates (and of every vertex bound), over inputs chosen to
 stress the tie rules: grid-aligned rectangles with shared edges,
 degenerate rectangles, duplicated x coordinates, ``-0.0`` next to
-``0.0``, and zero and negative weights.  Every entry point checks its
+``0.0``, and zero and negative weights.  The ingest guard's batch pass
+builds the same objects as its twin from the same records, each holding
+the record's own values, and leaves the same records to the general
+path.  Every entry point checks its
 arrays' typecodes and every index and count against their lengths, and
 raises rather than read or write past one.  The loader tests force the
 build or the load to fail and check that the import then raises
@@ -18,10 +21,12 @@ Python headers and the cache directory.
 
 from __future__ import annotations
 
+import gc
 import random
 import subprocess
 import sys
 from array import array
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -53,6 +58,7 @@ from repro.core.planesweep import (
 from repro.core.sampling import SamplingMonitor
 from repro.core.topk import TopKAG2Monitor
 from repro.errors import KernelUnavailableError
+from repro.resilience import IngestGuard, coerce_record
 from repro.window import CountWindow
 
 #: tie-heavy coordinates: a half-unit grid with both signed zeros
@@ -404,10 +410,10 @@ class _NoKernel:
 
 def test_reference_seam_reaches_no_kernel_call(monkeypatch):
     """Under the seam nothing calls the library: every graph monitor,
-    naive (k = 1 and top-k), the sampling monitor and AllMaxRS answer
-    with ``_KERNEL`` replaced by an object that fails on any entry
-    point, so no kernel-vs-reference differential compares the kernel
-    with itself."""
+    naive (k = 1 and top-k), the sampling monitor, AllMaxRS and the
+    ingest guard answer with ``_KERNEL`` replaced by an object that
+    fails on any entry point, so no kernel-vs-reference differential
+    compares the kernel with itself."""
     rng = random.Random(11)
     batches = [
         [SpatialObject(x=rng.uniform(0, 8), y=rng.uniform(0, 8),
@@ -428,6 +434,169 @@ def test_reference_seam_reaches_no_kernel_call(monkeypatch):
             monitor.update(batch)
     items = _items(rng, 30, grid=True)
     assert plane_sweep_all_max([_wrect(r, abs(w)) for r, w in items])
+    records = _e2e_records(3)
+    assert IngestGuard().filter(records) == [coerce_record(r) for r in records]
+
+
+# -- the ingest guard's batch pass --------------------------------------------
+
+FIELDS = ("x", "y", "weight", "timestamp", "oid")
+
+
+class _Key(str):
+    """A str subclass key: equal to its text, not exactly a str."""
+
+
+class _Payload(dict):
+    """A dict subclass: not the wire shape."""
+
+
+#: values a field may hold that the kernel must refuse or check
+odd_values = st.one_of(
+    st.sampled_from([
+        -0.0, -1.0, -1e-300, float("nan"), float("inf"), -float("inf"),
+        True, None, "1.5", 2**64,
+    ]),
+    st.integers(-3, 3),
+    st.floats(),
+)
+good_values = {
+    "x": st.floats(-1e6, 1e6),
+    "y": st.floats(-1e6, 1e6),
+    "weight": st.floats(0.0, 1e6),
+    "timestamp": st.one_of(st.floats(allow_nan=False), st.just(-0.0)),
+    "oid": st.integers(-(2**70), 2**70),
+}
+
+
+@st.composite
+def wire_records(draw):
+    """Mostly the wire shape, each field sometimes absent or odd, with
+    extra keys (some not exactly str), dict subclasses, tuples and
+    objects among them."""
+    kind = draw(st.integers(0, 9))
+    if kind == 7:
+        return tuple(draw(st.lists(good_values["x"], min_size=2, max_size=5)))
+    if kind == 8:
+        return SpatialObject(draw(good_values["x"]), draw(good_values["y"]))
+    if kind == 9:
+        return draw(st.sampled_from([None, "x", 3, 1.5, b"", [1.0, 2.0]]))
+    record = {}
+    for name in FIELDS:
+        if draw(st.integers(0, 9)):
+            odd = not draw(st.integers(0, 3))
+            record[name] = draw(odd_values if odd else good_values[name])
+    if not draw(st.integers(0, 4)):
+        key = draw(st.sampled_from(["extra", 0, 1.5, b"x", _Key("w")]))
+        record[key] = draw(st.sampled_from([None, 1.0, "v"]))
+    if not draw(st.integers(0, 9)) and "x" in record:
+        record[_Key("x")] = record.pop("x")
+    return _Payload(record) if kind == 6 else record
+
+
+def _assert_same_admission(records, twin=reference_kernel.admit) -> None:
+    """``maxrs_admit`` against ``twin``: the same records built, each
+    object holding its record's own value objects and equal to the one
+    ``coerce_record`` builds on the general path."""
+    got = planesweep._KERNEL.admit(records, SpatialObject)
+    want = twin(records, SpatialObject)
+    assert len(got) == len(want) == len(records)
+    for record, g, w in zip(records, got, want):
+        assert (g is None) == (w is None), record
+        if g is None:
+            continue
+        assert type(g) is SpatialObject
+        assert all(getattr(g, f) is record[f] for f in FIELDS)
+        assert repr(g) == repr(w) and g == w
+        general = coerce_record(record)
+        assert all(getattr(general, f) is record[f] for f in FIELDS)
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=st.lists(wire_records(), max_size=30))
+def test_admit_matches_the_reference(records):
+    _assert_same_admission(records)
+
+
+def _e2e_records(n: int) -> list[dict]:
+    """``n`` records in the end-to-end benchmark's shape, every value a
+    fresh object."""
+    return [
+        {"x": 0.5 + i, "y": 1e3 / (i + 3), "weight": i / 7,
+         "timestamp": float(i), "oid": 2**65 + i}
+        for i in range(n)
+    ]
+
+
+def test_admitted_objects_outlive_their_records():
+    """Each object owns a reference to each value: dropping the records
+    frees nothing the objects hold, and dropping the objects gives every
+    reference back."""
+    records = _e2e_records(200)
+    expected = [tuple(r[f] for f in FIELDS) for r in records]
+    probe = records[7]["x"]
+    held = sys.getrefcount(probe)
+    objs = planesweep._KERNEL.admit(records, SpatialObject)
+    assert sys.getrefcount(probe) == held + 1
+    del records
+    gc.collect()
+    churn = [float(i) + 0.25 for i in range(20000)]
+    assert [tuple(getattr(o, f) for f in FIELDS) for o in objs] == expected
+    del churn
+    held = sys.getrefcount(probe)
+    objs.pop(7)
+    assert sys.getrefcount(probe) == held - 1
+
+
+def test_admitted_objects_behave_as_constructed():
+    """A built object is tracked by the GC, compares, hashes and prints
+    as the twin's, and is as frozen."""
+    record = {"x": 1.25, "y": -0.0, "weight": 0.0,
+              "timestamp": float("-inf"), "oid": 2**70}
+    [got] = planesweep._KERNEL.admit([record], SpatialObject)
+    [twin] = reference_kernel.admit([record], SpatialObject)
+    assert gc.is_tracked(got) == gc.is_tracked(twin) is True
+    assert got == twin and hash(got) == hash(twin)
+    assert repr(got) == repr(twin)
+    assert got == SpatialObject(1.25, -0.0, 0.0, float("-inf"), 2**70)
+    for obj in (got, twin):
+        with pytest.raises(FrozenInstanceError):
+            obj.x = 2.0
+        with pytest.raises(FrozenInstanceError):
+            del obj.oid
+        assert not hasattr(obj, "__dict__")
+
+
+def _lenient_admit(records, cls):
+    """Mutant twin: admits a negative weight and an int coordinate,
+    setting the slots as the kernel does, past ``__post_init__``."""
+    out = []
+    for record in records:
+        obj = None
+        if type(record) is dict and all(f in record for f in FIELDS):
+            values = [record[f] for f in FIELDS]
+            if type(values[4]) is int and all(
+                type(v) in (int, float) for v in values[:4]
+            ):
+                obj = object.__new__(cls)
+                for name, value in zip(FIELDS, values):
+                    object.__setattr__(obj, name, value)
+        out.append(obj)
+    return out
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["strict", "lenient"])
+def test_a_lenient_admission_is_caught(mutant):
+    """The differential names a twin that admits what the kernel leaves
+    to the general path: a negative weight, an int coordinate."""
+    base = {"x": 1.0, "y": 2.0, "weight": 1.0, "timestamp": 0.0, "oid": 1}
+    for bad in ({"weight": -1.0}, {"x": 3}):
+        records = [dict(base), {**base, **bad}]
+        if mutant:
+            with pytest.raises(AssertionError):
+                _assert_same_admission(records, _lenient_admit)
+        else:
+            _assert_same_admission(records)
 
 
 # -- every entry point checks its arguments ---------------------------------
@@ -475,6 +644,14 @@ def _args(name: str) -> tuple[list, list, list, list]:
     ``(position, value)`` replacements that put an index or count past a
     buffer, and those that pass an array of the wrong typecode; and the
     sets of positions that take ``None`` together."""
+    if name == "admit":
+        return (
+            [_e2e_records(3), SpatialObject],
+            [],
+            [(0, tuple(_e2e_records(3))), (0, iter(_e2e_records(3))),
+             (0, None), (1, 3), (1, None), (1, int), (1, WeightedRect)],
+            [],
+        )
     if name in ("sweep", "topk"):
         out = _zeros("d", 5 if name == "sweep" else 20)
         return (
