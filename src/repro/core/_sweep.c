@@ -55,7 +55,10 @@
  * maxrs_admit is the ingest guard's batch pass (see
  * repro/resilience/guard.py; the reference port is admit): the stream
  * object of every wire record whose shape and values need no coercion,
- * built in one walk of the batch.
+ * built in one walk of the batch.  maxrs_columns is the durable
+ * column form of a run of those objects (see repro/core/objects.py; the
+ * reference port is columns): the oid list and the four float columns
+ * as little-endian doubles, packed in one walk.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -1667,6 +1670,36 @@ static const char *const WIRE_NAMES[WIRE_FIELDS] = {"x", "y", "weight",
                                                     "timestamp", "oid"};
 static PyObject *wire_keys[WIRE_FIELDS];
 
+/* each field's slot offset in cls: a writable object member of cls or a
+   base; 0 with a TypeError naming the entry point when one is missing */
+static int slot_offsets(const char *name, PyTypeObject *cls,
+                        Py_ssize_t *offset)
+{
+    for (int k = 0; k < WIRE_FIELDS; k++) {
+        PyObject *d = PyObject_GetAttr((PyObject *)cls, wire_keys[k]);
+        if (d == NULL) {
+            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
+                return 0;
+            PyErr_Clear();
+        }
+        int ok = d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type);
+        if (ok) {
+            PyMemberDescrObject *m = (PyMemberDescrObject *)d;
+            ok = m->d_member->type == T_OBJECT_EX
+                 && !(m->d_member->flags & READONLY)
+                 && PyType_IsSubtype(cls, m->d_common.d_type);
+            offset[k] = m->d_member->offset;
+        }
+        Py_XDECREF(d);
+        if (!ok) {
+            PyErr_Format(PyExc_TypeError, "%s(): %.200s has no slot '%s'",
+                         name, cls->tp_name, WIRE_NAMES[k]);
+            return 0;
+        }
+    }
+    return 1;
+}
+
 /* the record's five values (borrowed) when the kernel builds its object */
 static int wire_values(PyObject *rec, PyObject **v)
 {
@@ -1710,29 +1743,9 @@ static PyObject *py_admit(PyObject *self, PyObject *const *args,
                             "maxrs_admit(): expected a type, got %.200s",
                             Py_TYPE(args[1])->tp_name);
     PyTypeObject *cls = (PyTypeObject *)args[1];
-    /* each field's slot: a writable object member of cls or a base */
     Py_ssize_t offset[WIRE_FIELDS];
-    for (int k = 0; k < WIRE_FIELDS; k++) {
-        PyObject *d = PyObject_GetAttr(args[1], wire_keys[k]);
-        if (d == NULL) {
-            if (!PyErr_ExceptionMatches(PyExc_AttributeError))
-                return NULL;
-            PyErr_Clear();
-        }
-        int ok = d != NULL && Py_IS_TYPE(d, &PyMemberDescr_Type);
-        if (ok) {
-            PyMemberDescrObject *m = (PyMemberDescrObject *)d;
-            ok = m->d_member->type == T_OBJECT_EX
-                 && !(m->d_member->flags & READONLY)
-                 && PyType_IsSubtype(cls, m->d_common.d_type);
-            offset[k] = m->d_member->offset;
-        }
-        Py_XDECREF(d);
-        if (!ok)
-            return PyErr_Format(PyExc_TypeError,
-                                "maxrs_admit(): %.200s has no slot '%s'",
-                                cls->tp_name, WIRE_NAMES[k]);
-    }
+    if (!slot_offsets("maxrs_admit", cls, offset))
+        return NULL;
     Py_ssize_t n = PyList_GET_SIZE(records);
     PyObject *out = PyList_New(n);
     if (out == NULL)
@@ -1764,7 +1777,156 @@ static PyObject *py_admit(PyObject *self, PyObject *const *args,
     return out;
 }
 
-#define ENTRY(fn, doc)                                                      \
+/*
+ * maxrs_columns(objects, cls): the column form of a list or tuple of
+ * objects whose type is exactly cls and whose x, y, weight and
+ * timestamp slots hold exact floats -- (oids, x, y, weight, timestamp),
+ * the oids a new list of the oid slots' own objects and each float
+ * column the little-endian IEEE-754 doubles in bytes -- walked once.
+ * None for any other sequence, which the caller packs on its general
+ * path (repro/core/objects.py; the reference port is columns).
+ */
+static void store_le(char *p, double v)
+{
+    memcpy(p, &v, sizeof v);
+#if PY_BIG_ENDIAN
+    for (int a = 0, b = sizeof v - 1; a < b; a++, b--) {
+        char t = p[a];
+        p[a] = p[b];
+        p[b] = t;
+    }
+#endif
+}
+
+#define FLOAT_FIELDS 4
+
+static PyObject *py_columns(PyObject *self, PyObject *const *args,
+                            Py_ssize_t nargs)
+{
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_columns() takes 2 arguments (%zd given)",
+                            nargs);
+    PyObject *objects = args[0];
+    if (!PySequence_Check(objects))
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_columns(): expected a sequence of "
+                            "objects, got %.200s",
+                            Py_TYPE(objects)->tp_name);
+    if (!PyType_Check(args[1]))
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_columns(): expected a type, got %.200s",
+                            Py_TYPE(args[1])->tp_name);
+    PyTypeObject *cls = (PyTypeObject *)args[1];
+    Py_ssize_t offset[WIRE_FIELDS];
+    if (!slot_offsets("maxrs_columns", cls, offset))
+        return NULL;
+    if (!PyList_CheckExact(objects) && !PyTuple_CheckExact(objects))
+        Py_RETURN_NONE;
+    Py_ssize_t n = PySequence_Fast_GET_SIZE(objects);
+    PyObject *col[1 + FLOAT_FIELDS] = {NULL}, *result = NULL;
+    PyObject **items;
+    char *out[FLOAT_FIELDS];
+    int ok;
+    if ((col[0] = PyList_New(n)) == NULL)
+        goto done;
+    for (int k = 0; k < FLOAT_FIELDS; k++) {
+        if ((col[k + 1] = PyBytes_FromStringAndSize(NULL, 8 * n)) == NULL)
+            goto done;
+        out[k] = PyBytes_AS_STRING(col[k + 1]);
+    }
+    /* no Python code runs past here, so the walk sees a fixed sequence;
+       an allocation above may have run a finalizer that resized it */
+    ok = PySequence_Fast_GET_SIZE(objects) == n;
+    items = PySequence_Fast_ITEMS(objects);
+    for (Py_ssize_t i = 0; ok && i < n; i++) {
+        char *obj = (char *)items[i];
+        if (!(ok = Py_IS_TYPE(items[i], cls)))
+            break;
+        PyObject *oid = *(PyObject **)(obj + offset[FLOAT_FIELDS]);
+        ok = oid != NULL;
+        for (int k = 0; ok && k < FLOAT_FIELDS; k++) {
+            PyObject *v = *(PyObject **)(obj + offset[k]);
+            ok = v != NULL && PyFloat_CheckExact(v);
+            if (ok)
+                store_le(out[k] + 8 * i, PyFloat_AS_DOUBLE(v));
+        }
+        if (ok) {
+            Py_INCREF(oid);
+            PyList_SET_ITEM(col[0], i, oid);
+        }
+    }
+    result = ok ? PyTuple_Pack(1 + FLOAT_FIELDS, col[0], col[1], col[2],
+                               col[3], col[4])
+                : Py_NewRef(Py_None);
+done:
+    for (int k = 0; k <= FLOAT_FIELDS; k++)
+        Py_XDECREF(col[k]);
+    return result;
+}
+
+/*
+ * maxrs_ints(values): json.dumps(values) -- "[1, 2, 3]" -- of a list
+ * whose items are all exact ints that fit in 64 bits, written in one
+ * pass, for the oid list of a checkpoint (repro/resilience/checkpoint.py;
+ * the reference port is ints); None for any other list, which the
+ * caller gives to json.dumps.
+ */
+static PyObject *py_ints(PyObject *self, PyObject *const *args,
+                         Py_ssize_t nargs)
+{
+    if (nargs != 1)
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_ints() takes 1 argument (%zd given)",
+                            nargs);
+    PyObject *values = args[0];
+    if (!PyList_CheckExact(values))
+        return PyErr_Format(PyExc_TypeError,
+                            "maxrs_ints(): expected a list, got %.200s",
+                            Py_TYPE(values)->tp_name);
+    /* a 64-bit int is at most 20 characters, then ", " */
+    Py_ssize_t n = PyList_GET_SIZE(values);
+    if (n > (PY_SSIZE_T_MAX - 2) / 22)
+        return PyErr_NoMemory();
+    char *buf = PyMem_Malloc(22 * n + 2), *p = buf;
+    if (buf == NULL)
+        return PyErr_NoMemory();
+    *p++ = '[';
+    /* nothing below runs Python code, so the list cannot change */
+    for (Py_ssize_t i = 0; i < n; i++) {
+        PyObject *v = PyList_GET_ITEM(values, i);
+        int overflow;
+        long long x = PyLong_CheckExact(v)
+                          ? PyLong_AsLongLongAndOverflow(v, &overflow)
+                          : (overflow = 1, 0);
+        if (overflow) {
+            PyMem_Free(buf);
+            Py_RETURN_NONE;
+        }
+        if (i) {
+            *p++ = ',';
+            *p++ = ' ';
+        }
+        unsigned long long m = x < 0 ? 0ULL - (unsigned long long)x
+                                     : (unsigned long long)x;
+        char digits[20];
+        int k = 0;
+        do {
+            digits[k++] = (char)('0' + m % 10);
+            m /= 10;
+        } while (m);
+        if (x < 0)
+            *p++ = '-';
+        while (k)
+            *p++ = digits[--k];
+    }
+    *p++ = ']';
+    PyObject *text = PyUnicode_DecodeASCII(buf, p - buf, NULL);
+    PyMem_Free(buf);
+    return text;
+}
+
+#define ENTRY(fn, doc)                                                   \
     {"maxrs_" #fn, (PyCFunction)(void (*)(void))py_##fn, METH_FASTCALL, doc}
 
 static PyMethodDef methods[] = {
@@ -1790,6 +1952,9 @@ static PyMethodDef methods[] = {
     ENTRY(top_bound, "maxrs_top_bound(table) -> cell"),
     ENTRY(settle, "maxrs_settle(table, visited, n) -> None"),
     ENTRY(admit, "maxrs_admit(records, cls) -> [cls object or None, ...]"),
+    ENTRY(columns, "maxrs_columns(objects, cls) -> (oids, x, y, weight, "
+                   "timestamp) or None"),
+    ENTRY(ints, "maxrs_ints(values) -> JSON text or None"),
     {NULL, NULL, 0, NULL},
 };
 

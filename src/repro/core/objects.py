@@ -9,12 +9,17 @@ is that dual representation, carrying the originating object.
 The on-disk formats (snapshots, checkpoints, WAL batches) store a run
 of objects as columns (:func:`objects_to_columns`): the oids as a list
 of ints, and each float field as one base64 string of little-endian
-IEEE-754 doubles, which round-trips every float bit for bit.
+IEEE-754 doubles, which round-trips every float bit for bit.  The
+compiled kernel's ``maxrs_columns`` packs a run of plain objects in one
+pass (:func:`pack_columns`), which the snapshot of every checkpoint and
+every WAL append goes through; anything else is packed field by field in
+Python, to the same bytes.
 """
 
 from __future__ import annotations
 
 import base64
+import binascii
 import itertools
 import math
 import sys
@@ -33,6 +38,7 @@ __all__ = [
     "object_ids",
     "objects_from_columns",
     "objects_to_columns",
+    "pack_columns",
     "pack_doubles",
     "unpack_doubles",
 ]
@@ -155,10 +161,37 @@ def unpack_doubles(text: str) -> list[float]:
     return column.tolist()
 
 
+def pack_columns(objects: Sequence[SpatialObject]) -> tuple | None:
+    """One compiled pass over a run of objects (``maxrs_columns``):
+    ``(oids, x, y, weight, timestamp)``, the oids a new list of the
+    objects' own oids and each float column the little-endian doubles as
+    ``bytes``, when ``objects`` is a list or tuple of exact
+    :class:`SpatialObject` instances with exact-float coordinates,
+    weight and timestamp; ``None`` for any other sequence."""
+    from repro.core import planesweep  # planesweep imports this module
+
+    return planesweep._KERNEL.columns(objects, SpatialObject)
+
+
+def _b64(column: bytes) -> str:
+    return binascii.b2a_base64(column, newline=False).decode("ascii")
+
+
 def objects_to_columns(objects: Sequence[SpatialObject]) -> dict[str, Any]:
     """Column form of a run of objects: ``oid`` as a list of ints,
     ``x``, ``y``, ``weight`` and ``timestamp`` each packed by
-    :func:`pack_doubles`."""
+    :func:`pack_doubles`.
+
+    A list or tuple of plain objects is packed in one compiled pass
+    (:func:`pack_columns`); any other run, such as objects holding an
+    int coordinate, is packed here field by field, to the same bytes."""
+    packed = pack_columns(objects)
+    if packed is not None:
+        oids, xs, ys, ws, ts = packed
+        return {
+            "oid": oids, "x": _b64(xs), "y": _b64(ys), "weight": _b64(ws),
+            "timestamp": _b64(ts),
+        }
     return {
         "oid": [o.oid for o in objects],
         "x": pack_doubles([o.x for o in objects]),

@@ -44,7 +44,9 @@ entry points (``maxrs_route``, ``maxrs_map``, ``maxrs_purge``,
 ``maxrs_settle``) are called from ``repro.core.cells``, and its
 ``maxrs_admit`` (the ingest guard's batch pass: the stream objects of
 the wire records that need no coercion) from
-``repro.resilience.guard``; nothing else reads ``_KERNEL``.  Items
+``repro.resilience.guard``, and its ``maxrs_columns`` (the durable
+column form of a run of stream objects) from ``repro.core.objects``;
+nothing else reads ``_KERNEL``.  Items
 are a flat ``array('d')`` of 5 doubles each, ``(x1, y1, x2, y2,
 weight)`` — the layout of a graph cell's buffer, so a call passes the
 array, a start index and a count.
@@ -180,6 +182,8 @@ class _Kernel(NamedTuple):
     top_bound: object
     settle: object
     admit: object
+    columns: object
+    ints: object
 
 
 def _open(path: Path) -> _Kernel:

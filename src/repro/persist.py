@@ -25,12 +25,14 @@ Snapshot format 2 (the one written)::
                  "weight": "<base64>", "timestamp": "<base64>"}}
 
 ``objects`` holds the alive window in arrival order as columns (see
-:func:`repro.core.objects.objects_to_columns`): the oids as a JSON int
-list, and each float field as one base64 string of little-endian
+:func:`repro.core.objects.objects_to_columns`, one compiled pass over a
+window of plain objects): the oids as a JSON int list, and each float field as one base64 string of little-endian
 IEEE-754 doubles, so every float — ``-0.0`` and infinite timestamps
 included — restores bit for bit, without decimal float text.  Format 1
 (one ``{"oid", "x", "y", "weight", "timestamp"}`` dict per object) is
-still restored, never written.
+still restored, never written.  ``objects`` is the last member, so
+:class:`~repro.resilience.checkpoint.CheckpointManager` can encode a
+snapshot by splicing its column strings in after the rest.
 
 Example::
 

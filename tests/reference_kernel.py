@@ -10,16 +10,17 @@ sweep and the top-k candidates run on :class:`MaxCoverSegmentTree`
 cells' scans on the same flat items; the aG2 cell table's map, purge,
 visit, candidate heap and settle on the table's own arrays, pending
 lists and the lazy re-key of a stale cell's bound included; the ingest
-guard's batch pass on the records themselves.
+guard's batch pass on the records themselves; the durable column pass
+on the stream objects and the checkpoint's oid list on the ints.
 
 :func:`use_reference` (with a ``MonkeyPatch``) and
 :func:`reference_kernel` (a context manager) replace every binding of a
 kernel dispatcher in the loaded ``repro`` modules — ``_sweep_flat``,
 ``_topk_flat``, ``_scan_flat``, ``_insert_flat``, ``_local_flat``,
-``_cell_flat``, ``_max_flat``, ``_above_flat``, ``route_rows`` and
-``admit_records`` — and the :class:`~repro.core.cells.CellTable`
-methods that call the kernel, so a whole monitor runs on the
-reference.
+``_cell_flat``, ``_max_flat``, ``_above_flat``, ``route_rows``,
+``admit_records``, ``pack_columns`` and ``json_ints`` — and the
+:class:`~repro.core.cells.CellTable` methods that call the kernel, so a
+whole monitor, its WAL and its checkpoints run on the reference.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from repro.core import cells, planesweep
+from repro.core import cells, objects, planesweep
 from repro.core.cells import (
     C_HEAD, C_HELD, C_I, C_J, C_MARK, C_NEWEST, C_RANK, C_STALE, C_TAIL,
     C_VISIT, CF, S_COUNT, S_HEAP, S_HWM, S_LBASE, S_LEND, S_LLIVE, S_MASK,
@@ -43,7 +44,7 @@ from repro.core.cells import (
 )
 from repro.core.graph import _COMPACT_MIN
 from repro.core.objects import SpatialObject
-from repro.resilience import guard
+from repro.resilience import checkpoint, guard
 from segment_tree import MaxCoverSegmentTree
 
 _REMOVE = 0
@@ -388,6 +389,59 @@ def admit(records: list, cls: type) -> list:
 def admit_records(records: list) -> list:
     """``guard.admit_records`` on the reference."""
     return admit(records, SpatialObject)
+
+
+# -- the durable column pass ---------------------------------------------------
+
+
+def columns(run: Sequence, cls: type) -> tuple | None:
+    """``maxrs_columns``: ``(oids, x, y, weight, timestamp)`` of a list
+    or tuple of exact ``cls`` objects with exact-float x, y, weight and
+    timestamp -- the oids their own objects, each float column the
+    little-endian doubles as ``bytes`` -- and ``None`` for any other
+    sequence."""
+    if isinstance(run, dict) or not hasattr(type(run), "__getitem__"):
+        raise TypeError(f"expected a sequence of objects, got {type(run)}")
+    if not isinstance(cls, type):
+        raise TypeError(f"expected a type, got {type(cls)}")
+    for name in _WIRE_FIELDS:
+        if not isinstance(getattr(cls, name, None), MemberDescriptorType):
+            raise TypeError(f"{cls.__name__} has no slot {name!r}")
+    if type(run) not in (list, tuple):
+        return None
+    oids, floats = [], [array("d") for _ in range(4)]
+    for obj in run:
+        if type(obj) is not cls:
+            return None
+        try:
+            values = [getattr(obj, name) for name in _WIRE_FIELDS]
+        except AttributeError:  # a slot never set
+            return None
+        if any(type(v) is not float for v in values[:4]):
+            return None
+        for column, value in zip(floats, values):
+            column.append(value)
+        oids.append(values[4])
+    if sys.byteorder != "little":
+        for column in floats:
+            column.byteswap()
+    return (oids, *(column.tobytes() for column in floats))
+
+
+def pack_columns(run: Sequence) -> tuple | None:
+    """``objects.pack_columns`` on the reference."""
+    return columns(run, SpatialObject)
+
+
+def ints(values: list) -> str | None:
+    """``maxrs_ints``: the JSON text of a list of exact ints that fit in
+    64 bits, each in decimal, ``", "`` between them; ``None`` for any
+    other list."""
+    if type(values) is not list:
+        raise TypeError(f"expected a list, got {type(values)}")
+    if any(type(v) is not int or not -(2**63) <= v < 2**63 for v in values):
+        return None
+    return "[" + ", ".join(str(v) for v in values) + "]"
 
 
 # -- the cell table ----------------------------------------------------------
@@ -744,6 +798,8 @@ def use_reference(mp: pytest.MonkeyPatch) -> None:
     }
     swaps[id(cells.route_rows)] = route_rows
     swaps[id(guard.admit_records)] = admit_records
+    swaps[id(objects.pack_columns)] = pack_columns
+    swaps[id(checkpoint.json_ints)] = ints
     for name, module in list(sys.modules.items()):
         if name != "repro" and not name.startswith("repro."):
             continue

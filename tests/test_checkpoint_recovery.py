@@ -9,6 +9,8 @@ and the indexes are pure functions of the arrival sequence.
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import random
 import string
@@ -420,6 +422,24 @@ class TestChecksum:
             CheckpointManager.load(path)
         restored, _ = CheckpointManager.load(path, verify_checksum=False)
         assert len(restored.window) == 3 * BATCH
+
+    def test_load_reads_the_file_once(self, tmp_path, monkeypatch):
+        """One ``load`` opens the checkpoint once: the CRC is checked
+        over the very bytes that are parsed and restored."""
+        monitor, path = self._checkpointed(tmp_path)
+        opened = []
+        real_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        restored, index = CheckpointManager.load(path)
+        assert opened == [path]
+        assert index == 3
+        assert restored.window.contents == monitor.window.contents
 
 
 class TestFormat1:

@@ -57,8 +57,9 @@ from repro.core.planesweep import (
 )
 from repro.core.sampling import SamplingMonitor
 from repro.core.topk import TopKAG2Monitor
+from repro.durability import WriteAheadLog, scan_wal
 from repro.errors import KernelUnavailableError
-from repro.resilience import IngestGuard, coerce_record
+from repro.resilience import CheckpointManager, IngestGuard, coerce_record
 from repro.window import CountWindow
 
 #: tie-heavy coordinates: a half-unit grid with both signed zeros
@@ -408,12 +409,12 @@ class _NoKernel:
         raise AssertionError(f"maxrs_{name} ran under the reference seam")
 
 
-def test_reference_seam_reaches_no_kernel_call(monkeypatch):
+def test_reference_seam_reaches_no_kernel_call(monkeypatch, tmp_path):
     """Under the seam nothing calls the library: every graph monitor,
-    naive (k = 1 and top-k), the sampling monitor, AllMaxRS and the
-    ingest guard answer with ``_KERNEL`` replaced by an object that
-    fails on any entry point, so no kernel-vs-reference differential
-    compares the kernel with itself."""
+    naive (k = 1 and top-k), the sampling monitor, AllMaxRS, the
+    ingest guard, a WAL append and a checkpoint answer with ``_KERNEL``
+    replaced by an object that fails on any entry point, so no
+    kernel-vs-reference differential compares the kernel with itself."""
     rng = random.Random(11)
     batches = [
         [SpatialObject(x=rng.uniform(0, 8), y=rng.uniform(0, 8),
@@ -436,6 +437,15 @@ def test_reference_seam_reaches_no_kernel_call(monkeypatch):
     assert plane_sweep_all_max([_wrect(r, abs(w)) for r, w in items])
     records = _e2e_records(3)
     assert IngestGuard().filter(records) == [coerce_record(r) for r in records]
+    with WriteAheadLog(tmp_path / "wal") as wal:
+        wal.append_batch(batches[0])
+    assert [b for _, b in scan_wal(tmp_path / "wal").batches] == [batches[0]]
+    naive = NaiveMonitor(2.0, 2.0, CountWindow(40))
+    naive.ingest(batches[1])
+    manager = CheckpointManager(naive, tmp_path / "ckpt.json")
+    manager.checkpoint()
+    restored, _ = CheckpointManager.load(manager.path)
+    assert restored.window.contents == naive.window.contents
 
 
 # -- the ingest guard's batch pass --------------------------------------------
@@ -650,6 +660,22 @@ def _args(name: str) -> tuple[list, list, list, list]:
             [],
             [(0, tuple(_e2e_records(3))), (0, iter(_e2e_records(3))),
              (0, None), (1, 3), (1, None), (1, int), (1, WeightedRect)],
+            [],
+        )
+    if name == "columns":
+        run = [SpatialObject(x=1.0 + k, y=2.0, oid=k) for k in range(3)]
+        return (
+            [run, SpatialObject],
+            [],
+            [(0, iter(run)), (0, None), (0, {0: run[0]}), (1, 3),
+             (1, None), (1, int), (1, WeightedRect)],
+            [],
+        )
+    if name == "ints":
+        return (
+            [[0, -1, 2**63 - 1]],
+            [],
+            [(0, (0, 1)), (0, iter([0])), (0, None)],
             [],
         )
     if name in ("sweep", "topk"):
