@@ -18,7 +18,7 @@ Usage::
     python scripts/perf_gate.py m.json
 
 **Bench mode** — compares a fresh ``maxrs-stream bench`` document
-against the committed baseline (``BENCH_PR9.json``) on
+against the committed baseline (``BENCH_PR36.json``) on
 ``speedup_vs_naive``, per (monitor, dataset) row.  The speedup is a
 ratio *within* one run on one machine, so absolute host speed cancels
 out; what remains is the algorithmic advantage over the naive
@@ -38,7 +38,7 @@ schemas are not comparable either.
 Usage::
 
     maxrs-stream bench --seed 42 --profile quick --out fresh.json
-    python scripts/perf_gate.py --bench fresh.json --baseline BENCH_PR9.json
+    python scripts/perf_gate.py --bench fresh.json --baseline BENCH_PR36.json
 
 Exits 0 when every check passes, 1 with a diagnostic otherwise.
 """
@@ -188,7 +188,7 @@ def main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--baseline", metavar="PATH",
-        help="bench-mode: committed baseline JSON (e.g. BENCH_PR9.json)",
+        help="bench-mode: committed baseline JSON (e.g. BENCH_PR36.json)",
     )
     parser.add_argument(
         "--tolerance", type=float, default=0.15,

@@ -49,13 +49,13 @@ keeping its fastest observation — noise only ever adds time, so
 per-batch minima converge on the true cost and the ratio of denoised
 means survives a 15% tolerance (see :func:`measure`).
 
-The committed baseline lives in ``BENCH_PR9.json`` at the repo root
+The committed baseline lives in ``BENCH_PR36.json`` at the repo root
 (the quick and paper profiles, measured with the compiled sweep
 kernel); regenerate a profile with
 ``maxrs-stream bench --profile quick --seed 42 --out new.json`` and
 copy its ``profiles`` entry into the baseline, and compare a fresh run
 against it with
-``python scripts/perf_gate.py --bench new.json --baseline BENCH_PR9.json``.
+``python scripts/perf_gate.py --bench new.json --baseline BENCH_PR36.json``.
 """
 
 from __future__ import annotations

@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "plus naive and aG2 on skewed workloads (static/drifting "
         "hotspot, power-law cities); writes the JSON "
         "document the CI bench gate compares against the committed "
-        "BENCH_PR9.json",
+        "BENCH_PR36.json",
     )
     p_bench.add_argument(
         "--seed", type=int, default=42,

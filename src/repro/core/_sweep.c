@@ -44,10 +44,10 @@
  *
  * maxrs_route, maxrs_map, maxrs_purge, maxrs_pending, maxrs_top,
  * maxrs_top_bound and maxrs_settle are aG2's cell index (see
- * repro/core/cells.py; the reference ports are map_rows, purge_rows,
- * _table_take_pending, top, top_bound and settle, and
- * cells._route_python for the route): the batch route into the arrival
- * table, and the flat cell table -- key hash, per-cell bound and
+ * repro/core/cells.py; the reference ports are route, map_rows,
+ * purge_rows, _table_take_pending, top, top_bound and settle): the
+ * batch route into the arrival table, read from the stream objects'
+ * slots, and the flat cell table -- key hash, per-cell bound and
  * bookkeeping, pending links, candidate heap.  A stale cell's bound is
  * re-summed in row order, never lowered by a subtraction, so it too
  * matches the Python bit for bit.
@@ -55,10 +55,12 @@
  * maxrs_admit is the ingest guard's batch pass (see
  * repro/resilience/guard.py; the reference port is admit): the stream
  * object of every wire record whose shape and values need no coercion,
- * built in one walk of the batch.  maxrs_columns is the durable
+ * built in one walk of the batch, which also reports whether the
+ * batch is whole and in timestamp order.  maxrs_columns is the durable
  * column form of a run of those objects (see repro/core/objects.py; the
  * reference port is columns): the oid list and the four float columns
- * as little-endian doubles, packed in one walk.
+ * as little-endian doubles, packed in one walk; maxrs_ints writes the
+ * oid list's JSON text (ints).
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -688,50 +690,44 @@ static int axis_cells(double lo, double hi, double origin, double cs,
 }
 
 /*
- * ArrivalTable.route of n objects given as (x, y, weight) triples: the
- * dual rectangle and weight of each into rows (5 doubles a row), its
- * cell cover (i0, i1, j0, j1) into cover.  Returns the number of
- * (row, cell) pairs, -1 when a bound is not finite and -2 when a cell
- * index is out of the exact range or the pairs cannot be counted in a
- * long; the caller then routes the batch in Python, which raises or
- * computes with exact integers.
+ * ArrivalTable.route of one object at (x, y) of weight w: its dual
+ * rectangle and weight into r (5 doubles), its cell cover (i0, i1, j0,
+ * j1) into c, its pair count added to *pairs.  Returns 0, -1 when a
+ * bound is not finite and -2 when a cell index is out of the exact
+ * range or the pairs cannot be counted in a long; the caller then
+ * routes the batch in Python, which raises or computes with exact
+ * integers.
  */
-long maxrs_route(const double *xyw, long n, double hw, double hh,
-                 double cs, double ox, double oy, double *rows,
-                 long *cover)
+static long route_one(double x, double y, double w, double hw, double hh,
+                      double cs, double ox, double oy, double *r, long *c,
+                      long *pairs)
 {
-    long pairs = 0;
-    for (long k = 0; k < n; k++) {
-        const double *o = xyw + 3 * k;
-        double x1 = o[0] - hw, y1 = o[1] - hh;
-        double x2 = o[0] + hw, y2 = o[1] + hh;
-        if (!(isfinite(x1) && isfinite(y1) && isfinite(x2) && isfinite(y2)))
-            return -1;
-        double *r = rows + 5 * k;
-        long *c = cover + 4 * k;
-        r[0] = x1;
-        r[1] = y1;
-        r[2] = x2;
-        r[3] = y2;
-        r[4] = o[2];
-        if (x1 == x2 || y1 == y2) { /* degenerate: overlaps no cell */
-            c[0] = 0;
-            c[1] = -1;
-            c[2] = 0;
-            c[3] = -1;
-            continue;
-        }
-        if (!axis_cells(x1, x2, ox, cs, c) || !axis_cells(y1, y2, oy, cs, c + 2))
-            return -2;
-        long nx = c[1] - c[0] + 1, ny = c[3] - c[2] + 1;
-        if (nx > 0 && ny > 0) {
-            /* a cover too large to count in 64 bits is left to Python */
-            if (nx > MAX_AXIS || ny > MAX_AXIS || pairs > MAX_PAIRS)
-                return -2;
-            pairs += nx * ny;
-        }
+    double x1 = x - hw, y1 = y - hh;
+    double x2 = x + hw, y2 = y + hh;
+    if (!(isfinite(x1) && isfinite(y1) && isfinite(x2) && isfinite(y2)))
+        return -1;
+    r[0] = x1;
+    r[1] = y1;
+    r[2] = x2;
+    r[3] = y2;
+    r[4] = w;
+    if (x1 == x2 || y1 == y2) { /* degenerate: overlaps no cell */
+        c[0] = 0;
+        c[1] = -1;
+        c[2] = 0;
+        c[3] = -1;
+        return 0;
     }
-    return pairs;
+    if (!axis_cells(x1, x2, ox, cs, c) || !axis_cells(y1, y2, oy, cs, c + 2))
+        return -2;
+    long nx = c[1] - c[0] + 1, ny = c[3] - c[2] + 1;
+    if (nx > 0 && ny > 0) {
+        /* a cover too large to count in 64 bits is left to Python */
+        if (nx > MAX_AXIS || ny > MAX_AXIS || *pairs > MAX_PAIRS)
+            return -2;
+        *pairs += nx * ny;
+    }
+    return 0;
 }
 
 /* ---- the cell table (cells.CellTable) ----------------------------------- */
@@ -1254,6 +1250,7 @@ static const char *table_fault(const unsigned long *addr,
  *          (Py_ssize_t[10]), after table_fault found nothing
  *   n      an index or count (long *)
  *   f      a double (double *)
+ *   o      any object, borrowed (PyObject **)
  * Returns 0 with an exception set, and nothing held, on failure.
  */
 static int parse(held *h, const char *name, const char *spec,
@@ -1271,7 +1268,9 @@ static int parse(held *h, const char *name, const char *spec,
     for (Py_ssize_t k = 0; ok && k < want; k++) {
         PyObject *arg = args[k];
         char c = spec[k];
-        if (c == 'n') {
+        if (c == 'o') {
+            *va_arg(ap, PyObject **) = arg;
+        } else if (c == 'n') {
             long *out = va_arg(ap, long *);
             *out = PyLong_AsLong(arg);
             ok = !(*out == -1 && PyErr_Occurred());
@@ -1491,25 +1490,73 @@ static PyObject *py_above(PyObject *self, PyObject *const *args,
     return PyLong_FromLong(j);
 }
 
+/* maxrs_route(objects, cls, hw, hh, cs, ox, oy, rows, r0, cover, c0):
+ * route_one for each object of a list or tuple of exact cls objects
+ * whose x, y and weight slots hold exact floats, read straight from the
+ * slots, rows from r0 and cover from c0 on; the pair count, or the
+ * first object's failure: route_one's, or -3 when the object is not one
+ * of those (or the run is not a list or tuple), which the caller routes
+ * in Python (cells.route_rows; the reference port is route) */
+static int slot_offsets(const char *name, PyTypeObject *cls,
+                        Py_ssize_t *offset);
+
 static PyObject *py_route(PyObject *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
     static const char name[] = "maxrs_route";
     held h;
     h.n = 0;
-    void *xyw, *rows, *cover;
-    Py_ssize_t nx, nr, nc;
-    long n, r0, c0;
+    PyObject *objects, *type;
+    void *rows, *cover;
+    Py_ssize_t nr, nc, offset[5];
+    long r0, c0;
     double hw, hh, cs, ox, oy;
-    if (!parse(&h, name, "dnfffffdnqn", args, nargs, &xyw, &nx, &n, &hw, &hh,
-               &cs, &ox, &oy, &rows, &nr, &r0, &cover, &nc, &c0))
+    if (!parse(&h, name, "oofffffdnqn", args, nargs, &objects, &type, &hw,
+               &hh, &cs, &ox, &oy, &rows, &nr, &r0, &cover, &nc, &c0))
         return NULL;
-    CHECK(0 <= n && n <= nx / 3);
+    if (!PySequence_Check(objects)) {
+        release(&h);
+        return PyErr_Format(PyExc_TypeError,
+                            "%s(): expected a sequence of objects, got %.200s",
+                            name, Py_TYPE(objects)->tp_name);
+    }
+    if (!PyType_Check(type)) {
+        release(&h);
+        return PyErr_Format(PyExc_TypeError,
+                            "%s(): expected a type, got %.200s", name,
+                            Py_TYPE(type)->tp_name);
+    }
+    PyTypeObject *cls = (PyTypeObject *)type;
+    if (!slot_offsets(name, cls, offset)) {
+        release(&h);
+        return NULL;
+    }
+    if (!PyList_CheckExact(objects) && !PyTuple_CheckExact(objects)) {
+        release(&h);
+        return PyLong_FromLong(-3);
+    }
+    long n = (long)PySequence_Fast_GET_SIZE(objects);
     CHECK(0 <= r0 && r0 <= nr - 5 * n && 0 <= c0 && c0 <= nc - 4 * n);
-    long pairs = maxrs_route(xyw, n, hw, hh, cs, ox, oy, (double *)rows + r0,
-                             (long *)cover + c0);
+    /* no Python code runs in the walk, so the run cannot change */
+    PyObject **items = PySequence_Fast_ITEMS(objects);
+    long pairs = 0, fault = 0;
+    for (long k = 0; !fault && k < n; k++) {
+        char *obj = (char *)items[k];
+        PyObject *v[3] = {NULL, NULL, NULL};
+        if (Py_IS_TYPE(items[k], cls))
+            for (int a = 0; a < 3; a++)
+                v[a] = *(PyObject **)(obj + offset[a]);
+        if (!(v[0] && v[1] && v[2] && PyFloat_CheckExact(v[0])
+              && PyFloat_CheckExact(v[1]) && PyFloat_CheckExact(v[2])))
+            fault = -3;
+        else
+            fault = route_one(PyFloat_AS_DOUBLE(v[0]), PyFloat_AS_DOUBLE(v[1]),
+                              PyFloat_AS_DOUBLE(v[2]), hw, hh, cs, ox, oy,
+                              (double *)rows + r0 + 5 * k,
+                              (long *)cover + c0 + 4 * k, &pairs);
+    }
     release(&h);
-    return PyLong_FromLong(pairs);
+    return PyLong_FromLong(fault ? fault : pairs);
 }
 
 static PyObject *py_map(PyObject *self, PyObject *const *args,
@@ -1651,8 +1698,8 @@ static PyObject *py_settle(PyObject *self, PyObject *const *args,
 }
 
 /*
- * maxrs_admit(records, cls): for each record of the list, the object
- * cls(x, y, weight, timestamp, oid) when the record is exactly a dict
+ * maxrs_admit(records, cls, floor): for each record of the list, the
+ * object cls(x, y, weight, timestamp, oid) when the record is exactly a dict
  * whose keys are all exactly str, holding all five field keys, with
  * exact floats x, y, weight and timestamp and an exact int oid that
  * pass cls's checks (finite x and y, weight >= 0, timestamp not NaN);
@@ -1661,6 +1708,14 @@ static PyObject *py_settle(PyObject *self, PyObject *const *args,
  * set to the record's own value objects, as the dataclass's __init__
  * sets them with object.__setattr__.  With only exact str keys and
  * exact float and int values, no lookup or check runs Python code.
+ *
+ * The pass also reports the batch's order: it returns (objects, top),
+ * top the running maximum of the timestamps -- started at floor,
+ * raised only by a larger timestamp, so the object kept is the first
+ * of the largest -- when floor is an exact float, every
+ * record was built and no timestamp fell below the running maximum;
+ * else (objects, None).  The ingest guard releases such a batch whole
+ * (repro/resilience/guard.py).
  */
 #include <structmember.h>
 
@@ -1729,9 +1784,9 @@ static int wire_values(PyObject *rec, PyObject **v)
 static PyObject *py_admit(PyObject *self, PyObject *const *args,
                           Py_ssize_t nargs)
 {
-    if (nargs != 2)
+    if (nargs != 3)
         return PyErr_Format(PyExc_TypeError,
-                            "maxrs_admit() takes 2 arguments (%zd given)",
+                            "maxrs_admit() takes 3 arguments (%zd given)",
                             nargs);
     PyObject *records = args[0];
     if (!PyList_CheckExact(records))
@@ -1750,6 +1805,11 @@ static PyObject *py_admit(PyObject *self, PyObject *const *args,
     PyObject *out = PyList_New(n);
     if (out == NULL)
         return NULL;
+    /* the order check: top is borrowed, from floor or from a record
+       value the objects in out hold */
+    PyObject *top = args[2];
+    int ordered = PyFloat_CheckExact(top);
+    double most = ordered ? PyFloat_AS_DOUBLE(top) : 0.0;
     for (Py_ssize_t i = 0; i < n; i++) {
         PyObject *v[WIRE_FIELDS], *obj = NULL;
         /* re-read the size: an allocation may run a finalizer */
@@ -1767,14 +1827,22 @@ static PyObject *py_admit(PyObject *self, PyObject *const *args,
             /* the fresh slots are NULL: each takes its reference */
             for (int k = 0; k < WIRE_FIELDS; k++)
                 *(PyObject **)((char *)obj + offset[k]) = v[k];
+            double t = PyFloat_AS_DOUBLE(v[3]);
+            if (t < most)
+                ordered = 0;
+            else if (t > most) {
+                most = t;
+                top = v[3];
+            }
         }
         if (obj == NULL) {
             obj = Py_None;
             Py_INCREF(obj);
+            ordered = 0;
         }
         PyList_SET_ITEM(out, i, obj);
     }
-    return out;
+    return Py_BuildValue("(NO)", out, ordered ? top : Py_None);
 }
 
 /*
@@ -1866,24 +1934,29 @@ done:
 }
 
 /*
- * maxrs_ints(values): json.dumps(values) -- "[1, 2, 3]" -- of a list
- * whose items are all exact ints that fit in 64 bits, written in one
- * pass, for the oid list of a checkpoint (repro/resilience/checkpoint.py;
- * the reference port is ints); None for any other list, which the
- * caller gives to json.dumps.
+ * maxrs_ints(values[, compact]): json.dumps(values) -- "[1, 2, 3]" --
+ * of a list whose items are all exact ints that fit in 64 bits, written
+ * in one pass, for the oid list of a checkpoint
+ * (repro/resilience/checkpoint.py); with a true compact, the
+ * separators=(",", ":") text "[1,2,3]", for the oid list of a WAL
+ * record (repro/durability/record.py).  The reference port is ints.
+ * None for any other list, which the caller gives to json.dumps.
  */
 static PyObject *py_ints(PyObject *self, PyObject *const *args,
                          Py_ssize_t nargs)
 {
-    if (nargs != 1)
+    if (nargs != 1 && nargs != 2)
         return PyErr_Format(PyExc_TypeError,
-                            "maxrs_ints() takes 1 argument (%zd given)",
-                            nargs);
+                            "maxrs_ints() takes 1 or 2 arguments "
+                            "(%zd given)", nargs);
     PyObject *values = args[0];
     if (!PyList_CheckExact(values))
         return PyErr_Format(PyExc_TypeError,
                             "maxrs_ints(): expected a list, got %.200s",
                             Py_TYPE(values)->tp_name);
+    int compact = nargs == 2 ? PyObject_IsTrue(args[1]) : 0;
+    if (compact < 0)
+        return NULL;
     /* a 64-bit int is at most 20 characters, then ", " */
     Py_ssize_t n = PyList_GET_SIZE(values);
     if (n > (PY_SSIZE_T_MAX - 2) / 22)
@@ -1905,7 +1978,8 @@ static PyObject *py_ints(PyObject *self, PyObject *const *args,
         }
         if (i) {
             *p++ = ',';
-            *p++ = ' ';
+            if (!compact)
+                *p++ = ' ';
         }
         unsigned long long m = x < 0 ? 0ULL - (unsigned long long)x
                                      : (unsigned long long)x;
@@ -1941,8 +2015,8 @@ static PyMethodDef methods[] = {
                 "out) -> anchor"),
     ENTRY(max, "maxrs_max(values, lo, hi) -> max(values[lo:hi])"),
     ENTRY(above, "maxrs_above(values, lo, hi, relax, rho) -> index"),
-    ENTRY(route, "maxrs_route(xyw, n, hw, hh, cs, ox, oy, rows, r0, cover, "
-                 "c0) -> pairs"),
+    ENTRY(route, "maxrs_route(objects, cls, hw, hh, cs, ox, oy, rows, r0, "
+                 "cover, c0) -> pairs"),
     ENTRY(map, "maxrs_map(table, rows, cover, base, start, stop, touched) "
                "-> count"),
     ENTRY(purge, "maxrs_purge(table, cover, head, stop, expired_upto, held) "
@@ -1951,10 +2025,11 @@ static PyMethodDef methods[] = {
     ENTRY(top, "maxrs_top(table) -> cell"),
     ENTRY(top_bound, "maxrs_top_bound(table) -> cell"),
     ENTRY(settle, "maxrs_settle(table, visited, n) -> None"),
-    ENTRY(admit, "maxrs_admit(records, cls) -> [cls object or None, ...]"),
+    ENTRY(admit, "maxrs_admit(records, cls, floor) -> ([cls object or "
+                 "None, ...], top or None)"),
     ENTRY(columns, "maxrs_columns(objects, cls) -> (oids, x, y, weight, "
                    "timestamp) or None"),
-    ENTRY(ints, "maxrs_ints(values) -> JSON text or None"),
+    ENTRY(ints, "maxrs_ints(values[, compact]) -> JSON text or None"),
     {NULL, NULL, 0, NULL},
 };
 

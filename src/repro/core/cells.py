@@ -55,9 +55,7 @@ may need the room, and in place, so the tuple stays valid.
 from __future__ import annotations
 
 from array import array
-from itertools import chain
 from math import isfinite
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.core import planesweep
@@ -107,9 +105,6 @@ def _home(i: int, j: int, mask: int) -> int:
 
 # -- the batch route ---------------------------------------------------------
 
-_XYW = attrgetter("x", "y", "weight")
-
-
 def route_rows(
     rows: array,
     cover: array,
@@ -120,19 +115,21 @@ def route_rows(
 ) -> int:
     """Append each arrival's dual rectangle and weight to ``rows`` and
     its cell cover ``(i0, i1, j0, j1)`` to ``cover``; return the number
-    of (row, cell) pairs.  ``maxrs_route``, or :func:`_route_python`
-    when the kernel declines the batch (a bound that is not finite, a
-    cell index beyond 2**52, a cover too large to count in 64 bits)."""
+    of (row, cell) pairs.  ``maxrs_route`` reads ``x``, ``y`` and
+    ``weight`` straight from the objects' slots; :func:`_route_python`
+    routes a batch the kernel declines: one that is not a list or tuple
+    of exact :class:`SpatialObject` instances with exact-float slots
+    (an int coordinate, a subclass), a bound that is not finite, a cell
+    index beyond 2**52, a cover too large to count in 64 bits."""
     n = len(arrived)
     if n:
-        xyw = array("d", chain.from_iterable(map(_XYW, arrived)))
         r0 = len(rows)
         c0 = len(cover)
         rows.frombytes(bytes(40 * n))
         cover.frombytes(bytes(32 * n))
         pairs = planesweep._KERNEL.route(
-            xyw, n, hw, hh, grid.cell_size, grid.origin_x, grid.origin_y,
-            rows, r0, cover, c0,
+            arrived, SpatialObject, hw, hh, grid.cell_size, grid.origin_x,
+            grid.origin_y, rows, r0, cover, c0,
         )
         if pairs >= 0:
             return pairs
@@ -149,12 +146,12 @@ def _route_python(
     hh: float,
     grid: UniformGrid,
 ) -> int:
-    """The route of a batch ``maxrs_route`` declines, and its reference:
-    ``Rect.from_center``'s bounds, float
-    operation for float operation, and ``grid.cell_keys``' cover (one
-    ``_axis_cells`` per axis, in exact integers).  A bound that is not
-    finite makes ``Rect`` raise the error the dual transform raises,
-    before any row is appended."""
+    """The route of a batch ``maxrs_route`` declines, which the kernel
+    and its twin match wherever they route: ``Rect.from_center``'s
+    bounds, float operation for float operation, and
+    ``grid.cell_keys``' cover (one ``_axis_cells`` per axis, in exact
+    integers).  A bound that is not finite makes ``Rect`` raise the
+    error the dual transform raises, before any row is appended."""
     cs = grid.cell_size
     ox = grid.origin_x
     oy = grid.origin_y

@@ -13,7 +13,8 @@ IEEE-754 doubles, which round-trips every float bit for bit.  The
 compiled kernel's ``maxrs_columns`` packs a run of plain objects in one
 pass (:func:`pack_columns`), which the snapshot of every checkpoint and
 every WAL append goes through; anything else is packed field by field in
-Python, to the same bytes.
+Python, to the same bytes.  Its ``maxrs_ints`` writes the JSON text of
+the oid list (:func:`json_ints`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "object_ids",
     "objects_from_columns",
     "objects_to_columns",
+    "json_ints",
     "pack_columns",
     "pack_doubles",
     "unpack_doubles",
@@ -171,6 +173,16 @@ def pack_columns(objects: Sequence[SpatialObject]) -> tuple | None:
     from repro.core import planesweep  # planesweep imports this module
 
     return planesweep._KERNEL.columns(objects, SpatialObject)
+
+
+def json_ints(values: list, compact: bool = False) -> str | None:
+    """One compiled pass (``maxrs_ints``): ``json.dumps(values)`` when
+    every value is an exact int that fits in 64 bits, else ``None``;
+    with ``compact``, the text ``json.dumps`` writes with
+    ``separators=(",", ":")``."""
+    from repro.core import planesweep  # planesweep imports this module
+
+    return planesweep._KERNEL.ints(values, compact)
 
 
 def _b64(column: bytes) -> str:

@@ -37,9 +37,12 @@ where ``c`` is the batch in column form
 
 Each base64 string packs one float field as little-endian IEEE-754
 doubles, so floats replay bit for bit without being printed as decimal
-text.  Logs written before the column form carry ``c`` as a list of
-``[oid, x, y, w, t]`` rows; :func:`objects_from_payload` still reads
-them, and nothing writes them.
+text.  The WAL writes that payload by splicing the packed columns and
+the oid list's text into the fixed text around them
+(:func:`encode_objects_payload`), to the same bytes as
+:func:`encode_payload`.  Logs written before the column form carry
+``c`` as a list of ``[oid, x, y, w, t]`` rows;
+:func:`objects_from_payload` still reads them, and nothing writes them.
 """
 
 from __future__ import annotations
@@ -48,12 +51,15 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, BinaryIO, Iterator
+from typing import Any, BinaryIO, Iterator, Sequence
 
 from repro.core.objects import (
     SpatialObject,
+    _b64,
+    json_ints,
     objects_from_columns,
     objects_to_columns,
+    pack_columns,
 )
 from repro.errors import WalCorruptionError
 
@@ -63,6 +69,7 @@ __all__ = [
     "FrameScan",
     "ScannedRecord",
     "decode_payload",
+    "encode_objects_payload",
     "encode_payload",
     "encode_record",
     "iter_frames",
@@ -95,6 +102,35 @@ def encode_payload(document: dict[str, Any]) -> bytes:
     """Canonical JSON bytes: sorted keys, no whitespace."""
     return json.dumps(
         document, sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+def encode_objects_payload(
+    kind: str, index: int, objects: Sequence[SpatialObject]
+) -> bytes:
+    """The payload of a ``batch`` or ``spill`` record: byte for byte
+    ``encode_payload({"index": index, "kind": kind, "objects":
+    objects_to_payload(objects)})``.
+
+    The document's text is fixed around its parts, so it is spliced,
+    not scanned: the four columns of the column pass
+    (:func:`~repro.core.objects.pack_columns`), whose base64 needs no
+    escaping; the oid list, written by
+    :func:`~repro.core.objects.json_ints` in its compact form; the index
+    and the kind, an int and a plain word.  A run the column pass or
+    the oid writer declines goes through :func:`encode_payload`."""
+    packed = pack_columns(objects)
+    oids = None if packed is None else json_ints(packed[0], True)
+    if oids is None:
+        return encode_payload(
+            {"index": index, "kind": kind,
+             "objects": objects_to_payload(objects)}
+        )
+    _, xs, ys, ws, ts = packed
+    return (
+        f'{{"index":{index},"kind":"{kind}","objects":{{"oid":{oids},'
+        f'"timestamp":"{_b64(ts)}","weight":"{_b64(ws)}",'
+        f'"x":"{_b64(xs)}","y":"{_b64(ys)}"}}}}'
     ).encode()
 
 

@@ -47,10 +47,9 @@ from typing import Callable, List
 from repro.core.objects import SpatialObject
 from repro.durability.record import (
     decode_payload,
-    encode_payload,
+    encode_objects_payload,
     encode_record,
     iter_frames,
-    objects_to_payload,
 )
 from repro.durability.segment import (
     FsyncPolicy,
@@ -188,7 +187,10 @@ class WriteAheadLog:
         ``index`` defaults to ``last_index + 1`` — the engine appends
         batches in apply order, so the default keeps the WAL aligned
         with the checkpoint position without threading a counter
-        through every caller.
+        through every caller.  The payload is spliced from the batch's
+        packed columns and oid text
+        (:func:`~repro.durability.record.encode_objects_payload`), the
+        same bytes as the canonical JSON of its document.
         """
         if not objects:
             raise InvalidParameterError("cannot journal an empty batch")
@@ -199,11 +201,7 @@ class WriteAheadLog:
                 f"{self.last_index}"
             )
         seq = self._append(
-            {
-                "kind": "batch",
-                "index": batch_index,
-                "objects": objects_to_payload(objects),
-            }
+            encode_objects_payload("batch", batch_index, objects)
         )
         self.last_index = batch_index
         return seq
@@ -218,18 +216,14 @@ class WriteAheadLog:
         if index < 0:
             raise InvalidParameterError(f"spill index must be >= 0, got {index}")
         seq = self._append(
-            {
-                "kind": "spill",
-                "index": int(index),
-                "objects": objects_to_payload(objects),
-            }
+            encode_objects_payload("spill", int(index), objects)
         )
         self._sync_current(force=True)
         return seq
 
-    def _append(self, document: dict) -> int:
+    def _append(self, payload: bytes) -> int:
         seq = self.last_seq + 1
-        frame = encode_record(seq, encode_payload(document))
+        frame = encode_record(seq, payload)
         fh = self._current_handle()
         try:
             if self.fault_hook is not None:

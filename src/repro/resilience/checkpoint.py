@@ -50,8 +50,8 @@ from pathlib import Path
 from typing import Any
 
 from repro import persist
-from repro.core import planesweep
 from repro.core.monitor import MaxRSMonitor
+from repro.core.objects import json_ints
 from repro.errors import (
     CheckpointChecksumError,
     InvalidParameterError,
@@ -75,12 +75,6 @@ def _snapshot_target(monitor: Any) -> MaxRSMonitor:
     persistable view."""
     nominate = getattr(monitor, "checkpoint_target", None)
     return monitor if nominate is None else nominate()
-
-
-def json_ints(values: list) -> str | None:
-    """One compiled pass (``maxrs_ints``): ``json.dumps(values)`` when
-    every value is an exact int that fits in 64 bits, else ``None``."""
-    return planesweep._KERNEL.ints(values)
 
 
 def _encode(batch_index: int, state: dict[str, Any]) -> bytes:

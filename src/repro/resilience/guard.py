@@ -24,6 +24,9 @@ guard is where dirty reality is converted into that contract:
 compiled pass (:func:`admit_records`, the kernel's ``maxrs_admit``):
 every plain dict with exact-float ``x``/``y``/``weight``/``timestamp``
 and an exact-int ``oid`` that pass :class:`SpatialObject`'s checks.
+When every record is built and, under strict order, the pass reports
+their timestamps in order from the watermark, the list is released
+whole, without the loop.
 Every other record, and every record of any other iterable, which is
 read lazily, goes through one :func:`coerce_record` call (every mapping
 is built positionally; plain dicts are recognised ahead of the ABC
@@ -121,15 +124,22 @@ def coerce_record(record: object) -> SpatialObject:
     raise TypeError(f"cannot interpret stream record {record!r}")
 
 
-def admit_records(records: list) -> list[SpatialObject | None]:
+def admit_records(
+    records: list, floor: float | None
+) -> tuple[list[SpatialObject | None], float | None]:
     """One compiled pass over a batch (``maxrs_admit``): for each
     record, the object :func:`coerce_record` would build when the record
     is a plain dict with str keys holding all five fields, exact floats
     ``x``/``y``/``weight``/``timestamp`` that pass
     :class:`SpatialObject`'s checks and an exact-int ``oid``, holding
     the record's own value objects; ``None`` for every other record.
-    It raises nothing for a record and never draws an auto oid."""
-    return planesweep._KERNEL.admit(records, SpatialObject)
+    It raises nothing for a record and never draws an auto oid.
+
+    With the objects comes the batch's order: the largest timestamp,
+    as a running maximum started at ``floor`` keeps it, when ``floor``
+    is a float, every record was built and no timestamp fell below the
+    running maximum; else ``None``."""
+    return planesweep._KERNEL.admit(records, SpatialObject, floor)
 
 
 class IngestGuard:
@@ -193,7 +203,13 @@ class IngestGuard:
         by :func:`admit_records`; each record it leaves as ``None``, and
         each record of any other iterable, is coerced in the loop by
         :func:`coerce_record`, so every error, dead letter, count and
-        auto oid is that path's.  The result holds zero or more objects
+        auto oid is that path's.  When the pass builds every record of
+        the list and reports them in order from the reorder buffer's
+        :attr:`~ReorderBuffer.floor` (strict order, ``max_lateness``
+        0), the loop would release each as it arrives: the built list
+        is returned whole, with the counts and the buffer's maximum
+        advanced as the loop would advance them.  The result holds
+        zero or more objects
         in non-decreasing timestamp order (buffered records released by
         an advancing watermark ride along with the batch that advanced
         it), the same objects in the same order as one record at a time,
@@ -208,11 +224,19 @@ class IngestGuard:
         """
         out: list[SpatialObject] = []
         reorder = self.reorder
-        accept = reorder.accept
         if type(records) is list:
-            pairs = zip(records, admit_records(records))
+            built, top = admit_records(records, reorder.floor)
+            if top is not None:
+                # every record built and in order from the floor: each
+                # would be released as it arrives
+                reorder.advance(top)
+                self._seq += len(built)
+                self.admitted += len(built)
+                return built
+            pairs = zip(records, built)
         else:
             pairs = zip(records, repeat(None))
+        accept = reorder.accept
         try:
             for record, obj in pairs:
                 self._seq += 1

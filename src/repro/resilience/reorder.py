@@ -61,6 +61,22 @@ class ReorderBuffer:
         """Records currently held back waiting for the watermark."""
         return len(self._heap)
 
+    @property
+    def floor(self) -> float | None:
+        """Where a batch released whole on arrival must start: the
+        maximum timestamp seen, when ``max_lateness`` is 0 and nothing
+        is held; else ``None``.  A batch whose timestamps start at or
+        above it and never fall is released record by record as it
+        arrives (see :meth:`accept`)."""
+        if self.max_lateness == 0.0 and not self._heap:
+            return self._max_seen
+        return None
+
+    def advance(self, top: float) -> None:
+        """Take a batch released whole from :attr:`floor`: ``top`` is the
+        maximum seen after it, as :meth:`accept` would have kept it."""
+        self._max_seen = top
+
     def accept(
         self, obj: SpatialObject, out: list[SpatialObject]
     ) -> bool | None:

@@ -11,7 +11,8 @@ cells' scans on the same flat items; the aG2 cell table's map, purge,
 visit, candidate heap and settle on the table's own arrays, pending
 lists and the lazy re-key of a stale cell's bound included; the ingest
 guard's batch pass on the records themselves; the durable column pass
-on the stream objects and the checkpoint's oid list on the ints.
+on the stream objects and the oid list of a checkpoint or a WAL record
+on the ints; the batch route on the stream objects too.
 
 :func:`use_reference` (with a ``MonkeyPatch``) and
 :func:`reference_kernel` (a context manager) replace every binding of a
@@ -29,7 +30,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
-from math import isfinite, isnan
+from math import floor, isfinite, isnan
 from types import MemberDescriptorType
 from typing import Iterable, Iterator, Sequence
 
@@ -43,8 +44,9 @@ from repro.core.cells import (
     _home, _live_bound, _spare,
 )
 from repro.core.graph import _COMPACT_MIN
+from repro.core.grid import _axis_cells
 from repro.core.objects import SpatialObject
-from repro.resilience import checkpoint, guard
+from repro.resilience import guard
 from segment_tree import MaxCoverSegmentTree
 
 _REMOVE = 0
@@ -338,9 +340,106 @@ def above_flat(values: array, lo: int, relax: float, rho: float) -> int:
     return len(values)
 
 
+#: ``_sweep.c``'s route limits: cell indices below 2**52 are exact
+#: doubles, and cover sides and pair totals must fit in 64 bits
+_EXACT_INDEX = 2**52
+_MAX_AXIS = 1 << 30
+_MAX_PAIRS = 1 << 61
+
+
+def _axis(lo: float, hi: float, origin: float, cs: float) -> tuple | None:
+    """``axis_cells``: ``grid._axis_cells``' first and last index, or
+    ``None`` when an index is outside the exact range."""
+    a = (lo - origin) / cs
+    b = (hi - origin) / cs
+    if not (
+        isfinite(a) and isfinite(b) and abs(floor(a)) < _EXACT_INDEX
+        and abs(floor(b)) < _EXACT_INDEX
+    ):
+        return None
+    span = _axis_cells(lo, hi, origin, cs)
+    return span.start, span.stop - 1
+
+
+def route(
+    run: Sequence, cls: type, hw: float, hh: float, cs: float, ox: float,
+    oy: float, rows: array, r0: int, cover: array, c0: int,
+) -> int:
+    """``maxrs_route``: the dual rectangle and weight of each object of
+    ``run`` into ``rows`` from ``r0`` on, its cell cover into ``cover``
+    from ``c0`` on, and the number of (row, cell) pairs; walking the run
+    once, the first object that fails decides: ``-3`` when it is not an
+    exact ``cls`` with exact-float ``x``, ``y`` and ``weight`` (or the
+    run is not a list or tuple), ``-1`` when a bound is not finite,
+    ``-2`` when a cell index is out of the exact range or the pairs
+    cannot be counted in 64 bits."""
+    if isinstance(run, dict) or not hasattr(type(run), "__getitem__"):
+        raise TypeError(f"expected a sequence of objects, got {type(run)}")
+    if not isinstance(cls, type):
+        raise TypeError(f"expected a type, got {type(cls)}")
+    for name in _WIRE_FIELDS:
+        if not isinstance(getattr(cls, name, None), MemberDescriptorType):
+            raise TypeError(f"{cls.__name__} has no slot {name!r}")
+    if rows.typecode != "d" or cover.typecode != "q":
+        raise TypeError("expected array('d') rows and array('q') cover")
+    if type(run) not in (list, tuple):
+        return -3
+    n = len(run)
+    if not (0 <= r0 <= len(rows) - 5 * n and 0 <= c0 <= len(cover) - 4 * n):
+        raise IndexError("maxrs_route(): index or count out of range")
+    pairs = 0
+    for k, obj in enumerate(run):
+        if type(obj) is not cls:
+            return -3
+        try:
+            x, y, w = obj.x, obj.y, obj.weight
+        except AttributeError:  # a slot never set
+            return -3
+        if not (type(x) is float and type(y) is float and type(w) is float):
+            return -3
+        x1 = x - hw
+        y1 = y - hh
+        x2 = x + hw
+        y2 = y + hh
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2)
+                and isfinite(y2)):
+            return -1
+        rows[r0 + 5 * k:r0 + 5 * k + 5] = array("d", (x1, y1, x2, y2, w))
+        if x1 == x2 or y1 == y2:  # degenerate: overlaps no cell
+            cover[c0 + 4 * k:c0 + 4 * k + 4] = array("q", (0, -1, 0, -1))
+            continue
+        xs = _axis(x1, x2, ox, cs)
+        ys = _axis(y1, y2, oy, cs)
+        if xs is None or ys is None:
+            return -2
+        cover[c0 + 4 * k:c0 + 4 * k + 4] = array("q", (*xs, *ys))
+        nx = xs[1] - xs[0] + 1
+        ny = ys[1] - ys[0] + 1
+        if nx > 0 and ny > 0:
+            if nx > _MAX_AXIS or ny > _MAX_AXIS or pairs > _MAX_PAIRS:
+                return -2
+            pairs += nx * ny
+    return pairs
+
+
 def route_rows(rows, cover, arrived, hw, hh, grid) -> int:
-    """``maxrs_route``: the route the kernel falls back to for the
-    batches it declines (looked up per call, so a test may spy on it)."""
+    """``cells.route_rows`` on the twin: :func:`route`, and
+    ``cells._route_python`` (looked up per call, so a test may spy on
+    it) for a batch the twin declines."""
+    n = len(arrived)
+    if n:
+        r0 = len(rows)
+        c0 = len(cover)
+        rows.frombytes(bytes(40 * n))
+        cover.frombytes(bytes(32 * n))
+        pairs = route(
+            arrived, SpatialObject, hw, hh, grid.cell_size, grid.origin_x,
+            grid.origin_y, rows, r0, cover, c0,
+        )
+        if pairs >= 0:
+            return pairs
+        del rows[r0:]
+        del cover[c0:]
     return cells._route_python(rows, cover, arrived, hw, hh, grid)
 
 
@@ -368,10 +467,14 @@ def _wire_values(record: object) -> tuple | None:
     return None
 
 
-def admit(records: list, cls: type) -> list:
-    """``maxrs_admit``: ``cls(x, y, weight, timestamp, oid)`` for each
-    record of the shape and values the kernel builds, ``None`` for every
-    other one."""
+def admit(records: list, cls: type, floor: object) -> tuple:
+    """``maxrs_admit``: ``(objects, top)``, the objects
+    ``cls(x, y, weight, timestamp, oid)`` for each record of the shape
+    and values the kernel builds, ``None`` for every other one; ``top``
+    the running maximum of the timestamps, started at ``floor`` and
+    raised only by a larger one, when the floor is an exact float, every
+    record was built and no timestamp fell below the running maximum;
+    else ``None``."""
     if type(records) is not list:
         raise TypeError(f"expected a list of records, got {type(records)}")
     if not isinstance(cls, type):
@@ -383,12 +486,18 @@ def admit(records: list, cls: type) -> list:
     for record in records:
         values = _wire_values(record)
         out.append(None if values is None else cls(*values))
-    return out
+    top = floor if type(floor) is float else None
+    for obj in out:
+        if top is None or obj is None or obj.timestamp < top:
+            return out, None
+        if obj.timestamp > top:
+            top = obj.timestamp
+    return out, top
 
 
-def admit_records(records: list) -> list:
+def admit_records(records: list, floor: object) -> tuple:
     """``guard.admit_records`` on the reference."""
-    return admit(records, SpatialObject)
+    return admit(records, SpatialObject, floor)
 
 
 # -- the durable column pass ---------------------------------------------------
@@ -433,15 +542,15 @@ def pack_columns(run: Sequence) -> tuple | None:
     return columns(run, SpatialObject)
 
 
-def ints(values: list) -> str | None:
+def ints(values: list, compact: bool = False) -> str | None:
     """``maxrs_ints``: the JSON text of a list of exact ints that fit in
-    64 bits, each in decimal, ``", "`` between them; ``None`` for any
-    other list."""
+    64 bits, each in decimal, ``", "`` between them (``","`` when
+    ``compact``); ``None`` for any other list."""
     if type(values) is not list:
         raise TypeError(f"expected a list, got {type(values)}")
     if any(type(v) is not int or not -(2**63) <= v < 2**63 for v in values):
         return None
-    return "[" + ", ".join(str(v) for v in values) + "]"
+    return "[" + ("," if compact else ", ").join(str(v) for v in values) + "]"
 
 
 # -- the cell table ----------------------------------------------------------
@@ -799,7 +908,7 @@ def use_reference(mp: pytest.MonkeyPatch) -> None:
     swaps[id(cells.route_rows)] = route_rows
     swaps[id(guard.admit_records)] = admit_records
     swaps[id(objects.pack_columns)] = pack_columns
-    swaps[id(checkpoint.json_ints)] = ints
+    swaps[id(objects.json_ints)] = ints
     for name, module in list(sys.modules.items()):
         if name != "repro" and not name.startswith("repro."):
             continue

@@ -12,6 +12,13 @@ holds all three to the general path and the checkpoint file to
 ``maxrs_ints``, is held to ``json.dumps`` on its own too.  Kept mutants (a pass that drops the
 sign of ``-0.0``, one that swaps two columns) show the differential
 catches a kernel that writes other bytes.
+
+The WAL splices a batch or spill payload from the packed columns and
+the compact oid text (``encode_objects_payload``); every frame it
+writes must equal ``encode_record(seq, encode_payload(document))``
+byte for byte, on the kernel and on the reference.  A kept mutant (an
+oid writer that puts ``", "`` between oids) shows that check catches a
+splice with other separators.
 """
 
 from __future__ import annotations
@@ -34,7 +41,10 @@ from repro.core import objects as objects_module
 from repro.core import planesweep
 from repro.core.naive import NaiveMonitor
 from repro.core.objects import SpatialObject, objects_to_columns, pack_doubles
+from repro.durability import WriteAheadLog
+from repro.durability import record as record_module
 from repro.durability.record import (
+    encode_objects_payload,
     encode_payload,
     encode_record,
     objects_to_payload,
@@ -216,3 +226,99 @@ def test_a_pass_writing_other_bytes_is_caught(twin):
     else:
         with pytest.raises(AssertionError):
             _assert_same_bytes(run, twin)
+
+
+# -- the spliced WAL frame ---------------------------------------------------
+
+#: oids past the column strategy's: negative, and at the 64-bit edges
+wide_oids = st.one_of(
+    st.integers(-(2**63), -1),
+    st.sampled_from([-(2**63), 2**63 - 1, -(2**63) - 1, 2**64, -1, 0]),
+)
+
+
+@st.composite
+def wal_runs(draw):
+    """:func:`runs`, some objects re-made with a negative or edge oid."""
+    run = list(draw(runs()))
+    for k in draw(st.lists(st.integers(0, max(0, len(run) - 1)),
+                           max_size=3)):
+        if k < len(run) and type(run[k]) is SpatialObject:
+            o = run[k]
+            run[k] = SpatialObject(o.x, o.y, o.weight, o.timestamp,
+                                   draw(wide_oids))
+    return tuple(run) if draw(st.booleans()) else run
+
+
+def _expected_frame(seq: int, kind: str, index: int, run) -> bytes:
+    return encode_record(
+        seq,
+        encode_payload(
+            {"kind": kind, "index": index, "objects": objects_to_payload(run)}
+        ),
+    )
+
+
+def _wal_frames(run, directory: Path, index: int) -> bytes:
+    """The bytes a log writes for ``run`` as a batch at ``index`` (when
+    the run is not empty) and then as a spill at the same index."""
+    with WriteAheadLog(directory, fsync="os") as wal:
+        if run:
+            wal.append_batch(run, index)
+        wal.log_spill(run, index)
+        [segment] = wal.segments
+    return segment.read_bytes()
+
+
+def _assert_same_frames(run, index: int = 5) -> None:
+    """The log's frames for ``run``, on the kernel and on the reference,
+    are ``encode_record(seq, encode_payload(document))`` byte for byte,
+    and so is each spliced payload."""
+    want = (_expected_frame(1, "batch", index, run) if run else b"") + (
+        _expected_frame(2 if run else 1, "spill", index, run)
+    )
+    for kind in ("batch", "spill"):
+        document = {"kind": kind, "index": index,
+                    "objects": objects_to_payload(run)}
+        assert encode_objects_payload(kind, index, run) == encode_payload(
+            document
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _wal_frames(run, Path(tmp, "k"), index) == want
+        with on_the_reference():
+            assert _wal_frames(run, Path(tmp, "r"), index) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=wal_runs(), index=st.integers(1, 2**62))
+def test_wal_frames_match_the_canonical_encoding(run, index):
+    _assert_same_frames(run, index)
+
+
+def test_wal_frame_cases():
+    """An empty spill, a tuple, negative and 64-bit-edge oids (spliced),
+    and wider oids and an int coordinate (on the general path)."""
+    edge = [SpatialObject(1.5, -0.0, 0.0, float("-inf"), -(2**63)),
+            SpatialObject(-2.0, 3.0, 1e300, 0.0, 2**63 - 1)]
+    for run in ([], (), edge, tuple(edge),
+                edge + [SpatialObject(0.0, 0.0, oid=2**64)],
+                edge + [SpatialObject(1, 0.0, oid=-5)]):
+        _assert_same_frames(run)
+
+
+def _spaced_ints(values, compact=False):
+    """Mutant oid writer: ``", "`` between oids, compact or not."""
+    return reference_kernel.ints(values)
+
+
+@pytest.mark.parametrize("mutant", [False, True], ids=["kernel", "spaced"])
+def test_a_splice_with_other_separators_is_caught(mutant):
+    run = [SpatialObject(1.0, 2.0, 0.5, 0.0, 1),
+           SpatialObject(3.0, 4.0, 1.0, 1.0, -2)]
+    if not mutant:
+        _assert_same_frames(run)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(record_module, "json_ints", _spaced_ints)
+        with pytest.raises(AssertionError):
+            _assert_same_frames(run)

@@ -508,8 +508,8 @@ def _assert_same_admission(records, twin=reference_kernel.admit) -> None:
     """``maxrs_admit`` against ``twin``: the same records built, each
     object holding its record's own value objects and equal to the one
     ``coerce_record`` builds on the general path."""
-    got = planesweep._KERNEL.admit(records, SpatialObject)
-    want = twin(records, SpatialObject)
+    got, _ = planesweep._KERNEL.admit(records, SpatialObject, None)
+    want, _ = twin(records, SpatialObject, None)
     assert len(got) == len(want) == len(records)
     for record, g, w in zip(records, got, want):
         assert (g is None) == (w is None), record
@@ -526,6 +526,54 @@ def _assert_same_admission(records, twin=reference_kernel.admit) -> None:
 @given(records=st.lists(wire_records(), max_size=30))
 def test_admit_matches_the_reference(records):
     _assert_same_admission(records)
+
+
+class _Float(float):
+    """A float subclass: a floor the pass does not compare with."""
+
+
+#: floors: signed zeros, infinities, timestamps the records draw, and
+#: floors the kernel does not compare with (an int, a float subclass)
+floors = st.one_of(
+    st.sampled_from([0.0, -0.0, float("-inf"), float("inf"), 3.0, None, 0,
+                     _Float(1.0)]),
+    st.floats(-1.0, 12.0),
+)
+
+
+@st.composite
+def ordered_records(draw):
+    """Runs of valid wire records whose timestamps mostly rise, with a
+    record from :func:`wire_records` among them now and then."""
+    out = []
+    t = draw(st.sampled_from([-0.0, 0.0, 1.0, float("-inf")]))
+    for _ in range(draw(st.integers(0, 12))):
+        t = draw(st.sampled_from([t, t, t + 1.0, t + 0.5, t - 1.0, -0.0]))
+        out.append({"x": 1.0, "y": 2.0, "weight": 1.0, "timestamp": t,
+                    "oid": len(out)})
+    if not draw(st.integers(0, 3)):
+        out.insert(draw(st.integers(0, len(out))), draw(wire_records()))
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(records=ordered_records(), floor=floors)
+def test_admit_reports_the_order_as_the_reference(records, floor):
+    """Given a floor, the pass reports the running maximum of an
+    all-built, in-order batch -- the very timestamp object the loop
+    would keep -- and ``None`` for any other batch, as its twin does."""
+    got, top = planesweep._KERNEL.admit(records, SpatialObject, floor)
+    want, twin_top = reference_kernel.admit(records, SpatialObject, floor)
+    assert [repr(o) for o in got] == [repr(o) for o in want]
+    assert top is twin_top
+    loop_top = floor if type(floor) is float else None
+    for obj in got:
+        if loop_top is None or obj is None or obj.timestamp < loop_top:
+            loop_top = None
+            break
+        if obj.timestamp > loop_top:
+            loop_top = obj.timestamp
+    assert top is loop_top
 
 
 def _e2e_records(n: int) -> list[dict]:
@@ -546,7 +594,7 @@ def test_admitted_objects_outlive_their_records():
     expected = [tuple(r[f] for f in FIELDS) for r in records]
     probe = records[7]["x"]
     held = sys.getrefcount(probe)
-    objs = planesweep._KERNEL.admit(records, SpatialObject)
+    objs, _ = planesweep._KERNEL.admit(records, SpatialObject, None)
     assert sys.getrefcount(probe) == held + 1
     del records
     gc.collect()
@@ -563,8 +611,8 @@ def test_admitted_objects_behave_as_constructed():
     as the twin's, and is as frozen."""
     record = {"x": 1.25, "y": -0.0, "weight": 0.0,
               "timestamp": float("-inf"), "oid": 2**70}
-    [got] = planesweep._KERNEL.admit([record], SpatialObject)
-    [twin] = reference_kernel.admit([record], SpatialObject)
+    [got], _ = planesweep._KERNEL.admit([record], SpatialObject, None)
+    [twin], _ = reference_kernel.admit([record], SpatialObject, None)
     assert gc.is_tracked(got) == gc.is_tracked(twin) is True
     assert got == twin and hash(got) == hash(twin)
     assert repr(got) == repr(twin)
@@ -577,7 +625,7 @@ def test_admitted_objects_behave_as_constructed():
         assert not hasattr(obj, "__dict__")
 
 
-def _lenient_admit(records, cls):
+def _lenient_admit(records, cls, floor):
     """Mutant twin: admits a negative weight and an int coordinate,
     setting the slots as the kernel does, past ``__post_init__``."""
     out = []
@@ -592,7 +640,7 @@ def _lenient_admit(records, cls):
                 for name, value in zip(FIELDS, values):
                     object.__setattr__(obj, name, value)
         out.append(obj)
-    return out
+    return out, None
 
 
 @pytest.mark.parametrize("mutant", [False, True], ids=["strict", "lenient"])
@@ -656,11 +704,11 @@ def _args(name: str) -> tuple[list, list, list, list]:
     sets of positions that take ``None`` together."""
     if name == "admit":
         return (
-            [_e2e_records(3), SpatialObject],
+            [_e2e_records(3), SpatialObject, 0.0],
             [],
             [(0, tuple(_e2e_records(3))), (0, iter(_e2e_records(3))),
              (0, None), (1, 3), (1, None), (1, int), (1, WeightedRect)],
-            [],
+            [(2,)],
         )
     if name == "columns":
         run = [SpatialObject(x=1.0 + k, y=2.0, oid=k) for k in range(3)]
@@ -734,11 +782,14 @@ def _args(name: str) -> tuple[list, list, list, list]:
             [],
         )
     if name == "route":
+        run = [SpatialObject(x=1.0, y=1.0), SpatialObject(x=3.0, y=1.0)]
         return (
-            [array("d", [1.0, 1.0, 1.0, 3.0, 1.0, 1.0]), 2, 1.0, 1.0, 2.0,
-             0.0, 0.0, _zeros("d", 15), 5, _zeros("q", 12), 4],
-            [(1, 3), (1, -1), (8, 6), (8, -1), (10, 5)],
-            [(0, array("f", [1.0] * 6)), (7, _zeros("f", 15)),
+            [run, SpatialObject, 1.0, 1.0, 2.0, 0.0, 0.0, _zeros("d", 15), 5,
+             _zeros("q", 12), 4],
+            [(8, 6), (8, -1), (10, 5), (10, -1), (7, _zeros("d", 14)),
+             (0, run * 2)],
+            [(0, iter(run)), (0, None), (0, {0: run[0]}), (1, 3), (1, None),
+             (1, int), (1, WeightedRect), (7, _zeros("f", 15)),
              (9, _zeros("d", 12))],
             [],
         )
