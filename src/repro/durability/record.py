@@ -55,11 +55,9 @@ from typing import Any, BinaryIO, Iterator, Sequence
 
 from repro.core.objects import (
     SpatialObject,
-    _b64,
     json_ints,
     objects_from_columns,
     objects_to_columns,
-    pack_columns,
 )
 from repro.errors import WalCorruptionError
 
@@ -113,24 +111,20 @@ def encode_objects_payload(
     objects_to_payload(objects)})``.
 
     The document's text is fixed around its parts, so it is spliced,
-    not scanned: the four columns of the column pass
-    (:func:`~repro.core.objects.pack_columns`), whose base64 needs no
+    not scanned: the four base64 columns of
+    :func:`~repro.core.objects.objects_to_columns`, which need no
     escaping; the oid list, written by
-    :func:`~repro.core.objects.json_ints` in its compact form; the index
-    and the kind, an int and a plain word.  A run the column pass or
-    the oid writer declines goes through :func:`encode_payload`."""
-    packed = pack_columns(objects)
-    oids = None if packed is None else json_ints(packed[0], True)
-    if oids is None:
-        return encode_payload(
-            {"index": index, "kind": kind,
-             "objects": objects_to_payload(objects)}
-        )
-    _, xs, ys, ws, ts = packed
+    :func:`~repro.core.objects.json_ints` in its compact form, or by
+    :mod:`json` when an oid is not a 64-bit int; the index and the
+    kind, an int and a plain word."""
+    cols = objects_to_columns(objects)
+    oids = json_ints(cols["oid"], True) or json.dumps(
+        cols["oid"], sort_keys=True, separators=(",", ":")
+    )
     return (
         f'{{"index":{index},"kind":"{kind}","objects":{{"oid":{oids},'
-        f'"timestamp":"{_b64(ts)}","weight":"{_b64(ws)}",'
-        f'"x":"{_b64(xs)}","y":"{_b64(ys)}"}}}}'
+        f'"timestamp":"{cols["timestamp"]}","weight":"{cols["weight"]}",'
+        f'"x":"{cols["x"]}","y":"{cols["y"]}"}}}}'
     ).encode()
 
 

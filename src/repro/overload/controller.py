@@ -144,7 +144,9 @@ class DeadlineController:
     def latency_ewma_ms(self) -> float:
         return self.ewma.value
 
-    def observe(self, elapsed_ms: float, backlog: int = 0) -> LadderDecision:
+    def observe(
+        self, elapsed_ms: float, backlog: int = 0, eased: bool = False
+    ) -> LadderDecision:
         """Feed one per-update latency sample; get a ladder decision.
 
         ``backlog`` counts the objects the upstream queue could not
@@ -153,6 +155,13 @@ class DeadlineController:
         the cheapest rung sheds load, and with nothing waiting an
         over-budget sample is a hiccup of the host, which the EWMA and
         the one-rung staircase absorb.
+
+        ``eased`` says the load has fallen by a measure other than this
+        sample's latency.  The ladder passes it on its sampling rung,
+        whose cost barely moves with the load, so that its latency can
+        sit in the dead band however far the load falls.  With nothing
+        waiting, an eased sample under the escalation watermark counts
+        as a clear.
         """
         value = self.ewma.observe(elapsed_ms)
         self._residency += 1
@@ -172,7 +181,9 @@ class DeadlineController:
                 if backlog > 0 and elapsed_ms > self.budget_ms:
                     return LadderDecision.PANIC
                 return LadderDecision.ESCALATE
-        elif value < LOW_FRACTION * self.budget_ms:
+        elif value < LOW_FRACTION * self.budget_ms or (
+            eased and backlog == 0
+        ):
             self._clears += 1
             self._breaches = 0
             if (
@@ -263,6 +274,9 @@ class AdaptiveMonitor:
         self._last = MaxRSResult()
         self._updates = 0
         self._backlog = 0
+        # the batch size whose update moved the ladder onto the sampling
+        # rung (see _steer)
+        self._sampling_batch = 0
         self.deescalations_deferred = 0
         self.rebuilds = 0
         self.transitions: List[Dict[str, object]] = []
@@ -371,7 +385,7 @@ class AdaptiveMonitor:
             elapsed_ms = (time.perf_counter() - start) * 1000.0
         self._last = result
         self.residency[self.mode] += 1
-        self._steer(elapsed_ms)
+        self._steer(elapsed_ms, len(objects))
         return result
 
     def _serve_ag2(self, delta: WindowUpdate) -> MaxRSResult:
@@ -395,14 +409,32 @@ class AdaptiveMonitor:
                     return self._rebuild()
         return result
 
-    def _steer(self, elapsed_ms: float) -> None:
-        """Feed one latency sample to the controller, apply its move."""
-        decision = self.controller.observe(elapsed_ms, self._backlog)
+    def _steer(self, elapsed_ms: float, batch: int) -> None:
+        """Feed one latency sample to the controller, apply its move.
+
+        A sampling update's latency says little about the load: the
+        sampler sweeps a sample of the same size whatever the batch, and
+        that fixed cost can exceed the de-escalation watermark of a
+        budget the exact rung meets at calm.  So on the sampling rung
+        the batch size stands in for the load: the sample is ``eased``
+        once the batch is under ``LOW_FRACTION`` of the one whose update
+        moved the ladder onto the rung, the watermark's own fraction.
+        A load that stays up keeps the batches large, so the ladder does
+        not step up into it.
+        """
+        eased = (
+            self._rung == self.sampling_rung
+            and batch < LOW_FRACTION * self._sampling_batch
+        )
+        decision = self.controller.observe(elapsed_ms, self._backlog, eased)
         if decision is LadderDecision.PANIC:
             if self._rung != self.sampling_rung:
+                self._sampling_batch = batch
                 self._transition(self.sampling_rung, "panic")
         elif decision is LadderDecision.ESCALATE:
             if self._rung < self.sampling_rung:
+                if self._rung + 1 == self.sampling_rung:
+                    self._sampling_batch = batch
                 self._transition(self._rung + 1, "deadline_pressure")
         elif decision is LadderDecision.DEESCALATE:
             if self._backlog > 0:

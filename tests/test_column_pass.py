@@ -296,8 +296,9 @@ def test_wal_frames_match_the_canonical_encoding(run, index):
 
 
 def test_wal_frame_cases():
-    """An empty spill, a tuple, negative and 64-bit-edge oids (spliced),
-    and wider oids and an int coordinate (on the general path)."""
+    """An empty spill, a tuple, negative and 64-bit-edge oids (written
+    by the kernel), a wider oid (written by ``json``) and an int
+    coordinate (packed field by field)."""
     edge = [SpatialObject(1.5, -0.0, 0.0, float("-inf"), -(2**63)),
             SpatialObject(-2.0, 3.0, 1e300, 0.0, 2**63 - 1)]
     for run in ([], (), edge, tuple(edge),

@@ -83,6 +83,23 @@ class TestControllerDecisions:
         assert ctl.observe(1.0) is LadderDecision.HOLD  # residency 2 < 3
         assert ctl.observe(1.0) is LadderDecision.DEESCALATE
 
+    def test_eased_sample_in_the_dead_band_clears(self):
+        ctl = controller()
+        for _ in range(2):  # EWMA 6.0: the dead band
+            assert ctl.observe(6.0, eased=True) is LadderDecision.HOLD
+        assert ctl.observe(6.0, eased=True) is LadderDecision.DEESCALATE
+
+    def test_eased_sample_under_a_backlog_or_over_the_watermark_holds(self):
+        ctl = controller()
+        for _ in range(4):
+            assert ctl.observe(6.0, backlog=5, eased=True) is (
+                LadderDecision.HOLD
+            )
+        # the escalation watermark still rules an eased sample
+        assert controller().observe(9.0, eased=True) is (
+            LadderDecision.ESCALATE
+        )
+
     def test_note_transition_restarts_counters(self):
         ctl = controller()
         for _ in range(3):
@@ -241,6 +258,49 @@ class TestLadderWalk:
         adaptive.note_pressure(0)
         adaptive.update(make_objects(10, seed=4))
         assert adaptive.rung == adaptive.sampling_rung - 1
+
+    def _panicked_at(self, batch: int) -> AdaptiveMonitor:
+        """A ladder that panicked to sampling on a batch of ``batch``,
+        whose sampling updates then sit in the dead band (budget 10,
+        watermarks 5 and 8.5): a flat cost, whatever the batch."""
+        adaptive = make_adaptive(
+            budget_ms=10.0,
+            latency_model=lambda rung, n: 6.0 if rung == 3 else 20.0,
+        )
+        adaptive.ingest(make_objects(60))
+        adaptive.note_pressure(30)
+        adaptive.update(make_objects(batch, seed=1))
+        assert adaptive.transitions[-1]["reason"] == "panic"
+        adaptive.note_pressure(0)
+        return adaptive
+
+    def test_sampling_steps_up_once_the_batches_shrink(self):
+        # the sampler's latency never clears the 5 ms watermark; batches
+        # under half the one that panicked stand in for the load
+        adaptive = self._panicked_at(40)
+        # EWMA 13 and 9.5 (over the escalation watermark), then 7.75
+        # and 6.875: two eased clears
+        for seed in range(2, 5):
+            adaptive.update(make_objects(10, seed=seed))
+        assert adaptive.rung == adaptive.sampling_rung
+        adaptive.update(make_objects(10, seed=5))
+        assert adaptive.rung == adaptive.sampling_rung - 1
+        assert adaptive.transitions[-1]["reason"] == "headroom"
+
+    def test_sampling_holds_while_the_batches_stay_large(self):
+        # a load that stays up: the ladder does not step up into it
+        adaptive = self._panicked_at(40)
+        for seed in range(2, 12):
+            adaptive.update(make_objects(20, seed=seed))
+        assert adaptive.rung == adaptive.sampling_rung
+        assert len(adaptive.transitions) == 1
+
+    def test_sampling_waits_for_the_backlog_to_drain(self):
+        adaptive = self._panicked_at(40)
+        adaptive.note_pressure(5)
+        for seed in range(2, 8):
+            adaptive.update(make_objects(10, seed=seed))
+        assert adaptive.rung == adaptive.sampling_rung
 
     def test_rung_can_run_ahead_of_the_answer(self):
         # the controller steers after answering: the update that earns
